@@ -8,8 +8,11 @@ use criterion::{criterion_group, BenchmarkId, Criterion};
 
 use fraz_bench::scale::Scale;
 use fraz_bench::workloads;
+use std::sync::Arc;
+
 use fraz_core::{
-    FixedQualitySearch, FixedRatioSearch, QualityMetric, QualitySearchConfig, SearchConfig,
+    FixedQualitySearch, FixedRatioSearch, HintSource, QualityMetric, QualitySearchConfig,
+    SearchConfig, SearchHint,
 };
 use fraz_pressio::registry;
 use fraz_tune::CachePredictor;
@@ -49,9 +52,9 @@ fn search_benchmarks(c: &mut Criterion) {
         ..SearchConfig::new(10.0, 0.1).with_regions(4).with_threads(4)
     };
     let search = FixedRatioSearch::new(registry::build_default("sz").unwrap(), config);
-    let trained = search.run(&dataset);
+    let prediction = SearchHint::converged(search.run(&dataset).error_bound, HintSource::External);
     group.bench_function("with_good_prediction", |b| {
-        b.iter(|| search.run_with_prediction(&dataset, Some(trained.error_bound)));
+        b.iter(|| search.run_with_hint(&dataset, Some(&prediction)));
     });
     group.finish();
 }
@@ -112,7 +115,7 @@ fn evaluation_sensitivity() {
     // one verified probe (ratio and quality alike).
     let dir = std::env::temp_dir().join(format!("fraz-bench-tune-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let predictor = CachePredictor::open(&dir).expect("tune cache dir");
+    let predictor = Arc::new(CachePredictor::open(&dir).expect("tune cache dir"));
 
     let config = SearchConfig {
         measure_final_quality: false,
@@ -120,15 +123,16 @@ fn evaluation_sensitivity() {
         threads: 1,
         ..SearchConfig::new(10.0, 0.1).with_regions(4)
     };
-    let search = FixedRatioSearch::new(registry::build_default("sz").unwrap(), config);
-    let cold = search.run_with_predictor(&dataset, &predictor);
-    let warm = search.run_with_predictor(&dataset, &predictor);
+    let search = FixedRatioSearch::new(registry::build_default("sz").unwrap(), config)
+        .with_predictor(Some(predictor.clone()));
+    let cold = search.run(&dataset);
+    let warm = search.run(&dataset);
     record_evaluations("ratio_cold", cold.evaluations);
     record_evaluations("ratio_warm_cache", warm.evaluations);
 
-    let qsearch = quality_search("sz", true);
-    let _ = qsearch.run_with_predictor(&dataset, &predictor);
-    let warm = qsearch.run_with_predictor(&dataset, &predictor);
+    let qsearch = quality_search("sz", true).with_predictor(Some(predictor));
+    let _ = qsearch.run(&dataset);
+    let warm = qsearch.run(&dataset);
     record_evaluations("quality_warm_cache", warm.evaluations);
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,7 +8,7 @@
 //!
 //! `FRAZ_BENCH_SMOKE=1` drops to one timed sample per benchmark; CI
 //! combines it with `FRAZ_BENCH_RECORD_DIR` to guard the committed
-//! `baselines/store.jsonl` rows against large regressions.
+//! `baselines/store_throughput.jsonl` rows against large regressions.
 
 use std::io::Write as _;
 

@@ -1,8 +1,8 @@
-//! Drives a resolved manifest through FRaZ: fixed-ratio fields through the
-//! [`Orchestrator`] (fields in parallel, time-step prediction reuse —
-//! Algorithm 3), quality-targeted fields through [`FixedQualitySearch`] —
-//! every task on the one shared work-stealing pool, exactly as the paper's
-//! evaluation ran whole SDRBench applications.
+//! Drives a resolved manifest through FRaZ: every field — fixed-ratio or
+//! quality-targeted — is one [`FieldTask`] of the [`Orchestrator`] (fields in
+//! parallel, time-step prediction reuse — Algorithm 3) on the one shared
+//! work-stealing pool, exactly as the paper's evaluation ran whole SDRBench
+//! applications.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -10,11 +10,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fraz_core::{
-    BoundPredictor, FieldTask, FixedQualitySearch, HintReport, HintSource, Orchestrator,
-    OrchestratorConfig, QualityMetric, QualitySearchConfig, QualitySearchOutcome, SearchConfig,
-    SeriesOutcome,
+    BoundPredictor, FieldSearch, FieldTask, HintSource, Orchestrator, OrchestratorConfig,
+    QualityMetric, QualitySearchConfig, SearchConfig, SeriesOutcome,
 };
-use fraz_data::manifest::{FieldTarget, Manifest, ManifestError, ResolvedField};
+use fraz_data::manifest::{FieldTarget, Manifest, ManifestError};
 use fraz_pressio::registry::RegistryError;
 use fraz_pressio::{registry, Options};
 use fraz_scenarios::ScenarioSynthesizer;
@@ -86,6 +85,16 @@ fn base_search(manifest: &Manifest) -> SearchConfig {
     search
 }
 
+/// Open the persistent tuning cache in `dir`, when one was requested.
+pub(crate) fn open_tune_cache(dir: Option<&Path>) -> Result<Option<Arc<CachePredictor>>, RunError> {
+    dir.map(|dir| {
+        CachePredictor::open(dir).map(Arc::new).map_err(|e| {
+            RunError::TuneCache(format!("cannot open tune cache `{}`: {e}", dir.display()))
+        })
+    })
+    .transpose()
+}
+
 /// Resolve `manifest` against `manifest_dir` and run every field,
 /// returning the per-field report.
 pub fn run(
@@ -101,141 +110,65 @@ pub fn run(
         .unwrap_or(&resolved.compressor);
     let compressor = registry::build_arc(compressor_name, &Options::new())?;
 
-    // The persistent tuning cache, when requested: one predictor shared by
-    // the ratio orchestrator and every quality search.
-    let predictor: Option<Arc<CachePredictor>> = match &overrides.tune_cache {
-        Some(dir) => Some(Arc::new(CachePredictor::open(dir).map_err(|e| {
-            RunError::TuneCache(format!("cannot open tune cache `{}`: {e}", dir.display()))
-        })?)),
-        None => None,
-    };
+    // One predictor shared by every field's searches.
+    let predictor = open_tune_cache(overrides.tune_cache.as_deref())?;
 
     let search = base_search(manifest);
-    let mut orchestrator = Orchestrator::with_compressor(
+    let orchestrator = Orchestrator::with_compressor(
         compressor.clone(),
         OrchestratorConfig {
             search: search.clone(),
             total_workers: overrides.workers.or(manifest.workers).unwrap_or(0),
             reuse_prediction: true,
         },
-    );
-    if let Some(p) = &predictor {
-        orchestrator = orchestrator.with_predictor(p.clone() as Arc<dyn BoundPredictor>);
-    }
+    )
+    .with_predictor(predictor.clone().map(|p| p as Arc<dyn BoundPredictor>));
 
-    // Fixed-ratio fields run as one parallel application (Algorithm 3),
-    // each carrying its own target through a per-task search override.
-    // The loaded series are *moved* into the tasks (row assembly below
-    // only needs the field names and targets) — real SDRBench fields are
-    // gigabytes, so cloning them would double peak memory.
-    let ratio_tasks: Vec<FieldTask> = resolved
+    // Every field runs as one task of one parallel application (Algorithm
+    // 3), carrying its own target through a per-task search override.  The
+    // loaded series are *moved* into the tasks (row assembly below only
+    // needs the targets) — real SDRBench fields are gigabytes, so cloning
+    // them would double peak memory.
+    let tasks: Vec<FieldTask> = resolved
         .fields
         .iter_mut()
-        .filter_map(|field| match field.target {
-            FieldTarget::Ratio(target) => Some(
-                FieldTask::new(field.name.clone(), std::mem::take(&mut field.series)).with_search(
-                    SearchConfig {
-                        target_ratio: target,
-                        ..search.clone()
-                    },
-                ),
-            ),
-            FieldTarget::MinPsnr(_) => None,
+        .map(|field| {
+            let search: FieldSearch = match field.target {
+                FieldTarget::Ratio(target) => SearchConfig {
+                    target_ratio: target,
+                    ..search.clone()
+                }
+                .into(),
+                FieldTarget::MinPsnr(min_psnr) => {
+                    let mut config = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(min_psnr));
+                    config.max_error_bound = manifest.max_error_bound;
+                    if let Some(iters) = manifest.max_iterations {
+                        config.max_iterations = iters.max(2);
+                    }
+                    config.into()
+                }
+            };
+            FieldTask::new(field.name.clone(), std::mem::take(&mut field.series))
+                .with_search(search)
         })
         .collect();
-    let quality_fields: Vec<&ResolvedField> = resolved
+    let application = orchestrator.run_tasks(&tasks);
+
+    // Outcomes come back in task order, which is manifest order.
+    let rows = resolved
         .fields
         .iter()
-        .filter(|f| matches!(f.target, FieldTarget::MinPsnr(_)))
+        .zip(&application.fields)
+        .map(|(field, outcome)| {
+            field_row(
+                &resolved.application,
+                compressor.name(),
+                &field.target,
+                outcome,
+                predictor.is_some(),
+            )
+        })
         .collect();
-
-    // One scope, both kinds of work: the whole ratio application runs as
-    // a task next to the per-field quality searches, so a quality field
-    // does not wait for the ratio phase (nor vice versa) — the pool's
-    // re-entrant scopes let `run_tasks` open its nested field/region
-    // scopes from inside this one.
-    let mut ratio_application = None;
-    let mut quality_outcomes: Vec<Option<(Vec<QualitySearchOutcome>, f64)>> =
-        vec![None; quality_fields.len()];
-    let max_error_bound = manifest.max_error_bound;
-    let max_iterations = manifest.max_iterations;
-    orchestrator.pool().scope(|scope| {
-        if !ratio_tasks.is_empty() {
-            let orchestrator = &orchestrator;
-            let ratio_tasks = &ratio_tasks;
-            let slot = &mut ratio_application;
-            scope.spawn(move || *slot = Some(orchestrator.run_tasks(ratio_tasks)));
-        }
-        for (slot, field) in quality_outcomes.iter_mut().zip(&quality_fields) {
-            let compressor = compressor.clone();
-            let pool = orchestrator.pool().clone();
-            let predictor = predictor.clone();
-            scope.spawn(move || {
-                let FieldTarget::MinPsnr(min_psnr) = field.target else {
-                    unreachable!("filtered above")
-                };
-                let mut config = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(min_psnr));
-                config.max_error_bound = max_error_bound;
-                if let Some(iters) = max_iterations {
-                    config.max_iterations = iters.max(2);
-                }
-                // Same shared pool as the ratio fields: the search's sweep
-                // evaluations become nested tasks instead of a serial loop.
-                let search = FixedQualitySearch::new(compressor, config).with_pool(pool);
-                let field_start = Instant::now();
-                let outcomes: Vec<QualitySearchOutcome> = field
-                    .series
-                    .iter()
-                    .map(|ds| match &predictor {
-                        Some(p) => search.run_with_predictor(ds, p.as_ref()),
-                        None => search.run(ds),
-                    })
-                    .collect();
-                *slot = Some((outcomes, field_start.elapsed().as_secs_f64() * 1e3));
-            });
-        }
-    });
-    let ratio_outcomes: Vec<SeriesOutcome> =
-        ratio_application.map(|app| app.fields).unwrap_or_default();
-
-    // Reassemble rows in manifest order.
-    let cache_enabled = predictor.is_some();
-    let mut rows = Vec::with_capacity(resolved.fields.len());
-    for field in &resolved.fields {
-        let row = match field.target {
-            FieldTarget::Ratio(_) => {
-                let outcome = ratio_outcomes
-                    .iter()
-                    .find(|o| o.field == field.name)
-                    .expect("every ratio task produces an outcome");
-                ratio_row(
-                    &resolved.application,
-                    compressor.name(),
-                    field,
-                    outcome,
-                    cache_enabled,
-                )
-            }
-            FieldTarget::MinPsnr(_) => {
-                let index = quality_fields
-                    .iter()
-                    .position(|f| f.name == field.name)
-                    .expect("filtered from the same list");
-                let (outcomes, elapsed_ms) = quality_outcomes[index]
-                    .as_ref()
-                    .expect("every quality task produces an outcome");
-                quality_row(
-                    &resolved.application,
-                    compressor.name(),
-                    field,
-                    outcomes,
-                    *elapsed_ms,
-                    cache_enabled,
-                )
-            }
-        };
-        rows.push(row);
-    }
 
     // Persist what this run learned; failing to write the cache must not
     // discard the run's results, so the summary carries the counters and
@@ -260,22 +193,6 @@ pub fn run(
     })
 }
 
-/// Count the steps a `--tune-cache` run seeded straight from the cache
-/// (`None`/`None` when the cache was off, so the table shows `-`).
-fn cache_columns<'a>(
-    enabled: bool,
-    hints: impl Iterator<Item = Option<&'a HintReport>>,
-    steps: usize,
-) -> (Option<usize>, Option<usize>) {
-    if !enabled {
-        return (None, None);
-    }
-    let hits = hints
-        .filter(|h| h.is_some_and(|h| h.source == HintSource::TuneCache && h.hit))
-        .count();
-    (Some(hits), Some(steps - hits))
-}
-
 fn mean(values: impl Iterator<Item = f64>) -> Option<f64> {
     let (mut sum, mut n) = (0.0, 0usize);
     for v in values {
@@ -285,24 +202,28 @@ fn mean(values: impl Iterator<Item = f64>) -> Option<f64> {
     (n > 0).then(|| sum / n as f64)
 }
 
-fn ratio_row(
+fn field_row(
     application: &str,
     compressor: &str,
-    field: &ResolvedField,
+    target: &FieldTarget,
     outcome: &SeriesOutcome,
     cache_enabled: bool,
 ) -> FieldRow {
     let steps = &outcome.steps;
-    let (cache_hits, cache_misses) = cache_columns(
-        cache_enabled,
-        steps.iter().map(|s| s.hint.as_ref()),
-        steps.len(),
-    );
+    // The steps a `--tune-cache` run seeded straight from the cache
+    // (`None`/`None` when the cache was off, so the table shows `-`).
+    let cache_hits = cache_enabled.then(|| {
+        steps
+            .iter()
+            .filter_map(|s| s.hint.as_ref())
+            .filter(|h| h.source == HintSource::TuneCache && h.hit)
+            .count()
+    });
     FieldRow {
         application: application.to_string(),
-        field: field.name.clone(),
+        field: outcome.field.clone(),
         compressor: compressor.to_string(),
-        target: field.target.to_string(),
+        target: target.to_string(),
         steps: steps.len(),
         error_bound: steps.last().map_or(0.0, |s| s.error_bound),
         ratio: mean(steps.iter().map(|s| s.best.compression_ratio)).unwrap_or(0.0),
@@ -322,50 +243,7 @@ fn ratio_row(
         retrained_steps: outcome.retrain_steps.len(),
         evaluations: outcome.total_evaluations(),
         cache_hits,
-        cache_misses,
+        cache_misses: cache_hits.map(|hits| steps.len() - hits),
         elapsed_ms: outcome.elapsed.as_secs_f64() * 1e3,
-    }
-}
-
-fn quality_row(
-    application: &str,
-    compressor: &str,
-    field: &ResolvedField,
-    outcomes: &[QualitySearchOutcome],
-    elapsed_ms: f64,
-    cache_enabled: bool,
-) -> FieldRow {
-    let (cache_hits, cache_misses) = cache_columns(
-        cache_enabled,
-        outcomes.iter().map(|o| o.hint.as_ref()),
-        outcomes.len(),
-    );
-    FieldRow {
-        application: application.to_string(),
-        field: field.name.clone(),
-        compressor: compressor.to_string(),
-        target: field.target.to_string(),
-        steps: outcomes.len(),
-        error_bound: outcomes.last().map_or(0.0, |o| o.error_bound),
-        ratio: mean(outcomes.iter().map(|o| o.best.compression_ratio)).unwrap_or(0.0),
-        bit_rate: mean(outcomes.iter().map(|o| o.best.bit_rate)).unwrap_or(0.0),
-        psnr: mean(
-            outcomes
-                .iter()
-                .filter_map(|o| o.best.quality.as_ref())
-                .map(|q| q.psnr),
-        ),
-        max_abs_error: outcomes
-            .iter()
-            .filter_map(|o| o.best.quality.as_ref())
-            .map(|q| q.max_abs_error)
-            .fold(None, |acc, e| Some(acc.map_or(e, |a: f64| a.max(e)))),
-        feasible_steps: outcomes.iter().filter(|o| o.satisfiable).count(),
-        // Quality searches have no prediction reuse: every step trains.
-        retrained_steps: outcomes.len(),
-        evaluations: outcomes.iter().map(|o| o.evaluations).sum(),
-        cache_hits,
-        cache_misses,
-        elapsed_ms,
     }
 }

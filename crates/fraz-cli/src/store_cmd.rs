@@ -16,9 +16,9 @@ use fraz_data::manifest::FieldTarget;
 use fraz_pressio::Options;
 use fraz_scenarios::ScenarioSynthesizer;
 use fraz_store::{write_array_seeded, ArrayReader, ChunkTarget, FsStore, Store, StoreWriteConfig};
-use fraz_tune::CachePredictor;
 
 use crate::config::load_manifest;
+use crate::runner::open_tune_cache;
 
 const USAGE: &str = "fraz store — chunked array store with per-chunk tuned bounds
 
@@ -166,15 +166,12 @@ fn cmd_create(args: &[String]) -> u8 {
     };
     let codec = compressor.as_deref().unwrap_or(&resolved.compressor);
     let tolerance = manifest.tolerance.unwrap_or(0.1);
-    let predictor: Option<Arc<CachePredictor>> = match &tune_cache {
-        Some(dir) => match CachePredictor::open(dir) {
-            Ok(p) => Some(Arc::new(p)),
-            Err(e) => {
-                eprintln!("fraz: cannot open tune cache `{}`: {e}", dir.display());
-                return 1;
-            }
-        },
-        None => None,
+    let predictor = match open_tune_cache(tune_cache.as_deref()) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("fraz: {e}");
+            return 1;
+        }
     };
 
     let mut objects = 0usize;

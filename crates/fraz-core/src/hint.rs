@@ -1,19 +1,18 @@
 //! Search seeding: one first-class abstraction for "try this bound first".
 //!
-//! Three call sites used to hand-roll warm starts — the orchestrator threaded
-//! the previous time-step's bound through `run_with_prediction`, the store
-//! writer kept an `AtomicU64` of the last converged chunk bound, and the
-//! online controller re-seeded its re-sync search at the current bound.  All
-//! of them now speak [`SearchHint`]: a candidate bound with provenance (and
-//! optionally a bracket that narrows the fallback search), produced by a
-//! [`BoundPredictor`] and fed to
-//! [`FixedRatioSearch::run_with_hint`](crate::FixedRatioSearch::run_with_hint)
-//! or
-//! [`FixedQualitySearch::run_with_hint`](crate::FixedQualitySearch::run_with_hint).
-//! The search records whether the hint landed in a [`HintReport`], and
-//! [`BoundPredictor::observe`] closes the loop so a predictor can learn from
-//! every run (the persistent tuning cache in `fraz-tune` is one such
-//! predictor; [`LastConverged`] is the in-process one).
+//! Every warm start — the orchestrator's previous time-step bound, the store
+//! writer's last converged chunk bound, the online controller's re-sync at
+//! its current bound — speaks [`SearchHint`]: a candidate bound with
+//! provenance (and optionally a bracket that narrows the fallback search).
+//! A [`BoundPredictor`] installed with
+//! [`Search::with_predictor`](crate::Search::with_predictor) produces the
+//! hint [`Search::run`](crate::Search::run) tries first;
+//! [`Search::run_with_hint`](crate::Search::run_with_hint) takes one
+//! explicitly.  The search records whether the hint landed in a
+//! [`HintReport`], and [`BoundPredictor::observe`] closes the loop so a
+//! predictor can learn from every run (the persistent tuning cache in
+//! `fraz-tune` is one such predictor; [`LastConverged`] is the in-process
+//! one).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -38,8 +37,7 @@ pub enum HintSource {
     Analytic,
     /// The persistent cross-run tuning cache (`fraz-tune`).
     TuneCache,
-    /// A caller-supplied bound with no further provenance
-    /// (`run_with_prediction`'s compatibility path).
+    /// A caller-supplied bound with no further provenance.
     External,
 }
 
@@ -222,8 +220,7 @@ impl LastConverged {
         }
     }
 
-    /// Seed the slot directly (the online controller plants its current
-    /// bound here before a re-sync).
+    /// Seed the slot directly with a bound known to meet the objective.
     pub fn store(&self, bound: f64) {
         if bound.is_finite() && bound > 0.0 {
             self.bits.store(bound.to_bits(), Ordering::Relaxed);
@@ -258,11 +255,6 @@ impl PredictorChain {
     /// A chain asking `predictors` in the given order.
     pub fn new(predictors: Vec<Arc<dyn BoundPredictor>>) -> Self {
         Self { predictors }
-    }
-
-    /// True when the chain holds no predictors at all.
-    pub fn is_empty(&self) -> bool {
-        self.predictors.is_empty()
     }
 }
 
@@ -361,6 +353,7 @@ mod tests {
         assert_eq!(a.bound(), Some(3e-4));
         assert_eq!(b.bound(), Some(3e-4));
         assert_eq!(chain.predict(&q).unwrap().source, HintSource::PreviousStep);
-        assert!(PredictorChain::new(Vec::new()).is_empty());
+        // An empty chain proposes nothing and swallows observations.
+        assert!(PredictorChain::new(Vec::new()).predict(&q).is_none());
     }
 }

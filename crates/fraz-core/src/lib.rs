@@ -22,8 +22,13 @@
 //!   re-implementation of Dlib's `find_global_min` with the paper's cutoff
 //!   modification), plus binary-search and grid baselines,
 //! * [`regions`] — splitting the error-bound range into overlapping regions,
-//! * [`search`] — the worker task and region-parallel training
-//!   (Algorithms 1–2),
+//! * [`search`] — the one [`Search`] shell: compressor, pool, cancel token,
+//!   predictor, bound range and the `run` / `run_with_hint` entry points,
+//!   generic over an [`Objective`],
+//! * [`ratio`] — the fixed-ratio objective: the worker task and
+//!   region-parallel training (Algorithms 1–2),
+//! * [`quality`] — the fixed-quality objective: bracket-and-bisect with an
+//!   analytic first guess,
 //! * [`orchestrator`] — time-step prediction reuse and parallel-by-field
 //!   scheduling (Algorithm 3),
 //! * [`hint`] — the [`SearchHint`] / [`BoundPredictor`] seeding layer that
@@ -55,6 +60,7 @@ pub mod online;
 pub mod optim;
 pub mod orchestrator;
 pub mod quality;
+pub mod ratio;
 pub mod regions;
 pub mod search;
 
@@ -67,11 +73,12 @@ pub use loss::RatioLoss;
 pub use online::{OnlineController, OnlineControllerConfig, OnlineStepReport};
 pub use optim::{binary_search, grid_search, GlobalMinimizer, OptimizerConfig, SearchTrace};
 pub use orchestrator::{
-    ApplicationOutcome, FieldTask, Orchestrator, OrchestratorConfig, SeriesOutcome,
+    ApplicationOutcome, FieldSearch, FieldTask, Orchestrator, OrchestratorConfig, SeriesOutcome,
 };
 pub use quality::{FixedQualitySearch, QualityMetric, QualitySearchConfig, QualitySearchOutcome};
+pub use ratio::{FixedRatioSearch, RegionOutcome, SearchConfig, SearchOutcome};
 pub use regions::{make_error_bounds, BoundScale, Region};
-pub use search::{FixedRatioSearch, RegionOutcome, SearchConfig, SearchOutcome};
+pub use search::{Objective, Search};
 
 #[cfg(test)]
 mod tests {

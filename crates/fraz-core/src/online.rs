@@ -27,7 +27,7 @@ use fraz_pressio::Compressor;
 
 use crate::hint::{BoundPredictor, HintSource, SearchHint};
 use crate::loss::RatioLoss;
-use crate::search::{FixedRatioSearch, SearchConfig};
+use crate::ratio::{FixedRatioSearch, SearchConfig};
 
 /// Configuration of the online controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -101,7 +101,6 @@ pub struct OnlineController {
     current_bound: Option<f64>,
     steps_processed: usize,
     history: Vec<OnlineStepReport>,
-    predictor: Option<Arc<dyn BoundPredictor>>,
 }
 
 impl OnlineController {
@@ -118,15 +117,14 @@ impl OnlineController {
             current_bound: None,
             steps_processed: 0,
             history: Vec::new(),
-            predictor: None,
         }
     }
 
     /// Seed the first-step calibration from an external [`BoundPredictor`]
     /// (e.g. the `fraz-tune` cache), which then observes every calibration
     /// and re-sync result.
-    pub fn with_predictor(mut self, predictor: Arc<dyn BoundPredictor>) -> Self {
-        self.predictor = Some(predictor);
+    pub fn with_predictor(mut self, predictor: Option<Arc<dyn BoundPredictor>>) -> Self {
+        self.search = self.search.with_predictor(predictor);
         self
     }
 
@@ -167,16 +165,6 @@ impl OnlineController {
             / self.history.len() as f64
     }
 
-    fn clamp_bound(&self, bound: f64, dataset: &Dataset) -> f64 {
-        let (lower, mut upper) = self.search.compressor().bound_range(dataset);
-        if let Some(u) = self.config.max_error_bound {
-            if u > lower {
-                upper = upper.min(u);
-            }
-        }
-        bound.clamp(lower, upper)
-    }
-
     /// Compress one arriving time-step, returning the compressed bytes and
     /// the step's telemetry.
     pub fn compress_step(&mut self, dataset: &Dataset) -> (Vec<u8>, OnlineStepReport) {
@@ -188,17 +176,14 @@ impl OnlineController {
 
         // Decide the bound for this step.
         let mut bound = match self.current_bound {
-            Some(b) => self.clamp_bound(b, dataset),
+            Some(b) => self.search.clamp_bound(b, dataset),
             None => {
                 // First step: full (bounded) calibration search, seeded by
                 // the external predictor when one is installed.
                 recalibrated = true;
-                let outcome = match &self.predictor {
-                    Some(predictor) => self.search.run_with_predictor(dataset, predictor.as_ref()),
-                    None => self.search.run(dataset),
-                };
+                let outcome = self.search.run(dataset);
                 compressions += outcome.evaluations;
-                self.clamp_bound(outcome.error_bound, dataset)
+                self.search.clamp_bound(outcome.error_bound, dataset)
             }
         };
 
@@ -228,12 +213,8 @@ impl OnlineController {
             // whether the drift was a one-step fluke before the full race.
             let hint = SearchHint::converged(bound, HintSource::Resync);
             let searched = self.search.run_with_hint(dataset, Some(&hint));
-            if let Some(predictor) = &self.predictor {
-                let query = self.search.hint_query(dataset);
-                predictor.observe(&query, searched.error_bound, searched.feasible);
-            }
             compressions += searched.evaluations;
-            bound = self.clamp_bound(searched.error_bound, dataset);
+            bound = self.search.clamp_bound(searched.error_bound, dataset);
             outcome = self
                 .search
                 .compressor()
@@ -252,7 +233,7 @@ impl OnlineController {
         } else {
             bound
         };
-        self.current_bound = Some(self.clamp_bound(next_bound, dataset));
+        self.current_bound = Some(self.search.clamp_bound(next_bound, dataset));
 
         let compressed = self
             .search

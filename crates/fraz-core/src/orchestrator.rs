@@ -30,7 +30,9 @@ use fraz_pressio::registry::{self, Registry, RegistryError};
 use fraz_pressio::{Compressor, Options};
 
 use crate::hint::{BoundPredictor, HintSource, LastConverged, PredictorChain};
-use crate::search::{FixedRatioSearch, SearchConfig, SearchOutcome};
+use crate::quality::QualitySearchConfig;
+use crate::ratio::{SearchConfig, SearchOutcome};
+use crate::search::{Objective, Search};
 
 /// Outcome of tuning one field across all of its time-steps.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -163,12 +165,36 @@ impl OrchestratorConfig {
     }
 }
 
+/// What one field's search optimises: a fixed ratio or a fixed quality.
+#[derive(Debug, Clone, PartialEq)]
+pub enum FieldSearch {
+    /// A fixed-ratio search with time-step prediction reuse.
+    Ratio(SearchConfig),
+    /// A fixed-quality search (seeded by the external predictor, then the
+    /// codec's analytic model; a previous step's ratio-agnostic bound is no
+    /// better a seed than the model, so there is no previous-step slot).
+    Quality(QualitySearchConfig),
+}
+
+impl From<SearchConfig> for FieldSearch {
+    fn from(config: SearchConfig) -> Self {
+        FieldSearch::Ratio(config)
+    }
+}
+
+impl From<QualitySearchConfig> for FieldSearch {
+    fn from(config: QualitySearchConfig) -> Self {
+        FieldSearch::Quality(config)
+    }
+}
+
 /// One field's worth of work for [`Orchestrator::run_tasks`]: a named time
 /// series plus an optional per-field search override.
 ///
 /// The CLI builds these from dataset manifests, where individual fields may
-/// override the application-wide target ratio; plain
-/// [`Orchestrator::run_application`] is the no-override special case.
+/// override the application-wide target ratio or ask for a quality target
+/// instead; plain [`Orchestrator::run_application`] is the no-override
+/// special case.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldTask {
     /// Field name, reported in the [`SeriesOutcome`].
@@ -176,10 +202,10 @@ pub struct FieldTask {
     /// The field's datasets in time order.
     pub series: Vec<Dataset>,
     /// Per-field search settings; `None` uses the orchestrator's
-    /// configured [`SearchConfig`].  The `threads` knob is overwritten by
-    /// the orchestrator's schedule either way — region concurrency is a
-    /// whole-run budget decision, not a per-field one.
-    pub search: Option<SearchConfig>,
+    /// configured [`SearchConfig`].  A ratio search's `threads` knob is
+    /// overwritten by the orchestrator's schedule either way — region
+    /// concurrency is a whole-run budget decision, not a per-field one.
+    pub search: Option<FieldSearch>,
 }
 
 impl FieldTask {
@@ -192,12 +218,16 @@ impl FieldTask {
         }
     }
 
-    /// Builder-style per-field search override.
-    pub fn with_search(mut self, search: SearchConfig) -> Self {
-        self.search = Some(search);
+    /// Builder-style per-field search override: a [`SearchConfig`] or a
+    /// [`QualitySearchConfig`].
+    pub fn with_search(mut self, search: impl Into<FieldSearch>) -> Self {
+        self.search = Some(search.into());
         self
     }
 }
+
+/// One field of a run: name, time series, search override.
+type Job<'a> = (&'a str, &'a [Dataset], Option<&'a FieldSearch>);
 
 /// The parallel orchestrator for one compressor backend.
 ///
@@ -246,8 +276,8 @@ impl Orchestrator {
     /// Install an external [`BoundPredictor`] (e.g. the `fraz-tune` cache)
     /// consulted after the in-series previous-step slot and taught every
     /// converged bound.  Shared across the parallel field tasks.
-    pub fn with_predictor(mut self, predictor: Arc<dyn BoundPredictor>) -> Self {
-        self.predictor = Some(predictor);
+    pub fn with_predictor(mut self, predictor: Option<Arc<dyn BoundPredictor>>) -> Self {
+        self.predictor = predictor;
         self
     }
 
@@ -292,35 +322,31 @@ impl Orchestrator {
         self.compressor.as_ref()
     }
 
-    fn make_search(&self, search: Option<&SearchConfig>, threads: usize) -> FixedRatioSearch {
-        let search_config = SearchConfig {
-            threads,
-            ..search.unwrap_or(&self.config.search).clone()
-        };
-        FixedRatioSearch::new(Arc::clone(&self.compressor), search_config)
-            .with_pool(Arc::clone(self.pool()))
-    }
-
     /// Tune one field's time series sequentially, reusing the previous
     /// step's error bound as a prediction (Algorithm 1 applied over time,
     /// §V-C).
     pub fn run_series(&self, field: &str, series: &[Dataset], threads: usize) -> SeriesOutcome {
-        self.run_series_config(field, series, None, threads)
+        self.run_field(field, series, None, threads)
     }
 
     /// [`Orchestrator::run_series`] with an optional per-field search
     /// override (the orchestrator's config when `None`).
-    pub fn run_series_config(
+    fn run_field(
         &self,
         field: &str,
         series: &[Dataset],
-        search: Option<&SearchConfig>,
+        search: Option<&FieldSearch>,
         threads: usize,
     ) -> SeriesOutcome {
-        let start = Instant::now();
-        let search = self.make_search(search, threads);
-        let mut steps = Vec::with_capacity(series.len());
-        let mut retrain_steps = Vec::new();
+        let ratio = match search {
+            Some(FieldSearch::Quality(config)) => {
+                let search = Search::new(Arc::clone(&self.compressor), config.clone())
+                    .with_predictor(self.predictor.clone());
+                return self.tune_series(field, series, search);
+            }
+            Some(FieldSearch::Ratio(config)) => config,
+            None => &self.config.search,
+        };
         // Algorithm 3's time-step prediction is a [`LastConverged`] slot
         // (it learns a bound only when the objective was met, lines 5-7)
         // chained in front of any externally installed predictor: within
@@ -330,21 +356,28 @@ impl Orchestrator {
         if self.config.reuse_prediction {
             predictors.push(Arc::new(LastConverged::new(HintSource::PreviousStep)));
         }
-        if let Some(external) = &self.predictor {
-            predictors.push(Arc::clone(external));
-        }
-        let chain = PredictorChain::new(predictors);
-        for (t, dataset) in series.iter().enumerate() {
-            let outcome = if chain.is_empty() {
-                search.run(dataset)
-            } else {
-                search.run_with_predictor(dataset, &chain)
-            };
-            if outcome.retrained {
-                retrain_steps.push(t);
-            }
-            steps.push(outcome);
-        }
+        predictors.extend(self.predictor.clone());
+        let config = SearchConfig {
+            threads,
+            ..ratio.clone()
+        };
+        let search = Search::new(Arc::clone(&self.compressor), config)
+            .with_predictor(Some(Arc::new(PredictorChain::new(predictors))));
+        self.tune_series(field, series, search)
+    }
+
+    /// Run `search` over every step of `series`, in time order, on the
+    /// shared pool.
+    fn tune_series<O: Objective>(
+        &self,
+        field: &str,
+        series: &[Dataset],
+        search: Search<O>,
+    ) -> SeriesOutcome {
+        let start = Instant::now();
+        let search = search.with_pool(Arc::clone(self.pool()));
+        let steps: Vec<SearchOutcome> = series.iter().map(|d| search.run(d).into()).collect();
+        let retrain_steps = (0..steps.len()).filter(|&t| steps[t].retrained).collect();
         SeriesOutcome {
             field: field.to_string(),
             steps,
@@ -363,7 +396,7 @@ impl Orchestrator {
     /// its workers steal region tasks from the fields still running,
     /// instead of idling behind a static fields × regions split.
     pub fn run_application(&self, fields: &[(String, Vec<Dataset>)]) -> ApplicationOutcome {
-        let jobs: Vec<(&str, &[Dataset], Option<&SearchConfig>)> = fields
+        let jobs: Vec<Job<'_>> = fields
             .iter()
             .map(|(name, series)| (name.as_str(), series.as_slice(), None))
             .collect();
@@ -372,29 +405,35 @@ impl Orchestrator {
 
     /// [`Orchestrator::run_application`] with per-field search overrides:
     /// every task still runs on the one shared pool, but a task may bring
-    /// its own target ratio / tolerance / region layout (a manifest's
-    /// per-field `target_ratio`, for example).
+    /// its own target ratio / tolerance / region layout, or a quality
+    /// target (a manifest's per-field `target_ratio` or `min_psnr`).
+    /// Quality steps are reported in the same [`SearchOutcome`] shape.
     pub fn run_tasks(&self, tasks: &[FieldTask]) -> ApplicationOutcome {
-        let jobs: Vec<(&str, &[Dataset], Option<&SearchConfig>)> = tasks
+        let jobs: Vec<Job<'_>> = tasks
             .iter()
             .map(|t| (t.field.as_str(), t.series.as_slice(), t.search.as_ref()))
             .collect();
         self.run_jobs(&jobs)
     }
 
-    fn run_jobs(&self, jobs: &[(&str, &[Dataset], Option<&SearchConfig>)]) -> ApplicationOutcome {
+    fn run_jobs(&self, jobs: &[Job<'_>]) -> ApplicationOutcome {
         let start = Instant::now();
         // Schedule and report against the pool that will actually run the
         // tasks — with_pool may have installed a budget different from
-        // this config's total_workers.
+        // this config's total_workers.  Only region races stripe their work
+        // over `threads`, so only they share the budget out.
         let pool_threads = self.pool().threads();
-        let (_, threads_per_search) = self.config.schedule_for(pool_threads, jobs.len());
+        let racing = jobs
+            .iter()
+            .filter(|(_, _, search)| !matches!(search, Some(FieldSearch::Quality(_))))
+            .count();
+        let (_, threads_per_search) = self.config.schedule_for(pool_threads, racing);
         let mut results: Vec<Option<SeriesOutcome>> = vec![None; jobs.len()];
 
         self.pool().scope(|scope| {
             for (slot, (name, series, search)) in results.iter_mut().zip(jobs) {
                 scope.spawn(move || {
-                    *slot = Some(self.run_series_config(name, series, *search, threads_per_search))
+                    *slot = Some(self.run_field(name, series, *search, threads_per_search))
                 });
             }
         });
@@ -414,6 +453,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quality::QualityMetric;
     use crate::regions::BoundScale;
     use fraz_data::synthetic;
 
@@ -513,9 +553,11 @@ mod tests {
         let tasks = vec![
             FieldTask::new("TCf", hurricane_series("TCf", 2)),
             FieldTask::new("Pf", hurricane_series("Pf", 2)).with_search(quick_search(12.0)),
+            FieldTask::new("Uf", hurricane_series("Uf", 2))
+                .with_search(QualitySearchConfig::new(QualityMetric::PsnrAtLeast(60.0))),
         ];
         let outcome = orch.run_tasks(&tasks);
-        assert_eq!(outcome.fields.len(), 2);
+        assert_eq!(outcome.fields.len(), 3);
         for (series, target) in outcome.fields.iter().zip([6.0, 12.0]) {
             for step in &series.steps {
                 assert!(
@@ -531,6 +573,15 @@ mod tests {
                     step.best.compression_ratio
                 );
             }
+        }
+        // The quality field reports through the same outcome shape: every
+        // step trains (seeded analytically, no previous-step slot).
+        let quality = &outcome.fields[2];
+        assert_eq!(quality.retrain_steps, vec![0, 1]);
+        for step in &quality.steps {
+            assert!(step.feasible && step.regions.is_empty());
+            assert!(step.best.quality.as_ref().unwrap().psnr >= 60.0);
+            assert_eq!(step.hint.as_ref().unwrap().source, HintSource::Analytic);
         }
     }
 

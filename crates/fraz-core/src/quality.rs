@@ -17,18 +17,17 @@
 //! there is no spiky multi-modal landscape to escape.)
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
 use fraz_data::Dataset;
-use fraz_pool::Pool;
 use fraz_pressio::{registry, BoundKind, CompressionOutcome, Compressor};
 
-use crate::cancel::CancelToken;
-use crate::hint::{BoundPredictor, HintQuery, HintReport, HintSource, HintTarget, SearchHint};
+use crate::hint::{HintReport, HintSource, HintTarget, SearchHint};
+use crate::ratio::SearchOutcome;
 use crate::regions::BoundScale;
+use crate::search::{Objective, Search};
 
 /// The quality metric a [`FixedQualitySearch`] constrains.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -116,122 +115,56 @@ pub struct QualitySearchOutcome {
     pub elapsed: Duration,
     /// What the search did with its seeding hint (`None` on cold runs).
     pub hint: Option<HintReport>,
-    /// True when a [`CancelToken`] stopped the search early (deadline or
+    /// True when a [`CancelToken`](crate::CancelToken) stopped the search early (deadline or
     /// explicit cancel): `best` is then the best-so-far acceptable setting,
     /// not the boundary-polished one.
     pub deadline_hit: bool,
 }
 
-/// Searches for the most compressive error bound that still satisfies a
-/// quality constraint.
-pub struct FixedQualitySearch {
-    compressor: Arc<dyn Compressor>,
-    config: QualitySearchConfig,
-    pool: Option<Arc<Pool>>,
-    codec_config: String,
-    cancel: Option<CancelToken>,
+impl From<QualitySearchOutcome> for SearchOutcome {
+    /// A quality search in the shape the orchestrator and the CLI report:
+    /// `satisfiable` is the quality objective's `feasible`, and every step
+    /// counts as trained (there is no previous-step prediction to reuse).
+    fn from(outcome: QualitySearchOutcome) -> Self {
+        SearchOutcome {
+            error_bound: outcome.error_bound,
+            best: outcome.best,
+            feasible: outcome.satisfiable,
+            retrained: true,
+            evaluations: outcome.evaluations,
+            elapsed: outcome.elapsed,
+            regions: Vec::new(),
+            hint: outcome.hint,
+            deadline_hit: outcome.deadline_hit,
+        }
+    }
 }
 
-impl FixedQualitySearch {
-    /// Create a search driver over the given compressor backend (owned box
-    /// or shared handle).
-    ///
-    /// The phase-1 bracketing sweep runs its (independent) evaluations as
-    /// tasks on the process-wide [`fraz_pool::global`] pool unless
-    /// [`with_pool`](Self::with_pool) installs a shared one; no call to
-    /// [`run`](Self::run) ever spawns an OS thread.
-    pub fn new(compressor: impl Into<Arc<dyn Compressor>>, config: QualitySearchConfig) -> Self {
-        Self {
-            compressor: compressor.into(),
-            config,
-            pool: None,
-            codec_config: String::new(),
-            cancel: None,
-        }
-    }
+/// Searches for the most compressive error bound that still satisfies a
+/// quality constraint: the [`Search`] shell running the bracket-and-bisect
+/// below.  The phase-1 bracketing sweep runs its (independent) evaluations
+/// as tasks on the shell's pool.
+pub type FixedQualitySearch = Search<QualitySearchConfig>;
 
-    /// Cooperatively stop the search when `token` fires (deadline passed or
-    /// explicit cancel).  Checked between compress+measure rounds only, so
-    /// cancellation latency is bounded by one evaluation and the outcome is
-    /// the best-so-far acceptable setting with `deadline_hit: true`.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
+/// The best acceptable `(bound, outcome)` seen so far.
+type BestAcceptable = Option<(f64, CompressionOutcome)>;
 
-    /// Record the canonical codec-options signature
-    /// ([`fraz_pressio::Options::signature`]) carried in every
-    /// [`HintQuery`], so predictors can key on the exact configuration.
-    pub fn with_codec_config(mut self, codec_config: impl Into<String>) -> Self {
-        self.codec_config = codec_config.into();
-        self
+/// Keep `outcome` when it compresses better than the best acceptable
+/// setting seen so far.
+fn keep_if_better(best: &mut BestAcceptable, bound: f64, outcome: CompressionOutcome) {
+    if best
+        .as_ref()
+        .is_none_or(|(_, b)| outcome.compression_ratio > b.compression_ratio)
+    {
+        *best = Some((bound, outcome));
     }
+}
 
-    /// Run the sweep evaluations on `pool` instead of the global pool.  The
-    /// CLI runner uses this to put quality searches on the same shared
-    /// work-stealing pool as the orchestrator's ratio fields.
-    pub fn with_pool(mut self, pool: Arc<Pool>) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Borrow the underlying compressor.
-    pub fn compressor(&self) -> &dyn Compressor {
-        self.compressor.as_ref()
-    }
-
-    /// Run the search on one dataset.
-    ///
-    /// When [`QualitySearchConfig::analytic_seed`] is set (the default) and
-    /// the codec's descriptor declares a model covering the metric, the
-    /// search starts from that analytic first guess (see
-    /// [`analytic_hint`](Self::analytic_hint)) instead of the log-spaced
-    /// sweep.
-    pub fn run(&self, dataset: &Dataset) -> QualitySearchOutcome {
-        let analytic = if self.config.analytic_seed {
-            self.analytic_hint(dataset)
-        } else {
-            None
-        };
-        self.run_with_hint(dataset, analytic.as_ref())
-    }
-
-    /// Ask `predictor` for a seed (falling back to the analytic model when
-    /// it declines), run the search, and close the loop through
-    /// [`BoundPredictor::observe`].
-    pub fn run_with_predictor(
-        &self,
-        dataset: &Dataset,
-        predictor: &dyn BoundPredictor,
-    ) -> QualitySearchOutcome {
-        let query = self.hint_query(dataset);
-        let hint = predictor
-            .predict(&query)
-            .filter(SearchHint::is_valid)
-            .or_else(|| {
-                if self.config.analytic_seed {
-                    self.analytic_hint(dataset)
-                } else {
-                    None
-                }
-            });
-        let outcome = self.run_with_hint(dataset, hint.as_ref());
-        predictor.observe(&query, outcome.error_bound, outcome.satisfiable);
-        outcome
-    }
-
-    /// The predictor-facing description of this search over `dataset`.
-    pub fn hint_query<'a>(&'a self, dataset: &'a Dataset) -> HintQuery<'a> {
-        HintQuery {
-            dataset,
-            codec: self.compressor.name(),
-            codec_config: &self.codec_config,
-            target: self.hint_target(),
-        }
-    }
+impl Objective for QualitySearchConfig {
+    type Outcome = QualitySearchOutcome;
 
     fn hint_target(&self) -> HintTarget {
-        match self.config.metric {
+        match self.metric {
             QualityMetric::PsnrAtLeast(t) => HintTarget::MinPsnr(t),
             QualityMetric::SsimAtLeast(t) => HintTarget::MinSsim(t),
             QualityMetric::RmseAtMost(t) => HintTarget::MaxRmse(t),
@@ -239,8 +172,16 @@ impl FixedQualitySearch {
         }
     }
 
-    /// The analytic first guess for this search, when the codec's registry
-    /// descriptor covers the metric:
+    fn max_error_bound(&self) -> Option<f64> {
+        self.max_error_bound
+    }
+
+    fn settled(outcome: &QualitySearchOutcome) -> (f64, bool) {
+        (outcome.error_bound, outcome.satisfiable)
+    }
+
+    /// The analytic first guess (unless [`analytic_seed`] is off), when the
+    /// codec's registry descriptor covers the metric:
     ///
     /// * PSNR targets invert the descriptor's
     ///   [`PsnrBoundModel`](fraz_pressio::PsnrBoundModel);
@@ -249,110 +190,88 @@ impl FixedQualitySearch {
     /// * max-error targets on pointwise-guaranteed codecs *are* the answer
     ///   (bound = target), so the hint is marked converged;
     /// * SSIM has no closed form — `None`, bracket cold.
-    pub fn analytic_hint(&self, dataset: &Dataset) -> Option<SearchHint> {
-        let descriptor = registry::describe(self.compressor.name())?;
-        let hint = match self.config.metric {
+    ///
+    /// [`analytic_seed`]: QualitySearchConfig::analytic_seed
+    fn default_hint(&self, compressor: &dyn Compressor, dataset: &Dataset) -> Option<SearchHint> {
+        if !self.analytic_seed {
+            return None;
+        }
+        let descriptor = registry::describe(compressor.name())?;
+        // The first guess of the uniform-quantization model.
+        let bound = match self.metric {
             QualityMetric::PsnrAtLeast(target) => {
                 let range = dataset.stats().value_range();
-                let bound = descriptor.psnr_model?.bound_for_psnr(range, target)?;
-                SearchHint::seed(bound, HintSource::Analytic)
-                    .with_bracket(bound / 16.0, bound * 16.0)
+                descriptor.psnr_model?.bound_for_psnr(range, target)?
             }
             QualityMetric::RmseAtMost(target) => {
                 descriptor.psnr_model?;
-                let bound = 3f64.sqrt() * target;
-                SearchHint::seed(bound, HintSource::Analytic)
-                    .with_bracket(bound / 16.0, bound * 16.0)
+                3f64.sqrt() * target
             }
             QualityMetric::MaxErrorAtMost(target) => {
-                if !matches!(
+                let pointwise = matches!(
                     descriptor.bound_kind,
                     BoundKind::AbsoluteError | BoundKind::AccuracyTolerance
-                ) {
-                    return None;
-                }
-                SearchHint::converged(target, HintSource::Analytic)
+                );
+                let hint = SearchHint::converged(target, HintSource::Analytic);
+                return (pointwise && hint.is_valid()).then_some(hint);
             }
             QualityMetric::SsimAtLeast(_) => return None,
         };
+        let hint =
+            SearchHint::seed(bound, HintSource::Analytic).with_bracket(bound / 16.0, bound * 16.0);
         hint.is_valid().then_some(hint)
     }
 
-    /// Run the search seeded by `hint` (cold when `None`).
-    ///
     /// A converged hint that verifies is accepted outright at one
     /// evaluation.  Any other usable hint replaces the coarse sweep with a
     /// geometric expansion from the probed point, and the usual bisection
     /// polishes the bracket either way.
-    pub fn run_with_hint(
-        &self,
+    fn search(
+        shell: &FixedQualitySearch,
         dataset: &Dataset,
         hint: Option<&SearchHint>,
     ) -> QualitySearchOutcome {
         let start = Instant::now();
-        let (mut lower, mut upper) = self.compressor.bound_range(dataset);
-        if let Some(u) = self.config.max_error_bound {
-            if u > lower {
-                upper = upper.min(u);
-            }
-        }
-        let hint = hint.filter(|h| h.is_valid());
-        if let Some((blo, bhi)) = hint.and_then(|h| h.bracket) {
-            // A hint bracket narrows the axis the fallback explores.
-            let (nlo, nhi) = (lower.max(blo), upper.min(bhi));
-            if nlo < nhi {
-                lower = nlo;
-                upper = nhi;
-            }
-        }
-        let lower = lower;
-        let upper = upper.max(lower * (1.0 + 1e-9));
+        let config = shell.config();
+        let (lower, upper) = shell.searched_range(dataset, hint);
 
         // Work on a log axis when requested (bounds span decades).
-        let to_x = |bound: f64| match self.config.scale {
+        let to_x = |bound: f64| match config.scale {
             BoundScale::Linear => bound,
             BoundScale::Log => bound.log10(),
         };
-        let from_x = |x: f64| match self.config.scale {
+        let from_x = |x: f64| match config.scale {
             BoundScale::Linear => x,
             BoundScale::Log => 10f64.powf(x),
         };
 
         let (xlo, xhi) = (to_x(lower), to_x(upper));
         let mut evaluations = 0usize;
-        let mut best_acceptable: Option<(f64, CompressionOutcome)> = None;
+        let mut best_acceptable: BestAcceptable = None;
 
-        // One compress + decompress + measure round at axis position `x`,
-        // folded into the best-acceptable tracker.
-        let evaluate = |x: f64,
-                        best: &mut Option<(f64, CompressionOutcome)>,
-                        evaluations: &mut usize|
-         -> Option<bool> {
-            if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
+        // One compress + decompress + measure round at axis position `x`:
+        // the bound, whether it satisfied the constraint, and the outcome
+        // (`None` when the compressor rejected the bound).
+        let measure = |x: f64| -> Option<(f64, bool, CompressionOutcome)> {
+            let bound = from_x(x).clamp(lower, upper);
+            let outcome = shell.compressor().evaluate(dataset, bound, true).ok()?;
+            let quality = outcome.quality.as_ref().expect("quality requested");
+            Some((bound, config.metric.is_satisfied(quality), outcome))
+        };
+        // `measure`, counted and folded into the best-acceptable tracker.
+        let evaluate = |x: f64, best: &mut BestAcceptable, evaluations: &mut usize| {
+            if shell.cancelled() {
                 // `None` is the caller-side break signal for every loop
                 // (expansion, bisection), so a fired token stops the search
                 // without another compressor round.
                 return None;
             }
-            let bound = from_x(x).clamp(lower, upper);
             *evaluations += 1;
-            match self.compressor.evaluate(dataset, bound, true) {
-                Ok(outcome) => {
-                    let quality = outcome.quality.as_ref().expect("quality requested");
-                    let ok = self.config.metric.is_satisfied(quality);
-                    if ok {
-                        let better = match best {
-                            None => true,
-                            Some((_, b)) => outcome.compression_ratio > b.compression_ratio,
-                        };
-                        if better {
-                            *best = Some((bound, outcome));
-                        }
-                    }
-                    Some(ok)
-                }
-                Err(_) => None,
+            let (bound, ok, outcome) = measure(x)?;
+            if ok {
+                keep_if_better(best, bound, outcome);
             }
+            Some(ok)
         };
 
         // Hinted phase: probe the hint.  A converged hint that verifies is
@@ -364,82 +283,57 @@ impl FixedQualitySearch {
         let mut need_sweep = true;
         if let Some(h) = hint {
             let hx = to_x(h.bound.clamp(lower, upper));
-            match evaluate(hx, &mut best_acceptable, &mut evaluations) {
-                Some(ok0) => {
-                    if h.converged && ok0 {
-                        let (bound, best) = best_acceptable.expect("satisfied probe is stored");
-                        return QualitySearchOutcome {
-                            error_bound: bound,
-                            best,
-                            satisfiable: true,
-                            evaluations,
-                            elapsed: start.elapsed(),
-                            hint: Some(HintReport {
-                                source: h.source,
-                                bound: h.bound,
-                                hit: true,
-                                probes: evaluations,
-                            }),
-                            deadline_hit: false,
-                        };
-                    }
-                    need_sweep = false;
-                    let expansion_budget = (self.config.max_iterations / 2).max(2);
-                    let mut step = (xhi - xlo).abs() / 8.0;
-                    if step <= 0.0 {
-                        step = 1.0;
-                    }
-                    if ok0 {
-                        // Constraint holds at the probe: the boundary (and
-                        // better compression) lies above.
-                        let mut ok_x = hx;
-                        while evaluations < expansion_budget && ok_x < xhi {
-                            let next = (ok_x + step).min(xhi);
-                            step *= 2.0;
-                            match evaluate(next, &mut best_acceptable, &mut evaluations) {
-                                Some(true) => ok_x = next,
-                                Some(false) => {
-                                    bracket = Some((ok_x, next));
-                                    break;
-                                }
-                                None => break,
-                            }
-                        }
-                    } else {
-                        // Constraint violated at the probe: walk down until
-                        // it holds (or the axis runs out).
-                        let mut bad_x = hx;
-                        while evaluations < expansion_budget && bad_x > xlo {
-                            let next = (bad_x - step).max(xlo);
-                            step *= 2.0;
-                            match evaluate(next, &mut best_acceptable, &mut evaluations) {
-                                Some(true) => {
-                                    bracket = Some((next, bad_x));
-                                    break;
-                                }
-                                Some(false) => bad_x = next,
-                                None => break,
-                            }
-                        }
-                    }
-                    hint_report = Some(HintReport {
-                        source: h.source,
-                        bound: h.bound,
-                        hit: ok0,
-                        probes: evaluations,
-                    });
+            let probe = evaluate(hx, &mut best_acceptable, &mut evaluations);
+            let report = |hit: bool, probes: usize| HintReport {
+                source: h.source,
+                bound: h.bound,
+                hit,
+                probes,
+            };
+            if h.converged && probe == Some(true) {
+                let (bound, best) = best_acceptable.expect("satisfied probe is stored");
+                return QualitySearchOutcome {
+                    error_bound: bound,
+                    best,
+                    satisfiable: true,
+                    evaluations,
+                    elapsed: start.elapsed(),
+                    hint: Some(report(true, evaluations)),
+                    deadline_hit: false,
+                };
+            }
+            // A probe that failed to compress reports the miss and brackets
+            // cold.
+            if let Some(ok0) = probe {
+                need_sweep = false;
+                let expansion_budget = (config.max_iterations / 2).max(2);
+                let mut step = (xhi - xlo).abs() / 8.0;
+                if step <= 0.0 {
+                    step = 1.0;
                 }
-                None => {
-                    // The probe itself failed to compress: report the miss
-                    // and bracket cold.
-                    hint_report = Some(HintReport {
-                        source: h.source,
-                        bound: h.bound,
-                        hit: false,
-                        probes: evaluations,
-                    });
+                // Constraint holds at the probe: the boundary (and better
+                // compression) lies above, so walk up until it is violated.
+                // Constraint violated: walk down until it holds.  Either way
+                // stop when the axis runs out.
+                let mut at = hx;
+                while evaluations < expansion_budget && if ok0 { at < xhi } else { at > xlo } {
+                    let next = if ok0 {
+                        (at + step).min(xhi)
+                    } else {
+                        (at - step).max(xlo)
+                    };
+                    step *= 2.0;
+                    match evaluate(next, &mut best_acceptable, &mut evaluations) {
+                        Some(ok) if ok == ok0 => at = next,
+                        Some(_) => {
+                            bracket = Some(if ok0 { (at, next) } else { (next, at) });
+                            break;
+                        }
+                        None => break,
+                    }
                 }
             }
+            hint_report = Some(report(probe == Some(true), evaluations));
         }
 
         if need_sweep {
@@ -451,7 +345,7 @@ impl FixedQualitySearch {
             // shared work-stealing pool, writing into its own slot; the fold
             // below stays in sweep order, so the outcome is identical to a
             // serial sweep.
-            let sweep_points = (self.config.max_iterations / 2).clamp(4, 12);
+            let sweep_points = (config.max_iterations / 2).clamp(4, 12);
             let sweep_xs: Vec<f64> = (0..sweep_points)
                 .map(|i| xlo + (xhi - xlo) * i as f64 / (sweep_points - 1) as f64)
                 .collect();
@@ -460,30 +354,18 @@ impl FixedQualitySearch {
             // Tasks a fired cancel token skips are not compressor
             // invocations; count only the rounds that actually ran.
             let sweep_ran = AtomicUsize::new(0);
-            {
-                let pool: &Pool = match &self.pool {
-                    Some(pool) => pool,
-                    None => fraz_pool::global(),
-                };
-                pool.scope(|scope| {
-                    let from_x = &from_x;
-                    let sweep_ran = &sweep_ran;
-                    for (slot, &x) in sweep_results.iter_mut().zip(&sweep_xs) {
-                        scope.spawn(move || {
-                            if self.cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
-                                return;
-                            }
+            shell.pool().scope(|scope| {
+                let measure = &measure;
+                let sweep_ran = &sweep_ran;
+                for (slot, &x) in sweep_results.iter_mut().zip(&sweep_xs) {
+                    scope.spawn(move || {
+                        if !shell.cancelled() {
                             sweep_ran.fetch_add(1, Ordering::Relaxed);
-                            let bound = from_x(x).clamp(lower, upper);
-                            if let Ok(outcome) = self.compressor.evaluate(dataset, bound, true) {
-                                let quality = outcome.quality.as_ref().expect("quality requested");
-                                let ok = self.config.metric.is_satisfied(quality);
-                                *slot = Some((bound, ok, outcome));
-                            }
-                        });
-                    }
-                });
-            }
+                            *slot = measure(x);
+                        }
+                    });
+                }
+            });
 
             // Fold the sweep in order: track the best acceptable evaluation
             // (highest ratio among those satisfying the constraint) and the
@@ -491,17 +373,11 @@ impl FixedQualitySearch {
             evaluations += sweep_ran.load(Ordering::Relaxed);
             let mut last_ok: Option<f64> = None;
             let mut first_bad: Option<f64> = None;
-            for (&x, result) in sweep_xs.iter().zip(sweep_results.into_iter()) {
+            for (&x, result) in sweep_xs.iter().zip(sweep_results) {
                 match result {
                     Some((bound, true, outcome)) => {
                         last_ok = Some(x);
-                        let better = match &best_acceptable {
-                            None => true,
-                            Some((_, b)) => outcome.compression_ratio > b.compression_ratio,
-                        };
-                        if better {
-                            best_acceptable = Some((bound, outcome));
-                        }
+                        keep_if_better(&mut best_acceptable, bound, outcome);
                     }
                     Some((_, false, _)) => {
                         if last_ok.is_some() && first_bad.is_none() {
@@ -511,18 +387,16 @@ impl FixedQualitySearch {
                     None => {}
                 }
             }
-            if let (Some(ok_x), Some(bad_x)) = (last_ok, first_bad) {
-                bracket = Some((ok_x, bad_x));
-            }
+            bracket = last_ok.zip(first_bad);
         }
 
         // Phase 2: bisect between the last satisfying and the first violating
         // bound to squeeze out the remaining compression.  Each probe depends
         // on the previous verdict, so this phase is inherently serial.
-        let remaining = self.config.max_iterations.saturating_sub(evaluations);
+        let remaining = config.max_iterations.saturating_sub(evaluations);
         if let Some((mut ok_x, mut bad_x)) = bracket {
             for _ in 0..remaining {
-                if (bad_x - ok_x).abs() <= self.config.improvement_tolerance * (xhi - xlo).abs() {
+                if (bad_x - ok_x).abs() <= config.improvement_tolerance * (xhi - xlo).abs() {
                     break;
                 }
                 let mid = 0.5 * (ok_x + bad_x);
@@ -534,42 +408,23 @@ impl FixedQualitySearch {
             }
         }
 
-        let deadline_hit = self.cancel.as_ref().is_some_and(|t| t.is_cancelled());
-        match best_acceptable {
-            Some((bound, outcome)) => QualitySearchOutcome {
-                error_bound: bound,
-                best: outcome,
-                satisfiable: true,
-                evaluations,
-                elapsed: start.elapsed(),
-                hint: hint_report,
-                deadline_hit,
-            },
-            None => {
-                // Nothing satisfied the constraint: fall back to the
-                // smallest bound (highest fidelity the compressor offers).
-                let fallback =
-                    self.compressor
-                        .evaluate(dataset, lower, true)
-                        .unwrap_or(CompressionOutcome {
-                            compressor: self.compressor.name().to_string(),
-                            error_bound: lower,
-                            compression_ratio: 0.0,
-                            bit_rate: 0.0,
-                            compressed_bytes: 0,
-                            original_bytes: dataset.byte_size(),
-                            quality: None,
-                        });
-                QualitySearchOutcome {
-                    error_bound: lower,
-                    best: fallback,
-                    satisfiable: false,
-                    evaluations,
-                    elapsed: start.elapsed(),
-                    hint: hint_report,
-                    deadline_hit,
-                }
-            }
+        let deadline_hit = shell.cancelled();
+        let satisfiable = best_acceptable.is_some();
+        // Nothing satisfied the constraint: fall back to the smallest bound
+        // (highest fidelity the compressor offers) — one more compressor
+        // call, counted like every other.
+        let (error_bound, best) = best_acceptable.unwrap_or_else(|| {
+            evaluations += 1;
+            (lower, shell.measure_or_zero(dataset, lower, true))
+        });
+        QualitySearchOutcome {
+            error_bound,
+            best,
+            satisfiable,
+            evaluations,
+            elapsed: start.elapsed(),
+            hint: hint_report,
+            deadline_hit,
         }
     }
 }
@@ -720,43 +575,6 @@ mod tests {
             FixedQualitySearch::new(registry::build_default("sz").unwrap(), config).run(&d);
         assert!(!outcome.satisfiable);
         assert!(outcome.evaluations >= 4);
-    }
-
-    #[test]
-    fn cancelled_token_flags_the_outcome() {
-        let d = dataset();
-        let config = QualitySearchConfig {
-            max_iterations: 20,
-            analytic_seed: false,
-            ..QualitySearchConfig::new(QualityMetric::PsnrAtLeast(60.0))
-        };
-        let token = CancelToken::new();
-        token.cancel();
-        let outcome = FixedQualitySearch::new(registry::build_default("sz").unwrap(), config)
-            .with_cancel(token)
-            .run(&d);
-        assert!(outcome.deadline_hit);
-        // A pre-fired token skips every sweep task and bisection round; the
-        // only possible spend is the unsatisfiable-fallback measurement.
-        assert!(
-            !outcome.satisfiable,
-            "no evaluation ran, so nothing satisfied"
-        );
-    }
-
-    #[test]
-    fn live_token_does_not_flag_the_outcome() {
-        let d = dataset();
-        let config = QualitySearchConfig {
-            max_iterations: 20,
-            ..QualitySearchConfig::new(QualityMetric::PsnrAtLeast(60.0))
-        };
-        let token = CancelToken::with_timeout(std::time::Duration::from_secs(3600));
-        let outcome = FixedQualitySearch::new(registry::build_default("sz").unwrap(), config)
-            .with_cancel(token)
-            .run(&d);
-        assert!(outcome.satisfiable);
-        assert!(!outcome.deadline_hit);
     }
 
     #[test]

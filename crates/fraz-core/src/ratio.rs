@@ -1,0 +1,628 @@
+//! The fixed-ratio [`Objective`]: worker task (Algorithm 1) and
+//! region-parallel training (Algorithm 2).
+//!
+//! Given a black-box error-bounded compressor, a dataset and a target
+//! compression ratio, [`FixedRatioSearch`] finds an error-bound setting whose
+//! achieved ratio falls inside the user's acceptable region
+//! `[ρt(1−ε), ρt(1+ε)]`, never exceeding an optional maximum allowed error
+//! `U`.  The error-bound range is split into overlapping regions searched
+//! concurrently; the first region to find an acceptable setting cancels the
+//! others (early termination), and if none succeeds the closest observed
+//! ratio is reported as an infeasible-but-best-effort answer — exactly the
+//! semantics of the paper's Algorithms 1 and 2.
+
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
+
+use serde::{Deserialize, Serialize};
+
+use fraz_data::Dataset;
+use fraz_pressio::CompressionOutcome;
+
+use crate::hint::{HintReport, HintTarget, SearchHint};
+use crate::loss::RatioLoss;
+use crate::optim::{GlobalMinimizer, OptimizerConfig};
+use crate::regions::{make_error_bounds, BoundScale, Region};
+use crate::search::{Objective, Search};
+
+/// Configuration of a fixed-ratio search.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SearchConfig {
+    /// Target compression ratio `ρt`.
+    pub target_ratio: f64,
+    /// Acceptable relative deviation `ε` from the target ratio.
+    pub tolerance: f64,
+    /// Maximum allowed compression error `U`; `None` uses the compressor's
+    /// full valid range (the paper's default upper bound).
+    pub max_error_bound: Option<f64>,
+    /// Number of overlapping search regions (the paper found 12 to be a good
+    /// default).
+    pub regions: usize,
+    /// Fractional overlap between adjacent regions (paper: 10 %).
+    pub region_overlap: f64,
+    /// Maximum objective evaluations per region.
+    pub max_iterations: usize,
+    /// Enable the early-termination cutoff (the paper's Dlib modification).
+    pub use_cutoff: bool,
+    /// Layout of the regions on the error-bound axis.
+    pub scale: BoundScale,
+    /// Concurrent worker tasks for region-parallel training; 0 means one
+    /// per region (capped by the available parallelism).  Region tasks run
+    /// on a shared [`fraz_pool::Pool`], so this caps the number of regions
+    /// in flight for *this* search, not OS threads.
+    pub threads: usize,
+    /// After the search, re-run the best setting with full quality metrics.
+    pub measure_final_quality: bool,
+}
+
+impl SearchConfig {
+    /// A search for `target_ratio` within relative tolerance `tolerance`,
+    /// with the paper's defaults for everything else.
+    pub fn new(target_ratio: f64, tolerance: f64) -> Self {
+        Self {
+            target_ratio,
+            tolerance,
+            max_error_bound: None,
+            regions: 12,
+            region_overlap: 0.1,
+            max_iterations: 24,
+            use_cutoff: true,
+            scale: BoundScale::Log,
+            threads: 0,
+            measure_final_quality: true,
+        }
+    }
+
+    /// Builder-style setter for the maximum allowed compression error `U`.
+    pub fn with_max_error(mut self, max_error_bound: f64) -> Self {
+        self.max_error_bound = Some(max_error_bound);
+        self
+    }
+
+    /// Builder-style setter for the number of regions.
+    pub fn with_regions(mut self, regions: usize) -> Self {
+        self.regions = regions.max(1);
+        self
+    }
+
+    /// Builder-style setter for the worker-thread count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
+    }
+
+    fn worker_count(&self) -> usize {
+        let available = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4);
+        if self.threads == 0 {
+            self.regions.min(available)
+        } else {
+            self.threads.min(self.regions).max(1)
+        }
+    }
+}
+
+/// Result of searching one region.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct RegionOutcome {
+    /// The region that was searched.
+    pub region: Region,
+    /// Best error bound found in the region.
+    pub error_bound: f64,
+    /// Compression ratio achieved at that bound.
+    pub compression_ratio: f64,
+    /// Loss at that bound.
+    pub loss: f64,
+    /// Number of compressor invocations spent in the region.
+    pub iterations: usize,
+    /// True if the region's search hit the early-termination cutoff.
+    pub reached_cutoff: bool,
+    /// True if the region was cancelled by another region's success.
+    pub cancelled: bool,
+    /// The full compression outcome measured at `error_bound`, carried out
+    /// of the region so the winning bound need not be re-compressed after
+    /// the race (absent only if the best evaluation errored).
+    pub measured: Option<CompressionOutcome>,
+}
+
+/// Result of a fixed-ratio search on one dataset.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct SearchOutcome {
+    /// The recommended error-bound setting.
+    pub error_bound: f64,
+    /// The outcome of compressing at that setting (with quality metrics when
+    /// `measure_final_quality` is set).
+    pub best: CompressionOutcome,
+    /// True when the achieved ratio lies inside the acceptable region —
+    /// i.e. the requested ratio was feasible.
+    pub feasible: bool,
+    /// Whether a fresh training search ran (false when a previous time-step's
+    /// prediction was reused, Algorithm 1).
+    pub retrained: bool,
+    /// Total number of compressor invocations the *search* spent (the
+    /// optional final quality pass of `measure_final_quality` is not a
+    /// search evaluation and is not counted).
+    pub evaluations: usize,
+    /// Wall-clock time of the whole search.
+    pub elapsed: Duration,
+    /// Per-region details (empty when the prediction was reused).
+    pub regions: Vec<RegionOutcome>,
+    /// What the search did with its seeding hint (`None` on cold runs).
+    pub hint: Option<HintReport>,
+    /// True when a [`CancelToken`](crate::CancelToken) stopped the search early (deadline or
+    /// explicit cancel): `best` is then the best-so-far answer, not a
+    /// converged one.
+    pub deadline_hit: bool,
+}
+
+/// The FRaZ fixed-ratio search driver for a single compressor: the
+/// [`Search`] shell running the region race below.
+pub type FixedRatioSearch = Search<SearchConfig>;
+
+impl Objective for SearchConfig {
+    type Outcome = SearchOutcome;
+
+    fn hint_target(&self) -> HintTarget {
+        HintTarget::Ratio {
+            target_ratio: self.target_ratio,
+            tolerance: self.tolerance,
+        }
+    }
+
+    fn max_error_bound(&self) -> Option<f64> {
+        self.max_error_bound
+    }
+
+    fn settled(outcome: &SearchOutcome) -> (f64, bool) {
+        (outcome.error_bound, outcome.feasible)
+    }
+
+    /// Algorithm 1: probe the hinted bound first; fall back to full
+    /// region-parallel training (Algorithm 2) when it misses.
+    fn search(
+        shell: &FixedRatioSearch,
+        dataset: &Dataset,
+        hint: Option<&SearchHint>,
+    ) -> SearchOutcome {
+        let start = Instant::now();
+        let config = shell.config();
+        let loss = RatioLoss::new(config.target_ratio, config.tolerance);
+
+        // Step 1 of Algorithm 1: probe the hint.  When the final quality
+        // pass is requested the probe measures quality directly, so a hint
+        // that lands costs exactly ONE compressor call — the probe *is* the
+        // verify pass — and `evaluations: 1` is the true invocation count.
+        let mut hint_report: Option<HintReport> = None;
+        if let Some(h) = hint.filter(|_| !shell.cancelled()) {
+            let probe = shell
+                .compressor()
+                .evaluate(dataset, h.bound, config.measure_final_quality);
+            let hit = probe
+                .as_ref()
+                .is_ok_and(|o| loss.is_acceptable(o.compression_ratio));
+            hint_report = Some(HintReport {
+                source: h.source,
+                bound: h.bound,
+                hit,
+                probes: 1,
+            });
+            if hit {
+                return SearchOutcome {
+                    error_bound: h.bound,
+                    feasible: true,
+                    retrained: false,
+                    evaluations: 1,
+                    elapsed: start.elapsed(),
+                    regions: Vec::new(),
+                    hint: hint_report,
+                    best: probe.expect("hit implies a successful evaluation"),
+                    deadline_hit: false,
+                };
+            }
+        }
+        let probe_evaluations = hint_report.as_ref().map_or(0, |r| r.probes);
+
+        // Step 2: full region-parallel training over the (bracket-narrowed)
+        // range.
+        let (lower, upper) = shell.searched_range(dataset, hint);
+        let mut regions = make_error_bounds(
+            lower,
+            upper,
+            config.regions,
+            config.region_overlap,
+            config.scale,
+        );
+        let cancel = AtomicBool::new(false);
+        let workers = config.worker_count().min(regions.len()).max(1);
+
+        // `workers` runner tasks drain the regions through a shared atomic
+        // cursor — the same dynamic load balancing as the old mutex-backed
+        // queue (any idle runner claims the next region) without a queue
+        // or a result mutex, and zero OS threads spawned here.  Highest-
+        // bound regions go first (matching the original LIFO pops): for
+        // targets well above 1:1 they are the likeliest to contain the
+        // answer, which is what makes early termination pay.
+        regions.reverse();
+        let next = AtomicUsize::new(0);
+        let mut slots: Vec<Vec<RegionOutcome>> = vec![Vec::new(); workers];
+        if workers == 1 {
+            shell.run_region_queue(dataset, &loss, &regions, &next, &cancel, &mut slots[0]);
+        } else {
+            shell.pool().scope(|scope| {
+                let cancel = &cancel;
+                let loss = &loss;
+                let next = &next;
+                let regions = &regions;
+                for slot in slots.iter_mut() {
+                    scope.spawn(move || {
+                        shell.run_region_queue(dataset, loss, regions, next, cancel, slot)
+                    });
+                }
+            });
+        }
+        let regions_out: Vec<RegionOutcome> = slots.into_iter().flatten().collect();
+
+        let mut best: Option<&RegionOutcome> = None;
+        for r in &regions_out {
+            let better = match best {
+                None => true,
+                Some(b) => r.loss < b.loss,
+            };
+            if better {
+                best = Some(r);
+            }
+        }
+        let (error_bound, feasible) = match best {
+            Some(b) => (b.error_bound, loss.is_acceptable(b.compression_ratio)),
+            None => (lower, false),
+        };
+        // A missed prediction probe still invoked the compressor once.
+        let mut evaluations: usize =
+            probe_evaluations + regions_out.iter().map(|r| r.iterations).sum::<usize>();
+        // The winning region already measured its best bound — reuse that
+        // outcome instead of re-running the compressor, and only count an
+        // extra evaluation in the rare case we really must re-measure.
+        let measured = match best.and_then(|b| b.measured.clone()) {
+            Some(m) => m,
+            None => {
+                evaluations += 1;
+                shell.measure_or_zero(dataset, error_bound, false)
+            }
+        };
+        let deadline_hit = shell.cancelled();
+        // Skip the extra quality pass when the token already fired: the
+        // caller asked us to stop, so the answer ships as measured.
+        let best = if deadline_hit || !config.measure_final_quality {
+            measured
+        } else {
+            shell
+                .compressor()
+                .evaluate(dataset, error_bound, true)
+                .unwrap_or(measured)
+        };
+        SearchOutcome {
+            error_bound,
+            best,
+            feasible,
+            retrained: true,
+            evaluations,
+            elapsed: start.elapsed(),
+            regions: regions_out,
+            hint: hint_report,
+            deadline_hit,
+        }
+    }
+}
+
+impl FixedRatioSearch {
+    /// One runner task: repeatedly claim the next unstarted region via the
+    /// shared cursor and search it, observing and raising the shared
+    /// early-termination flag (Algorithm 2, lines 9-14).
+    fn run_region_queue(
+        &self,
+        dataset: &Dataset,
+        loss: &RatioLoss,
+        regions: &[Region],
+        next: &AtomicUsize,
+        cancel: &AtomicBool,
+        out: &mut Vec<RegionOutcome>,
+    ) {
+        loop {
+            if cancel.load(Ordering::Relaxed) {
+                break;
+            }
+            if self.cancelled() {
+                // Deadline/cancel: stop every runner, not just this one.
+                cancel.store(true, Ordering::Relaxed);
+                break;
+            }
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            let Some(region) = regions.get(index) else {
+                break;
+            };
+            let outcome = self.search_region(dataset, loss, region.clone(), cancel);
+            let acceptable = loss.is_acceptable(outcome.compression_ratio);
+            out.push(outcome);
+            if acceptable {
+                // Early termination: cancel every region that has not
+                // finished yet.
+                cancel.store(true, Ordering::Relaxed);
+                break;
+            }
+        }
+    }
+
+    /// Worker task for one region (the inner call of Algorithm 1:
+    /// `train_with_cutoff`).
+    fn search_region(
+        &self,
+        dataset: &Dataset,
+        loss: &RatioLoss,
+        region: Region,
+        cancel: &AtomicBool,
+    ) -> RegionOutcome {
+        // Track the best full outcome seen so the caller can reuse the
+        // winning measurement instead of re-compressing after the race.
+        let mut best_seen: Option<(f64, CompressionOutcome)> = None;
+        // Compressor calls actually made: the minimizer also counts the
+        // call-free step a fired token answers below.
+        let mut iterations = 0usize;
+        let mut objective = |e: f64| {
+            if self.cancelled() {
+                // The minimizer polls `cancel` between evaluations; raising
+                // it here stops this optimization without paying another
+                // compressor call, and the gamma loss can never displace a
+                // real best-so-far observation.
+                cancel.store(true, Ordering::Relaxed);
+                return (loss.gamma, 0.0);
+            }
+            iterations += 1;
+            match self.compressor().evaluate(dataset, e, false) {
+                Ok(outcome) => {
+                    let l = loss.loss(outcome.compression_ratio);
+                    if best_seen.as_ref().is_none_or(|(seen, _)| l < *seen) {
+                        best_seen = Some((l, outcome.clone()));
+                    }
+                    (l, outcome.compression_ratio)
+                }
+                Err(_) => (loss.gamma, 0.0),
+            }
+        };
+        let optimizer = GlobalMinimizer::new(OptimizerConfig {
+            max_evaluations: self.config().max_iterations,
+            cutoff: if self.config().use_cutoff {
+                loss.cutoff()
+            } else {
+                0.0
+            },
+            ..Default::default()
+        });
+        let trace = optimizer.minimize(&mut objective, region.lower, region.upper, Some(cancel));
+        // Both trackers keep the *first* minimum in evaluation order, so
+        // this equality holds whenever the best evaluation succeeded; the
+        // comparison guards the corner where it errored (loss = gamma).
+        let measured = best_seen
+            .map(|(_, outcome)| outcome)
+            .filter(|outcome| outcome.error_bound == trace.best.x);
+        RegionOutcome {
+            region,
+            error_bound: trace.best.x,
+            compression_ratio: trace.best.ratio,
+            loss: trace.best.loss,
+            iterations,
+            reached_cutoff: trace.reached_cutoff,
+            cancelled: trace.cancelled,
+            measured,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use super::*;
+    use crate::hint::HintSource;
+    use crate::search::tests::{ratio_config, smooth_field, CountingCodec};
+    use fraz_pressio::{registry, Compressor};
+
+    fn quick_config(target: f64) -> SearchConfig {
+        SearchConfig {
+            regions: 4,
+            max_iterations: 16,
+            threads: 2,
+            ..SearchConfig::new(target, 0.1)
+        }
+    }
+
+    #[test]
+    fn feasible_target_is_hit_within_tolerance() {
+        let dataset = smooth_field();
+        let search =
+            FixedRatioSearch::new(registry::build_default("sz").unwrap(), quick_config(10.0));
+        let outcome = search.run(&dataset);
+        assert!(outcome.feasible, "10:1 should be feasible on smooth data");
+        assert!(
+            (outcome.best.compression_ratio - 10.0).abs() <= 1.0 + 1e-9,
+            "ratio {}",
+            outcome.best.compression_ratio
+        );
+        assert!(outcome.retrained);
+        assert!(outcome.evaluations >= 1);
+        assert!(outcome.best.quality.is_some());
+        // The recommended bound really is what produced that ratio.
+        let check = search
+            .compressor()
+            .evaluate(&dataset, outcome.error_bound, false)
+            .unwrap();
+        assert!((check.compression_ratio - outcome.best.compression_ratio).abs() < 1e-9);
+    }
+
+    #[test]
+    fn infeasible_target_reports_closest_ratio() {
+        let dataset = smooth_field();
+        // A ratio below the codec's effective floor (headers alone prevent
+        // 1.01:1 exactly) is infeasible; FRaZ must say so and return its
+        // closest observation rather than erroring.
+        let config = SearchConfig {
+            tolerance: 0.001,
+            ..quick_config(1.01)
+        };
+        let search = FixedRatioSearch::new(registry::build_default("sz").unwrap(), config);
+        let outcome = search.run(&dataset);
+        assert!(!outcome.feasible);
+        assert!(outcome.best.compression_ratio > 0.0);
+        assert!(!outcome.regions.is_empty());
+    }
+
+    #[test]
+    fn prediction_reuse_skips_training() {
+        let dataset = smooth_field();
+        let search =
+            FixedRatioSearch::new(registry::build_default("sz").unwrap(), quick_config(10.0));
+        let first = search.run(&dataset);
+        assert!(first.feasible);
+        let hint = SearchHint::converged(first.error_bound, HintSource::External);
+        let second = search.run_with_hint(&dataset, Some(&hint));
+        assert!(second.feasible);
+        assert!(!second.retrained, "prediction should have been reused");
+        assert_eq!(second.evaluations, 1);
+        assert!(second.regions.is_empty());
+    }
+
+    #[test]
+    fn bad_prediction_falls_back_to_training() {
+        let dataset = smooth_field();
+        let search =
+            FixedRatioSearch::new(registry::build_default("sz").unwrap(), quick_config(10.0));
+        let hint = SearchHint::converged(1e-12, HintSource::External);
+        let outcome = search.run_with_hint(&dataset, Some(&hint));
+        assert!(
+            outcome.retrained,
+            "a useless prediction must trigger training"
+        );
+        assert!(outcome.feasible);
+    }
+
+    #[test]
+    fn max_error_bound_is_respected() {
+        let dataset = smooth_field();
+        let range = dataset.stats().value_range();
+        let cap = range * 1e-6;
+        let config = quick_config(200.0).with_max_error(cap);
+        let search = FixedRatioSearch::new(registry::build_default("sz").unwrap(), config);
+        let (_, upper) = search.bound_range(&dataset);
+        assert!(upper <= cap * (1.0 + 1e-9));
+        let outcome = search.run(&dataset);
+        // With such a tight error ceiling a 200:1 ratio is infeasible, and
+        // the recommended bound must never exceed the ceiling.
+        assert!(outcome.error_bound <= cap * (1.0 + 1e-9));
+        assert!(!outcome.feasible);
+    }
+
+    #[test]
+    fn works_with_every_error_bounded_backend() {
+        let dataset = smooth_field();
+        for name in registry::error_bounded_names() {
+            let backend = registry::build_default(&name).unwrap();
+            if !backend.supports_dims(&dataset.dims) {
+                continue;
+            }
+            let search = FixedRatioSearch::new(backend, quick_config(8.0));
+            let outcome = search.run(&dataset);
+            assert!(
+                outcome.best.compression_ratio > 1.0,
+                "{name}: ratio {}",
+                outcome.best.compression_ratio
+            );
+        }
+    }
+
+    #[test]
+    fn single_threaded_and_parallel_agree_on_feasibility() {
+        let dataset = smooth_field();
+        let serial = FixedRatioSearch::new(
+            registry::build_default("sz").unwrap(),
+            SearchConfig {
+                threads: 1,
+                ..quick_config(12.0)
+            },
+        )
+        .run(&dataset);
+        let parallel = FixedRatioSearch::new(
+            registry::build_default("sz").unwrap(),
+            SearchConfig {
+                threads: 4,
+                ..quick_config(12.0)
+            },
+        )
+        .run(&dataset);
+        assert_eq!(serial.feasible, parallel.feasible);
+    }
+
+    fn counting_search(
+        target: f64,
+        measure_final_quality: bool,
+    ) -> (FixedRatioSearch, Arc<CountingCodec>) {
+        let codec = Arc::new(CountingCodec::new(smooth_field()));
+        let config = SearchConfig {
+            measure_final_quality,
+            ..ratio_config(target)
+        };
+        let search = FixedRatioSearch::new(codec.clone() as Arc<dyn Compressor>, config);
+        (search, codec)
+    }
+
+    #[test]
+    fn hinted_hit_costs_exactly_one_compression() {
+        let dataset = smooth_field();
+        for mfq in [false, true] {
+            let (search, codec) = counting_search(10.0, mfq);
+            let hint = SearchHint::converged(CountingCodec::bound_for(10.0), HintSource::TuneCache);
+            let outcome = search.run_with_hint(&dataset, Some(&hint));
+            assert!(outcome.feasible && !outcome.retrained);
+            // The probe IS the verify pass: one compressor call total, and
+            // `evaluations` reports that true count (the pre-refactor code
+            // spent a second, uncounted call on the quality pass).
+            assert_eq!(outcome.evaluations, 1, "mfq={mfq}");
+            assert_eq!(codec.calls(), 1, "mfq={mfq}");
+            assert_eq!(outcome.best.quality.is_some(), mfq);
+            let report = outcome.hint.expect("hinted run reports its hint");
+            assert!(report.hit);
+            assert_eq!(report.probes, 1);
+            assert_eq!(report.source, HintSource::TuneCache);
+            assert!(outcome.regions.is_empty());
+        }
+    }
+
+    #[test]
+    fn hint_bracket_narrows_the_fallback_range() {
+        let dataset = smooth_field();
+        let (search, _) = counting_search(10.0, false);
+        let answer = CountingCodec::bound_for(10.0);
+        // A missing hint bound with a tight bracket around the answer: the
+        // fallback race must stay inside the bracket and still converge.
+        let hint = SearchHint::seed(CountingCodec::LO, HintSource::Analytic)
+            .with_bracket(answer / 10.0, answer * 10.0);
+        let outcome = search.run_with_hint(&dataset, Some(&hint));
+        assert!(outcome.feasible);
+        for region in &outcome.regions {
+            assert!(region.region.lower >= answer / 10.0 * (1.0 - 1e-9));
+            assert!(region.region.upper <= answer * 10.0 * (1.0 + 1e-9));
+        }
+    }
+
+    #[test]
+    fn config_builders() {
+        let c = SearchConfig::new(50.0, 0.05)
+            .with_regions(6)
+            .with_threads(3)
+            .with_max_error(0.5);
+        assert_eq!(c.regions, 6);
+        assert_eq!(c.threads, 3);
+        assert_eq!(c.max_error_bound, Some(0.5));
+        assert_eq!(c.worker_count(), 3);
+        assert_eq!(SearchConfig::new(10.0, 0.1).with_regions(0).regions, 1);
+    }
+}

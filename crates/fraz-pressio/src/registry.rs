@@ -429,27 +429,6 @@ pub fn error_bounded_names() -> Vec<String> {
     global().read().error_bounded_names()
 }
 
-/// Construct a backend by name with default settings.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `registry::build_default` (or \
-`Registry::build`), which distinguishes unknown codecs from bad options"
-)]
-pub fn compressor(name: &str) -> Option<Box<dyn Compressor>> {
-    build_default(name).ok()
-}
-
-/// Construct a backend by name, configured from an options bag.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `registry::build` (or \
-`Registry::build`), which validates the options instead of ignoring \
-unknown keys"
-)]
-pub fn compressor_with_options(name: &str, options: &Options) -> Option<Box<dyn Compressor>> {
-    build(name, options).ok()
-}
-
 /// Tests that run under any feature combination (the slim-build CI job
 /// exercises `--no-default-features --features szx`).
 #[cfg(test)]
@@ -775,22 +754,6 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("re-entrant factory deadlocked on the registry lock");
         assert_eq!(result.unwrap(), "sz");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_still_work() {
-        for name in BUILTINS {
-            let c = compressor(name).unwrap_or_else(|| panic!("backend {name} missing"));
-            assert_eq!(c.name(), name);
-        }
-        assert!(compressor("does-not-exist").is_none());
-        let options = Options::new().with("sz:block_size", 8u64);
-        assert!(compressor_with_options("sz", &options).is_some());
-        // The shim no longer silently ignores bad options — it reports
-        // failure the only way its signature can.
-        let typo = Options::new().with("sz:blok_size", 8u64);
-        assert!(compressor_with_options("sz", &typo).is_none());
     }
 
     #[test]

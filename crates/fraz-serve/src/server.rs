@@ -38,14 +38,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fraz_core::{
-    CancelToken, FixedQualitySearch, FixedRatioSearch, QualityMetric, QualitySearchConfig,
-    SearchConfig,
+    BoundPredictor, CancelToken, Objective, QualityMetric, QualitySearchConfig, Search,
+    SearchConfig, SearchOutcome,
 };
 use fraz_data::Dataset;
 use fraz_pool::Pool;
 use fraz_pressio::{registry, Compressor};
 use fraz_store::{FaultConfig, FaultyStore, FsStore, MemoryStore, RetryPolicy, RetryStore, Store};
-use fraz_tune::{CachePredictor, TuneCache};
+use fraz_tune::CachePredictor;
 
 use crate::admission::{Admission, AdmissionConfig};
 use crate::proto::{read_frame, write_frame, ProtoError, Request, Response, StatusBody};
@@ -194,7 +194,7 @@ struct Inner {
     pool: Arc<Pool>,
     admission: Arc<Admission>,
     store: StoreStack,
-    tune: Option<Arc<TuneCache>>,
+    tune: Option<Arc<CachePredictor>>,
     tune_degraded: AtomicBool,
     compressors: Mutex<HashMap<String, Arc<dyn Compressor>>>,
     counters: Counters,
@@ -336,13 +336,47 @@ impl Inner {
                 tolerance,
                 codec,
                 dataset,
-            } => self.run_compress(deadline_ms, target_ratio, tolerance, &codec, &dataset),
+            } => self.run_search(
+                &[("target ratio", target_ratio), ("tolerance", tolerance)],
+                deadline_ms,
+                &codec,
+                &dataset,
+                SearchConfig::new(target_ratio, tolerance),
+                |outcome| outcome.best.compression_ratio,
+                |compressor, outcome, ratio| match compressor
+                    .compress(&dataset, outcome.error_bound)
+                {
+                    Ok(blob) => Response::Compressed {
+                        error_bound: outcome.error_bound,
+                        ratio,
+                        feasible: outcome.feasible,
+                        evaluations: outcome.evaluations as u32,
+                        blob,
+                    },
+                    Err(e) => Response::Internal {
+                        message: format!("compression at the chosen bound failed: {e}"),
+                    },
+                },
+            ),
             Request::TunePsnr {
                 deadline_ms,
                 target_psnr,
                 codec,
                 dataset,
-            } => self.run_tune_psnr(deadline_ms, target_psnr, &codec, &dataset),
+            } => self.run_search(
+                &[("target PSNR", target_psnr)],
+                deadline_ms,
+                &codec,
+                &dataset,
+                QualitySearchConfig::new(QualityMetric::PsnrAtLeast(target_psnr)),
+                |outcome| outcome.best.quality.as_ref().map_or(f64::NAN, |q| q.psnr),
+                |_, outcome, achieved_psnr| Response::Tuned {
+                    error_bound: outcome.error_bound,
+                    achieved_psnr,
+                    satisfiable: outcome.feasible,
+                    evaluations: outcome.evaluations as u32,
+                },
+            ),
             Request::Decompress { codec, blob } => {
                 let compressor = match self.compressor(&codec) {
                     Ok(compressor) => compressor,
@@ -360,123 +394,51 @@ impl Inner {
         }
     }
 
-    fn check_search_params(params: &[(&str, f64)]) -> Option<Response> {
+    /// The one search-job body: validate → build → token → search → reply.
+    /// `achieved` reads the objective's headline number (ratio, PSNR) off
+    /// the outcome; `reply` builds the success response from the outcome
+    /// and that number.
+    #[allow(clippy::too_many_arguments)]
+    fn run_search<O: Objective>(
+        &self,
+        params: &[(&str, f64)],
+        deadline_ms: u32,
+        codec: &str,
+        dataset: &Dataset,
+        objective: O,
+        achieved: impl FnOnce(&SearchOutcome) -> f64,
+        reply: impl FnOnce(&dyn Compressor, SearchOutcome, f64) -> Response,
+    ) -> Response {
         for (name, value) in params {
             if !value.is_finite() || *value <= 0.0 {
-                return Some(Response::BadRequest {
+                return Response::BadRequest {
                     message: format!("{name} must be positive and finite, got {value}"),
-                });
+                };
             }
         }
-        None
-    }
-
-    fn check_dims(compressor: &dyn Compressor, dataset: &Dataset) -> Option<Response> {
-        if compressor.supports_dims(&dataset.dims) {
-            None
-        } else {
-            Some(Response::BadRequest {
+        let compressor = match self.compressor(codec) {
+            Ok(compressor) => compressor,
+            Err(response) => return response,
+        };
+        if !compressor.supports_dims(&dataset.dims) {
+            return Response::BadRequest {
                 message: format!(
                     "codec `{}` does not support a rank-{} grid",
                     compressor.name(),
                     dataset.dims.ndims()
                 ),
-            })
-        }
-    }
-
-    fn run_compress(
-        &self,
-        deadline_ms: u32,
-        target_ratio: f64,
-        tolerance: f64,
-        codec: &str,
-        dataset: &Dataset,
-    ) -> Response {
-        if let Some(bad) =
-            Self::check_search_params(&[("target ratio", target_ratio), ("tolerance", tolerance)])
-        {
-            return bad;
-        }
-        let compressor = match self.compressor(codec) {
-            Ok(compressor) => compressor,
-            Err(response) => return response,
-        };
-        if let Some(bad) = Self::check_dims(compressor.as_ref(), dataset) {
-            return bad;
-        }
-        let (job_id, token) = self.job_token(deadline_ms);
-        let search = FixedRatioSearch::new(
-            Arc::clone(&compressor),
-            SearchConfig::new(target_ratio, tolerance),
-        )
-        .with_pool(Arc::clone(&self.pool))
-        .with_cancel(token);
-        let outcome = match &self.tune {
-            Some(cache) => {
-                search.run_with_predictor(dataset, &CachePredictor::new(Arc::clone(cache)))
-            }
-            None => search.run(dataset),
-        };
-        self.finish_job(job_id);
-        if outcome.deadline_hit {
-            return Response::DeadlineExceeded {
-                error_bound: outcome.error_bound,
-                achieved: outcome.best.compression_ratio,
-                evaluations: outcome.evaluations as u32,
             };
         }
-        match compressor.compress(dataset, outcome.error_bound) {
-            Ok(blob) => Response::Compressed {
-                error_bound: outcome.error_bound,
-                ratio: outcome.best.compression_ratio,
-                feasible: outcome.feasible,
-                evaluations: outcome.evaluations as u32,
-                blob,
-            },
-            Err(e) => Response::Internal {
-                message: format!("compression at the chosen bound failed: {e}"),
-            },
-        }
-    }
-
-    fn run_tune_psnr(
-        &self,
-        deadline_ms: u32,
-        target_psnr: f64,
-        codec: &str,
-        dataset: &Dataset,
-    ) -> Response {
-        if let Some(bad) = Self::check_search_params(&[("target PSNR", target_psnr)]) {
-            return bad;
-        }
-        let compressor = match self.compressor(codec) {
-            Ok(compressor) => compressor,
-            Err(response) => return response,
-        };
-        if let Some(bad) = Self::check_dims(compressor.as_ref(), dataset) {
-            return bad;
-        }
         let (job_id, token) = self.job_token(deadline_ms);
-        let search = FixedQualitySearch::new(
-            Arc::clone(&compressor),
-            QualitySearchConfig::new(QualityMetric::PsnrAtLeast(target_psnr)),
-        )
-        .with_pool(Arc::clone(&self.pool))
-        .with_cancel(token);
-        let outcome = match &self.tune {
-            Some(cache) => {
-                search.run_with_predictor(dataset, &CachePredictor::new(Arc::clone(cache)))
-            }
-            None => search.run(dataset),
-        };
+        let predictor = self.tune.clone().map(|p| p as Arc<dyn BoundPredictor>);
+        let outcome: SearchOutcome = Search::new(Arc::clone(&compressor), objective)
+            .with_pool(Arc::clone(&self.pool))
+            .with_cancel(token)
+            .with_predictor(predictor)
+            .run(dataset)
+            .into();
         self.finish_job(job_id);
-        let achieved = outcome
-            .best
-            .quality
-            .as_ref()
-            .map(|q| q.psnr)
-            .unwrap_or(f64::NAN);
+        let achieved = achieved(&outcome);
         if outcome.deadline_hit {
             return Response::DeadlineExceeded {
                 error_bound: outcome.error_bound,
@@ -484,12 +446,7 @@ impl Inner {
                 evaluations: outcome.evaluations as u32,
             };
         }
-        Response::Tuned {
-            error_bound: outcome.error_bound,
-            achieved_psnr: achieved,
-            satisfiable: outcome.satisfiable,
-            evaluations: outcome.evaluations as u32,
-        }
+        reply(compressor.as_ref(), outcome, achieved)
     }
 }
 
@@ -625,8 +582,8 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     // service must come up anyway.
     let mut tune_degraded = false;
     let tune = match &config.tune_cache_dir {
-        Some(dir) => match TuneCache::open(dir) {
-            Ok(cache) => Some(Arc::new(cache)),
+        Some(dir) => match CachePredictor::open(dir) {
+            Ok(predictor) => Some(Arc::new(predictor)),
             Err(e) => {
                 eprintln!("fraz-serve: tune cache unavailable ({e}); searches run cold");
                 tune_degraded = true;
@@ -769,7 +726,7 @@ impl ServerHandle {
 
         // Phase 4: flush the tune cache so the next process starts warm.
         let tune_cache_flushed = match &self.inner.tune {
-            Some(cache) => cache.flush().is_ok(),
+            Some(predictor) => predictor.cache().flush().is_ok(),
             None => true,
         };
 

@@ -4,9 +4,11 @@
 //! chunk independently as a task on [`fraz_pool`], and assembles the
 //! container described in [`crate::format`].  Each chunk gets its **own**
 //! error bound: a [`ChunkTarget::Ratio`] target runs a full
-//! [`FixedRatioSearch`] per chunk, a [`ChunkTarget::MinPsnr`] target runs a
-//! [`FixedQualitySearch`], and [`ChunkTarget::FixedBound`] skips the search
-//! (useful for deterministic fixtures and raw-throughput benchmarks).
+//! [`FixedRatioSearch`](fraz_core::FixedRatioSearch) per chunk, a
+//! [`ChunkTarget::MinPsnr`] target runs a
+//! [`FixedQualitySearch`](fraz_core::FixedQualitySearch), and
+//! [`ChunkTarget::FixedBound`] skips the search (useful for deterministic
+//! fixtures and raw-throughput benchmarks).
 //!
 //! Chunk searches are seeded through `fraz-core`'s
 //! [`SearchHint`](fraz_core::SearchHint) layer.  Ratio chunks warm-start
@@ -23,8 +25,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fraz_core::{
-    BoundPredictor, FixedQualitySearch, FixedRatioSearch, HintSource, LastConverged,
-    PredictorChain, QualityMetric, QualitySearchConfig, SearchConfig,
+    BoundPredictor, HintSource, LastConverged, Objective, PredictorChain, QualityMetric,
+    QualitySearchConfig, Search, SearchConfig, SearchOutcome,
 };
 use fraz_data::Dataset;
 use fraz_pool::Pool;
@@ -42,14 +44,14 @@ pub enum ChunkTarget {
     /// Compress every chunk at this absolute error-bound setting — no
     /// search.  Deterministic, so this is what the wire-format fixtures use.
     FixedBound(f64),
-    /// Run a per-chunk [`FixedRatioSearch`] for this compression ratio.
+    /// Run a per-chunk fixed-ratio search for this compression ratio.
     Ratio {
         /// Target compression ratio `ρt`.
         target_ratio: f64,
         /// Acceptable relative deviation `ε`.
         tolerance: f64,
     },
-    /// Run a per-chunk [`FixedQualitySearch`] for `PSNR >= target` dB.
+    /// Run a per-chunk fixed-quality search for `PSNR >= target` dB.
     ///
     /// PSNR is measured against each chunk's own value range, so this target
     /// adapts to non-stationary fields: quiet chunks get proportionally
@@ -191,33 +193,6 @@ struct ChunkOut {
     feasible: bool,
 }
 
-/// The seeding state one write shares across its chunk tasks.
-struct ChunkSeeds {
-    /// For ratio chunks: external predictor (if any) chained in front of
-    /// the per-write warm-start slot.
-    ratio: PredictorChain,
-    /// For quality chunks: the external predictor alone (quality searches
-    /// already seed themselves analytically; the warm-start slot's ratio
-    /// bounds would be meaningless for a PSNR target).
-    external: Option<Arc<dyn BoundPredictor>>,
-}
-
-impl ChunkSeeds {
-    fn new(config: &StoreWriteConfig, external: Option<Arc<dyn BoundPredictor>>) -> Self {
-        let mut predictors: Vec<Arc<dyn BoundPredictor>> = Vec::new();
-        if let Some(external) = &external {
-            predictors.push(Arc::clone(external));
-        }
-        if config.warm_start {
-            predictors.push(Arc::new(LastConverged::new(HintSource::WarmStart)));
-        }
-        Self {
-            ratio: PredictorChain::new(predictors),
-            external,
-        }
-    }
-}
-
 fn chunk_dataset(dataset: &Dataset, grid: &ChunkGrid, idx: usize) -> Dataset {
     let origin = grid.chunk_origin(idx);
     let shape = grid.chunk_shape_at(idx);
@@ -230,87 +205,96 @@ fn chunk_dataset(dataset: &Dataset, grid: &ChunkGrid, idx: usize) -> Dataset {
     }
 }
 
-fn compress_chunk(
-    codec: &Arc<dyn Compressor>,
-    chunk: &Dataset,
-    config: &StoreWriteConfig,
-    pool: Option<&Arc<Pool>>,
-    seeds: &ChunkSeeds,
-) -> Result<ChunkOut, StoreError> {
-    if !codec.supports_dims(&chunk.dims) {
-        return Err(StoreError::Unsupported(format!(
-            "codec {} does not support chunk dims {:?}",
-            config.codec,
-            chunk.dims.as_slice()
-        )));
-    }
-    let (bound, evaluations, feasible) = match config.target {
-        ChunkTarget::FixedBound(bound) => {
-            // Clamp into this chunk's valid range: a near-constant chunk can
-            // have a much smaller upper bound than the whole field, and a
-            // bound the codec would reject must not fail the write.
-            let (lo, hi) = codec.bound_range(chunk);
-            (bound.clamp(lo, hi), 0, true)
-        }
-        ChunkTarget::Ratio {
-            target_ratio,
-            tolerance,
-        } => {
-            let mut search_config =
-                SearchConfig::new(target_ratio, tolerance).with_regions(config.regions);
-            search_config.max_iterations = config.max_iterations;
-            search_config.max_error_bound = config.max_error_bound;
-            search_config.measure_final_quality = false;
-            let mut search = FixedRatioSearch::new(codec.clone(), search_config)
-                .with_codec_config(config.options.signature());
-            if let Some(pool) = pool {
-                search = search.with_pool(pool.clone());
-            }
-            let outcome = if seeds.ratio.is_empty() {
-                search.run(chunk)
-            } else {
-                search.run_with_predictor(chunk, &seeds.ratio)
-            };
-            (outcome.error_bound, outcome.evaluations, outcome.feasible)
-        }
-        ChunkTarget::MinPsnr(psnr) => {
-            let mut search_config = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(psnr));
-            search_config.max_iterations = config.max_iterations;
-            search_config.max_error_bound = config.max_error_bound;
-            let mut search = FixedQualitySearch::new(codec.clone(), search_config)
-                .with_codec_config(config.options.signature());
-            if let Some(pool) = pool {
-                search = search.with_pool(pool.clone());
-            }
-            let outcome = match &seeds.external {
-                Some(external) => search.run_with_predictor(chunk, external.as_ref()),
-                None => search.run(chunk),
-            };
-            (
-                outcome.error_bound,
-                outcome.evaluations,
-                outcome.satisfiable,
-            )
-        }
-    };
-    let payload = codec
-        .compress(chunk, bound)
-        .map_err(|e| StoreError::Codec(format!("chunk compress failed: {e}")))?;
-    Ok(ChunkOut {
-        payload,
-        bound,
-        evaluations,
-        feasible,
-    })
+/// What one write's chunk tasks share.
+struct ChunkWriter<'a> {
+    codec: Arc<dyn Compressor>,
+    config: &'a StoreWriteConfig,
+    pool: Option<Arc<Pool>>,
+    /// Ratio chunks chain the external predictor (if any) in front of the
+    /// per-write warm-start slot; quality chunks consult the external
+    /// predictor alone (they already seed themselves analytically, and the
+    /// warm-start slot's ratio bounds would be meaningless for a PSNR
+    /// target).
+    predictor: Option<Arc<dyn BoundPredictor>>,
 }
 
-fn write_array_impl(
+impl ChunkWriter<'_> {
+    /// One search per chunk, whatever the objective: `(bound, evaluations,
+    /// objective met)`.
+    fn tune<O: Objective>(&self, objective: O, chunk: &Dataset) -> (f64, usize, bool) {
+        let mut search = Search::new(self.codec.clone(), objective)
+            .with_codec_config(self.config.options.signature())
+            .with_predictor(self.predictor.clone());
+        if let Some(pool) = &self.pool {
+            search = search.with_pool(pool.clone());
+        }
+        let outcome: SearchOutcome = search.run(chunk).into();
+        (outcome.error_bound, outcome.evaluations, outcome.feasible)
+    }
+
+    fn compress(&self, chunk: &Dataset) -> Result<ChunkOut, StoreError> {
+        let config = self.config;
+        if !self.codec.supports_dims(&chunk.dims) {
+            return Err(StoreError::Unsupported(format!(
+                "codec {} does not support chunk dims {:?}",
+                config.codec,
+                chunk.dims.as_slice()
+            )));
+        }
+        let (bound, evaluations, feasible) = match config.target {
+            ChunkTarget::FixedBound(bound) => {
+                // Clamp into this chunk's valid range: a near-constant chunk
+                // can have a much smaller upper bound than the whole field,
+                // and a bound the codec would reject must not fail the write.
+                let (lo, hi) = self.codec.bound_range(chunk);
+                (bound.clamp(lo, hi), 0, true)
+            }
+            ChunkTarget::Ratio {
+                target_ratio,
+                tolerance,
+            } => {
+                let mut objective =
+                    SearchConfig::new(target_ratio, tolerance).with_regions(config.regions);
+                objective.max_iterations = config.max_iterations;
+                objective.max_error_bound = config.max_error_bound;
+                objective.measure_final_quality = false;
+                self.tune(objective, chunk)
+            }
+            ChunkTarget::MinPsnr(psnr) => {
+                let mut objective = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(psnr));
+                objective.max_iterations = config.max_iterations;
+                objective.max_error_bound = config.max_error_bound;
+                self.tune(objective, chunk)
+            }
+        };
+        let payload = self
+            .codec
+            .compress(chunk, bound)
+            .map_err(|e| StoreError::Codec(format!("chunk compress failed: {e}")))?;
+        Ok(ChunkOut {
+            payload,
+            bound,
+            evaluations,
+            feasible,
+        })
+    }
+}
+
+/// Chunk, tune, compress and store `dataset` under `key` — the general form
+/// behind [`write_array`] and [`write_array_on`].  Chunk tasks (and their
+/// searches) run on `pool` (the process-wide [`fraz_pool::global`] pool when
+/// `None`).  `predictor` is an external [`BoundPredictor`] — typically the
+/// `fraz-tune` persistent cache, so repeat writes of the same fields start
+/// each chunk search at the previously converged bound; it is consulted
+/// before the per-write warm-start slot and observes every converged chunk
+/// bound.
+pub fn write_array_seeded(
     store: &dyn Store,
     key: &str,
     dataset: &Dataset,
     config: &StoreWriteConfig,
     pool: Option<Arc<Pool>>,
-    external: Option<Arc<dyn BoundPredictor>>,
+    predictor: Option<Arc<dyn BoundPredictor>>,
 ) -> Result<WriteReport, StoreError> {
     let start = Instant::now();
     let grid = ChunkGrid::new(dataset.dims.as_slice(), &config.chunk_shape)?;
@@ -325,20 +309,33 @@ fn write_array_impl(
     }
 
     let n_chunks = grid.n_chunks();
-    let seeds = ChunkSeeds::new(config, external);
+    let predictor = if matches!(config.target, ChunkTarget::Ratio { .. }) {
+        let mut predictors: Vec<Arc<dyn BoundPredictor>> = predictor.into_iter().collect();
+        if config.warm_start {
+            predictors.push(Arc::new(LastConverged::new(HintSource::WarmStart)));
+        }
+        Some(Arc::new(PredictorChain::new(predictors)) as Arc<dyn BoundPredictor>)
+    } else {
+        predictor
+    };
+    let writer = ChunkWriter {
+        codec,
+        config,
+        pool,
+        predictor,
+    };
     let mut slots: Vec<Option<Result<ChunkOut, StoreError>>> = Vec::with_capacity(n_chunks);
     slots.resize_with(n_chunks, || None);
     {
-        let grid = &grid;
-        let codec = &codec;
-        let seeds = &seeds;
-        let search_pool = pool.as_ref();
-        let scope_pool: &Pool = pool.as_deref().unwrap_or_else(|| fraz_pool::global());
+        let (grid, writer) = (&grid, &writer);
+        let scope_pool: &Pool = writer
+            .pool
+            .as_deref()
+            .unwrap_or_else(|| fraz_pool::global());
         scope_pool.scope(|scope| {
             for (idx, slot) in slots.iter_mut().enumerate() {
                 scope.spawn(move || {
-                    let chunk = chunk_dataset(dataset, grid, idx);
-                    *slot = Some(compress_chunk(codec, &chunk, config, search_pool, seeds));
+                    *slot = Some(writer.compress(&chunk_dataset(dataset, grid, idx)));
                 });
             }
         });
@@ -395,16 +392,15 @@ fn write_array_impl(
     })
 }
 
-/// Chunk, tune, compress and store `dataset` under `key`, running the chunk
-/// tasks (and their searches) on the process-wide [`fraz_pool::global`]
-/// pool.
+/// [`write_array_seeded`] on the process-wide [`fraz_pool::global`] pool,
+/// unseeded.
 pub fn write_array(
     store: &dyn Store,
     key: &str,
     dataset: &Dataset,
     config: &StoreWriteConfig,
 ) -> Result<WriteReport, StoreError> {
-    write_array_impl(store, key, dataset, config, None, None)
+    write_array_seeded(store, key, dataset, config, None, None)
 }
 
 /// [`write_array`] on an explicit shared pool (the CLI passes its
@@ -416,21 +412,5 @@ pub fn write_array_on(
     config: &StoreWriteConfig,
     pool: Arc<Pool>,
 ) -> Result<WriteReport, StoreError> {
-    write_array_impl(store, key, dataset, config, Some(pool), None)
-}
-
-/// [`write_array`] seeded by an external [`BoundPredictor`] — typically the
-/// `fraz-tune` persistent cache, so repeat writes of the same fields start
-/// each chunk search at the previously converged bound.  The predictor is
-/// consulted before the per-write warm-start slot and observes every
-/// converged chunk bound.
-pub fn write_array_seeded(
-    store: &dyn Store,
-    key: &str,
-    dataset: &Dataset,
-    config: &StoreWriteConfig,
-    pool: Option<Arc<Pool>>,
-    predictor: Option<Arc<dyn BoundPredictor>>,
-) -> Result<WriteReport, StoreError> {
-    write_array_impl(store, key, dataset, config, pool, predictor)
+    write_array_seeded(store, key, dataset, config, Some(pool), None)
 }

@@ -21,13 +21,14 @@
 //! use fraz_tune::CachePredictor;
 //!
 //! let dir = std::env::temp_dir().join(format!("fraz-tune-doc-{}", std::process::id()));
-//! let predictor = CachePredictor::open(&dir).unwrap();
+//! let predictor = Arc::new(CachePredictor::open(&dir).unwrap());
 //! let dataset = fraz_data::synthetic::hurricane(6, 12, 12, 1, 7).field("TCf", 0);
 //! let compressor = fraz_pressio::registry::build_default("sz").unwrap();
-//! let search = FixedRatioSearch::new(compressor, SearchConfig::new(8.0, 0.2));
+//! let search = FixedRatioSearch::new(compressor, SearchConfig::new(8.0, 0.2))
+//!     .with_predictor(Some(predictor));
 //!
-//! let cold = search.run_with_predictor(&dataset, &predictor);
-//! let warm = search.run_with_predictor(&dataset, &predictor);
+//! let cold = search.run(&dataset);
+//! let warm = search.run(&dataset);
 //! if cold.feasible {
 //!     // The second run starts from the first run's answer.
 //!     assert!(warm.evaluations <= 2);
@@ -58,14 +59,10 @@ pub struct CachePredictor {
 }
 
 impl CachePredictor {
-    /// Wrap an already opened cache.
-    pub fn new(cache: Arc<TuneCache>) -> Self {
-        Self { cache }
-    }
-
     /// Open (creating if needed) the cache in directory `dir`.
     pub fn open(dir: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(Self::new(Arc::new(TuneCache::open(dir)?)))
+        let cache = Arc::new(TuneCache::open(dir)?);
+        Ok(Self { cache })
     }
 
     /// The shared cache (for stats reporting and explicit flushes).
@@ -125,17 +122,20 @@ mod tests {
             threads: 1,
             ..SearchConfig::new(8.0, 0.2)
         };
-        let search = FixedRatioSearch::new(registry::build_default("sz").unwrap(), config);
+        let search = |predictor: &Arc<CachePredictor>| {
+            FixedRatioSearch::new(registry::build_default("sz").unwrap(), config.clone())
+                .with_predictor(Some(predictor.clone()))
+        };
 
-        let predictor = CachePredictor::open(&dir).unwrap();
-        let cold = search.run_with_predictor(&dataset, &predictor);
+        let predictor = Arc::new(CachePredictor::open(&dir).unwrap());
+        let cold = search(&predictor).run(&dataset);
         assert!(cold.feasible);
         assert!(cold.retrained && cold.evaluations > 2);
         predictor.cache().flush().unwrap();
 
         // A fresh process: reopen the cache from disk.
-        let predictor = CachePredictor::open(&dir).unwrap();
-        let warm = search.run_with_predictor(&dataset, &predictor);
+        let predictor = Arc::new(CachePredictor::open(&dir).unwrap());
+        let warm = search(&predictor).run(&dataset);
         assert!(warm.feasible && !warm.retrained);
         assert!(
             warm.evaluations <= 2,
@@ -152,18 +152,19 @@ mod tests {
     fn quality_search_and_different_targets_do_not_collide() {
         let dir = scratch_dir("quality");
         let dataset = synthetic::hurricane(8, 16, 16, 1, 43).field("TCf", 0);
+        let predictor = Arc::new(CachePredictor::open(&dir).unwrap());
         let make = |psnr: f64| {
             let config = QualitySearchConfig {
                 max_iterations: 20,
                 ..QualitySearchConfig::new(QualityMetric::PsnrAtLeast(psnr))
             };
             FixedQualitySearch::new(registry::build_default("sz").unwrap(), config)
+                .with_predictor(Some(predictor.clone()))
         };
 
-        let predictor = CachePredictor::open(&dir).unwrap();
-        let cold = make(60.0).run_with_predictor(&dataset, &predictor);
+        let cold = make(60.0).run(&dataset);
         assert!(cold.satisfiable);
-        let warm = make(60.0).run_with_predictor(&dataset, &predictor);
+        let warm = make(60.0).run(&dataset);
         assert!(warm.satisfiable);
         assert_eq!(warm.evaluations, 1, "cached quality bound re-verifies");
         assert_eq!(warm.hint.unwrap().source, HintSource::TuneCache);
@@ -171,7 +172,7 @@ mod tests {
 
         // A different PSNR target is a different key: no false hit (the
         // analytic model seeds it instead of the cache).
-        let other = make(80.0).run_with_predictor(&dataset, &predictor);
+        let other = make(80.0).run(&dataset);
         assert!(other.satisfiable);
         if let Some(report) = &other.hint {
             assert_ne!(report.source, HintSource::TuneCache);

@@ -13,9 +13,10 @@
 //! cargo run --release --example instrument_stream
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use fraz::core::{FixedRatioSearch, SearchConfig};
+use fraz::core::{FixedRatioSearch, HintSource, LastConverged, SearchConfig};
 use fraz::data::synthetic;
 use fraz::pressio::registry;
 
@@ -38,9 +39,10 @@ fn main() {
     let config = SearchConfig::new(target_ratio, 0.1)
         .with_regions(6)
         .with_threads(3);
-    let search = FixedRatioSearch::new(compressor, config);
+    // Each frame's search starts from the last bound that met the target.
+    let search = FixedRatioSearch::new(compressor, config)
+        .with_predictor(Some(Arc::new(LastConverged::new(HintSource::PreviousStep))));
 
-    let mut prediction: Option<f64> = None;
     let mut total_in = 0usize;
     let mut total_out = 0usize;
     println!(
@@ -50,13 +52,10 @@ fn main() {
     for t in 0..frames {
         let frame = app.field("baryon_density", t);
         let start = Instant::now();
-        let outcome = search.run_with_prediction(&frame, prediction);
+        let outcome = search.run(&frame);
         let elapsed = start.elapsed();
         total_in += frame.byte_size();
         total_out += outcome.best.compressed_bytes;
-        if outcome.feasible {
-            prediction = Some(outcome.error_bound);
-        }
         println!(
             "{:>5} {:>12.4e} {:>9.1}x {:>10} {:>9} {:>7.0?}",
             t,

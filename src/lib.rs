@@ -72,6 +72,33 @@
 //! assert!(ratio > 1.0);
 //! ```
 //!
+//! ## One search shell
+//!
+//! `FixedRatioSearch` and `FixedQualitySearch` are the same shell,
+//! [`core::Search`], over two objectives, so they share every builder and
+//! both entry points: `run` consults the predictor installed with
+//! `with_predictor` and teaches it the result; `run_with_hint` probes an
+//! explicit hint.
+//!
+//! ```
+//! use std::sync::Arc;
+//! use fraz::core::{
+//!     FixedQualitySearch, HintSource, LastConverged, QualityMetric, QualitySearchConfig,
+//! };
+//! use fraz::data::synthetic;
+//! use fraz::pressio::registry;
+//!
+//! let dataset = synthetic::hurricane(8, 16, 16, 1, 42).field("TCf", 0);
+//! let search = FixedQualitySearch::new(
+//!     registry::build_default("sz").unwrap(),
+//!     QualitySearchConfig::new(QualityMetric::PsnrAtLeast(60.0)),
+//! )
+//! .with_predictor(Some(Arc::new(LastConverged::new(HintSource::PreviousStep))));
+//! let first = search.run(&dataset); // seeded by the codec's PSNR model
+//! let again = search.run(&dataset); // re-verifies the learned bound
+//! assert!(first.satisfiable && again.evaluations == 1);
+//! ```
+//!
 //! ## Plugging in your own codec
 //!
 //! Out-of-tree compressors join the same registry at runtime — implement

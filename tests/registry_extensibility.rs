@@ -155,8 +155,8 @@ fn out_of_tree_codec_runs_through_fixed_ratio_search() {
 
 #[test]
 fn unknown_options_on_builtins_are_errors_not_silence() {
-    // Regression for the pre-registry footgun: `compressor_with_options`
-    // used to drop unknown keys without a word.
+    // Regression for the pre-registry footgun: unknown option keys used to
+    // be dropped without a word.
     let err = registry::build("sz", &Options::new().with("sz:blok_size", 8u64))
         .err()
         .unwrap();
@@ -177,12 +177,6 @@ fn unknown_options_on_builtins_are_errors_not_silence() {
         message.contains("sz:block_size"),
         "the error must name the nearest valid key: {message}"
     );
-
-    // The deprecated shim can no longer construct from a bad bag either.
-    #[allow(deprecated)]
-    let shimmed =
-        registry::compressor_with_options("sz", &Options::new().with("sz:blok_size", 8u64));
-    assert!(shimmed.is_none());
 }
 
 #[test]
