@@ -6,6 +6,8 @@
 //!
 //! Run with `cargo run --release -p fraz-bench --bin fig01_zfp_modes`.
 
+#![forbid(unsafe_code)]
+
 use fraz_bench::records::{append, Record};
 use fraz_bench::scale::Scale;
 use fraz_bench::table::Table;

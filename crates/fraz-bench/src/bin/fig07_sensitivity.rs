@@ -8,6 +8,8 @@
 //!
 //! Run with `cargo run --release -p fraz-bench --bin fig07_sensitivity`.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use fraz_bench::records::{append, Record};

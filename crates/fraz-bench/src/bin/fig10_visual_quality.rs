@@ -10,6 +10,8 @@
 //!
 //! Run with `cargo run --release -p fraz-bench --bin fig10_visual_quality`.
 
+#![forbid(unsafe_code)]
+
 use std::fs;
 use std::path::PathBuf;
 

@@ -6,6 +6,8 @@
 //!
 //! Run with `cargo run --release -p fraz-bench --bin tab03_datasets`.
 
+#![forbid(unsafe_code)]
+
 use fraz_bench::records::{append, Record};
 use fraz_bench::scale::Scale;
 use fraz_bench::table::Table;

@@ -12,6 +12,8 @@
 //! * [`scale`] — the `FRAZ_BENCH_SCALE` switch between a quick profile
 //!   (minutes, default) and a fuller profile closer to the paper's sizes.
 
+#![forbid(unsafe_code)]
+
 pub mod records;
 pub mod scale;
 pub mod table;

@@ -55,6 +55,9 @@ mod sig {
     }
 
     pub fn install() {
+        // SAFETY: `signal(2)` gets valid signal numbers and a handler that
+        // lives for the whole program and only performs an atomic store,
+        // which is async-signal-safe.
         unsafe {
             signal(SIGTERM, on_signal);
             signal(SIGINT, on_signal);

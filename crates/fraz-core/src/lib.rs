@@ -53,6 +53,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cancel;
 pub mod hint;
 pub mod loss;

@@ -23,6 +23,7 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use fraz_data::Dataset;
+use fraz_metrics::ratio::compression_ratio;
 use fraz_pressio::Compressor;
 
 use crate::hint::{BoundPredictor, HintSource, SearchHint};
@@ -85,7 +86,8 @@ pub struct OnlineStepReport {
     pub compressed_bytes: usize,
     /// True when the ratio landed inside the hard acceptance window.
     pub on_target: bool,
-    /// Number of compressions spent on this step (1 in steady state).
+    /// Compressor calls spent on this step, every one counted (1 in steady
+    /// state: the call that produced the returned blob).
     pub compressions: usize,
     /// True when this step triggered a full re-calibration search.
     pub recalibrated: bool,
@@ -187,63 +189,56 @@ impl OnlineController {
             }
         };
 
-        // Compress at the chosen bound.
-        let mut outcome = self
-            .search
-            .compressor()
-            .evaluate(dataset, bound, false)
-            .unwrap_or_else(|_| {
-                // An invalid bound (e.g. after clamping on a degenerate
-                // field) falls back to the lower end of the valid range.
-                let (lower, _) = self.search.compressor().bound_range(dataset);
-                bound = lower;
-                self.search
-                    .compressor()
-                    .evaluate(dataset, lower, false)
-                    .expect("lower end of the bound range is always valid")
-            });
+        // Compress at the chosen bound; the blob is this step's output
+        // unless a re-sync below replaces it.
+        let compressor = self.search.compressor();
+        let ratio_of = |blob: &[u8]| compression_ratio(dataset.byte_size(), blob.len());
+        let mut compressed = compressor.compress(dataset, bound).unwrap_or_else(|_| {
+            // An invalid bound (e.g. after clamping on a degenerate field)
+            // falls back to the lower end of the valid range.
+            compressions += 1;
+            bound = compressor.bound_range(dataset).0;
+            compressor
+                .compress(dataset, bound)
+                .expect("lower end of the bound range is always valid")
+        });
         compressions += 1;
+        let mut ratio = ratio_of(&compressed);
 
         // If the ratio drifted far outside the soft window, re-calibrate now
         // (this is the expensive path; it should be rare).
         let soft = RatioLoss::new(self.config.target_ratio, self.config.resync_tolerance);
-        if !soft.is_acceptable(outcome.compression_ratio) {
+        if !soft.is_acceptable(ratio) {
             recalibrated = true;
             // Seed the re-search at the current bound — the probe verifies
             // whether the drift was a one-step fluke before the full race.
             let hint = SearchHint::converged(bound, HintSource::Resync);
             let searched = self.search.run_with_hint(dataset, Some(&hint));
             compressions += searched.evaluations;
-            bound = self.search.clamp_bound(searched.error_bound, dataset);
-            outcome = self
-                .search
-                .compressor()
-                .evaluate(dataset, bound, false)
-                .unwrap_or(outcome);
+            let resynced = self.search.clamp_bound(searched.error_bound, dataset);
+            // A failed re-compression keeps the blob (and bound) in hand.
+            if let Ok(blob) = compressor.compress(dataset, resynced) {
+                (bound, ratio, compressed) = (resynced, ratio_of(&blob), blob);
+            }
             compressions += 1;
         }
 
-        let on_target = self.loss.is_acceptable(outcome.compression_ratio);
+        let on_target = self.loss.is_acceptable(ratio);
 
         // Proportional correction for the next step: if the ratio is high the
         // bound can shrink (better fidelity), if it is low the bound grows.
-        let next_bound = if self.config.gain > 0.0 && outcome.compression_ratio > 0.0 {
-            let error = self.config.target_ratio / outcome.compression_ratio;
+        let next_bound = if self.config.gain > 0.0 && ratio > 0.0 {
+            let error = self.config.target_ratio / ratio;
             bound * error.powf(self.config.gain)
         } else {
             bound
         };
         self.current_bound = Some(self.search.clamp_bound(next_bound, dataset));
 
-        let compressed = self
-            .search
-            .compressor()
-            .compress(dataset, bound)
-            .unwrap_or_default();
         let report = OnlineStepReport {
             step,
             error_bound: bound,
-            compression_ratio: outcome.compression_ratio,
+            compression_ratio: ratio,
             compressed_bytes: compressed.len(),
             on_target,
             compressions,
@@ -304,6 +299,76 @@ mod tests {
             let frame = app.field("FLDSC", t);
             let (_, report) = ctl.compress_step(&frame);
             assert!(report.error_bound <= ceiling * (1.0 + 1e-9));
+        }
+    }
+
+    /// Ratio rises log-linearly with the bound (1:1 at 1e-6, 100:1 at 1)
+    /// and is divided by `1 + timestep`, so a jump in `timestep` is a drift
+    /// the controller must re-sync on.  Counts every `compress` call.
+    #[derive(Default)]
+    struct DriftingCodec {
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Compressor for DriftingCodec {
+        fn name(&self) -> &str {
+            "drifting"
+        }
+        fn supports_dims(&self, _dims: &fraz_data::Dims) -> bool {
+            true
+        }
+        fn bound_range(&self, _dataset: &Dataset) -> (f64, f64) {
+            (1e-6, 1.0)
+        }
+        fn compress(
+            &self,
+            dataset: &Dataset,
+            bound: f64,
+        ) -> Result<Vec<u8>, fraz_pressio::PressioError> {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let ratio =
+                (1.0 + 99.0 * (bound / 1e-6).ln() / 1e6f64.ln()) / (1 + dataset.timestep) as f64;
+            Ok(vec![
+                0u8;
+                (dataset.byte_size() as f64 / ratio.max(1.0)).ceil()
+                    as usize
+            ])
+        }
+        fn decompress(&self, _data: &[u8]) -> Result<Dataset, fraz_pressio::PressioError> {
+            unimplemented!("ratio searches never decompress")
+        }
+    }
+
+    #[test]
+    fn reported_compressions_are_exactly_the_compressor_calls() {
+        let codec = Arc::new(DriftingCodec::default());
+        let handle: Arc<dyn Compressor> = codec.clone();
+        let mut ctl = OnlineController::new(handle, OnlineControllerConfig::new(10.0, 0.1));
+        let frame = |timestep| {
+            Dataset::from_f32(
+                "t",
+                "f",
+                timestep,
+                fraz_data::Dims::d2(64, 64),
+                vec![0.0; 4096],
+            )
+        };
+        let mut reported = 0;
+        // Calibration, three steady steps, a drift that forces a re-sync,
+        // then steady again on the drifted field.
+        for (step, timestep) in [0, 0, 0, 0, 3, 3, 3].into_iter().enumerate() {
+            let (blob, report) = ctl.compress_step(&frame(timestep));
+            reported += report.compressions;
+            assert_eq!(
+                reported,
+                codec.calls.load(std::sync::atomic::Ordering::Relaxed),
+                "step {step}: {report:?}"
+            );
+            assert_eq!(blob.len(), report.compressed_bytes);
+            let resync = step == 0 || step == 4;
+            assert_eq!(report.recalibrated, resync, "step {step}: {report:?}");
+            assert_eq!(report.compressions == 1, !resync, "step {step}: {report:?}");
         }
     }
 

@@ -39,6 +39,23 @@ impl DType {
             DType::F64 => 8,
         }
     }
+
+    /// The one-byte tag every FRaZ wire format stores for this type.
+    pub fn tag(self) -> u8 {
+        match self {
+            DType::F32 => 0,
+            DType::F64 => 1,
+        }
+    }
+
+    /// Inverse of [`DType::tag`]; `None` for a tag no writer emits.
+    pub fn from_tag(tag: u8) -> Option<Self> {
+        match tag {
+            0 => Some(DType::F32),
+            1 => Some(DType::F64),
+            _ => None,
+        }
+    }
 }
 
 /// The raw values of one field at one time-step.
@@ -152,9 +169,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dtype_widths() {
+    fn dtype_widths_and_tags() {
         assert_eq!(DType::F32.byte_width(), 4);
         assert_eq!(DType::F64.byte_width(), 8);
+        for dtype in [DType::F32, DType::F64] {
+            assert_eq!(DType::from_tag(dtype.tag()), Some(dtype));
+        }
+        assert_eq!(DType::from_tag(2), None);
     }
 
     #[test]

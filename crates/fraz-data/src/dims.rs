@@ -4,6 +4,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::wire::WireError;
+
 /// Dimensions of a structured grid, slowest-varying axis first (C order).
 ///
 /// SDRBench fields are 1-D (HACC, EXAALT), 2-D (CESM-ATM) or 3-D (Hurricane,
@@ -16,18 +18,31 @@ impl Dims {
     /// Create from an explicit axis list (slowest first).
     ///
     /// # Panics
-    /// Panics if the list is empty, longer than 4 axes, or contains a zero.
+    /// Panics where [`Dims::try_new`] fails: the list is empty, longer than
+    /// 4 axes, contains a zero, or its product overflows `usize`.
     pub fn new(axes: &[usize]) -> Self {
-        assert!(
-            !axes.is_empty() && axes.len() <= 4,
-            "1 to 4 dimensions are supported, got {}",
-            axes.len()
-        );
-        assert!(
-            axes.iter().all(|&a| a > 0),
-            "all dimensions must be non-zero: {axes:?}"
-        );
-        Self(axes.to_vec())
+        Self::try_new(axes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible constructor for shapes that come from outside the program
+    /// (wire headers, containers, frames): 1 to 4 axes, none of them zero,
+    /// and a point count that fits `usize`.
+    pub fn try_new(axes: &[usize]) -> Result<Self, WireError> {
+        if axes.is_empty() || axes.len() > 4 {
+            return Err(WireError::Invalid(format!(
+                "1 to 4 dimensions are supported, got {}",
+                axes.len()
+            )));
+        }
+        if axes.contains(&0) {
+            return Err(WireError::Invalid(format!(
+                "all dimensions must be non-zero: {axes:?}"
+            )));
+        }
+        axes.iter()
+            .try_fold(1usize, |n, &a| n.checked_mul(a))
+            .ok_or_else(|| WireError::Invalid(format!("grid size overflows: {axes:?}")))?;
+        Ok(Self(axes.to_vec()))
     }
 
     /// 1-D grid of `n` points.
@@ -163,6 +178,15 @@ mod tests {
     #[should_panic(expected = "1 to 4 dimensions")]
     fn too_many_axes_panic() {
         let _ = Dims::new(&[1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn try_new_reports_instead_of_panicking() {
+        assert_eq!(Dims::try_new(&[2, 3]).unwrap(), Dims::d2(2, 3));
+        assert!(Dims::try_new(&[]).is_err());
+        assert!(Dims::try_new(&[1, 2, 3, 4, 5]).is_err());
+        assert!(Dims::try_new(&[4, 0, 2]).is_err());
+        assert!(Dims::try_new(&[usize::MAX, 2]).is_err());
     }
 
     #[test]

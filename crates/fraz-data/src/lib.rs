@@ -9,6 +9,11 @@
 //! * [`Dataset`] / [`buffer::DataBuffer`] / [`dims::Dims`] — an N-dimensional
 //!   (1-D to 4-D) container for single- or double-precision fields, with the
 //!   statistics the codecs and the metrics crate need,
+//! * [`wire`] — the one little-endian [`wire::ByteWriter`] /
+//!   [`wire::ByteReader`] pair every codec blob, FRZS container and service
+//!   frame is written and parsed with, the validated reads of everything a
+//!   decoder must not trust (dtype tag, grid shape, counts) and the blob
+//!   prefix the codecs share ([`wire::DatasetHeader`]),
 //! * [`io`] — readers and writers for the flat `.f32` / `.f64` layout used by
 //!   SDRBench, so real archive files can be dropped in when available,
 //! * [`synthetic`] — deterministic generators that mimic each application's
@@ -21,12 +26,15 @@
 //!   dims, target) that let the `fraz` CLI run FRaZ over a directory of real
 //!   archive files without any Rust code.
 
+#![forbid(unsafe_code)]
+
 pub mod buffer;
 pub mod catalog;
 pub mod dims;
 pub mod io;
 pub mod manifest;
 pub mod synthetic;
+pub mod wire;
 
 use std::fmt;
 

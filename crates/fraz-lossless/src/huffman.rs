@@ -343,8 +343,8 @@ impl CodeBook {
     /// Deserialize a table produced by [`CodeBook::write_table`].
     pub fn read_table(r: &mut BitReader<'_>) -> Result<Self> {
         let count = rle::read_uvarint(r)? as usize;
-        // Guard against absurd counts from corrupted streams.
-        if count > (1 << 28) {
+        // Each entry is an 8-bit varint group plus a 6-bit length at least.
+        if count > r.bits_remaining() / 14 {
             return Err(CodingError::InvalidCodeTable(format!(
                 "implausible symbol count {count}"
             )));
@@ -354,10 +354,10 @@ impl CodeBook {
         for _ in 0..count {
             let delta = rle::read_uvarint(r)?;
             let len = r.read_bits(6)? as u8;
-            let sym = prev + delta;
-            if sym > u32::MAX as u64 {
-                return Err(CodingError::InvalidCodeTable("symbol overflow".into()));
-            }
+            let sym = prev
+                .checked_add(delta)
+                .filter(|&sym| sym <= u32::MAX as u64)
+                .ok_or_else(|| CodingError::InvalidCodeTable("symbol overflow".into()))?;
             if len == 0 || len > MAX_CODE_LEN {
                 return Err(CodingError::InvalidCodeTable(format!(
                     "invalid code length {len}"
@@ -499,6 +499,10 @@ impl Decoder {
 
     /// Decode exactly `n` symbols.
     pub fn decode_all(&self, r: &mut BitReader<'_>, n: usize) -> Result<Vec<u32>> {
+        // Every code is at least one bit long.
+        if n > r.bits_remaining() {
+            return Err(CodingError::UnexpectedEof);
+        }
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             out.push(self.decode_symbol(r)?);

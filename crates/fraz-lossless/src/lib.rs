@@ -20,6 +20,14 @@
 //! stage behind a stable framed format with a header, so callers can treat
 //! this crate as a drop-in "byte squeezer".
 //!
+//! Every decoder here treats its input as hostile: a declared length or
+//! count sizes an allocation only after it is checked against what the
+//! input's bits can produce, and the reservation itself is fallible, so a
+//! corrupt stream is a [`CodingError`], never an allocation abort.  (The
+//! little-endian byte reader/writer the codecs build their headers with
+//! lives in `fraz_data::wire`, which applies the same rule to header
+//! fields; this crate sits below `fraz-data` and cannot share its helper.)
+//!
 //! # Example
 //!
 //! ```
@@ -30,8 +38,9 @@
 //! assert_eq!(restored, data);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bitio;
-pub mod bytesio;
 pub mod huffman;
 pub mod lzss;
 pub mod rle;
@@ -80,6 +89,16 @@ impl std::error::Error for CodingError {}
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, CodingError>;
+
+/// An empty vector with room for `capacity` decoded elements — as a typed
+/// error where `Vec::with_capacity` would abort on a corrupt length field.
+pub(crate) fn try_vec<T>(capacity: usize) -> Result<Vec<T>> {
+    let mut v = Vec::new();
+    v.try_reserve_exact(capacity).map_err(|_| {
+        CodingError::InvalidHeader(format!("cannot reserve {capacity} decoded elements"))
+    })?;
+    Ok(v)
+}
 
 /// Magic marker for the framed LZSS container produced by [`compress`].
 const FRAME_MAGIC: u32 = 0x465A_4C31; // "FZL1"

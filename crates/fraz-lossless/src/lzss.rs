@@ -448,11 +448,22 @@ pub fn decompress(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
         Some(dist_book.decoder())
     };
 
-    let mut out: Vec<u8> = Vec::with_capacity(expected_len);
+    // Every token costs at least one bit and yields at most MAX_MATCH
+    // bytes, so a longer declared length is corrupt whatever follows.
+    let producible = r.bits_remaining().saturating_mul(MAX_MATCH);
+    if expected_len > producible {
+        return Err(CodingError::LengthMismatch {
+            expected: expected_len,
+            actual: producible,
+        });
+    }
+    let mut out: Vec<u8> = crate::try_vec(expected_len)?;
     while out.len() < expected_len {
         let sym = litlen_dec.decode_symbol(&mut r)?;
         if sym < LEN_SYMBOL_BASE {
             out.push(sym as u8);
+        } else if sym as usize >= LITLEN_ALPHABET {
+            return Err(CodingError::InvalidSymbol(sym));
         } else {
             let length = (sym - LEN_SYMBOL_BASE) as usize + MIN_MATCH;
             let dist_dec = dist_dec.as_ref().ok_or_else(|| {

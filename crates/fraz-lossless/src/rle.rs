@@ -83,13 +83,18 @@ pub fn rle_encode(values: &[u32]) -> Vec<(u32, u32)> {
 }
 
 /// Expand `(value, run length)` pairs back into the original sequence.
-pub fn rle_decode(pairs: &[(u32, u32)]) -> Vec<u32> {
-    let total: usize = pairs.iter().map(|&(_, r)| r as usize).sum();
-    let mut out = Vec::with_capacity(total);
+/// Run lengths are declared, not demonstrated, so the reservation is
+/// fallible: an absurd total is an error, not an allocation abort.
+pub fn rle_decode(pairs: &[(u32, u32)]) -> Result<Vec<u32>> {
+    let total = pairs
+        .iter()
+        .try_fold(0usize, |t, &(_, r)| t.checked_add(r as usize))
+        .unwrap_or(usize::MAX);
+    let mut out = crate::try_vec(total)?;
     for &(v, r) in pairs {
         out.extend(std::iter::repeat(v).take(r as usize));
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -167,12 +172,12 @@ mod tests {
         let values = vec![5u32, 5, 5, 1, 2, 2, 2, 2, 9];
         let pairs = rle_encode(&values);
         assert_eq!(pairs, vec![(5, 3), (1, 1), (2, 4), (9, 1)]);
-        assert_eq!(rle_decode(&pairs), values);
+        assert_eq!(rle_decode(&pairs).unwrap(), values);
     }
 
     #[test]
     fn rle_empty() {
         assert!(rle_encode(&[]).is_empty());
-        assert!(rle_decode(&[]).is_empty());
+        assert!(rle_decode(&[]).unwrap().is_empty());
     }
 }

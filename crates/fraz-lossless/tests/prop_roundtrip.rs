@@ -92,7 +92,7 @@ proptest! {
     #[test]
     fn rle_roundtrip(values in proptest::collection::vec(0u32..8, 0..1024)) {
         let pairs = rle::rle_encode(&values);
-        prop_assert_eq!(rle::rle_decode(&pairs), values);
+        prop_assert_eq!(rle::rle_decode(&pairs).unwrap(), values);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! [`QualityReport::evaluate`] bundles everything into a single serializable
 //! record, which the experiment binaries append to their JSON output.
 
+#![forbid(unsafe_code)]
+
 pub mod acf;
 pub mod error_stats;
 pub mod ratio;

@@ -38,10 +38,12 @@
 //! assert!(err <= 1e-3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod hierarchy;
 
+use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader, WireError};
 use fraz_data::{DType, DataBuffer, Dataset, Dims};
-use fraz_lossless::bytesio::{ByteReader, ByteWriter};
 use fraz_lossless::huffman;
 
 use hierarchy::{interpolate, level_nodes, level_steps, Dims3};
@@ -143,6 +145,12 @@ impl std::error::Error for MgardError {}
 
 impl From<fraz_lossless::CodingError> for MgardError {
     fn from(e: fraz_lossless::CodingError) -> Self {
+        MgardError::Corrupt(e.to_string())
+    }
+}
+
+impl From<WireError> for MgardError {
+    fn from(e: WireError) -> Self {
         MgardError::Corrupt(e.to_string())
     }
 }
@@ -255,19 +263,7 @@ pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, Mgar
     };
 
     let mut header = ByteWriter::with_capacity(64);
-    header.put_u32(MAGIC);
-    header.put_u8(VERSION);
-    header.put_u8(match dtype {
-        DType::F32 => 0,
-        DType::F64 => 1,
-    });
-    header.put_u8(dataset.dims.ndims() as u8);
-    for &d in dataset.dims.as_slice() {
-        header.put_u64(d as u64);
-    }
-    header.put_u64(dataset.timestep as u64);
-    header.put_str(&dataset.application);
-    header.put_str(&dataset.field);
+    DatasetHeader::write(dataset, MAGIC, VERSION, &mut header);
     header.put_u8(match config.norm {
         ErrorNorm::Infinity => 0,
         ErrorNorm::L2 => 1,
@@ -276,13 +272,7 @@ pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, Mgar
 
     let mut body = ByteWriter::with_capacity(values.len());
     body.put_section(&huffman::encode_symbols(&codes));
-    body.put_u64(exact.len() as u64);
-    for &v in &exact {
-        match dtype {
-            DType::F32 => body.put_f32(v as f32),
-            DType::F64 => body.put_f64(v),
-        }
-    }
+    body.put_values(&exact, dtype);
 
     let mut out = header.into_bytes();
     out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
@@ -292,39 +282,10 @@ pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, Mgar
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(data: &[u8]) -> Result<Dataset, MgardError> {
     let mut r = ByteReader::new(data);
-    let magic = r.get_u32()?;
-    if magic != MAGIC {
-        return Err(MgardError::Corrupt(format!("bad magic 0x{magic:08x}")));
-    }
-    let version = r.get_u8()?;
-    if version != VERSION {
-        return Err(MgardError::Corrupt(format!(
-            "unsupported version {version}"
-        )));
-    }
-    let dtype = match r.get_u8()? {
-        0 => DType::F32,
-        1 => DType::F64,
-        other => return Err(MgardError::Corrupt(format!("unknown dtype tag {other}"))),
-    };
-    let ndims = r.get_u8()? as usize;
-    if !(2..=3).contains(&ndims) {
-        return Err(MgardError::Corrupt(format!(
-            "invalid dimensionality {ndims}"
-        )));
-    }
-    let mut axes = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        let d = r.get_u64()? as usize;
-        if d == 0 || d > (1 << 40) {
-            return Err(MgardError::Corrupt(format!("invalid axis length {d}")));
-        }
-        axes.push(d);
-    }
-    let dims = Dims::new(&axes);
-    let timestep = r.get_u64()? as usize;
-    let application = r.get_str()?;
-    let field = r.get_str()?;
+    let head = DatasetHeader::read(&mut r, MAGIC, VERSION)?;
+    let dtype = head.dtype;
+    let dims3 = pad_dims(&head.dims)
+        .map_err(|e| MgardError::Corrupt(format!("invalid dimensionality: {e}")))?;
     let norm = match r.get_u8()? {
         0 => ErrorNorm::Infinity,
         1 => ErrorNorm::L2,
@@ -339,34 +300,20 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, MgardError> {
     let body = fraz_lossless::decompress(r.rest())?;
     let mut b = ByteReader::new(&body);
     let codes = huffman::decode_symbols(b.get_section()?)?;
-    let num_exact = b.get_u64()? as usize;
-    if num_exact > dims.len() {
+    let exact = b.get_values(dtype)?;
+    if exact.len() > head.dims.len() {
         return Err(MgardError::Corrupt(
             "exact-value count exceeds grid size".into(),
         ));
     }
-    let mut exact = Vec::with_capacity(num_exact);
-    for _ in 0..num_exact {
-        exact.push(match dtype {
-            DType::F32 => b.get_f32()? as f64,
-            DType::F64 => b.get_f64()?,
-        });
-    }
 
-    let dims3 = pad_dims(&dims)?;
     let bound = config.pointwise_bound();
     let values = match dtype {
         DType::F32 => decode_levels(&codes, &exact, dims3, bound, |v| v as f32 as f64),
         DType::F64 => decode_levels(&codes, &exact, dims3, bound, |v| v),
     }?;
 
-    Ok(Dataset {
-        application,
-        field,
-        timestep,
-        dims,
-        buffer: DataBuffer::from_f64(values, dtype),
-    })
+    Ok(head.into_dataset(DataBuffer::from_f64(values, dtype)))
 }
 
 #[cfg(test)]

@@ -26,6 +26,8 @@
 //!   compress-measure-decompress convenience FRaZ's loss function and the
 //!   experiment harness are built on.
 
+#![forbid(unsafe_code)]
+
 pub mod backends;
 pub mod descriptor;
 pub mod options;

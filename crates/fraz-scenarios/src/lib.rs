@@ -35,6 +35,8 @@
 //! assert_eq!(max, field.descriptor.max);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod gen;
 pub mod manifest;
 

@@ -8,6 +8,8 @@
 //! `scripts/perf_smoke_check.py` floor-checks against
 //! `baselines/service.jsonl`.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;

@@ -30,6 +30,8 @@
 //! and socket faults under concurrent load produce zero panics, zero
 //! hangs, exactly one typed outcome per job, and no corrupt containers.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod chaos;
 pub mod client;

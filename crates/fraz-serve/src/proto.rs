@@ -6,8 +6,10 @@
 //! prefix is validated against [`MAX_FRAME_LEN`] (or the caller's cap)
 //! *before* any allocation, so a hostile 4-gigabyte prefix costs the
 //! server a typed error, not an OOM.  Body decoding is pure slicing over
-//! the already-read frame — a malformed body can never allocate more than
-//! the frame it arrived in.
+//! the already-read frame with the shared [`fraz_data::wire`] reader — a
+//! malformed body can never allocate more than the frame it arrived in,
+//! and dataset shapes and dtype tags pass the same validation as every
+//! codec blob (rank 1..=4, non-zero axes, overflow-checked product).
 //!
 //! Every decode failure is a typed [`ProtoError`]:
 //!
@@ -21,7 +23,8 @@
 
 use std::io::{Read, Write};
 
-use fraz_data::{DType, DataBuffer, Dataset, Dims};
+use fraz_data::wire::{ByteReader, ByteWriter, WireError};
+use fraz_data::{DataBuffer, Dataset};
 
 /// Default ceiling on one frame's payload (64 MiB — comfortably above any
 /// field the test scenarios ship, far below an allocation-of-death).
@@ -29,9 +32,6 @@ pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 /// Ceiling on any single string field (names, keys, error messages).
 const MAX_STR_LEN: usize = 4096;
-
-/// Ceiling on dataset rank accepted off the wire.
-const MAX_NDIMS: usize = 8;
 
 /// Typed protocol failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,6 +63,12 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+impl From<WireError> for ProtoError {
+    fn from(e: WireError) -> Self {
+        ProtoError::Malformed(e.to_string())
+    }
+}
 
 fn malformed(msg: impl Into<String>) -> ProtoError {
     ProtoError::Malformed(msg.into())
@@ -123,171 +129,58 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ProtoError>
 }
 
 // ---------------------------------------------------------------------------
-// Primitive encoding
+// Body fields: strings and blobs are u32-length-prefixed sections.  A
+// declared length can never exceed the frame that carried it, so that bound
+// — not a separate cap — limits a blob's copy.
 // ---------------------------------------------------------------------------
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
-    out.extend_from_slice(b);
-}
-
-/// A bounds-checked reader over one received payload.  Every accessor
-/// slices the existing buffer — no reads, no allocation beyond the copies
-/// the caller explicitly asks for.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Self { buf, pos: 0 }
+fn read_str(r: &mut ByteReader<'_>, what: &str) -> Result<String, ProtoError> {
+    let bytes = r.get_section()?;
+    if bytes.len() > MAX_STR_LEN {
+        return Err(malformed(format!(
+            "{what} length {} exceeds the {MAX_STR_LEN}-byte cap",
+            bytes.len()
+        )));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&end| end <= self.buf.len())
-            .ok_or_else(|| malformed(format!("body ends {n} byte(s) short")))?;
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, ProtoError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn str_(&mut self, what: &str) -> Result<String, ProtoError> {
-        let len = self.u32()? as usize;
-        if len > MAX_STR_LEN {
-            return Err(malformed(format!(
-                "{what} length {len} exceeds the {MAX_STR_LEN}-byte cap"
-            )));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| malformed(format!("{what} is not UTF-8")))
-    }
-
-    fn bytes(&mut self, what: &str) -> Result<Vec<u8>, ProtoError> {
-        let len = self.u32()? as usize;
-        // The declared length can never exceed the frame that carried it,
-        // so this bound — not a separate cap — limits the allocation.
-        let bytes = self
-            .take(len)
-            .map_err(|_| malformed(format!("{what} length {len} overruns the frame")))?;
-        Ok(bytes.to_vec())
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "{} trailing byte(s) after the body",
-                self.buf.len() - self.pos
-            )))
-        }
-    }
+    String::from_utf8(bytes.to_vec()).map_err(|_| malformed(format!("{what} is not UTF-8")))
 }
 
 // ---------------------------------------------------------------------------
 // Dataset wire form
 // ---------------------------------------------------------------------------
 
-fn put_dataset(out: &mut Vec<u8>, dataset: &Dataset) {
-    out.push(match dataset.dtype() {
-        DType::F32 => 0,
-        DType::F64 => 1,
-    });
-    put_u64(out, dataset.timestep as u64);
-    put_str(out, &dataset.application);
-    put_str(out, &dataset.field);
-    out.push(dataset.dims.ndims() as u8);
-    for &axis in dataset.dims.as_slice() {
-        put_u64(out, axis as u64);
-    }
-    put_bytes(out, &dataset.buffer.to_le_bytes());
+fn put_dataset(out: &mut ByteWriter, dataset: &Dataset) {
+    out.put_u8(dataset.dtype().tag());
+    out.put_u64(dataset.timestep as u64);
+    out.put_section(dataset.application.as_bytes());
+    out.put_section(dataset.field.as_bytes());
+    out.put_u8(dataset.dims.ndims() as u8);
+    out.put_axes(dataset.dims.as_slice());
+    out.put_section(&dataset.buffer.to_le_bytes());
 }
 
-fn read_dataset(c: &mut Cursor<'_>) -> Result<Dataset, ProtoError> {
-    let dtype = match c.u8()? {
-        0 => DType::F32,
-        1 => DType::F64,
-        other => return Err(malformed(format!("unknown dtype tag {other}"))),
-    };
-    let timestep = c.u64()? as usize;
-    let application = c.str_("application name")?;
-    let field = c.str_("field name")?;
-    let ndims = c.u8()? as usize;
-    if ndims == 0 || ndims > MAX_NDIMS {
-        return Err(malformed(format!(
-            "rank {ndims} outside the accepted 1..={MAX_NDIMS}"
-        )));
-    }
-    let mut axes = Vec::with_capacity(ndims);
-    let mut elems: usize = 1;
-    for _ in 0..ndims {
-        let axis = c.u64()?;
-        let axis: usize = axis
-            .try_into()
-            .map_err(|_| malformed(format!("axis length {axis} does not fit")))?;
-        if axis == 0 {
-            return Err(malformed("zero-length axis"));
-        }
-        elems = elems
-            .checked_mul(axis)
-            .ok_or_else(|| malformed("grid size overflows"))?;
-        axes.push(axis);
-    }
-    let values = c.bytes("value buffer")?;
-    let expected = elems
-        .checked_mul(dtype.byte_width())
-        .ok_or_else(|| malformed("grid byte size overflows"))?;
-    if values.len() != expected {
-        return Err(malformed(format!(
-            "value buffer holds {} byte(s), the {}-element grid needs {expected}",
-            values.len(),
-            elems
-        )));
-    }
-    let buffer = DataBuffer::from_le_bytes(&values, dtype)
-        .ok_or_else(|| malformed("value buffer does not decode"))?;
+fn read_dataset(r: &mut ByteReader<'_>) -> Result<Dataset, ProtoError> {
+    let dtype = r.get_dtype()?;
+    let timestep = r.get_u64()? as usize;
+    let application = read_str(r, "application name")?;
+    let field = read_str(r, "field name")?;
+    let rank = r.get_u8()? as usize;
+    let dims = r.get_dims(rank)?;
+    let values = r.get_section()?;
+    let buffer = DataBuffer::from_le_bytes(values, dtype)
+        .filter(|buffer| buffer.len() == dims.len())
+        .ok_or_else(|| {
+            malformed(format!(
+                "value buffer holds {} byte(s), not the {} {dtype:?} element(s) of the grid",
+                values.len(),
+                dims.len()
+            ))
+        })?;
     Ok(Dataset {
         application,
         field,
         timestep,
-        dims: Dims::new(&axes),
+        dims,
         buffer,
     })
 }
@@ -337,9 +230,9 @@ const OP_GET_STORE: u8 = 0x06;
 impl Request {
     /// Serialize to a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = ByteWriter::new();
         match self {
-            Request::Status => out.push(OP_STATUS),
+            Request::Status => out.put_u8(OP_STATUS),
             Request::Compress {
                 deadline_ms,
                 target_ratio,
@@ -347,17 +240,17 @@ impl Request {
                 codec,
                 dataset,
             } => {
-                out.push(OP_COMPRESS);
-                put_u32(&mut out, *deadline_ms);
-                put_f64(&mut out, *target_ratio);
-                put_f64(&mut out, *tolerance);
-                put_str(&mut out, codec);
+                out.put_u8(OP_COMPRESS);
+                out.put_u32(*deadline_ms);
+                out.put_f64(*target_ratio);
+                out.put_f64(*tolerance);
+                out.put_section(codec.as_bytes());
                 put_dataset(&mut out, dataset);
             }
             Request::Decompress { codec, blob } => {
-                out.push(OP_DECOMPRESS);
-                put_str(&mut out, codec);
-                put_bytes(&mut out, blob);
+                out.put_u8(OP_DECOMPRESS);
+                out.put_section(codec.as_bytes());
+                out.put_section(blob);
             }
             Request::TunePsnr {
                 deadline_ms,
@@ -365,53 +258,53 @@ impl Request {
                 codec,
                 dataset,
             } => {
-                out.push(OP_TUNE_PSNR);
-                put_u32(&mut out, *deadline_ms);
-                put_f64(&mut out, *target_psnr);
-                put_str(&mut out, codec);
+                out.put_u8(OP_TUNE_PSNR);
+                out.put_u32(*deadline_ms);
+                out.put_f64(*target_psnr);
+                out.put_section(codec.as_bytes());
                 put_dataset(&mut out, dataset);
             }
             Request::PutStore { key, blob } => {
-                out.push(OP_PUT_STORE);
-                put_str(&mut out, key);
-                put_bytes(&mut out, blob);
+                out.put_u8(OP_PUT_STORE);
+                out.put_section(key.as_bytes());
+                out.put_section(blob);
             }
             Request::GetStore { key } => {
-                out.push(OP_GET_STORE);
-                put_str(&mut out, key);
+                out.put_u8(OP_GET_STORE);
+                out.put_section(key.as_bytes());
             }
         }
-        out
+        out.into_bytes()
     }
 
     /// Parse a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(payload);
-        let request = match c.u8()? {
+        let mut c = ByteReader::new(payload);
+        let request = match c.get_u8()? {
             OP_STATUS => Request::Status,
             OP_COMPRESS => Request::Compress {
-                deadline_ms: c.u32()?,
-                target_ratio: c.f64()?,
-                tolerance: c.f64()?,
-                codec: c.str_("codec name")?,
+                deadline_ms: c.get_u32()?,
+                target_ratio: c.get_f64()?,
+                tolerance: c.get_f64()?,
+                codec: read_str(&mut c, "codec name")?,
                 dataset: read_dataset(&mut c)?,
             },
             OP_DECOMPRESS => Request::Decompress {
-                codec: c.str_("codec name")?,
-                blob: c.bytes("compressed blob")?,
+                codec: read_str(&mut c, "codec name")?,
+                blob: c.get_section()?.to_vec(),
             },
             OP_TUNE_PSNR => Request::TunePsnr {
-                deadline_ms: c.u32()?,
-                target_psnr: c.f64()?,
-                codec: c.str_("codec name")?,
+                deadline_ms: c.get_u32()?,
+                target_psnr: c.get_f64()?,
+                codec: read_str(&mut c, "codec name")?,
                 dataset: read_dataset(&mut c)?,
             },
             OP_PUT_STORE => Request::PutStore {
-                key: c.str_("store key")?,
-                blob: c.bytes("store blob")?,
+                key: read_str(&mut c, "store key")?,
+                blob: c.get_section()?.to_vec(),
             },
             OP_GET_STORE => Request::GetStore {
-                key: c.str_("store key")?,
+                key: read_str(&mut c, "store key")?,
             },
             other => return Err(malformed(format!("unknown request opcode {other:#04x}"))),
         };
@@ -522,19 +415,19 @@ const OP_R_INTERNAL: u8 = 0xE5;
 impl Response {
     /// Serialize to a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = ByteWriter::new();
         match self {
             Response::Status(s) => {
-                out.push(OP_R_STATUS);
-                out.push(s.draining as u8);
-                out.push(s.degraded as u8);
-                put_u32(&mut out, s.inflight_jobs);
-                put_u64(&mut out, s.inflight_bytes);
-                put_u64(&mut out, s.jobs_ok);
-                put_u64(&mut out, s.jobs_shed);
-                put_u64(&mut out, s.jobs_deadline);
-                put_u64(&mut out, s.jobs_rejected);
-                put_u64(&mut out, s.jobs_failed);
+                out.put_u8(OP_R_STATUS);
+                out.put_u8(s.draining as u8);
+                out.put_u8(s.degraded as u8);
+                out.put_u32(s.inflight_jobs);
+                out.put_u64(s.inflight_bytes);
+                out.put_u64(s.jobs_ok);
+                out.put_u64(s.jobs_shed);
+                out.put_u64(s.jobs_deadline);
+                out.put_u64(s.jobs_rejected);
+                out.put_u64(s.jobs_failed);
             }
             Response::Compressed {
                 error_bound,
@@ -543,15 +436,15 @@ impl Response {
                 evaluations,
                 blob,
             } => {
-                out.push(OP_R_COMPRESSED);
-                put_f64(&mut out, *error_bound);
-                put_f64(&mut out, *ratio);
-                out.push(*feasible as u8);
-                put_u32(&mut out, *evaluations);
-                put_bytes(&mut out, blob);
+                out.put_u8(OP_R_COMPRESSED);
+                out.put_f64(*error_bound);
+                out.put_f64(*ratio);
+                out.put_u8(*feasible as u8);
+                out.put_u32(*evaluations);
+                out.put_section(blob);
             }
             Response::Dataset(dataset) => {
-                out.push(OP_R_DATASET);
+                out.put_u8(OP_R_DATASET);
                 put_dataset(&mut out, dataset);
             }
             Response::Tuned {
@@ -560,103 +453,103 @@ impl Response {
                 satisfiable,
                 evaluations,
             } => {
-                out.push(OP_R_TUNED);
-                put_f64(&mut out, *error_bound);
-                put_f64(&mut out, *achieved_psnr);
-                out.push(*satisfiable as u8);
-                put_u32(&mut out, *evaluations);
+                out.put_u8(OP_R_TUNED);
+                out.put_f64(*error_bound);
+                out.put_f64(*achieved_psnr);
+                out.put_u8(*satisfiable as u8);
+                out.put_u32(*evaluations);
             }
             Response::Stored { degraded } => {
-                out.push(OP_R_STORED);
-                out.push(*degraded as u8);
+                out.put_u8(OP_R_STORED);
+                out.put_u8(*degraded as u8);
             }
             Response::Blob(blob) => {
-                out.push(OP_R_BLOB);
-                put_bytes(&mut out, blob);
+                out.put_u8(OP_R_BLOB);
+                out.put_section(blob);
             }
             Response::Overloaded { retry_after_ms } => {
-                out.push(OP_R_OVERLOADED);
-                put_u32(&mut out, *retry_after_ms);
+                out.put_u8(OP_R_OVERLOADED);
+                out.put_u32(*retry_after_ms);
             }
             Response::DeadlineExceeded {
                 error_bound,
                 achieved,
                 evaluations,
             } => {
-                out.push(OP_R_DEADLINE);
-                put_f64(&mut out, *error_bound);
-                put_f64(&mut out, *achieved);
-                put_u32(&mut out, *evaluations);
+                out.put_u8(OP_R_DEADLINE);
+                out.put_f64(*error_bound);
+                out.put_f64(*achieved);
+                out.put_u32(*evaluations);
             }
             Response::BadRequest { message } => {
-                out.push(OP_R_BAD_REQUEST);
-                put_str(&mut out, message);
+                out.put_u8(OP_R_BAD_REQUEST);
+                out.put_section(message.as_bytes());
             }
             Response::IoFailed { transient, message } => {
-                out.push(OP_R_IO_FAILED);
-                out.push(*transient as u8);
-                put_str(&mut out, message);
+                out.put_u8(OP_R_IO_FAILED);
+                out.put_u8(*transient as u8);
+                out.put_section(message.as_bytes());
             }
-            Response::Draining => out.push(OP_R_DRAINING),
+            Response::Draining => out.put_u8(OP_R_DRAINING),
             Response::Internal { message } => {
-                out.push(OP_R_INTERNAL);
-                put_str(&mut out, message);
+                out.put_u8(OP_R_INTERNAL);
+                out.put_section(message.as_bytes());
             }
         }
-        out
+        out.into_bytes()
     }
 
     /// Parse a frame payload.
     pub fn decode(payload: &[u8]) -> Result<Self, ProtoError> {
-        let mut c = Cursor::new(payload);
-        let response = match c.u8()? {
+        let mut c = ByteReader::new(payload);
+        let response = match c.get_u8()? {
             OP_R_STATUS => Response::Status(StatusBody {
-                draining: c.u8()? != 0,
-                degraded: c.u8()? != 0,
-                inflight_jobs: c.u32()?,
-                inflight_bytes: c.u64()?,
-                jobs_ok: c.u64()?,
-                jobs_shed: c.u64()?,
-                jobs_deadline: c.u64()?,
-                jobs_rejected: c.u64()?,
-                jobs_failed: c.u64()?,
+                draining: c.get_u8()? != 0,
+                degraded: c.get_u8()? != 0,
+                inflight_jobs: c.get_u32()?,
+                inflight_bytes: c.get_u64()?,
+                jobs_ok: c.get_u64()?,
+                jobs_shed: c.get_u64()?,
+                jobs_deadline: c.get_u64()?,
+                jobs_rejected: c.get_u64()?,
+                jobs_failed: c.get_u64()?,
             }),
             OP_R_COMPRESSED => Response::Compressed {
-                error_bound: c.f64()?,
-                ratio: c.f64()?,
-                feasible: c.u8()? != 0,
-                evaluations: c.u32()?,
-                blob: c.bytes("compressed blob")?,
+                error_bound: c.get_f64()?,
+                ratio: c.get_f64()?,
+                feasible: c.get_u8()? != 0,
+                evaluations: c.get_u32()?,
+                blob: c.get_section()?.to_vec(),
             },
             OP_R_DATASET => Response::Dataset(read_dataset(&mut c)?),
             OP_R_TUNED => Response::Tuned {
-                error_bound: c.f64()?,
-                achieved_psnr: c.f64()?,
-                satisfiable: c.u8()? != 0,
-                evaluations: c.u32()?,
+                error_bound: c.get_f64()?,
+                achieved_psnr: c.get_f64()?,
+                satisfiable: c.get_u8()? != 0,
+                evaluations: c.get_u32()?,
             },
             OP_R_STORED => Response::Stored {
-                degraded: c.u8()? != 0,
+                degraded: c.get_u8()? != 0,
             },
-            OP_R_BLOB => Response::Blob(c.bytes("stored blob")?),
+            OP_R_BLOB => Response::Blob(c.get_section()?.to_vec()),
             OP_R_OVERLOADED => Response::Overloaded {
-                retry_after_ms: c.u32()?,
+                retry_after_ms: c.get_u32()?,
             },
             OP_R_DEADLINE => Response::DeadlineExceeded {
-                error_bound: c.f64()?,
-                achieved: c.f64()?,
-                evaluations: c.u32()?,
+                error_bound: c.get_f64()?,
+                achieved: c.get_f64()?,
+                evaluations: c.get_u32()?,
             },
             OP_R_BAD_REQUEST => Response::BadRequest {
-                message: c.str_("error message")?,
+                message: read_str(&mut c, "error message")?,
             },
             OP_R_IO_FAILED => Response::IoFailed {
-                transient: c.u8()? != 0,
-                message: c.str_("error message")?,
+                transient: c.get_u8()? != 0,
+                message: read_str(&mut c, "error message")?,
             },
             OP_R_DRAINING => Response::Draining,
             OP_R_INTERNAL => Response::Internal {
-                message: c.str_("error message")?,
+                message: read_str(&mut c, "error message")?,
             },
             other => return Err(malformed(format!("unknown response opcode {other:#04x}"))),
         };
@@ -686,6 +579,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fraz_data::Dims;
 
     fn sample_dataset() -> Dataset {
         let values: Vec<f32> = (0..24).map(|i| i as f32 * 0.5).collect();
@@ -832,22 +726,22 @@ mod tests {
     fn hostile_dims_do_not_allocate() {
         // A dataset body claiming a 2^60-element grid must die on the
         // value-count check, not attempt the allocation.
-        let mut out = Vec::new();
-        out.push(OP_COMPRESS);
-        put_u32(&mut out, 0);
-        put_f64(&mut out, 8.0);
-        put_f64(&mut out, 0.2);
-        put_str(&mut out, "sz");
-        out.push(0); // dtype f32
-        put_u64(&mut out, 0); // timestep
-        put_str(&mut out, "app");
-        put_str(&mut out, "field");
-        out.push(3);
-        put_u64(&mut out, 1 << 20);
-        put_u64(&mut out, 1 << 20);
-        put_u64(&mut out, 1 << 20);
-        put_bytes(&mut out, &[0u8; 4]);
-        let err = Request::decode(&out).unwrap_err();
+        let mut out = ByteWriter::new();
+        out.put_u8(OP_COMPRESS);
+        out.put_u32(0);
+        out.put_f64(8.0);
+        out.put_f64(0.2);
+        out.put_section("sz".as_bytes());
+        out.put_u8(0); // dtype f32
+        out.put_u64(0); // timestep
+        out.put_section("app".as_bytes());
+        out.put_section("field".as_bytes());
+        out.put_u8(3);
+        out.put_u64(1 << 20);
+        out.put_u64(1 << 20);
+        out.put_u64(1 << 20);
+        out.put_section(&[0u8; 4]);
+        let err = Request::decode(&out.into_bytes()).unwrap_err();
         assert!(matches!(err, ProtoError::Malformed(_)), "{err:?}");
     }
 

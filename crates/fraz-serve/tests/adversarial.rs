@@ -308,3 +308,122 @@ fn writes_after_server_drain_fail_cleanly() {
         Err(_) => {} // closed is fine
     }
 }
+
+/// Status counters over a fresh connection — proof the daemon outlived
+/// whatever the previous connection was fed.
+fn fresh_status(addr: &str) -> fraz_serve::proto::StatusBody {
+    let mut client = Client::connect(addr).expect("server still accepts");
+    client
+        .set_reply_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    match client.status().expect("server still replies") {
+        Response::Status(status) => status,
+        other => panic!("status answered {:?}", other.kind()),
+    }
+}
+
+#[test]
+fn a_rank_5_dataset_frame_is_a_bad_request_not_a_dead_connection() {
+    // `Dims` is 1..=4-D: a well-framed TunePsnr whose dataset declares rank
+    // 5 (with a value buffer that matches the product, so only the rank is
+    // wrong) used to panic inside `Request::decode`, outside the job's
+    // panic isolation.
+    let handle = serve();
+    let addr = handle.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .set_reply_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let mut body = vec![0x04u8]; // TunePsnr opcode
+    body.extend_from_slice(&0u32.to_le_bytes()); // deadline
+    body.extend_from_slice(&60.0f64.to_le_bytes()); // target PSNR
+    body.extend_from_slice(&2u32.to_le_bytes()); // codec len
+    body.extend_from_slice(b"sz");
+    body.push(0); // dtype f32
+    body.extend_from_slice(&0u64.to_le_bytes()); // timestep
+    body.extend_from_slice(&1u32.to_le_bytes()); // app len
+    body.push(b'a');
+    body.extend_from_slice(&1u32.to_le_bytes()); // field len
+    body.push(b'f');
+    body.push(5); // rank
+    for axis in [1u64, 1, 1, 2, 2] {
+        body.extend_from_slice(&axis.to_le_bytes());
+    }
+    body.extend_from_slice(&16u32.to_le_bytes()); // 4 f32 values
+    body.extend_from_slice(&[0u8; 16]);
+
+    client.send_raw_frame(&body).expect("sends");
+    match client.read_reply().expect("exactly one typed reply") {
+        Response::BadRequest { .. } => {}
+        other => panic!("rank-5 dataset answered {:?}", other.kind()),
+    }
+    assert_eq!(fresh_status(&addr).jobs_rejected, 1);
+    handle.join();
+}
+
+#[test]
+fn hostile_decompress_blobs_get_one_bad_request_each_for_every_codec() {
+    // Blobs whose shared prefix (magic u32, version u8, dtype u8, rank u8,
+    // axes u64 x rank, ...) declares grids no payload could back.  An
+    // allocation abort is not a panic: before the decoders checked declared
+    // sizes against their input, one such frame killed the daemon.
+    let handle = serve();
+    let addr = handle.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .set_reply_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+
+    let values: Vec<f32> = (0..4096).map(|i| (i as f32 * 0.01).sin()).collect();
+    let dataset =
+        fraz_data::Dataset::from_f32("a", "f", 0, fraz_data::Dims::d3(16, 16, 16), values);
+    let axis = |i: usize| 7 + 8 * i;
+    let mut sent = 0;
+    for name in fraz_pressio::registry::names() {
+        let codec = fraz_pressio::registry::build_default(&name).unwrap();
+        let (lower, upper) = codec.bound_range(&dataset);
+        let blob = codec.compress(&dataset, (lower * upper).sqrt()).unwrap();
+
+        let mut huge_axis = blob.clone();
+        huge_axis[axis(0)..axis(1)].copy_from_slice(&(1u64 << 33).to_le_bytes());
+        let mut overflowing = blob.clone();
+        for i in 0..3 {
+            overflowing[axis(i)..axis(i + 1)].copy_from_slice(&(1u64 << 36).to_le_bytes());
+        }
+        // The top byte of whatever follows the prefix and parameters: for
+        // the dictionary-coded codecs, their frame's declared length.
+        let mut flipped = blob.clone();
+        flipped[72] ^= 0x40;
+        let truncated = blob[..blob.len() / 2].to_vec();
+
+        for (what, hostile) in [
+            ("axis 0 = 2^33", huge_axis),
+            ("every axis = 2^36", overflowing),
+            ("truncated", truncated),
+        ] {
+            sent += 1;
+            match client
+                .decompress(&name, hostile)
+                .expect("exactly one typed reply")
+            {
+                Response::BadRequest { .. } => {}
+                other => panic!("{name}: {what} answered {:?}", other.kind()),
+            }
+        }
+        // Byte 72 is not a length in every codec's layout; where it is not,
+        // the blob may still decode — but it must be answered either way.
+        match client.decompress(&name, flipped).expect("one typed reply") {
+            Response::BadRequest { .. } => sent += 1,
+            Response::Dataset(_) => {}
+            other => panic!("{name}: byte 72 flip answered {:?}", other.kind()),
+        }
+        // The intact blob still decodes on the same connection.
+        match client.decompress(&name, blob).expect("typed reply") {
+            Response::Dataset(restored) => assert_eq!(restored.dims, dataset.dims),
+            other => panic!("{name}: intact blob answered {:?}", other.kind()),
+        }
+    }
+    assert_eq!(fresh_status(&addr).jobs_rejected, sent);
+    handle.join();
+}

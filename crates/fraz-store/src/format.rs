@@ -33,13 +33,17 @@
 //!   chunk 0 .. chunk n-1, contiguous, in chunk order
 //! ```
 //!
-//! Decoding validates *everything* before trusting it: magic/version, axis
-//! caps (product <= 2^41, the same cap as `fraz-szx`), chunk-shape sanity,
-//! canonical option ordering, exact header-cursor consumption, the header
-//! CRC, and a strictly contiguous index whose last entry ends exactly at
-//! `object_len`.  Any violation is [`StoreError::Corrupt`]; nothing panics
-//! and no allocation is sized by unvalidated input.
+//! Decoding validates *everything* before trusting it: magic/version, the
+//! dtype tag and grid shape (through the shared [`fraz_data::wire`] reader:
+//! rank 1..=4, non-zero axes of at most 2^40, overflow-checked product; the
+//! product is further capped at 2^41 here), chunk-shape sanity, canonical
+//! option ordering, an index count the remaining header can actually hold,
+//! exact header consumption, the header CRC, and a strictly contiguous
+//! index whose last entry ends exactly at `object_len`.  Any violation is
+//! [`StoreError::Corrupt`]; nothing panics and no allocation is sized by
+//! unvalidated input.
 
+use fraz_data::wire::{ByteReader, ByteWriter, WireError};
 use fraz_data::DType;
 use fraz_pressio::{OptionValue, Options};
 
@@ -53,7 +57,7 @@ pub const VERSION: u8 = 1;
 /// Size of the fixed superblock.
 pub const SUPERBLOCK_LEN: usize = 20;
 
-/// Elements per array are capped at 2^41 (matches the `fraz-szx` cap).
+/// Elements per array are capped at 2^41.
 const MAX_ELEMENTS: u64 = 1 << 41;
 /// Strings (application, field, codec, option keys/values) are capped.
 const MAX_STR_LEN: usize = 4096;
@@ -159,16 +163,16 @@ pub fn crc32(data: &[u8]) -> u32 {
 // Encoding
 // ---------------------------------------------------------------------------
 
-fn put_str(out: &mut Vec<u8>, s: &str) -> Result<(), StoreError> {
+/// Strings are u16-length-prefixed; refuse (rather than truncate) one the
+/// decoder's cap would reject.
+fn capped(s: &str) -> Result<&str, StoreError> {
     if s.len() > MAX_STR_LEN {
         return Err(StoreError::Unsupported(format!(
             "string of {} bytes exceeds the {MAX_STR_LEN}-byte cap",
             s.len()
         )));
     }
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-    Ok(())
+    Ok(s)
 }
 
 /// Assemble a complete container object from metadata (whose `index` field
@@ -189,42 +193,37 @@ pub fn encode(
         )));
     }
 
-    let ndims = meta.dims.len();
     // Header body (everything between the superblock and the header CRC).
-    let mut header = Vec::new();
-    for &d in &meta.dims {
-        header.extend_from_slice(&(d as u64).to_le_bytes());
-    }
-    for &c in grid.chunk_shape() {
-        header.extend_from_slice(&(c as u64).to_le_bytes());
-    }
-    header.extend_from_slice(&meta.timestep.to_le_bytes());
-    put_str(&mut header, &meta.application)?;
-    put_str(&mut header, &meta.field)?;
-    put_str(&mut header, &meta.codec)?;
-    header.extend_from_slice(&(meta.options.len() as u16).to_le_bytes());
+    let mut header = ByteWriter::new();
+    header.put_axes(&meta.dims);
+    header.put_axes(grid.chunk_shape());
+    header.put_u64(meta.timestep);
+    header.put_str(capped(&meta.application)?);
+    header.put_str(capped(&meta.field)?);
+    header.put_str(capped(&meta.codec)?);
+    header.put_u16(meta.options.len() as u16);
     for (key, value) in meta.options.iter() {
-        put_str(&mut header, key)?;
+        header.put_str(capped(key)?);
         match value {
             OptionValue::F64(v) => {
-                header.push(0);
-                header.extend_from_slice(&v.to_le_bytes());
+                header.put_u8(0);
+                header.put_f64(*v);
             }
             OptionValue::U64(v) => {
-                header.push(1);
-                header.extend_from_slice(&v.to_le_bytes());
+                header.put_u8(1);
+                header.put_u64(*v);
             }
             OptionValue::Bool(v) => {
-                header.push(2);
-                header.push(u8::from(*v));
+                header.put_u8(2);
+                header.put_u8(u8::from(*v));
             }
             OptionValue::Str(v) => {
-                header.push(3);
-                put_str(&mut header, v)?;
+                header.put_u8(3);
+                header.put_str(capped(v)?);
             }
         }
     }
-    header.extend_from_slice(&(n_chunks as u64).to_le_bytes());
+    header.put_u64(n_chunks as u64);
 
     let header_len = header.len() + n_chunks * INDEX_ENTRY_LEN + 4;
     if header_len as u64 > MAX_HEADER_LEN {
@@ -234,92 +233,52 @@ pub fn encode(
     let payload_total: u64 = payloads.iter().map(|p| p.len() as u64).sum();
     let object_len = data_start + payload_total;
 
-    let mut out = Vec::with_capacity(object_len as usize);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(match meta.dtype {
-        DType::F32 => 0,
-        DType::F64 => 1,
-    });
-    out.push(ndims as u8);
-    out.push(0); // reserved
-    out.extend_from_slice(&(header_len as u32).to_le_bytes());
-    out.extend_from_slice(&object_len.to_le_bytes());
-    out.extend_from_slice(&header);
+    let mut out = ByteWriter::with_capacity(object_len as usize);
+    out.put_u32(MAGIC);
+    out.put_u8(VERSION);
+    out.put_u8(meta.dtype.tag());
+    out.put_u8(meta.dims.len() as u8);
+    out.put_u8(0); // reserved
+    out.put_u32(header_len as u32);
+    out.put_u64(object_len);
+    out.put_bytes(header.as_bytes());
 
     let mut offset = data_start;
     for (payload, &bound) in payloads.iter().zip(bounds) {
-        out.extend_from_slice(&offset.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&bound.to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.put_u64(offset);
+        out.put_u64(payload.len() as u64);
+        out.put_f64(bound);
+        out.put_u32(crc32(payload));
         offset += payload.len() as u64;
     }
-    let header_crc = crc32(&out);
-    out.extend_from_slice(&header_crc.to_le_bytes());
+    out.put_u32(crc32(out.as_bytes()));
     debug_assert_eq!(out.len(), data_start as usize);
 
     for payload in payloads {
-        out.extend_from_slice(payload);
+        out.put_bytes(payload);
     }
     debug_assert_eq!(out.len() as u64, object_len);
-    Ok(out)
+    Ok(out.into_bytes())
 }
 
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked little-endian cursor; every read is validated.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
+impl From<WireError> for StoreError {
+    fn from(e: WireError) -> Self {
+        StoreError::corrupt(format!("header: {e}"))
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Self { data, pos: 0 }
+/// A header string: u16-length-prefixed UTF-8 of at most [`MAX_STR_LEN`]
+/// bytes.
+fn read_str(cur: &mut ByteReader<'_>) -> Result<String, StoreError> {
+    let s = cur.get_str()?;
+    if s.len() > MAX_STR_LEN {
+        return Err(StoreError::corrupt("string length above cap"));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.data.len())
-            .ok_or_else(|| StoreError::corrupt("header ends mid-field"))?;
-        let slice = &self.data[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, StoreError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, StoreError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, StoreError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, StoreError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<String, StoreError> {
-        let len = self.u16()? as usize;
-        if len > MAX_STR_LEN {
-            return Err(StoreError::corrupt("string length above cap"));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| StoreError::corrupt("string is not UTF-8"))
-    }
+    Ok(s)
 }
 
 /// The validated superblock.
@@ -343,33 +302,29 @@ pub fn decode_superblock(bytes: &[u8]) -> Result<SuperBlock, StoreError> {
             bytes.len()
         )));
     }
-    let mut cur = Cursor::new(bytes);
-    if cur.u32()? != MAGIC {
+    let mut cur = ByteReader::new(bytes);
+    if cur.get_u32()? != MAGIC {
         return Err(StoreError::corrupt("bad magic (not an FRZS container)"));
     }
-    let version = cur.u8()?;
+    let version = cur.get_u8()?;
     if version != VERSION {
         return Err(StoreError::corrupt(format!(
             "unsupported container version {version}"
         )));
     }
-    let dtype = match cur.u8()? {
-        0 => DType::F32,
-        1 => DType::F64,
-        other => return Err(StoreError::corrupt(format!("unknown dtype tag {other}"))),
-    };
-    let ndims = cur.u8()? as usize;
+    let dtype = cur.get_dtype()?;
+    let ndims = cur.get_u8()? as usize;
     if !(1..=4).contains(&ndims) {
         return Err(StoreError::corrupt(format!("rank {ndims} outside 1..=4")));
     }
-    if cur.u8()? != 0 {
+    if cur.get_u8()? != 0 {
         return Err(StoreError::corrupt("non-zero reserved byte"));
     }
-    let header_len = cur.u32()?;
+    let header_len = cur.get_u32()?;
     if header_len as u64 > MAX_HEADER_LEN {
         return Err(StoreError::corrupt("header length above cap"));
     }
-    let object_len = cur.u64()?;
+    let object_len = cur.get_u64()?;
     if object_len < SUPERBLOCK_LEN as u64 + header_len as u64 {
         return Err(StoreError::corrupt("object length shorter than header"));
     }
@@ -405,54 +360,46 @@ pub fn decode_header(
         return Err(StoreError::corrupt("header CRC mismatch"));
     }
 
-    let mut cur = Cursor::new(body);
-    let mut dims = Vec::with_capacity(sb.ndims);
-    let mut elements: u64 = 1;
-    for _ in 0..sb.ndims {
-        let axis = cur.u64()?;
-        if axis == 0 {
-            return Err(StoreError::corrupt("zero-length axis"));
-        }
-        elements = elements
-            .checked_mul(axis)
-            .filter(|&n| n <= MAX_ELEMENTS)
-            .ok_or_else(|| StoreError::corrupt("element count above cap"))?;
-        dims.push(axis as usize);
+    let mut cur = ByteReader::new(body);
+    let shape = cur.get_dims(sb.ndims)?;
+    if shape.len() as u64 > MAX_ELEMENTS {
+        return Err(StoreError::corrupt("element count above cap"));
     }
+    let dims = shape.as_slice().to_vec();
     let mut chunk_shape = Vec::with_capacity(sb.ndims);
-    for axis in 0..sb.ndims {
-        let chunk = cur.u64()?;
-        if chunk == 0 || chunk > dims[axis] as u64 {
+    for &axis in &dims {
+        let chunk = cur.get_u64()?;
+        if chunk == 0 || chunk > axis as u64 {
             return Err(StoreError::corrupt("chunk axis outside 1..=axis"));
         }
         chunk_shape.push(chunk as usize);
     }
-    let timestep = cur.u64()?;
-    let application = cur.str()?;
-    let field = cur.str()?;
-    let codec = cur.str()?;
-    let n_options = cur.u16()? as usize;
+    let timestep = cur.get_u64()?;
+    let application = read_str(&mut cur)?;
+    let field = read_str(&mut cur)?;
+    let codec = read_str(&mut cur)?;
+    let n_options = cur.get_u16()? as usize;
     if n_options > MAX_OPTIONS {
         return Err(StoreError::corrupt("option count above cap"));
     }
     let mut options = Options::new();
     let mut last_key: Option<String> = None;
     for _ in 0..n_options {
-        let key = cur.str()?;
+        let key = read_str(&mut cur)?;
         if let Some(prev) = &last_key {
             if *prev >= key {
                 return Err(StoreError::corrupt("option keys not strictly ascending"));
             }
         }
-        let value = match cur.u8()? {
-            0 => OptionValue::F64(cur.f64()?),
-            1 => OptionValue::U64(cur.u64()?),
-            2 => match cur.u8()? {
+        let value = match cur.get_u8()? {
+            0 => OptionValue::F64(cur.get_f64()?),
+            1 => OptionValue::U64(cur.get_u64()?),
+            2 => match cur.get_u8()? {
                 0 => OptionValue::Bool(false),
                 1 => OptionValue::Bool(true),
                 _ => return Err(StoreError::corrupt("non-canonical bool option")),
             },
-            3 => OptionValue::Str(cur.str()?),
+            3 => OptionValue::Str(read_str(&mut cur)?),
             other => return Err(StoreError::corrupt(format!("unknown option tag {other}"))),
         };
         options.set(&key, value);
@@ -461,8 +408,8 @@ pub fn decode_header(
 
     let grid = ChunkGrid::new(&dims, &chunk_shape)
         .map_err(|e| StoreError::corrupt(format!("invalid grid: {e}")))?;
-    let n_chunks = cur.u64()?;
-    if n_chunks != grid.n_chunks() as u64 {
+    let n_chunks = cur.get_count(INDEX_ENTRY_LEN)?;
+    if n_chunks != grid.n_chunks() {
         return Err(StoreError::corrupt(format!(
             "index claims {n_chunks} chunks, grid has {}",
             grid.n_chunks()
@@ -473,10 +420,10 @@ pub fn decode_header(
     let mut index = Vec::with_capacity(grid.n_chunks());
     let mut expected_offset = data_start;
     for _ in 0..grid.n_chunks() {
-        let offset = cur.u64()?;
-        let length = cur.u64()?;
-        let bound = cur.f64()?;
-        let crc = cur.u32()?;
+        let offset = cur.get_u64()?;
+        let length = cur.get_u64()?;
+        let bound = cur.get_f64()?;
+        let crc = cur.get_u32()?;
         if offset != expected_offset {
             return Err(StoreError::corrupt("index offsets are not contiguous"));
         }
@@ -496,9 +443,7 @@ pub fn decode_header(
             crc32: crc,
         });
     }
-    if cur.pos != body.len() {
-        return Err(StoreError::corrupt("trailing bytes inside the header"));
-    }
+    cur.finish()?;
     if expected_offset != sb.object_len {
         return Err(StoreError::corrupt(
             "payloads do not end exactly at object_len",

@@ -44,6 +44,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod faulty;
 pub mod format;
 pub mod grid;

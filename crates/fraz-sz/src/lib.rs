@@ -47,11 +47,13 @@
 //! assert!(compressed.len() < original.byte_size());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod pipeline;
 pub mod predict;
 
+use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader, WireError};
 use fraz_data::{DType, DataBuffer, Dataset, Dims};
-use fraz_lossless::bytesio::{ByteReader, ByteWriter};
 use fraz_lossless::huffman;
 
 use pipeline::{EncodedBlocks, PipelineParams};
@@ -149,6 +151,12 @@ impl From<fraz_lossless::CodingError> for SzError {
     }
 }
 
+impl From<WireError> for SzError {
+    fn from(e: WireError) -> Self {
+        SzError::Corrupt(e.to_string())
+    }
+}
+
 fn pad_dims(dims: &Dims) -> [usize; 3] {
     let d = dims.as_slice();
     match d.len() {
@@ -183,19 +191,7 @@ pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError
 
     // ---- header (uncompressed) ----
     let mut header = ByteWriter::with_capacity(64);
-    header.put_u32(MAGIC);
-    header.put_u8(VERSION);
-    header.put_u8(match dtype {
-        DType::F32 => 0,
-        DType::F64 => 1,
-    });
-    header.put_u8(dataset.dims.ndims() as u8);
-    for &d in dataset.dims.as_slice() {
-        header.put_u64(d as u64);
-    }
-    header.put_u64(dataset.timestep as u64);
-    header.put_str(&dataset.application);
-    header.put_str(&dataset.field);
+    DatasetHeader::write(dataset, MAGIC, VERSION, &mut header);
     header.put_f64(config.error_bound);
     header.put_u32(block as u32);
     header.put_u32(config.quant_capacity);
@@ -217,13 +213,7 @@ pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError
         }
     }
     body.put_section(&huffman::encode_symbols(&enc.quant_codes));
-    body.put_u64(enc.unpredictable.len() as u64);
-    for &v in &enc.unpredictable {
-        match dtype {
-            DType::F32 => body.put_f32(v as f32),
-            DType::F64 => body.put_f64(v),
-        }
-    }
+    body.put_values(&enc.unpredictable, dtype);
 
     let mut out = header.into_bytes();
     out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
@@ -233,35 +223,8 @@ pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
     let mut r = ByteReader::new(data);
-    let magic = r.get_u32()?;
-    if magic != MAGIC {
-        return Err(SzError::Corrupt(format!("bad magic 0x{magic:08x}")));
-    }
-    let version = r.get_u8()?;
-    if version != VERSION {
-        return Err(SzError::Corrupt(format!("unsupported version {version}")));
-    }
-    let dtype = match r.get_u8()? {
-        0 => DType::F32,
-        1 => DType::F64,
-        other => return Err(SzError::Corrupt(format!("unknown dtype tag {other}"))),
-    };
-    let ndims = r.get_u8()? as usize;
-    if ndims == 0 || ndims > 4 {
-        return Err(SzError::Corrupt(format!("invalid dimensionality {ndims}")));
-    }
-    let mut axes = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        let d = r.get_u64()? as usize;
-        if d == 0 || d > (1 << 40) {
-            return Err(SzError::Corrupt(format!("invalid axis length {d}")));
-        }
-        axes.push(d);
-    }
-    let dims = Dims::new(&axes);
-    let timestep = r.get_u64()? as usize;
-    let application = r.get_str()?;
-    let field = r.get_str()?;
+    let head = DatasetHeader::read(&mut r, MAGIC, VERSION)?;
+    let (dtype, dims) = (head.dtype, &head.dims);
     let error_bound = r.get_f64()?;
     let block = r.get_u32()? as usize;
     let capacity = r.get_u32()?;
@@ -274,11 +237,11 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
     let body = fraz_lossless::decompress(r.rest())?;
     let mut b = ByteReader::new(&body);
     let num_blocks = b.get_u64()? as usize;
-    let flag_bytes = b.get_bytes((num_blocks + 7) / 8)?;
+    let flag_bytes = b.get_bytes(num_blocks.div_ceil(8))?;
     let regression_flags: Vec<bool> = (0..num_blocks)
         .map(|i| flag_bytes[i / 8] & (1 << (i % 8)) != 0)
         .collect();
-    let num_coeffs = b.get_u64()? as usize;
+    let num_coeffs = b.get_count(16)?;
     if num_coeffs > num_blocks {
         return Err(SzError::Corrupt("more coefficient sets than blocks".into()));
     }
@@ -291,18 +254,11 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
         reg_coeffs.push(c);
     }
     let quant_codes = huffman::decode_symbols(b.get_section()?)?;
-    let num_unpred = b.get_u64()? as usize;
-    if num_unpred > dims.len() {
+    let unpredictable = b.get_values(dtype)?;
+    if unpredictable.len() > dims.len() {
         return Err(SzError::Corrupt(
             "unpredictable count exceeds grid size".into(),
         ));
-    }
-    let mut unpredictable = Vec::with_capacity(num_unpred);
-    for _ in 0..num_unpred {
-        unpredictable.push(match dtype {
-            DType::F32 => b.get_f32()? as f64,
-            DType::F64 => b.get_f64()?,
-        });
     }
 
     let enc = EncodedBlocks {
@@ -316,20 +272,14 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
         block_size: block,
         capacity,
     };
-    let dims3 = pad_dims(&dims);
+    let dims3 = pad_dims(dims);
     let values = match dtype {
         DType::F32 => pipeline::decode(&enc, dims3, &params, |v| v as f32 as f64),
         DType::F64 => pipeline::decode(&enc, dims3, &params, |v| v),
     }
     .map_err(|e| SzError::Corrupt(e.to_string()))?;
 
-    Ok(Dataset {
-        application,
-        field,
-        timestep,
-        dims,
-        buffer: DataBuffer::from_f64(values, dtype),
-    })
+    Ok(head.into_dataset(DataBuffer::from_f64(values, dtype)))
 }
 
 #[cfg(test)]

@@ -17,8 +17,7 @@
 //! is allocated, so a corrupt header yields [`SzxError::Corrupt`], never a
 //! panic or an out-of-bounds read.
 
-use fraz_lossless::bytesio::{ByteReader, ByteWriter};
-use fraz_lossless::CodingError;
+use fraz_data::wire::{try_vec, ByteReader, ByteWriter, WireError};
 
 use crate::pack::{PackReader, PackWriter};
 use crate::SzxError;
@@ -52,7 +51,7 @@ pub trait SzxFloat: Copy + PartialOrd {
     /// Append at native width.
     fn write_to(self, out: &mut ByteWriter);
     /// Read at native width.
-    fn read_from(r: &mut ByteReader) -> Result<Self, CodingError>;
+    fn read_from(r: &mut ByteReader) -> Result<Self, WireError>;
 }
 
 impl SzxFloat for f32 {
@@ -82,7 +81,7 @@ impl SzxFloat for f32 {
     fn write_to(self, out: &mut ByteWriter) {
         out.put_f32(self);
     }
-    fn read_from(r: &mut ByteReader) -> Result<Self, CodingError> {
+    fn read_from(r: &mut ByteReader) -> Result<Self, WireError> {
         r.get_f32()
     }
 }
@@ -114,7 +113,7 @@ impl SzxFloat for f64 {
     fn write_to(self, out: &mut ByteWriter) {
         out.put_f64(self);
     }
-    fn read_from(r: &mut ByteReader) -> Result<Self, CodingError> {
+    fn read_from(r: &mut ByteReader) -> Result<Self, WireError> {
         r.get_f64()
     }
 }
@@ -275,7 +274,9 @@ pub fn decode<F: SzxFloat>(r: &mut ByteReader, n: usize, block: usize) -> Result
     let payload = r.get_bytes(payload_len)?;
 
     // Everything is length-validated; from here on decode is branch-light.
-    let mut out: Vec<F> = Vec::with_capacity(n);
+    // A constant block expands one flag bit into `block` values, so `n` is
+    // consistent with the input yet not bounded by it: reserve fallibly.
+    let mut out: Vec<F> = try_vec(n)?;
     let mut creader = ByteReader::new(constants);
     let mut preader = PackReader::new(payload);
     let mut widx = 0usize;

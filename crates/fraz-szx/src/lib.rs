@@ -51,11 +51,13 @@
 //! assert!(compressed.len() < original.byte_size());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 mod pack;
 
-use fraz_data::{DType, DataBuffer, Dataset, Dims};
-use fraz_lossless::bytesio::{ByteReader, ByteWriter};
+use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader, WireError};
+use fraz_data::{DType, DataBuffer, Dataset};
 
 /// Stream magic ("FSZX").
 const MAGIC: u32 = 0x4653_5A58;
@@ -135,8 +137,8 @@ impl std::fmt::Display for SzxError {
 
 impl std::error::Error for SzxError {}
 
-impl From<fraz_lossless::CodingError> for SzxError {
-    fn from(e: fraz_lossless::CodingError) -> Self {
+impl From<WireError> for SzxError {
+    fn from(e: WireError) -> Self {
         SzxError::Corrupt(e.to_string())
     }
 }
@@ -145,22 +147,9 @@ impl From<fraz_lossless::CodingError> for SzxError {
 pub fn compress(dataset: &Dataset, config: &SzxConfig) -> Result<Vec<u8>, SzxError> {
     config.validate()?;
     let block = config.block();
-    let dtype = dataset.dtype();
 
     let mut out = ByteWriter::with_capacity(64 + dataset.byte_size() / 2);
-    out.put_u32(MAGIC);
-    out.put_u8(VERSION);
-    out.put_u8(match dtype {
-        DType::F32 => 0,
-        DType::F64 => 1,
-    });
-    out.put_u8(dataset.dims.ndims() as u8);
-    for &d in dataset.dims.as_slice() {
-        out.put_u64(d as u64);
-    }
-    out.put_u64(dataset.timestep as u64);
-    out.put_str(&dataset.application);
-    out.put_str(&dataset.field);
+    DatasetHeader::write(dataset, MAGIC, VERSION, &mut out);
     out.put_f64(config.error_bound);
     out.put_u32(block as u32);
 
@@ -174,41 +163,8 @@ pub fn compress(dataset: &Dataset, config: &SzxConfig) -> Result<Vec<u8>, SzxErr
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(data: &[u8]) -> Result<Dataset, SzxError> {
     let mut r = ByteReader::new(data);
-    let magic = r.get_u32()?;
-    if magic != MAGIC {
-        return Err(SzxError::Corrupt(format!("bad magic 0x{magic:08x}")));
-    }
-    let version = r.get_u8()?;
-    if version != VERSION {
-        return Err(SzxError::Corrupt(format!("unsupported version {version}")));
-    }
-    let dtype = match r.get_u8()? {
-        0 => DType::F32,
-        1 => DType::F64,
-        other => return Err(SzxError::Corrupt(format!("unknown dtype tag {other}"))),
-    };
-    let ndims = r.get_u8()? as usize;
-    if ndims == 0 || ndims > 4 {
-        return Err(SzxError::Corrupt(format!("invalid dimensionality {ndims}")));
-    }
-    let mut axes = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        let d = r.get_u64()? as usize;
-        if d == 0 || d > (1 << 40) {
-            return Err(SzxError::Corrupt(format!("invalid axis length {d}")));
-        }
-        axes.push(d);
-    }
-    let mut n: usize = 1;
-    for &d in &axes {
-        n = n
-            .checked_mul(d)
-            .ok_or_else(|| SzxError::Corrupt("field size overflows usize".into()))?;
-    }
-    let dims = Dims::new(&axes);
-    let timestep = r.get_u64()? as usize;
-    let application = r.get_str()?;
-    let field = r.get_str()?;
+    let head = DatasetHeader::read(&mut r, MAGIC, VERSION)?;
+    let n = head.dims.len();
     let error_bound = r.get_f64()?;
     let block = r.get_u32()? as usize;
     if !(error_bound > 0.0 && error_bound.is_finite()) {
@@ -222,23 +178,12 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, SzxError> {
         )));
     }
 
-    let buffer = match dtype {
+    let buffer = match head.dtype {
         DType::F32 => DataBuffer::F32(block::decode::<f32>(&mut r, n, block)?),
         DType::F64 => DataBuffer::F64(block::decode::<f64>(&mut r, n, block)?),
     };
-    if r.remaining() != 0 {
-        return Err(SzxError::Corrupt(format!(
-            "{} trailing bytes after payload",
-            r.remaining()
-        )));
-    }
-    Ok(Dataset {
-        application,
-        field,
-        timestep,
-        dims,
-        buffer,
-    })
+    r.finish()?;
+    Ok(head.into_dataset(buffer))
 }
 
 /// The exponent of the largest representable truncation step not exceeding
@@ -257,6 +202,7 @@ pub(crate) fn bound_exponent(error_bound: f64) -> i32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fraz_data::Dims;
 
     fn wave_f32(dims: Dims) -> Dataset {
         let n = dims.len();

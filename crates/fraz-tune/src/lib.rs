@@ -36,6 +36,8 @@
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod fingerprint;
 

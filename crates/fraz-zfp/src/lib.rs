@@ -40,13 +40,15 @@
 //! assert!(max_err <= 1e-3);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod coder;
 pub mod transform;
 
+use fraz_data::wire::{try_vec, ByteReader, ByteWriter, DatasetHeader, WireError};
 use fraz_data::{DType, DataBuffer, Dataset, Dims};
 use fraz_lossless::bitio::{BitReader, BitWriter};
-use fraz_lossless::bytesio::{ByteReader, ByteWriter};
 
 use transform::BLOCK_EDGE;
 
@@ -146,6 +148,12 @@ impl From<fraz_lossless::CodingError> for ZfpError {
     }
 }
 
+impl From<WireError> for ZfpError {
+    fn from(e: WireError) -> Self {
+        ZfpError::Corrupt(e.to_string())
+    }
+}
+
 fn pad_dims(dims: &Dims) -> ([usize; 3], usize) {
     let d = dims.as_slice();
     match d.len() {
@@ -207,19 +215,7 @@ pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, ZfpErr
     let budget = block_bit_budget(&config.mode, block_dims);
 
     let mut header = ByteWriter::with_capacity(64);
-    header.put_u32(MAGIC);
-    header.put_u8(VERSION);
-    header.put_u8(match dataset.dtype() {
-        DType::F32 => 0,
-        DType::F64 => 1,
-    });
-    header.put_u8(dataset.dims.ndims() as u8);
-    for &d in dataset.dims.as_slice() {
-        header.put_u64(d as u64);
-    }
-    header.put_u64(dataset.timestep as u64);
-    header.put_str(&dataset.application);
-    header.put_str(&dataset.field);
+    DatasetHeader::write(dataset, MAGIC, VERSION, &mut header);
     let (tag, param) = mode_tag(&config.mode);
     header.put_u8(tag);
     header.put_f64(param);
@@ -267,47 +263,30 @@ pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, ZfpErr
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
     let mut r = ByteReader::new(data);
-    let magic = r.get_u32()?;
-    if magic != MAGIC {
-        return Err(ZfpError::Corrupt(format!("bad magic 0x{magic:08x}")));
-    }
-    let version = r.get_u8()?;
-    if version != VERSION {
-        return Err(ZfpError::Corrupt(format!("unsupported version {version}")));
-    }
-    let dtype = match r.get_u8()? {
-        0 => DType::F32,
-        1 => DType::F64,
-        other => return Err(ZfpError::Corrupt(format!("unknown dtype tag {other}"))),
-    };
-    let ndims = r.get_u8()? as usize;
-    if ndims == 0 || ndims > 4 {
-        return Err(ZfpError::Corrupt(format!("invalid dimensionality {ndims}")));
-    }
-    let mut axes = Vec::with_capacity(ndims);
-    for _ in 0..ndims {
-        let d = r.get_u64()? as usize;
-        if d == 0 || d > (1 << 40) {
-            return Err(ZfpError::Corrupt(format!("invalid axis length {d}")));
-        }
-        axes.push(d);
-    }
-    let dims = Dims::new(&axes);
-    let timestep = r.get_u64()? as usize;
-    let application = r.get_str()?;
-    let field = r.get_str()?;
+    let head = DatasetHeader::read(&mut r, MAGIC, VERSION)?;
     let mode = mode_from_tag(r.get_u8()?, r.get_f64()?)?;
     let config = ZfpConfig { mode };
     config
         .validate()
         .map_err(|e| ZfpError::Corrupt(format!("invalid header parameters: {e}")))?;
 
-    let (dims3, block_dims) = pad_dims(&dims);
+    let (dims3, block_dims) = pad_dims(&head.dims);
     let perm = transform::sequency_permutation(block_dims);
     let budget = block_bit_budget(&mode, block_dims);
-    let n = dims.len();
-    let mut values = vec![0.0f64; n];
     let mut bits = BitReader::new(r.rest());
+    // Every block costs at least its one flag bit, so the payload bounds
+    // the grid; an all-zero field still expands 4^d values per bit, hence
+    // the fallible reservation.
+    let n_blocks: usize = dims3.iter().map(|d| d.div_ceil(BLOCK_EDGE)).product();
+    if n_blocks > bits.bits_remaining() {
+        return Err(ZfpError::Corrupt(format!(
+            "{n_blocks} blocks cannot fit in {} payload bits",
+            bits.bits_remaining()
+        )));
+    }
+    let n = head.dims.len();
+    let mut values = try_vec(n)?;
+    values.resize(n, 0.0f64);
 
     for origin in block::block_origins(dims3) {
         let start_bits = bits.bits_consumed() as u64;
@@ -348,17 +327,8 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
     }
 
     // Clamp tiny fixed-point noise toward the original precision.
-    let buffer = match dtype {
-        DType::F32 => DataBuffer::F32(values.iter().map(|&v| v as f32).collect()),
-        DType::F64 => DataBuffer::F64(values),
-    };
-    Ok(Dataset {
-        application,
-        field,
-        timestep,
-        dims,
-        buffer,
-    })
+    let buffer = DataBuffer::from_f64(values, head.dtype);
+    Ok(head.into_dataset(buffer))
 }
 
 /// The compression ratio the fixed-rate mode will deliver for a dataset of

@@ -106,6 +106,8 @@
 //! factory, and every FRaZ driver can use it; see
 //! [`pressio::registry`] for a complete example.
 
+#![forbid(unsafe_code)]
+
 pub use fraz_core as core;
 pub use fraz_data as data;
 pub use fraz_lossless as lossless;
