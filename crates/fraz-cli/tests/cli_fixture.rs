@@ -256,6 +256,78 @@ fn tune_cache_second_run_halves_evaluations() {
 }
 
 #[test]
+fn error_ceiling_added_between_tune_cache_runs_binds_every_bound() {
+    // The cache key does not contain `max_error_bound`: a run without a
+    // ceiling teaches the cache bounds that a later run *with* one is then
+    // offered as hints.  They must be clamped, not replayed.
+    let dir = std::env::temp_dir().join(format!("fraz_cli_ceiling_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(fixture_dir()).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    // One JSONL row per field: (field, error_bound, feasible_steps).
+    let fraz_run = |manifest: &str, cache: &str| -> Vec<(String, f64, f64)> {
+        let out = dir.join(format!("{cache}-{manifest}.jsonl"));
+        let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
+            .args(["run", "--quiet", "--workers", "1", "--config"])
+            .arg(dir.join(manifest))
+            .arg("--tune-cache")
+            .arg(dir.join(cache))
+            .arg("--out")
+            .arg(&out)
+            .output()
+            .expect("binary runs");
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        std::fs::read_to_string(&out)
+            .unwrap()
+            .lines()
+            .map(|line| {
+                let record: serde_json::Value = serde_json::from_str(line).unwrap();
+                let row = record.get("row").unwrap();
+                let number = |key: &str| row.get(key).and_then(|v| v.as_f64()).unwrap();
+                (
+                    row.get("field")
+                        .and_then(|v| v.as_str())
+                        .unwrap()
+                        .to_string(),
+                    number("error_bound"),
+                    number("feasible_steps"),
+                )
+            })
+            .collect()
+    };
+
+    let free = fraz_run("manifest.toml", "cache");
+    let ceiling = free.iter().map(|row| row.1).fold(f64::INFINITY, f64::min) / 4.0;
+    let manifest = std::fs::read_to_string(dir.join("manifest.toml")).unwrap();
+    std::fs::write(
+        dir.join("capped.toml"),
+        manifest.replace(
+            "workers = 4\n",
+            &format!("workers = 4\nmax_error_bound = {ceiling:e}\n"),
+        ),
+    )
+    .unwrap();
+    let cold = fraz_run("capped.toml", "fresh-cache");
+    let warm = fraz_run("capped.toml", "cache");
+    assert_eq!(warm.len(), 4);
+    for ((field, bound, feasible), cold) in warm.iter().zip(&cold) {
+        assert!(
+            *bound <= ceiling,
+            "{field}: reported bound {bound} above max_error_bound {ceiling}"
+        );
+        assert_eq!(*feasible, cold.2, "{field}: the cache changed the verdict");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn malformed_manifest_is_reported_readably() {
     let dir = std::env::temp_dir().join(format!("fraz_cli_bad_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

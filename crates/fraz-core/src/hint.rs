@@ -8,7 +8,9 @@
 //! [`Search::with_predictor`](crate::Search::with_predictor) produces the
 //! hint [`Search::run`](crate::Search::run) tries first;
 //! [`Search::run_with_hint`](crate::Search::run_with_hint) takes one
-//! explicitly.  The search records whether the hint landed in a
+//! explicitly.  Either way the shell clamps the bound into its `U`-clipped
+//! range before probing it — no hint, whatever its source, can take a
+//! search above the error ceiling — records whether it landed in a
 //! [`HintReport`], and [`BoundPredictor::observe`] closes the loop so a
 //! predictor can learn from every run (the persistent tuning cache in
 //! `fraz-tune` is one such predictor; [`LastConverged`] is the in-process
@@ -115,13 +117,15 @@ impl SearchHint {
 pub struct HintReport {
     /// Provenance of the hint that was tried.
     pub source: HintSource,
-    /// The candidate bound that was probed.
+    /// The hinted bound, clamped into the search's range: where the probe
+    /// was made (at the nearest point of the strategy's axis, for one that
+    /// walks a transformed axis).
     pub bound: f64,
     /// True when the probe satisfied the objective and the search stopped
     /// there (no fallback training ran).
     pub hit: bool,
-    /// Compressor invocations spent probing the hint (these are included in
-    /// the outcome's `evaluations` either way).
+    /// Compressor invocations spent on the probe (included in the outcome's
+    /// `evaluations`): 1, or 0 when the cancel token had already fired.
     pub probes: usize,
 }
 

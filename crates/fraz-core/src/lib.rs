@@ -23,11 +23,12 @@
 //!   modification), plus binary-search and grid baselines,
 //! * [`regions`] — splitting the error-bound range into overlapping regions,
 //! * [`search`] — the one [`Search`] shell: compressor, pool, cancel token,
-//!   predictor, bound range and the `run` / `run_with_hint` entry points,
+//!   predictor, bound range, the hint probe (Algorithm 1), the one
+//!   compressor call site and the `run` / `run_with_hint` entry points,
 //!   generic over an [`Objective`],
-//! * [`ratio`] — the fixed-ratio objective: the worker task and
-//!   region-parallel training (Algorithms 1–2),
-//! * [`quality`] — the fixed-quality objective: bracket-and-bisect with an
+//! * [`ratio`] — the fixed-ratio strategy: region-parallel training
+//!   (Algorithm 2),
+//! * [`quality`] — the fixed-quality strategy: bracket-and-bisect with an
 //!   analytic first guess,
 //! * [`orchestrator`] — time-step prediction reuse and parallel-by-field
 //!   scheduling (Algorithm 3),

@@ -26,8 +26,8 @@ use serde::{Deserialize, Serialize};
 
 use fraz_data::Dataset;
 use fraz_pool::Pool;
-use fraz_pressio::registry::{self, Registry, RegistryError};
-use fraz_pressio::{Compressor, Options};
+use fraz_pressio::registry;
+use fraz_pressio::Compressor;
 
 use crate::hint::{BoundPredictor, HintSource, LastConverged, PredictorChain};
 use crate::quality::QualitySearchConfig;
@@ -121,34 +121,19 @@ impl OrchestratorConfig {
         }
     }
 
-    /// The largest number of workers this application shape can keep busy:
-    /// never more than the configured budget, and never more than one
-    /// worker per region per field.  When the budget exceeds this, the
-    /// surplus workers stay parked — they are not an error, but a caller
-    /// sizing a shared pool can shrink to this instead.
-    pub fn effective_workers(&self, num_fields: usize) -> usize {
-        let capacity = num_fields.max(1).saturating_mul(self.search.regions.max(1));
-        self.resolved_workers().max(1).min(capacity)
-    }
-
-    /// The static approximation of the run's shape: how many fields run
-    /// concurrently and how many region tasks each field's search stripes
-    /// its work across.
+    /// The static approximation of the run's shape for a pool of `budget`
+    /// workers: how many fields run concurrently and how many region tasks
+    /// each field's search stripes its work across.  The orchestrator passes
+    /// its pool's *actual* size, so a shared pool installed via
+    /// [`Orchestrator::with_pool`] is scheduled (and reported) as what it is
+    /// rather than as this config's `total_workers`.
     ///
     /// Since the orchestrator executes on a shared work-stealing pool,
     /// this split is *advisory* — idle workers steal region tasks from
     /// whichever field still has them, so a remainder of the budget is
     /// spread across the in-flight fields instead of stranding workers
-    /// (e.g. 30 workers over 12-region searches now schedules 3 fields
-    /// × 10 threads = 30 busy workers, not 2 × 12 = 24).
-    pub fn schedule(&self, num_fields: usize) -> (usize, usize) {
-        self.schedule_for(self.resolved_workers(), num_fields)
-    }
-
-    /// [`OrchestratorConfig::schedule`] for an explicit worker budget —
-    /// used by the orchestrator itself so that a shared pool installed
-    /// via [`Orchestrator::with_pool`] is scheduled (and reported) at the
-    /// pool's *actual* size rather than this config's `total_workers`.
+    /// (e.g. 30 workers over 12-region searches schedules 3 fields × 10
+    /// threads = 30 busy workers, not 2 × 12 = 24).
     pub fn schedule_for(&self, budget: usize, num_fields: usize) -> (usize, usize) {
         let per_search = self.search.regions.max(1);
         let num_fields = num_fields.max(1);
@@ -251,9 +236,8 @@ impl Orchestrator {
     /// registry, with default codec settings.
     ///
     /// Returns `None` if the backend name is unknown.  Use
-    /// [`Orchestrator::from_registry`] for validated options and a real
-    /// error, or [`Orchestrator::with_compressor`] to bring your own
-    /// backend.
+    /// [`Orchestrator::with_compressor`] to bring your own backend (e.g.
+    /// one built from validated options by `Registry::build`).
     pub fn new(compressor_name: &str, config: OrchestratorConfig) -> Option<Self> {
         let compressor = registry::build_default(compressor_name).ok()?;
         Some(Self::with_compressor(compressor, config))
@@ -296,20 +280,6 @@ impl Orchestrator {
     pub fn pool(&self) -> &Arc<Pool> {
         self.pool
             .get_or_init(|| Arc::new(Pool::new(self.config.resolved_workers())))
-    }
-
-    /// Create an orchestrator by building `name` from `registry` with the
-    /// given (validated) options.
-    pub fn from_registry(
-        registry: &Registry,
-        name: &str,
-        options: &Options,
-        config: OrchestratorConfig,
-    ) -> Result<Self, RegistryError> {
-        Ok(Self::with_compressor(
-            registry.build(name, options)?,
-            config,
-        ))
     }
 
     /// Borrow the configuration.
@@ -587,34 +557,19 @@ mod tests {
 
     #[test]
     fn schedule_splits_workers_between_fields_and_regions() {
-        let config = OrchestratorConfig {
-            total_workers: 36,
-            ..OrchestratorConfig::new(SearchConfig::new(10.0, 0.1))
-        };
+        let config = OrchestratorConfig::new(SearchConfig::new(10.0, 0.1));
         // 12 regions per search -> 3 fields in flight, 12 threads each.
-        assert_eq!(config.schedule(13), (3, 12));
-        assert_eq!(config.effective_workers(13), 36);
+        assert_eq!(config.schedule_for(36, 13), (3, 12));
         // Fewer fields than the budget allows: concurrency capped by the
         // fields, and the budget shrinks to what 2 x 12 regions can keep
         // busy instead of pretending all 36 workers have work.
-        assert_eq!(config.schedule(2), (2, 12));
-        assert_eq!(config.effective_workers(2), 24);
+        assert_eq!(config.schedule_for(36, 2), (2, 12));
         // A budget that does not divide evenly is spread across MORE
         // in-flight fields rather than stranding the remainder: 30 workers
         // over 12-region searches used to yield (2, 12) = 24 busy workers.
-        let uneven = OrchestratorConfig {
-            total_workers: 30,
-            ..config.clone()
-        };
-        assert_eq!(uneven.schedule(13), (3, 10));
-        assert_eq!(uneven.effective_workers(13), 30);
+        assert_eq!(config.schedule_for(30, 13), (3, 10));
         // A tiny budget still schedules something.
-        let small = OrchestratorConfig {
-            total_workers: 1,
-            ..config.clone()
-        };
-        assert_eq!(small.schedule(5), (1, 1));
-        assert_eq!(small.effective_workers(5), 1);
+        assert_eq!(config.schedule_for(1, 5), (1, 1));
     }
 
     #[test]
@@ -642,22 +597,13 @@ mod tests {
     }
 
     #[test]
-    fn from_registry_validates_and_with_compressor_shares() {
-        let registry = Registry::with_builtins();
-        let config = || OrchestratorConfig::new(quick_search(8.0));
-        let orch = Orchestrator::from_registry(&registry, "sz", &Options::new(), config()).unwrap();
-        assert_eq!(orch.compressor().name(), "sz");
-        // Bad options surface as a real error, not a silent None.
-        let err = Orchestrator::from_registry(
-            &registry,
-            "sz",
-            &Options::new().with("sz:blok_size", 4u64),
-            config(),
-        );
-        assert!(err.is_err());
+    fn with_compressor_shares_one_backend() {
         // A shared handle can serve the orchestrator and other users at once.
-        let shared = registry.build_arc("zfp", &Options::new()).unwrap();
-        let orch = Orchestrator::with_compressor(Arc::clone(&shared), config());
+        let shared: Arc<dyn Compressor> = registry::build_default("zfp").unwrap().into();
+        let orch = Orchestrator::with_compressor(
+            Arc::clone(&shared),
+            OrchestratorConfig::new(quick_search(8.0)),
+        );
         assert_eq!(orch.compressor().name(), shared.name());
         let series = hurricane_series("TCf", 2);
         let outcome = orch.run_series("TCf", &series, 2);

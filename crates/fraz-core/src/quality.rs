@@ -11,13 +11,14 @@
 //!
 //! Unlike the ratio objective, quality metrics are (noisily) monotone in the
 //! error bound, so a different search strategy is appropriate: the search
-//! brackets the constraint boundary with a coarse logarithmic sweep and then
-//! bisects it, keeping the most compressive setting that still satisfies the
+//! brackets the constraint boundary — by a coarse logarithmic sweep, or by
+//! expanding from the hint the [`Search`] shell probed — and then bisects
+//! it, keeping the most compressive setting that still satisfies the
 //! constraint.  (The ratio search's MaxLIPO machinery is unnecessary here —
-//! there is no spiky multi-modal landscape to escape.)
+//! there is no spiky multi-modal landscape to escape.)  Every evaluation
+//! goes through the shell's [`Evaluator`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
@@ -27,7 +28,7 @@ use fraz_pressio::{registry, BoundKind, CompressionOutcome, Compressor};
 use crate::hint::{HintReport, HintSource, HintTarget, SearchHint};
 use crate::ratio::SearchOutcome;
 use crate::regions::BoundScale;
-use crate::search::{Objective, Search};
+use crate::search::{Evaluator, Found, Objective, Search};
 
 /// The quality metric a [`FixedQualitySearch`] constrains.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,10 +75,6 @@ pub struct QualitySearchConfig {
     pub max_iterations: usize,
     /// Layout of the search on the error-bound axis.
     pub scale: BoundScale,
-    /// Stop early once an acceptable setting whose ratio is within
-    /// `improvement_tolerance` (relative) of the best seen so far has been
-    /// stable for `patience` evaluations.  Smaller = more thorough.
-    pub improvement_tolerance: f64,
     /// Maximum allowed error bound (the same `U` as the ratio search).
     pub max_error_bound: Option<f64>,
     /// Seed the search from the codec's closed-form PSNR↔bound model when
@@ -93,10 +90,18 @@ impl QualitySearchConfig {
             metric,
             max_iterations: 24,
             scale: BoundScale::Log,
-            improvement_tolerance: 0.02,
             max_error_bound: None,
             analytic_seed: true,
         }
+    }
+
+    /// True when `outcome`'s quality report satisfies the constraint (an
+    /// outcome measured without one never does).
+    fn satisfied(&self, outcome: &CompressionOutcome) -> bool {
+        outcome
+            .quality
+            .as_ref()
+            .is_some_and(|q| self.metric.is_satisfied(q))
     }
 }
 
@@ -140,28 +145,37 @@ impl From<QualitySearchOutcome> for SearchOutcome {
     }
 }
 
+impl From<SearchOutcome> for QualitySearchOutcome {
+    /// The shell's common outcome, minus what a quality search has none of
+    /// (regions, prediction reuse).
+    fn from(outcome: SearchOutcome) -> Self {
+        QualitySearchOutcome {
+            error_bound: outcome.error_bound,
+            best: outcome.best,
+            satisfiable: outcome.feasible,
+            evaluations: outcome.evaluations,
+            elapsed: outcome.elapsed,
+            hint: outcome.hint,
+            deadline_hit: outcome.deadline_hit,
+        }
+    }
+}
+
 /// Searches for the most compressive error bound that still satisfies a
 /// quality constraint: the [`Search`] shell running the bracket-and-bisect
 /// below.  The phase-1 bracketing sweep runs its (independent) evaluations
 /// as tasks on the shell's pool.
 pub type FixedQualitySearch = Search<QualitySearchConfig>;
 
-/// The best acceptable `(bound, outcome)` seen so far.
-type BestAcceptable = Option<(f64, CompressionOutcome)>;
-
-/// Keep `outcome` when it compresses better than the best acceptable
-/// setting seen so far.
-fn keep_if_better(best: &mut BestAcceptable, bound: f64, outcome: CompressionOutcome) {
-    if best
-        .as_ref()
-        .is_none_or(|(_, b)| outcome.compression_ratio > b.compression_ratio)
-    {
-        *best = Some((bound, outcome));
-    }
-}
+/// Bisection stops once the bracket is narrower than this fraction of the
+/// searched axis.
+const BRACKET_TOLERANCE: f64 = 0.02;
 
 impl Objective for QualitySearchConfig {
     type Outcome = QualitySearchOutcome;
+
+    /// Every evaluation is a compress + decompress + measure round.
+    const JUDGES_QUALITY: bool = true;
 
     fn hint_target(&self) -> HintTarget {
         match self.metric {
@@ -174,10 +188,6 @@ impl Objective for QualitySearchConfig {
 
     fn max_error_bound(&self) -> Option<f64> {
         self.max_error_bound
-    }
-
-    fn settled(outcome: &QualitySearchOutcome) -> (f64, bool) {
-        (outcome.error_bound, outcome.satisfiable)
     }
 
     /// The analytic first guess (unless [`analytic_seed`] is off), when the
@@ -222,185 +232,123 @@ impl Objective for QualitySearchConfig {
         hint.is_valid().then_some(hint)
     }
 
-    /// A converged hint that verifies is accepted outright at one
-    /// evaluation.  Any other usable hint replaces the coarse sweep with a
-    /// geometric expansion from the probed point, and the usual bisection
-    /// polishes the bracket either way.
+    /// Every bound this strategy tries is a point of its `scale` axis.
+    fn on_axis(&self, bound: f64) -> f64 {
+        self.scale.from_axis(self.scale.to_axis(bound))
+    }
+
+    /// A converged hint that verifies is accepted outright — the probe *is*
+    /// the verify pass.  A seed that verifies is only a starting point: more
+    /// compression may lie above it.
+    fn settles(&self, hint: &SearchHint, probe: &CompressionOutcome) -> bool {
+        hint.converged && self.satisfied(probe)
+    }
+
+    /// A missed probe replaces the coarse sweep with a geometric expansion
+    /// from the probed point; the usual bisection polishes the bracket
+    /// either way.
     fn search(
-        shell: &FixedQualitySearch,
-        dataset: &Dataset,
-        hint: Option<&SearchHint>,
-    ) -> QualitySearchOutcome {
-        let start = Instant::now();
-        let config = shell.config();
-        let (lower, upper) = shell.searched_range(dataset, hint);
-
+        eval: &Evaluator<'_, Self>,
+        (lower, upper): (f64, f64),
+        probe: Option<(&HintReport, &CompressionOutcome)>,
+    ) -> Found {
+        let config = eval.config();
         // Work on a log axis when requested (bounds span decades).
-        let to_x = |bound: f64| match config.scale {
-            BoundScale::Linear => bound,
-            BoundScale::Log => bound.log10(),
-        };
-        let from_x = |x: f64| match config.scale {
-            BoundScale::Linear => x,
-            BoundScale::Log => 10f64.powf(x),
-        };
-
+        let (to_x, from_x) = (|b| config.scale.to_axis(b), |x| config.scale.from_axis(x));
         let (xlo, xhi) = (to_x(lower), to_x(upper));
-        let mut evaluations = 0usize;
-        let mut best_acceptable: BestAcceptable = None;
 
-        // One compress + decompress + measure round at axis position `x`:
-        // the bound, whether it satisfied the constraint, and the outcome
-        // (`None` when the compressor rejected the bound).
-        let measure = |x: f64| -> Option<(f64, bool, CompressionOutcome)> {
-            let bound = from_x(x).clamp(lower, upper);
-            let outcome = shell.compressor().evaluate(dataset, bound, true).ok()?;
-            let quality = outcome.quality.as_ref().expect("quality requested");
-            Some((bound, config.metric.is_satisfied(quality), outcome))
-        };
-        // `measure`, counted and folded into the best-acceptable tracker.
-        let evaluate = |x: f64, best: &mut BestAcceptable, evaluations: &mut usize| {
-            if shell.cancelled() {
-                // `None` is the caller-side break signal for every loop
-                // (expansion, bisection), so a fired token stops the search
-                // without another compressor round.
-                return None;
+        // The most compressive outcome that satisfied the constraint so far.
+        let mut best: Option<CompressionOutcome> = None;
+        // Fold one measured outcome into `best`; true when it satisfied.
+        let mut keep = |outcome: CompressionOutcome| {
+            let ok = config.satisfied(&outcome);
+            if ok
+                && best
+                    .as_ref()
+                    .is_none_or(|b| outcome.compression_ratio > b.compression_ratio)
+            {
+                best = Some(outcome);
             }
-            *evaluations += 1;
-            let (bound, ok, outcome) = measure(x)?;
-            if ok {
-                keep_if_better(best, bound, outcome);
-            }
-            Some(ok)
+            ok
         };
+        // One compress + decompress + measure round at axis position `x`.
+        // `None` (token fired, or the compressor rejected the bound) is the
+        // break signal of every loop below.
+        let measure = |x: f64| eval.measure(from_x(x).clamp(lower, upper)).ok();
 
-        // Hinted phase: probe the hint.  A converged hint that verifies is
-        // final (the probe *is* the verify pass); otherwise the probe
-        // anchors a geometric expansion along the axis that brackets the
-        // constraint boundary without the coarse sweep.
-        let mut hint_report: Option<HintReport> = None;
-        let mut bracket: Option<(f64, f64)> = None;
-        let mut need_sweep = true;
-        if let Some(h) = hint {
-            let hx = to_x(h.bound.clamp(lower, upper));
-            let probe = evaluate(hx, &mut best_acceptable, &mut evaluations);
-            let report = |hit: bool, probes: usize| HintReport {
-                source: h.source,
-                bound: h.bound,
-                hit,
-                probes,
-            };
-            if h.converged && probe == Some(true) {
-                let (bound, best) = best_acceptable.expect("satisfied probe is stored");
-                return QualitySearchOutcome {
-                    error_bound: bound,
-                    best,
-                    satisfiable: true,
-                    evaluations,
-                    elapsed: start.elapsed(),
-                    hint: Some(report(true, evaluations)),
-                    deadline_hit: false,
+        let bracket = if let Some((hint, probe)) = probe {
+            // The probe anchors a geometric expansion along the axis that
+            // brackets the constraint boundary without the coarse sweep.
+            // Constraint holds at the probe: the boundary (and better
+            // compression) lies above, so walk up until it is violated.
+            // Constraint violated: walk down until it holds.  Either way
+            // stop when the axis runs out.
+            let ok0 = keep(probe.clone());
+            let expansion_budget = (config.max_iterations / 2).max(2);
+            let mut step = (xhi - xlo).abs() / 8.0;
+            if step <= 0.0 {
+                step = 1.0;
+            }
+            let mut at = to_x(hint.bound);
+            let mut bracket = None;
+            while eval.calls() < expansion_budget && if ok0 { at < xhi } else { at > xlo } {
+                let next = if ok0 {
+                    (at + step).min(xhi)
+                } else {
+                    (at - step).max(xlo)
                 };
-            }
-            // A probe that failed to compress reports the miss and brackets
-            // cold.
-            if let Some(ok0) = probe {
-                need_sweep = false;
-                let expansion_budget = (config.max_iterations / 2).max(2);
-                let mut step = (xhi - xlo).abs() / 8.0;
-                if step <= 0.0 {
-                    step = 1.0;
-                }
-                // Constraint holds at the probe: the boundary (and better
-                // compression) lies above, so walk up until it is violated.
-                // Constraint violated: walk down until it holds.  Either way
-                // stop when the axis runs out.
-                let mut at = hx;
-                while evaluations < expansion_budget && if ok0 { at < xhi } else { at > xlo } {
-                    let next = if ok0 {
-                        (at + step).min(xhi)
-                    } else {
-                        (at - step).max(xlo)
-                    };
-                    step *= 2.0;
-                    match evaluate(next, &mut best_acceptable, &mut evaluations) {
-                        Some(ok) if ok == ok0 => at = next,
-                        Some(_) => {
-                            bracket = Some(if ok0 { (at, next) } else { (next, at) });
-                            break;
-                        }
-                        None => break,
+                step *= 2.0;
+                match measure(next).map(&mut keep) {
+                    Some(ok) if ok == ok0 => at = next,
+                    Some(_) => {
+                        bracket = Some(if ok0 { (at, next) } else { (next, at) });
+                        break;
                     }
+                    None => break,
                 }
             }
-            hint_report = Some(report(probe == Some(true), evaluations));
-        }
-
-        if need_sweep {
-            // Phase 1 (cold): coarse sweep to bracket the constraint
-            // boundary.  The quality degrades (noisily) as the bound grows,
-            // so the boundary is the largest bound that still satisfies the
-            // constraint.  The sweep points are independent, so each
-            // compress + decompress + measure round runs as a task on the
-            // shared work-stealing pool, writing into its own slot; the fold
-            // below stays in sweep order, so the outcome is identical to a
-            // serial sweep.
+            bracket
+        } else {
+            // Cold: coarse sweep to bracket the constraint boundary.  The
+            // quality degrades (noisily) as the bound grows, so the boundary
+            // is the largest bound that still satisfies the constraint.  The
+            // sweep points are independent, so each round runs as a task on
+            // the shared work-stealing pool, writing into its own slot; the
+            // fold below stays in sweep order, so the outcome is identical
+            // to a serial sweep.
             let sweep_points = (config.max_iterations / 2).clamp(4, 12);
             let sweep_xs: Vec<f64> = (0..sweep_points)
                 .map(|i| xlo + (xhi - xlo) * i as f64 / (sweep_points - 1) as f64)
                 .collect();
-            let mut sweep_results: Vec<Option<(f64, bool, CompressionOutcome)>> =
-                vec![None; sweep_points];
-            // Tasks a fired cancel token skips are not compressor
-            // invocations; count only the rounds that actually ran.
-            let sweep_ran = AtomicUsize::new(0);
-            shell.pool().scope(|scope| {
+            let mut sweep_results: Vec<Option<CompressionOutcome>> = vec![None; sweep_points];
+            eval.pool().scope(|scope| {
                 let measure = &measure;
-                let sweep_ran = &sweep_ran;
                 for (slot, &x) in sweep_results.iter_mut().zip(&sweep_xs) {
-                    scope.spawn(move || {
-                        if !shell.cancelled() {
-                            sweep_ran.fetch_add(1, Ordering::Relaxed);
-                            *slot = measure(x);
-                        }
-                    });
+                    scope.spawn(move || *slot = measure(x));
                 }
             });
-
-            // Fold the sweep in order: track the best acceptable evaluation
-            // (highest ratio among those satisfying the constraint) and the
-            // bracket around the constraint boundary.
-            evaluations += sweep_ran.load(Ordering::Relaxed);
             let mut last_ok: Option<f64> = None;
             let mut first_bad: Option<f64> = None;
-            for (&x, result) in sweep_xs.iter().zip(sweep_results) {
-                match result {
-                    Some((bound, true, outcome)) => {
-                        last_ok = Some(x);
-                        keep_if_better(&mut best_acceptable, bound, outcome);
-                    }
-                    Some((_, false, _)) => {
-                        if last_ok.is_some() && first_bad.is_none() {
-                            first_bad = Some(x);
-                        }
-                    }
-                    None => {}
+            for (&x, outcome) in sweep_xs.iter().zip(sweep_results) {
+                match outcome.map(&mut keep) {
+                    Some(true) => last_ok = Some(x),
+                    Some(false) if last_ok.is_some() && first_bad.is_none() => first_bad = Some(x),
+                    _ => {}
                 }
             }
-            bracket = last_ok.zip(first_bad);
-        }
+            last_ok.zip(first_bad)
+        };
 
-        // Phase 2: bisect between the last satisfying and the first violating
-        // bound to squeeze out the remaining compression.  Each probe depends
-        // on the previous verdict, so this phase is inherently serial.
-        let remaining = config.max_iterations.saturating_sub(evaluations);
+        // Bisect between the last satisfying and the first violating bound
+        // to squeeze out the remaining compression.  Each step depends on
+        // the previous verdict, so this phase is inherently serial.
         if let Some((mut ok_x, mut bad_x)) = bracket {
-            for _ in 0..remaining {
-                if (bad_x - ok_x).abs() <= config.improvement_tolerance * (xhi - xlo).abs() {
+            for _ in 0..config.max_iterations.saturating_sub(eval.calls()) {
+                if (bad_x - ok_x).abs() <= BRACKET_TOLERANCE * (xhi - xlo).abs() {
                     break;
                 }
                 let mid = 0.5 * (ok_x + bad_x);
-                match evaluate(mid, &mut best_acceptable, &mut evaluations) {
+                match measure(mid).map(&mut keep) {
                     Some(true) => ok_x = mid,
                     Some(false) => bad_x = mid,
                     None => break,
@@ -408,23 +356,14 @@ impl Objective for QualitySearchConfig {
             }
         }
 
-        let deadline_hit = shell.cancelled();
-        let satisfiable = best_acceptable.is_some();
-        // Nothing satisfied the constraint: fall back to the smallest bound
-        // (highest fidelity the compressor offers) — one more compressor
-        // call, counted like every other.
-        let (error_bound, best) = best_acceptable.unwrap_or_else(|| {
-            evaluations += 1;
-            (lower, shell.measure_or_zero(dataset, lower, true))
-        });
-        QualitySearchOutcome {
-            error_bound,
-            best,
-            satisfiable,
-            evaluations,
-            elapsed: start.elapsed(),
-            hint: hint_report,
-            deadline_hit,
+        // Nothing satisfied the constraint: recommend the smallest bound
+        // (the highest fidelity the compressor offers), left to the shell
+        // to measure.
+        Found {
+            bound: best.as_ref().map_or(lower, |b| b.error_bound),
+            met: best.is_some(),
+            measured: best,
+            regions: Vec::new(),
         }
     }
 }

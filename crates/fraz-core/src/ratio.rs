@@ -1,29 +1,29 @@
-//! The fixed-ratio [`Objective`]: worker task (Algorithm 1) and
-//! region-parallel training (Algorithm 2).
+//! The fixed-ratio [`Objective`]: region-parallel training (Algorithm 2)
+//! and its per-region worker task.
 //!
 //! Given a black-box error-bounded compressor, a dataset and a target
 //! compression ratio, [`FixedRatioSearch`] finds an error-bound setting whose
 //! achieved ratio falls inside the user's acceptable region
 //! `[ρt(1−ε), ρt(1+ε)]`, never exceeding an optional maximum allowed error
-//! `U`.  The error-bound range is split into overlapping regions searched
-//! concurrently; the first region to find an acceptable setting cancels the
+//! `U`.  The [`Search`] shell probes the prediction (Algorithm 1) and makes
+//! every compressor call; this module is the strategy it falls back to: the
+//! error-bound range is split into overlapping regions searched
+//! concurrently, the first region to find an acceptable setting cancels the
 //! others (early termination), and if none succeeds the closest observed
-//! ratio is reported as an infeasible-but-best-effort answer — exactly the
-//! semantics of the paper's Algorithms 1 and 2.
+//! ratio is reported as an infeasible-but-best-effort answer.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
-use fraz_data::Dataset;
 use fraz_pressio::CompressionOutcome;
 
 use crate::hint::{HintReport, HintTarget, SearchHint};
 use crate::loss::RatioLoss;
 use crate::optim::{GlobalMinimizer, OptimizerConfig};
 use crate::regions::{make_error_bounds, BoundScale, Region};
-use crate::search::{Objective, Search};
+use crate::search::{Evaluator, Found, Miss, Objective, Search};
 
 /// Configuration of a fixed-ratio search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -38,8 +38,6 @@ pub struct SearchConfig {
     /// Number of overlapping search regions (the paper found 12 to be a good
     /// default).
     pub regions: usize,
-    /// Fractional overlap between adjacent regions (paper: 10 %).
-    pub region_overlap: f64,
     /// Maximum objective evaluations per region.
     pub max_iterations: usize,
     /// Enable the early-termination cutoff (the paper's Dlib modification).
@@ -64,7 +62,6 @@ impl SearchConfig {
             tolerance,
             max_error_bound: None,
             regions: 12,
-            region_overlap: 0.1,
             max_iterations: 24,
             use_cutoff: true,
             scale: BoundScale::Log,
@@ -89,6 +86,10 @@ impl SearchConfig {
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
+    }
+
+    fn loss(&self) -> RatioLoss {
+        RatioLoss::new(self.target_ratio, self.tolerance)
     }
 
     fn worker_count(&self) -> usize {
@@ -160,8 +161,14 @@ pub struct SearchOutcome {
 /// [`Search`] shell running the region race below.
 pub type FixedRatioSearch = Search<SearchConfig>;
 
+/// Fractional overlap between adjacent regions (the paper's 10 %).
+const REGION_OVERLAP: f64 = 0.1;
+
 impl Objective for SearchConfig {
     type Outcome = SearchOutcome;
+
+    /// The compressed size alone decides a ratio evaluation.
+    const JUDGES_QUALITY: bool = false;
 
     fn hint_target(&self) -> HintTarget {
         HintTarget::Ratio {
@@ -174,247 +181,170 @@ impl Objective for SearchConfig {
         self.max_error_bound
     }
 
-    fn settled(outcome: &SearchOutcome) -> (f64, bool) {
-        (outcome.error_bound, outcome.feasible)
+    fn reports_quality(&self) -> bool {
+        self.measure_final_quality
     }
 
-    /// Algorithm 1: probe the hinted bound first; fall back to full
-    /// region-parallel training (Algorithm 2) when it misses.
+    /// Any in-band ratio is an answer, whatever the hint's provenance.
+    fn settles(&self, _hint: &SearchHint, probe: &CompressionOutcome) -> bool {
+        self.loss().is_acceptable(probe.compression_ratio)
+    }
+
+    /// Algorithm 2: region-parallel training over `range`.  A missed probe
+    /// is not folded into the race.
     fn search(
-        shell: &FixedRatioSearch,
-        dataset: &Dataset,
-        hint: Option<&SearchHint>,
-    ) -> SearchOutcome {
-        let start = Instant::now();
-        let config = shell.config();
-        let loss = RatioLoss::new(config.target_ratio, config.tolerance);
-
-        // Step 1 of Algorithm 1: probe the hint.  When the final quality
-        // pass is requested the probe measures quality directly, so a hint
-        // that lands costs exactly ONE compressor call — the probe *is* the
-        // verify pass — and `evaluations: 1` is the true invocation count.
-        let mut hint_report: Option<HintReport> = None;
-        if let Some(h) = hint.filter(|_| !shell.cancelled()) {
-            let probe = shell
-                .compressor()
-                .evaluate(dataset, h.bound, config.measure_final_quality);
-            let hit = probe
-                .as_ref()
-                .is_ok_and(|o| loss.is_acceptable(o.compression_ratio));
-            hint_report = Some(HintReport {
-                source: h.source,
-                bound: h.bound,
-                hit,
-                probes: 1,
-            });
-            if hit {
-                return SearchOutcome {
-                    error_bound: h.bound,
-                    feasible: true,
-                    retrained: false,
-                    evaluations: 1,
-                    elapsed: start.elapsed(),
-                    regions: Vec::new(),
-                    hint: hint_report,
-                    best: probe.expect("hit implies a successful evaluation"),
-                    deadline_hit: false,
-                };
-            }
-        }
-        let probe_evaluations = hint_report.as_ref().map_or(0, |r| r.probes);
-
-        // Step 2: full region-parallel training over the (bracket-narrowed)
-        // range.
-        let (lower, upper) = shell.searched_range(dataset, hint);
-        let mut regions = make_error_bounds(
-            lower,
-            upper,
-            config.regions,
-            config.region_overlap,
-            config.scale,
-        );
+        eval: &Evaluator<'_, Self>,
+        (lower, upper): (f64, f64),
+        _probe: Option<(&HintReport, &CompressionOutcome)>,
+    ) -> Found {
+        let config = eval.config();
+        let loss = config.loss();
+        let mut regions =
+            make_error_bounds(lower, upper, config.regions, REGION_OVERLAP, config.scale);
         let cancel = AtomicBool::new(false);
         let workers = config.worker_count().min(regions.len()).max(1);
 
         // `workers` runner tasks drain the regions through a shared atomic
-        // cursor — the same dynamic load balancing as the old mutex-backed
-        // queue (any idle runner claims the next region) without a queue
-        // or a result mutex, and zero OS threads spawned here.  Highest-
-        // bound regions go first (matching the original LIFO pops): for
-        // targets well above 1:1 they are the likeliest to contain the
-        // answer, which is what makes early termination pay.
+        // cursor — any idle runner claims the next region — with no queue
+        // or result mutex, and zero OS threads spawned here.  Highest-bound
+        // regions go first: for targets well above 1:1 they are the
+        // likeliest to contain the answer, which is what makes early
+        // termination pay.
         regions.reverse();
         let next = AtomicUsize::new(0);
         let mut slots: Vec<Vec<RegionOutcome>> = vec![Vec::new(); workers];
         if workers == 1 {
-            shell.run_region_queue(dataset, &loss, &regions, &next, &cancel, &mut slots[0]);
+            run_region_queue(eval, &loss, &regions, &next, &cancel, &mut slots[0]);
         } else {
-            shell.pool().scope(|scope| {
-                let cancel = &cancel;
-                let loss = &loss;
-                let next = &next;
-                let regions = &regions;
+            eval.pool().scope(|scope| {
+                let (cancel, loss, next, regions) = (&cancel, &loss, &next, &regions);
                 for slot in slots.iter_mut() {
-                    scope.spawn(move || {
-                        shell.run_region_queue(dataset, loss, regions, next, cancel, slot)
-                    });
+                    scope.spawn(move || run_region_queue(eval, loss, regions, next, cancel, slot));
                 }
             });
         }
-        let regions_out: Vec<RegionOutcome> = slots.into_iter().flatten().collect();
+        let regions: Vec<RegionOutcome> = slots.into_iter().flatten().collect();
 
-        let mut best: Option<&RegionOutcome> = None;
-        for r in &regions_out {
-            let better = match best {
-                None => true,
-                Some(b) => r.loss < b.loss,
-            };
-            if better {
-                best = Some(r);
-            }
-        }
-        let (error_bound, feasible) = match best {
-            Some(b) => (b.error_bound, loss.is_acceptable(b.compression_ratio)),
-            None => (lower, false),
+        // The first region with the smallest loss wins; it already measured
+        // its best bound, so that outcome is reused instead of re-running
+        // the compressor (absent only if the best evaluation errored).
+        let best = regions
+            .iter()
+            .reduce(|best, r| if r.loss < best.loss { r } else { best });
+        let (bound, measured, met) = match best {
+            Some(b) => (
+                b.error_bound,
+                b.measured.clone(),
+                loss.is_acceptable(b.compression_ratio),
+            ),
+            None => (lower, None, false),
         };
-        // A missed prediction probe still invoked the compressor once.
-        let mut evaluations: usize =
-            probe_evaluations + regions_out.iter().map(|r| r.iterations).sum::<usize>();
-        // The winning region already measured its best bound — reuse that
-        // outcome instead of re-running the compressor, and only count an
-        // extra evaluation in the rare case we really must re-measure.
-        let measured = match best.and_then(|b| b.measured.clone()) {
-            Some(m) => m,
-            None => {
-                evaluations += 1;
-                shell.measure_or_zero(dataset, error_bound, false)
-            }
-        };
-        let deadline_hit = shell.cancelled();
-        // Skip the extra quality pass when the token already fired: the
-        // caller asked us to stop, so the answer ships as measured.
-        let best = if deadline_hit || !config.measure_final_quality {
-            measured
-        } else {
-            shell
-                .compressor()
-                .evaluate(dataset, error_bound, true)
-                .unwrap_or(measured)
-        };
-        SearchOutcome {
-            error_bound,
-            best,
-            feasible,
-            retrained: true,
-            evaluations,
-            elapsed: start.elapsed(),
-            regions: regions_out,
-            hint: hint_report,
-            deadline_hit,
+        Found {
+            bound,
+            measured,
+            met,
+            regions,
         }
     }
 }
 
-impl FixedRatioSearch {
-    /// One runner task: repeatedly claim the next unstarted region via the
-    /// shared cursor and search it, observing and raising the shared
-    /// early-termination flag (Algorithm 2, lines 9-14).
-    fn run_region_queue(
-        &self,
-        dataset: &Dataset,
-        loss: &RatioLoss,
-        regions: &[Region],
-        next: &AtomicUsize,
-        cancel: &AtomicBool,
-        out: &mut Vec<RegionOutcome>,
-    ) {
-        loop {
-            if cancel.load(Ordering::Relaxed) {
-                break;
-            }
-            if self.cancelled() {
-                // Deadline/cancel: stop every runner, not just this one.
-                cancel.store(true, Ordering::Relaxed);
-                break;
-            }
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            let Some(region) = regions.get(index) else {
-                break;
-            };
-            let outcome = self.search_region(dataset, loss, region.clone(), cancel);
-            let acceptable = loss.is_acceptable(outcome.compression_ratio);
-            out.push(outcome);
-            if acceptable {
-                // Early termination: cancel every region that has not
-                // finished yet.
-                cancel.store(true, Ordering::Relaxed);
-                break;
-            }
+/// One runner task: repeatedly claim the next unstarted region via the
+/// shared cursor and search it, observing and raising the shared
+/// early-termination flag (Algorithm 2, lines 9-14).
+fn run_region_queue(
+    eval: &Evaluator<'_, SearchConfig>,
+    loss: &RatioLoss,
+    regions: &[Region],
+    next: &AtomicUsize,
+    cancel: &AtomicBool,
+    out: &mut Vec<RegionOutcome>,
+) {
+    loop {
+        if cancel.load(Ordering::Relaxed) {
+            break;
+        }
+        if eval.cancelled() {
+            // Deadline/cancel: stop every runner, not just this one.
+            cancel.store(true, Ordering::Relaxed);
+            break;
+        }
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(region) = regions.get(index) else {
+            break;
+        };
+        let outcome = search_region(eval, loss, region.clone(), cancel);
+        let acceptable = loss.is_acceptable(outcome.compression_ratio);
+        out.push(outcome);
+        if acceptable {
+            // Early termination: cancel every region that has not
+            // finished yet.
+            cancel.store(true, Ordering::Relaxed);
+            break;
         }
     }
+}
 
-    /// Worker task for one region (the inner call of Algorithm 1:
-    /// `train_with_cutoff`).
-    fn search_region(
-        &self,
-        dataset: &Dataset,
-        loss: &RatioLoss,
-        region: Region,
-        cancel: &AtomicBool,
-    ) -> RegionOutcome {
-        // Track the best full outcome seen so the caller can reuse the
-        // winning measurement instead of re-compressing after the race.
-        let mut best_seen: Option<(f64, CompressionOutcome)> = None;
-        // Compressor calls actually made: the minimizer also counts the
-        // call-free step a fired token answers below.
-        let mut iterations = 0usize;
-        let mut objective = |e: f64| {
-            if self.cancelled() {
-                // The minimizer polls `cancel` between evaluations; raising
-                // it here stops this optimization without paying another
-                // compressor call, and the gamma loss can never displace a
-                // real best-so-far observation.
-                cancel.store(true, Ordering::Relaxed);
-                return (loss.gamma, 0.0);
-            }
+/// Worker task for one region (the inner call of Algorithm 1:
+/// `train_with_cutoff`).
+fn search_region(
+    eval: &Evaluator<'_, SearchConfig>,
+    loss: &RatioLoss,
+    region: Region,
+    cancel: &AtomicBool,
+) -> RegionOutcome {
+    // Track the best full outcome seen so the caller can reuse the
+    // winning measurement instead of re-compressing after the race.
+    let mut best_seen: Option<(f64, CompressionOutcome)> = None;
+    // Per-region detail: the minimizer also records the call-free step a
+    // fired token answers below.
+    let mut iterations = 0usize;
+    let mut objective = |e: f64| match eval.measure(e) {
+        Ok(outcome) => {
             iterations += 1;
-            match self.compressor().evaluate(dataset, e, false) {
-                Ok(outcome) => {
-                    let l = loss.loss(outcome.compression_ratio);
-                    if best_seen.as_ref().is_none_or(|(seen, _)| l < *seen) {
-                        best_seen = Some((l, outcome.clone()));
-                    }
-                    (l, outcome.compression_ratio)
-                }
-                Err(_) => (loss.gamma, 0.0),
+            let l = loss.loss(outcome.compression_ratio);
+            let ratio = outcome.compression_ratio;
+            if best_seen.as_ref().is_none_or(|(seen, _)| l < *seen) {
+                best_seen = Some((l, outcome));
             }
-        };
-        let optimizer = GlobalMinimizer::new(OptimizerConfig {
-            max_evaluations: self.config().max_iterations,
-            cutoff: if self.config().use_cutoff {
-                loss.cutoff()
-            } else {
-                0.0
-            },
-            ..Default::default()
-        });
-        let trace = optimizer.minimize(&mut objective, region.lower, region.upper, Some(cancel));
-        // Both trackers keep the *first* minimum in evaluation order, so
-        // this equality holds whenever the best evaluation succeeded; the
-        // comparison guards the corner where it errored (loss = gamma).
-        let measured = best_seen
-            .map(|(_, outcome)| outcome)
-            .filter(|outcome| outcome.error_bound == trace.best.x);
-        RegionOutcome {
-            region,
-            error_bound: trace.best.x,
-            compression_ratio: trace.best.ratio,
-            loss: trace.best.loss,
-            iterations,
-            reached_cutoff: trace.reached_cutoff,
-            cancelled: trace.cancelled,
-            measured,
+            (l, ratio)
         }
+        Err(miss) => {
+            match miss {
+                Miss::Rejected => iterations += 1,
+                // The minimizer polls `cancel` between evaluations; raising
+                // it here stops this optimization, and the gamma loss can
+                // never displace a real best-so-far observation.
+                Miss::Cancelled => cancel.store(true, Ordering::Relaxed),
+            }
+            (loss.gamma, 0.0)
+        }
+    };
+    let config = eval.config();
+    let optimizer = GlobalMinimizer::new(OptimizerConfig {
+        max_evaluations: config.max_iterations,
+        cutoff: if config.use_cutoff {
+            loss.cutoff()
+        } else {
+            0.0
+        },
+        ..Default::default()
+    });
+    let trace = optimizer.minimize(&mut objective, region.lower, region.upper, Some(cancel));
+    // Both trackers keep the *first* minimum in evaluation order, so
+    // this equality holds whenever the best evaluation succeeded; the
+    // comparison guards the corner where it errored (loss = gamma).
+    let measured = best_seen
+        .map(|(_, outcome)| outcome)
+        .filter(|outcome| outcome.error_bound == trace.best.x);
+    RegionOutcome {
+        region,
+        error_bound: trace.best.x,
+        compression_ratio: trace.best.ratio,
+        loss: trace.best.loss,
+        iterations,
+        reached_cutoff: trace.reached_cutoff,
+        cancelled: trace.cancelled,
+        measured,
     }
 }
 

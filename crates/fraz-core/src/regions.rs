@@ -21,6 +21,24 @@ pub enum BoundScale {
     Log,
 }
 
+impl BoundScale {
+    /// Position of `bound` on this axis.
+    pub(crate) fn to_axis(self, bound: f64) -> f64 {
+        match self {
+            BoundScale::Linear => bound,
+            BoundScale::Log => bound.log10(),
+        }
+    }
+
+    /// The bound at axis position `x`.
+    pub(crate) fn from_axis(self, x: f64) -> f64 {
+        match self {
+            BoundScale::Linear => x,
+            BoundScale::Log => 10f64.powf(x),
+        }
+    }
+}
+
 /// One search region `[lower, upper]` of the error-bound axis.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Region {
@@ -60,23 +78,18 @@ pub fn make_error_bounds(
     assert!(k >= 1, "at least one region is required");
     assert!((0.0..0.5).contains(&overlap), "overlap must be in [0, 0.5)");
 
-    let (lo, hi, back): (f64, f64, fn(f64) -> f64) = match scale {
-        BoundScale::Linear => (lower, upper, |x| x),
-        BoundScale::Log => {
-            assert!(
-                lower > 0.0,
-                "log-scale regions require a positive lower bound"
-            );
-            (lower.log10(), upper.log10(), |x| 10f64.powf(x))
-        }
-    };
+    assert!(
+        scale == BoundScale::Linear || lower > 0.0,
+        "log-scale regions require a positive lower bound"
+    );
+    let (lo, hi) = (scale.to_axis(lower), scale.to_axis(upper));
     let width = (hi - lo) / k as f64;
     let pad = width * overlap;
     let mut regions = Vec::with_capacity(k);
     for i in 0..k {
         let a = (lo + i as f64 * width - pad).max(lo);
         let b = (lo + (i + 1) as f64 * width + pad).min(hi);
-        let (mut a, mut b) = (back(a), back(b));
+        let (mut a, mut b) = (scale.from_axis(a), scale.from_axis(b));
         // Guard against floating-point drift producing inverted or outside
         // ranges after the inverse transform.
         a = a.max(lower);

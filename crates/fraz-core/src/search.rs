@@ -1,41 +1,66 @@
 //! The one search shell: everything a FRaZ search needs that does *not*
-//! depend on what is being optimised.
+//! depend on what is being optimised — including the one evaluation.
 //!
 //! The paper has one algorithm — minimise a loss over one scalar error
 //! bound, probing a prediction first (Algorithm 1).  What varies is the
-//! [`Objective`]: the fixed-ratio region race ([`crate::ratio`], Algorithms
-//! 1–2) and the fixed-quality bracket-and-bisect ([`crate::quality`]) are
-//! the two implementations.  [`Search`] owns the rest exactly once — the
-//! compressor handle, pool, cancel token, codec-config signature and the
-//! optional [`BoundPredictor`], the `U`-clipped bound range, the hint
-//! bracket narrowing, and the two entry points [`Search::run`] and
-//! [`Search::run_with_hint`].
+//! [`Objective`]: the fixed-ratio region race ([`crate::ratio`], Algorithm
+//! 2) and the fixed-quality bracket-and-bisect ([`crate::quality`]) are the
+//! two strategies.  [`Search`] owns the rest exactly once — the compressor
+//! handle, pool, cancel token, codec-config signature and the optional
+//! [`BoundPredictor`], the `U`-clipped bound range, and the two entry points
+//! [`Search::run`] and [`Search::run_with_hint`].
+//!
+//! Every compressor call of a search goes through its per-run
+//! [`Evaluator`], whose private `call` is the only
+//! [`Compressor::evaluate`] site in this crate.  That one site decides, for
+//! every objective: what counts as an evaluation
+//! (every call, read back as `evaluations` when the search ends), when a
+//! search may stop (a fired [`CancelToken`] turns the next evaluation into
+//! [`Miss::Cancelled`] without calling) and which bounds may be tried (a
+//! hint is clamped into [`Search::bound_range`] before it is probed, so the
+//! error ceiling `U` binds whatever the hint's source).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use fraz_data::Dataset;
 use fraz_pool::Pool;
 use fraz_pressio::{CompressionOutcome, Compressor};
 
 use crate::cancel::CancelToken;
-use crate::hint::{BoundPredictor, HintQuery, HintTarget, SearchHint};
-use crate::ratio::SearchOutcome;
+use crate::hint::{BoundPredictor, HintQuery, HintReport, HintTarget, SearchHint};
+use crate::ratio::{RegionOutcome, SearchOutcome};
 
 /// What a [`Search`] optimises: a target, its acceptance test and the
-/// algorithm that walks the error-bound axis towards it.  Implemented by the
+/// strategy that walks the error-bound axis towards it.  Implemented by the
 /// two config types, [`SearchConfig`](crate::SearchConfig) (fixed ratio) and
 /// [`QualitySearchConfig`](crate::QualitySearchConfig) (fixed quality); a new
 /// metric is one more implementation, not another engine.
 pub trait Objective: Sized + Send + Sync {
-    /// What a finished search reports; convertible into the common
-    /// [`SearchOutcome`] shape the orchestrator, store and service report.
-    type Outcome: Into<SearchOutcome>;
+    /// What a finished search reports: built from, and convertible back
+    /// into, the common [`SearchOutcome`] shape the shell assembles and the
+    /// orchestrator, store and service report.
+    type Outcome: From<SearchOutcome> + Into<SearchOutcome>;
+
+    /// True when an evaluation is judged by its quality report, so every
+    /// search evaluation decompresses and measures; false when the
+    /// compressed size alone decides.
+    const JUDGES_QUALITY: bool;
 
     /// This objective in predictor-readable form.
     fn hint_target(&self) -> HintTarget;
 
     /// The user's error ceiling `U`, if any.
     fn max_error_bound(&self) -> Option<f64>;
+
+    /// Whether the reported answer carries a quality report.  The hint
+    /// probe is measured this way (a probe that lands *is* the verify
+    /// pass), and an answer found without one is re-measured once, outside
+    /// `evaluations`, unless the token has fired.
+    fn reports_quality(&self) -> bool {
+        Self::JUDGES_QUALITY
+    }
 
     /// The objective's own first guess, tried by [`Search::run`] when no
     /// predictor supplies a usable hint (the closed-form PSNR seed for
@@ -44,13 +69,104 @@ pub trait Objective: Sized + Send + Sync {
         None
     }
 
-    /// The algorithm: probe `hint` (already validated by the shell), then
-    /// search `shell`'s range for `dataset`.
-    fn search(shell: &Search<Self>, dataset: &Dataset, hint: Option<&SearchHint>) -> Self::Outcome;
+    /// `bound` as the strategy's search axis represents it: a strategy
+    /// that walks a transformed axis only ever tries points of that axis,
+    /// the hint probe included.
+    fn on_axis(&self, bound: f64) -> f64 {
+        bound
+    }
 
-    /// `(error bound, objective met)` of a finished search — what a
-    /// [`BoundPredictor`] observes.
-    fn settled(outcome: &Self::Outcome) -> (f64, bool);
+    /// Algorithm 1 step 1's verdict: does `probe`, measured at `hint`'s
+    /// bound, settle the search without training?
+    fn settles(&self, hint: &SearchHint, probe: &CompressionOutcome) -> bool;
+
+    /// The strategy alone: search `range` (already `U`-clipped and narrowed
+    /// to the hint's bracket) through `eval`, starting from the missed hint
+    /// `probe` — its report and what was measured — when there is one.
+    fn search(
+        eval: &Evaluator<'_, Self>,
+        range: (f64, f64),
+        probe: Option<(&HintReport, &CompressionOutcome)>,
+    ) -> Found;
+}
+
+/// What an [`Objective::search`] strategy hands back to the shell.
+pub struct Found {
+    /// The recommended bound (the best-effort one when nothing met the
+    /// objective).
+    pub bound: f64,
+    /// The outcome measured at `bound`, when the strategy holds one; the
+    /// shell measures the bound itself otherwise.
+    pub measured: Option<CompressionOutcome>,
+    /// True when `measured` meets the objective.
+    pub met: bool,
+    /// Per-region detail (ratio searches only).
+    pub regions: Vec<RegionOutcome>,
+}
+
+/// Why [`Evaluator::measure`] returned no outcome.  Both objectives treat
+/// either as the worst possible loss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Miss {
+    /// The [`CancelToken`] had fired: the compressor was not called.
+    Cancelled,
+    /// The compressor rejected the bound (the call is still counted).
+    Rejected,
+}
+
+/// One run's access to the compressor: the shell, the dataset, the call
+/// counter `evaluations` is read from and the clock `elapsed` is read from.
+pub struct Evaluator<'a, O: Objective> {
+    shell: &'a Search<O>,
+    dataset: &'a Dataset,
+    calls: AtomicUsize,
+    start: Instant,
+}
+
+impl<O: Objective> Evaluator<'_, O> {
+    /// One search evaluation at `bound`, or the reason there was none.
+    pub fn measure(&self, bound: f64) -> Result<CompressionOutcome, Miss> {
+        self.call(bound, O::JUDGES_QUALITY, false)
+    }
+
+    /// The one compressor call site.  Only the shell's fallback measurement
+    /// is `forced` past a fired token: it turns a search that measured
+    /// nothing into a reportable answer.
+    fn call(
+        &self,
+        bound: f64,
+        measure_quality: bool,
+        forced: bool,
+    ) -> Result<CompressionOutcome, Miss> {
+        if !forced && self.cancelled() {
+            return Err(Miss::Cancelled);
+        }
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.shell
+            .compressor
+            .evaluate(self.dataset, bound, measure_quality)
+            .map_err(|_| Miss::Rejected)
+    }
+
+    /// Compressor calls made so far in this run.
+    pub fn calls(&self) -> usize {
+        self.calls.load(Ordering::Relaxed)
+    }
+
+    /// True once the search's [`CancelToken`] has fired.
+    pub fn cancelled(&self) -> bool {
+        self.shell.cancelled()
+    }
+
+    /// The objective's configuration.
+    pub fn config(&self) -> &O {
+        &self.shell.config
+    }
+
+    /// The pool the search's tasks run on.
+    pub fn pool(&self) -> &Pool {
+        self.shell.pool()
+    }
 }
 
 /// A FRaZ search of one [`Objective`] over one compressor.
@@ -160,41 +276,6 @@ impl<O: Objective> Search<O> {
         bound.clamp(lower, upper)
     }
 
-    /// [`Search::bound_range`] narrowed to the hint's bracket, when it
-    /// carries one that overlaps the range.
-    pub fn searched_range(&self, dataset: &Dataset, hint: Option<&SearchHint>) -> (f64, f64) {
-        let (lower, upper) = self.bound_range(dataset);
-        if let Some((blo, bhi)) = hint.and_then(|h| h.bracket) {
-            let (nlo, nhi) = (lower.max(blo), upper.min(bhi));
-            if nlo < nhi {
-                return (nlo, nhi);
-            }
-        }
-        (lower, upper)
-    }
-
-    /// Measure `bound`, substituting an all-zero outcome when the compressor
-    /// rejects it, so a search can always report *something* at its
-    /// best-effort bound.
-    pub fn measure_or_zero(
-        &self,
-        dataset: &Dataset,
-        bound: f64,
-        measure_quality: bool,
-    ) -> CompressionOutcome {
-        self.compressor
-            .evaluate(dataset, bound, measure_quality)
-            .unwrap_or(CompressionOutcome {
-                compressor: self.compressor.name().to_string(),
-                error_bound: bound,
-                compression_ratio: 0.0,
-                bit_rate: 0.0,
-                compressed_bytes: 0,
-                original_bytes: dataset.byte_size(),
-                quality: None,
-            })
-    }
-
     /// The [`HintQuery`] a [`BoundPredictor`] is consulted with for this
     /// search on `dataset`.
     pub fn hint_query<'a>(&'a self, dataset: &'a Dataset) -> HintQuery<'a> {
@@ -218,20 +299,108 @@ impl<O: Objective> Search<O> {
         self.run_with_hint(dataset, hint.as_ref())
     }
 
-    /// Algorithm 1 with an explicit hint (cold when `None` or unusable):
-    /// probe the hinted bound first and fall back to the objective's full
-    /// search — narrowed to the hint's bracket, if it carries one — when the
-    /// probe misses.  The installed predictor is not consulted, but the
-    /// result is reported back to it via [`BoundPredictor::observe`], so it
-    /// learns from every search through this shell.
+    /// Algorithm 1 with an explicit hint (cold when `None` or unusable).
+    /// Step 1, written once for every objective: clamp the hinted bound into
+    /// [`Search::bound_range`], probe it, and stop there when the objective
+    /// says the probe [`settles`](Objective::settles) the search.  Otherwise
+    /// the objective's strategy searches the range — narrowed to the hint's
+    /// bracket, if it carries one that overlaps — and the shell turns what it
+    /// found into the outcome.  The installed predictor is not consulted, but
+    /// the result is reported back to it via [`BoundPredictor::observe`], so
+    /// it learns from every search through this shell.
     pub fn run_with_hint(&self, dataset: &Dataset, hint: Option<&SearchHint>) -> O::Outcome {
-        let outcome = O::search(self, dataset, hint.filter(|h| h.is_valid()));
+        let eval = Evaluator {
+            shell: self,
+            dataset,
+            calls: AtomicUsize::new(0),
+            start: Instant::now(),
+        };
+        let range = self.bound_range(dataset);
+        let hint = hint.filter(|h| h.is_valid());
+        let mut probe = None;
+        let report = hint.map(|h| {
+            let bound = h.bound.clamp(range.0, range.1);
+            let at = self.config.on_axis(bound).clamp(range.0, range.1);
+            probe = eval.call(at, self.config.reports_quality(), false).ok();
+            HintReport {
+                source: h.source,
+                bound,
+                hit: probe.as_ref().is_some_and(|p| self.config.settles(h, p)),
+                probes: eval.calls(),
+            }
+        });
+        let hit = report.as_ref().is_some_and(|r| r.hit);
+
+        let found = match probe {
+            Some(probe) if hit => Found {
+                bound: probe.error_bound,
+                measured: Some(probe),
+                met: true,
+                regions: Vec::new(),
+            },
+            probe => O::search(
+                &eval,
+                narrowed(range, hint),
+                report.as_ref().zip(probe.as_ref()),
+            ),
+        };
+        // Nothing measured at the recommended bound: measure it, token fired
+        // or not, so the search always reports an answer it actually saw.
+        let measured = found
+            .measured
+            .or_else(|| eval.call(found.bound, O::JUDGES_QUALITY, true).ok());
+        // The search ends here; the final quality pass below is not a search
+        // evaluation and is skipped (`Miss::Cancelled`) once the token fired.
+        let evaluations = eval.calls();
+        let deadline_hit = !hit && self.cancelled();
+        let best = match measured {
+            Some(seen) if seen.quality.is_none() && self.config.reports_quality() => {
+                eval.call(found.bound, true, false).unwrap_or(seen)
+            }
+            Some(seen) => seen,
+            // The compressor rejected even the fallback bound.
+            None => CompressionOutcome {
+                compressor: self.compressor.name().to_string(),
+                error_bound: found.bound,
+                compression_ratio: 0.0,
+                bit_rate: 0.0,
+                compressed_bytes: 0,
+                original_bytes: dataset.byte_size(),
+                quality: None,
+            },
+        };
+        let outcome = SearchOutcome {
+            error_bound: found.bound,
+            best,
+            feasible: found.met,
+            retrained: !hit,
+            evaluations,
+            elapsed: eval.start.elapsed(),
+            regions: found.regions,
+            hint: report,
+            deadline_hit,
+        };
         if let Some(predictor) = &self.predictor {
-            let (bound, met) = O::settled(&outcome);
-            predictor.observe(&self.hint_query(dataset), bound, met);
+            predictor.observe(
+                &self.hint_query(dataset),
+                outcome.error_bound,
+                outcome.feasible,
+            );
         }
-        outcome
+        outcome.into()
     }
+}
+
+/// `range` narrowed to the hint's bracket, when it carries one that overlaps
+/// the range.
+fn narrowed((lower, upper): (f64, f64), hint: Option<&SearchHint>) -> (f64, f64) {
+    if let Some((blo, bhi)) = hint.and_then(|h| h.bracket) {
+        let (nlo, nhi) = (lower.max(blo), upper.min(bhi));
+        if nlo < nhi {
+            return (nlo, nhi);
+        }
+    }
+    (lower, upper)
 }
 
 /// Shell behaviour every [`Objective`] inherits, checked once and run for
@@ -240,7 +409,6 @@ impl<O: Objective> Search<O> {
 /// and a fired [`CancelToken`] yields a consistent best-so-far.
 #[cfg(test)]
 pub(crate) mod tests {
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Mutex, OnceLock};
     use std::time::Duration;
 
@@ -248,7 +416,7 @@ pub(crate) mod tests {
     use fraz_pressio::PressioError;
 
     use super::*;
-    use crate::hint::{HintReport, HintSource, LastConverged};
+    use crate::hint::{HintSource, LastConverged};
     use crate::{
         QualityMetric, QualitySearchConfig, QualitySearchOutcome, SearchConfig, SearchOutcome,
     };
@@ -295,6 +463,18 @@ pub(crate) mod tests {
 
         pub(crate) fn calls(&self) -> usize {
             self.calls.load(Ordering::Relaxed)
+        }
+
+        /// A token that fires during this codec's `call`-th compression
+        /// (already fired for 0).
+        fn token_fired_during(&self, call: usize) -> CancelToken {
+            let token = CancelToken::new();
+            if call == 0 {
+                token.cancel();
+            } else {
+                *self.cancel_at.lock().unwrap() = Some((call, token.clone()));
+            }
+            token
         }
 
         fn ratio_at(bound: f64) -> f64 {
@@ -384,11 +564,13 @@ pub(crate) mod tests {
     verdict!(SearchOutcome, feasible);
     verdict!(QualitySearchOutcome, satisfiable);
 
-    /// One objective under test: its config and what "in tolerance" means.
+    /// One objective under test: its config, what "in tolerance" means and
+    /// the bound that meets the target exactly when no ceiling `U` is set.
     struct Case<O> {
         name: &'static str,
         config: O,
         in_tolerance: fn(&O, &CompressionOutcome) -> bool,
+        oracle: f64,
     }
 
     impl<O: Objective + Clone> Case<O> {
@@ -422,6 +604,7 @@ pub(crate) mod tests {
             in_tolerance: |c, o| {
                 (o.compression_ratio - c.target_ratio).abs() <= c.tolerance * c.target_ratio + 1e-9
             },
+            oracle: CountingCodec::bound_for(target),
         }
     }
 
@@ -430,7 +613,14 @@ pub(crate) mod tests {
             name: "psnr",
             config: QualitySearchConfig::new(QualityMetric::PsnrAtLeast(target)),
             in_tolerance: |c, o| o.quality.as_ref().is_some_and(|q| c.metric.is_satisfied(q)),
+            oracle: smooth_field().stats().value_range() / 10f64.powf(target / 20.0),
         }
+    }
+
+    /// `case` under an error ceiling `U`.
+    fn capped<O>(mut case: Case<O>, cap: fn(O, f64) -> O, ceiling: f64) -> Case<O> {
+        case.config = cap(case.config, ceiling);
+        case
     }
 
     /// The shared checks, instantiated once per objective and target.
@@ -459,12 +649,20 @@ pub(crate) mod tests {
 
     // A satisfiable and an unsatisfiable target of each objective: 10:1 and
     // 500:1 on a codec that tops out at 100:1; 60 dB and 400 dB on a codec
-    // that tops out near 150 dB.
+    // that tops out near 150 dB.  Then each satisfiable target under a
+    // ceiling `U` below its cold answer: 10:1 is out of reach at `U` (6:1
+    // there); 60 dB still holds, with `U` itself the most compressive answer.
     shell_contract! {
         ratio_in_reach: ratio_case(10.0), true;
         ratio_out_of_reach: ratio_case(500.0), false;
+        ratio_capped: capped(ratio_case(10.0), SearchConfig::with_max_error, 2e-6), false;
         psnr_in_reach: psnr_case(60.0), true;
         psnr_out_of_reach: psnr_case(400.0), false;
+        psnr_capped: capped(
+            psnr_case(60.0),
+            |c, u| QualitySearchConfig { max_error_bound: Some(u), ..c },
+            1e-3,
+        ), true;
     }
 
     fn check_answer<V: Verdict>(name: &str, what: &str, outcome: &V, feasible: bool, ok: bool) {
@@ -500,6 +698,9 @@ pub(crate) mod tests {
             (case.in_tolerance)(&case.config, cold.best()),
         );
         assert!(cold.hint().is_none(), "cold runs carry no hint report");
+        // The error ceiling binds every answer, however it was seeded.
+        let ceiling = case.config.max_error_bound().unwrap_or(CountingCodec::HI);
+        assert!(cold.bound() <= ceiling, "{}: cold above U", case.name);
 
         let bare = |bound: f64| SearchHint::converged(bound, HintSource::External);
         let bracketed = |lo: f64, hi: f64| SearchHint {
@@ -522,6 +723,14 @@ pub(crate) mod tests {
                 bracketed(f64::NEG_INFINITY, f64::INFINITY),
             ),
             ("disjoint-bracket", bracketed(1e3, 1e4)),
+            // The answer of the same search without a ceiling — what a
+            // predictor taught before `U` was set proposes.
+            ("uncapped-answer", bare(case.oracle)),
+            (
+                "uncapped-bracket",
+                SearchHint::seed(case.oracle, HintSource::External)
+                    .with_bracket(case.oracle / 2.0, case.oracle * 2.0),
+            ),
         ];
         for (what, hint) in hints {
             let (search, codec) = case.search();
@@ -547,7 +756,22 @@ pub(crate) mod tests {
                 cold.evaluations()
             );
             assert_eq!(hinted.hint().is_some(), hint.is_valid(), "{what}");
+            assert!(
+                hinted.bound() <= ceiling,
+                "{}/{what}: bound {} above U = {ceiling}",
+                case.name,
+                hinted.bound()
+            );
         }
+
+        // The same through `run`: a predictor that learned the uncapped
+        // answer proposes it to the capped search.
+        let predictor = Arc::new(LastConverged::new(HintSource::WarmStart));
+        predictor.store(case.oracle);
+        let (search, _) = case.search();
+        let taught = search.with_predictor(Some(predictor)).run(&dataset);
+        assert_eq!(taught.met(), feasible, "{}: taught predictor", case.name);
+        assert!(taught.bound() <= ceiling, "{}: taught above U", case.name);
     }
 
     fn predictor_round_trip<O: Objective + Clone>(case: &Case<O>, feasible: bool)
@@ -602,12 +826,7 @@ pub(crate) mod tests {
         for fire_at in 0..cold.evaluations() {
             let what = format!("fired during call {fire_at}");
             let (search, codec) = case.search();
-            let token = CancelToken::new();
-            if fire_at == 0 {
-                token.cancel();
-            } else {
-                *codec.cancel_at.lock().unwrap() = Some((fire_at, token.clone()));
-            }
+            let token = codec.token_fired_during(fire_at);
             let outcome = search.with_cancel(token).run_with_hint(&dataset, None);
             assert!(outcome.deadline_hit(), "{}: {what}", case.name);
             assert_eq!(
@@ -625,6 +844,126 @@ pub(crate) mod tests {
                 (case.in_tolerance)(&case.config, outcome.best()),
             );
             assert!(feasible || !outcome.met(), "{}: {what}", case.name);
+        }
+    }
+
+    #[test]
+    fn final_quality_pass_is_the_one_uncounted_call() {
+        // `SearchConfig::new` — what the CLI, server and orchestrator run —
+        // asks for the final quality pass: it is the one compressor call
+        // outside `evaluations`, made exactly when a trained search ends
+        // with its token live.
+        let dataset = smooth_field();
+        for target in [10.0, 500.0] {
+            let mut case = ratio_case(target);
+            case.config.measure_final_quality = true;
+            let (search, codec) = case.search();
+            let cold = search.run_with_hint(&dataset, None);
+            assert_eq!(codec.calls(), cold.evaluations + 1, "cold {target}");
+            assert!(cold.best.quality.is_some());
+
+            // A hint that lands is measured with quality: the probe *is*
+            // the verify pass.
+            let (search, codec) = case.search();
+            let hint = SearchHint::converged(cold.error_bound, HintSource::External);
+            let hinted = search.run_with_hint(&dataset, Some(&hint));
+            if cold.feasible {
+                assert_eq!((codec.calls(), hinted.evaluations), (1, 1));
+                assert!(!hinted.retrained && hinted.best.quality.is_some());
+            } else {
+                assert_eq!(codec.calls(), hinted.evaluations + 1, "missed {target}");
+            }
+
+            // A fired token ships the answer as measured.
+            for fire_at in 0..cold.evaluations {
+                let (search, codec) = case.search();
+                let token = codec.token_fired_during(fire_at);
+                let outcome = search.with_cancel(token).run_with_hint(&dataset, None);
+                assert!(outcome.deadline_hit && outcome.best.quality.is_none());
+                assert_eq!(codec.calls(), outcome.evaluations, "{target} @ {fire_at}");
+            }
+        }
+    }
+
+    /// Paper Fig. 3: the ratio climbs with the bound overall but saw-tooths
+    /// on the way (five teeth of ±15 %), so a target ratio is met on several
+    /// disjoint slivers of the axis and missed in between.  The valid range
+    /// spans one decade: a region is minimised on a linear axis, so a lone
+    /// region cannot resolve the low decades of a wider one.
+    struct SawtoothCodec;
+
+    impl SawtoothCodec {
+        const LO: f64 = 0.1;
+        const HI: f64 = 1.1;
+
+        fn ratio_at(bound: f64) -> f64 {
+            let t = (bound - Self::LO) / (Self::HI - Self::LO);
+            (2.0 + 98.0 * t) * (0.85 + 0.3 * (t * 5.0).fract())
+        }
+    }
+
+    impl Compressor for SawtoothCodec {
+        fn name(&self) -> &str {
+            "sawtooth"
+        }
+        fn supports_dims(&self, _dims: &Dims) -> bool {
+            true
+        }
+        fn bound_range(&self, _dataset: &Dataset) -> (f64, f64) {
+            (Self::LO, Self::HI)
+        }
+        fn compress(&self, dataset: &Dataset, bound: f64) -> Result<Vec<u8>, PressioError> {
+            let bytes = dataset.byte_size() as f64 / Self::ratio_at(bound);
+            Ok(vec![0u8; bytes.round() as usize])
+        }
+        fn decompress(&self, _data: &[u8]) -> Result<Dataset, PressioError> {
+            Err(PressioError::Unsupported("size-only test codec".into()))
+        }
+    }
+
+    #[test]
+    fn a_target_a_dense_sweep_can_meet_is_never_reported_infeasible() {
+        let dataset = smooth_field();
+        let in_band = |target: f64, ratio: f64| (ratio - target).abs() <= 0.1 * target;
+        for target in [4.0, 10.0, 25.0, 50.0, 75.0, 100.0] {
+            let swept = (0..=5000)
+                .map(|i| SawtoothCodec::LO + i as f64 / 5000.0)
+                .any(|bound| {
+                    let outcome = SawtoothCodec.evaluate(&dataset, bound, false).unwrap();
+                    in_band(target, outcome.compression_ratio)
+                });
+            assert!(swept, "{target}: pick targets the sweep can meet");
+            for regions in [1, 4, 12] {
+                let config = SearchConfig::new(target, 0.1)
+                    .with_regions(regions)
+                    .with_threads(1);
+                let outcome = Search::new(Arc::new(SawtoothCodec) as Arc<dyn Compressor>, config)
+                    .run(&dataset);
+                assert!(outcome.feasible, "{target}:1 over {regions} regions");
+                assert!(in_band(target, outcome.best.compression_ratio));
+            }
+        }
+    }
+
+    #[test]
+    fn worker_count_changes_counts_never_verdicts() {
+        let dataset = smooth_field();
+        let pool = Arc::new(Pool::new(2));
+        for (codec, target, feasible) in [
+            (Arc::new(SawtoothCodec) as Arc<dyn Compressor>, 20.0, true),
+            (Arc::new(CountingCodec::new(smooth_field())), 10.0, true),
+            (Arc::new(CountingCodec::new(smooth_field())), 500.0, false),
+        ] {
+            for threads in [1, 2, 8] {
+                let config = SearchConfig::new(target, 0.1).with_threads(threads);
+                let outcome = Search::new(Arc::clone(&codec), config)
+                    .with_pool(Arc::clone(&pool))
+                    .run(&dataset);
+                let what = format!("{} {target}:1 on {threads} threads", codec.name());
+                assert_eq!(outcome.feasible, feasible, "{what}");
+                let deviation = (outcome.best.compression_ratio - target).abs();
+                assert_eq!(deviation <= 0.1 * target, feasible, "{what}");
+            }
         }
     }
 
@@ -656,6 +995,9 @@ pub(crate) mod tests {
         );
         // A hint bracket narrows the searched range only where they overlap.
         let hint = SearchHint::seed(1e-4, HintSource::Analytic).with_bracket(1e-5, 1e-2);
-        assert_eq!(capped.searched_range(&dataset, Some(&hint)), (1e-5, 1e-3));
+        assert_eq!(
+            narrowed(capped.bound_range(&dataset), Some(&hint)),
+            (1e-5, 1e-3)
+        );
     }
 }

@@ -151,6 +151,39 @@ mod tests {
     }
 
     #[test]
+    fn cached_bound_above_a_later_error_ceiling_is_clamped_not_replayed() {
+        // The key does not contain `U`: a bound learned without a ceiling is
+        // proposed to the same search run with one, and must not escape it.
+        let dir = scratch_dir("ceiling");
+        let dataset = synthetic::hurricane(8, 16, 16, 1, 42).field("TCf", 0);
+        let predictor = Arc::new(CachePredictor::open(&dir).unwrap());
+        let search = |config: SearchConfig| {
+            FixedRatioSearch::new(registry::build_default("sz").unwrap(), config)
+        };
+        let config = SearchConfig::new(8.0, 0.1).with_threads(1);
+        let free = search(config.clone())
+            .with_predictor(Some(predictor.clone()))
+            .run(&dataset);
+        assert!(free.feasible);
+
+        let capped = config.with_max_error(free.error_bound / 4.0);
+        let cold = search(capped.clone()).run(&dataset);
+        let warm = search(capped.clone())
+            .with_predictor(Some(predictor.clone()))
+            .run(&dataset);
+        assert_eq!(warm.hint.as_ref().unwrap().source, HintSource::TuneCache);
+        assert!(
+            warm.error_bound <= capped.max_error_bound.unwrap(),
+            "bound {} above U = {:?}",
+            warm.error_bound,
+            capped.max_error_bound
+        );
+        assert_eq!(warm.feasible, cold.feasible);
+        assert!(warm.evaluations <= cold.evaluations + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn quality_search_and_different_targets_do_not_collide() {
         let dir = scratch_dir("quality");
         let dataset = synthetic::hurricane(8, 16, 16, 1, 43).field("TCf", 0);
