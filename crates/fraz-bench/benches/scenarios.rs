@@ -15,7 +15,7 @@ use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use fraz_bench::scale::Scale;
 use fraz_bench::workloads;
 use fraz_pressio::registry;
-use fraz_scenarios::{by_name, REGIMES};
+use fraz_scenarios::{by_name, Oracle, REGIMES};
 
 /// The bound the ordering baselines are recorded at — the same value the
 /// oracle matrix (`tests/scenario_matrix.rs`) asserts ordering at.

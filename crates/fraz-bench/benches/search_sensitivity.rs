@@ -146,11 +146,13 @@ fn evaluation_sensitivity() {
 /// shocks) shows up as an exact count jump on its own row.
 fn scenario_sensitivity() {
     let dims = fraz_data::Dims::d1(8192);
-    for config in fraz_scenarios::all_scenarios(fraz_bench::EXPERIMENT_SEED) {
-        let field = config.generate(&dims, fraz_data::DType::F32, 0);
-        let regime = field.descriptor.name;
+    for regime in fraz_data::synthetic::REGIMES {
+        let seed = fraz_bench::EXPERIMENT_SEED;
+        let dataset =
+            fraz_data::synthetic::generate(regime.name(), &dims, fraz_data::DType::F32, seed, 0)
+                .expect("a regime is a generator name");
 
-        let quality = quality_search("sz", true).run(&field.dataset);
+        let quality = quality_search("sz", true).run(&dataset);
         record_evaluations(&format!("scenario_{regime}_quality"), quality.evaluations);
 
         // 4:1 is feasible for every regime under sz (even noise reaches it
@@ -162,7 +164,7 @@ fn scenario_sensitivity() {
             ..SearchConfig::new(4.0, 0.1).with_regions(4)
         };
         let ratio = FixedRatioSearch::new(registry::build_default("sz").unwrap(), search_config)
-            .run(&field.dataset);
+            .run(&dataset);
         record_evaluations(&format!("scenario_{regime}_ratio"), ratio.evaluations);
     }
 }

@@ -53,7 +53,7 @@ fn main() {
     ]);
     let mut records = Vec::new();
     for app in workloads::applications(scale) {
-        let desc = catalog::describe(&app, catalog::domain_of(app.application()));
+        let desc = catalog::describe(&app);
         ours.row(vec![
             desc.name.clone(),
             desc.domain.clone(),

@@ -8,7 +8,7 @@
 use fraz_data::synthetic::{self, SyntheticDataset};
 use fraz_data::Dataset;
 use fraz_data::{DType, Dims};
-use fraz_scenarios::{all_scenarios, ScenarioField};
+use fraz_scenarios::{all_scenarios, Oracle, ScenarioField};
 
 use crate::scale::Scale;
 use crate::EXPERIMENT_SEED;

@@ -10,7 +10,6 @@ use std::path::{Path, PathBuf};
 
 use fraz_data::manifest::Manifest;
 use fraz_pressio::registry;
-use fraz_scenarios::ScenarioSynthesizer;
 
 use crate::config::load_manifest;
 use crate::runner::{run, RunOverrides};
@@ -206,7 +205,7 @@ fn cmd_validate(args: &[String]) -> u8 {
     let Some((manifest, dir)) = load_or_report(&parsed.config) else {
         return 1;
     };
-    let resolved = match manifest.resolve_with(&dir, Some(&ScenarioSynthesizer)) {
+    let resolved = match manifest.resolve(&dir) {
         Ok(resolved) => resolved,
         Err(e) => {
             eprintln!("fraz: {e}");

@@ -6,7 +6,7 @@ use std::fs;
 use std::io;
 use std::path::Path;
 
-use fraz_data::manifest::{Manifest, ManifestError};
+use fraz_data::manifest::{FieldTarget, Manifest, ManifestError};
 
 use crate::toml::{self, TomlError};
 
@@ -42,6 +42,41 @@ impl std::error::Error for ConfigError {}
 impl From<ManifestError> for ConfigError {
     fn from(e: ManifestError) -> Self {
         ConfigError::Manifest(e)
+    }
+}
+
+/// What one manifest field asks of its search — the same under `fraz run`
+/// and `fraz store create`, because both read it from here.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FieldBudget {
+    /// The field's objective.
+    pub target: FieldTarget,
+    /// Acceptable relative deviation ε from a ratio target (default 10 %).
+    pub tolerance: f64,
+    /// Search regions, when the manifest sets them (at least 1).
+    pub regions: Option<usize>,
+    /// Evaluations per region (ratio) or per search (quality), when the
+    /// manifest sets them: at least 1 for a ratio target, at least 2 for a
+    /// quality target, whose search brackets before it bisects.
+    pub max_iterations: Option<usize>,
+    /// The error-bound ceiling `U`.
+    pub max_error_bound: Option<f64>,
+}
+
+impl FieldBudget {
+    /// The budget `manifest` implies for a field with this `target`.
+    pub fn new(manifest: &Manifest, target: FieldTarget) -> Self {
+        let floor = match target {
+            FieldTarget::Ratio(_) => 1,
+            FieldTarget::MinPsnr(_) => 2,
+        };
+        Self {
+            target,
+            tolerance: manifest.tolerance.unwrap_or(0.1),
+            regions: manifest.regions.map(|r| r.max(1)),
+            max_iterations: manifest.max_iterations.map(|i| i.max(floor)),
+            max_error_bound: manifest.max_error_bound,
+        }
     }
 }
 

@@ -16,9 +16,9 @@ use fraz_core::{
 use fraz_data::manifest::{FieldTarget, Manifest, ManifestError};
 use fraz_pressio::registry::RegistryError;
 use fraz_pressio::{registry, Options};
-use fraz_scenarios::ScenarioSynthesizer;
 use fraz_tune::CachePredictor;
 
+use crate::config::FieldBudget;
 use crate::report::{FieldRow, RunReport, TuneCacheSummary};
 
 /// Command-line overrides applied on top of the manifest's settings.
@@ -68,21 +68,32 @@ impl From<RegistryError> for RunError {
     }
 }
 
-/// The per-dataset search settings a manifest implies, before any
-/// per-field target is applied.
-fn base_search(manifest: &Manifest) -> SearchConfig {
-    let mut search = SearchConfig::new(
-        manifest.target_ratio.unwrap_or(10.0),
-        manifest.tolerance.unwrap_or(0.1),
-    );
-    search.max_error_bound = manifest.max_error_bound;
-    if let Some(regions) = manifest.regions {
-        search.regions = regions.max(1);
+/// The fixed-ratio search a budget describes, aimed at `target_ratio`.
+fn ratio_search(budget: &FieldBudget, target_ratio: f64) -> SearchConfig {
+    let mut search = SearchConfig::new(target_ratio, budget.tolerance);
+    search.max_error_bound = budget.max_error_bound;
+    if let Some(regions) = budget.regions {
+        search.regions = regions;
     }
-    if let Some(iters) = manifest.max_iterations {
-        search.max_iterations = iters.max(1);
+    if let Some(iters) = budget.max_iterations {
+        search.max_iterations = iters;
     }
     search
+}
+
+/// The search a field's budget describes.
+fn field_search(budget: &FieldBudget) -> FieldSearch {
+    match budget.target {
+        FieldTarget::Ratio(target) => ratio_search(budget, target).into(),
+        FieldTarget::MinPsnr(min_psnr) => {
+            let mut search = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(min_psnr));
+            search.max_error_bound = budget.max_error_bound;
+            if let Some(iters) = budget.max_iterations {
+                search.max_iterations = iters;
+            }
+            search.into()
+        }
+    }
 }
 
 /// Open the persistent tuning cache in `dir`, when one was requested.
@@ -103,7 +114,7 @@ pub fn run(
     overrides: &RunOverrides,
 ) -> Result<RunReport, RunError> {
     let start = Instant::now();
-    let mut resolved = manifest.resolve_with(manifest_dir, Some(&ScenarioSynthesizer))?;
+    let mut resolved = manifest.resolve(manifest_dir)?;
     let compressor_name = overrides
         .compressor
         .as_deref()
@@ -113,11 +124,16 @@ pub fn run(
     // One predictor shared by every field's searches.
     let predictor = open_tune_cache(overrides.tune_cache.as_deref())?;
 
-    let search = base_search(manifest);
+    // Every task below carries its own search; the orchestrator's config
+    // only shapes the schedule (its region count), so its ratio is a
+    // placeholder.
+    let placeholder = 2.0;
+    let shape = FieldBudget::new(manifest, FieldTarget::Ratio(placeholder));
+    let schedule = ratio_search(&shape, placeholder);
     let orchestrator = Orchestrator::with_compressor(
         compressor.clone(),
         OrchestratorConfig {
-            search: search.clone(),
+            search: schedule,
             total_workers: overrides.workers.or(manifest.workers).unwrap_or(0),
             reuse_prediction: true,
         },
@@ -133,23 +149,8 @@ pub fn run(
         .fields
         .iter_mut()
         .map(|field| {
-            let search: FieldSearch = match field.target {
-                FieldTarget::Ratio(target) => SearchConfig {
-                    target_ratio: target,
-                    ..search.clone()
-                }
-                .into(),
-                FieldTarget::MinPsnr(min_psnr) => {
-                    let mut config = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(min_psnr));
-                    config.max_error_bound = manifest.max_error_bound;
-                    if let Some(iters) = manifest.max_iterations {
-                        config.max_iterations = iters.max(2);
-                    }
-                    config.into()
-                }
-            };
             FieldTask::new(field.name.clone(), std::mem::take(&mut field.series))
-                .with_search(search)
+                .with_search(field_search(&FieldBudget::new(manifest, field.target)))
         })
         .collect();
     let application = orchestrator.run_tasks(&tasks);

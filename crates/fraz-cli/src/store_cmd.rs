@@ -14,10 +14,9 @@ use fraz_core::BoundPredictor;
 use fraz_data::io::write_raw;
 use fraz_data::manifest::FieldTarget;
 use fraz_pressio::Options;
-use fraz_scenarios::ScenarioSynthesizer;
 use fraz_store::{write_array_seeded, ArrayReader, ChunkTarget, FsStore, Store, StoreWriteConfig};
 
-use crate::config::load_manifest;
+use crate::config::{load_manifest, FieldBudget};
 use crate::runner::open_tune_cache;
 
 const USAGE: &str = "fraz store — chunked array store with per-chunk tuned bounds
@@ -150,7 +149,7 @@ fn cmd_create(args: &[String]) -> u8 {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
         _ => PathBuf::from("."),
     };
-    let resolved = match manifest.resolve_with(&dir, Some(&ScenarioSynthesizer)) {
+    let resolved = match manifest.resolve(&dir) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("fraz: {e}");
@@ -165,7 +164,6 @@ fn cmd_create(args: &[String]) -> u8 {
         }
     };
     let codec = compressor.as_deref().unwrap_or(&resolved.compressor);
-    let tolerance = manifest.tolerance.unwrap_or(0.1);
     let predictor = match open_tune_cache(tune_cache.as_deref()) {
         Ok(p) => p,
         Err(e) => {
@@ -178,10 +176,11 @@ fn cmd_create(args: &[String]) -> u8 {
     let mut total_raw = 0u64;
     let mut total_stored = 0u64;
     for field in &resolved.fields {
-        let target = match field.target {
+        let budget = FieldBudget::new(&manifest, field.target);
+        let target = match budget.target {
             FieldTarget::Ratio(target_ratio) => ChunkTarget::Ratio {
                 target_ratio,
-                tolerance,
+                tolerance: budget.tolerance,
             },
             FieldTarget::MinPsnr(psnr) => ChunkTarget::MinPsnr(psnr),
         };
@@ -197,13 +196,13 @@ fn cmd_create(args: &[String]) -> u8 {
             }
             let mut write_config = StoreWriteConfig::new(chunk_shape, codec, target.clone())
                 .with_options(Options::new());
-            if let Some(regions) = manifest.regions {
-                write_config = write_config.with_regions(regions.max(1));
+            if let Some(regions) = budget.regions {
+                write_config = write_config.with_regions(regions);
             }
-            if let Some(iters) = manifest.max_iterations {
-                write_config = write_config.with_max_iterations(iters.max(2));
+            if let Some(iters) = budget.max_iterations {
+                write_config = write_config.with_max_iterations(iters);
             }
-            if let Some(bound) = manifest.max_error_bound {
+            if let Some(bound) = budget.max_error_bound {
                 write_config = write_config.with_max_error_bound(bound);
             }
             let key = format!("{}/t{step}", field.name);

@@ -420,3 +420,63 @@ fn store_create_info_read_round_trip() {
     assert_eq!(bytes.len(), 3 * 8 * 16 * 4, "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// One manifest, one budget: `max_iterations = 1` must buy a ratio field
+/// the same single evaluation — and so the same bound — under `fraz run`
+/// and `fraz store create` (the target is out of reach, so neither search
+/// can stop early and both spend exactly what the manifest allows).  The
+/// field is a Table-III generator, so the same run also proves
+/// `generator = "<app>/<field>"` resolves under all three commands.
+#[test]
+fn run_and_store_create_spend_the_same_manifest_budget() {
+    let dir = std::env::temp_dir().join(format!("fraz_cli_budget_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let config = dir.join("manifest.toml");
+    std::fs::write(
+        &config,
+        "application = \"budget\"\ntarget_ratio = 1000.0\nregions = 1\nmax_iterations = 1\n\n\
+         [[fields]]\nname = \"tc\"\ndtype = \"f32\"\ndims = [8, 16, 16]\n\
+         generator = \"hurricane/TCf\"\n",
+    )
+    .unwrap();
+    let fraz = |args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
+            .args(args)
+            .args(["--config", config.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout).into_owned();
+        assert!(
+            output.status.success(),
+            "stdout:\n{stdout}\nstderr:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        stdout
+    };
+
+    assert!(fraz(&["validate"]).contains("manifest OK"));
+
+    let jsonl = dir.join("run.jsonl");
+    fraz(&["run", "--workers", "1", "--out", jsonl.to_str().unwrap()]);
+    let record: serde_json::Value =
+        serde_json::from_str(std::fs::read_to_string(&jsonl).unwrap().trim()).unwrap();
+    let row = record.get("row").unwrap();
+    let number = |key: &str| row.get(key).and_then(|v| v.as_f64()).unwrap();
+    assert_eq!(number("evaluations"), 1.0, "{row:?}");
+    let run_bound = number("error_bound");
+
+    let store_dir = dir.join("store");
+    let stdout = fraz(&["store", "create", "--store", store_dir.to_str().unwrap()]);
+    let object = stdout
+        .lines()
+        .find(|l| l.contains("tc/t0"))
+        .unwrap_or_else(|| panic!("no tc/t0 line in:\n{stdout}"));
+    assert!(object.contains(" 1 eval(s)"), "{object}");
+    let bound = format!("{run_bound:.3e}");
+    assert!(
+        object.contains(&format!("bounds {bound}..{bound}")),
+        "{object}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -8,7 +8,6 @@ use std::process::Command;
 
 use fraz_cli::runner::{run, RunOverrides};
 use fraz_data::manifest::FieldTarget;
-use fraz_scenarios::ScenarioSynthesizer;
 
 fn fixture_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/scenarios")
@@ -17,9 +16,7 @@ fn fixture_dir() -> PathBuf {
 #[test]
 fn scenario_manifest_resolves_without_any_files() {
     let manifest = fraz_cli::load_manifest(&fixture_dir().join("manifest.toml")).unwrap();
-    let resolved = manifest
-        .resolve_with(&fixture_dir(), Some(&ScenarioSynthesizer))
-        .unwrap();
+    let resolved = manifest.resolve(&fixture_dir()).unwrap();
     assert_eq!(resolved.fields.len(), 4);
     for field in &resolved.fields {
         assert!(

@@ -9,8 +9,7 @@ use std::io::{BufRead, BufReader, Read};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use fraz_data::{DType, Dims};
-use fraz_scenarios::{Regime, ScenarioConfig};
+use fraz_data::{synthetic, DType, Dims};
 use fraz_serve::proto::Response;
 use fraz_serve::Client;
 
@@ -81,10 +80,7 @@ fn sigterm_mid_load_drains_flushes_and_exits_zero() {
 
     // Put the server under real load: compress jobs whose searched bounds
     // populate the tune cache.
-    let dataset = ScenarioConfig::new(Regime::Smooth)
-        .with_seed(11)
-        .generate(&Dims::d2(32, 32), DType::F32, 0)
-        .dataset;
+    let dataset = synthetic::generate("smooth", &Dims::d2(32, 32), DType::F32, 11, 0).unwrap();
     let mut client = Client::connect(&serve.addr).expect("connect to the spawned server");
     client
         .set_reply_timeout(Some(Duration::from_secs(30)))

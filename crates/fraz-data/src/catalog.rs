@@ -82,26 +82,14 @@ pub fn paper_catalog() -> Vec<DatasetDescriptor> {
 }
 
 /// Describe a synthetic application instance in the same format.
-pub fn describe(app: &SyntheticDataset, domain: &str) -> DatasetDescriptor {
+pub fn describe(app: &SyntheticDataset) -> DatasetDescriptor {
     DatasetDescriptor {
         name: app.application().to_string(),
-        domain: domain.to_string(),
+        domain: app.domain().to_string(),
         timesteps: app.timesteps(),
         dimensionality: app.dims().ndims(),
         fields: app.num_fields(),
         total_bytes: app.total_bytes() as u64,
-    }
-}
-
-/// Map a synthetic application name to the science domain used in Table III.
-pub fn domain_of(application: &str) -> &'static str {
-    match application {
-        "hurricane" => "Meteorology",
-        "hacc" => "Cosmology",
-        "cesm" => "Climate",
-        "exaalt" => "Molecular Dyn.",
-        "nyx" => "Cosmology",
-        _ => "Unknown",
     }
 }
 
@@ -127,7 +115,7 @@ mod tests {
     #[test]
     fn describe_matches_generator_shape() {
         let app = synthetic::cesm(10, 20, 3, 1);
-        let d = describe(&app, domain_of("cesm"));
+        let d = describe(&app);
         assert_eq!(d.name, "cesm");
         assert_eq!(d.domain, "Climate");
         assert_eq!(d.dimensionality, 2);
@@ -137,11 +125,15 @@ mod tests {
     }
 
     #[test]
-    fn domains_cover_all_apps() {
-        for name in ["hurricane", "hacc", "cesm", "exaalt", "nyx"] {
-            assert_ne!(domain_of(name), "Unknown");
+    fn synthetic_domains_match_table_iii() {
+        for (row, name) in
+            paper_catalog()
+                .iter()
+                .zip(["hurricane", "hacc", "cesm", "exaalt", "nyx"])
+        {
+            let app = synthetic::by_name(name, 0).unwrap();
+            assert_eq!(describe(&app).domain, row.domain, "{name}");
         }
-        assert_eq!(domain_of("other"), "Unknown");
     }
 
     #[test]

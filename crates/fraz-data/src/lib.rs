@@ -16,15 +16,17 @@
 //!   prefix the codecs share ([`wire::DatasetHeader`]),
 //! * [`io`] — readers and writers for the flat `.f32` / `.f64` layout used by
 //!   SDRBench, so real archive files can be dropped in when available,
-//! * [`synthetic`] — deterministic generators that mimic each application's
-//!   dimensionality, field structure, smoothness, value range and temporal
-//!   coherence.  These are the workloads used by the experiment
-//!   reproductions; DESIGN.md documents why the substitution preserves the
-//!   behaviour FRaZ exercises,
+//! * [`synthetic`] — the one generator home: deterministic mimics of each
+//!   application's dimensionality, field structure, smoothness, value range
+//!   and temporal coherence, and the six oracle regimes (smooth … noise),
+//!   on one spectral core and behind one name lookup
+//!   ([`synthetic::generate`]).  These are the workloads every experiment
+//!   reproduction, baseline and fixture stands on,
 //! * [`catalog`] — Table-III-style descriptors of the synthetic applications,
-//! * [`manifest`] — declarative dataset manifests (field name, file, dtype,
-//!   dims, target) that let the `fraz` CLI run FRaZ over a directory of real
-//!   archive files without any Rust code.
+//! * [`manifest`] — declarative dataset manifests (field name, file or
+//!   generator, dtype, dims, target) that let the `fraz` CLI run FRaZ over a
+//!   directory of real archive files — or no files at all — without any
+//!   Rust code.
 
 #![forbid(unsafe_code)]
 

@@ -43,6 +43,7 @@ use serde::{Deserialize, Serialize};
 use crate::buffer::DType;
 use crate::dims::Dims;
 use crate::io::{self, IoError};
+use crate::synthetic;
 use crate::Dataset;
 
 /// A whole-application manifest: shared defaults plus one entry per field.
@@ -80,9 +81,9 @@ pub struct Manifest {
 /// Exactly one of `file`, `files`, `pattern`, or `generator` must be given.
 /// A multi-file field is a time series in file order (`files`) or in
 /// natural name order (`pattern`), feeding the orchestrator's time-step
-/// prediction reuse.  A `generator` field has no files at all: a
-/// [`FieldSynthesizer`] (the `fraz-scenarios` crate, for the CLI)
-/// synthesizes the series deterministically from `seed` and `steps`.
+/// prediction reuse.  A `generator` field has no files at all:
+/// [`synthetic::generate`] synthesizes the series deterministically from
+/// `seed` and `steps`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FieldSpec {
     /// Field name, used in reports (e.g. `"CLOUDf"`).
@@ -99,10 +100,11 @@ pub struct FieldSpec {
     /// matches are sorted in natural name order (`t2` before `t10`) and
     /// treated as the time series.
     pub pattern: Option<String>,
-    /// A synthetic scenario name (`"smooth"`, `"turbulence"`, …) instead of
-    /// any file source — the field is generated, not read.
+    /// A generator name instead of any file source — a regime (`"smooth"`,
+    /// `"turbulence"`, …) or a Table-III field (`"hurricane/TCf"`); the
+    /// field is generated, not read.
     pub generator: Option<String>,
-    /// Seed for a `generator` field (default: the synthesizer's own).
+    /// Seed for a `generator` field (default: [`synthetic::DEFAULT_SEED`]).
     pub seed: Option<u64>,
     /// Time-steps to synthesize for a `generator` field (default 1).
     pub steps: Option<usize>,
@@ -111,20 +113,6 @@ pub struct FieldSpec {
     /// Quality-targeted alternative: find the most compressive bound with
     /// PSNR at least this many dB (instead of a fixed-ratio search).
     pub min_psnr: Option<f64>,
-}
-
-/// Synthesizes the series of a `generator` field.
-///
-/// `fraz-data` deliberately knows nothing about the scenario regimes — the
-/// `fraz-scenarios` crate implements this trait and the CLI passes it to
-/// [`Manifest::resolve_with`], keeping the dependency arrow pointing from
-/// scenarios to data.  Implementations must honour the spec's
-/// `dtype`/`dims`/`seed`/`steps` and return one [`Dataset`] per time-step,
-/// with errors phrased for manifest users (they become
-/// [`ManifestError::Invalid`] with the field as context).
-pub trait FieldSynthesizer {
-    /// Generate the field's series (one dataset per time-step).
-    fn synthesize(&self, application: &str, spec: &FieldSpec) -> Result<Vec<Dataset>, String>;
 }
 
 /// What a resolved field asks FRaZ to do.
@@ -390,49 +378,23 @@ impl Manifest {
     /// Walks the data directory for `pattern` fields (matches sorted by
     /// name), checks each file's size against the declared shape, and
     /// loads the series with the file's position as the time-step index.
-    /// `generator` fields are rejected — use [`Manifest::resolve_with`]
-    /// (the CLI does) to supply a [`FieldSynthesizer`] for them.
+    /// `generator` fields are synthesized through [`synthetic::generate`]
+    /// instead — one dataset per step, named after the manifest's
+    /// application and field, with no backing paths
+    /// ([`ResolvedField::paths`] stays empty).
     pub fn resolve(&self, manifest_dir: &Path) -> Result<ResolvedManifest, ManifestError> {
-        self.resolve_with(manifest_dir, None)
-    }
-
-    /// [`Manifest::resolve`], with `generator` fields synthesized by
-    /// `synthesizer` instead of loaded from disk.  Generated series have no
-    /// backing paths ([`ResolvedField::paths`] stays empty).
-    pub fn resolve_with(
-        &self,
-        manifest_dir: &Path,
-        synthesizer: Option<&dyn FieldSynthesizer>,
-    ) -> Result<ResolvedManifest, ManifestError> {
         self.validate()?;
         let root = self.data_root(manifest_dir);
         let mut fields = Vec::with_capacity(self.fields.len());
         for field in &self.fields {
             let ctx = format!("field `{}`", field.name);
-            if let Some(generator) = &field.generator {
-                let Some(synthesizer) = synthesizer else {
-                    return Err(ManifestError::invalid(
-                        &ctx,
-                        format!(
-                            "`generator = \"{generator}\"` needs a field synthesizer; \
-                             this entry point only reads files \
-                             (the `fraz` CLI resolves generator fields)"
-                        ),
-                    ));
-                };
-                let series = synthesizer
-                    .synthesize(&self.application, field)
-                    .map_err(|message| ManifestError::invalid(&ctx, message))?;
-                let target = self.field_target(field);
-                fields.push(ResolvedField {
-                    name: field.name.clone(),
-                    paths: Vec::new(),
-                    series,
-                    target,
-                });
-                continue;
-            }
-            let paths: Vec<PathBuf> = if let Some(file) = &field.file {
+            // Validation guarantees 1-4 non-zero axes, so Dims::new cannot
+            // panic here.
+            let dims = Dims::new(&field.dims);
+            let target = self.field_target(field);
+            let paths: Vec<PathBuf> = if field.generator.is_some() {
+                Vec::new()
+            } else if let Some(file) = &field.file {
                 vec![root.join(file)]
             } else if let Some(files) = &field.files {
                 files.iter().map(|f| root.join(f)).collect()
@@ -461,26 +423,33 @@ impl Manifest {
                 });
                 matches
             };
-            // Validation guarantees 1-4 non-zero axes, so Dims::new cannot
-            // panic here.
-            let dims = Dims::new(&field.dims);
-            let mut series = Vec::with_capacity(paths.len());
-            for (timestep, path) in paths.iter().enumerate() {
-                let dataset = io::read_raw(
-                    path,
-                    &self.application,
-                    &field.name,
-                    timestep,
-                    dims.clone(),
-                    field.dtype,
-                )
-                .map_err(|source| ManifestError::Io {
-                    path: path.clone(),
-                    source,
-                })?;
-                series.push(dataset);
-            }
-            let target = self.field_target(field);
+            let series: Vec<Dataset> = if let Some(generator) = &field.generator {
+                let seed = field.seed.unwrap_or(synthetic::DEFAULT_SEED);
+                (0..field.steps.unwrap_or(1))
+                    .map(|t| {
+                        let mut dataset =
+                            synthetic::generate(generator, &dims, field.dtype, seed, t)?;
+                        dataset.application = self.application.clone();
+                        dataset.field = field.name.clone();
+                        Ok(dataset)
+                    })
+                    .collect::<Result<_, synthetic::UnknownGenerator>>()
+                    .map_err(|e| ManifestError::invalid(&ctx, e.to_string()))?
+            } else {
+                let (application, name) = (&self.application, &field.name);
+                let load = |(timestep, path): (usize, &PathBuf)| {
+                    io::read_raw(path, application, name, timestep, dims.clone(), field.dtype)
+                        .map_err(|source| ManifestError::Io {
+                            path: path.clone(),
+                            source,
+                        })
+                };
+                paths
+                    .iter()
+                    .enumerate()
+                    .map(load)
+                    .collect::<Result<_, _>>()?
+            };
             fields.push(ResolvedField {
                 name: field.name.clone(),
                 paths,
@@ -711,61 +680,67 @@ mod tests {
         assert!(err.contains("`steps` must be at least 1"), "{err}");
     }
 
+    fn generated(fields: &str) -> Manifest {
+        Manifest::from_json_str(&format!(
+            r#"{{"application": "synthetic", "target_ratio": 8.0, "fields": [{fields}]}}"#
+        ))
+        .unwrap()
+    }
+
     #[test]
-    fn generator_fields_resolve_only_through_a_synthesizer() {
-        let json = r#"{
-            "application": "synth", "target_ratio": 8.0,
-            "fields": [{"name": "g", "dtype": "f32", "dims": [8],
-                        "generator": "noise", "seed": 3, "steps": 2}]
-        }"#;
-        let manifest = Manifest::from_json_str(json).unwrap();
-
-        // Plain resolve() points at the synthesizer-aware entry point.
-        let err = manifest.resolve(Path::new(".")).unwrap_err().to_string();
-        assert!(err.contains("field `g`"), "{err}");
-        assert!(err.contains("needs a field synthesizer"), "{err}");
-
-        struct Fake;
-        impl FieldSynthesizer for Fake {
-            fn synthesize(
-                &self,
-                application: &str,
-                spec: &FieldSpec,
-            ) -> Result<Vec<Dataset>, String> {
-                let dims = Dims::new(&spec.dims);
-                Ok((0..spec.steps.unwrap_or(1))
-                    .map(|t| {
-                        Dataset::from_f32(
-                            application,
-                            &spec.name,
-                            t,
-                            dims.clone(),
-                            vec![spec.seed.unwrap_or(0) as f32; dims.len()],
-                        )
-                    })
-                    .collect())
-            }
-        }
-        let resolved = manifest.resolve_with(Path::new("."), Some(&Fake)).unwrap();
-        assert_eq!(resolved.fields[0].series.len(), 2);
-        assert!(resolved.fields[0].paths.is_empty(), "no backing files");
-        assert_eq!(resolved.fields[0].series[0].values_f64()[0], 3.0);
-
-        // Synthesizer errors surface as Invalid with the field as context.
-        struct Failing;
-        impl FieldSynthesizer for Failing {
-            fn synthesize(&self, _: &str, _: &FieldSpec) -> Result<Vec<Dataset>, String> {
-                Err("unknown scenario `noise2`".to_string())
-            }
-        }
-        let err = manifest
-            .resolve_with(Path::new("."), Some(&Failing))
-            .unwrap_err()
-            .to_string();
-        assert!(
-            err.contains("field `g`: unknown scenario `noise2`"),
-            "{err}"
+    fn generator_fields_resolve_to_named_series_without_files() {
+        let m = generated(
+            r#"{"name": "vel", "dtype": "f32", "dims": [16, 16],
+                "generator": "smooth", "seed": 11, "steps": 3},
+               {"name": "tc", "dtype": "f64", "dims": [4, 6, 6],
+                "generator": "hurricane/TCf"}"#,
         );
+        let resolved = m.resolve(Path::new(".")).unwrap();
+        let vel = &resolved.fields[0];
+        assert_eq!(vel.series.len(), 3);
+        assert!(vel.paths.is_empty(), "no backing files");
+        for (t, dataset) in vel.series.iter().enumerate() {
+            assert_eq!(dataset.application, "synthetic");
+            assert_eq!(dataset.field, "vel");
+            assert_eq!(dataset.timestep, t);
+            assert_eq!(dataset.dims, Dims::d2(16, 16));
+        }
+        let direct = synthetic::generate("smooth", &Dims::d2(16, 16), DType::F32, 11, 2).unwrap();
+        assert_eq!(vel.series[2].buffer, direct.buffer);
+
+        // A Table-III field by name, at the manifest's dims and dtype and the
+        // default seed; its f32 narrowing is what the app constructor emits.
+        let tc = &resolved.fields[1];
+        assert_eq!((tc.series.len(), tc.series[0].dtype()), (1, DType::F64));
+        let app = synthetic::hurricane(4, 6, 6, 1, synthetic::DEFAULT_SEED);
+        let narrowed: Vec<f32> = tc.series[0]
+            .values_f64()
+            .iter()
+            .map(|&v| v as f32)
+            .collect();
+        assert_eq!(app.field("TCf", 0).buffer.to_f32_vec(), narrowed);
+
+        // Deterministic: resolving again yields the same bits.
+        assert_eq!(m.resolve(Path::new(".")).unwrap(), resolved);
+    }
+
+    #[test]
+    fn unknown_generator_gets_a_did_you_mean() {
+        for (typo, meant) in [
+            ("turbulance", "turbulence"),
+            ("huricane/TCf", "hurricane/TCf"),
+        ] {
+            let m = generated(&format!(
+                r#"{{"name": "g", "dtype": "f64", "dims": [64], "generator": "{typo}"}}"#
+            ));
+            let err = m.resolve(Path::new(".")).unwrap_err().to_string();
+            assert!(err.contains("field `g`"), "{err}");
+            assert!(
+                err.contains(&format!("unknown generator `{typo}`")),
+                "{err}"
+            );
+            assert!(err.contains(&format!("did you mean `{meant}`?")), "{err}");
+        }
     }
 
     #[test]

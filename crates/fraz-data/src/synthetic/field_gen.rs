@@ -1,13 +1,15 @@
-//! Low-level synthesis of smooth, scientifically plausible fields.
+//! The one spectral core every generator shares: the seeded RNG streams,
+//! the travelling Fourier [`Mode`], the row-major walk over normalized
+//! coordinates, and the value transforms.
 //!
-//! All synthetic applications are built from the same primitive: a
-//! band-limited *spectral field* — a sum of random Fourier modes whose
-//! amplitudes decay with wavenumber — optionally passed through value
-//! transforms (exponentiation for log-normal density fields, thresholding for
-//! sparse cloud-like fields, …).  The modes carry per-mode temporal
-//! frequencies so consecutive time-steps are strongly correlated but not
-//! identical, which is exactly the property FRaZ's time-step prediction reuse
-//! (Algorithm 1) exploits.
+//! Both families — the Table-III application mimics (`apps.rs`) and the
+//! oracle regimes (`regimes.rs`) — are sums of modes
+//! `amp · sin(k · x + phase + ω t)` sampled on a grid; the per-mode temporal
+//! frequency keeps consecutive time-steps strongly correlated but not
+//! identical, which is the property FRaZ's time-step prediction reuse
+//! (Algorithm 1) exploits.  Each family draws its own modes (they take a
+//! different number of wave-vector components per mode, and the RNG stream
+//! is part of the bit-for-bit contract); everything after the draw is here.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -17,7 +19,7 @@ use crate::dims::Dims;
 
 /// Derive a deterministic child seed from a base seed and a label, so every
 /// (application, field) pair gets an independent but reproducible stream.
-pub fn derive_seed(base: u64, label: &str) -> u64 {
+pub(crate) fn derive_seed(base: u64, label: &str) -> u64 {
     // FNV-1a over the label, mixed with the base seed.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ base.rotate_left(17);
     for b in label.as_bytes() {
@@ -28,205 +30,119 @@ pub fn derive_seed(base: u64, label: &str) -> u64 {
 }
 
 /// Deterministic RNG used by all generators.
-pub fn rng_for(seed: u64, label: &str) -> ChaCha8Rng {
+pub(crate) fn rng_for(seed: u64, label: &str) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(derive_seed(seed, label))
 }
 
 /// Sample a standard normal deviate via Box–Muller (rand_distr is not a
 /// workspace dependency; two uniforms per call are cheap enough here).
-pub fn normal(rng: &mut impl Rng) -> f64 {
+pub(crate) fn normal(rng: &mut impl Rng) -> f64 {
     let u1: f64 = rng.gen_range(1e-12..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-/// One Fourier mode of a spectral field.
+/// One travelling Fourier mode over normalized coordinates — the only mode
+/// type in the tree.  Slot 0 of `k` is the fastest (last) axis.
 #[derive(Debug, Clone, Copy)]
-struct Mode {
-    /// Spatial angular frequencies per axis (radians per normalized axis).
-    k: [f64; 3],
+pub(crate) struct Mode {
+    /// Spatial angular frequency per axis (radians per normalized axis).
+    pub k: [f64; 4],
     /// Amplitude.
-    amp: f64,
+    pub amp: f64,
     /// Spatial phase.
-    phase: f64,
+    pub phase: f64,
     /// Temporal angular frequency (radians per time-step).
-    omega: f64,
+    pub omega: f64,
 }
 
-/// A band-limited random field over a normalized `[0,1]^d` domain.
-#[derive(Debug, Clone)]
-pub struct SpectralField {
-    modes: Vec<Mode>,
-    /// Constant offset added to the sum.
-    pub offset: f64,
-    /// Scale applied to the sum before the offset.
-    pub scale: f64,
-}
-
-/// Parameters controlling a [`SpectralField`].
-#[derive(Debug, Clone)]
-pub struct SpectralConfig {
-    /// Number of random Fourier modes.
-    pub modes: usize,
-    /// Largest wavenumber (cycles across the domain) sampled.
-    pub max_wavenumber: f64,
-    /// Spectral slope: amplitude ~ (1 + |k|)^(-slope).  Larger = smoother.
-    pub slope: f64,
-    /// Standard deviation of per-mode temporal frequency (radians/step).
-    pub temporal_rate: f64,
-}
-
-impl Default for SpectralConfig {
-    fn default() -> Self {
-        Self {
-            modes: 32,
-            max_wavenumber: 8.0,
-            slope: 1.5,
-            temporal_rate: 0.15,
-        }
-    }
-}
-
-impl SpectralField {
-    /// Draw a random spectral field with the given configuration.
-    pub fn random(rng: &mut impl Rng, config: &SpectralConfig) -> Self {
-        let mut modes = Vec::with_capacity(config.modes);
-        for _ in 0..config.modes {
-            let k = [
-                rng.gen_range(-config.max_wavenumber..config.max_wavenumber),
-                rng.gen_range(-config.max_wavenumber..config.max_wavenumber),
-                rng.gen_range(-config.max_wavenumber..config.max_wavenumber),
-            ];
-            let kmag = (k[0] * k[0] + k[1] * k[1] + k[2] * k[2]).sqrt();
-            let amp = (1.0 + kmag).powf(-config.slope) * (0.5 + rng.gen_range(0.0..1.0));
-            let phase = rng.gen_range(0.0..std::f64::consts::TAU);
-            let omega = normal(rng) * config.temporal_rate;
-            modes.push(Mode {
-                k: [
-                    k[0] * std::f64::consts::TAU,
-                    k[1] * std::f64::consts::TAU,
-                    k[2] * std::f64::consts::TAU,
-                ],
-                amp,
-                phase,
-                omega,
-            });
-        }
-        Self {
-            modes,
-            offset: 0.0,
-            scale: 1.0,
-        }
-    }
-
-    /// Evaluate the field at normalized coordinates `(x, y, z)` and time-step
-    /// `t` (unused axes should be passed as 0).
+impl Mode {
+    /// `amp · sin(k · c + phase + ω t)`.
     #[inline]
-    pub fn eval(&self, x: f64, y: f64, z: f64, t: f64) -> f64 {
-        let mut sum = 0.0;
-        for m in &self.modes {
-            sum += m.amp * (m.k[0] * x + m.k[1] * y + m.k[2] * z + m.phase + m.omega * t).sin();
-        }
-        self.scale * sum + self.offset
-    }
-
-    /// Sample the field over a whole grid at time-step `t`, in row-major
-    /// order matching [`Dims`].
-    pub fn sample_grid(&self, dims: &Dims, t: f64) -> Vec<f64> {
-        let d = dims.as_slice();
-        let n = dims.len();
-        let mut out = Vec::with_capacity(n);
-        match d.len() {
-            1 => {
-                let nx = d[0];
-                for i in 0..nx {
-                    let x = i as f64 / nx as f64;
-                    out.push(self.eval(x, 0.0, 0.0, t));
-                }
-            }
-            2 => {
-                let (nr, nc) = (d[0], d[1]);
-                for r in 0..nr {
-                    let y = r as f64 / nr as f64;
-                    for c in 0..nc {
-                        let x = c as f64 / nc as f64;
-                        out.push(self.eval(x, y, 0.0, t));
-                    }
-                }
-            }
-            3 => {
-                let (nz, ny, nx) = (d[0], d[1], d[2]);
-                for iz in 0..nz {
-                    let z = iz as f64 / nz as f64;
-                    for iy in 0..ny {
-                        let y = iy as f64 / ny as f64;
-                        for ix in 0..nx {
-                            let x = ix as f64 / nx as f64;
-                            out.push(self.eval(x, y, z, t));
-                        }
-                    }
-                }
-            }
-            _ => {
-                // 4-D: treat the slowest axis as extra "time" stacking.
-                let (nw, nz, ny, nx) = (d[0], d[1], d[2], d[3]);
-                for iw in 0..nw {
-                    let tw = t + iw as f64;
-                    for iz in 0..nz {
-                        let z = iz as f64 / nz as f64;
-                        for iy in 0..ny {
-                            let y = iy as f64 / ny as f64;
-                            for ix in 0..nx {
-                                let x = ix as f64 / nx as f64;
-                                out.push(self.eval(x, y, z, tw));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        out
+    pub fn eval(&self, c: &[f64; 4], t: f64) -> f64 {
+        let arg = self.k[0] * c[0]
+            + self.k[1] * c[1]
+            + self.k[2] * c[2]
+            + self.k[3] * c[3]
+            + self.phase
+            + self.omega * t;
+        self.amp * arg.sin()
     }
 }
 
-/// Value transforms applied on top of a sampled spectral field to mimic the
+/// The sum of `modes` at normalized coordinates `c` and time-step `t`,
+/// accumulated in mode order.
+#[inline]
+pub(crate) fn eval_modes(modes: &[Mode], c: &[f64; 4], t: f64) -> f64 {
+    let mut sum = 0.0;
+    for mode in modes {
+        sum += mode.eval(c, t);
+    }
+    sum
+}
+
+/// The one grid walk: `value` at every point of `dims` in row-major order,
+/// handed the point's normalized `[0,1)` coordinates — slot 0 the fastest
+/// (last) axis, slot `ndims - 1` the slowest, unused slots 0.
+pub(crate) fn sample_grid(dims: &Dims, mut value: impl FnMut(&[f64; 4]) -> f64) -> Vec<f64> {
+    let shape = dims.as_slice();
+    let mut c = [0.0f64; 4];
+    (0..dims.len())
+        .map(|mut idx| {
+            for (slot, &len) in shape.iter().rev().enumerate() {
+                c[slot] = (idx % len) as f64 / len as f64;
+                idx /= len;
+            }
+            value(&c)
+        })
+        .collect()
+}
+
+/// Rescale so the largest |value| equals `amplitude` *exactly*: the peak
+/// element maps through `±m / m * amplitude = ±amplitude`, and correctly
+/// rounded division keeps every other |value| ≤ amplitude.
+pub(crate) fn normalize_peak(values: &mut [f64], amplitude: f64) {
+    let m = values.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+    if m == 0.0 {
+        return;
+    }
+    for v in values.iter_mut() {
+        *v = *v / m * amplitude;
+    }
+}
+
+/// Value transforms applied on top of a sampled sum of modes to mimic the
 /// statistics of specific application fields.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Transform {
+pub(crate) enum Transform {
     /// Use the raw smooth field (temperature-, pressure-, velocity-like).
     Identity,
     /// `exp(scale * v)` — log-normal positive fields (densities).
-    Exponential { scale: f64 },
-    /// `max(v - threshold, 0)` then scaled — sparse non-negative fields
-    /// (cloud mixing ratios, precipitation).
-    Sparse { threshold: f64, scale: f64 },
-    /// `log10(max(v - threshold, 0) * scale + floor)` — the `.log10` variants
-    /// SDRBench ships for highly skewed fields (e.g. QCLOUDf.log10).
-    SparseLog10 {
-        threshold: f64,
-        scale: f64,
-        floor: f64,
-    },
+    Exponential(f64),
+    /// `max(v - threshold, 0) * scale` — sparse non-negative fields (cloud
+    /// mixing ratios, precipitation).
+    Sparse(f64, f64),
+    /// `log10(max(v - threshold, 0) * scale + floor)` — the `.log10`
+    /// variants SDRBench ships for highly skewed fields (QCLOUDf.log10).
+    SparseLog10(f64, f64, f64),
 }
 
 impl Transform {
     /// Apply the transform to a single value.
     #[inline]
-    pub fn apply(&self, v: f64) -> f64 {
+    pub(crate) fn apply(&self, v: f64) -> f64 {
         match *self {
             Transform::Identity => v,
-            Transform::Exponential { scale } => (scale * v).exp(),
-            Transform::Sparse { threshold, scale } => (v - threshold).max(0.0) * scale,
-            Transform::SparseLog10 {
-                threshold,
-                scale,
-                floor,
-            } => ((v - threshold).max(0.0) * scale + floor).log10(),
+            Transform::Exponential(scale) => (scale * v).exp(),
+            Transform::Sparse(threshold, scale) => (v - threshold).max(0.0) * scale,
+            Transform::SparseLog10(threshold, scale, floor) => {
+                ((v - threshold).max(0.0) * scale + floor).log10()
+            }
         }
     }
 
     /// Apply the transform to every value in place.
-    pub fn apply_all(&self, values: &mut [f64]) {
+    pub(crate) fn apply_all(&self, values: &mut [f64]) {
         if *self == Transform::Identity {
             return;
         }
@@ -237,7 +153,7 @@ impl Transform {
 }
 
 /// Add white measurement noise with the given standard deviation.
-pub fn add_noise(values: &mut [f64], rng: &mut impl Rng, std_dev: f64) {
+pub(crate) fn add_noise(values: &mut [f64], rng: &mut impl Rng, std_dev: f64) {
     if std_dev <= 0.0 {
         return;
     }
@@ -269,115 +185,62 @@ mod tests {
     }
 
     #[test]
-    fn spectral_field_is_deterministic() {
-        let make = || {
-            let mut rng = rng_for(11, "field");
-            SpectralField::random(&mut rng, &SpectralConfig::default())
-        };
-        let a = make().sample_grid(&Dims::d2(8, 8), 0.0);
-        let b = make().sample_grid(&Dims::d2(8, 8), 0.0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn spectral_field_is_smooth() {
-        let mut rng = rng_for(3, "smooth");
-        let f = SpectralField::random(
-            &mut rng,
-            &SpectralConfig {
-                modes: 16,
-                max_wavenumber: 3.0,
-                slope: 2.0,
-                temporal_rate: 0.1,
-            },
-        );
-        let values = f.sample_grid(&Dims::d1(1000), 0.0);
-        // Neighbouring samples on a 1000-point grid of a band-limited (<=3
-        // cycles) field must be close relative to the overall spread.
-        let range = values.iter().cloned().fold(f64::MIN, f64::max)
-            - values.iter().cloned().fold(f64::MAX, f64::min);
-        let max_step = values
-            .windows(2)
-            .map(|w| (w[1] - w[0]).abs())
-            .fold(0.0f64, f64::max);
-        assert!(max_step < range * 0.1, "max_step={max_step}, range={range}");
-    }
-
-    #[test]
-    fn consecutive_timesteps_are_correlated() {
-        let mut rng = rng_for(5, "temporal");
-        let f = SpectralField::random(&mut rng, &SpectralConfig::default());
-        let a = f.sample_grid(&Dims::d2(32, 32), 0.0);
-        let b = f.sample_grid(&Dims::d2(32, 32), 1.0);
-        let c = f.sample_grid(&Dims::d2(32, 32), 20.0);
-        let dist = |x: &[f64], y: &[f64]| {
-            (x.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum::<f64>() / x.len() as f64).sqrt()
-        };
-        assert!(dist(&a, &b) < dist(&a, &c));
-        assert!(dist(&a, &b) > 0.0);
-    }
-
-    #[test]
-    fn sample_grid_lengths_match_dims() {
-        let mut rng = rng_for(9, "len");
-        let f = SpectralField::random(&mut rng, &SpectralConfig::default());
+    fn grid_walk_is_row_major_with_the_fastest_axis_in_slot_zero() {
         for dims in [
             Dims::d1(17),
             Dims::d2(5, 9),
             Dims::d3(3, 4, 5),
             Dims::d4(2, 3, 4, 5),
         ] {
-            assert_eq!(f.sample_grid(&dims, 0.0).len(), dims.len());
+            let coords = sample_grid(&dims, |c| c[0] + 10.0 * c[1] + 100.0 * c[2] + 1000.0 * c[3]);
+            assert_eq!(coords.len(), dims.len());
         }
+        let mut seen = Vec::new();
+        sample_grid(&Dims::d2(2, 3), |c| {
+            seen.push(*c);
+            0.0
+        });
+        let thirds = [0.0, 1.0 / 3.0, 2.0 / 3.0];
+        for (i, c) in seen.iter().enumerate() {
+            assert_eq!(*c, [thirds[i % 3], (i / 3) as f64 / 2.0, 0.0, 0.0]);
+        }
+    }
+
+    #[test]
+    fn a_mode_is_a_travelling_sinusoid() {
+        let mode = Mode {
+            k: [std::f64::consts::TAU, 0.0, 0.0, 0.0],
+            amp: 2.0,
+            phase: 0.0,
+            omega: std::f64::consts::FRAC_PI_2,
+        };
+        assert!((mode.eval(&[0.25, 0.9, 0.9, 0.9], 0.0) - 2.0).abs() < 1e-12);
+        assert!((mode.eval(&[0.0; 4], 1.0) - 2.0).abs() < 1e-12);
+        assert_eq!(eval_modes(&[mode, mode], &[0.25, 0.0, 0.0, 0.0], 0.0), {
+            let one = mode.eval(&[0.25, 0.0, 0.0, 0.0], 0.0);
+            0.0 + one + one
+        });
+    }
+
+    #[test]
+    fn peak_normalization_is_exact() {
+        let mut values = vec![0.3, -0.7, 0.1];
+        normalize_peak(&mut values, 4.0);
+        assert_eq!(values[1], -4.0);
+        assert!(values.iter().all(|v| v.abs() <= 4.0));
+        let mut zeros = vec![0.0; 3];
+        normalize_peak(&mut zeros, 4.0);
+        assert_eq!(zeros, vec![0.0; 3]);
     }
 
     #[test]
     fn transforms_behave() {
         assert_eq!(Transform::Identity.apply(3.5), 3.5);
-        assert!((Transform::Exponential { scale: 1.0 }.apply(0.0) - 1.0).abs() < 1e-12);
-        assert_eq!(
-            Transform::Sparse {
-                threshold: 1.0,
-                scale: 2.0
-            }
-            .apply(0.5),
-            0.0
-        );
-        assert_eq!(
-            Transform::Sparse {
-                threshold: 1.0,
-                scale: 2.0
-            }
-            .apply(2.0),
-            2.0
-        );
-        let v = Transform::SparseLog10 {
-            threshold: 0.0,
-            scale: 1.0,
-            floor: 1e-6,
-        }
-        .apply(0.0);
+        assert!((Transform::Exponential(1.0).apply(0.0) - 1.0).abs() < 1e-12);
+        assert_eq!(Transform::Sparse(1.0, 2.0).apply(0.5), 0.0);
+        assert_eq!(Transform::Sparse(1.0, 2.0).apply(2.0), 2.0);
+        let v = Transform::SparseLog10(0.0, 1.0, 1e-6).apply(0.0);
         assert!((v - (-6.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn sparse_transform_produces_many_zeros() {
-        let mut rng = rng_for(21, "sparse");
-        let f = SpectralField::random(&mut rng, &SpectralConfig::default());
-        let mut values = f.sample_grid(&Dims::d3(16, 16, 16), 0.0);
-        let stats = crate::FieldStats::compute(&values);
-        Transform::Sparse {
-            threshold: stats.mean + stats.std_dev,
-            scale: 1.0,
-        }
-        .apply_all(&mut values);
-        let zeros = values.iter().filter(|&&v| v == 0.0).count();
-        assert!(
-            zeros > values.len() / 2,
-            "zeros={} / {}",
-            zeros,
-            values.len()
-        );
     }
 
     #[test]

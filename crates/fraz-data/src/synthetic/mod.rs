@@ -1,53 +1,148 @@
-//! Synthetic SDRBench-like applications.
+//! The one generator home: every deterministic stand-in field the
+//! workspace tests, benches and manifests run on.
 //!
-//! Each constructor mirrors one of the five applications in Table III of the
-//! FRaZ paper: the same dimensionality, a comparable set of fields, multiple
-//! time-steps with strong temporal coherence, and value distributions chosen
-//! so the error-bounded compressors behave the way the paper describes
-//! (smooth fields compress extremely well, particle data poorly, sparse
-//! log-transformed fields non-monotonically).  Grid sizes are parameters so
-//! tests can run on tiny grids while the benchmark harness uses larger ones.
+//! Two families share one core (`field_gen.rs`: seeded RNG streams, one
+//! Fourier `Mode`, one row-major grid walk):
+//!
+//! * `apps.rs` — mimics of the five SDRBench applications in Table III of the
+//!   FRaZ paper, instantiated through [`hurricane`], [`hacc`], [`cesm`],
+//!   [`exaalt`], [`nyx`] or [`by_name`] as a [`SyntheticDataset`];
+//! * `regimes.rs` — the six oracle field classes (smooth … noise,
+//!   [`Regime`] / [`ScenarioConfig`]) whose [`GroundTruth`] is counted while
+//!   generating.
+//!
+//! [`generate`] is the one name lookup over both: `"turbulence"` or
+//! `"hurricane/TCf"`, dims, dtype, seed and time-step in, a [`Dataset`] out.
+//! A manifest's `generator = "…"` field resolves through it.
 
-pub mod field_gen;
+mod apps;
+mod field_gen;
+mod regimes;
 
-use rand::Rng;
+use std::fmt;
 
-use crate::buffer::DataBuffer;
+use crate::buffer::{DType, DataBuffer};
 use crate::dims::Dims;
 use crate::Dataset;
 
-use field_gen::{add_noise, normal, rng_for, SpectralConfig, SpectralField, Transform};
+use apps::{App, APPS};
+pub use regimes::{GroundTruth, Regime, ScenarioConfig, DEFAULT_SEED, REGIMES};
 
-/// How one field of a synthetic application is produced.
-#[derive(Debug, Clone)]
-enum FieldKind {
-    /// Smooth (optionally transformed) Eulerian field on the grid.
-    Spectral {
-        config: SpectralConfig,
-        transform: Transform,
-        scale: f64,
-        offset: f64,
-        noise: f64,
-    },
-    /// Lagrangian particle coordinates in a periodic box (HACC-like): nearly
-    /// uniform positions drifting with per-particle velocities.
-    ParticlePosition { box_size: f64, axis: usize },
-    /// Per-particle velocity components (Gaussian with bulk flows).
-    ParticleVelocity { sigma: f64, axis: usize },
-    /// Molecular-dynamics coordinates: a perturbed lattice with thermal
-    /// vibration (EXAALT-like).
-    LatticePosition {
-        spacing: f64,
-        thermal: f64,
-        axis: usize,
-    },
+/// Narrow generated `f64` values to `dtype` and wrap them as a dataset.
+fn store(
+    application: &str,
+    field: &str,
+    timestep: usize,
+    dims: &Dims,
+    dtype: DType,
+    values: Vec<f64>,
+) -> Dataset {
+    Dataset {
+        application: application.to_string(),
+        field: field.to_string(),
+        timestep,
+        dims: dims.clone(),
+        buffer: match dtype {
+            DType::F32 => DataBuffer::F32(values.into_iter().map(|v| v as f32).collect()),
+            DType::F64 => DataBuffer::F64(values),
+        },
+    }
 }
 
-/// Specification of one field of a synthetic application.
-#[derive(Debug, Clone)]
-struct FieldSpec {
-    name: String,
-    kind: FieldKind,
+/// A generator name [`generate`] does not know, with the closest known name
+/// when one is within edit distance 2.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownGenerator {
+    /// The name that was asked for.
+    pub name: String,
+    /// The did-you-mean candidate (`turbulance` → `turbulence`).
+    pub suggestion: Option<String>,
+}
+
+impl fmt::Display for UnknownGenerator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let regimes = REGIMES.map(Regime::name).join(", ");
+        let apps = APPS.iter().map(|a| a.name).collect::<Vec<_>>().join("|");
+        write!(
+            f,
+            "unknown generator `{}` (known: {regimes}, or `<app>/<field>` with app in {apps}, \
+             e.g. `hurricane/TCf`)",
+            self.name
+        )?;
+        match &self.suggestion {
+            Some(close) => write!(f, " — did you mean `{close}`?"),
+            None => Ok(()),
+        }
+    }
+}
+
+impl std::error::Error for UnknownGenerator {}
+
+/// Every name [`generate`] accepts: the six regimes, then `<app>/<field>`
+/// for every field of the five Table-III applications.
+fn names() -> Vec<String> {
+    let regimes = REGIMES.iter().map(|r| r.name().to_string());
+    let fields = APPS.iter().flat_map(|app| {
+        let of_app = |f: apps::FieldSpec| format!("{}/{}", app.name, f.name);
+        (app.fields)().into_iter().map(of_app)
+    });
+    regimes.chain(fields).collect()
+}
+
+/// The one name → generator lookup.
+///
+/// `name` is a regime (`"smooth"`, `"turbulence"`, `"oscillatory"`,
+/// `"shock"`, `"sparse"`, `"noise"` — stock knobs, ranks 1–4) or a
+/// Table-III field as `"<app>/<field>"` (`"hurricane/TCf"`, `"nyx/temperature"`,
+/// `"hacc/vx"`, …).  The field is synthesized over `dims` from `seed` at
+/// `timestep` and stored at `dtype`; the same arguments always yield the same
+/// bits.  The dataset is named after the generator (`"scenario"`/regime, or
+/// app/field).
+pub fn generate(
+    name: &str,
+    dims: &Dims,
+    dtype: DType,
+    seed: u64,
+    timestep: usize,
+) -> Result<Dataset, UnknownGenerator> {
+    if let Some(regime) = Regime::parse(name) {
+        let config = ScenarioConfig::new(regime).with_seed(seed);
+        return Ok(config.synthesize(dims, dtype, timestep).0);
+    }
+    let app_field = name.split_once('/').and_then(|(app, field)| {
+        let app = App::named(app)?;
+        Some((app, app.field(field)?))
+    });
+    match app_field {
+        Some((app, spec)) => {
+            let values = spec.generate(app.name, dims, seed, timestep);
+            Ok(store(app.name, spec.name, timestep, dims, dtype, values))
+        }
+        None => Err(UnknownGenerator {
+            name: name.to_string(),
+            suggestion: names()
+                .into_iter()
+                .map(|known| (edit_distance(name, &known), known))
+                .filter(|&(d, _)| d <= 2)
+                .min_by_key(|&(d, _)| d)
+                .map(|(_, known)| known),
+        }),
+    }
+}
+
+/// Levenshtein distance over bytes (generator names are ASCII).
+fn edit_distance(a: &str, b: &str) -> usize {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, &ca) in a.iter().enumerate() {
+        let mut row = vec![i + 1];
+        for (j, &cb) in b.iter().enumerate() {
+            let sub = prev[j] + usize::from(ca != cb);
+            row.push(sub.min(prev[j + 1] + 1).min(row[j] + 1));
+        }
+        prev = row;
+    }
+    prev[b.len()]
 }
 
 /// A synthetic application: a set of fields over a number of time-steps.
@@ -57,17 +152,40 @@ struct FieldSpec {
 /// and time-step.
 #[derive(Debug, Clone)]
 pub struct SyntheticDataset {
-    application: String,
+    app: &'static App,
     dims: Dims,
     timesteps: usize,
     seed: u64,
-    specs: Vec<FieldSpec>,
+}
+
+impl App {
+    fn named(name: &str) -> Option<&'static App> {
+        APPS.iter().find(|a| a.name == name)
+    }
+
+    fn field(&self, name: &str) -> Option<apps::FieldSpec> {
+        (self.fields)().into_iter().find(|f| f.name == name)
+    }
+
+    fn instance(&'static self, dims: Dims, timesteps: usize, seed: u64) -> SyntheticDataset {
+        SyntheticDataset {
+            app: self,
+            dims,
+            timesteps,
+            seed,
+        }
+    }
 }
 
 impl SyntheticDataset {
     /// Application name (e.g. `"hurricane"`).
     pub fn application(&self) -> &str {
-        &self.application
+        self.app.name
+    }
+
+    /// Science domain, as Table III prints it (e.g. `"Meteorology"`).
+    pub fn domain(&self) -> &'static str {
+        self.app.domain
     }
 
     /// Grid dimensions shared by every field.
@@ -82,21 +200,22 @@ impl SyntheticDataset {
 
     /// Names of the available fields.
     pub fn field_names(&self) -> Vec<String> {
-        self.specs.iter().map(|s| s.name.clone()).collect()
+        let fields = (self.app.fields)();
+        fields.iter().map(|s| s.name.to_string()).collect()
     }
 
     /// Number of fields.
     pub fn num_fields(&self) -> usize {
-        self.specs.len()
+        (self.app.fields)().len()
     }
 
     /// Total uncompressed size in bytes across all fields and time-steps
     /// (single precision).
     pub fn total_bytes(&self) -> usize {
-        self.specs.len() * self.timesteps * self.dims.len() * 4
+        self.num_fields() * self.timesteps * self.dims.len() * 4
     }
 
-    /// Generate one field at one time-step.
+    /// Generate one field at one time-step, in single precision.
     ///
     /// # Panics
     /// Panics if the field name is unknown or the time-step is out of range.
@@ -106,19 +225,13 @@ impl SyntheticDataset {
             "time-step {timestep} out of range (have {})",
             self.timesteps
         );
+        let application = self.app.name;
         let spec = self
-            .specs
-            .iter()
-            .find(|s| s.name == name)
-            .unwrap_or_else(|| panic!("unknown field `{name}` in {}", self.application));
-        let values = self.generate(spec, timestep);
-        Dataset {
-            application: self.application.clone(),
-            field: name.to_string(),
-            timestep,
-            dims: self.dims.clone(),
-            buffer: DataBuffer::F32(values.into_iter().map(|v| v as f32).collect()),
-        }
+            .app
+            .field(name)
+            .unwrap_or_else(|| panic!("unknown field `{name}` in {application}"));
+        let values = spec.generate(application, &self.dims, self.seed, timestep);
+        store(application, name, timestep, &self.dims, DType::F32, values)
     }
 
     /// Generate every field at one time-step.
@@ -133,472 +246,45 @@ impl SyntheticDataset {
     pub fn series(&self, name: &str) -> Vec<Dataset> {
         (0..self.timesteps).map(|t| self.field(name, t)).collect()
     }
-
-    fn generate(&self, spec: &FieldSpec, t: usize) -> Vec<f64> {
-        let label = format!("{}/{}", self.application, spec.name);
-        match &spec.kind {
-            FieldKind::Spectral {
-                config,
-                transform,
-                scale,
-                offset,
-                noise,
-            } => {
-                let mut rng = rng_for(self.seed, &label);
-                let field = SpectralField::random(&mut rng, config);
-                let mut values = field.sample_grid(&self.dims, t as f64);
-                transform.apply_all(&mut values);
-                for v in values.iter_mut() {
-                    *v = *v * scale + offset;
-                }
-                if *noise > 0.0 {
-                    let mut noise_rng = rng_for(self.seed, &format!("{label}/noise/{t}"));
-                    add_noise(&mut values, &mut noise_rng, *noise * scale.abs());
-                }
-                values
-            }
-            FieldKind::ParticlePosition { box_size, axis } => {
-                let n = self.dims.len();
-                let mut rng = rng_for(self.seed, &format!("{}/particles", self.application));
-                // Base positions and velocities are shared by the x/y/z
-                // fields so the particle cloud is consistent across axes.
-                let mut pos = vec![[0.0f64; 3]; n];
-                let mut vel = vec![[0.0f64; 3]; n];
-                // Clustered positions: a fraction of particles concentrate
-                // around halo centres, the rest are uniform.
-                let n_halos = (n / 2000).max(4);
-                let halos: Vec<[f64; 3]> = (0..n_halos)
-                    .map(|_| {
-                        [
-                            rng.gen_range(0.0..*box_size),
-                            rng.gen_range(0.0..*box_size),
-                            rng.gen_range(0.0..*box_size),
-                        ]
-                    })
-                    .collect();
-                for i in 0..n {
-                    let clustered = rng.gen_bool(0.35);
-                    for a in 0..3 {
-                        pos[i][a] = if clustered {
-                            let h = &halos[i % n_halos];
-                            (h[a] + normal(&mut rng) * box_size * 0.02).rem_euclid(*box_size)
-                        } else {
-                            rng.gen_range(0.0..*box_size)
-                        };
-                        vel[i][a] = normal(&mut rng) * box_size * 2e-4;
-                    }
-                }
-                (0..n)
-                    .map(|i| (pos[i][*axis] + vel[i][*axis] * t as f64).rem_euclid(*box_size))
-                    .collect()
-            }
-            FieldKind::ParticleVelocity { sigma, axis } => {
-                let n = self.dims.len();
-                let mut rng = rng_for(
-                    self.seed,
-                    &format!("{}/velocities/{axis}", self.application),
-                );
-                let bulk = normal(&mut rng) * sigma * 0.3;
-                let mut accel_rng = rng_for(self.seed, &format!("{label}/accel"));
-                let drift = normal(&mut accel_rng) * sigma * 0.01;
-                (0..n)
-                    .map(|_| bulk + drift * t as f64 + normal(&mut rng) * sigma)
-                    .collect()
-            }
-            FieldKind::LatticePosition {
-                spacing,
-                thermal,
-                axis,
-            } => {
-                let n = self.dims.len();
-                // Atoms sit near the sites of a 1-D projection of an FCC-like
-                // lattice and vibrate thermally; vibration is resampled per
-                // time-step but site assignment is fixed.
-                let side = (n as f64).cbrt().ceil() as usize;
-                let mut site_rng = rng_for(self.seed, &format!("{}/sites", self.application));
-                let jitter: Vec<f64> = (0..n).map(|_| normal(&mut site_rng) * 0.05).collect();
-                let mut vib_rng = rng_for(self.seed, &format!("{label}/vibration/{t}"));
-                (0..n)
-                    .map(|i| {
-                        let coord = match axis {
-                            0 => i % side,
-                            1 => (i / side) % side,
-                            _ => i / (side * side),
-                        };
-                        (coord as f64 + jitter[i]) * spacing
-                            + normal(&mut vib_rng) * thermal * spacing
-                    })
-                    .collect()
-            }
-        }
-    }
 }
 
-/// Hurricane-ISABEL-like meteorology: 3-D grid, 48 time-steps in the paper,
-/// 13 fields of which a representative 8 are generated here (smooth
-/// temperature/pressure/wind plus sparse cloud/precipitation fields and their
-/// `.log10` variants).
+/// Hurricane-ISABEL-like meteorology: 3-D grid, 48 time-steps in the paper.
 pub fn hurricane(nz: usize, ny: usize, nx: usize, timesteps: usize, seed: u64) -> SyntheticDataset {
-    let smooth = |max_wavenumber: f64, slope: f64| SpectralConfig {
-        modes: 40,
-        max_wavenumber,
-        slope,
-        temporal_rate: 0.12,
-    };
-    let specs = vec![
-        FieldSpec {
-            name: "TCf".into(),
-            kind: FieldKind::Spectral {
-                config: smooth(5.0, 2.0),
-                transform: Transform::Identity,
-                scale: 8.0,
-                offset: 25.0,
-                noise: 0.002,
-            },
-        },
-        FieldSpec {
-            name: "Pf".into(),
-            kind: FieldKind::Spectral {
-                config: smooth(3.0, 2.5),
-                transform: Transform::Identity,
-                scale: 400.0,
-                offset: 96_000.0,
-                noise: 0.001,
-            },
-        },
-        FieldSpec {
-            name: "Uf".into(),
-            kind: FieldKind::Spectral {
-                config: smooth(6.0, 1.8),
-                transform: Transform::Identity,
-                scale: 20.0,
-                offset: 0.0,
-                noise: 0.004,
-            },
-        },
-        FieldSpec {
-            name: "Vf".into(),
-            kind: FieldKind::Spectral {
-                config: smooth(6.0, 1.8),
-                transform: Transform::Identity,
-                scale: 20.0,
-                offset: 0.0,
-                noise: 0.004,
-            },
-        },
-        FieldSpec {
-            name: "Wf".into(),
-            kind: FieldKind::Spectral {
-                config: smooth(8.0, 1.5),
-                transform: Transform::Identity,
-                scale: 2.0,
-                offset: 0.0,
-                noise: 0.01,
-            },
-        },
-        FieldSpec {
-            name: "QVAPORf".into(),
-            kind: FieldKind::Spectral {
-                config: smooth(5.0, 2.0),
-                transform: Transform::Exponential { scale: 1.2 },
-                scale: 0.01,
-                offset: 0.0,
-                noise: 0.001,
-            },
-        },
-        FieldSpec {
-            name: "CLOUDf".into(),
-            kind: FieldKind::Spectral {
-                config: smooth(7.0, 1.6),
-                transform: Transform::Sparse {
-                    threshold: 0.6,
-                    scale: 1e-3,
-                },
-                scale: 1.0,
-                offset: 0.0,
-                noise: 0.0,
-            },
-        },
-        FieldSpec {
-            name: "QCLOUDf.log10".into(),
-            kind: FieldKind::Spectral {
-                config: smooth(7.0, 1.6),
-                transform: Transform::SparseLog10 {
-                    threshold: 0.6,
-                    scale: 1e-3,
-                    floor: 1e-7,
-                },
-                scale: 1.0,
-                offset: 0.0,
-                noise: 0.0,
-            },
-        },
-    ];
-    SyntheticDataset {
-        application: "hurricane".into(),
-        dims: Dims::d3(nz, ny, nx),
-        timesteps,
-        seed,
-        specs,
-    }
+    APPS[0].instance(Dims::d3(nz, ny, nx), timesteps, seed)
 }
 
-/// HACC-like cosmology particle snapshots: 1-D arrays of particle positions
-/// (x, y, z) and velocities (vx, vy, vz); 101 time-steps in the paper.
+/// HACC-like cosmology particle snapshots: 1-D arrays; 101 time-steps in
+/// the paper.
 pub fn hacc(particles: usize, timesteps: usize, seed: u64) -> SyntheticDataset {
-    let specs = vec![
-        FieldSpec {
-            name: "x".into(),
-            kind: FieldKind::ParticlePosition {
-                box_size: 256.0,
-                axis: 0,
-            },
-        },
-        FieldSpec {
-            name: "y".into(),
-            kind: FieldKind::ParticlePosition {
-                box_size: 256.0,
-                axis: 1,
-            },
-        },
-        FieldSpec {
-            name: "z".into(),
-            kind: FieldKind::ParticlePosition {
-                box_size: 256.0,
-                axis: 2,
-            },
-        },
-        FieldSpec {
-            name: "vx".into(),
-            kind: FieldKind::ParticleVelocity {
-                sigma: 300.0,
-                axis: 0,
-            },
-        },
-        FieldSpec {
-            name: "vy".into(),
-            kind: FieldKind::ParticleVelocity {
-                sigma: 300.0,
-                axis: 1,
-            },
-        },
-        FieldSpec {
-            name: "vz".into(),
-            kind: FieldKind::ParticleVelocity {
-                sigma: 300.0,
-                axis: 2,
-            },
-        },
-    ];
-    SyntheticDataset {
-        application: "hacc".into(),
-        dims: Dims::d1(particles),
-        timesteps,
-        seed,
-        specs,
-    }
+    APPS[1].instance(Dims::d1(particles), timesteps, seed)
 }
 
-/// CESM-ATM-like climate output: 2-D lat/lon fields; the six fields the
-/// paper uses (CLDHGH, CLDLOW, CLOUD, FLDSC, FREQSH, PHIS).
+/// CESM-ATM-like climate output: 2-D lat/lon fields; 62 time-steps in the
+/// paper.
 pub fn cesm(nlat: usize, nlon: usize, timesteps: usize, seed: u64) -> SyntheticDataset {
-    let cloudy = |threshold: f64| FieldKind::Spectral {
-        config: SpectralConfig {
-            modes: 48,
-            max_wavenumber: 10.0,
-            slope: 1.4,
-            temporal_rate: 0.2,
-        },
-        transform: Transform::Sparse {
-            threshold,
-            scale: 0.8,
-        },
-        scale: 1.0,
-        offset: 0.0,
-        noise: 0.0,
-    };
-    let specs = vec![
-        FieldSpec {
-            name: "CLDHGH".into(),
-            kind: cloudy(0.1),
-        },
-        FieldSpec {
-            name: "CLDLOW".into(),
-            kind: cloudy(0.0),
-        },
-        FieldSpec {
-            name: "CLOUD".into(),
-            kind: cloudy(-0.1),
-        },
-        FieldSpec {
-            name: "FLDSC".into(),
-            kind: FieldKind::Spectral {
-                config: SpectralConfig {
-                    modes: 32,
-                    max_wavenumber: 4.0,
-                    slope: 2.0,
-                    temporal_rate: 0.15,
-                },
-                transform: Transform::Identity,
-                scale: 60.0,
-                offset: 280.0,
-                noise: 0.002,
-            },
-        },
-        FieldSpec {
-            name: "FREQSH".into(),
-            kind: cloudy(0.3),
-        },
-        FieldSpec {
-            name: "PHIS".into(),
-            kind: FieldKind::Spectral {
-                config: SpectralConfig {
-                    modes: 64,
-                    max_wavenumber: 12.0,
-                    slope: 1.2,
-                    temporal_rate: 0.0,
-                },
-                transform: Transform::Exponential { scale: 1.5 },
-                scale: 800.0,
-                offset: 0.0,
-                noise: 0.0,
-            },
-        },
-    ];
-    SyntheticDataset {
-        application: "cesm".into(),
-        dims: Dims::d2(nlat, nlon),
-        timesteps,
-        seed,
-        specs,
-    }
+    APPS[2].instance(Dims::d2(nlat, nlon), timesteps, seed)
 }
 
-/// EXAALT-like molecular dynamics: 1-D coordinate arrays (x, y, z) of atoms
-/// on a thermally vibrating lattice; 82 time-steps in the paper.
+/// EXAALT-like molecular dynamics: 1-D coordinate arrays; 82 time-steps in
+/// the paper.
 pub fn exaalt(atoms: usize, timesteps: usize, seed: u64) -> SyntheticDataset {
-    let specs = (0..3)
-        .map(|axis| FieldSpec {
-            name: ["x", "y", "z"][axis].to_string(),
-            kind: FieldKind::LatticePosition {
-                spacing: 2.87,
-                thermal: 0.03,
-                axis,
-            },
-        })
-        .collect();
-    SyntheticDataset {
-        application: "exaalt".into(),
-        dims: Dims::d1(atoms),
-        timesteps,
-        seed,
-        specs,
-    }
+    APPS[3].instance(Dims::d1(atoms), timesteps, seed)
 }
 
-/// NYX-like cosmological hydrodynamics: 3-D fields (baryon density, dark
-/// matter density, temperature, vx, vy); 8 time-steps in the paper.
+/// NYX-like cosmological hydrodynamics: 3-D fields; 8 time-steps in the
+/// paper.
 pub fn nyx(nz: usize, ny: usize, nx: usize, timesteps: usize, seed: u64) -> SyntheticDataset {
-    let specs = vec![
-        FieldSpec {
-            name: "baryon_density".into(),
-            kind: FieldKind::Spectral {
-                config: SpectralConfig {
-                    modes: 48,
-                    max_wavenumber: 9.0,
-                    slope: 1.3,
-                    temporal_rate: 0.08,
-                },
-                transform: Transform::Exponential { scale: 2.0 },
-                scale: 1.0,
-                offset: 0.0,
-                noise: 0.0,
-            },
-        },
-        FieldSpec {
-            name: "dark_matter_density".into(),
-            kind: FieldKind::Spectral {
-                config: SpectralConfig {
-                    modes: 48,
-                    max_wavenumber: 10.0,
-                    slope: 1.2,
-                    temporal_rate: 0.08,
-                },
-                transform: Transform::Exponential { scale: 2.4 },
-                scale: 1.0,
-                offset: 0.0,
-                noise: 0.0,
-            },
-        },
-        FieldSpec {
-            name: "temperature".into(),
-            kind: FieldKind::Spectral {
-                config: SpectralConfig {
-                    modes: 40,
-                    max_wavenumber: 7.0,
-                    slope: 1.6,
-                    temporal_rate: 0.08,
-                },
-                transform: Transform::Exponential { scale: 1.0 },
-                scale: 1.0e4,
-                offset: 1.0e3,
-                noise: 0.001,
-            },
-        },
-        FieldSpec {
-            name: "velocity_x".into(),
-            kind: FieldKind::Spectral {
-                config: SpectralConfig {
-                    modes: 40,
-                    max_wavenumber: 6.0,
-                    slope: 1.7,
-                    temporal_rate: 0.1,
-                },
-                transform: Transform::Identity,
-                scale: 2.0e7,
-                offset: 0.0,
-                noise: 0.002,
-            },
-        },
-        FieldSpec {
-            name: "velocity_y".into(),
-            kind: FieldKind::Spectral {
-                config: SpectralConfig {
-                    modes: 40,
-                    max_wavenumber: 6.0,
-                    slope: 1.7,
-                    temporal_rate: 0.1,
-                },
-                transform: Transform::Identity,
-                scale: 2.0e7,
-                offset: 0.0,
-                noise: 0.002,
-            },
-        },
-    ];
-    SyntheticDataset {
-        application: "nyx".into(),
-        dims: Dims::d3(nz, ny, nx),
-        timesteps,
-        seed,
-        specs,
-    }
+    APPS[4].instance(Dims::d3(nz, ny, nx), timesteps, seed)
 }
 
-/// Construct an application by name with small default sizes — convenient
-/// for examples and tests.
+/// Construct an application by name with small default sizes (8
+/// time-steps) — convenient for examples and tests.
 ///
 /// Returns `None` for unknown names.  Recognized: `hurricane`, `hacc`,
 /// `cesm`, `exaalt`, `nyx`.
 pub fn by_name(name: &str, seed: u64) -> Option<SyntheticDataset> {
-    match name {
-        "hurricane" => Some(hurricane(16, 32, 32, 8, seed)),
-        "hacc" => Some(hacc(32_768, 8, seed)),
-        "cesm" => Some(cesm(96, 192, 8, seed)),
-        "exaalt" => Some(exaalt(32_768, 8, seed)),
-        "nyx" => Some(nyx(32, 32, 32, 8, seed)),
-        _ => None,
-    }
+    let app = App::named(name)?;
+    Some(app.instance(Dims::new(app.default_dims), 8, seed))
 }
 
 #[cfg(test)]
@@ -631,6 +317,53 @@ mod tests {
             }
         }
         assert!(by_name("unknown", 0).is_none());
+    }
+
+    #[test]
+    fn generate_serves_every_regime_and_every_app_field() {
+        let known = names();
+        assert_eq!(known.len(), 6 + 8 + 6 + 6 + 3 + 5);
+        let dims = Dims::d2(6, 8);
+        for name in &known {
+            for dtype in [DType::F32, DType::F64] {
+                let dataset = generate(name, &dims, dtype, 5, 1).unwrap();
+                assert_eq!((dataset.len(), dataset.dtype()), (48, dtype), "{name}");
+                assert_eq!(dataset.timestep, 1);
+                assert!(dataset.values_f64().iter().all(|v| v.is_finite()), "{name}");
+            }
+        }
+        // The lookup and the per-family entry points emit the same bits.
+        let looked_up = generate("cesm/PHIS", &Dims::d2(10, 20), DType::F32, 3, 2).unwrap();
+        assert_eq!(looked_up, cesm(10, 20, 3, 3).field("PHIS", 2));
+        let looked_up = generate("shock", &dims, DType::F64, 9, 4).unwrap();
+        let config = ScenarioConfig::new(Regime::Shock).with_seed(9);
+        assert_eq!(looked_up, config.synthesize(&dims, DType::F64, 4).0);
+    }
+
+    #[test]
+    fn unknown_names_carry_the_closest_known_one() {
+        let miss = |name: &str| generate(name, &Dims::d1(8), DType::F32, 0, 0).unwrap_err();
+        assert_eq!(miss("noize").suggestion.as_deref(), Some("noise"));
+        assert_eq!(miss("shok").suggestion.as_deref(), Some("shock"));
+        assert_eq!(
+            miss("nyx/temperatur").suggestion.as_deref(),
+            Some("nyx/temperature")
+        );
+        assert_eq!(miss("completely-different").suggestion, None);
+        assert_eq!(
+            miss("hurricane").suggestion,
+            None,
+            "an app alone is not a field"
+        );
+        let message = miss("turbulance").to_string();
+        assert!(
+            message.contains("unknown generator `turbulance`"),
+            "{message}"
+        );
+        assert!(message.contains("did you mean `turbulence`?"), "{message}");
+        assert!(message.contains("hurricane/TCf"), "{message}");
+        assert_eq!(edit_distance("", "abc"), 3);
+        assert_eq!(edit_distance("kitten", "sitting"), 3);
     }
 
     #[test]

@@ -1,30 +1,28 @@
 //! Synthetic workloads with *known* ground truth — the oracle side of the
 //! FRaZ test matrix.
 //!
-//! The error-bounded-compression literature (Di et al.'s 2024 survey; the
-//! SZx design study) identifies a handful of field classes that stress
-//! different codec paths: smooth advective fields (prediction and transforms
-//! shine), broadband turbulence (partial predictability), oscillatory
-//! telemetry (narrowband, phase-sensitive), shock fronts (discontinuities
-//! break smooth predictors), sparse fields with exactly-constant regions
-//! (constant-block classification), and pure noise (nothing to exploit —
-//! the incompressible floor).  This crate generates all six *regimes*
-//! deterministically, in 1-D to 4-D and both `f32`/`f64`, and hands back a
-//! [`ScenarioDescriptor`] whose ground truth (exact value range, mean, RMS,
-//! spectral slope, discontinuity positions, constant fraction, and a
-//! predicted cross-regime compressibility ordering) is what the
-//! registry-driven oracle suite (`tests/scenario_matrix.rs` at the
-//! workspace root) asserts against for **every** error-bounded codec.
+//! The six regime generators (smooth advection, broadband turbulence,
+//! oscillatory telemetry, shock fronts, sparse-with-constant-regions, pure
+//! noise) live in [`fraz_data::synthetic`], next to the Table-III
+//! application mimics and behind the same name lookup; their names are
+//! re-exported here.  What this crate owns is what it *knows to be true* of
+//! a generated field, independent of any codec: [`Oracle::generate`] hands
+//! back the dataset with a [`ScenarioDescriptor`] — exact value range, mean
+//! and RMS over the stored values, the spectral slope, discontinuity
+//! positions and constant fraction the generator counted, and the regime's
+//! place in the cross-regime compressibility chain
+//! ([`ChainRank::compress_rank`]) — which the registry-driven oracle suite
+//! (`tests/scenario_matrix.rs` at the workspace root) asserts against for
+//! **every** error-bounded codec.
 //!
 //! Determinism is a hard contract: the same [`ScenarioConfig`] (regime,
 //! seed, knobs) over the same dims/dtype/time-step yields a bit-identical
 //! field on every run and platform — scenarios are reproducible workloads,
-//! not random test data.  Generation is pure ChaCha8 + IEEE-754 arithmetic;
-//! nothing reads clocks or global state.
+//! not random test data.
 //!
 //! ```
 //! use fraz_data::{DType, Dims};
-//! use fraz_scenarios::{by_name, Regime};
+//! use fraz_scenarios::{by_name, Oracle, Regime};
 //!
 //! let field = by_name("turbulence").unwrap().generate(&Dims::d2(32, 32), DType::F32, 0);
 //! assert_eq!(field.descriptor.regime, Regime::Turbulence);
@@ -37,85 +35,26 @@
 
 #![forbid(unsafe_code)]
 
-mod gen;
-pub mod manifest;
-
-use std::fmt;
-
+use fraz_data::synthetic::GroundTruth;
 use fraz_data::{DType, Dataset, Dims};
 
-pub use manifest::ScenarioSynthesizer;
+pub use fraz_data::synthetic::{Regime, ScenarioConfig, DEFAULT_SEED, REGIMES};
 
-/// Default seed for scenario generation (the workspace experiment seed, so
-/// bench workloads and manifests agree by default).
-pub const DEFAULT_SEED: u64 = 20200118;
-
-/// The six field classes the suite covers.
-///
-/// The discriminants are ordered by the *universal compressibility chain*
-/// (see [`Regime::compress_rank`]): at an equal absolute error bound, a
-/// regime with a strictly smaller rank must achieve a strictly greater
-/// compression ratio under every error-bounded codec.  Only the regimes
-/// whose ordering is codec-independent carry a rank — oscillatory, shock
-/// and sparse behave too differently across codec families for a universal
-/// claim beyond "more compressible than noise".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Regime {
-    /// Smooth advection: a few low-wavenumber cosine modes plus drifting
-    /// Gaussian bumps.  The most compressible non-degenerate class.
-    Smooth,
-    /// Kolmogorov-spectrum turbulence: broadband spectral synthesis with a
-    /// tunable amplitude-decay slope (default 5/3).
-    Turbulence,
-    /// Multi-channel oscillatory telemetry: contiguous channels, log-spaced
-    /// amplitudes, distinct carrier frequencies and drifting baselines.
-    Oscillatory,
-    /// Shock/discontinuity fronts: a smooth base field plus step jumps
-    /// across planar fronts at known positions along the slowest axis.
-    Shock,
-    /// Sparse-with-constant-regions: an exactly-constant background with a
-    /// few compactly supported blobs (blob count 0 = all-constant field).
-    Sparse,
-    /// Pure i.i.d. uniform noise — the incompressible floor.
-    Noise,
+/// The ordering promise: a regime's place in the *universal
+/// compressibility chain*.
+pub trait ChainRank {
+    /// Position in the chain, when the regime has one: `smooth(0) ≻
+    /// turbulence(1) ≻ noise(2)`, where `a ≻ b` promises a strictly greater
+    /// ratio for `a` at an equal absolute bound under *every* error-bounded
+    /// codec.  `None` for the regimes (oscillatory, shock, sparse) whose
+    /// ordering against the chain is codec-specific — they behave too
+    /// differently across codec families for a universal claim beyond "more
+    /// compressible than noise", which the oracle suite asserts separately.
+    fn compress_rank(self) -> Option<u8>;
 }
 
-/// All six regimes, in chain order.
-pub const REGIMES: [Regime; 6] = [
-    Regime::Smooth,
-    Regime::Turbulence,
-    Regime::Oscillatory,
-    Regime::Shock,
-    Regime::Sparse,
-    Regime::Noise,
-];
-
-impl Regime {
-    /// The regime's manifest/registry name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Regime::Smooth => "smooth",
-            Regime::Turbulence => "turbulence",
-            Regime::Oscillatory => "oscillatory",
-            Regime::Shock => "shock",
-            Regime::Sparse => "sparse",
-            Regime::Noise => "noise",
-        }
-    }
-
-    /// Parse a registry name (exact, case-sensitive — manifest values are
-    /// machine-written).
-    pub fn parse(name: &str) -> Option<Self> {
-        REGIMES.iter().copied().find(|r| r.name() == name)
-    }
-
-    /// Position in the universal compressibility chain, when the regime has
-    /// one: `smooth(0) ≻ turbulence(1) ≻ noise(2)`, where `a ≻ b` promises a
-    /// strictly greater ratio for `a` at an equal absolute bound under
-    /// *every* error-bounded codec.  `None` for the regimes (oscillatory,
-    /// shock, sparse) whose ordering against the chain is codec-specific;
-    /// those still beat noise, which the oracle suite asserts separately.
-    pub fn compress_rank(self) -> Option<u8> {
+impl ChainRank for Regime {
+    fn compress_rank(self) -> Option<u8> {
         match self {
             Regime::Smooth => Some(0),
             Regime::Turbulence => Some(1),
@@ -125,120 +64,28 @@ impl Regime {
     }
 }
 
-impl fmt::Display for Regime {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// A parameterized, seed-deterministic scenario.
-///
-/// Every knob has a default chosen so the six stock scenarios (see
-/// [`by_name`] / [`all_scenarios`]) honour the descriptor's ordering
-/// promises; the proptest oracle suite additionally sweeps the knobs to pin
-/// determinism and ground-truth exactness away from the defaults.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioConfig {
-    /// Which field class to generate.
-    pub regime: Regime,
-    /// Base seed; every (regime, seed) pair is an independent stream.
-    pub seed: u64,
-    /// Peak amplitude: wave-like regimes are normalized so the largest
-    /// absolute value equals this exactly; noise is uniform in ±amplitude.
-    pub amplitude: f64,
-    /// Turbulence amplitude-decay slope (`a(k) ∝ k^{-slope}`, default 5/3,
-    /// the Kolmogorov label).  Larger = smoother spectrum.
-    pub spectral_slope: f64,
-    /// Number of random Fourier modes for turbulence.
-    pub modes: usize,
-    /// Number of discontinuity fronts for the shock regime.
-    pub shock_count: usize,
-    /// Number of telemetry channels for the oscillatory regime.
-    pub channels: usize,
-    /// Number of compact blobs for the sparse regime (0 = all-constant).
-    pub blob_count: usize,
-    /// Exact background value of the sparse regime.
-    pub background: f64,
-}
-
-impl ScenarioConfig {
-    /// The stock configuration of a regime at the default seed.
-    pub fn new(regime: Regime) -> Self {
-        Self {
-            regime,
-            seed: DEFAULT_SEED,
-            amplitude: 1.0,
-            spectral_slope: 5.0 / 3.0,
-            modes: 96,
-            shock_count: 3,
-            channels: 8,
-            blob_count: 5,
-            background: 0.0,
-        }
-    }
-
-    /// Same scenario, different seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
+/// A scenario the oracle can describe.
+pub trait Oracle {
     /// Generate the field at one time-step, with its oracle descriptor.
     ///
-    /// Values are synthesized in `f64`, stored at `dtype`, and the
-    /// descriptor's statistics are computed from the *stored* values (so
-    /// they are exact for what a codec actually sees, including `f32`
-    /// rounding).  Consecutive time-steps are coherent for every regime
-    /// except noise, which is resampled per step.
+    /// The descriptor's statistics are computed from the *stored* values
+    /// (so they are exact for what a codec actually sees, including `f32`
+    /// rounding).
     ///
     /// # Panics
-    /// Panics if `amplitude` is not finite and positive, or a count knob
-    /// needed by the regime is degenerate (`channels == 0` for oscillatory).
-    pub fn generate(&self, dims: &Dims, dtype: DType, timestep: usize) -> ScenarioField {
-        assert!(
-            self.amplitude.is_finite() && self.amplitude > 0.0,
-            "scenario amplitude must be finite and positive, got {}",
-            self.amplitude
-        );
-        let raw = gen::generate(self, dims, timestep);
-        let dataset = match dtype {
-            DType::F32 => Dataset::from_f32(
-                "scenario",
-                self.regime.name(),
-                timestep,
-                dims.clone(),
-                raw.values.iter().map(|&v| v as f32).collect(),
-            ),
-            DType::F64 => Dataset::from_f64(
-                "scenario",
-                self.regime.name(),
-                timestep,
-                dims.clone(),
-                raw.values,
-            ),
-        };
-        let descriptor = ScenarioDescriptor::new(self, &dataset, raw.ground_truth);
+    /// As [`ScenarioConfig::synthesize`].
+    fn generate(&self, dims: &Dims, dtype: DType, timestep: usize) -> ScenarioField;
+}
+
+impl Oracle for ScenarioConfig {
+    fn generate(&self, dims: &Dims, dtype: DType, timestep: usize) -> ScenarioField {
+        let (dataset, truth) = self.synthesize(dims, dtype, timestep);
+        let descriptor = ScenarioDescriptor::new(self, &dataset, truth);
         ScenarioField {
             dataset,
             descriptor,
         }
     }
-}
-
-/// Regime-specific analytic ground truth carried from the generator to the
-/// descriptor (the parts that cannot be recomputed from the values alone).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub(crate) struct GroundTruth {
-    /// Turbulence: the amplitude-decay slope actually used.
-    pub spectral_slope: Option<f64>,
-    /// Shock: normalized front positions along the slowest axis, sorted.
-    pub shock_fronts: Option<Vec<f64>>,
-    /// Sparse: exact fraction of samples equal to the background value
-    /// (counted during generation, before dtype narrowing — the background
-    /// is dtype-exact by construction).
-    pub constant_fraction: Option<f64>,
-    /// Sparse: the exact background value.
-    pub background: Option<f64>,
 }
 
 /// The oracle: everything the test matrix knows to be true of a generated
@@ -276,7 +123,7 @@ pub struct ScenarioDescriptor {
     /// Sparse: the exactly-constant background value.
     pub background: Option<f64>,
     /// Position in the universal compressibility chain (see
-    /// [`Regime::compress_rank`]).
+    /// [`ChainRank::compress_rank`]).
     pub compress_rank: Option<u8>,
 }
 
@@ -326,20 +173,8 @@ pub struct ScenarioField {
     pub descriptor: ScenarioDescriptor,
 }
 
-/// The regime registry names, in chain order.
-pub fn names() -> [&'static str; 6] {
-    [
-        Regime::Smooth.name(),
-        Regime::Turbulence.name(),
-        Regime::Oscillatory.name(),
-        Regime::Shock.name(),
-        Regime::Sparse.name(),
-        Regime::Noise.name(),
-    ]
-}
-
 /// Stock scenario for a regime name (default knobs, default seed); `None`
-/// for unknown names — see [`manifest::suggest`] for a did-you-mean helper.
+/// for unknown names.
 pub fn by_name(name: &str) -> Option<ScenarioConfig> {
     Regime::parse(name).map(ScenarioConfig::new)
 }

@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 
 use fraz_data::{DType, Dims};
-use fraz_scenarios::{Regime, ScenarioConfig, REGIMES};
+use fraz_scenarios::{ChainRank, Oracle, Regime, ScenarioConfig, REGIMES};
 
 fn regime_strategy() -> impl Strategy<Value = Regime> {
     (0usize..REGIMES.len()).prop_map(|i| REGIMES[i])

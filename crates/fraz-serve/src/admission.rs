@@ -1,4 +1,4 @@
-//! Admission control: bounded in-flight work with per-client fairness.
+//! Admission control: bounded in-flight work.
 //!
 //! The service's memory story is simple because this layer makes it so:
 //! a job is either *admitted* — it holds a [`Permit`] counted against the
@@ -8,17 +8,16 @@
 //! never exceed `max_bytes`, no matter how many clients connect or how
 //! fast they push.
 //!
-//! A per-client quota keeps one greedy client from consuming the whole
-//! budget: each connection may hold at most `per_client_jobs` permits, so
-//! under overload every client still gets a slice.
+//! There is no per-client quota: a connection reads one frame, answers it,
+//! then reads the next, so it never holds more than one permit and the
+//! global budgets already bound every client.
 //!
 //! Permits are RAII: dropping one (on any path — success, typed failure,
 //! panic unwinding through `catch_unwind`) releases its share of every
 //! budget, so a leaked count would require leaking the permit itself.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Budgets enforced by [`Admission`].
@@ -28,8 +27,6 @@ pub struct AdmissionConfig {
     pub max_jobs: usize,
     /// Global ceiling on the summed payload bytes of admitted jobs.
     pub max_bytes: u64,
-    /// Ceiling on jobs one client may hold at once.
-    pub per_client_jobs: usize,
     /// The retry hint handed to shed clients.
     pub retry_after: Duration,
 }
@@ -39,7 +36,6 @@ impl Default for AdmissionConfig {
         Self {
             max_jobs: 64,
             max_bytes: 256 << 20,
-            per_client_jobs: 8,
             retry_after: Duration::from_millis(50),
         }
     }
@@ -59,7 +55,6 @@ pub struct Admission {
     config: AdmissionConfig,
     jobs: AtomicUsize,
     bytes: AtomicU64,
-    per_client: Mutex<HashMap<u64, usize>>,
     admitted: AtomicU64,
     shed: AtomicU64,
     peak_jobs: AtomicUsize,
@@ -73,7 +68,6 @@ impl Admission {
             config,
             jobs: AtomicUsize::new(0),
             bytes: AtomicU64::new(0),
-            per_client: Mutex::new(HashMap::new()),
             admitted: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             peak_jobs: AtomicUsize::new(0),
@@ -86,9 +80,9 @@ impl Admission {
         &self.config
     }
 
-    /// Try to admit a `bytes`-byte job from `client`.  On success the
-    /// returned [`Permit`] holds the budget share until dropped.
-    pub fn try_admit(self: &Arc<Self>, client: u64, bytes: u64) -> Result<Permit, Overload> {
+    /// Try to admit a `bytes`-byte job.  On success the returned
+    /// [`Permit`] holds the budget share until dropped.
+    pub fn try_admit(self: &Arc<Self>, bytes: u64) -> Result<Permit, Overload> {
         let shed = |reason: &'static str| {
             self.shed.fetch_add(1, Ordering::Relaxed);
             Err(Overload {
@@ -97,28 +91,15 @@ impl Admission {
             })
         };
 
-        // Per-client quota first: a client over its slice must not be able
-        // to contend for (and transiently inflate) the global counters.
-        {
-            let mut per_client = self.per_client.lock().unwrap_or_else(|p| p.into_inner());
-            let held = per_client.entry(client).or_insert(0);
-            if *held >= self.config.per_client_jobs {
-                return shed("per-client quota");
-            }
-            *held += 1;
-        }
-
         let jobs = self.jobs.fetch_add(1, Ordering::AcqRel) + 1;
         if jobs > self.config.max_jobs {
             self.jobs.fetch_sub(1, Ordering::AcqRel);
-            self.release_client(client);
             return shed("job budget");
         }
         let total = self.bytes.fetch_add(bytes, Ordering::AcqRel) + bytes;
         if total > self.config.max_bytes {
             self.bytes.fetch_sub(bytes, Ordering::AcqRel);
             self.jobs.fetch_sub(1, Ordering::AcqRel);
-            self.release_client(client);
             return shed("byte budget");
         }
 
@@ -127,19 +108,8 @@ impl Admission {
         self.peak_bytes.fetch_max(total, Ordering::Relaxed);
         Ok(Permit {
             admission: Arc::clone(self),
-            client,
             bytes,
         })
-    }
-
-    fn release_client(&self, client: u64) {
-        let mut per_client = self.per_client.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(held) = per_client.get_mut(&client) {
-            *held = held.saturating_sub(1);
-            if *held == 0 {
-                per_client.remove(&client);
-            }
-        }
     }
 
     /// Jobs currently holding permits.
@@ -177,14 +147,12 @@ impl Admission {
 /// RAII share of the admission budgets; dropping releases it.
 pub struct Permit {
     admission: Arc<Admission>,
-    client: u64,
     bytes: u64,
 }
 
 impl std::fmt::Debug for Permit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Permit")
-            .field("client", &self.client)
             .field("bytes", &self.bytes)
             .finish()
     }
@@ -194,7 +162,6 @@ impl Drop for Permit {
     fn drop(&mut self) {
         self.admission.bytes.fetch_sub(self.bytes, Ordering::AcqRel);
         self.admission.jobs.fetch_sub(1, Ordering::AcqRel);
-        self.admission.release_client(self.client);
     }
 }
 
@@ -202,33 +169,32 @@ impl Drop for Permit {
 mod tests {
     use super::*;
 
-    fn config(max_jobs: usize, max_bytes: u64, per_client: usize) -> AdmissionConfig {
+    fn config(max_jobs: usize, max_bytes: u64) -> AdmissionConfig {
         AdmissionConfig {
             max_jobs,
             max_bytes,
-            per_client_jobs: per_client,
             retry_after: Duration::from_millis(25),
         }
     }
 
     #[test]
     fn budgets_are_enforced_and_released() {
-        let admission = Admission::new(config(2, 1000, 2));
-        let a = admission.try_admit(1, 400).unwrap();
-        let _b = admission.try_admit(2, 400).unwrap();
-        let over = admission.try_admit(3, 100).unwrap_err();
+        let admission = Admission::new(config(2, 1000));
+        let a = admission.try_admit(400).unwrap();
+        let _b = admission.try_admit(400).unwrap();
+        let over = admission.try_admit(100).unwrap_err();
         assert_eq!(over.reason, "job budget");
         assert_eq!(over.retry_after, Duration::from_millis(25));
         drop(a);
-        assert!(admission.try_admit(3, 100).is_ok(), "release reopens");
+        assert!(admission.try_admit(100).is_ok(), "release reopens");
         assert_eq!(admission.shed(), 1);
     }
 
     #[test]
     fn byte_budget_sheds_independently_of_job_budget() {
-        let admission = Admission::new(config(10, 500, 10));
-        let _a = admission.try_admit(1, 400).unwrap();
-        let over = admission.try_admit(1, 200).unwrap_err();
+        let admission = Admission::new(config(10, 500));
+        let _a = admission.try_admit(400).unwrap();
+        let over = admission.try_admit(200).unwrap_err();
         assert_eq!(over.reason, "byte budget");
         // The failed admission must not leak its transient increments.
         assert_eq!(admission.inflight_jobs(), 1);
@@ -236,26 +202,9 @@ mod tests {
     }
 
     #[test]
-    fn one_greedy_client_cannot_starve_the_rest() {
-        let admission = Admission::new(config(10, 10_000, 2));
-        let _a = admission.try_admit(7, 10).unwrap();
-        let _b = admission.try_admit(7, 10).unwrap();
-        assert_eq!(
-            admission.try_admit(7, 10).unwrap_err().reason,
-            "per-client quota"
-        );
-        assert!(
-            admission.try_admit(8, 10).is_ok(),
-            "other clients still fit"
-        );
-    }
-
-    #[test]
     fn peaks_record_high_water_marks() {
-        let admission = Admission::new(config(4, 10_000, 4));
-        let permits: Vec<_> = (0..3)
-            .map(|i| admission.try_admit(i, 100).unwrap())
-            .collect();
+        let admission = Admission::new(config(4, 10_000));
+        let permits: Vec<_> = (0..3).map(|_| admission.try_admit(100).unwrap()).collect();
         drop(permits);
         assert_eq!(admission.peak_jobs(), 3);
         assert_eq!(admission.peak_bytes(), 300);

@@ -9,12 +9,13 @@
 //!
 //! * [`proto`] — the framed wire protocol; every length prefix is
 //!   validated before allocation, every decode failure is typed,
-//! * [`admission`] — bounded in-flight job/byte budgets with per-client
-//!   fairness; over budget sheds with `Overloaded{retry_after}`,
+//! * [`admission`] — bounded in-flight job/byte budgets; over budget
+//!   sheds with `Overloaded{retry_after}`,
 //! * [`server`] — job execution with cooperative deadlines
 //!   ([`fraz_core::CancelToken`] checked between compressor
 //!   evaluations), retry/backoff over the store, graceful degradation
-//!   (broken cache → cold search; broken store → in-memory fallback),
+//!   (broken cache → cold search; broken store → the in-memory side of a
+//!   [`fraz_store::FallbackStore`]),
 //!   panic isolation, and a drain-on-shutdown that flushes the tune
 //!   cache,
 //! * [`client`] — a blocking client for tools and tests,

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use fraz_data::{DType, Dataset, Dims};
+use fraz_data::{synthetic, DType, Dataset, Dims};
 use fraz_scenarios::Regime;
 
 use crate::client::Client;
@@ -169,10 +169,9 @@ pub fn workload_fields(side: usize, seed: u64) -> Vec<Dataset> {
         .into_iter()
         .enumerate()
         .map(|(i, regime)| {
-            let config = fraz_scenarios::ScenarioConfig::new(regime).with_seed(seed + i as u64);
-            config
-                .generate(&Dims::d2(side, side), DType::F32, 0)
-                .dataset
+            let dims = Dims::d2(side, side);
+            synthetic::generate(regime.name(), &dims, DType::F32, seed + i as u64, 0)
+                .expect("a regime is a generator name")
         })
         .collect()
 }

@@ -5,7 +5,7 @@
 //! ARCHITECTURE.md for the full map):
 //!
 //! 1. **admit** — the decoded request passes [`Admission`]: a global
-//!    in-flight job/byte budget plus a per-client quota.  Over budget,
+//!    in-flight job and byte budget.  Over budget,
 //!    the job is shed with a typed `Overloaded{retry_after}` before its
 //!    payload touches any subsystem.  During drain, new work gets a typed
 //!    `Draining` instead.
@@ -21,8 +21,8 @@
 //!    or failure.
 //!
 //! Dependencies degrade instead of failing: the durable store sits under
-//! a [`RetryStore`] (jittered backoff on transient errors) with an
-//! in-memory fallback once the backend permanently fails, and a broken
+//! a [`RetryStore`] (jittered backoff on transient errors) inside a
+//! [`FallbackStore`] (in-memory once the backend permanently fails), and a broken
 //! tune cache means cold searches, not errors.  Shutdown is a *drain*:
 //! stop admitting, let in-flight jobs finish under the drain deadline,
 //! cancel stragglers at the deadline, flush the tune cache, and report
@@ -44,7 +44,10 @@ use fraz_core::{
 use fraz_data::Dataset;
 use fraz_pool::Pool;
 use fraz_pressio::{registry, Compressor};
-use fraz_store::{FaultConfig, FaultyStore, FsStore, MemoryStore, RetryPolicy, RetryStore, Store};
+use fraz_store::{
+    FallbackStore, FaultConfig, FaultyStore, FsStore, MemoryStore, RetryPolicy, RetryStore, Store,
+    StoreError,
+};
 use fraz_tune::CachePredictor;
 
 use crate::admission::{Admission, AdmissionConfig};
@@ -120,74 +123,8 @@ struct Counters {
 }
 
 /// The store stack: retry over the (possibly chaos-wrapped) durable
-/// backend, with an in-memory fallback the server degrades to when the
-/// backend fails permanently.
-struct StoreStack {
-    primary: RetryStore<Box<dyn Store>>,
-    fallback: MemoryStore,
-    degraded: AtomicBool,
-    /// Keys whose latest successful write lives in the fallback.  The
-    /// primary may hold a stale or *torn* copy of these (a failed durable
-    /// put can leave a prefix behind), so reads must prefer the fallback
-    /// until a durable put succeeds again.
-    fallback_keys: Mutex<std::collections::HashSet<String>>,
-}
-
-impl StoreStack {
-    fn put(&self, key: &str, value: &[u8]) -> Response {
-        match self.primary.put(key, value) {
-            Ok(()) => {
-                self.fallback_keys
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .remove(key);
-                Response::Stored { degraded: false }
-            }
-            Err(primary_err) => match self.fallback.put(key, value) {
-                Ok(()) => {
-                    self.degraded.store(true, Ordering::Relaxed);
-                    self.fallback_keys
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .insert(key.to_string());
-                    Response::Stored { degraded: true }
-                }
-                Err(_) => Response::IoFailed {
-                    transient: primary_err.is_transient(),
-                    message: primary_err.to_string(),
-                },
-            },
-        }
-    }
-
-    fn get(&self, key: &str) -> Response {
-        let prefer_fallback = self
-            .fallback_keys
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .contains(key);
-        if prefer_fallback {
-            if let Ok(blob) = self.fallback.get(key) {
-                return Response::Blob(blob);
-            }
-        }
-        match self.primary.get(key) {
-            Ok(blob) => Response::Blob(blob),
-            Err(primary_err) => match self.fallback.get(key) {
-                Ok(blob) => Response::Blob(blob),
-                Err(_) => match primary_err {
-                    fraz_store::StoreError::NotFound(_) => Response::BadRequest {
-                        message: format!("no object stored under `{key}`"),
-                    },
-                    other => Response::IoFailed {
-                        transient: other.is_transient(),
-                        message: other.to_string(),
-                    },
-                },
-            },
-        }
-    }
-}
+/// backend, degrading to an in-memory fallback when it fails permanently.
+type StoreStack = FallbackStore<RetryStore<Box<dyn Store>>, MemoryStore>;
 
 struct Inner {
     config: ServeConfig,
@@ -211,8 +148,7 @@ impl Inner {
     fn status_body(&self) -> StatusBody {
         StatusBody {
             draining: self.stopping(),
-            degraded: self.store.degraded.load(Ordering::Relaxed)
-                || self.tune_degraded.load(Ordering::Relaxed),
+            degraded: self.store.degraded_puts() > 0 || self.tune_degraded.load(Ordering::Relaxed),
             inflight_jobs: self.admission.inflight_jobs() as u32,
             inflight_bytes: self.admission.inflight_bytes(),
             jobs_ok: self.counters.ok.load(Ordering::Relaxed),
@@ -268,7 +204,7 @@ impl Inner {
     }
 
     /// One request frame in, exactly one typed response out.
-    fn handle_payload(&self, payload: &[u8], client: u64) -> Response {
+    fn handle_payload(&self, payload: &[u8]) -> Response {
         let request = match Request::decode(payload) {
             Ok(request) => request,
             Err(e) => {
@@ -287,7 +223,7 @@ impl Inner {
                 .fetch_add(1, Ordering::Relaxed);
             return Response::Draining;
         }
-        let permit = match self.admission.try_admit(client, payload.len() as u64) {
+        let permit = match self.admission.try_admit(payload.len() as u64) {
             Ok(permit) => permit,
             Err(overload) => {
                 return Response::Overloaded {
@@ -341,7 +277,12 @@ impl Inner {
                 deadline_ms,
                 &codec,
                 &dataset,
-                SearchConfig::new(target_ratio, tolerance),
+                // The reply carries the ratio, not a quality report, so the
+                // search skips the final decompress-and-measure pass.
+                SearchConfig {
+                    measure_final_quality: false,
+                    ..SearchConfig::new(target_ratio, tolerance)
+                },
                 |outcome| outcome.best.compression_ratio,
                 |compressor, outcome, ratio| match compressor
                     .compress(&dataset, outcome.error_bound)
@@ -389,8 +330,17 @@ impl Inner {
                     },
                 }
             }
-            Request::PutStore { key, blob } => self.store.put(&key, &blob),
-            Request::GetStore { key } => self.store.get(&key),
+            Request::PutStore { key, blob } => match self.store.put_tracked(&key, &blob) {
+                Ok(degraded) => Response::Stored { degraded },
+                Err(e) => io_failed(e),
+            },
+            Request::GetStore { key } => match self.store.get(&key) {
+                Ok(blob) => Response::Blob(blob),
+                Err(StoreError::NotFound(_)) => Response::BadRequest {
+                    message: format!("no object stored under `{key}`"),
+                },
+                Err(e) => io_failed(e),
+            },
         }
     }
 
@@ -450,6 +400,13 @@ impl Inner {
     }
 }
 
+fn io_failed(error: StoreError) -> Response {
+    Response::IoFailed {
+        transient: error.is_transient(),
+        message: error.to_string(),
+    }
+}
+
 /// Read one frame, returning `Ok(None)` when the connection should close
 /// instead (peer hung up, or the server is draining and the line is
 /// idle).  Read timeouts while idle poll the drain flag; timeouts
@@ -496,23 +453,20 @@ fn read_frame_or_close(
     match read_frame(&mut reader, inner.config.max_frame_len) {
         Ok(payload) => Ok(Some(payload)),
         Err(ProtoError::Closed) => Ok(None),
-        Err(e) if reader.stop => {
-            // The synthetic EOF from the drain poll surfaces as
-            // Closed/Truncated; either way the connection just closes.
-            let _ = e;
-            Ok(None)
-        }
+        // The synthetic EOF from the drain poll surfaces as
+        // Closed/Truncated; either way the connection just closes.
+        Err(_) if reader.stop => Ok(None),
         Err(e) => Err(e),
     }
 }
 
-fn connection_loop(inner: Arc<Inner>, mut stream: TcpStream, client: u64) {
+fn connection_loop(inner: Arc<Inner>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     loop {
         match read_frame_or_close(&mut stream, &inner) {
             Ok(Some(payload)) => {
-                let response = inner.handle_payload(&payload, client);
+                let response = inner.handle_payload(&payload);
                 let close = matches!(response, Response::Draining);
                 if write_frame(&mut stream, &response.encode()).is_err() || close {
                     break;
@@ -561,37 +515,30 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
     let pool = Arc::new(Pool::new(workers));
 
     let base: Box<dyn Store> = match &config.store_dir {
-        Some(dir) => Box::new(
-            FsStore::open(dir)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::Other, e.to_string()))?,
-        ),
+        Some(dir) => Box::new(FsStore::open(dir).map_err(std::io::Error::other)?),
         None => Box::new(MemoryStore::new()),
     };
     let base: Box<dyn Store> = match &config.store_faults {
         Some(faults) => Box::new(FaultyStore::new(base, faults.clone())),
         None => base,
     };
-    let store = StoreStack {
-        primary: RetryStore::with_policy(base, config.retry.clone()),
-        fallback: MemoryStore::new(),
-        degraded: AtomicBool::new(false),
-        fallback_keys: Mutex::new(std::collections::HashSet::new()),
-    };
+    let store = FallbackStore::new(
+        RetryStore::with_policy(base, config.retry.clone()),
+        MemoryStore::new(),
+    );
 
     // A broken tune-cache directory degrades to cold searches — the
     // service must come up anyway.
     let mut tune_degraded = false;
-    let tune = match &config.tune_cache_dir {
-        Some(dir) => match CachePredictor::open(dir) {
-            Ok(predictor) => Some(Arc::new(predictor)),
-            Err(e) => {
+    let tune = config.tune_cache_dir.as_ref().and_then(|dir| {
+        CachePredictor::open(dir)
+            .map(Arc::new)
+            .inspect_err(|e| {
                 eprintln!("fraz-serve: tune cache unavailable ({e}); searches run cold");
                 tune_degraded = true;
-                None
-            }
-        },
-        None => None,
-    };
+            })
+            .ok()
+    });
 
     let admission = Admission::new(config.admission.clone());
     let inner = Arc::new(Inner {
@@ -615,32 +562,26 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         std::thread::Builder::new()
             .name("fraz-serve-accept".into())
             .spawn(move || {
-                let mut next_client: u64 = 0;
                 while !inner.stopping() {
                     match listener.accept() {
                         Ok((stream, _peer)) => {
-                            let client = next_client;
-                            next_client += 1;
                             let _ = stream.set_nonblocking(false);
                             let inner = Arc::clone(&inner);
                             let spawned = std::thread::Builder::new()
-                                .name(format!("fraz-serve-conn-{client}"))
-                                .spawn(move || connection_loop(inner, stream, client));
-                            match spawned {
-                                Ok(handle) => connections
+                                .name("fraz-serve-conn".into())
+                                .spawn(move || connection_loop(inner, stream));
+                            // On thread exhaustion the connection drops:
+                            // the client sees a clean close and retries
+                            // elsewhere.
+                            if let Ok(handle) = spawned {
+                                connections
                                     .lock()
                                     .unwrap_or_else(|p| p.into_inner())
-                                    .push(handle),
-                                Err(_) => {
-                                    // Thread exhaustion: drop the
-                                    // connection; the client sees a clean
-                                    // close and retries elsewhere.
-                                }
+                                    .push(handle);
                             }
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
+                        // Nothing to accept yet (`WouldBlock`), or a
+                        // transient accept failure: poll again shortly.
                         Err(_) => std::thread::sleep(Duration::from_millis(5)),
                     }
                 }
@@ -677,6 +618,12 @@ impl ServerHandle {
         self.inner.admission.peak_jobs()
     }
 
+    /// Puts acknowledged by the in-memory fallback because the durable
+    /// store failed (each answered `Stored { degraded: true }`).
+    pub fn degraded_puts(&self) -> u64 {
+        self.inner.store.degraded_puts()
+    }
+
     /// Drain and stop: stop admitting, wait for in-flight jobs up to the
     /// drain deadline, cancel stragglers, flush the tune cache, join
     /// every thread.
@@ -711,24 +658,16 @@ impl ServerHandle {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        loop {
-            let handle = {
-                let mut connections = self.connections.lock().unwrap_or_else(|p| p.into_inner());
-                connections.pop()
-            };
-            match handle {
-                Some(handle) => {
-                    let _ = handle.join();
-                }
-                None => break,
-            }
+        // The accept loop has exited, so the list is complete.
+        let connections =
+            std::mem::take(&mut *self.connections.lock().unwrap_or_else(|p| p.into_inner()));
+        for handle in connections {
+            let _ = handle.join();
         }
 
         // Phase 4: flush the tune cache so the next process starts warm.
-        let tune_cache_flushed = match &self.inner.tune {
-            Some(predictor) => predictor.cache().flush().is_ok(),
-            None => true,
-        };
+        let tune = self.inner.tune.as_ref();
+        let tune_cache_flushed = tune.is_none_or(|p| p.cache().flush().is_ok());
 
         DrainReport {
             drained_within_deadline,

@@ -67,6 +67,7 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
     // key -> blob for every put the server *acknowledged*.
     let acked: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
     let degraded_evidence = AtomicU64::new(0);
+    let degraded_acks = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -74,6 +75,7 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
             let outcomes = &outcomes;
             let acked = &acked;
             let degraded_evidence = &degraded_evidence;
+            let degraded_acks = &degraded_acks;
             scope.spawn(move || {
                 let fields = workload_fields(24, 40 + t as u64);
                 let mut client = Client::connect(addr).expect("connect");
@@ -93,6 +95,7 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
                                 Response::Stored { degraded } => {
                                     if *degraded {
                                         degraded_evidence.fetch_add(1, Ordering::Relaxed);
+                                        degraded_acks.fetch_add(1, Ordering::Relaxed);
                                     }
                                     acked
                                         .lock()
@@ -219,6 +222,15 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
         status.degraded || degraded_evidence.load(Ordering::Relaxed) > 0,
         "fault schedule produced no observable degradation — chaos did not bite"
     );
+
+    // Injected == observed: every put the fallback store absorbed was
+    // answered `Stored { degraded: true }`, and nothing else was.
+    assert_eq!(
+        handle.degraded_puts(),
+        degraded_acks.load(Ordering::Relaxed),
+        "degraded puts must equal degraded acknowledgements"
+    );
+    assert_eq!(status.degraded, handle.degraded_puts() > 0);
 
     let report = handle.join();
     assert!(report.tune_cache_flushed, "drain must flush the tune cache");

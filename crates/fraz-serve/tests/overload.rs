@@ -30,7 +30,6 @@ fn tiny_server() -> ServerHandle {
         admission: AdmissionConfig {
             max_jobs: MAX_JOBS,
             max_bytes: 64 << 20,
-            per_client_jobs: 1,
             retry_after: Duration::from_millis(RETRY_AFTER_MS),
         },
         ..ServeConfig::default()
@@ -177,7 +176,6 @@ fn byte_budget_sheds_jobs_larger_than_the_window() {
         admission: AdmissionConfig {
             max_jobs: 8,
             max_bytes: 1024, // smaller than any compress payload below
-            per_client_jobs: 8,
             retry_after: Duration::from_millis(10),
         },
         ..ServeConfig::default()

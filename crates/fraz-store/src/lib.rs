@@ -9,8 +9,11 @@
 //! * [`ChunkGrid`] — a regular chunk grid over an n-dimensional field
 //!   (configurable chunk shape, clamped edge chunks),
 //! * [`Store`] — a storage abstraction (listable, readable, writable, with
-//!   byte-range reads) with [`MemoryStore`] and [`FsStore`] backends and a
-//!   [`CountingStore`] instrumentation wrapper,
+//!   byte-range reads) with [`MemoryStore`] and [`FsStore`] backends and
+//!   composable decorators: [`CountingStore`] (instrumentation),
+//!   [`RetryStore`] (jittered backoff on transient errors), [`FallbackStore`]
+//!   (degrade to a second store when the first fails) and [`FaultyStore`]
+//!   (seeded fault injection),
 //! * a self-describing container format (dims, dtype, chunk shape, codec
 //!   name + options in the header; a per-chunk offset/length/bound/CRC32
 //!   index; a header CRC) — see [`mod@format`],
@@ -46,6 +49,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod fallback;
 pub mod faulty;
 pub mod format;
 pub mod grid;
@@ -57,6 +61,7 @@ pub mod writer;
 
 use std::fmt;
 
+pub use fallback::FallbackStore;
 pub use faulty::{FaultConfig, FaultStats, FaultyStore};
 pub use format::{ArrayMeta, ChunkEntry};
 pub use grid::ChunkGrid;

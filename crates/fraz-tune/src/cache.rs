@@ -106,17 +106,23 @@ impl TuneCache {
         };
         let mut corrupt = 0usize;
         let mut slots = self.slots.lock().expect("tune cache lock");
-        for line in BufReader::new(file).lines() {
-            // An unreadable tail (truncation, invalid UTF-8) ends the load
-            // but keeps everything read so far.
-            let Ok(line) = line else {
-                corrupt += 1;
+        let mut reader = BufReader::new(file);
+        let mut line = Vec::new();
+        loop {
+            line.clear();
+            if reader.read_until(b'\n', &mut line)? == 0 {
                 break;
+            }
+            // Lines are judged one by one: damage to one (a torn tail, a
+            // flipped bit, bytes that are not UTF-8) costs that line only.
+            let Ok(text) = std::str::from_utf8(&line) else {
+                corrupt += 1;
+                continue;
             };
-            if line.trim().is_empty() {
+            if text.trim().is_empty() {
                 continue;
             }
-            match serde_json::from_str::<Entry>(&line) {
+            match serde_json::from_str::<Entry>(text) {
                 Ok(entry) if entry.bound.is_finite() && entry.bound > 0.0 => {
                     slots.tick += 1;
                     let tick = slots.tick;

@@ -20,7 +20,9 @@
 //! clear and, where the blob embeds a lossless frame, inside the frame's
 //! decoded body too.  A mutation that lands on a field whose every value is
 //! legal (a name byte, the time-step, a bound's mantissa) may still decode;
-//! then the result must be self-consistent.
+//! then the result must be self-consistent.  The tune-cache file gets the
+//! same truncation and bit-flip sweeps, with its own contract: `open`
+//! succeeds and damage costs the damaged lines only.
 //!
 //! The test binary runs under a counting `#[global_allocator]` that refuses
 //! any request taking live bytes above 256 MiB: an unchecked proportional
@@ -34,6 +36,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use fraz::data::{Dataset, Dims};
 use fraz::lossless;
 use fraz::pressio::{registry, Compressor};
+use fraz::tune::TuneCache;
 
 // ---------------------------------------------------------------------------
 // The allocation cap.
@@ -371,6 +374,116 @@ fn lossless_stage_survives_truncation_flips_and_hostile_lengths() {
                 .unwrap_or_else(|_| panic!("{what}: panicked"));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The tune-cache file: the one trust boundary that is not a codec blob.  It
+// is read at every service and CLI start, so damage must cost the damaged
+// lines only — `open` succeeds, intact lines load, the rest are counted.
+
+/// The recorded `(key, bound)` pairs and the bytes a flush writes for them.
+fn flushed_tune_cache(dir: &std::path::Path) -> (Vec<(String, f64)>, Vec<u8>) {
+    let _ = std::fs::remove_dir_all(dir);
+    let recorded: Vec<(String, f64)> = (0..12u32)
+        .map(|i| {
+            (
+                format!("sz|cfg|r{i}|fingerprint-{:08x}", i * 0x9e37),
+                1e-4 * 1.37f64.powi(i as i32),
+            )
+        })
+        .collect();
+    let cache = TuneCache::open(dir).unwrap();
+    for (key, bound) in &recorded {
+        cache.record(key.clone(), *bound);
+    }
+    cache.flush().unwrap();
+    let bytes = std::fs::read(cache.path()).unwrap();
+    (recorded, bytes)
+}
+
+/// Open a cache over `bytes`; returns `(entries equal to a recorded pair,
+/// all entries, corrupt lines)`.
+fn open_damaged(
+    dir: &std::path::Path,
+    what: &str,
+    bytes: &[u8],
+    recorded: &[(String, f64)],
+) -> (usize, usize, usize) {
+    std::fs::write(dir.join(fraz::tune::CACHE_FILE), bytes).unwrap();
+    let cache = catch_unwind(|| TuneCache::open(dir))
+        .unwrap_or_else(|_| panic!("tune cache: {what}: open panicked"))
+        .unwrap_or_else(|e| panic!("tune cache: {what}: open failed: {e}"));
+    let intact = recorded
+        .iter()
+        .filter(|(key, bound)| cache.lookup(key).map(f64::to_bits) == Some(bound.to_bits()))
+        .count();
+    let loaded = (intact, cache.len(), cache.stats().corrupt_lines);
+    // Dropping a cache flushes it; the next case overwrites the file anyway.
+    drop(cache);
+    loaded
+}
+
+#[test]
+fn tune_cache_file_survives_truncation_and_bit_flips() {
+    let dir = std::env::temp_dir().join(format!("fraz-adversarial-tune-{}", std::process::id()));
+    let (recorded, bytes) = flushed_tune_cache(&dir);
+    let lines = recorded.len();
+    assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), lines);
+
+    // open ∘ flush is the identity on an intact cache, bytes and entries.
+    assert_eq!(
+        open_damaged(&dir, "intact", &bytes, &recorded),
+        (lines, lines, 0)
+    );
+    assert_eq!(
+        std::fs::read(dir.join(fraz::tune::CACHE_FILE)).unwrap(),
+        bytes
+    );
+
+    // A cut keeps exactly the complete lines before it; a torn last line is
+    // counted, and can never parse (its closing brace is its last byte).
+    for cut in 0..bytes.len() {
+        let whole = bytes[..cut].iter().filter(|&&b| b == b'\n').count();
+        let torn = !matches!(bytes[..cut].last(), None | Some(b'\n'));
+        let torn_but_whole = torn && bytes[cut] == b'\n';
+        let kept = whole + usize::from(torn_but_whole);
+        assert_eq!(
+            open_damaged(&dir, &format!("cut at {cut}"), &bytes[..cut], &recorded),
+            (kept, kept, usize::from(torn && !torn_but_whole)),
+            "tune cache: cut at {cut}"
+        );
+    }
+
+    // A flipped bit damages the line it lands in — or, on a newline, that
+    // line and its neighbour — and nothing else.  A line carries no
+    // checksum, so a flipped digit or key byte may still parse, as an entry
+    // nobody recorded: at most one such stranger, with a usable bound (every
+    // cached bound is verified by an evaluation before a search trusts it).
+    for pos in 0..bytes.len() {
+        for bit in 0..8 {
+            let mut copy = bytes.clone();
+            copy[pos] ^= 1 << bit;
+            let what = format!("bit {bit} of byte {pos}");
+            let (intact, entries, corrupt) = open_damaged(&dir, &what, &copy, &recorded);
+            assert!(
+                intact >= lines - 2,
+                "tune cache: {what}: lost {}",
+                lines - intact
+            );
+            let strangers = entries - intact;
+            assert!(
+                strangers <= 1,
+                "tune cache: {what}: {strangers} unrecorded entries"
+            );
+            // Every line is loaded or counted; a flipped newline merges two
+            // lines into one corrupt one, which hides a single line.
+            assert!(
+                entries + corrupt >= lines - 1,
+                "tune cache: {what}: {entries} entries + {corrupt} corrupt of {lines} lines"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ use proptest::prelude::*;
 
 use fraz::data::{DType, Dataset, Dims};
 use fraz::pressio::{registry, BoundKind};
-use fraz::scenarios::{by_name, Regime, ScenarioConfig, REGIMES};
+use fraz::scenarios::{by_name, Oracle, Regime, ScenarioConfig, REGIMES};
 
 /// Log-spaced absolute bounds; the tightest settings force the codecs into
 /// their exact/lossless fallback paths, which must *still* conform.

@@ -18,7 +18,9 @@
 
 use fraz::data::{DType, Dims};
 use fraz::pressio::{registry, BoundKind, Compressor};
-use fraz::scenarios::{all_scenarios, by_name, Regime, ScenarioField, DEFAULT_SEED, REGIMES};
+use fraz::scenarios::{
+    all_scenarios, by_name, ChainRank, Oracle, Regime, ScenarioField, DEFAULT_SEED, REGIMES,
+};
 use fraz::tune::fingerprint;
 
 /// The canonical ordering workloads (every codec supports at least one).
