@@ -7,7 +7,7 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use serde::Serialize;
 use serde_json::Value;
@@ -46,8 +46,13 @@ pub fn results_dir() -> PathBuf {
 /// Append records to `results/<experiment>.jsonl`.  I/O problems are
 /// reported to stderr but never abort an experiment run.
 pub fn append(experiment: &str, records: &[Record]) {
-    let dir = results_dir();
-    if let Err(e) = fs::create_dir_all(&dir) {
+    append_to(&results_dir(), experiment, records);
+}
+
+/// [`append`] into an explicit directory.  Split out of [`append`] so the
+/// writing is testable without mutating process-global environment state.
+pub fn append_to(dir: &Path, experiment: &str, records: &[Record]) {
+    if let Err(e) = fs::create_dir_all(dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
         return;
     }
@@ -100,8 +105,8 @@ mod tests {
     #[test]
     fn append_writes_jsonl() {
         let dir = std::env::temp_dir().join(format!("fraz_bench_records_{}", std::process::id()));
-        std::env::set_var("FRAZ_BENCH_RESULTS", &dir);
-        append(
+        append_to(
+            &dir,
             "unit_test",
             &[
                 Record::new("unit_test", "a", serde_json::json!({"x": 1})),
@@ -110,7 +115,6 @@ mod tests {
         );
         let content = std::fs::read_to_string(dir.join("unit_test.jsonl")).unwrap();
         assert_eq!(content.lines().count(), 2);
-        std::env::remove_var("FRAZ_BENCH_RESULTS");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

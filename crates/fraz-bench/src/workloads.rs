@@ -57,7 +57,8 @@ pub fn nyx(scale: Scale) -> SyntheticDataset {
 /// Every synthetic scenario regime over the canonical ordering workloads
 /// (1-D and 2-D, f32, the workspace experiment seed) — the exact fields the
 /// `scenario_matrix` oracle test asserts compressibility ordering on, so
-/// the `scenarios` bench baselines and the test suite measure one thing.
+/// the `scenarios` rows of `baselines/nothing_moved.jsonl` and the test
+/// suite measure one thing.
 pub fn scenario_fields(scale: Scale) -> Vec<ScenarioField> {
     let (n1, side) = scale.pick((8192, 64), (1 << 20, 512));
     let shapes = [Dims::d1(n1), Dims::d2(side, side)];

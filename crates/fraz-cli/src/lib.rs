@@ -7,7 +7,7 @@
 //! field (name, file(s), dtype, dims, target ratio or minimum PSNR), and
 //! `fraz run` drives every field through the shared-pool
 //! [`Orchestrator`](fraz_core::Orchestrator), printing an aligned per-field
-//! table and appending JSONL records suitable for `baselines/`.
+//! table and appending one JSONL record per field.
 //!
 //! Module map:
 //!

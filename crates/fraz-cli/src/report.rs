@@ -1,7 +1,6 @@
 //! Per-field run reports: the aligned console table the paper-style
 //! evaluation prints (compare Tables IV–VI of Underwood et al.) and the
-//! JSONL records that land next to the committed bench baselines under
-//! `baselines/`.
+//! JSONL records `fraz run --out` appends.
 
 use serde::Serialize;
 
@@ -153,9 +152,8 @@ impl RunReport {
         out
     }
 
-    /// One compact JSON record per field (the `.jsonl` format used under
-    /// `baselines/`), tagged with an experiment name mirroring the bench
-    /// records' shape.
+    /// One compact JSON record per field, tagged with an experiment name
+    /// mirroring the shape of `fraz-bench`'s experiment records.
     pub fn jsonl_lines(&self) -> Vec<String> {
         self.rows
             .iter()

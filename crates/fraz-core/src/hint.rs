@@ -1,9 +1,9 @@
 //! Search seeding: one first-class abstraction for "try this bound first".
 //!
 //! Every warm start — the orchestrator's previous time-step bound, the store
-//! writer's last converged chunk bound, the online controller's re-sync at
-//! its current bound — speaks [`SearchHint`]: a candidate bound with
-//! provenance (and optionally a bracket that narrows the fallback search).
+//! writer's last converged chunk bound, a tuning-cache entry — speaks
+//! [`SearchHint`]: a candidate bound with provenance (and optionally a
+//! bracket that narrows the fallback search).
 //! A [`BoundPredictor`] installed with
 //! [`Search::with_predictor`](crate::Search::with_predictor) produces the
 //! hint [`Search::run`](crate::Search::run) tries first;
@@ -33,8 +33,6 @@ pub enum HintSource {
     PreviousStep,
     /// The most recently converged chunk of the same store write.
     WarmStart,
-    /// The online controller's current bound at a re-sync.
-    Resync,
     /// The closed-form PSNR↔bound model of the codec descriptor.
     Analytic,
     /// The persistent cross-run tuning cache (`fraz-tune`).
@@ -48,7 +46,6 @@ impl fmt::Display for HintSource {
         f.write_str(match self {
             HintSource::PreviousStep => "previous-step",
             HintSource::WarmStart => "warm-start",
-            HintSource::Resync => "resync",
             HintSource::Analytic => "analytic",
             HintSource::TuneCache => "tune-cache",
             HintSource::External => "external",

@@ -8,7 +8,7 @@
 //! [`OnlineController`] provides that mode:
 //!
 //! * the first step (and any step whose ratio drifts outside a *soft* window)
-//!   runs a bounded search seeded at the current bound,
+//!   runs a bounded search,
 //! * in steady state every step costs exactly one compression: the current
 //!   bound is applied and a multiplicative correction nudges it whenever the
 //!   achieved ratio drifts, exploiting the fact that the ratio is locally an
@@ -26,7 +26,7 @@ use fraz_data::Dataset;
 use fraz_metrics::ratio::compression_ratio;
 use fraz_pressio::Compressor;
 
-use crate::hint::{BoundPredictor, HintSource, SearchHint};
+use crate::hint::BoundPredictor;
 use crate::loss::RatioLoss;
 use crate::ratio::{FixedRatioSearch, SearchConfig};
 
@@ -210,10 +210,9 @@ impl OnlineController {
         let soft = RatioLoss::new(self.config.target_ratio, self.config.resync_tolerance);
         if !soft.is_acceptable(ratio) {
             recalibrated = true;
-            // Seed the re-search at the current bound — the probe verifies
-            // whether the drift was a one-step fluke before the full race.
-            let hint = SearchHint::converged(bound, HintSource::Resync);
-            let searched = self.search.run_with_hint(dataset, Some(&hint));
+            // Cold: `bound` was measured on this very frame a few lines up
+            // and missed the wider window, so probing it again cannot hit.
+            let searched = self.search.run_with_hint(dataset, None);
             compressions += searched.evaluations;
             let resynced = self.search.clamp_bound(searched.error_bound, dataset);
             // A failed re-compression keeps the blob (and bound) in hand.
@@ -344,7 +343,10 @@ mod tests {
     fn reported_compressions_are_exactly_the_compressor_calls() {
         let codec = Arc::new(DriftingCodec::default());
         let handle: Arc<dyn Compressor> = codec.clone();
-        let mut ctl = OnlineController::new(handle, OnlineControllerConfig::new(10.0, 0.1));
+        let config = OnlineControllerConfig::new(10.0, 0.1);
+        // One worker, so the region race is serial and its count repeats.
+        let pool = Arc::new(fraz_pool::Pool::new(1));
+        let mut ctl = OnlineController::new(handle, config.clone()).with_pool(pool.clone());
         let frame = |timestep| {
             Dataset::from_f32(
                 "t",
@@ -354,6 +356,15 @@ mod tests {
                 vec![0.0; 4096],
             )
         };
+        // What a cold search of the drifted frame costs, on a codec of its
+        // own so the controller's call count stays the controller's.
+        let cold = FixedRatioSearch::new(
+            Arc::new(DriftingCodec::default()) as Arc<dyn Compressor>,
+            config.calibration,
+        )
+        .with_pool(pool)
+        .run_with_hint(&frame(3), None)
+        .evaluations;
         let mut reported = 0;
         // Calibration, three steady steps, a drift that forces a re-sync,
         // then steady again on the drifted field.
@@ -369,6 +380,11 @@ mod tests {
             let resync = step == 0 || step == 4;
             assert_eq!(report.recalibrated, resync, "step {step}: {report:?}");
             assert_eq!(report.compressions == 1, !resync, "step {step}: {report:?}");
+            if step == 4 {
+                // The blob that drifted, the cold search, the blob returned:
+                // no probe of a bound already measured on this frame.
+                assert_eq!(report.compressions, cold + 2, "{report:?}");
+            }
         }
     }
 

@@ -24,7 +24,7 @@
 //!   storage half is [`fraz_store::FaultyStore`]),
 //! * [`loadgen`] — open-loop load generation over `fraz-scenarios`
 //!   workloads, reporting p50/p99 latency, throughput, and shed rate as
-//!   JSONL rows for `baselines/service.jsonl`.
+//!   a JSONL row.
 //!
 //! The chaos suites (`tests/chaos.rs`, `tests/adversarial.rs`,
 //! `tests/overload.rs`) assert the envelope end to end: injected store

@@ -10,9 +10,8 @@
 //!
 //! The report aggregates exactly-one-outcome tallies (every issued job
 //! lands in precisely one bucket), latency percentiles over serviced
-//! jobs, completed-job throughput, and the shed rate — and renders the
-//! `{"group":"service",...}` JSONL row the CI smoke floor-checks against
-//! `baselines/service.jsonl`.
+//! jobs, completed-job throughput, and the shed rate — and renders them
+//! as one `{"group":"service",...}` JSONL row.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

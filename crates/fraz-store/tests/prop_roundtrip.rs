@@ -50,7 +50,8 @@ fn build_dataset(dims: &[usize], seed: u64, f64_values: bool) -> Dataset {
 }
 
 /// Write with a fixed per-chunk-clamped bound, read `region` back, and
-/// assert the subregion honours each source chunk's recorded bound.
+/// assert the subregion honours each source chunk's recorded bound and is
+/// bit-equal to the same slice of the full decode.
 fn check_roundtrip(dims: &[usize], chunk: &[usize], region: &[Range<u64>], seed: u64) {
     let codec = CODECS[(seed % 3) as usize];
     let f64_values = (seed >> 2) % 2 == 1;
@@ -71,6 +72,7 @@ fn check_roundtrip(dims: &[usize], chunk: &[usize], region: &[Range<u64>], seed:
 
     let grid = reader.grid();
     let src = dataset.buffer.to_f64_vec();
+    let full = reader.read_all().unwrap().buffer.to_f64_vec();
     let out = got.buffer.to_f64_vec();
     let src_dims = dataset.dims.as_slice();
     for (i, &value) in out.iter().enumerate() {
@@ -85,6 +87,11 @@ fn check_roundtrip(dims: &[usize], chunk: &[usize], region: &[Range<u64>], seed:
         for (axis, &c) in coords.iter().enumerate() {
             src_idx = src_idx * src_dims[axis] + c;
         }
+        assert_eq!(
+            value.to_bits(),
+            full[src_idx].to_bits(),
+            "codec {codec}, f64 {f64_values}: element {i} at {coords:?} differs from read_all"
+        );
         // The bound that applies is the recorded bound of this element's
         // chunk (clamping can tighten it below the requested bound).
         let chunk_coords: Vec<usize> = coords

@@ -7,7 +7,7 @@
 //! compares it with a committed table, so it is the first test to fail when
 //! a generator moves by one ULP — before a ratio baseline or a wire fixture
 //! three crates away does.  If a generator change is intentional, regenerate
-//! (and expect `baselines/scenarios.jsonl` and the codec fixtures to move):
+//! (and expect `baselines/nothing_moved.jsonl` and the codec fixtures to move):
 //!
 //! ```text
 //! cargo test --test generator_golden -- --ignored regenerate
