@@ -50,7 +50,6 @@ fn main() {
         let fraz = GlobalMinimizer::new(OptimizerConfig {
             max_evaluations: budget,
             cutoff: loss.cutoff(),
-            ..Default::default()
         })
         .minimize(&mut objective, lo.log10(), hi.log10(), None);
 
@@ -65,7 +64,6 @@ fn main() {
         let no_cutoff = GlobalMinimizer::new(OptimizerConfig {
             max_evaluations: budget,
             cutoff: 0.0,
-            ..Default::default()
         })
         .minimize(&mut objective2, lo.log10(), hi.log10(), None);
 

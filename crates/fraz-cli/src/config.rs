@@ -143,6 +143,52 @@ mod tests {
         assert!(matches!(err, ConfigError::Io(..)), "{err}");
     }
 
+    /// The manifest is a trust boundary like a frame or a container: every
+    /// truncation of a committed manifest and every single hostile byte
+    /// written over one loads, or fails with a typed [`ConfigError`] — the
+    /// sweep finishing is the no-panic assertion.
+    #[test]
+    fn manifest_files_survive_truncation_and_hostile_bytes() {
+        let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/fixtures/");
+        let hostile = b"[]{}\"'\\=,#\n\x00\xFF";
+        for fixture in [
+            "mini_app/manifest.toml",
+            "scenarios/manifest.toml",
+            "mini_app/manifest.json",
+        ] {
+            let intact = fs::read(format!("{fixtures}{fixture}")).unwrap();
+            let path = write_temp(&fixture.replace('/', "_"), "");
+            let load = |bytes: &[u8]| {
+                fs::write(&path, bytes).unwrap();
+                load_manifest(&path)
+            };
+            load(&intact).unwrap_or_else(|e| panic!("{fixture}: {e}"));
+            let (mut loaded, mut refused) = (0usize, 0usize);
+            let mut tally = |outcome: Result<Manifest, ConfigError>| match outcome {
+                Ok(_) => loaded += 1,
+                Err(_) => refused += 1,
+            };
+            for cut in 0..intact.len() {
+                tally(load(&intact[..cut]));
+            }
+            let mut damaged = intact.clone();
+            for at in 0..intact.len() {
+                for &byte in hostile {
+                    damaged[at] = byte;
+                    tally(load(&damaged));
+                }
+                damaged[at] = intact[at];
+            }
+            // Both verdicts occur: a byte written into a comment is
+            // harmless, one written into a key is not.
+            assert!(loaded > 0 && refused > 0, "{fixture}: {loaded} / {refused}");
+            // Non-UTF-8 input is refused as such, not passed to a parser.
+            damaged[0] = 0xFF;
+            assert!(matches!(load(&damaged), Err(ConfigError::Io(..))));
+            fs::remove_file(path).ok();
+        }
+    }
+
     #[test]
     fn manifest_errors_pass_through_with_context() {
         let path = write_temp("bad.toml", "application = \"t\"\nfields = []\n");

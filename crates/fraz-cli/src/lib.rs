@@ -11,8 +11,9 @@
 //!
 //! Module map:
 //!
-//! * [`toml`] — a TOML-subset parser producing [`serde_json::Value`] trees,
-//!   so TOML and JSON manifests share one derived-`Deserialize` path,
+//! * [`toml`] — a parser for the flat TOML grammar a manifest uses,
+//!   producing [`serde_json::Value`] trees, so TOML and JSON manifests share
+//!   one derived-`Deserialize` path,
 //! * [`config`] — extension-dispatched manifest loading,
 //! * [`runner`] — manifest → orchestrator/quality-search execution,
 //! * [`report`] — per-field rows, the aligned table, JSONL records,

@@ -1,19 +1,20 @@
-//! A TOML frontend for the manifest loader: parses the TOML subset dataset
-//! manifests use into a [`serde_json::Value`] tree, which then deserializes
-//! through the workspace's derived [`serde::Deserialize`] impls — the TOML
-//! and JSON paths share every manifest type and every validation rule.
+//! The TOML frontend of the manifest loader: parses the manifest grammar —
+//! and nothing else — into a [`serde_json::Value`] tree, which then
+//! deserializes through the workspace's derived [`serde::Deserialize`]
+//! impls, so the TOML and JSON paths share every manifest type and every
+//! validation rule.
 //!
-//! Supported TOML (the practical config subset): comments, `[table]` and
-//! `[[array-of-tables]]` headers with dotted/quoted paths, dotted keys,
-//! basic and literal strings (with `\uXXXX`/`\UXXXXXXXX` escapes),
-//! integers with `_` separators, floats, booleans, possibly-multiline
-//! arrays, and inline tables.  Not supported (rejected with a clear
-//! error): dates/times, multi-line strings, and hex/octal/binary integer
-//! prefixes — none of which a dataset manifest needs.
+//! The grammar is what a [`Manifest`](fraz_data::manifest::Manifest) can
+//! use: comments, bare `key = value` lines, `[[fields]]`-style sections,
+//! basic and literal strings (with `\uXXXX`/`\UXXXXXXXX` escapes), integers
+//! with `_` separators, floats, and one- or multi-line arrays of those
+//! scalars.  A manifest has nothing nested below a section and no boolean
+//! field, so the rest of TOML — `[table]` headers, dotted or quoted keys,
+//! inline tables, nested arrays, booleans, dates, multi-line strings — is
+//! one line-numbered "not part of the manifest grammar" error, and the
+//! parser has no recursion to guard.
 
-use std::collections::BTreeMap;
-
-use serde_json::{Map, Number, Value};
+use serde_json::{Map, Value};
 
 /// A TOML syntax or structure error with its 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,524 +33,270 @@ impl std::fmt::Display for TomlError {
 
 impl std::error::Error for TomlError {}
 
-/// Intermediate tree: like [`Value`] but with mutable nested tables, which
-/// the flat shared [`Map`] type does not offer.
-#[derive(Debug, Clone)]
-enum Item {
-    Table(BTreeMap<String, Item>),
-    /// `[[name]]` array of tables.
-    TableArray(Vec<BTreeMap<String, Item>>),
-    Array(Vec<Item>),
-    Scalar(Value),
-}
-
-impl Item {
-    fn into_value(self) -> Value {
-        match self {
-            Item::Table(entries) => Value::Object(table_to_map(entries)),
-            Item::TableArray(tables) => Value::Array(
-                tables
-                    .into_iter()
-                    .map(|t| Value::Object(table_to_map(t)))
-                    .collect(),
-            ),
-            Item::Array(items) => Value::Array(items.into_iter().map(Item::into_value).collect()),
-            Item::Scalar(v) => v,
-        }
-    }
-}
-
-fn table_to_map(entries: BTreeMap<String, Item>) -> Map {
-    let mut map = Map::new();
-    for (k, v) in entries {
-        map.insert(k, v.into_value());
-    }
-    map
-}
-
-/// Parse a TOML document into a JSON value tree (the root table becomes the
-/// root object).
+/// Parse a manifest document into a JSON value tree: the top-level keys
+/// become the root object, each `[[name]]` section one object of the array
+/// `name`.
 pub fn parse(input: &str) -> Result<Value, TomlError> {
     let mut parser = Parser {
-        bytes: input.as_bytes(),
+        text: input,
         pos: 0,
-        depth: 0,
     };
-    let mut root: BTreeMap<String, Item> = BTreeMap::new();
-    // Path of the table the current `key = value` lines land in.
-    let mut current_path: Vec<String> = Vec::new();
-
+    let mut root = Map::new();
+    // One `(name, table)` per `[[name]]` header, in document order.
+    let mut sections: Vec<(String, Map)> = Vec::new();
     loop {
         parser.skip_trivia();
         match parser.peek() {
             None => break,
             Some(b'[') => {
-                parser.pos += 1;
-                let array_of_tables = parser.peek() == Some(b'[');
-                if array_of_tables {
-                    parser.pos += 1;
+                let name = parser.header()?;
+                if root.get(&name).is_some() {
+                    return Err(parser.err(format!(
+                        "`[[{name}]]` conflicts with an earlier non-array definition"
+                    )));
                 }
-                let path = parser.key_path()?;
-                parser.expect(b']')?;
-                if array_of_tables {
-                    parser.expect(b']')?;
-                }
-                // Structure checks happen *before* the newline is
-                // consumed, so their errors name the statement's own line.
-                if array_of_tables {
-                    let parent =
-                        navigate(&mut root, &path[..path.len() - 1]).map_err(|m| parser.err(m))?;
-                    let leaf = path.last().expect("key paths are non-empty");
-                    match parent
-                        .entry(leaf.clone())
-                        .or_insert_with(|| Item::TableArray(Vec::new()))
-                    {
-                        Item::TableArray(tables) => tables.push(BTreeMap::new()),
-                        _ => {
-                            return Err(parser.err(format!(
-                                "`[[{leaf}]]` conflicts with an earlier non-array definition"
-                            )))
-                        }
-                    }
-                } else {
-                    // Materialize the table (and fail on redefinition of a
-                    // scalar/array with the same name).
-                    navigate(&mut root, &path).map_err(|m| parser.err(m))?;
-                }
-                parser.end_of_line()?;
-                current_path = path;
+                sections.push((name, Map::new()));
             }
             Some(_) => {
-                let path = parser.key_path()?;
+                let key = parser.key()?;
                 parser.expect(b'=')?;
                 parser.skip_spaces();
                 let value = parser.value()?;
-                let mut full = current_path.clone();
-                full.extend(path.iter().cloned());
-                let parent =
-                    navigate(&mut root, &full[..full.len() - 1]).map_err(|m| parser.err(m))?;
-                let leaf = full.last().expect("key paths are non-empty");
-                if parent.contains_key(leaf) {
-                    return Err(parser.err(format!("duplicate key `{leaf}`")));
+                let table = sections.last_mut().map_or(&mut root, |(_, table)| table);
+                if table.get(&key).is_some() {
+                    return Err(parser.err(format!("duplicate key `{key}`")));
                 }
-                parent.insert(leaf.clone(), value);
-                parser.end_of_line()?;
+                table.insert(key, value);
             }
         }
+        // Every check above ran before the line ends, so its error names
+        // the statement's own line.
+        parser.end_of_line()?;
     }
-    Ok(Item::Table(root).into_value())
-}
-
-/// Walk (creating as needed) to the table at `path`, descending into the
-/// last element of any `[[array-of-tables]]` on the way — standard TOML
-/// header resolution.
-fn navigate<'a>(
-    root: &'a mut BTreeMap<String, Item>,
-    path: &[String],
-) -> Result<&'a mut BTreeMap<String, Item>, String> {
-    let mut table = root;
-    for segment in path {
-        let entry = table
-            .entry(segment.clone())
-            .or_insert_with(|| Item::Table(BTreeMap::new()));
-        table = match entry {
-            Item::Table(t) => t,
-            Item::TableArray(tables) => tables
-                .last_mut()
-                .ok_or_else(|| format!("`[[{segment}]]` has no elements yet"))?,
-            _ => return Err(format!("key `{segment}` is not a table")),
-        };
+    // Stable, so each name's tables keep their document order.
+    sections.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut sections = sections.into_iter().peekable();
+    while let Some((name, table)) = sections.next() {
+        let mut tables = vec![Value::Object(table)];
+        while let Some((_, table)) = sections.next_if(|(next, _)| *next == name) {
+            tables.push(Value::Object(table));
+        }
+        root.insert(name, Value::Array(tables));
     }
-    Ok(table)
+    Ok(Value::Object(root))
 }
-
-/// Maximum value nesting (arrays + inline tables) before parsing fails —
-/// the value parser is recursive, so unbounded nesting would overflow the
-/// stack instead of returning an error.
-const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
-    /// Current value-nesting depth.
-    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> TomlError {
-        let line = 1 + self.bytes[..self.pos.min(self.bytes.len())]
-            .iter()
-            .filter(|&&b| b == b'\n')
-            .count();
+        let seen = &self.text.as_bytes()[..self.pos.min(self.text.len())];
         TomlError {
             message: message.into(),
-            line,
+            line: 1 + seen.iter().filter(|&&b| b == b'\n').count(),
         }
     }
 
+    /// The one error for TOML a manifest cannot use.
+    fn unsupported(&self, what: &str) -> TomlError {
+        self.err(format!("{what} are not part of the manifest grammar"))
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consume and return the run of bytes `keep` accepts.  Every caller
+    /// stops at an ASCII byte, so the run is whole characters.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&keep) {
+            self.pos += 1;
+        }
+        &self.text[start..self.pos]
     }
 
     /// Skip spaces and tabs (not newlines).
     fn skip_spaces(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t')) {
-            self.pos += 1;
-        }
+        self.take_while(|b| b == b' ' || b == b'\t');
     }
 
     /// Skip whitespace, newlines and comments — between statements and
     /// inside arrays.
     fn skip_trivia(&mut self) {
-        loop {
-            match self.peek() {
-                Some(b' ' | b'\t' | b'\n' | b'\r') => self.pos += 1,
-                Some(b'#') => {
-                    while !matches!(self.peek(), None | Some(b'\n')) {
-                        self.pos += 1;
-                    }
-                }
-                _ => return,
-            }
+        self.take_while(|b| b.is_ascii_whitespace());
+        while self.peek() == Some(b'#') {
+            self.take_while(|b| b != b'\n');
+            self.take_while(|b| b.is_ascii_whitespace());
         }
     }
 
     fn expect(&mut self, b: u8) -> Result<(), TomlError> {
         self.skip_spaces();
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected `{}`{}",
-                b as char,
-                match self.peek() {
-                    Some(found) if found != b'\n' => format!(", found `{}`", found as char),
-                    Some(_) => ", found end of line".into(),
-                    None => ", found end of input".into(),
-                }
-            )))
+        if self.peek() != Some(b) {
+            return Err(self.err(format!("expected `{}`", b as char)));
         }
-    }
-
-    /// A statement must end here: optional spaces, optional comment, then
-    /// newline or EOF.
-    fn end_of_line(&mut self) -> Result<(), TomlError> {
-        self.skip_spaces();
-        if self.peek() == Some(b'#') {
-            while !matches!(self.peek(), None | Some(b'\n')) {
-                self.pos += 1;
-            }
-        }
-        match self.peek() {
-            None => Ok(()),
-            Some(b'\n') => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(b'\r') if self.bytes.get(self.pos + 1) == Some(&b'\n') => {
-                self.pos += 2;
-                Ok(())
-            }
-            Some(other) => {
-                Err(self.err(format!("expected end of line, found `{}`", other as char)))
-            }
-        }
-    }
-
-    /// A dotted key path: `a.b."quoted c"`.
-    fn key_path(&mut self) -> Result<Vec<String>, TomlError> {
-        let mut path = Vec::new();
-        loop {
-            self.skip_spaces();
-            path.push(self.key_segment()?);
-            self.skip_spaces();
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-            } else {
-                return Ok(path);
-            }
-        }
-    }
-
-    fn key_segment(&mut self) -> Result<String, TomlError> {
-        match self.peek() {
-            Some(b'"') => self.basic_string(),
-            Some(b'\'') => self.literal_string(),
-            Some(c) if c.is_ascii_alphanumeric() || c == b'_' || c == b'-' => {
-                let start = self.pos;
-                while matches!(self.peek(), Some(c) if c.is_ascii_alphanumeric() || c == b'_' || c == b'-')
-                {
-                    self.pos += 1;
-                }
-                Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("ASCII checked")
-                    .to_string())
-            }
-            _ => Err(self.err("expected a key")),
-        }
-    }
-
-    fn value(&mut self) -> Result<Item, TomlError> {
-        match self.peek() {
-            Some(b'"') => self.basic_string().map(|s| Item::Scalar(Value::String(s))),
-            Some(b'\'') => self
-                .literal_string()
-                .map(|s| Item::Scalar(Value::String(s))),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.inline_table(),
-            Some(b't') | Some(b'f') => {
-                for (word, val) in [("true", true), ("false", false)] {
-                    if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                        self.pos += word.len();
-                        return Ok(Item::Scalar(Value::Bool(val)));
-                    }
-                }
-                Err(self.err("invalid literal, expected `true` or `false`"))
-            }
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.') => self.number(),
-            Some(other) => Err(self.err(format!("expected a value, found `{}`", other as char))),
-            None => Err(self.err("expected a value, found end of input")),
-        }
-    }
-
-    /// Enter one level of value nesting, or fail at the limit.
-    fn descend(&mut self) -> Result<(), TomlError> {
-        self.depth += 1;
-        if self.depth > MAX_DEPTH {
-            return Err(self.err(format!(
-                "recursion limit exceeded ({MAX_DEPTH} nested values)"
-            )));
-        }
+        self.pos += 1;
         Ok(())
     }
 
-    fn array(&mut self) -> Result<Item, TomlError> {
-        self.expect(b'[')?;
-        self.descend()?;
+    /// A statement must end here: only spaces may precede the comment, line
+    /// break or end of input that [`Parser::skip_trivia`] then consumes.
+    fn end_of_line(&mut self) -> Result<(), TomlError> {
+        self.skip_spaces();
+        match self.peek() {
+            None | Some(b'\n' | b'\r' | b'#') => Ok(()),
+            Some(b) => Err(self.err(format!("expected end of line, found `{}`", b as char))),
+        }
+    }
+
+    /// A run of the bytes bare keys, numbers and booleans are made of.
+    fn word(&mut self) -> &'a str {
+        self.take_while(|b| b.is_ascii_alphanumeric() || b"_-+.".contains(&b))
+    }
+
+    /// A bare key: ASCII letters, digits, `_` and `-` (a `+` passes, to be
+    /// named as an unknown field with every other key a manifest lacks).
+    fn key(&mut self) -> Result<String, TomlError> {
+        self.skip_spaces();
+        let key = self.word();
+        match self.peek() {
+            _ if key.contains('.') => Err(self.unsupported("dotted keys")),
+            Some(b'"' | b'\'') if key.is_empty() => Err(self.unsupported("quoted keys")),
+            _ if key.is_empty() => Err(self.err("expected a key")),
+            _ => Ok(key.to_string()),
+        }
+    }
+
+    /// A `[[name]]` section header; returns `name`.
+    fn header(&mut self) -> Result<String, TomlError> {
+        if self.text.as_bytes().get(self.pos + 1) != Some(&b'[') {
+            return Err(self.unsupported("`[table]` headers"));
+        }
+        self.pos += 2;
+        let name = self.key()?;
+        self.expect(b']')?;
+        self.expect(b']')?;
+        Ok(name)
+    }
+
+    /// A scalar, or a `[…]` array of scalars that may span lines.
+    fn value(&mut self) -> Result<Value, TomlError> {
+        if self.peek() != Some(b'[') {
+            return self.scalar();
+        }
         let mut items = Vec::new();
         loop {
-            self.skip_trivia();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                self.depth -= 1;
-                return Ok(Item::Array(items));
-            }
-            items.push(self.value()?);
+            self.pos += 1; // the opening `[`, or the `,` after an item
             self.skip_trivia();
             match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Item::Array(items));
-                }
+                Some(b']') => break,
+                Some(b'[') => return Err(self.unsupported("nested arrays")),
+                _ => items.push(self.scalar()?),
+            }
+            self.skip_trivia();
+            match self.peek() {
+                Some(b',') => {}
+                Some(b']') => break,
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
+        self.pos += 1;
+        Ok(Value::Array(items))
     }
 
-    fn inline_table(&mut self) -> Result<Item, TomlError> {
-        self.expect(b'{')?;
-        self.descend()?;
-        let mut table = BTreeMap::new();
-        self.skip_spaces();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(Item::Table(table));
-        }
-        loop {
-            self.skip_spaces();
-            let path = self.key_path()?;
-            self.expect(b'=')?;
-            self.skip_spaces();
-            let value = self.value()?;
-            let parent = navigate(&mut table, &path[..path.len() - 1]).map_err(|m| self.err(m))?;
-            let leaf = path.last().expect("key paths are non-empty");
-            if parent.contains_key(leaf) {
-                return Err(self.err(format!("duplicate key `{leaf}`")));
-            }
-            parent.insert(leaf.clone(), value);
-            self.skip_spaces();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(Item::Table(table));
-                }
-                _ => return Err(self.err("expected `,` or `}` in inline table")),
-            }
+    fn scalar(&mut self) -> Result<Value, TomlError> {
+        match self.peek() {
+            Some(quote @ (b'"' | b'\'')) => self.string(quote).map(Value::String),
+            Some(b'{') => Err(self.unsupported("inline tables")),
+            _ => match self.word() {
+                "" => Err(self.err("expected a value")),
+                "true" | "false" => Err(self.unsupported("booleans")),
+                word => self.number(word),
+            },
         }
     }
 
-    fn basic_string(&mut self) -> Result<String, TomlError> {
+    /// A single-line string: basic (`"…"`, with escapes) or literal (`'…'`).
+    fn string(&mut self, quote: u8) -> Result<String, TomlError> {
         self.pos += 1; // opening quote, checked by the caller
-        if self.bytes[self.pos..].starts_with(b"\"\"") {
-            return Err(self.err("multi-line strings are not supported in manifests"));
+        if self.text.as_bytes()[self.pos..].starts_with(&[quote, quote]) {
+            return Err(self.unsupported("multi-line strings"));
         }
         let mut out = String::new();
         loop {
+            // A backslash means something in a basic string only.
+            out += self.take_while(|b| b != b'\n' && b != quote && (b != b'\\' || quote != b'"'));
             match self.peek() {
-                None | Some(b'\n') => return Err(self.err("unterminated string")),
-                Some(b'"') => {
+                Some(b'\\') => out.push(self.escape()?),
+                Some(b) if b == quote => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let escape = self.peek();
-                    self.pos += 1;
-                    match escape {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => out.push(self.unicode_escape(4)?),
-                        Some(b'U') => out.push(self.unicode_escape(8)?),
-                        Some(other) => {
-                            return Err(self.err(format!("invalid escape `\\{}`", other as char)))
-                        }
-                        None => return Err(self.err("unterminated escape")),
-                    }
-                }
-                Some(_) => {
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty checked above");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => return Err(self.err("unterminated string")),
             }
         }
     }
 
-    fn unicode_escape(&mut self, digits: usize) -> Result<char, TomlError> {
-        let hex = self
-            .bytes
-            .get(self.pos..self.pos + digits)
-            .ok_or_else(|| self.err("truncated unicode escape"))?;
-        let s = std::str::from_utf8(hex).map_err(|_| self.err("invalid unicode escape"))?;
-        let cp = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos += digits;
-        char::from_u32(cp).ok_or_else(|| self.err("invalid unicode code point"))
-    }
-
-    fn literal_string(&mut self) -> Result<String, TomlError> {
-        self.pos += 1; // opening quote, checked by the caller
-        let start = self.pos;
-        loop {
-            match self.peek() {
-                None | Some(b'\n') => return Err(self.err("unterminated literal string")),
-                Some(b'\'') => {
-                    let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?
-                        .to_string();
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(_) => self.pos += 1,
+    /// The character a backslash escape at the cursor stands for.
+    fn escape(&mut self) -> Result<char, TomlError> {
+        self.pos += 2; // the backslash and the escape letter
+        Ok(match self.text.as_bytes().get(self.pos - 1) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(&letter @ (b'u' | b'U')) => {
+                let digits = if letter == b'u' { 4 } else { 8 };
+                let hex = self.text.get(self.pos..self.pos + digits).unwrap_or("");
+                self.pos += digits;
+                let code = u32::from_str_radix(hex, 16).ok().and_then(char::from_u32);
+                return code.ok_or_else(|| self.err("invalid unicode escape"));
             }
-        }
+            _ => return Err(self.err("invalid escape")),
+        })
     }
 
-    fn number(&mut self) -> Result<Item, TomlError> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'+' | b'-' | b'.' | b'e' | b'E' | b'_')
-        ) {
-            self.pos += 1;
+    fn number(&self, word: &str) -> Result<Value, TomlError> {
+        let text = word.replace('_', "");
+        // `2020-05-27`: a `-` past the sign with no exponent to own it.
+        if text.len() > 4 && text[1..].contains('-') && !text.contains(['e', 'E']) {
+            return Err(self.unsupported("dates"));
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII subset");
-        if raw.contains("--") || raw.ends_with('_') || raw.starts_with('_') {
-            return Err(self.err(format!("invalid number `{raw}`")));
-        }
-        let text: String = raw.chars().filter(|&c| c != '_').collect();
-        // Reject the TOML shapes we deliberately do not support, with a
-        // pointed message (dates contain `-` after digits, e.g. 2020-05-27).
-        if text.len() > 4
-            && text[1..].contains('-')
-            && !text[1..].contains('e')
-            && !text[1..].contains('E')
-        {
-            return Err(self.err(format!(
-                "`{text}` looks like a date — dates are not supported in manifests"
-            )));
-        }
-        if !valid_toml_number(&text) {
-            return Err(self.err(format!("invalid number `{text}`")));
-        }
-        let number = if text.contains('.') || text.contains('e') || text.contains('E') {
-            Number::from_f64(
-                text.parse::<f64>()
-                    .map_err(|_| self.err(format!("invalid float `{text}`")))?,
-            )
-        } else if let Ok(u) = text.trim_start_matches('+').parse::<u64>() {
-            Number::from_u64(u)
-        } else {
-            Number::from_i64(
-                text.parse::<i64>()
-                    .map_err(|_| self.err(format!("invalid integer `{text}`")))?,
-            )
+        // What remains is JSON's number grammar behind one optional `+`:
+        // no leading zeros, digits on both sides of a `.`, a signed exponent.
+        let json = match text.strip_prefix('+') {
+            Some(unsigned) if !unsigned.starts_with('-') => unsigned,
+            _ => &text,
         };
-        Ok(Item::Scalar(Value::Number(number)))
-    }
-}
-
-/// TOML number grammar (post-underscore-stripping): one optional sign, a
-/// no-leading-zero integer part, optional `.digits` fraction, optional
-/// signed exponent.  Rust's `f64::from_str` is more lenient (`.5`, `1.`,
-/// `++4` via sign trimming), so the shape is checked explicitly.
-fn valid_toml_number(text: &str) -> bool {
-    let unsigned = text.strip_prefix(['+', '-']).unwrap_or(text);
-    let (mantissa, exponent) = match unsigned.split_once(['e', 'E']) {
-        Some((m, e)) => (m, Some(e)),
-        None => (unsigned, None),
-    };
-    if let Some(exp) = exponent {
-        let digits = exp.strip_prefix(['+', '-']).unwrap_or(exp);
-        if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-            return false;
+        match serde_json::from_str(json) {
+            Ok(number @ Value::Number(_)) if !word.starts_with('_') && !word.ends_with('_') => {
+                Ok(number)
+            }
+            _ => Err(self.err(format!("invalid value `{word}`"))),
         }
-    }
-    let (integer, fraction) = match mantissa.split_once('.') {
-        Some((i, f)) => (i, Some(f)),
-        None => (mantissa, None),
-    };
-    if integer.is_empty() || !integer.bytes().all(|b| b.is_ascii_digit()) {
-        return false;
-    }
-    // TOML forbids leading zeros on the integer part (`04`, `0123`).
-    if integer.len() > 1 && integer.starts_with('0') {
-        return false;
-    }
-    match fraction {
-        Some(f) => !f.is_empty() && f.bytes().all(|b| b.is_ascii_digit()),
-        None => true,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fraz_data::manifest::Manifest;
 
     #[test]
-    fn tables_arrays_and_scalars() {
+    fn sections_arrays_and_scalars() {
         let v = parse(
             r#"
 # A manifest-shaped document.
 application = "hurricane"
 target_ratio = 10.0
 workers = 4
-strict = false
-
-[defaults]
-tolerance = 0.1
 
 [[fields]]
 name = "CLOUDf"
@@ -560,6 +307,7 @@ name = "PRECIPf"
 dims = [ 100,
          500, # trailing comment
          500 ]
+files = ['a.f32', "b.f32",]
 target_ratio = 16.0
 "#,
         )
@@ -584,31 +332,52 @@ target_ratio = 16.0
             Some(&serde_json::json!([100, 500, 500]))
         );
         assert_eq!(
-            v.get("defaults")
-                .and_then(|d| d.get("tolerance"))
-                .and_then(Value::as_f64),
-            Some(0.1)
+            fields[1].get("files"),
+            Some(&serde_json::json!(["a.f32", "b.f32"]))
+        );
+        assert_eq!(parse("").unwrap(), serde_json::json!({}));
+    }
+
+    #[test]
+    fn the_two_forms_this_grammar_stopped_accepting_have_pinned_messages() {
+        // Both parsed before the grammar was narrowed to the manifest's; a
+        // manifest never needed either spelling.
+        let err = parse("application = \"t\"\nfields = [{ name = \"a\" }]\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "inline tables are not part of the manifest grammar at line 2"
+        );
+        let err = parse("\"application\" = \"t\"\n").unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "quoted keys are not part of the manifest grammar at line 1"
         );
     }
 
     #[test]
-    fn dotted_keys_and_inline_tables() {
-        let v = parse("a.b = 1\nc = { d = 2, e.f = \"x\" }\n").unwrap();
-        assert_eq!(
-            v.get("a").and_then(|a| a.get("b")).and_then(Value::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(
-            v.get("c").and_then(|c| c.get("d")).and_then(Value::as_f64),
-            Some(2.0)
-        );
-        assert_eq!(
-            v.get("c")
-                .and_then(|c| c.get("e"))
-                .and_then(|e| e.get("f"))
-                .and_then(Value::as_str),
-            Some("x")
-        );
+    fn toml_a_manifest_cannot_use_is_one_located_error() {
+        // Each of these was already rejected one layer down, as an unknown
+        // or mistyped manifest field.
+        for (document, what) in [
+            ("a = 1\n[defaults]\ntolerance = 0.1\n", "`[table]` headers"),
+            ("a = 1\n\nb.c = 2\n", "dotted keys"),
+            ("[[fields]]\n[[fields.files]]\n", "dotted keys"),
+            ("[[fields]]\n'name' = 1\n", "quoted keys"),
+            ("a = 1\nc = { d = 2 }\n", "inline tables"),
+            ("a = 1\ndims = [[1, 2], [3]]\n", "nested arrays"),
+            ("a = 1\nstrict = false\n", "booleans"),
+            ("a = 1\nflags = [1, true]\n", "booleans"),
+        ] {
+            let err = parse(document).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("{what} are not part of the manifest grammar"),
+                "{document:?}"
+            );
+            assert!(err.line >= 2, "{document:?}: {err}");
+        }
+        let err = parse("a = tomato\n").unwrap_err();
+        assert_eq!(err.to_string(), "invalid value `tomato` at line 1");
     }
 
     #[test]
@@ -664,20 +433,37 @@ target_ratio = 16.0
     }
 
     #[test]
-    fn deep_nesting_errors_instead_of_overflowing() {
-        let ok = format!("a = {}0{}\n", "[".repeat(100), "]".repeat(100));
-        assert!(parse(&ok).is_ok());
+    fn deep_nesting_is_an_error_with_flat_stack_use() {
+        // Nothing in the grammar nests, so nothing in the parser recurses:
+        // the second bracket is already the error, however many follow.
         let nested = format!("a = {}\n", "[".repeat(100_000));
         let err = parse(&nested).unwrap_err();
-        assert!(err.to_string().contains("recursion limit"), "{err}");
+        assert!(err.to_string().contains("nested arrays"), "{err}");
         let tables = format!("a = {}\n", "{ k = ".repeat(100_000));
         let err = parse(&tables).unwrap_err();
-        assert!(err.to_string().contains("recursion limit"), "{err}");
+        assert!(err.to_string().contains("inline tables"), "{err}");
+        let headers = format!("{}\n", "[".repeat(100_000));
+        assert!(parse(&headers).is_err());
     }
 
     #[test]
     fn array_of_tables_conflict_is_rejected() {
         let err = parse("fields = 1\n[[fields]]\n").unwrap_err();
         assert!(err.to_string().contains("conflicts"), "{err}");
+        assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn every_readme_toml_block_is_a_valid_manifest() {
+        let readme = concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md");
+        let readme = std::fs::read_to_string(readme).unwrap();
+        let mut blocks = 0;
+        for block in readme.split("```toml\n").skip(1) {
+            let block = block.split("```").next().unwrap();
+            let value = parse(block).unwrap_or_else(|e| panic!("{e} in\n{block}"));
+            Manifest::from_value(value).unwrap_or_else(|e| panic!("{e} in\n{block}"));
+            blocks += 1;
+        }
+        assert!(blocks >= 2, "README lost its manifest examples");
     }
 }

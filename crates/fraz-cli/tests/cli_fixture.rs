@@ -174,48 +174,66 @@ fn szx_override_runs_the_fixture_end_to_end() {
 
 #[test]
 fn binary_smoke_run_writes_table_and_jsonl() {
-    let out = std::env::temp_dir().join(format!("fraz_cli_smoke_{}.jsonl", std::process::id()));
-    std::fs::remove_file(&out).ok();
-    let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
-        .args([
-            "run",
-            "--config",
-            fixture_dir().join("manifest.toml").to_str().unwrap(),
-            "--workers",
-            "4",
-            "--out",
-            out.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        output.status.success(),
-        "stdout:\n{stdout}\nstderr:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    assert!(stdout.contains("field"), "{stdout}");
-    assert!(stdout.contains("energy"), "{stdout}");
+    // Both manifest formats, through the real binary: validate exercises
+    // resolution without running, run prints the table and appends JSONL.
+    for manifest in ["manifest.toml", "manifest.json"] {
+        let config = fixture_dir().join(manifest);
+        let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
+            .args(["validate", "--config", config.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(output.status.success(), "{manifest}");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("manifest OK"), "{stdout}");
 
-    let jsonl = std::fs::read_to_string(&out).unwrap();
-    assert_eq!(jsonl.lines().count(), 4, "{jsonl}");
-    for line in jsonl.lines() {
-        serde_json::from_str::<serde_json::Value>(line).unwrap();
+        let out = std::env::temp_dir().join(format!(
+            "fraz_cli_smoke_{}_{manifest}.jsonl",
+            std::process::id()
+        ));
+        std::fs::remove_file(&out).ok();
+        let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
+            .args([
+                "run",
+                "--config",
+                config.to_str().unwrap(),
+                "--workers",
+                "4",
+                "--out",
+                out.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success(),
+            "stdout:\n{stdout}\nstderr:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        assert!(stdout.contains("field"), "{stdout}");
+        assert!(stdout.contains("energy"), "{stdout}");
+
+        let jsonl = std::fs::read_to_string(&out).unwrap();
+        assert_eq!(jsonl.lines().count(), 4, "{jsonl}");
+        for line in jsonl.lines() {
+            serde_json::from_str::<serde_json::Value>(line).unwrap();
+        }
+        std::fs::remove_file(&out).ok();
     }
-    std::fs::remove_file(&out).ok();
 
-    // validate exercises resolution without running.
+    // codecs lists the registry, the fixed-rate baseline included.
     let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
-        .args([
-            "validate",
-            "--config",
-            fixture_dir().join("manifest.json").to_str().unwrap(),
-        ])
+        .arg("codecs")
         .output()
         .expect("binary runs");
     assert!(output.status.success());
     let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("manifest OK"), "{stdout}");
+    for codec in ["sz", "zfp", "zfp-rate", "mgard", "szx"] {
+        let listed = |l: &str| l.split_whitespace().next() == Some(codec);
+        assert!(
+            stdout.lines().any(listed),
+            "{codec} missing from:\n{stdout}"
+        );
+    }
 }
 
 #[test]
@@ -304,25 +322,31 @@ fn error_ceiling_added_between_tune_cache_runs_binds_every_bound() {
     };
 
     let free = fraz_run("manifest.toml", "cache");
-    let ceiling = free.iter().map(|row| row.1).fold(f64::INFINITY, f64::min) / 4.0;
     let manifest = std::fs::read_to_string(dir.join("manifest.toml")).unwrap();
-    std::fs::write(
-        dir.join("capped.toml"),
-        manifest.replace(
-            "workers = 4\n",
-            &format!("workers = 4\nmax_error_bound = {ceiling:e}\n"),
-        ),
-    )
-    .unwrap();
-    let cold = fraz_run("capped.toml", "fresh-cache");
-    let warm = fraz_run("capped.toml", "cache");
-    assert_eq!(warm.len(), 4);
-    for ((field, bound, feasible), cold) in warm.iter().zip(&cold) {
-        assert!(
-            *bound <= ceiling,
-            "{field}: reported bound {bound} above max_error_bound {ceiling}"
-        );
-        assert_eq!(*feasible, cold.2, "{field}: the cache changed the verdict");
+    // A ceiling inside every field's bound range, then one below every
+    // codec's floor (1e-9 of the value range): it binds all the same.
+    let inside = free.iter().map(|row| row.1).fold(f64::INFINITY, f64::min) / 4.0;
+    for (name, ceiling) in [("capped.toml", inside), ("floored.toml", 1e-12)] {
+        std::fs::write(
+            dir.join(name),
+            manifest.replace(
+                "workers = 4\n",
+                &format!("workers = 4\nmax_error_bound = {ceiling:e}\n"),
+            ),
+        )
+        .unwrap();
+        let cold = fraz_run(name, &format!("fresh-cache-{name}"));
+        let warm = fraz_run(name, "cache");
+        assert_eq!(warm.len(), 4);
+        for (row, cold) in warm.iter().zip(&cold) {
+            for (what, (field, bound, _)) in [("warm", row), ("cold", cold)] {
+                assert!(
+                    *bound <= ceiling,
+                    "{field}: {what} bound {bound} above max_error_bound {ceiling}"
+                );
+            }
+            assert_eq!(row.2, cold.2, "{}: the cache changed the verdict", row.0);
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -344,6 +368,28 @@ fn malformed_manifest_is_reported_readably() {
     assert_eq!(output.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("1 to 4 axes"), "{stderr}");
+
+    // A search budget no search can honour is named by its key.
+    let good = std::fs::read_to_string(fixture_dir().join("manifest.toml")).unwrap();
+    for (edit, key) in [
+        ("tolerance = 7.5", "tolerance"),
+        (
+            "tolerance = 0.15\nmax_error_bound = -3.0",
+            "max_error_bound",
+        ),
+    ] {
+        std::fs::write(&bad, good.replace("tolerance = 0.15", edit)).unwrap();
+        let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
+            .args(["validate", "--config", bad.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert_eq!(output.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!("manifest: {key} must be")),
+            "{stderr}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -351,73 +397,76 @@ fn malformed_manifest_is_reported_readably() {
 fn store_create_info_read_round_trip() {
     let dir = std::env::temp_dir().join(format!("fraz_cli_store_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let store_dir = dir.join("store");
     let manifest = fixture_dir().join("manifest.toml");
+    // The manifest's own codec, and an override.
+    for compressor in ["sz", "szx"] {
+        let store_dir = dir.join(format!("store-{compressor}"));
 
-    // create: every field/time-step becomes one container object.
-    let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
-        .args([
-            "store",
-            "create",
-            "--config",
-            manifest.to_str().unwrap(),
-            "--store",
-            store_dir.to_str().unwrap(),
-            "--chunk",
-            "3x8x8",
-            "--compressor",
-            "szx",
-        ])
-        .output()
-        .expect("binary runs");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        output.status.success(),
-        "stdout:\n{stdout}\nstderr:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    // --chunk is 3-D and applies to the rank-3 fields; the 2-D/1-D fields
-    // fall back to the default chunk shape (noted on stderr).
-    assert!(stdout.contains("temp/t0"), "{stdout}");
-    assert!(stdout.contains("pressure/t0"), "{stdout}");
-    assert!(stdout.contains("energy/t0"), "{stdout}");
-    let note = String::from_utf8_lossy(&output.stderr);
-    assert!(note.contains("rank does not match"), "{note}");
+        // create: every field/time-step becomes one container object.
+        let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
+            .args([
+                "store",
+                "create",
+                "--config",
+                manifest.to_str().unwrap(),
+                "--store",
+                store_dir.to_str().unwrap(),
+                "--chunk",
+                "3x8x8",
+                "--compressor",
+                compressor,
+            ])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success(),
+            "stdout:\n{stdout}\nstderr:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        // --chunk is 3-D and applies to the rank-3 fields; the 2-D/1-D fields
+        // fall back to the default chunk shape (noted on stderr).
+        assert!(stdout.contains("temp/t0"), "{stdout}");
+        assert!(stdout.contains("pressure/t0"), "{stdout}");
+        assert!(stdout.contains("energy/t0"), "{stdout}");
+        let note = String::from_utf8_lossy(&output.stderr);
+        assert!(note.contains("rank does not match"), "{note}");
 
-    // info lists every object without decoding payloads.
-    let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
-        .args(["store", "info", "--store", store_dir.to_str().unwrap()])
-        .output()
-        .expect("binary runs");
-    assert!(output.status.success());
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(stdout.contains("temp/t1"), "{stdout}");
+        // info lists every object without decoding payloads.
+        let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
+            .args(["store", "info", "--store", store_dir.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(output.status.success());
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains("temp/t1"), "{stdout}");
 
-    // read a subregion out as raw bytes.
-    let out = dir.join("slab.f32");
-    let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
-        .args([
-            "store",
-            "read",
-            "--store",
-            store_dir.to_str().unwrap(),
-            "--key",
-            "temp/t0",
-            "--region",
-            "0..3,4..12,0..16",
-            "--out",
-            out.to_str().unwrap(),
-        ])
-        .output()
-        .expect("binary runs");
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    assert!(
-        output.status.success(),
-        "stdout:\n{stdout}\nstderr:\n{}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    let bytes = std::fs::read(&out).unwrap();
-    assert_eq!(bytes.len(), 3 * 8 * 16 * 4, "{stdout}");
+        // read a subregion out as raw bytes.
+        let out = dir.join("slab.f32");
+        let output = Command::new(env!("CARGO_BIN_EXE_fraz"))
+            .args([
+                "store",
+                "read",
+                "--store",
+                store_dir.to_str().unwrap(),
+                "--key",
+                "temp/t0",
+                "--region",
+                "0..3,4..12,0..16",
+                "--out",
+                out.to_str().unwrap(),
+            ])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(
+            output.status.success(),
+            "stdout:\n{stdout}\nstderr:\n{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+        let bytes = std::fs::read(&out).unwrap();
+        assert_eq!(bytes.len(), 3 * 8 * 16 * 4, "{stdout}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

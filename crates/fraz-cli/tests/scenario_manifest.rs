@@ -83,6 +83,8 @@ fn binary_validates_and_runs_the_scenario_manifest() {
     assert!(stdout.contains("manifest OK"), "{stdout}");
     assert!(stdout.contains("smooth2d"), "{stdout}");
 
+    let out = std::env::temp_dir().join(format!("fraz_scenarios_{}.jsonl", std::process::id()));
+    std::fs::remove_file(&out).ok();
     let run = Command::new(env!("CARGO_BIN_EXE_fraz"))
         .args([
             "run",
@@ -91,6 +93,8 @@ fn binary_validates_and_runs_the_scenario_manifest() {
             "--workers",
             "4",
             "--strict",
+            "--out",
+            out.to_str().unwrap(),
         ])
         .output()
         .expect("binary runs");
@@ -101,6 +105,9 @@ fn binary_validates_and_runs_the_scenario_manifest() {
         String::from_utf8_lossy(&run.stderr)
     );
     assert!(stdout.contains("turbulence1d"), "{stdout}");
+    let jsonl = std::fs::read_to_string(&out).unwrap();
+    assert_eq!(jsonl.lines().count(), 4, "{jsonl}");
+    std::fs::remove_file(&out).ok();
 }
 
 #[test]

@@ -39,11 +39,6 @@ impl CancelToken {
         Self::build(None)
     }
 
-    /// A token that auto-cancels at `deadline`.
-    pub fn with_deadline(deadline: Instant) -> Self {
-        Self::build(Some(deadline))
-    }
-
     /// A token that auto-cancels `timeout` from now.
     pub fn with_timeout(timeout: Duration) -> Self {
         Self::build(Some(Instant::now() + timeout))

@@ -80,7 +80,7 @@ pub use orchestrator::{
 };
 pub use quality::{FixedQualitySearch, QualityMetric, QualitySearchConfig, QualitySearchOutcome};
 pub use ratio::{FixedRatioSearch, RegionOutcome, SearchConfig, SearchOutcome};
-pub use regions::{make_error_bounds, BoundScale, Region};
+pub use regions::{make_error_bounds, Region};
 pub use search::{Objective, Search};
 
 #[cfg(test)]

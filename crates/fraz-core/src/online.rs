@@ -7,12 +7,13 @@
 //! can only spare a handful of extra compressions per step.  The
 //! [`OnlineController`] provides that mode:
 //!
-//! * the first step (and any step whose ratio drifts outside a *soft* window)
-//!   runs a bounded search,
+//! * the first step (and any step whose ratio drifts outside a *soft* window,
+//!   three times the acceptance tolerance) runs a bounded search,
 //! * in steady state every step costs exactly one compression: the current
-//!   bound is applied and a multiplicative correction nudges it whenever the
-//!   achieved ratio drifts, exploiting the fact that the ratio is locally an
-//!   increasing function of the bound even though it is globally spiky,
+//!   bound is applied and a multiplicative correction (a fixed proportional
+//!   gain) nudges it whenever the achieved ratio drifts, exploiting the fact
+//!   that the ratio is locally an increasing function of the bound even
+//!   though it is globally spiky,
 //! * the user's error ceiling `U` is never exceeded, and the controller
 //!   reports per-step telemetry so the producer can react (e.g. fall back to
 //!   a different compressor if the target keeps being infeasible).
@@ -38,13 +39,8 @@ pub struct OnlineControllerConfig {
     /// Hard acceptance window (the offline ε): a step is "on target" when its
     /// ratio is within this relative deviation.
     pub tolerance: f64,
-    /// Soft window: drift beyond this relative deviation triggers a
-    /// re-search on the next step instead of a proportional nudge.
-    pub resync_tolerance: f64,
     /// Maximum error bound (`U`) the controller may ever use.
     pub max_error_bound: Option<f64>,
-    /// Proportional gain of the per-step correction (0 disables nudging).
-    pub gain: f64,
     /// Search settings used for the initial calibration and re-syncs; keep
     /// the budget small — this runs inside the producer's critical path.
     pub calibration: SearchConfig,
@@ -65,13 +61,17 @@ impl OnlineControllerConfig {
         Self {
             target_ratio,
             tolerance,
-            resync_tolerance: tolerance * 3.0,
             max_error_bound: None,
-            gain: 0.6,
             calibration,
         }
     }
 }
+
+/// Soft window, as a multiple of the acceptance tolerance: drift beyond it
+/// triggers a re-search instead of a proportional nudge.
+const RESYNC_WINDOW: f64 = 3.0;
+/// Proportional gain of the per-step bound correction.
+const GAIN: f64 = 0.6;
 
 /// Telemetry for one streamed time-step.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -207,7 +207,8 @@ impl OnlineController {
 
         // If the ratio drifted far outside the soft window, re-calibrate now
         // (this is the expensive path; it should be rare).
-        let soft = RatioLoss::new(self.config.target_ratio, self.config.resync_tolerance);
+        let soft_window = self.config.tolerance * RESYNC_WINDOW;
+        let soft = RatioLoss::new(self.config.target_ratio, soft_window);
         if !soft.is_acceptable(ratio) {
             recalibrated = true;
             // Cold: `bound` was measured on this very frame a few lines up
@@ -226,9 +227,9 @@ impl OnlineController {
 
         // Proportional correction for the next step: if the ratio is high the
         // bound can shrink (better fidelity), if it is low the bound grows.
-        let next_bound = if self.config.gain > 0.0 && ratio > 0.0 {
+        let next_bound = if ratio > 0.0 {
             let error = self.config.target_ratio / ratio;
-            bound * error.powf(self.config.gain)
+            bound * error.powf(GAIN)
         } else {
             bound
         };

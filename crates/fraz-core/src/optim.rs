@@ -59,22 +59,13 @@ pub struct OptimizerConfig {
     /// Maximum number of objective evaluations.
     pub max_evaluations: usize,
     /// Early-termination cutoff: stop as soon as a loss ≤ cutoff is found
-    /// (set to 0.0 — or `use_cutoff = false` upstream — to disable).
+    /// (0.0 disables it — the paper's §V-B1 ablation).
     pub cutoff: f64,
-    /// Relative solver tolerance on `x` below which the trust-region step
-    /// stops refining.
-    pub x_tolerance: f64,
 }
 
-impl Default for OptimizerConfig {
-    fn default() -> Self {
-        Self {
-            max_evaluations: 40,
-            cutoff: 0.0,
-            x_tolerance: 1e-10,
-        }
-    }
-}
+/// Candidates closer than this fraction of the interval to an evaluated
+/// point are replaced by the midpoint of the largest unexplored gap.
+const X_TOLERANCE: f64 = 1e-10;
 
 /// An objective evaluation: maps a candidate `x` to `(loss, ratio)`.
 pub trait Objective {
@@ -177,7 +168,7 @@ impl GlobalMinimizer {
             // Avoid re-evaluating (numerically) identical points.
             let candidate = if evaluations
                 .iter()
-                .any(|e| (e.x - candidate).abs() <= self.config.x_tolerance * (upper - lower))
+                .any(|e| (e.x - candidate).abs() <= X_TOLERANCE * (upper - lower))
             {
                 self.largest_gap_candidate(&evaluations, lower, upper)
             } else {
@@ -435,7 +426,7 @@ mod tests {
             10.0,
             OptimizerConfig {
                 max_evaluations: 30,
-                ..Default::default()
+                cutoff: 0.0,
             },
         );
         assert!((trace.best.x - 3.7).abs() < 0.05, "best {}", trace.best.x);
@@ -452,7 +443,7 @@ mod tests {
             12.0,
             OptimizerConfig {
                 max_evaluations: 60,
-                ..Default::default()
+                cutoff: 0.0,
             },
         );
         // The true minimizer is near 8.64 (balancing both terms); accept a
@@ -479,7 +470,6 @@ mod tests {
             OptimizerConfig {
                 max_evaluations: 50,
                 cutoff: 0.5,
-                ..Default::default()
             },
         );
         assert!(trace.best.loss <= 0.5);
@@ -496,7 +486,6 @@ mod tests {
         let trace = GlobalMinimizer::new(OptimizerConfig {
             max_evaluations: 200,
             cutoff: 1.0,
-            ..Default::default()
         })
         .minimize(&mut obj, 0.0, 10.0, None);
         assert!(trace.reached_cutoff);
@@ -514,7 +503,6 @@ mod tests {
             OptimizerConfig {
                 max_evaluations: 25,
                 cutoff: 0.0,
-                ..Default::default()
             },
         );
         assert!(!trace.reached_cutoff);
@@ -534,7 +522,7 @@ mod tests {
         };
         let trace = GlobalMinimizer::new(OptimizerConfig {
             max_evaluations: 100,
-            ..Default::default()
+            cutoff: 0.0,
         })
         .minimize(&mut obj, 0.0, 10.0, Some(&cancel));
         assert!(trace.cancelled);
@@ -544,7 +532,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid search interval")]
     fn invalid_interval_panics() {
-        let _ = minimize_fn(|x| x, 5.0, 5.0, OptimizerConfig::default());
+        let config = OptimizerConfig {
+            max_evaluations: 40,
+            cutoff: 0.0,
+        };
+        let _ = minimize_fn(|x| x, 5.0, 5.0, config);
     }
 
     #[test]
@@ -583,7 +575,6 @@ mod tests {
         let gm = GlobalMinimizer::new(OptimizerConfig {
             max_evaluations: 40,
             cutoff: loss.cutoff(),
-            ..Default::default()
         })
         .minimize(&mut gm_obj, 0.0, 1.0, None);
         assert!(gm.reached_cutoff, "global minimizer should converge");
@@ -605,7 +596,6 @@ mod tests {
         let gm = GlobalMinimizer::new(OptimizerConfig {
             max_evaluations: 64,
             cutoff: loss.cutoff(),
-            ..Default::default()
         })
         .minimize(&mut gm_obj, 1e-12, 1.0, None);
         assert!(gm.reached_cutoff, "should converge within 64 evaluations");

@@ -424,7 +424,6 @@ impl Orchestrator {
 mod tests {
     use super::*;
     use crate::quality::QualityMetric;
-    use crate::regions::BoundScale;
     use fraz_data::synthetic;
 
     fn quick_search(target: f64) -> SearchConfig {
@@ -432,7 +431,6 @@ mod tests {
             regions: 4,
             max_iterations: 12,
             measure_final_quality: false,
-            scale: BoundScale::Log,
             ..SearchConfig::new(target, 0.15)
         }
     }

@@ -27,7 +27,7 @@ use fraz_pressio::{registry, BoundKind, CompressionOutcome, Compressor};
 
 use crate::hint::{HintReport, HintSource, HintTarget, SearchHint};
 use crate::ratio::SearchOutcome;
-use crate::regions::BoundScale;
+use crate::regions::{from_axis, to_axis};
 use crate::search::{Evaluator, Found, Objective, Search};
 
 /// The quality metric a [`FixedQualitySearch`] constrains.
@@ -73,8 +73,6 @@ pub struct QualitySearchConfig {
     /// Maximum objective evaluations (each is a compress + decompress +
     /// measure round, so noticeably more expensive than a ratio evaluation).
     pub max_iterations: usize,
-    /// Layout of the search on the error-bound axis.
-    pub scale: BoundScale,
     /// Maximum allowed error bound (the same `U` as the ratio search).
     pub max_error_bound: Option<f64>,
     /// Seed the search from the codec's closed-form PSNR↔bound model when
@@ -89,7 +87,6 @@ impl QualitySearchConfig {
         Self {
             metric,
             max_iterations: 24,
-            scale: BoundScale::Log,
             max_error_bound: None,
             analytic_seed: true,
         }
@@ -232,9 +229,9 @@ impl Objective for QualitySearchConfig {
         hint.is_valid().then_some(hint)
     }
 
-    /// Every bound this strategy tries is a point of its `scale` axis.
+    /// Every bound this strategy tries is a point of the log axis.
     fn on_axis(&self, bound: f64) -> f64 {
-        self.scale.from_axis(self.scale.to_axis(bound))
+        from_axis(to_axis(bound))
     }
 
     /// A converged hint that verifies is accepted outright — the probe *is*
@@ -253,9 +250,8 @@ impl Objective for QualitySearchConfig {
         probe: Option<(&HintReport, &CompressionOutcome)>,
     ) -> Found {
         let config = eval.config();
-        // Work on a log axis when requested (bounds span decades).
-        let (to_x, from_x) = (|b| config.scale.to_axis(b), |x| config.scale.from_axis(x));
-        let (xlo, xhi) = (to_x(lower), to_x(upper));
+        // Work on the log axis (bounds span decades).
+        let (xlo, xhi) = (to_axis(lower), to_axis(upper));
 
         // The most compressive outcome that satisfied the constraint so far.
         let mut best: Option<CompressionOutcome> = None;
@@ -274,7 +270,7 @@ impl Objective for QualitySearchConfig {
         // One compress + decompress + measure round at axis position `x`.
         // `None` (token fired, or the compressor rejected the bound) is the
         // break signal of every loop below.
-        let measure = |x: f64| eval.measure(from_x(x).clamp(lower, upper)).ok();
+        let measure = |x: f64| eval.measure(from_axis(x).clamp(lower, upper)).ok();
 
         let bracket = if let Some((hint, probe)) = probe {
             // The probe anchors a geometric expansion along the axis that
@@ -289,7 +285,7 @@ impl Objective for QualitySearchConfig {
             if step <= 0.0 {
                 step = 1.0;
             }
-            let mut at = to_x(hint.bound);
+            let mut at = to_axis(hint.bound);
             let mut bracket = None;
             while eval.calls() < expansion_budget && if ok0 { at < xhi } else { at > xlo } {
                 let next = if ok0 {

@@ -22,7 +22,7 @@ use fraz_pressio::CompressionOutcome;
 use crate::hint::{HintReport, HintTarget, SearchHint};
 use crate::loss::RatioLoss;
 use crate::optim::{GlobalMinimizer, OptimizerConfig};
-use crate::regions::{make_error_bounds, BoundScale, Region};
+use crate::regions::{make_error_bounds, Region};
 use crate::search::{Evaluator, Found, Miss, Objective, Search};
 
 /// Configuration of a fixed-ratio search.
@@ -40,10 +40,6 @@ pub struct SearchConfig {
     pub regions: usize,
     /// Maximum objective evaluations per region.
     pub max_iterations: usize,
-    /// Enable the early-termination cutoff (the paper's Dlib modification).
-    pub use_cutoff: bool,
-    /// Layout of the regions on the error-bound axis.
-    pub scale: BoundScale,
     /// Concurrent worker tasks for region-parallel training; 0 means one
     /// per region (capped by the available parallelism).  Region tasks run
     /// on a shared [`fraz_pool::Pool`], so this caps the number of regions
@@ -63,8 +59,6 @@ impl SearchConfig {
             max_error_bound: None,
             regions: 12,
             max_iterations: 24,
-            use_cutoff: true,
-            scale: BoundScale::Log,
             threads: 0,
             measure_final_quality: true,
         }
@@ -161,9 +155,6 @@ pub struct SearchOutcome {
 /// [`Search`] shell running the region race below.
 pub type FixedRatioSearch = Search<SearchConfig>;
 
-/// Fractional overlap between adjacent regions (the paper's 10 %).
-const REGION_OVERLAP: f64 = 0.1;
-
 impl Objective for SearchConfig {
     type Outcome = SearchOutcome;
 
@@ -199,8 +190,7 @@ impl Objective for SearchConfig {
     ) -> Found {
         let config = eval.config();
         let loss = config.loss();
-        let mut regions =
-            make_error_bounds(lower, upper, config.regions, REGION_OVERLAP, config.scale);
+        let mut regions = make_error_bounds(lower, upper, config.regions);
         let cancel = AtomicBool::new(false);
         let workers = config.worker_count().min(regions.len()).max(1);
 
@@ -322,12 +312,7 @@ fn search_region(
     let config = eval.config();
     let optimizer = GlobalMinimizer::new(OptimizerConfig {
         max_evaluations: config.max_iterations,
-        cutoff: if config.use_cutoff {
-            loss.cutoff()
-        } else {
-            0.0
-        },
-        ..Default::default()
+        cutoff: loss.cutoff(),
     });
     let trace = optimizer.minimize(&mut objective, region.lower, region.upper, Some(cancel));
     // Both trackers keep the *first* minimum in evaluation order, so

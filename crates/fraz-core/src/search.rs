@@ -258,16 +258,20 @@ impl<O: Objective> Search<O> {
     }
 
     /// The `(lower, upper)` error-bound range the search may use for this
-    /// dataset: the compressor's valid range clipped to the objective's
-    /// error ceiling `U`.
+    /// dataset: the compressor's valid range intersected with `(0, U]`.  A
+    /// ceiling at or below the compressor's floor is still a bound the
+    /// compressor accepts, so the intersection is never empty: it collapses
+    /// to the sliver just under `U` (as a degenerate compressor range
+    /// collapses to the sliver under its upper end).
     pub fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
-        let (lower, mut upper) = self.compressor.bound_range(dataset);
-        if let Some(u) = self.config.max_error_bound() {
-            if u > lower {
-                upper = upper.min(u);
-            }
-        }
-        (lower, upper.max(lower * (1.0 + 1e-9)))
+        let (lower, upper) = self.compressor.bound_range(dataset);
+        let upper = match self.config.max_error_bound() {
+            // Not zero, negative, NaN — no bound could honour it — nor a
+            // subnormal, which has no room for a sliver beneath it.
+            Some(u) if u >= f64::MIN_POSITIVE => upper.min(u),
+            _ => upper,
+        };
+        (lower.min(upper * (1.0 - 1e-9)), upper)
     }
 
     /// `bound` clamped into [`Search::bound_range`].
@@ -409,6 +413,7 @@ fn narrowed((lower, upper): (f64, f64), hint: Option<&SearchHint>) -> (f64, f64)
 /// and a fired [`CancelToken`] yields a consistent best-so-far.
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::sync::atomic::AtomicU64;
     use std::sync::{Mutex, OnceLock};
     use std::time::Duration;
 
@@ -441,10 +446,14 @@ pub(crate) mod tests {
     /// bound and whose reconstruction is off by exactly the bound
     /// everywhere (so PSNR is `20·log10(range / bound)`), counting every
     /// `compress` call — the ground truth against which `evaluations`
-    /// accounting is pinned exactly.  Optionally fires a [`CancelToken`]
-    /// during its n-th call.
+    /// accounting is pinned exactly — and remembering the highest bound it
+    /// was asked for.  Below its floor it is lossless (1:1).  Optionally
+    /// fires a [`CancelToken`] during its n-th call.
     pub(crate) struct CountingCodec {
         calls: AtomicUsize,
+        /// Bits of the highest bound compressed at (bounds are positive, so
+        /// their bit patterns order like the numbers).
+        highest_bound: AtomicU64,
         original: Dataset,
         cancel_at: Mutex<Option<(usize, CancelToken)>>,
     }
@@ -456,6 +465,7 @@ pub(crate) mod tests {
         pub(crate) fn new(original: Dataset) -> Self {
             Self {
                 calls: AtomicUsize::new(0),
+                highest_bound: AtomicU64::new(0),
                 original,
                 cancel_at: Mutex::new(None),
             }
@@ -463,6 +473,10 @@ pub(crate) mod tests {
 
         pub(crate) fn calls(&self) -> usize {
             self.calls.load(Ordering::Relaxed)
+        }
+
+        fn highest_bound(&self) -> f64 {
+            f64::from_bits(self.highest_bound.load(Ordering::Relaxed))
         }
 
         /// A token that fires during this codec's `call`-th compression
@@ -478,7 +492,7 @@ pub(crate) mod tests {
         }
 
         fn ratio_at(bound: f64) -> f64 {
-            1.0 + 99.0 * ((bound / Self::LO).ln() / (Self::HI / Self::LO).ln())
+            (1.0 + 99.0 * ((bound / Self::LO).ln() / (Self::HI / Self::LO).ln())).max(1.0)
         }
 
         /// The bound at which [`CountingCodec::ratio_at`] equals `ratio`.
@@ -499,6 +513,8 @@ pub(crate) mod tests {
         }
         fn compress(&self, dataset: &Dataset, bound: f64) -> Result<Vec<u8>, PressioError> {
             let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+            self.highest_bound
+                .fetch_max(bound.to_bits(), Ordering::Relaxed);
             if let Some((at, token)) = &*self.cancel_at.lock().unwrap() {
                 if call == *at {
                     token.cancel();
@@ -652,16 +668,29 @@ pub(crate) mod tests {
     // that tops out near 150 dB.  Then each satisfiable target under a
     // ceiling `U` below its cold answer: 10:1 is out of reach at `U` (6:1
     // there); 60 dB still holds, with `U` itself the most compressive answer.
+    // Then under a ceiling below the codec's floor, where every bound the
+    // search may try is a hair under `U`: 10:1 is out of reach there, 60 dB
+    // holds.
     shell_contract! {
         ratio_in_reach: ratio_case(10.0), true;
         ratio_out_of_reach: ratio_case(500.0), false;
         ratio_capped: capped(ratio_case(10.0), SearchConfig::with_max_error, 2e-6), false;
+        ratio_capped_below_floor: capped(
+            ratio_case(10.0),
+            SearchConfig::with_max_error,
+            CountingCodec::LO / 1e3,
+        ), false;
         psnr_in_reach: psnr_case(60.0), true;
         psnr_out_of_reach: psnr_case(400.0), false;
         psnr_capped: capped(
             psnr_case(60.0),
             |c, u| QualitySearchConfig { max_error_bound: Some(u), ..c },
             1e-3,
+        ), true;
+        psnr_capped_below_floor: capped(
+            psnr_case(60.0),
+            |c, u| QualitySearchConfig { max_error_bound: Some(u), ..c },
+            CountingCodec::LO / 1e3,
         ), true;
     }
 
@@ -675,6 +704,15 @@ pub(crate) mod tests {
         if feasible {
             assert!(ok, "{name}/{what}: answer out of tolerance");
         }
+    }
+
+    /// The ceiling binds every bound tried, not only the one reported.
+    fn assert_evaluated_under(codec: &CountingCodec, ceiling: f64, name: &str, what: &str) {
+        let highest = codec.highest_bound();
+        assert!(
+            highest <= ceiling,
+            "{name}/{what}: evaluated {highest} above U = {ceiling}"
+        );
     }
 
     fn hint_invariance<O: Objective + Clone>(case: &Case<O>, feasible: bool)
@@ -701,6 +739,7 @@ pub(crate) mod tests {
         // The error ceiling binds every answer, however it was seeded.
         let ceiling = case.config.max_error_bound().unwrap_or(CountingCodec::HI);
         assert!(cold.bound() <= ceiling, "{}: cold above U", case.name);
+        assert_evaluated_under(&codec, ceiling, case.name, "cold");
 
         let bare = |bound: f64| SearchHint::converged(bound, HintSource::External);
         let bracketed = |lo: f64, hi: f64| SearchHint {
@@ -762,16 +801,18 @@ pub(crate) mod tests {
                 case.name,
                 hinted.bound()
             );
+            assert_evaluated_under(&codec, ceiling, case.name, what);
         }
 
         // The same through `run`: a predictor that learned the uncapped
         // answer proposes it to the capped search.
         let predictor = Arc::new(LastConverged::new(HintSource::WarmStart));
         predictor.store(case.oracle);
-        let (search, _) = case.search();
+        let (search, codec) = case.search();
         let taught = search.with_predictor(Some(predictor)).run(&dataset);
         assert_eq!(taught.met(), feasible, "{}: taught predictor", case.name);
         assert!(taught.bound() <= ceiling, "{}: taught above U", case.name);
+        assert_evaluated_under(&codec, ceiling, case.name, "taught predictor");
     }
 
     fn predictor_round_trip<O: Objective + Clone>(case: &Case<O>, feasible: bool)
@@ -987,17 +1028,36 @@ pub(crate) mod tests {
         assert_eq!(capped.bound_range(&dataset), (CountingCodec::LO, 1e-3));
         assert_eq!(capped.clamp_bound(0.5, &dataset), 1e-3);
         assert_eq!(capped.clamp_bound(1e-9, &dataset), CountingCodec::LO);
-        // A ceiling below the compressor's floor is ignored, not inverted.
-        let absurd = Search::new(codec(), SearchConfig::new(10.0, 0.1).with_max_error(1e-9));
-        assert_eq!(
-            absurd.bound_range(&dataset),
-            (CountingCodec::LO, CountingCodec::HI)
-        );
         // A hint bracket narrows the searched range only where they overlap.
         let hint = SearchHint::seed(1e-4, HintSource::Analytic).with_bracket(1e-5, 1e-2);
         assert_eq!(
             narrowed(capped.bound_range(&dataset), Some(&hint)),
             (1e-5, 1e-3)
         );
+    }
+
+    #[test]
+    fn a_ceiling_below_the_floor_still_binds() {
+        let dataset = smooth_field();
+        let codec = || Arc::new(CountingCodec::new(smooth_field())) as Arc<dyn Compressor>;
+        // A ceiling at or below the compressor's floor still binds: the
+        // range is the sliver just under it.
+        for u in [f64::MIN_POSITIVE, 1e-9, CountingCodec::LO] {
+            let below = Search::new(codec(), SearchConfig::new(10.0, 0.1).with_max_error(u));
+            let (lower, upper) = below.bound_range(&dataset);
+            assert!(
+                0.0 < lower && lower < upper && upper == u,
+                "{lower} {upper}"
+            );
+            assert_eq!(below.clamp_bound(0.5, &dataset), u);
+        }
+        // A ceiling no bound could honour is no ceiling.
+        for u in [0.0, -1.0, f64::NAN, 5e-324] {
+            let unusable = Search::new(codec(), SearchConfig::new(10.0, 0.1).with_max_error(u));
+            assert_eq!(
+                unusable.bound_range(&dataset),
+                (CountingCodec::LO, CountingCodec::HI)
+            );
+        }
     }
 }

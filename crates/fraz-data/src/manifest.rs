@@ -233,7 +233,8 @@ impl Manifest {
     /// unique field names; dims arity 1–4 with no zero axis; exactly one of
     /// `file`/`files`/`pattern`/`generator` (mixing `file` and `generator`
     /// gets a dedicated explanation); `seed`/`steps` only alongside
-    /// `generator`; positive targets; at most one of
+    /// `generator`; positive targets; a finite `tolerance` inside `(0, 1)`
+    /// and a positive normal `max_error_bound`; at most one of
     /// `target_ratio`/`min_psnr` per field and at least one target
     /// (own or manifest default) for each.
     pub fn validate(&self) -> Result<(), ManifestError> {
@@ -248,6 +249,22 @@ impl Manifest {
                 return Err(ManifestError::invalid(
                     "manifest",
                     format!("target_ratio must be > 1, got {t}"),
+                ));
+            }
+        }
+        if let Some(t) = self.tolerance {
+            if !(t > 0.0 && t < 1.0) {
+                return Err(ManifestError::invalid(
+                    "manifest",
+                    format!("tolerance must be inside (0, 1), got {t}"),
+                ));
+            }
+        }
+        if let Some(u) = self.max_error_bound {
+            if !(u > 0.0 && u.is_normal()) {
+                return Err(ManifestError::invalid(
+                    "manifest",
+                    format!("max_error_bound must be a positive normal number, got {u}"),
                 ));
             }
         }
@@ -757,6 +774,43 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("mutually exclusive"), "{err}");
+    }
+
+    #[test]
+    fn tolerance_and_error_ceiling_are_range_checked() {
+        let with = |extra: &str| {
+            let json = format!(
+                r#"{{"application": "t", "target_ratio": 8.0, {extra}, "fields": [{}]}}"#,
+                field_json("")
+            );
+            Manifest::from_json_str(&json).map_err(|e| e.to_string())
+        };
+        for bad in ["7.5", "1.0", "0.0", "-0.1"] {
+            let err = with(&format!(r#""tolerance": {bad}"#)).unwrap_err();
+            assert!(
+                err.contains("manifest: tolerance must be inside (0, 1)"),
+                "{err}"
+            );
+        }
+        for bad in ["-3.0", "0.0", "5e-324"] {
+            let err = with(&format!(r#""max_error_bound": {bad}"#)).unwrap_err();
+            assert!(
+                err.contains("manifest: max_error_bound must be a positive"),
+                "{err}"
+            );
+        }
+        // JSON has no NaN or infinity, but a value tree can carry either.
+        let mut manifest = with(r#""tolerance": 0.15, "max_error_bound": 1e-12"#).unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            manifest.tolerance = Some(bad);
+            let err = manifest.validate().unwrap_err().to_string();
+            assert!(err.contains("tolerance"), "{err}");
+            manifest.tolerance = None;
+            manifest.max_error_bound = Some(bad);
+            let err = manifest.validate().unwrap_err().to_string();
+            assert!(err.contains("max_error_bound"), "{err}");
+            manifest.max_error_bound = None;
+        }
     }
 
     #[test]

@@ -130,8 +130,9 @@ pub fn generate(
     }
 }
 
-/// Levenshtein distance over bytes (generator names are ASCII).
-fn edit_distance(a: &str, b: &str) -> usize {
+/// Levenshtein distance over bytes, for did-you-mean suggestions (the names
+/// it is asked about — generators, codecs, option keys — are ASCII).
+pub fn edit_distance(a: &str, b: &str) -> usize {
     let (a, b) = (a.as_bytes(), b.as_bytes());
     let mut prev: Vec<usize> = (0..=b.len()).collect();
     for (i, &ca) in a.iter().enumerate() {
@@ -232,14 +233,6 @@ impl SyntheticDataset {
             .unwrap_or_else(|| panic!("unknown field `{name}` in {application}"));
         let values = spec.generate(application, &self.dims, self.seed, timestep);
         store(application, name, timestep, &self.dims, DType::F32, values)
-    }
-
-    /// Generate every field at one time-step.
-    pub fn all_fields_at(&self, timestep: usize) -> Vec<Dataset> {
-        self.field_names()
-            .iter()
-            .map(|f| self.field(f, timestep))
-            .collect()
     }
 
     /// Generate the full time series of one field.

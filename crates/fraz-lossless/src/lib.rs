@@ -14,7 +14,7 @@
 //!   match search and lazy matching, whose token stream is entropy coded with
 //!   the canonical Huffman coder.  Functionally this plays the role Zstd/Gzip
 //!   play in SZ's stage 4.
-//! * [`rle`] — zig-zag varints and run-length helpers shared by the codecs.
+//! * [`rle`] — the unsigned varint the Huffman table serializer uses.
 //!
 //! The convenience functions [`compress`] and [`decompress`] bundle the LZSS
 //! stage behind a stable framed format with a header, so callers can treat
@@ -110,7 +110,7 @@ std::thread_local! {
     /// token scratch per pool worker instead of a fresh ~160 KB allocation
     /// per compressor call.
     static FRAME_ENCODER: std::cell::RefCell<lzss::LzssEncoder> =
-        std::cell::RefCell::new(lzss::LzssEncoder::new(lzss::LzssConfig::default()));
+        std::cell::RefCell::new(lzss::LzssEncoder::new());
 }
 
 /// Compress an arbitrary byte slice with the LZSS + Huffman dictionary coder.

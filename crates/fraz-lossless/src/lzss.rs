@@ -6,9 +6,9 @@
 //! The design follows the classic DEFLATE recipe, simplified where the full
 //! generality is not needed:
 //!
-//! * a sliding window of [`LzssConfig::window_size`] bytes,
-//! * hash-chain match search over 4-byte anchors with lazy (one-step)
-//!   matching,
+//! * a 32 KiB sliding window,
+//! * hash-chain match search over 4-byte anchors, at most 64 candidates per
+//!   position, with lazy (one-step) matching,
 //! * a combined literal/length alphabet (`0..=255` literals, `256 + (len-4)`
 //!   match lengths) and a log2-bucketed distance alphabet, both entropy coded
 //!   with the canonical [`crate::huffman`] coder,
@@ -49,48 +49,10 @@ const INSERT_ALL_LIMIT: usize = 64;
 /// justify its cost (zlib's `good_length` idea).
 const LAZY_CUTOFF: usize = 32;
 
-/// Tuning knobs for the LZSS encoder.
-#[derive(Debug, Clone)]
-pub struct LzssConfig {
-    /// Sliding-window size in bytes (maximum back-reference distance).
-    pub window_size: usize,
-    /// Maximum number of hash-chain candidates examined per position.
-    pub max_chain: usize,
-    /// Enable one-step lazy matching (defer a match if the next position has
-    /// a longer one).
-    pub lazy: bool,
-}
-
-impl Default for LzssConfig {
-    fn default() -> Self {
-        Self {
-            window_size: 32 * 1024,
-            max_chain: 64,
-            lazy: true,
-        }
-    }
-}
-
-impl LzssConfig {
-    /// A faster, lower-ratio profile used by the codecs when throughput
-    /// matters more than the last few percent of ratio.
-    pub fn fast() -> Self {
-        Self {
-            window_size: 16 * 1024,
-            max_chain: 8,
-            lazy: false,
-        }
-    }
-
-    /// A slower, higher-ratio profile.
-    pub fn high() -> Self {
-        Self {
-            window_size: 64 * 1024,
-            max_chain: 256,
-            lazy: true,
-        }
-    }
-}
+/// Sliding-window size in bytes (maximum back-reference distance).
+const WINDOW_SIZE: usize = 32 * 1024;
+/// Maximum number of hash-chain candidates examined per position.
+const MAX_CHAIN: usize = 64;
 
 /// Compact token: literals carry the byte, matches carry `u32`
 /// length/distance (12 bytes per token keeps the scratch buffer — two full
@@ -146,7 +108,6 @@ fn match_length(data: &[u8], a: usize, b: usize) -> usize {
 /// which on the shared work-stealing pool means one scratch per pool worker.
 #[derive(Debug, Clone)]
 pub struct LzssEncoder {
-    config: LzssConfig,
     /// Most recent position for each hash bucket, `NIL` when empty.
     head: Vec<i32>,
     /// Previous position with the same hash, indexed by position.
@@ -155,20 +116,20 @@ pub struct LzssEncoder {
     tokens: Vec<Token>,
 }
 
-impl LzssEncoder {
-    /// Create an encoder with the given configuration.
-    pub fn new(config: LzssConfig) -> Self {
+impl Default for LzssEncoder {
+    fn default() -> Self {
         Self {
-            config,
             head: vec![NIL; HASH_SIZE],
             prev: Vec::new(),
             tokens: Vec::new(),
         }
     }
+}
 
-    /// The configuration this encoder applies.
-    pub fn config(&self) -> &LzssConfig {
-        &self.config
+impl LzssEncoder {
+    /// Create an encoder with empty scratch buffers.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     #[inline]
@@ -198,15 +159,13 @@ impl LzssEncoder {
     /// [`Self::find`] with the anchor hash already computed (the tokenizer
     /// hashes each position once and shares it between find and insert).
     fn find_hashed(&self, data: &[u8], pos: usize, h: usize) -> Option<(usize, usize)> {
-        let window = self.config.window_size;
-        let max_chain = self.config.max_chain;
         let mut candidate = self.head[h];
         let mut best_len = MIN_MATCH - 1;
         let mut best_dist = 0usize;
         let mut chain = 0usize;
-        while candidate >= 0 && chain < max_chain {
+        while candidate >= 0 && chain < MAX_CHAIN {
             let cand = candidate as usize;
-            if pos - cand > window {
+            if pos - cand > WINDOW_SIZE {
                 break;
             }
             // Cheap reject: to beat `best_len` the candidate must at least
@@ -266,7 +225,6 @@ impl LzssEncoder {
         if self.prev.len() < data.len() {
             self.prev.resize(data.len(), NIL);
         }
-        let lazy = self.config.lazy;
         let mut pos = 0usize;
         while pos < data.len() {
             if pos + MIN_MATCH > data.len() {
@@ -281,7 +239,7 @@ impl LzssEncoder {
             let h = hash4(data, pos);
             match self.find_hashed(data, pos, h) {
                 Some((mut length, mut distance)) => {
-                    if lazy && length < LAZY_CUTOFF && pos + 1 < data.len() {
+                    if length < LAZY_CUTOFF && pos + 1 < data.len() {
                         // Peek one position ahead; if a strictly longer match
                         // starts there, emit a literal instead and take it
                         // next iteration (classic lazy matching).
@@ -327,10 +285,8 @@ impl LzssEncoder {
         }
     }
 
-    /// Compress `data` into an LZSS+Huffman payload (no framing header).
-    ///
-    /// Equivalent to the free function [`compress`] but reuses this
-    /// encoder's scratch buffers.
+    /// Compress `data` into an LZSS+Huffman payload (no framing header),
+    /// reusing this encoder's scratch buffers.
     pub fn compress(&mut self, data: &[u8]) -> Vec<u8> {
         self.compress_segmented(data, SEGMENT_SIZE)
     }
@@ -424,16 +380,9 @@ fn distance_slot(distance: usize) -> (u32, u32, u64) {
     (slot, slot, extra)
 }
 
-/// Compress `data` into an LZSS+Huffman payload (no framing header).
-///
-/// One-shot convenience wrapper; hot loops should hold a [`LzssEncoder`] and
-/// reuse it across calls.
-pub fn compress(data: &[u8], config: &LzssConfig) -> Vec<u8> {
-    LzssEncoder::new(config.clone()).compress(data)
-}
-
-/// Decompress an LZSS+Huffman payload produced by [`compress`] into exactly
-/// `expected_len` bytes.
+/// Decompress an LZSS+Huffman payload into exactly `expected_len` bytes.
+/// The format carries no encoder setting: any window size or chain depth
+/// decodes, [`LzssEncoder::compress`]'s included.
 pub fn decompress(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
     if expected_len == 0 {
         return Ok(Vec::new());
@@ -513,15 +462,19 @@ pub fn decompress(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
 mod tests {
     use super::*;
 
-    fn roundtrip(data: &[u8], config: &LzssConfig) {
-        let packed = compress(data, config);
+    fn compress(data: &[u8]) -> Vec<u8> {
+        LzssEncoder::new().compress(data)
+    }
+
+    fn roundtrip(data: &[u8]) {
+        let packed = compress(data);
         let restored = decompress(&packed, data.len()).unwrap();
         assert_eq!(restored, data);
     }
 
     #[test]
     fn empty_input() {
-        assert!(compress(&[], &LzssConfig::default()).is_empty());
+        assert!(compress(&[]).is_empty());
         assert_eq!(decompress(&[], 0).unwrap(), Vec::<u8>::new());
     }
 
@@ -529,30 +482,30 @@ mod tests {
     fn short_inputs() {
         for n in 1..=8usize {
             let data: Vec<u8> = (0..n as u8).collect();
-            roundtrip(&data, &LzssConfig::default());
+            roundtrip(&data);
         }
     }
 
     #[test]
     fn highly_repetitive_compresses_well() {
         let data = vec![7u8; 100_000];
-        let packed = compress(&data, &LzssConfig::default());
+        let packed = compress(&data);
         assert!(packed.len() < 2_000, "got {} bytes", packed.len());
-        roundtrip(&data, &LzssConfig::default());
+        roundtrip(&data);
     }
 
     #[test]
     fn periodic_pattern() {
         let data: Vec<u8> = (0..50_000u32).map(|i| ((i * i) % 251) as u8).collect();
-        roundtrip(&data, &LzssConfig::default());
+        roundtrip(&data);
     }
 
     #[test]
     fn text_like_data() {
         let data = b"the quick brown fox jumps over the lazy dog. ".repeat(500);
-        let packed = compress(&data, &LzssConfig::default());
+        let packed = compress(&data);
         assert!(packed.len() < data.len() / 5);
-        roundtrip(&data, &LzssConfig::default());
+        roundtrip(&data);
     }
 
     #[test]
@@ -561,21 +514,7 @@ mod tests {
         let mut data = vec![b'a'; 1000];
         data.extend_from_slice(b"bcd");
         data.extend(vec![b'a'; 1000]);
-        roundtrip(&data, &LzssConfig::default());
-    }
-
-    #[test]
-    fn all_profiles_roundtrip() {
-        let data: Vec<u8> = (0..30_000u32)
-            .map(|i| ((i / 7) % 256) as u8 ^ ((i % 13) as u8))
-            .collect();
-        for config in [
-            LzssConfig::default(),
-            LzssConfig::fast(),
-            LzssConfig::high(),
-        ] {
-            roundtrip(&data, &config);
-        }
+        roundtrip(&data);
     }
 
     #[test]
@@ -590,20 +529,17 @@ mod tests {
             vec![],
             b"tiny".to_vec(),
         ];
-        let mut reused = LzssEncoder::new(LzssConfig::default());
+        let mut reused = LzssEncoder::new();
         for data in &inputs {
             let from_reused = reused.compress(data);
-            let from_fresh = compress(data, &LzssConfig::default());
+            let from_fresh = compress(data);
             assert_eq!(from_reused, from_fresh);
             let restored = decompress(&from_reused, data.len()).unwrap();
             assert_eq!(&restored, data);
         }
         // And again in reverse order on the same encoder.
         for data in inputs.iter().rev() {
-            assert_eq!(
-                reused.compress(data),
-                compress(data, &LzssConfig::default())
-            );
+            assert_eq!(reused.compress(data), compress(data));
         }
     }
 
@@ -614,13 +550,13 @@ mod tests {
         // the ordinary decoder.
         let data = b"boundary boundary boundary boundary ".repeat(200);
         for segment in [64usize, 1000, 4096, usize::MAX] {
-            let mut enc = LzssEncoder::new(LzssConfig::default());
+            let mut enc = LzssEncoder::new();
             let packed = enc.compress_segmented(&data, segment);
             let restored = decompress(&packed, data.len()).unwrap();
             assert_eq!(restored, data, "segment size {segment}");
         }
         // Small segments lose cross-boundary matches but not much more.
-        let mut enc = LzssEncoder::new(LzssConfig::default());
+        let mut enc = LzssEncoder::new();
         let chunked = enc.compress_segmented(&data, 1000).len();
         let whole = enc.compress_segmented(&data, usize::MAX).len();
         assert!(chunked < data.len() / 4, "chunked {} bytes", chunked);
@@ -635,15 +571,15 @@ mod tests {
         for block in 0..8u8 {
             data.extend(vec![block; 4096]);
         }
-        let packed = compress(&data, &LzssConfig::default());
+        let packed = compress(&data);
         assert!(packed.len() < data.len() / 50, "got {} bytes", packed.len());
-        roundtrip(&data, &LzssConfig::default());
+        roundtrip(&data);
     }
 
     #[test]
     fn truncation_is_detected() {
         let data = b"repeat repeat repeat repeat repeat repeat repeat".repeat(20);
-        let packed = compress(&data, &LzssConfig::default());
+        let packed = compress(&data);
         assert!(decompress(&packed[..packed.len() / 3], data.len()).is_err());
     }
 

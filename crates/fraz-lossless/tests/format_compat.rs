@@ -18,7 +18,7 @@
 use std::path::PathBuf;
 
 use fraz_lossless::huffman;
-use fraz_lossless::lzss::{self, LzssConfig};
+use fraz_lossless::lzss::{self, LzssEncoder};
 
 mod reference;
 
@@ -81,13 +81,15 @@ fn framed_inputs() -> Vec<(&'static str, Vec<u8>)> {
     ]
 }
 
-fn lzss_profiles() -> Vec<(&'static str, LzssConfig)> {
-    vec![
-        ("lzss_default_text.bin", LzssConfig::default()),
-        ("lzss_fast_text.bin", LzssConfig::fast()),
-        ("lzss_high_text.bin", LzssConfig::high()),
-    ]
-}
+/// Raw LZSS payloads of [`input_text`].  The `fast` (16 KiB window, chain 8,
+/// greedy) and `high` (64 KiB window, chain 256) fixtures come from encoder
+/// profiles that no longer exist: they are frozen, decode-only evidence that
+/// the format carries no encoder setting.
+const LZSS_FIXTURES: [&str; 3] = [
+    "lzss_default_text.bin",
+    "lzss_fast_text.bin",
+    "lzss_high_text.bin",
+];
 
 fn huffman_skewed_symbols() -> Vec<u32> {
     // SZ-like quantization codes: heavily centred with sparse outliers.
@@ -125,7 +127,7 @@ fn framed_fixtures_decode_byte_identically() {
 #[test]
 fn lzss_payload_fixtures_decode_byte_identically() {
     let input = input_text();
-    for (name, _config) in lzss_profiles() {
+    for name in LZSS_FIXTURES {
         let packed = read_fixture(name);
         let restored = lzss::decompress(&packed, input.len())
             .unwrap_or_else(|e| panic!("fixture {name} failed to decode: {e}"));
@@ -178,10 +180,11 @@ fn regenerate() {
     for (name, input) in framed_inputs() {
         std::fs::write(dir.join(name), fraz_lossless::compress(&input)).unwrap();
     }
-    let text = input_text();
-    for (name, config) in lzss_profiles() {
-        std::fs::write(dir.join(name), lzss::compress(&text, &config)).unwrap();
-    }
+    std::fs::write(
+        dir.join(LZSS_FIXTURES[0]),
+        LzssEncoder::new().compress(&input_text()),
+    )
+    .unwrap();
     std::fs::write(
         dir.join("huffman_skewed.bin"),
         huffman::encode_symbols(&huffman_skewed_symbols()),

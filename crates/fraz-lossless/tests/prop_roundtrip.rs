@@ -1,11 +1,11 @@
 //! Property-based tests for the lossless substrate: every byte sequence must
-//! survive a compress/decompress roundtrip bit-exactly, under every encoder
-//! profile, and the Huffman coder must roundtrip arbitrary symbol streams.
+//! survive a compress/decompress roundtrip bit-exactly, and the Huffman coder
+//! must roundtrip arbitrary symbol streams.
 
 use proptest::prelude::*;
 
 use fraz_lossless::huffman;
-use fraz_lossless::lzss::{self, LzssConfig};
+use fraz_lossless::lzss::{self, LzssEncoder};
 use fraz_lossless::rle;
 
 mod reference;
@@ -27,12 +27,9 @@ proptest! {
     }
 
     #[test]
-    fn lzss_roundtrip_all_profiles(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
-        for config in [LzssConfig::default(), LzssConfig::fast(), LzssConfig::high()] {
-            let packed = lzss::compress(&data, &config);
-            let restored = lzss::decompress(&packed, data.len()).unwrap();
-            prop_assert_eq!(&restored, &data);
-        }
+    fn lzss_payload_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..2048)) {
+        let packed = LzssEncoder::new().compress(&data);
+        prop_assert_eq!(lzss::decompress(&packed, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -62,19 +59,6 @@ proptest! {
     }
 
     #[test]
-    fn signed_varint_roundtrip(values in proptest::collection::vec(any::<i64>(), 0..256)) {
-        let mut w = fraz_lossless::bitio::BitWriter::new();
-        for &v in &values {
-            rle::write_ivarint(&mut w, v);
-        }
-        let bytes = w.into_bytes();
-        let mut r = fraz_lossless::bitio::BitReader::new(&bytes);
-        for &v in &values {
-            prop_assert_eq!(rle::read_ivarint(&mut r).unwrap(), v);
-        }
-    }
-
-    #[test]
     fn bitio_roundtrip(fields in proptest::collection::vec((any::<u64>(), 0u32..=64), 0..256)) {
         let mut w = fraz_lossless::bitio::BitWriter::new();
         for &(v, n) in &fields {
@@ -87,12 +71,6 @@ proptest! {
             let masked = if n == 64 { v } else { v & ((1u64 << n) - 1) };
             prop_assert_eq!(r.read_bits(n).unwrap(), masked);
         }
-    }
-
-    #[test]
-    fn rle_roundtrip(values in proptest::collection::vec(0u32..8, 0..1024)) {
-        let pairs = rle::rle_encode(&values);
-        prop_assert_eq!(rle::rle_decode(&pairs).unwrap(), values);
     }
 
     #[test]
@@ -119,14 +97,11 @@ proptest! {
     }
 
     #[test]
-    fn lzss_profiles_decode_with_reference_decoder(
+    fn lzss_payload_decodes_with_reference_decoder(
         data in proptest::collection::vec(0u8..16, 0..1024)
     ) {
-        for config in [LzssConfig::default(), LzssConfig::fast(), LzssConfig::high()] {
-            let packed = lzss::compress(&data, &config);
-            let restored = reference::decompress_lzss(&packed, data.len()).unwrap();
-            prop_assert_eq!(&restored, &data);
-        }
+        let packed = LzssEncoder::new().compress(&data);
+        prop_assert_eq!(reference::decompress_lzss(&packed, data.len()).unwrap(), data);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl QualityReport {
         let original_bytes = original.byte_size();
         let (rows, cols, slice_a) = original.slice2d(original.dims.as_slice()[0] / 2);
         let (_, _, slice_b) = reconstructed.slice2d(original.dims.as_slice()[0] / 2);
-        let ssim = ssim::mean_ssim(&slice_a, &slice_b, rows, cols, &ssim::SsimConfig::default());
+        let ssim = ssim::mean_ssim(&slice_a, &slice_b, rows, cols);
         let errors: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
         Self {
             compression_ratio: ratio::compression_ratio(original_bytes, compressed_bytes),

@@ -29,25 +29,6 @@ pub fn bit_rate(compressed_bytes: usize, num_points: usize) -> f64 {
     }
 }
 
-/// Convert a compression ratio into a bit rate for elements of
-/// `bytes_per_value` bytes (4 for `f32`, 8 for `f64`).
-pub fn ratio_to_bit_rate(ratio: f64, bytes_per_value: usize) -> f64 {
-    if ratio <= 0.0 {
-        0.0
-    } else {
-        bytes_per_value as f64 * 8.0 / ratio
-    }
-}
-
-/// Convert a bit rate back into a compression ratio.
-pub fn bit_rate_to_ratio(bit_rate: f64, bytes_per_value: usize) -> f64 {
-    if bit_rate <= 0.0 {
-        f64::INFINITY
-    } else {
-        bytes_per_value as f64 * 8.0 / bit_rate
-    }
-}
-
 /// Accumulates sizes over many buffers (e.g. all fields of a time-step) and
 /// reports the aggregate ratio, as done for the whole-dataset numbers in the
 /// evaluation.
@@ -101,17 +82,6 @@ mod tests {
         // 4-byte floats compressed 8:1 -> 4 bits/value.
         assert_eq!(bit_rate(500, 1000), 4.0);
         assert_eq!(bit_rate(0, 0), 0.0);
-    }
-
-    #[test]
-    fn ratio_bit_rate_conversions_are_inverse() {
-        for ratio in [1.0, 2.0, 10.0, 50.0, 85.0, 250.0] {
-            let br = ratio_to_bit_rate(ratio, 4);
-            assert!((bit_rate_to_ratio(br, 4) - ratio).abs() < 1e-9);
-        }
-        assert_eq!(ratio_to_bit_rate(10.0, 4), 3.2);
-        assert_eq!(ratio_to_bit_rate(0.0, 4), 0.0);
-        assert!(bit_rate_to_ratio(0.0, 4).is_infinite());
     }
 
     #[test]

@@ -39,6 +39,7 @@
 
 use std::fmt;
 
+use fraz_data::synthetic::edit_distance;
 use fraz_data::Dims;
 
 use crate::options::{OptionKind, OptionValue, Options};
@@ -127,15 +128,6 @@ impl PsnrBoundModel {
         }
         let bound = value_range * 10f64.powf((self.offset_db - psnr_db) / 20.0);
         (bound.is_finite() && bound > 0.0).then_some(bound)
-    }
-
-    /// The PSNR predicted for error bound `bound` on data spanning
-    /// `value_range` — the forward direction, used by telemetry.
-    pub fn psnr_for_bound(&self, value_range: f64, bound: f64) -> Option<f64> {
-        if !(value_range.is_finite() && value_range > 0.0 && bound.is_finite() && bound > 0.0) {
-            return None;
-        }
-        Some(20.0 * (value_range / bound).log10() + self.offset_db)
     }
 }
 
@@ -311,12 +303,6 @@ impl CodecDescriptor {
         self
     }
 
-    /// Override the error-bounded capability flag (builder style).
-    pub fn with_error_bounded(mut self, error_bounded: bool) -> Self {
-        self.error_bounded = error_bounded;
-        self
-    }
-
     /// Restrict the accepted dimensionalities (builder style).
     pub fn with_dims(mut self, dims: DimRange) -> Self {
         self.dims = dims;
@@ -394,23 +380,6 @@ impl fmt::Display for CodecDescriptor {
             }
         )
     }
-}
-
-/// Levenshtein edit distance, used for did-you-mean suggestions.
-pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
-    let a: Vec<char> = a.chars().collect();
-    let b: Vec<char> = b.chars().collect();
-    let mut previous: Vec<usize> = (0..=b.len()).collect();
-    let mut current = vec![0usize; b.len() + 1];
-    for (i, &ca) in a.iter().enumerate() {
-        current[0] = i + 1;
-        for (j, &cb) in b.iter().enumerate() {
-            let substitute = previous[j] + usize::from(ca != cb);
-            current[j + 1] = substitute.min(previous[j + 1] + 1).min(current[j] + 1);
-        }
-        std::mem::swap(&mut previous, &mut current);
-    }
-    previous[b.len()]
 }
 
 /// The candidate closest to `input`, if any is close enough to plausibly be
@@ -549,9 +518,6 @@ mod tests {
         let bound = model.bound_for_psnr(1.0, 60.0).unwrap();
         let expected = 3f64.sqrt() * 1e-3;
         assert!((bound - expected).abs() / bound < 1e-12, "bound {bound}");
-        // Round trip: the forward model recovers the requested PSNR.
-        let psnr = model.psnr_for_bound(1.0, bound).unwrap();
-        assert!((psnr - 60.0).abs() < 1e-9);
         // Stricter targets give smaller bounds; bigger ranges bigger bounds.
         assert!(model.bound_for_psnr(1.0, 90.0).unwrap() < bound);
         assert!(model.bound_for_psnr(100.0, 60.0).unwrap() > bound);
@@ -559,7 +525,6 @@ mod tests {
         assert!(model.bound_for_psnr(0.0, 60.0).is_none());
         assert!(model.bound_for_psnr(f64::NAN, 60.0).is_none());
         assert!(model.bound_for_psnr(1.0, f64::INFINITY).is_none());
-        assert!(model.psnr_for_bound(1.0, 0.0).is_none());
         // Descriptors carry the model only when a codec opts in.
         assert!(sample().psnr_model.is_none());
         let d = sample().with_psnr_model(model);

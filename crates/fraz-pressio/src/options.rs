@@ -170,14 +170,6 @@ impl Options {
         self.values.keys().map(String::as_str)
     }
 
-    /// Overlay `other` on top of `self`: every option set in `other` is set
-    /// here, replacing existing values (libpressio's `options_merge`).
-    pub fn merge(&mut self, other: &Options) {
-        for (key, value) in other.iter() {
-            self.set(key, value.clone());
-        }
-    }
-
     /// Keys set in `self` whose values differ from (or are absent in)
     /// `other`.  The comparison is one-sided — keys present only in
     /// `other` are not reported — which is the shape introspection wants:
@@ -342,14 +334,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_overlays_and_diff_reports_edits() {
-        let mut base = Options::new().with("keep", 1u64).with("replace", 1u64);
-        let overlay = Options::new().with("replace", 2u64).with("add", true);
-        base.merge(&overlay);
-        assert_eq!(base.get_u64("keep"), Some(1));
-        assert_eq!(base.get_u64("replace"), Some(2));
-        assert_eq!(base.get_bool("add"), Some(true));
-
+    fn diff_reports_edits() {
+        let base = Options::new()
+            .with("keep", 1u64)
+            .with("replace", 2u64)
+            .with("add", true);
         let defaults = Options::new().with("keep", 1u64);
         assert_eq!(base.diff(&defaults), vec!["add", "replace"]);
         assert!(defaults.diff(&defaults).is_empty());
