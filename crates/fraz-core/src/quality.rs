@@ -207,7 +207,7 @@ impl Objective for QualitySearchConfig {
         // The first guess of the uniform-quantization model.
         let bound = match self.metric {
             QualityMetric::PsnrAtLeast(target) => {
-                let range = dataset.stats().value_range();
+                let range = dataset.value_range();
                 descriptor.psnr_model?.bound_for_psnr(range, target)?
             }
             QualityMetric::RmseAtMost(target) => {

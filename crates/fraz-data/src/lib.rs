@@ -14,6 +14,9 @@
 //!   frame is written and parsed with, the validated reads of everything a
 //!   decoder must not trust (dtype tag, grid shape, counts) and the blob
 //!   prefix the codecs share ([`wire::DatasetHeader`]),
+//! * [`quant`] — the linear-scaling quantizer of prediction errors the
+//!   SZ-like and MGARD-like codecs share, so the two sides of each stay
+//!   bit-identical through one expression,
 //! * [`io`] — readers and writers for the flat `.f32` / `.f64` layout used by
 //!   SDRBench, so real archive files can be dropped in when available,
 //! * [`synthetic`] — the one generator home: deterministic mimics of each
@@ -35,6 +38,7 @@ pub mod catalog;
 pub mod dims;
 pub mod io;
 pub mod manifest;
+pub mod quant;
 pub mod synthetic;
 pub mod wire;
 
@@ -135,9 +139,24 @@ impl Dataset {
         self.buffer.to_f64_vec()
     }
 
-    /// Summary statistics over the field.
+    /// Summary statistics over the field, read from the typed buffer.
     pub fn stats(&self) -> FieldStats {
-        FieldStats::compute(&self.buffer.to_f64_vec())
+        match &self.buffer {
+            DataBuffer::F32(v) => FieldStats::of(v),
+            DataBuffer::F64(v) => FieldStats::of(v),
+        }
+    }
+
+    /// `max - min` over the field — [`FieldStats::value_range`] of
+    /// [`Dataset::stats`], bit for bit, in one pass and without the mean
+    /// and deviation nobody asked for.  This is what a value-range-relative
+    /// bound is relative to, so every search pays it at least once.
+    pub fn value_range(&self) -> f64 {
+        let (min, max) = match &self.buffer {
+            DataBuffer::F32(v) => min_max(v),
+            DataBuffer::F64(v) => min_max(v),
+        };
+        max - min
     }
 
     /// Extract a 2-D slice (the last two dimensions) at the given index of
@@ -192,9 +211,48 @@ pub struct FieldStats {
     pub std_dev: f64,
 }
 
+/// `(min, max)` of the values, NaNs ignored; `(0, 0)` when there are none.
+///
+/// Eight running extremes side by side, folded at the end: a compare and a
+/// select per value compile to packed `min`/`max`, where one running
+/// extreme is a chain of dependent scalar ones.  The extremes do not depend
+/// on the order they are found in (the sign of a zero extreme is whichever
+/// zero was met first, as unspecified as `f64::min` leaves it).
+fn min_max<T: Copy + Into<f64>>(values: &[T]) -> (f64, f64) {
+    const LANES: usize = 8;
+    if values.is_empty() {
+        return (0.0, 0.0);
+    }
+    let mut min = [f64::INFINITY; LANES];
+    let mut max = [f64::NEG_INFINITY; LANES];
+    let mut meet = |lane: usize, v: f64| {
+        min[lane] = if v < min[lane] { v } else { min[lane] };
+        max[lane] = if v > max[lane] { v } else { max[lane] };
+    };
+    let chunks = values.chunks_exact(LANES);
+    for &v in chunks.remainder() {
+        meet(0, v.into());
+    }
+    for chunk in chunks {
+        for (lane, &v) in chunk.iter().enumerate() {
+            meet(lane, v.into());
+        }
+    }
+    (
+        min.into_iter().fold(f64::INFINITY, f64::min),
+        max.into_iter().fold(f64::NEG_INFINITY, f64::max),
+    )
+}
+
 impl FieldStats {
     /// Compute statistics over a slice; an empty slice yields all zeros.
     pub fn compute(values: &[f64]) -> Self {
+        Self::of(values)
+    }
+
+    /// [`compute`](Self::compute) over a typed buffer: widening is exact, so
+    /// an `f32` field sums to what its `f64` copy would, without the copy.
+    fn of<T: Copy + Into<f64>>(values: &[T]) -> Self {
         if values.is_empty() {
             return Self {
                 min: 0.0,
@@ -203,17 +261,18 @@ impl FieldStats {
                 std_dev: 0.0,
             };
         }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
+        let n = values.len() as f64;
+        let (min, max) = min_max(values);
         let mut sum = 0.0;
         for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-            sum += v;
+            sum += v.into();
         }
-        let mean = sum / values.len() as f64;
-        let var =
-            values.iter().map(|&v| (v - mean) * (v - mean)).sum::<f64>() / values.len() as f64;
+        let mean = sum / n;
+        let var = values
+            .iter()
+            .map(|&v| (v.into() - mean) * (v.into() - mean))
+            .sum::<f64>()
+            / n;
         Self {
             min,
             max,
@@ -260,6 +319,41 @@ mod tests {
         assert_eq!(s.mean, 2.5);
         assert!((s.std_dev - (1.25f64).sqrt()).abs() < 1e-12);
         assert_eq!(s.value_range(), 3.0);
+    }
+
+    #[test]
+    fn value_range_is_the_stats_range_bit_for_bit() {
+        let mixed = vec![0.1f32, -3.75, 2.5e-7, 1.0e9, -0.0, 42.0];
+        for d in [
+            Dataset::from_f32("a", "b", 0, Dims::d1(6), mixed.clone()),
+            Dataset::from_f64(
+                "a",
+                "b",
+                0,
+                Dims::d2(2, 3),
+                mixed.iter().map(|&v| v as f64 / 3.0).collect(),
+            ),
+            Dataset::from_f64("a", "b", 0, Dims::d1(3), vec![7.0, f64::NAN, 9.0]),
+            Dataset::from_f32("a", "b", 0, Dims::d1(2), vec![f32::INFINITY, 1.0]),
+            Dataset::from_f32("a", "b", 0, Dims::d1(3), vec![4.0; 3]),
+        ] {
+            let expected = FieldStats::compute(&d.values_f64());
+            assert_eq!(
+                d.value_range().to_bits(),
+                expected.value_range().to_bits(),
+                "{d}"
+            );
+            let streamed = d.stats();
+            assert_eq!(streamed.mean.to_bits(), expected.mean.to_bits(), "{d}");
+            assert_eq!(
+                streamed.std_dev.to_bits(),
+                expected.std_dev.to_bits(),
+                "{d}"
+            );
+        }
+        let mut empty = Dataset::from_f32("a", "b", 0, Dims::d1(1), vec![1.0]);
+        empty.buffer = DataBuffer::F32(Vec::new());
+        assert_eq!(empty.value_range(), 0.0);
     }
 
     #[test]

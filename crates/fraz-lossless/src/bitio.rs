@@ -7,7 +7,9 @@
 //! **most-significant-bit first within each byte**, bytes appended in order.
 //!
 //! Both sides work a *word* at a time rather than a bit at a time.  The
-//! writer keeps a 64-bit accumulator and spills whole bytes; the reader keeps
+//! writer keeps a 64-bit accumulator and spills four bytes at once — one
+//! spill per 32 bits written, not one per byte, which is what a short
+//! Huffman code per call costs; the reader keeps
 //! an absolute bit cursor and serves every request from one unaligned 8-byte
 //! load, which also gives the decoder a branch-light
 //! [`BitReader::peek_bits`] / [`BitReader::consume`] pair: the table-driven
@@ -28,7 +30,7 @@ pub struct BitWriter {
     buf: Vec<u8>,
     /// Pending bits: the low `nbits` bits of `acc` have been written but not
     /// yet spilled to `buf` (most significant pending bit first).  Between
-    /// public calls `nbits` is at most 7.
+    /// public calls `nbits` is at most 31.
     acc: u64,
     nbits: u32,
 }
@@ -53,20 +55,21 @@ impl BitWriter {
         self.buf.len() * 8 + self.nbits as usize
     }
 
-    /// Append up to 32 bits.  `self.nbits <= 7` on entry, so the shifted
+    /// Append up to 32 bits.  `self.nbits <= 31` on entry, so the shifted
     /// accumulator never overflows 64 bits.
     #[inline]
     fn push_small(&mut self, value: u64, nbits: u32) {
-        debug_assert!(nbits <= 32 && self.nbits <= 7);
+        debug_assert!(nbits <= 32 && self.nbits <= 31);
         if nbits == 0 {
             return;
         }
         let value = value & (u64::MAX >> (64 - nbits));
         self.acc = (self.acc << nbits) | value;
         self.nbits += nbits;
-        while self.nbits >= 8 {
-            self.nbits -= 8;
-            self.buf.push((self.acc >> self.nbits) as u8);
+        if self.nbits >= 32 {
+            self.nbits -= 32;
+            let word = (self.acc >> self.nbits) as u32;
+            self.buf.extend_from_slice(&word.to_be_bytes());
         }
     }
 
@@ -103,10 +106,12 @@ impl BitWriter {
 
     /// Align to the next byte boundary by writing zero bits.
     pub fn align_byte(&mut self) {
-        if self.nbits != 0 {
-            self.buf.push((self.acc << (8 - self.nbits)) as u8);
-            self.nbits = 0;
-        }
+        let bytes = self.nbits.div_ceil(8);
+        // The pending bits, zero-padded on the low side to whole bytes.
+        let padded = (self.acc << (8 * bytes - self.nbits)) as u32;
+        self.buf
+            .extend_from_slice(&padded.to_be_bytes()[4 - bytes as usize..]);
+        self.nbits = 0;
     }
 
     /// Finish writing and return the backing byte vector.  Any partial final
@@ -114,12 +119,6 @@ impl BitWriter {
     pub fn into_bytes(mut self) -> Vec<u8> {
         self.align_byte();
         self.buf
-    }
-
-    /// Borrow the whole bytes spilled so far (up to 7 pending bits are still
-    /// in the accumulator and not visible here).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.buf
     }
 }
 

@@ -16,18 +16,26 @@
 //! The hot loops avoid hashing and per-bit work entirely:
 //!
 //! * frequency counting and the symbol→code map use flat arrays indexed by
-//!   symbol whenever the alphabet is dense enough (the common case for both
-//!   quantization codes and LZSS token alphabets), falling back to a
-//!   `HashMap` only for genuinely sparse/huge alphabets;
+//!   `symbol − smallest symbol`, so they are sized by the *span* of the
+//!   symbols in use, not by the largest one: quantization codes cluster in
+//!   a few hundred values around 2^15, and a table sized by the largest
+//!   code is three quarters of a mebibyte to zero-fill per call — most of
+//!   this stage's time on a small field.  A `HashMap` remains only for
+//!   spans too wide for a flat table;
+//! * the code book is built by the two-queue method (leaves sorted once,
+//!   merged nodes in a FIFO) instead of a binary heap: the same pops in the
+//!   same order — ties included, so the same code lengths — in one sort
+//!   and a linear merge, which matters at tight bounds where nearly every
+//!   value has its own quantization code;
 //! * [`Decoder::decode_symbol`] is table-driven in the style of DEFLATE
 //!   decoders: it peeks a fixed [`TABLE_BITS`]-wide window, resolves codes of
 //!   up to that length with one load from a primary lookup table, and only
-//!   chains into the canonical per-length walk for the rare longer codes.
+//!   chains into the canonical per-length range test for longer codes;
+//!   [`Decoder::decode_each`] serves several short codes from one load.
 
-use std::collections::BinaryHeap;
 use std::collections::HashMap;
 
-use crate::bitio::{BitReader, BitWriter};
+use crate::bitio::{BitReader, BitWriter, MAX_PEEK_BITS};
 use crate::rle;
 use crate::{CodingError, Result};
 
@@ -40,22 +48,26 @@ pub const MAX_CODE_LEN: u8 = 64;
 /// with a single peek + load.
 pub const TABLE_BITS: u32 = 10;
 
-/// Largest symbol value for which the encoder keeps its symbol→code map in a
-/// flat array (2^16 covers SZ quantization codes and both LZSS alphabets).
+/// Widest symbol span (`largest − smallest`) for which counting and the
+/// symbol→code map use a flat array (2^16 covers any SZ quantization
+/// capacity in use and both LZSS alphabets).
 const DENSE_LIMIT: u32 = 1 << 16;
 
 /// Encoding map: symbol → `(length, canonical code)`.
 #[derive(Debug, Clone)]
 enum CodeStore {
-    /// Indexed directly by symbol; `len == 0` marks an uncoded symbol.
-    Dense(Vec<(u8, u64)>),
-    /// Fallback for sparse alphabets with huge symbol values.
+    /// Indexed by `symbol - base`; `len == 0` marks an uncoded symbol.
+    Dense { base: u32, table: Vec<(u8, u64)> },
+    /// Fallback for alphabets spanning more than [`DENSE_LIMIT`] values.
     Sparse(HashMap<u32, (u8, u64)>),
 }
 
 impl Default for CodeStore {
     fn default() -> Self {
-        CodeStore::Dense(Vec::new())
+        CodeStore::Dense {
+            base: 0,
+            table: Vec::new(),
+        }
     }
 }
 
@@ -63,10 +75,12 @@ impl CodeStore {
     #[inline]
     fn get(&self, symbol: u32) -> Option<(u8, u64)> {
         match self {
-            CodeStore::Dense(table) => match table.get(symbol as usize) {
-                Some(&(len, code)) if len != 0 => Some((len, code)),
-                _ => None,
-            },
+            CodeStore::Dense { base, table } => {
+                match table.get(symbol.checked_sub(*base)? as usize) {
+                    Some(&(len, code)) if len != 0 => Some((len, code)),
+                    _ => None,
+                }
+            }
             CodeStore::Sparse(map) => map.get(&symbol).copied(),
         }
     }
@@ -81,35 +95,13 @@ pub struct CodeBook {
     codes: CodeStore,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct HeapNode {
-    weight: u64,
-    /// Tie-break on creation order so the tree shape is deterministic.
-    order: u32,
-    idx: usize,
-}
-
-impl Ord for HeapNode {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; invert to get min-heap behaviour.
-        other
-            .weight
-            .cmp(&self.weight)
-            .then_with(|| other.order.cmp(&self.order))
-    }
-}
-
-impl PartialOrd for HeapNode {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 impl CodeBook {
     /// Build a code book from `(symbol, frequency)` pairs.  Zero-frequency
     /// entries are ignored.  An empty or all-zero input yields an empty book.
     pub fn from_frequencies(freqs: &[(u32, u64)]) -> Self {
-        let mut used: Vec<(u32, u64)> = freqs.iter().copied().filter(|&(_, f)| f > 0).collect();
+        // Sized up front: a filtered `collect` grows by doubling.
+        let mut used: Vec<(u32, u64)> = Vec::with_capacity(freqs.len());
+        used.extend(freqs.iter().copied().filter(|&(_, f)| f > 0));
         used.sort_unstable_by_key(|&(s, _)| s);
         used.dedup_by(|a, b| {
             if a.0 == b.0 {
@@ -129,61 +121,50 @@ impl CodeBook {
             return Self::from_lengths(&[(used[0].0, 1)]).expect("single-symbol book");
         }
 
-        // Standard heap-based Huffman tree construction over `used`.
-        #[derive(Clone)]
-        struct Node {
-            children: Option<(usize, usize)>,
-            symbol_slot: Option<usize>,
-        }
-        let mut nodes: Vec<Node> = used
+        // Huffman's algorithm by the two-queue method.  Leaves wait sorted
+        // by `(weight, slot)`; merged nodes are made in non-decreasing
+        // weight, so a FIFO keeps them sorted too, and a leaf goes before a
+        // merged node of equal weight.  That is the order a min-heap keyed
+        // on `(weight, creation order)` pops in, so the tree — and every
+        // code length — is the one the heap-based builder made.
+        let n = used.len();
+        let mut leaves: Vec<(u64, u32)> = used
             .iter()
             .enumerate()
-            .map(|(i, _)| Node {
-                children: None,
-                symbol_slot: Some(i),
-            })
+            .map(|(slot, &(_, f))| (f, slot as u32))
             .collect();
-        let mut heap = BinaryHeap::with_capacity(used.len());
-        for (i, &(_, f)) in used.iter().enumerate() {
-            heap.push(HeapNode {
-                weight: f,
-                order: i as u32,
-                idx: i,
-            });
-        }
-        let mut order = used.len() as u32;
-        while heap.len() > 1 {
-            let a = heap.pop().expect("heap has >=2 nodes");
-            let b = heap.pop().expect("heap has >=2 nodes");
-            let idx = nodes.len();
-            nodes.push(Node {
-                children: Some((a.idx, b.idx)),
-                symbol_slot: None,
-            });
-            heap.push(HeapNode {
-                weight: a.weight + b.weight,
-                order,
-                idx,
-            });
-            order += 1;
-        }
-        let root = heap.pop().expect("non-empty heap").idx;
-
-        // Depth-first traversal to collect code lengths.
-        let mut lengths = vec![0u8; used.len()];
-        let mut stack = vec![(root, 0u8)];
-        while let Some((idx, depth)) = stack.pop() {
-            match nodes[idx].children {
-                Some((l, r)) => {
-                    stack.push((l, depth + 1));
-                    stack.push((r, depth + 1));
-                }
-                None => {
-                    let slot = nodes[idx].symbol_slot.expect("leaf has a symbol");
-                    lengths[slot] = depth.max(1);
-                }
+        leaves.sort_unstable();
+        // Nodes `0..n` are the leaves by slot, `n..2n-1` the merged nodes in
+        // creation order; the last one made is the root.
+        let mut weight: Vec<u64> = Vec::with_capacity(n - 1);
+        let mut parent = vec![0u32; 2 * n - 1];
+        let (mut next_leaf, mut next_merged) = (0usize, 0usize);
+        for made in 0..n - 1 {
+            let mut sum = 0;
+            for _ in 0..2 {
+                let take_leaf = next_leaf < n
+                    && (next_merged == made || leaves[next_leaf].0 <= weight[next_merged]);
+                let node = if take_leaf {
+                    let (w, slot) = leaves[next_leaf];
+                    next_leaf += 1;
+                    sum += w;
+                    slot as usize
+                } else {
+                    sum += weight[next_merged];
+                    next_merged += 1;
+                    n + next_merged - 1
+                };
+                parent[node] = (n + made) as u32;
             }
+            weight.push(sum);
         }
+        // A node's parent is always made after it, so one backward sweep
+        // turns parents into depths.
+        let mut depth = vec![0u8; 2 * n - 1];
+        for node in (0..2 * n - 2).rev() {
+            depth[node] = depth[parent[node] as usize] + 1;
+        }
+        let lengths = &depth[..n];
 
         let pairs: Vec<(u32, u8)> = used
             .iter()
@@ -195,25 +176,27 @@ impl CodeBook {
 
     /// Count frequencies in `symbols` and build a code book.
     ///
-    /// Counting is done into a flat array indexed by symbol when the largest
-    /// symbol is small enough (the common case); the `HashMap` path only
-    /// exists for sparse alphabets with huge symbol values.
+    /// Counting is done into a flat array indexed by `symbol − smallest`
+    /// when the symbols span few enough values (the common case); the
+    /// `HashMap` path only exists for alphabets scattered over a huge range.
     pub fn from_symbols(symbols: &[u32]) -> Self {
-        if symbols.is_empty() {
+        let (Some(&min), Some(&max)) = (symbols.iter().min(), symbols.iter().max()) else {
             return Self::default();
-        }
-        let max = symbols.iter().copied().max().expect("non-empty");
-        if max < DENSE_LIMIT {
-            let mut counts = vec![0u64; max as usize + 1];
+        };
+        if max - min < DENSE_LIMIT {
+            let mut counts = vec![0u64; (max - min) as usize + 1];
             for &s in symbols {
-                counts[s as usize] += 1;
+                counts[(s - min) as usize] += 1;
             }
-            let freqs: Vec<(u32, u64)> = counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &f)| f > 0)
-                .map(|(s, &f)| (s as u32, f))
-                .collect();
+            let distinct = counts.iter().filter(|&&f| f > 0).count();
+            let mut freqs: Vec<(u32, u64)> = Vec::with_capacity(distinct);
+            freqs.extend(
+                counts
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &f)| f > 0)
+                    .map(|(i, &f)| (min + i as u32, f)),
+            );
             Self::from_frequencies(&freqs)
         } else {
             let mut counts: HashMap<u32, u64> = HashMap::new();
@@ -229,7 +212,8 @@ impl CodeBook {
     /// pairs.  Returns an error if the lengths over-subscribe the code space
     /// (Kraft inequality violated) or exceed [`MAX_CODE_LEN`].
     pub fn from_lengths(pairs: &[(u32, u8)]) -> Result<Self> {
-        let mut lengths: Vec<(u32, u8)> = pairs.iter().copied().filter(|&(_, l)| l > 0).collect();
+        let mut lengths: Vec<(u32, u8)> = Vec::with_capacity(pairs.len());
+        lengths.extend(pairs.iter().copied().filter(|&(_, l)| l > 0));
         if lengths.iter().any(|&(_, l)| l > MAX_CODE_LEN) {
             return Err(CodingError::InvalidCodeTable(format!(
                 "code length exceeds {MAX_CODE_LEN}"
@@ -248,14 +232,15 @@ impl CodeBook {
             ));
         }
 
-        let max_symbol = lengths.iter().map(|&(s, _)| s).max().unwrap_or(0);
-        let mut codes = if lengths.is_empty() || max_symbol < DENSE_LIMIT {
-            CodeStore::Dense(vec![
-                (0u8, 0u64);
-                lengths.len().min(1) * (max_symbol as usize + 1)
-            ])
-        } else {
-            CodeStore::Sparse(HashMap::with_capacity(lengths.len()))
+        let base = lengths.iter().map(|&(s, _)| s).min().unwrap_or(0);
+        let span = lengths.iter().map(|&(s, _)| s - base).max();
+        let mut codes = match span {
+            None => CodeStore::default(),
+            Some(span) if span < DENSE_LIMIT => CodeStore::Dense {
+                base,
+                table: vec![(0u8, 0u64); span as usize + 1],
+            },
+            Some(_) => CodeStore::Sparse(HashMap::with_capacity(lengths.len())),
         };
         let mut code: u64 = 0;
         let mut prev_len: u8 = 0;
@@ -267,7 +252,7 @@ impl CodeBook {
             }
             prev_len = len;
             match &mut codes {
-                CodeStore::Dense(table) => table[sym as usize] = (len, code),
+                CodeStore::Dense { base, table } => table[(sym - *base) as usize] = (len, code),
                 CodeStore::Sparse(map) => {
                     map.insert(sym, (len, code));
                 }
@@ -457,8 +442,8 @@ impl Decoder {
     }
 
     /// Decode one symbol from `r`: one peek + one table load for codes of up
-    /// to [`TABLE_BITS`] bits, falling back to the canonical per-length walk
-    /// for longer codes.
+    /// to [`TABLE_BITS`] bits, falling back to the canonical per-length
+    /// range test for longer codes.
     #[inline]
     pub fn decode_symbol(&self, r: &mut BitReader<'_>) -> Result<u32> {
         if self.symbols.is_empty() {
@@ -476,25 +461,78 @@ impl Decoder {
         self.decode_symbol_slow(r)
     }
 
-    /// Bit-at-a-time canonical walk for codes longer than the primary table
-    /// (and for invalid prefixes, which fall off the end).
-    #[cold]
+    /// Canonical decode of a code longer than the primary table: the next
+    /// bits are read once, then each longer length is a shift and a range
+    /// test against that length's run of consecutive codes.  (An invalid
+    /// prefix matches no length and falls off the end.)  Not a rare path at
+    /// tight bounds, where nearly every value has its own long code.
     fn decode_symbol_slow(&self, r: &mut BitReader<'_>) -> Result<u32> {
-        let mut code = 0u64;
-        for len in 1..=self.max_len as usize {
-            code = (code << 1) | (r.read_bit()? as u64);
-            let n = self.count[len];
-            if n > 0 {
-                let first = self.first_code[len];
-                if code < first + n as u64 && code >= first {
-                    let offset = (code - first) as usize;
-                    return Ok(self.symbols[self.first_index[len] + offset]);
+        let max_len = self.max_len as usize;
+        let avail = r.bits_remaining().min(max_len);
+        let window = r.clone().read_bits(avail as u32)?;
+        for len in self.table_bits as usize + 1..=avail {
+            let code = window >> (avail - len);
+            let first = self.first_code[len];
+            if code >= first && code - first < self.count[len] as u64 {
+                r.consume(len as u32);
+                return Ok(self.symbols[self.first_index[len] + (code - first) as usize]);
+            }
+        }
+        Err(if avail < max_len {
+            CodingError::UnexpectedEof
+        } else {
+            CodingError::InvalidCodeTable("bit pattern matches no code".into())
+        })
+    }
+
+    /// Decode symbols into `sink` until it has taken `n` of them or returns
+    /// `false` (the symbol it declined is consumed all the same).
+    ///
+    /// One 57-bit load serves as many short codes as fit in it — five or
+    /// more at typical code lengths — instead of one load per symbol; a long
+    /// code, an invalid prefix or the end of the stream is left to
+    /// [`decode_symbol`](Self::decode_symbol).
+    #[inline]
+    pub fn decode_each(
+        &self,
+        r: &mut BitReader<'_>,
+        n: usize,
+        mut sink: impl FnMut(u32) -> bool,
+    ) -> Result<()> {
+        if n > 0 && self.symbols.is_empty() {
+            // `decode_symbol` reports the empty book.
+            return self.decode_symbol(r).map(drop);
+        }
+        let mut left = n;
+        while left > 0 {
+            // The next `valid` bits of the stream, first bit on top.
+            let valid = r.bits_remaining().min(MAX_PEEK_BITS as usize) as u32;
+            let mut window = r.peek_bits(MAX_PEEK_BITS) << (64 - MAX_PEEK_BITS);
+            let mut used = 0u32;
+            while left > 0 {
+                let entry = self.table[(window >> (64 - self.table_bits)) as usize];
+                // A code that ends inside the window was looked up by real
+                // bits only, whatever padded the index below them.
+                if entry.len == 0 || used + entry.len as u32 > valid {
+                    break;
+                }
+                window <<= entry.len;
+                used += entry.len as u32;
+                left -= 1;
+                if !sink(entry.sym) {
+                    r.consume(used);
+                    return Ok(());
+                }
+            }
+            r.consume(used);
+            if used == 0 {
+                left -= 1;
+                if !sink(self.decode_symbol(r)?) {
+                    return Ok(());
                 }
             }
         }
-        Err(CodingError::InvalidCodeTable(
-            "bit pattern matches no code".into(),
-        ))
+        Ok(())
     }
 
     /// Decode exactly `n` symbols.
@@ -504,9 +542,10 @@ impl Decoder {
             return Err(CodingError::UnexpectedEof);
         }
         let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.decode_symbol(r)?);
-        }
+        self.decode_each(r, n, |symbol| {
+            out.push(symbol);
+            true
+        })?;
         Ok(out)
     }
 }
@@ -518,9 +557,21 @@ pub fn encode_symbols(symbols: &[u32]) -> Vec<u8> {
     let mut w = BitWriter::with_capacity(symbols.len() / 2 + 64);
     rle::write_uvarint(&mut w, symbols.len() as u64);
     book.write_table(&mut w);
-    for &s in symbols {
-        book.encode_symbol(s, &mut w)
-            .expect("book built from these exact symbols");
+    match &book.codes {
+        // The book was built from these symbols, so every one is in the
+        // table: the loop is a load and a `write_bits`, nothing to check.
+        CodeStore::Dense { base, table } => {
+            for &s in symbols {
+                let (len, code) = table[(s - base) as usize];
+                w.write_bits(code, len as u32);
+            }
+        }
+        CodeStore::Sparse(_) => {
+            for &s in symbols {
+                book.encode_symbol(s, &mut w)
+                    .expect("book built from these exact symbols");
+            }
+        }
     }
     w.into_bytes()
 }
@@ -592,6 +643,100 @@ mod tests {
             .collect();
         let packed = encode_symbols(&symbols);
         assert_eq!(decode_symbols(&packed).unwrap(), symbols);
+    }
+
+    #[test]
+    fn tables_are_sized_by_the_span_in_use() {
+        // Quantization codes cluster around 2^15: the flat table holds the
+        // span, not every value up to the largest symbol.
+        let symbols: Vec<u32> = (0..4096u32).map(|i| 32_768 - 40 + i % 81).collect();
+        let book = CodeBook::from_symbols(&symbols);
+        match &book.codes {
+            CodeStore::Dense { base, table } => {
+                assert_eq!(*base, 32_768 - 40);
+                assert_eq!(table.len(), 81);
+            }
+            CodeStore::Sparse(_) => panic!("a span of 81 values is dense"),
+        }
+        assert_eq!(book.lookup(32_768 - 41), None);
+        assert_eq!(book.lookup(0), None);
+        assert_eq!(book.lookup(32_768 + 41), None);
+        assert_eq!(decode_symbols(&encode_symbols(&symbols)).unwrap(), symbols);
+        // A narrow span far above 2^16 no longer needs the hash map.
+        let high: Vec<u32> = (0..500u32).map(|i| u32::MAX - i % 37).collect();
+        assert!(matches!(
+            CodeBook::from_symbols(&high).codes,
+            CodeStore::Dense { .. }
+        ));
+    }
+
+    /// The builder this module used to have: a min-heap keyed on
+    /// `(weight, creation order)`.  The wire format fixes only how lengths
+    /// become codes; *which* optimal lengths a histogram gets is this
+    /// tie-break, and every committed fixture depends on it.
+    fn heap_built_lengths(freqs: &[(u32, u64)]) -> Vec<(u32, u8)> {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let n = freqs.len();
+        let mut children: Vec<Option<(usize, usize)>> = vec![None; n];
+        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = freqs
+            .iter()
+            .enumerate()
+            .map(|(i, &(_, f))| Reverse((f, i)))
+            .collect();
+        while heap.len() > 1 {
+            let Reverse((wa, a)) = heap.pop().unwrap();
+            let Reverse((wb, b)) = heap.pop().unwrap();
+            children.push(Some((a, b)));
+            heap.push(Reverse((wa + wb, children.len() - 1)));
+        }
+        let mut lengths = vec![0u8; n];
+        let mut stack = vec![(children.len() - 1, 0u8)];
+        while let Some((node, depth)) = stack.pop() {
+            match children[node] {
+                Some((l, r)) => stack.extend([(l, depth + 1), (r, depth + 1)]),
+                None => lengths[node] = depth,
+            }
+        }
+        freqs.iter().map(|&(s, _)| s).zip(lengths).collect()
+    }
+
+    #[test]
+    fn two_queue_builder_breaks_ties_like_the_heap() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..300 {
+            let n = 2 + (next() % 400) as usize;
+            // Few distinct weights, so nearly every comparison is a tie.
+            let spread = [1, 2, 3, 8, 1000][case % 5];
+            let freqs: Vec<(u32, u64)> = (0..n as u32)
+                .map(|s| (s * 3, 1 + next() % spread))
+                .collect();
+            let book = CodeBook::from_frequencies(&freqs);
+            for (s, len) in heap_built_lengths(&freqs) {
+                assert_eq!(book.code_len(s), Some(len), "case {case}, symbol {s}");
+            }
+        }
+        // Power-of-two and Fibonacci ladders: deep, lopsided trees.
+        for ladder in [
+            (0..40u32).map(|s| (s, 1u64 << s)).collect::<Vec<_>>(),
+            (0..60u32)
+                .scan((1u64, 1u64), |f, s| {
+                    *f = (f.1, f.0 + f.1);
+                    Some((s, f.0))
+                })
+                .collect(),
+        ] {
+            let book = CodeBook::from_frequencies(&ladder);
+            for (s, len) in heap_built_lengths(&ladder) {
+                assert_eq!(book.code_len(s), Some(len), "ladder symbol {s}");
+            }
+        }
     }
 
     #[test]

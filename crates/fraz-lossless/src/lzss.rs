@@ -312,11 +312,14 @@ impl LzssEncoder {
         }
 
         let collect = |freq: &[u64]| -> Vec<(u32, u64)> {
-            freq.iter()
-                .enumerate()
-                .filter(|&(_, &f)| f > 0)
-                .map(|(s, &f)| (s as u32, f))
-                .collect()
+            let mut used = Vec::with_capacity(freq.len());
+            used.extend(
+                freq.iter()
+                    .enumerate()
+                    .filter(|&(_, &f)| f > 0)
+                    .map(|(s, &f)| (s as u32, f)),
+            );
+            used
         };
         let litlen_book = CodeBook::from_frequencies(&collect(&litlen_freq));
         let dist_book = CodeBook::from_frequencies(&collect(&dist_freq));
@@ -408,10 +411,20 @@ pub fn decompress(data: &[u8], expected_len: usize) -> Result<Vec<u8>> {
     }
     let mut out: Vec<u8> = crate::try_vec(expected_len)?;
     while out.len() < expected_len {
-        let sym = litlen_dec.decode_symbol(&mut r)?;
+        // A run of literals, up to the next match symbol.
+        let mut sym = 0;
+        litlen_dec.decode_each(&mut r, expected_len - out.len(), |s| {
+            sym = s;
+            let literal = s < LEN_SYMBOL_BASE;
+            if literal {
+                out.push(s as u8);
+            }
+            literal
+        })?;
         if sym < LEN_SYMBOL_BASE {
-            out.push(sym as u8);
-        } else if sym as usize >= LITLEN_ALPHABET {
+            continue;
+        }
+        if sym as usize >= LITLEN_ALPHABET {
             return Err(CodingError::InvalidSymbol(sym));
         } else {
             let length = (sym - LEN_SYMBOL_BASE) as usize + MIN_MATCH;

@@ -12,6 +12,11 @@
 //! * [`interpolate`] — multilinear interpolation of a node from the
 //!   already-reconstructed nodes of the coarser lattice, with boundary
 //!   clamping so arbitrary (non power-of-two-plus-one) grids work.
+//!
+//! Both are per-point work on the codec's hot path, so neither touches the
+//! heap: the nodes of a level are enumerated, never listed (the finest
+//! level alone is seven eighths of a 3-D grid), and a node's at most two
+//! neighbours per axis sit in fixed arrays.
 
 /// Padded 3-D grid dimensions, slowest axis first.
 pub type Dims3 = [usize; 3];
@@ -36,58 +41,53 @@ pub fn level_steps(dims: Dims3) -> Vec<usize> {
     steps
 }
 
-/// Nodes introduced at the level with step `s`: points on the `s`-lattice
-/// that are not on the `2s`-lattice.  For the coarsest level (`coarsest =
-/// true`) every `s`-lattice node is included.
-pub fn level_nodes(dims: Dims3, s: usize, coarsest: bool) -> Vec<[usize; 3]> {
-    let mut nodes = Vec::new();
-    let mut z = 0;
-    while z < dims[0] {
-        let mut y = 0;
-        while y < dims[1] {
-            let mut x = 0;
-            while x < dims[2] {
-                let on_coarser = z % (2 * s) == 0 && y % (2 * s) == 0 && x % (2 * s) == 0;
-                if coarsest || !on_coarser {
-                    nodes.push([z, y, x]);
+/// Nodes introduced at the level with step `s`, in raster order: points on
+/// the `s`-lattice that are not on the `2s`-lattice.  For the coarsest level
+/// (`coarsest = true`) every `s`-lattice node is included.
+///
+/// Iteration is internal — `visit` is called once per node — so a level
+/// costs three nested loops and no state machine.
+#[inline(always)]
+pub fn level_nodes(dims: Dims3, s: usize, coarsest: bool, mut visit: impl FnMut([usize; 3])) {
+    let on_coarser = |c: usize| c % (2 * s) == 0;
+    for z in (0..dims[0]).step_by(s) {
+        for y in (0..dims[1]).step_by(s) {
+            let row_on_coarser = on_coarser(z) && on_coarser(y);
+            for x in (0..dims[2]).step_by(s) {
+                if coarsest || !(row_on_coarser && on_coarser(x)) {
+                    visit([z, y, x]);
                 }
-                x += s;
             }
-            y += s;
         }
-        z += s;
     }
-    nodes
 }
 
 /// Multilinear interpolation of the node at `coord` from the surrounding
 /// `2s`-lattice nodes of `grid`.  Axes on which the coordinate already lies
 /// on the coarser lattice contribute the node itself; other axes average the
 /// two neighbours at `±s` (clamped to the domain).
+#[inline]
 pub fn interpolate(grid: &[f64], dims: Dims3, coord: [usize; 3], s: usize) -> f64 {
-    // Collect, per axis, the coarser-lattice coordinates that bracket this
-    // node together with their weights.
-    let mut axis_points: [Vec<(usize, f64)>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    // Per axis, the coarser-lattice coordinates that bracket this node with
+    // their weights: one or two of them.
+    let mut points = [[(0usize, 0.0f64); 2]; 3];
+    let mut count = [1usize; 3];
     for axis in 0..3 {
         let c = coord[axis];
         if c % (2 * s) == 0 {
-            axis_points[axis].push((c, 1.0));
+            points[axis][0] = (c, 1.0);
+        } else if c + s < dims[axis] {
+            points[axis] = [(c - s, 0.5), (c + s, 0.5)];
+            count[axis] = 2;
         } else {
-            let lo = c - s;
-            let hi = c + s;
-            if hi < dims[axis] {
-                axis_points[axis].push((lo, 0.5));
-                axis_points[axis].push((hi, 0.5));
-            } else {
-                // Clamped boundary: only the lower neighbour exists.
-                axis_points[axis].push((lo, 1.0));
-            }
+            // Clamped boundary: only the lower neighbour exists.
+            points[axis][0] = (c - s, 1.0);
         }
     }
     let mut value = 0.0;
-    for &(z, wz) in &axis_points[0] {
-        for &(y, wy) in &axis_points[1] {
-            for &(x, wx) in &axis_points[2] {
+    for &(z, wz) in &points[0][..count[0]] {
+        for &(y, wy) in &points[1][..count[1]] {
+            for &(x, wx) in &points[2][..count[2]] {
                 value += wz * wy * wx * grid[(z * dims[1] + y) * dims[2] + x];
             }
         }
@@ -98,6 +98,12 @@ pub fn interpolate(grid: &[f64], dims: Dims3, coord: [usize; 3], s: usize) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn nodes_of(dims: Dims3, s: usize, coarsest: bool) -> Vec<[usize; 3]> {
+        let mut nodes = Vec::new();
+        level_nodes(dims, s, coarsest, |node| nodes.push(node));
+        nodes
+    }
 
     #[test]
     fn steps_descend_to_one() {
@@ -113,7 +119,7 @@ mod tests {
         let steps = level_steps(dims);
         let mut seen = std::collections::HashSet::new();
         for (i, &s) in steps.iter().enumerate() {
-            for node in level_nodes(dims, s, i == 0) {
+            for node in nodes_of(dims, s, i == 0) {
                 assert!(seen.insert(node), "node {node:?} visited twice");
             }
         }
@@ -127,7 +133,7 @@ mod tests {
         let total: usize = steps
             .iter()
             .enumerate()
-            .map(|(i, &s)| level_nodes(dims, s, i == 0).len())
+            .map(|(i, &s)| nodes_of(dims, s, i == 0).len())
             .sum();
         assert_eq!(total, 5 * 6 * 7);
     }
@@ -144,7 +150,7 @@ mod tests {
         }
         // Interior odd nodes at any level are interpolated exactly.
         for s in [1usize, 2, 4] {
-            for node in level_nodes(dims, s, false) {
+            for node in nodes_of(dims, s, false) {
                 let [_, y, x] = node;
                 if y + s < 9 && x + s < 9 && y >= s && x >= s {
                     let interp = interpolate(&grid, dims, node, s);

@@ -42,6 +42,7 @@
 
 pub mod hierarchy;
 
+use fraz_data::quant::LinearQuantizer;
 use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader, WireError};
 use fraz_data::{DType, DataBuffer, Dataset, Dims};
 use fraz_lossless::huffman;
@@ -53,7 +54,7 @@ const MAGIC: u32 = 0x464D_4731;
 /// Format version.
 const VERSION: u8 = 1;
 /// Quantization code reserved for exactly-stored values.
-const UNPREDICTABLE: u32 = 0;
+const UNPREDICTABLE: u32 = LinearQuantizer::UNPREDICTABLE;
 /// Number of quantization bins.
 const CAPACITY: u32 = 65536;
 
@@ -166,46 +167,37 @@ fn pad_dims(dims: &Dims) -> Result<Dims3, MgardError> {
 
 /// Traverse the hierarchy once, producing quantization codes and exact
 /// values, with the reconstruction carried along so the bound is guaranteed.
-fn encode_levels(
-    values: &[f64],
+fn encode_levels<T: Copy + Into<f64>>(
+    values: &[T],
     dims: Dims3,
     bound: f64,
     finalize: impl Fn(f64) -> f64,
 ) -> (Vec<u32>, Vec<f64>) {
-    let radius = (CAPACITY / 2) as i64;
+    let quantizer = LinearQuantizer::new(bound, CAPACITY);
     let mut recon = vec![0.0f64; values.len()];
     let mut codes = Vec::with_capacity(values.len());
     let mut exact = Vec::new();
-    let steps = level_steps(dims);
-    for (li, &s) in steps.iter().enumerate() {
-        for node in level_nodes(dims, s, li == 0) {
+    for (li, &s) in level_steps(dims).iter().enumerate() {
+        level_nodes(dims, s, li == 0, |node| {
             let idx = (node[0] * dims[1] + node[1]) * dims[2] + node[2];
-            let orig = values[idx];
+            let orig: f64 = values[idx].into();
             let pred = if li == 0 {
                 0.0
             } else {
                 interpolate(&recon, dims, node, s)
             };
-            let diff = orig - pred;
-            let code_f = (diff / (2.0 * bound)).round();
-            let mut stored = false;
-            if code_f.is_finite() && code_f.abs() < radius as f64 {
-                let code = radius + code_f as i64;
-                if code > 0 && code < CAPACITY as i64 {
-                    let recon_val = finalize(pred + 2.0 * bound * (code - radius) as f64);
-                    if (recon_val - orig).abs() <= bound && recon_val.is_finite() {
-                        codes.push(code as u32);
-                        recon[idx] = recon_val;
-                        stored = true;
-                    }
+            match quantizer.encode(orig, pred, &finalize) {
+                Some((code, recon_val)) => {
+                    codes.push(code);
+                    recon[idx] = recon_val;
+                }
+                None => {
+                    codes.push(UNPREDICTABLE);
+                    exact.push(finalize(orig));
+                    recon[idx] = finalize(orig);
                 }
             }
-            if !stored {
-                codes.push(UNPREDICTABLE);
-                exact.push(finalize(orig));
-                recon[idx] = finalize(orig);
-            }
-        }
+        });
     }
     (codes, exact)
 }
@@ -224,28 +216,30 @@ fn decode_levels(
             codes.len()
         )));
     }
-    let radius = (CAPACITY / 2) as i64;
+    // Counted first, so the traversal itself cannot run dry.
+    let codes = &codes[..n];
+    if codes.iter().filter(|&&c| c == UNPREDICTABLE).count() > exact.len() {
+        return Err(MgardError::Corrupt("exact-value list truncated".into()));
+    }
+    let quantizer = LinearQuantizer::new(bound, CAPACITY);
     let mut recon = vec![0.0f64; n];
     let mut code_iter = codes.iter();
     let mut exact_iter = exact.iter();
-    let steps = level_steps(dims);
-    for (li, &s) in steps.iter().enumerate() {
-        for node in level_nodes(dims, s, li == 0) {
+    for (li, &s) in level_steps(dims).iter().enumerate() {
+        level_nodes(dims, s, li == 0, |node| {
             let idx = (node[0] * dims[1] + node[1]) * dims[2] + node[2];
-            let code = *code_iter.next().expect("length checked above");
+            let code = *code_iter.next().expect("counted above");
             recon[idx] = if code == UNPREDICTABLE {
-                *exact_iter
-                    .next()
-                    .ok_or_else(|| MgardError::Corrupt("exact-value list truncated".into()))?
+                *exact_iter.next().expect("counted above")
             } else {
                 let pred = if li == 0 {
                     0.0
                 } else {
                     interpolate(&recon, dims, node, s)
                 };
-                finalize(pred + 2.0 * bound * (code as i64 - radius) as f64)
+                quantizer.decode(code, pred, &finalize)
             };
-        }
+        });
     }
     Ok(recon)
 }
@@ -255,11 +249,10 @@ pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, Mgar
     config.validate()?;
     let dims3 = pad_dims(&dataset.dims)?;
     let bound = config.pointwise_bound();
-    let values = dataset.values_f64();
     let dtype = dataset.dtype();
-    let (codes, exact) = match dtype {
-        DType::F32 => encode_levels(&values, dims3, bound, |v| v as f32 as f64),
-        DType::F64 => encode_levels(&values, dims3, bound, |v| v),
+    let (codes, exact) = match &dataset.buffer {
+        DataBuffer::F32(values) => encode_levels(values, dims3, bound, |v| v as f32 as f64),
+        DataBuffer::F64(values) => encode_levels(values, dims3, bound, |v| v),
     };
 
     let mut header = ByteWriter::with_capacity(64);
@@ -270,7 +263,7 @@ pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, Mgar
     });
     header.put_f64(config.tolerance);
 
-    let mut body = ByteWriter::with_capacity(values.len());
+    let mut body = ByteWriter::with_capacity(dataset.len());
     body.put_section(&huffman::encode_symbols(&codes));
     body.put_values(&exact, dtype);
 

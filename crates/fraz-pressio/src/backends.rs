@@ -33,7 +33,7 @@ const MIN_BOUND_FRACTION: f64 = 1e-9;
 
 #[allow(dead_code)] // unused only when every codec feature is off
 fn range_based_bounds(dataset: &Dataset) -> (f64, f64) {
-    let range = dataset.stats().value_range();
+    let range = dataset.value_range();
     if range > 0.0 && range.is_finite() {
         (range * MIN_BOUND_FRACTION, range)
     } else {

@@ -182,11 +182,10 @@ pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError
         block_size: block,
         capacity: config.quant_capacity,
     };
-    let values = dataset.values_f64();
     let dtype = dataset.dtype();
-    let enc = match dtype {
-        DType::F32 => pipeline::encode(&values, dims3, &params, |v| v as f32 as f64),
-        DType::F64 => pipeline::encode(&values, dims3, &params, |v| v),
+    let enc = match &dataset.buffer {
+        DataBuffer::F32(values) => pipeline::encode(values, dims3, &params, |v| v as f32 as f64),
+        DataBuffer::F64(values) => pipeline::encode(values, dims3, &params, |v| v),
     };
 
     // ---- header (uncompressed) ----
@@ -197,7 +196,7 @@ pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError
     header.put_u32(config.quant_capacity);
 
     // ---- body (dictionary-coded) ----
-    let mut body = ByteWriter::with_capacity(values.len());
+    let mut body = ByteWriter::with_capacity(dataset.len());
     body.put_u64(enc.regression_flags.len() as u64);
     let mut flag_bytes = vec![0u8; (enc.regression_flags.len() + 7) / 8];
     for (i, &flag) in enc.regression_flags.iter().enumerate() {

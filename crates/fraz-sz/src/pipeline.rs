@@ -10,11 +10,31 @@
 //! same raster order, and the Lorenzo predictor only ever reads values that
 //! the decoder will already have reconstructed, so the two sides stay
 //! bit-identical.
+//!
+//! One call does work proportional to the grid and allocates a fixed number
+//! of times: blocks are enumerated, not listed; the regression plane's
+//! normal-equation matrix is looked up by block extent (a grid has at most
+//! eight) while one walk of the block accumulates its right-hand side and
+//! the Lorenzo estimate together; the plane's estimate stops as soon as it
+//! has lost; and a prediction error is rounded to its quantization code
+//! with an add and a subtract instead of a libm call.  The input is read
+//! through `T: Into<f64>`, so an `f32` field is not widened into a second
+//! array first.  None of this moves a bit: every value is the one the
+//! straightforward form computes, from the same floating-point operations
+//! in the same order (`tests/codec_golden.rs` holds it to that).
+//!
+//! What is left is the quantisation walk, and it is latency, not work:
+//! under Lorenzo a point's prediction waits for its left neighbour's
+//! reconstruction — five dependent adds, the `/ (2·eb)` division, the
+//! rounding, the `f32` round trip — and the order of those operations is
+//! the stream format.
+
+use fraz_data::quant::LinearQuantizer;
 
 use crate::predict::{lorenzo3, Dims3, RegressionPlane};
 
 /// The quantization code reserved for unpredictable points.
-pub const UNPREDICTABLE: u32 = 0;
+pub const UNPREDICTABLE: u32 = LinearQuantizer::UNPREDICTABLE;
 
 /// Output of the prediction/quantization stage.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -44,55 +64,50 @@ pub struct PipelineParams {
 }
 
 impl PipelineParams {
-    fn radius(&self) -> i64 {
-        (self.capacity / 2) as i64
+    fn quantizer(&self) -> LinearQuantizer {
+        LinearQuantizer::new(self.error_bound, self.capacity)
     }
 }
 
-/// Enumerate block origins of a padded 3-D grid in raster order.
-fn block_origins(dims: Dims3, block: usize) -> Vec<[usize; 3]> {
-    let mut origins = Vec::new();
-    let mut z = 0;
-    while z < dims[0] {
-        let mut y = 0;
-        while y < dims[1] {
-            let mut x = 0;
-            while x < dims[2] {
-                origins.push([z, y, x]);
-                x += block;
-            }
-            y += block;
-        }
-        z += block;
-    }
-    origins
+/// The `(origin, extent)` of every block of a padded 3-D grid, in raster
+/// order; blocks on the high faces are clipped to the grid.
+fn blocks(dims: Dims3, block: usize) -> impl Iterator<Item = ([usize; 3], [usize; 3])> {
+    let along = move |axis: usize| (0..dims[axis]).step_by(block);
+    along(0).flat_map(move |z| {
+        along(1).flat_map(move |y| {
+            along(2).map(move |x| {
+                let extent = [
+                    block.min(dims[0] - z),
+                    block.min(dims[1] - y),
+                    block.min(dims[2] - x),
+                ];
+                ([z, y, x], extent)
+            })
+        })
+    })
 }
 
-/// Estimate which predictor fits a block better, mirroring SZ's sampling
-/// heuristic: the Lorenzo estimate uses *original* neighbours (a cheap
-/// stand-in for reconstructed ones), the regression estimate uses the fitted
-/// plane; the predictor with the smaller total absolute error wins.
-fn choose_regression(
-    values: &[f64],
+/// Visit the points of a block in raster order — the order both sides
+/// traverse in — as `(grid index, [z, y, x], [dz, dy, dx])`, until `visit`
+/// returns `false`.
+#[inline(always)]
+fn walk(
     dims: Dims3,
     origin: [usize; 3],
     extent: [usize; 3],
-    plane: &RegressionPlane,
-) -> bool {
-    let mut lorenzo_err = 0.0;
-    let mut regression_err = 0.0;
+    mut visit: impl FnMut(usize, [usize; 3], [usize; 3]) -> bool,
+) {
     for dz in 0..extent[0] {
         for dy in 0..extent[1] {
+            let (z, y) = (origin[0] + dz, origin[1] + dy);
+            let row = (z * dims[1] + y) * dims[2] + origin[2];
             for dx in 0..extent[2] {
-                let (z, y, x) = (origin[0] + dz, origin[1] + dy, origin[2] + dx);
-                let idx = (z * dims[1] + y) * dims[2] + x;
-                let v = values[idx];
-                lorenzo_err += (v - lorenzo3(values, dims, z, y, x)).abs();
-                regression_err += (v - plane.predict(dz, dy, dx)).abs();
+                if !visit(row + dx, [z, y, origin[2] + dx], [dz, dy, dx]) {
+                    return;
+                }
             }
         }
     }
-    regression_err < lorenzo_err
 }
 
 /// Run prediction + quantization over the whole grid.
@@ -101,8 +116,8 @@ fn choose_regression(
 /// after being stored back into the original buffer type (`f32` cast for
 /// single-precision data); the error-bound check is performed on the
 /// finalized value, so the bound holds end-to-end.
-pub fn encode(
-    values: &[f64],
+pub fn encode<T: Copy + Into<f64>>(
+    values: &[T],
     dims: Dims3,
     params: &PipelineParams,
     finalize: impl Fn(f64) -> f64,
@@ -111,76 +126,76 @@ pub fn encode(
     assert!(params.block_size > 0, "block size must be positive");
     assert!(params.capacity >= 4, "quantization capacity too small");
     let n = values.len();
-    let eb = params.error_bound;
-    let radius = params.radius();
+    let quantizer = params.quantizer();
+    let block_count: usize = dims.iter().map(|d| d.div_ceil(params.block_size)).product();
     let mut out = EncodedBlocks {
+        regression_flags: Vec::with_capacity(block_count),
         quant_codes: Vec::with_capacity(n),
         ..Default::default()
     };
     let mut recon = vec![0.0f64; n];
+    // Normal-equation matrices by block extent: full, or ragged on any of
+    // the three high faces.
+    let mut grams: Vec<([usize; 3], [[f64; 4]; 4])> = Vec::with_capacity(8);
 
-    for origin in block_origins(dims, params.block_size) {
-        let extent = [
-            params.block_size.min(dims[0] - origin[0]),
-            params.block_size.min(dims[1] - origin[1]),
-            params.block_size.min(dims[2] - origin[2]),
-        ];
-        // Fit the regression plane on the original values of the block.
-        let mut points = Vec::with_capacity(extent[0] * extent[1] * extent[2]);
-        for dz in 0..extent[0] {
-            for dy in 0..extent[1] {
-                for dx in 0..extent[2] {
-                    let idx =
-                        ((origin[0] + dz) * dims[1] + origin[1] + dy) * dims[2] + origin[2] + dx;
-                    points.push(([dz, dy, dx], values[idx]));
-                }
+    for (origin, extent) in blocks(dims, params.block_size) {
+        let gram = match grams.iter().find(|(e, _)| *e == extent) {
+            Some(&(_, gram)) => gram,
+            None => {
+                let gram = RegressionPlane::gram(extent);
+                grams.push((extent, gram));
+                gram
             }
-        }
-        let plane = RegressionPlane::fit(&points).quantized();
-        let use_regression = choose_regression(values, dims, origin, extent, &plane);
+        };
+        // One walk of the original values: the plane's right-hand side, and
+        // what Lorenzo would miss by — estimated, as SZ's sampling heuristic
+        // does, on *original* neighbours (a cheap stand-in for reconstructed
+        // ones).
+        let mut atv = [0.0f64; 4];
+        let mut lorenzo_err = 0.0;
+        walk(dims, origin, extent, |idx, [z, y, x], local| {
+            let v: f64 = values[idx].into();
+            RegressionPlane::add_to_rhs(&mut atv, local, v);
+            lorenzo_err += (v - lorenzo3(values, dims, z, y, x)).abs();
+            true
+        });
+        let points = extent[0] * extent[1] * extent[2];
+        let plane = RegressionPlane::solve(gram, atv, points).quantized();
+        // The predictor with the smaller total absolute error wins.  The
+        // plane's total only grows (or turns NaN), so it has lost — for
+        // good — the moment it stops being the smaller one.
+        let mut regression_err = 0.0;
+        walk(dims, origin, extent, |idx, _, [dz, dy, dx]| {
+            let v: f64 = values[idx].into();
+            regression_err += (v - plane.predict(dz, dy, dx)).abs();
+            regression_err < lorenzo_err
+        });
+        let use_regression = regression_err < lorenzo_err;
         out.regression_flags.push(use_regression);
         if use_regression {
-            out.reg_coeffs.push([
-                plane.coeffs[0] as f32,
-                plane.coeffs[1] as f32,
-                plane.coeffs[2] as f32,
-                plane.coeffs[3] as f32,
-            ]);
+            out.reg_coeffs.push(plane.coeffs.map(|c| c as f32));
         }
 
-        for dz in 0..extent[0] {
-            for dy in 0..extent[1] {
-                for dx in 0..extent[2] {
-                    let (z, y, x) = (origin[0] + dz, origin[1] + dy, origin[2] + dx);
-                    let idx = (z * dims[1] + y) * dims[2] + x;
-                    let orig = values[idx];
-                    let pred = if use_regression {
-                        plane.predict(dz, dy, dx)
-                    } else {
-                        lorenzo3(&recon, dims, z, y, x)
-                    };
-                    let diff = orig - pred;
-                    let code_f = (diff / (2.0 * eb)).round();
-                    let mut stored = false;
-                    if code_f.abs() < radius as f64 && code_f.is_finite() {
-                        let code = radius + code_f as i64;
-                        if code > 0 && code < params.capacity as i64 {
-                            let recon_val = finalize(pred + 2.0 * eb * (code - radius) as f64);
-                            if (recon_val - orig).abs() <= eb && recon_val.is_finite() {
-                                out.quant_codes.push(code as u32);
-                                recon[idx] = recon_val;
-                                stored = true;
-                            }
-                        }
-                    }
-                    if !stored {
-                        out.quant_codes.push(UNPREDICTABLE);
-                        out.unpredictable.push(finalize(orig));
-                        recon[idx] = finalize(orig);
-                    }
+        walk(dims, origin, extent, |idx, [z, y, x], [dz, dy, dx]| {
+            let orig: f64 = values[idx].into();
+            let pred = if use_regression {
+                plane.predict(dz, dy, dx)
+            } else {
+                lorenzo3(&recon, dims, z, y, x)
+            };
+            match quantizer.encode(orig, pred, &finalize) {
+                Some((code, recon_val)) => {
+                    out.quant_codes.push(code);
+                    recon[idx] = recon_val;
+                }
+                None => {
+                    out.quant_codes.push(UNPREDICTABLE);
+                    out.unpredictable.push(finalize(orig));
+                    recon[idx] = finalize(orig);
                 }
             }
-        }
+            true
+        });
     }
     out
 }
@@ -224,54 +239,45 @@ pub fn decode(
             actual: enc.quant_codes.len(),
         });
     }
-    let eb = params.error_bound;
-    let radius = params.radius();
-    let mut recon = vec![0.0f64; n];
-    let mut code_iter = enc.quant_codes.iter();
-    let mut unpred_iter = enc.unpredictable.iter();
-    let mut flag_iter = enc.regression_flags.iter();
-    let mut coeff_iter = enc.reg_coeffs.iter();
+    // Everything the traversal will consume is counted first, so the walk
+    // itself cannot run dry.
+    let codes = &enc.quant_codes[..n];
+    let block_count: usize = dims.iter().map(|d| d.div_ceil(params.block_size)).product();
+    let flags = enc
+        .regression_flags
+        .get(..block_count)
+        .ok_or(DecodeError::MissingRegressionData)?;
+    if flags.iter().filter(|&&f| f).count() > enc.reg_coeffs.len() {
+        return Err(DecodeError::MissingRegressionData);
+    }
+    if codes.iter().filter(|&&c| c == UNPREDICTABLE).count() > enc.unpredictable.len() {
+        return Err(DecodeError::MissingUnpredictable);
+    }
 
-    for origin in block_origins(dims, params.block_size) {
-        let extent = [
-            params.block_size.min(dims[0] - origin[0]),
-            params.block_size.min(dims[1] - origin[1]),
-            params.block_size.min(dims[2] - origin[2]),
-        ];
-        let use_regression = *flag_iter.next().ok_or(DecodeError::MissingRegressionData)?;
-        let plane = if use_regression {
-            let c = coeff_iter
-                .next()
-                .ok_or(DecodeError::MissingRegressionData)?;
-            Some(RegressionPlane::from_coeffs([
-                c[0] as f64,
-                c[1] as f64,
-                c[2] as f64,
-                c[3] as f64,
-            ]))
-        } else {
-            None
-        };
-        for dz in 0..extent[0] {
-            for dy in 0..extent[1] {
-                for dx in 0..extent[2] {
-                    let (z, y, x) = (origin[0] + dz, origin[1] + dy, origin[2] + dx);
-                    let idx = (z * dims[1] + y) * dims[2] + x;
-                    let code = *code_iter.next().expect("length checked above");
-                    recon[idx] = if code == UNPREDICTABLE {
-                        *unpred_iter
-                            .next()
-                            .ok_or(DecodeError::MissingUnpredictable)?
-                    } else {
-                        let pred = match &plane {
-                            Some(p) => p.predict(dz, dy, dx),
-                            None => lorenzo3(&recon, dims, z, y, x),
-                        };
-                        finalize(pred + 2.0 * eb * (code as i64 - radius) as f64)
-                    };
-                }
-            }
-        }
+    let quantizer = params.quantizer();
+    let mut recon = vec![0.0f64; n];
+    let mut codes = codes.iter();
+    let mut unpredictable = enc.unpredictable.iter();
+    let mut coeffs = enc.reg_coeffs.iter();
+
+    for ((origin, extent), &use_regression) in blocks(dims, params.block_size).zip(flags) {
+        let plane = use_regression.then(|| {
+            let c = coeffs.next().expect("counted above");
+            RegressionPlane::from_coeffs(c.map(|c| c as f64))
+        });
+        walk(dims, origin, extent, |idx, [z, y, x], [dz, dy, dx]| {
+            let code = *codes.next().expect("counted above");
+            recon[idx] = if code == UNPREDICTABLE {
+                *unpredictable.next().expect("counted above")
+            } else {
+                let pred = match &plane {
+                    Some(p) => p.predict(dz, dy, dx),
+                    None => lorenzo3(&recon, dims, z, y, x),
+                };
+                quantizer.decode(code, pred, &finalize)
+            };
+            true
+        });
     }
     Ok(recon)
 }
@@ -465,7 +471,7 @@ mod tests {
 
     #[test]
     fn block_origins_cover_everything() {
-        let origins = block_origins([7, 5, 9], 4);
+        let origins: Vec<[usize; 3]> = blocks([7, 5, 9], 4).map(|(origin, _)| origin).collect();
         assert_eq!(origins.len(), 2 * 2 * 3);
         assert_eq!(origins[0], [0, 0, 0]);
         assert!(origins.contains(&[4, 4, 8]));

@@ -12,13 +12,17 @@
 //! Everything operates on grids padded to three dimensions (leading axes of
 //! length 1), which makes the 3-D Lorenzo stencil degrade gracefully to the
 //! 2-D and 1-D forms because out-of-range neighbours contribute zero.
+//!
+//! Grids are read through `T: Into<f64>`, so the stencil runs on a
+//! dataset's own `f32` buffer as it does on the `f64` reconstruction:
+//! widening is exact, the arithmetic is the same.
 
 /// Padded 3-D grid description: `[d0, d1, d2]`, slowest first.
 pub type Dims3 = [usize; 3];
 
 /// Value of `grid[z][y][x]` with zero extension outside the domain.
 #[inline]
-fn sample(grid: &[f64], dims: Dims3, z: isize, y: isize, x: isize) -> f64 {
+fn sample<T: Copy + Into<f64>>(grid: &[T], dims: Dims3, z: isize, y: isize, x: isize) -> f64 {
     if z < 0 || y < 0 || x < 0 {
         return 0.0;
     }
@@ -26,7 +30,7 @@ fn sample(grid: &[f64], dims: Dims3, z: isize, y: isize, x: isize) -> f64 {
     if z >= dims[0] || y >= dims[1] || x >= dims[2] {
         return 0.0;
     }
-    grid[(z * dims[1] + y) * dims[2] + x]
+    grid[(z * dims[1] + y) * dims[2] + x].into()
 }
 
 /// 1-layer Lorenzo prediction of the point at `(z, y, x)` from its
@@ -35,8 +39,28 @@ fn sample(grid: &[f64], dims: Dims3, z: isize, y: isize, x: isize) -> f64 {
 /// In 3-D this is the inclusion–exclusion sum over the seven causal corner
 /// neighbours; with degenerate leading axes it reduces to the classic 2-D
 /// (`a + b - c`) and 1-D (previous value) forms.
+///
+/// Away from the low faces (`z, y, x > 0` — all but a sliver of a 3-D
+/// grid) every neighbour exists, so the seven values are loaded straight
+/// from their offsets and summed in the same order as the general form:
+/// the same bits, without fourteen range tests per point.
 #[inline]
-pub fn lorenzo3(recon: &[f64], dims: Dims3, z: usize, y: usize, x: usize) -> f64 {
+pub fn lorenzo3<T: Copy + Into<f64>>(
+    recon: &[T],
+    dims: Dims3,
+    z: usize,
+    y: usize,
+    x: usize,
+) -> f64 {
+    if z > 0 && y > 0 && x > 0 {
+        let (row, plane) = (dims[2], dims[1] * dims[2]);
+        let idx = (z * dims[1] + y) * dims[2] + x;
+        // One slice, so one range check covers all seven loads.
+        let window = &recon[idx - plane - row - 1..idx];
+        let at = |back: usize| -> f64 { window[window.len() - back].into() };
+        return at(plane) + at(row) + at(1) - at(plane + row) - at(plane + 1) - at(row + 1)
+            + at(plane + row + 1);
+    }
     let (zi, yi, xi) = (z as isize, y as isize, x as isize);
     sample(recon, dims, zi - 1, yi, xi)
         + sample(recon, dims, zi, yi - 1, xi)
@@ -55,26 +79,71 @@ pub struct RegressionPlane {
     pub coeffs: [f64; 4],
 }
 
+/// The row of the design matrix `A` for local coordinates `c`.
+#[inline]
+fn design_row(c: [usize; 3]) -> [f64; 4] {
+    [1.0, c[0] as f64, c[1] as f64, c[2] as f64]
+}
+
+#[inline]
+fn add_to_gram(ata: &mut [[f64; 4]; 4], row: [f64; 4]) {
+    for i in 0..4 {
+        for j in 0..4 {
+            ata[i][j] += row[i] * row[j];
+        }
+    }
+}
+
 impl RegressionPlane {
     /// Fit the plane to the original values of one block.
     ///
     /// `block` iterates the block's values in raster order together with
     /// their local `(dz, dy, dx)` coordinates.  A tiny ridge term keeps the
     /// normal equations solvable for degenerate blocks (single row/column).
+    ///
+    /// This is the definition; the pipeline reaches the same plane through
+    /// [`gram`](Self::gram), [`add_to_rhs`](Self::add_to_rhs) and
+    /// [`solve`](Self::solve) without listing the points.
     pub fn fit(points: &[([usize; 3], f64)]) -> Self {
         // Normal equations A^T A b = A^T v with A rows [1, dz, dy, dx].
         let mut ata = [[0.0f64; 4]; 4];
         let mut atv = [0.0f64; 4];
         for &(c, v) in points {
-            let row = [1.0, c[0] as f64, c[1] as f64, c[2] as f64];
-            for i in 0..4 {
-                atv[i] += row[i] * v;
-                for j in 0..4 {
-                    ata[i][j] += row[i] * row[j];
+            add_to_gram(&mut ata, design_row(c));
+            Self::add_to_rhs(&mut atv, c, v);
+        }
+        Self::solve(ata, atv, points.len())
+    }
+
+    /// `AᵀA` over every point of a block of the given extent: the sums
+    /// [`fit`](Self::fit) makes, in the order it makes them, so the same
+    /// matrix — which depends on the extent alone, and a grid has at most
+    /// eight of those.
+    pub fn gram(extent: [usize; 3]) -> [[f64; 4]; 4] {
+        let mut ata = [[0.0f64; 4]; 4];
+        for dz in 0..extent[0] {
+            for dy in 0..extent[1] {
+                for dx in 0..extent[2] {
+                    add_to_gram(&mut ata, design_row([dz, dy, dx]));
                 }
             }
         }
-        let ridge = 1e-9 * points.len().max(1) as f64;
+        ata
+    }
+
+    /// Add the point at local coordinates `c` with value `v` to `Aᵀv`.
+    /// Points must be added in raster order: the sums round.
+    #[inline]
+    pub fn add_to_rhs(atv: &mut [f64; 4], c: [usize; 3], v: f64) {
+        let row = design_row(c);
+        for i in 0..4 {
+            atv[i] += row[i] * v;
+        }
+    }
+
+    /// Solve the (ridged) normal equations of a block of `points` points.
+    pub fn solve(mut ata: [[f64; 4]; 4], atv: [f64; 4], points: usize) -> Self {
+        let ridge = 1e-9 * points.max(1) as f64;
         for (i, row) in ata.iter_mut().enumerate() {
             row[i] += ridge;
         }
@@ -201,6 +270,46 @@ mod tests {
     }
 
     #[test]
+    fn interior_fast_path_is_the_general_form_bit_for_bit() {
+        // Signed zeros, huge cancellations and non-finite values included:
+        // the direct loads must sum in the order `sample` does.
+        let dims = [4, 5, 6];
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let grid: Vec<f64> = (0..dims[0] * dims[1] * dims[2])
+            .map(|i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+                match i % 11 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    2 => 1e300,
+                    3 => f64::INFINITY,
+                    _ => (state >> 11) as f64 / (1u64 << 40) as f64 - 4096.0,
+                }
+            })
+            .collect();
+        let narrow: Vec<f32> = grid.iter().map(|&v| v as f32).collect();
+        let widened: Vec<f64> = narrow.iter().map(|&v| v as f64).collect();
+        for z in 0..dims[0] {
+            for y in 0..dims[1] {
+                for x in 0..dims[2] {
+                    let (zi, yi, xi) = (z as isize, y as isize, x as isize);
+                    let s = |dz, dy, dx| sample(&grid, dims, zi - dz, yi - dy, xi - dx);
+                    let general =
+                        s(1, 0, 0) + s(0, 1, 0) + s(0, 0, 1) - s(1, 1, 0) - s(1, 0, 1) - s(0, 1, 1)
+                            + s(1, 1, 1);
+                    let fast = lorenzo3(&grid, dims, z, y, x);
+                    assert_eq!(fast.to_bits(), general.to_bits(), "({z}, {y}, {x})");
+                    // An f32 grid predicts what its widened copy does.
+                    assert_eq!(
+                        lorenzo3(&narrow, dims, z, y, x).to_bits(),
+                        lorenzo3(&widened, dims, z, y, x).to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn regression_recovers_exact_plane() {
         let truth = [5.0, 1.5, -2.0, 0.25];
         let mut points = Vec::new();
@@ -220,6 +329,30 @@ mod tests {
             assert!((c - t).abs() < 1e-6, "{:?} vs {:?}", plane.coeffs, truth);
         }
         assert!((plane.predict(2, 3, 4) - (5.0 + 3.0 - 6.0 + 1.0)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn gram_rhs_and_solve_reproduce_fit_bit_for_bit() {
+        for extent in [[6, 6, 6], [1, 16, 16], [1, 1, 256], [2, 5, 3], [1, 1, 1]] {
+            let mut points = Vec::new();
+            let mut atv = [0.0; 4];
+            for dz in 0..extent[0] {
+                for dy in 0..extent[1] {
+                    for dx in 0..extent[2] {
+                        let v = ((dz * 31 + dy * 7 + dx) as f64 * 0.37).sin() * 1e3 + 0.1;
+                        points.push(([dz, dy, dx], v));
+                        RegressionPlane::add_to_rhs(&mut atv, [dz, dy, dx], v);
+                    }
+                }
+            }
+            let split = RegressionPlane::solve(RegressionPlane::gram(extent), atv, points.len());
+            let whole = RegressionPlane::fit(&points);
+            assert_eq!(
+                split.coeffs.map(f64::to_bits),
+                whole.coeffs.map(f64::to_bits),
+                "{extent:?}"
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,15 @@
 //! as fixed-point integers before transforming and coding them.  Partial
 //! blocks at the domain boundary are padded by edge replication; the decoder
 //! simply ignores the padded lanes when scattering values back.
+//!
+//! A block is at most [`MAX_BLOCK`] lanes, so every stage works in a
+//! caller-provided slice of a stack array: a field of any size is coded
+//! without one heap request per block.
 
 use crate::transform::BLOCK_EDGE;
+
+/// Lanes of the largest block, 4^3.
+pub const MAX_BLOCK: usize = BLOCK_EDGE * BLOCK_EDGE * BLOCK_EDGE;
 
 /// Number of fraction bits in the fixed-point representation (ZFP's
 /// `intprec - 2`, leaving two guard bits for transform growth).
@@ -14,43 +21,49 @@ pub const FIXED_POINT_FRACTION_BITS: i32 = 62;
 
 /// Enumerate block origins over the active (non-degenerate) axes of a padded
 /// 3-D grid, in raster order.
-pub fn block_origins(dims: [usize; 3]) -> Vec<[usize; 3]> {
-    let step = |len: usize| -> Vec<usize> {
-        let mut starts = Vec::new();
-        let mut s = 0;
-        while s < len {
-            starts.push(s);
-            s += BLOCK_EDGE;
-        }
-        starts
-    };
-    let mut origins = Vec::new();
-    for &z in &step(dims[0]) {
-        for &y in &step(dims[1]) {
-            for &x in &step(dims[2]) {
-                origins.push([z, y, x]);
+pub fn block_origins(dims: [usize; 3]) -> impl Iterator<Item = [usize; 3]> {
+    let along = move |axis: usize| (0..dims[axis]).step_by(BLOCK_EDGE);
+    along(0).flat_map(move |z| along(1).flat_map(move |y| along(2).map(move |x| [z, y, x])))
+}
+
+/// Lanes along `[z, y, x]` of a block of the given dimensionality: four on
+/// the block's own axes, one on the padded leading ones.
+#[inline]
+fn lanes(block_dims: usize) -> [usize; 3] {
+    match block_dims {
+        1 => [1, 1, BLOCK_EDGE],
+        2 => [1, BLOCK_EDGE, BLOCK_EDGE],
+        _ => [BLOCK_EDGE; 3],
+    }
+}
+
+/// Gather the full 4^d block starting at `origin` into `block` (lane order:
+/// `x` fastest), replicating edge values to pad partial blocks.
+/// `block_dims` is the dataset dimensionality (1–3) and `block` holds its
+/// 4^`block_dims` lanes.
+pub fn gather<T: Copy + Into<f64>>(
+    values: &[T],
+    dims: [usize; 3],
+    origin: [usize; 3],
+    block_dims: usize,
+    block: &mut [f64],
+) {
+    let [nz, ny, nx] = lanes(block_dims);
+    debug_assert_eq!(block.len(), nz * ny * nx);
+    // The last valid sample along each axis, which padded lanes clamp onto
+    // (edge replication).
+    let last = |axis: usize| BLOCK_EDGE.min(dims[axis] - origin[axis]) - 1;
+    let (last_z, last_y, last_x) = (last(0), last(1), last(2));
+    let mut lane = block.iter_mut();
+    for lz in 0..nz {
+        for ly in 0..ny {
+            let (cz, cy) = (origin[0] + lz.min(last_z), origin[1] + ly.min(last_y));
+            let row = (cz * dims[1] + cy) * dims[2] + origin[2];
+            for lx in 0..nx {
+                *lane.next().expect("4^d lanes") = values[row + lx.min(last_x)].into();
             }
         }
     }
-    origins
-}
-
-/// Gather a full 4^d block starting at `origin`, replicating edge values to
-/// pad partial blocks.  `block_dims` is the dataset dimensionality (1–3).
-pub fn gather(values: &[f64], dims: [usize; 3], origin: [usize; 3], block_dims: usize) -> Vec<f64> {
-    let n = BLOCK_EDGE.pow(block_dims as u32);
-    let mut block = vec![0.0; n];
-    let extent = |axis: usize| BLOCK_EDGE.min(dims[axis] - origin[axis]);
-    let (ez, ey, ex) = (extent(0), extent(1), extent(2));
-    for i in 0..n {
-        let (lx, ly, lz) = local_coords(i, block_dims);
-        // Clamp padded lanes onto the last valid sample (edge replication).
-        let cz = origin[0] + lz.min(ez.saturating_sub(1));
-        let cy = origin[1] + ly.min(ey.saturating_sub(1));
-        let cx = origin[2] + lx.min(ex.saturating_sub(1));
-        block[i] = values[(cz * dims[1] + cy) * dims[2] + cx];
-    }
-    block
 }
 
 /// Scatter a decoded block back into the grid, skipping padded lanes.
@@ -61,16 +74,16 @@ pub fn scatter(
     origin: [usize; 3],
     block_dims: usize,
 ) {
-    let n = BLOCK_EDGE.pow(block_dims as u32);
-    let extent = |axis: usize| BLOCK_EDGE.min(dims[axis] - origin[axis]);
-    let (ez, ey, ex) = (extent(0), extent(1), extent(2));
-    for i in 0..n {
-        let (lx, ly, lz) = local_coords(i, block_dims);
-        if lz >= ez || ly >= ey || lx >= ex {
-            continue;
+    let [nz, ny, nx] = lanes(block_dims);
+    debug_assert_eq!(block.len(), nz * ny * nx);
+    let extent = |axis: usize, lanes: usize| lanes.min(dims[axis] - origin[axis]);
+    let (ez, ey, ex) = (extent(0, nz), extent(1, ny), extent(2, nx));
+    for lz in 0..ez {
+        for ly in 0..ey {
+            let row = ((origin[0] + lz) * dims[1] + origin[1] + ly) * dims[2] + origin[2];
+            let lane = (lz * ny + ly) * nx;
+            values[row..row + ex].copy_from_slice(&block[lane..lane + ex]);
         }
-        let idx = ((origin[0] + lz) * dims[1] + origin[1] + ly) * dims[2] + origin[2] + lx;
-        values[idx] = block[i];
     }
 }
 
@@ -105,23 +118,22 @@ pub fn block_exponent(block: &[f64]) -> Option<i32> {
 }
 
 /// Convert block values to fixed-point integers at the given block exponent.
-pub fn to_ints(block: &[f64], emax: i32) -> Vec<i64> {
+pub fn to_ints(block: &[f64], emax: i32, ints: &mut [i64]) {
     let scale = (2.0f64).powi(FIXED_POINT_FRACTION_BITS - emax);
-    block
-        .iter()
-        .map(|&v| {
-            let s = v * scale;
-            // Saturate defensively (cannot trigger when emax was computed
-            // from this block, but keeps the conversion total).
-            s.clamp(-(2.0f64.powi(62)), 2.0f64.powi(62)) as i64
-        })
-        .collect()
+    let limit = (2.0f64).powi(FIXED_POINT_FRACTION_BITS);
+    for (int, &v) in ints.iter_mut().zip(block) {
+        // Saturate defensively (cannot trigger when emax was computed
+        // from this block, but keeps the conversion total).
+        *int = (v * scale).clamp(-limit, limit) as i64;
+    }
 }
 
 /// Convert fixed-point integers back to floating point.
-pub fn from_ints(ints: &[i64], emax: i32) -> Vec<f64> {
+pub fn from_ints(ints: &[i64], emax: i32, block: &mut [f64]) {
     let scale = (2.0f64).powi(emax - FIXED_POINT_FRACTION_BITS);
-    ints.iter().map(|&i| i as f64 * scale).collect()
+    for (v, &int) in block.iter_mut().zip(ints) {
+        *v = int as f64 * scale;
+    }
 }
 
 #[cfg(test)]
@@ -130,7 +142,7 @@ mod tests {
 
     #[test]
     fn origins_cover_partial_grids() {
-        let origins = block_origins([1, 6, 9]);
+        let origins: Vec<[usize; 3]> = block_origins([1, 6, 9]).collect();
         // 1 x ceil(6/4) x ceil(9/4) = 1 * 2 * 3.
         assert_eq!(origins.len(), 6);
         assert_eq!(origins[0], [0, 0, 0]);
@@ -143,7 +155,8 @@ mod tests {
         let values: Vec<f64> = (0..dims[0] * dims[1] * dims[2]).map(|i| i as f64).collect();
         let mut restored = vec![0.0; values.len()];
         for origin in block_origins(dims) {
-            let block = gather(&values, dims, origin, 3);
+            let mut block = [0.0; MAX_BLOCK];
+            gather(&values, dims, origin, 3, &mut block);
             scatter(&block, &mut restored, dims, origin, 3);
         }
         assert_eq!(restored, values);
@@ -163,8 +176,10 @@ mod tests {
             let values: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
             let mut restored = vec![0.0; n];
             for origin in block_origins(dims) {
-                let block = gather(&values, dims, origin, block_dims);
-                scatter(&block, &mut restored, dims, origin, block_dims);
+                let mut block = [0.0; MAX_BLOCK];
+                let block = &mut block[..BLOCK_EDGE.pow(block_dims as u32)];
+                gather(&values, dims, origin, block_dims, block);
+                scatter(block, &mut restored, dims, origin, block_dims);
             }
             assert_eq!(restored, values, "dims {dims:?}");
         }
@@ -175,8 +190,9 @@ mod tests {
         // 1-D grid of 5 values, second block covers indices 4..8 -> lanes
         // 1..3 replicate index 4.
         let values = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let block = gather(&values, [1, 1, 5], [0, 0, 4], 1);
-        assert_eq!(block, vec![5.0, 5.0, 5.0, 5.0]);
+        let mut block = [0.0; 4];
+        gather(&values, [1, 1, 5], [0, 0, 4], 1, &mut block);
+        assert_eq!(block.to_vec(), vec![5.0, 5.0, 5.0, 5.0]);
     }
 
     #[test]
@@ -203,8 +219,9 @@ mod tests {
             .map(|i| ((i as f64) * 0.37 - 11.0).sin() * 123.456)
             .collect();
         let emax = block_exponent(&block).unwrap();
-        let ints = to_ints(&block, emax);
-        let back = from_ints(&ints, emax);
+        let (mut ints, mut back) = ([0i64; MAX_BLOCK], [0.0; MAX_BLOCK]);
+        to_ints(&block, emax, &mut ints);
+        from_ints(&ints, emax, &mut back);
         for (a, b) in block.iter().zip(back.iter()) {
             // Quantization step is 2^(emax-62) — far below f64 noise here.
             assert!((a - b).abs() <= (2.0f64).powi(emax - 60), "{a} vs {b}");

@@ -50,6 +50,7 @@ use fraz_data::wire::{try_vec, ByteReader, ByteWriter, DatasetHeader, WireError}
 use fraz_data::{DType, DataBuffer, Dataset, Dims};
 use fraz_lossless::bitio::{BitReader, BitWriter};
 
+use block::MAX_BLOCK;
 use transform::BLOCK_EDGE;
 
 /// Stream magic ("FZP1").
@@ -127,6 +128,11 @@ impl ZfpConfig {
 pub enum ZfpError {
     /// The configuration is invalid.
     InvalidConfig(String),
+    /// The value at this index is a NaN or an infinity.  A block shares one
+    /// exponent, so a single non-finite value would take the 4^d − 1 finite
+    /// values beside it down with it; no tolerance can be promised for such
+    /// a block and the field is refused instead.
+    NonFinite { index: usize },
     /// The compressed stream is malformed or truncated.
     Corrupt(String),
 }
@@ -135,6 +141,10 @@ impl std::fmt::Display for ZfpError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ZfpError::InvalidConfig(msg) => write!(f, "invalid ZFP configuration: {msg}"),
+            ZfpError::NonFinite { index } => write!(
+                f,
+                "value {index} is not finite: the ZFP-like codec codes finite values only"
+            ),
             ZfpError::Corrupt(msg) => write!(f, "corrupt ZFP stream: {msg}"),
         }
     }
@@ -209,22 +219,43 @@ fn block_bit_budget(mode: &ZfpMode, block_dims: usize) -> u64 {
 /// Compress a dataset.
 pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, ZfpError> {
     config.validate()?;
-    let (dims3, block_dims) = pad_dims(&dataset.dims);
-    let values = dataset.values_f64();
-    let perm = transform::sequency_permutation(block_dims);
-    let budget = block_bit_budget(&config.mode, block_dims);
-
     let mut header = ByteWriter::with_capacity(64);
     DatasetHeader::write(dataset, MAGIC, VERSION, &mut header);
     let (tag, param) = mode_tag(&config.mode);
     header.put_u8(tag);
     header.put_f64(param);
 
+    let mut out = header.into_bytes();
+    out.extend_from_slice(&match &dataset.buffer {
+        DataBuffer::F32(values) => encode_blocks(values, &dataset.dims, &config.mode)?,
+        DataBuffer::F64(values) => encode_blocks(values, &dataset.dims, &config.mode)?,
+    });
+    Ok(out)
+}
+
+/// The block payload of [`compress`]: every block gathered, aligned,
+/// transformed and bit-plane coded through stack arrays.
+fn encode_blocks<T: Copy + Into<f64>>(
+    values: &[T],
+    dims: &Dims,
+    mode: &ZfpMode,
+) -> Result<Vec<u8>, ZfpError> {
+    if let Some(index) = values.iter().position(|&v| !v.into().is_finite()) {
+        return Err(ZfpError::NonFinite { index });
+    }
+    let (dims3, block_dims) = pad_dims(dims);
+    let perm = transform::sequency_permutation(block_dims);
+    let budget = block_bit_budget(mode, block_dims);
+    let size = perm.len();
+    let (mut raw, mut ints, mut reordered) =
+        ([0.0; MAX_BLOCK], [0i64; MAX_BLOCK], [0u64; MAX_BLOCK]);
+    let (raw, ints, reordered) = (&mut raw[..size], &mut ints[..size], &mut reordered[..size]);
+
     let mut w = BitWriter::with_capacity(values.len());
     for origin in block::block_origins(dims3) {
         let start_bits = w.bit_len() as u64;
-        let raw = block::gather(&values, dims3, origin, block_dims);
-        match block::block_exponent(&raw) {
+        block::gather(values, dims3, origin, block_dims, raw);
+        match block::block_exponent(raw) {
             None => {
                 // Empty (all-zero) block.
                 w.write_bit(false);
@@ -232,21 +263,22 @@ pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, ZfpErr
             Some(emax) => {
                 w.write_bit(true);
                 w.write_bits((emax + EBIAS) as u64, EBITS);
-                let mut ints = block::to_ints(&raw, emax);
-                transform::fwd_xform(&mut ints, block_dims);
-                let reordered: Vec<u64> =
-                    perm.iter().map(|&i| coder::int_to_uint(ints[i])).collect();
-                let max_prec = match config.mode {
+                block::to_ints(raw, emax, ints);
+                transform::fwd_xform(ints, block_dims);
+                for (slot, &src) in reordered.iter_mut().zip(&perm) {
+                    *slot = coder::int_to_uint(ints[src]);
+                }
+                let max_prec = match *mode {
                     ZfpMode::FixedAccuracy { tolerance } => {
                         accuracy_precision(emax, tolerance, block_dims)
                     }
                     ZfpMode::FixedRate { .. } => coder::INT_PRECISION,
                 };
                 let remaining = budget.saturating_sub(1 + EBITS as u64);
-                coder::encode_ints(&mut w, &reordered, remaining, max_prec);
+                coder::encode_ints(&mut w, reordered, remaining, max_prec);
             }
         }
-        if matches!(config.mode, ZfpMode::FixedRate { .. }) {
+        if matches!(mode, ZfpMode::FixedRate { .. }) {
             // Pad so every block occupies exactly `budget` bits.
             let written = w.bit_len() as u64 - start_bits;
             if written < budget {
@@ -254,10 +286,7 @@ pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, ZfpErr
             }
         }
     }
-
-    let mut out = header.into_bytes();
-    out.extend_from_slice(&w.into_bytes());
-    Ok(out)
+    Ok(w.into_bytes())
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -287,6 +316,10 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
     let n = head.dims.len();
     let mut values = try_vec(n)?;
     values.resize(n, 0.0f64);
+    let size = perm.len();
+    let (mut raw, mut ints, mut reordered) =
+        ([0.0; MAX_BLOCK], [0i64; MAX_BLOCK], [0u64; MAX_BLOCK]);
+    let (raw, ints, reordered) = (&mut raw[..size], &mut ints[..size], &mut reordered[..size]);
 
     for origin in block::block_origins(dims3) {
         let start_bits = bits.bits_consumed() as u64;
@@ -305,15 +338,13 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
                 ZfpMode::FixedRate { .. } => coder::INT_PRECISION,
             };
             let remaining = budget.saturating_sub(1 + EBITS as u64);
-            let size = BLOCK_EDGE.pow(block_dims as u32);
-            let (reordered, _) = coder::decode_ints(&mut bits, size, remaining, max_prec)?;
-            let mut ints = vec![0i64; size];
-            for (slot, &src) in perm.iter().enumerate() {
-                ints[src] = coder::uint_to_int(reordered[slot]);
+            coder::decode_ints(&mut bits, reordered, remaining, max_prec)?;
+            for (&coded, &dst) in reordered.iter().zip(&perm) {
+                ints[dst] = coder::uint_to_int(coded);
             }
-            transform::inv_xform(&mut ints, block_dims);
-            let raw = block::from_ints(&ints, emax);
-            block::scatter(&raw, &mut values, dims3, origin, block_dims);
+            transform::inv_xform(ints, block_dims);
+            block::from_ints(ints, emax, raw);
+            block::scatter(raw, &mut values, dims3, origin, block_dims);
         }
         if matches!(mode, ZfpMode::FixedRate { .. }) {
             // Skip the block's padding so the next block starts on budget.
@@ -480,6 +511,44 @@ mod tests {
         assert!(compress(&original, &ZfpConfig::accuracy(f64::NAN)).is_err());
         assert!(compress(&original, &ZfpConfig::rate(0.0)).is_err());
         assert!(compress(&original, &ZfpConfig::rate(1000.0)).is_err());
+    }
+
+    #[test]
+    fn non_finite_values_are_refused_by_index() {
+        // An infinity used to turn its whole block into "all zero" and a
+        // NaN used to decode as zero, both without an error.
+        let mut original = wave(Dims::d3(8, 9, 10), 1.0);
+        for (index, hostile) in [
+            (317, f32::INFINITY),
+            (5, f32::NAN),
+            (719, f32::NEG_INFINITY),
+        ] {
+            let DataBuffer::F32(values) = &mut original.buffer else {
+                unreachable!()
+            };
+            let kept = std::mem::replace(&mut values[index], hostile);
+            for config in [ZfpConfig::accuracy(1e-3), ZfpConfig::rate(8.0)] {
+                assert_eq!(
+                    compress(&original, &config),
+                    Err(ZfpError::NonFinite { index }),
+                    "{hostile} at {index}"
+                );
+            }
+            let DataBuffer::F32(values) = &mut original.buffer else {
+                unreachable!()
+            };
+            values[index] = kept;
+        }
+        let mut values = vec![1.0f64; 64];
+        (values[40], values[9]) = (f64::NAN, f64::INFINITY);
+        let original = Dataset::from_f64("t", "f", 0, Dims::d1(64), values);
+        let refused = compress(&original, &ZfpConfig::accuracy(1e-3)).unwrap_err();
+        assert_eq!(
+            refused,
+            ZfpError::NonFinite { index: 9 },
+            "the first one is named"
+        );
+        assert!(refused.to_string().contains("value 9"), "{refused}");
     }
 
     #[test]

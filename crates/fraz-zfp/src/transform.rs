@@ -170,15 +170,8 @@ fn lift_strided(block: &mut [i64], base: usize, stride: usize, forward: bool) {
 pub fn sequency_permutation(dims: usize) -> Vec<usize> {
     let n = BLOCK_EDGE.pow(dims as u32);
     let mut indices: Vec<usize> = (0..n).collect();
-    let coords = |i: usize| -> (usize, usize, usize) {
-        match dims {
-            1 => (i, 0, 0),
-            2 => (i % 4, i / 4, 0),
-            _ => (i % 4, (i / 4) % 4, i / 16),
-        }
-    };
     indices.sort_by_key(|&i| {
-        let (x, y, z) = coords(i);
+        let (x, y, z) = crate::block::local_coords(i, dims);
         (x + y + z, z, y, x)
     });
     indices

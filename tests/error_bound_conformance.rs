@@ -12,6 +12,11 @@
 //! (absolute error, accuracy tolerance, ∞-norm) must bound the element-wise
 //! worst case; the L2-norm kind bounds the RMS error instead (it makes no
 //! pointwise promise).
+//!
+//! A field that holds a NaN or an infinity gets the same contract on its
+//! finite values, and the non-finite ones come back as they went in — or
+//! the codec refuses the field with an error.  What it may not do is
+//! succeed and hand back something else.
 
 use proptest::prelude::*;
 
@@ -222,6 +227,63 @@ fn sparse_scenario_edge_cases_conform() {
                 assert!(d.constant_fraction.unwrap() > 0.0, "plateaus expected");
             }
             assert_all_codecs_conform(&field.dataset);
+        }
+    }
+}
+
+/// One NaN, one +∞ and one −∞ in an otherwise ordinary field: a codec
+/// either keeps them (and still honours the bound on every finite value,
+/// neighbours of the non-finite ones included) or refuses the field with an
+/// error — never silently.
+#[test]
+fn non_finite_values_are_kept_or_refused_never_dropped() {
+    let dims = Dims::d3(8, 9, 10);
+    let mut values = synth(dims.len(), 17, 1.0);
+    values[37] = f64::NAN;
+    values[311] = f64::INFINITY;
+    values[640] = f64::NEG_INFINITY;
+    let narrow = values.iter().map(|&v| v as f32).collect();
+    for dataset in [
+        Dataset::from_f32("conformance", "non-finite", 0, dims.clone(), narrow),
+        Dataset::from_f64("conformance", "non-finite", 0, dims, values),
+    ] {
+        let original = dataset.values_f64();
+        for name in registry::error_bounded_names() {
+            let codec = registry::build_default(&name).unwrap();
+            if !codec.supports_dims(&dataset.dims) {
+                continue;
+            }
+            for bound in [1e-1, 1e-3, 1e-6] {
+                let what = format!("{name} on {:?} at bound {bound:e}", dataset.dtype());
+                let Ok(compressed) = codec.compress(&dataset, bound) else {
+                    continue; // refused, with an error: allowed
+                };
+                let restored = codec.decompress(&compressed).unwrap_or_else(|e| {
+                    panic!("{what}: compressed, then failed to decompress: {e}")
+                });
+                let recovered = restored.values_f64();
+                assert_eq!(recovered.len(), original.len(), "{what}");
+                let mut squares = 0.0;
+                for (i, (x, y)) in original.iter().zip(recovered.iter()).enumerate() {
+                    if !x.is_finite() {
+                        assert!(
+                            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                            "{what}: x[{i}] = {x} came back as {y}"
+                        );
+                        continue;
+                    }
+                    let err = (x - y).abs();
+                    squares += err * err;
+                    if codec.bound_kind() != BoundKind::L2Norm {
+                        assert!(
+                            err <= bound,
+                            "{what}: |x[{i}] - x̂[{i}]| = {err:e} (x = {x}, x̂ = {y})"
+                        );
+                    }
+                }
+                let rmse = (squares / (original.len() - 3) as f64).sqrt();
+                assert!(rmse <= bound * (1.0 + 1e-9), "{what}: rmse = {rmse:e}");
+            }
         }
     }
 }
