@@ -287,7 +287,7 @@ impl Objective for QualitySearchConfig {
             }
             let mut at = to_axis(hint.bound);
             let mut bracket = None;
-            while eval.calls() < expansion_budget && if ok0 { at < xhi } else { at > xlo } {
+            while eval.answered() < expansion_budget && if ok0 { at < xhi } else { at > xlo } {
                 let next = if ok0 {
                     (at + step).min(xhi)
                 } else {
@@ -339,7 +339,7 @@ impl Objective for QualitySearchConfig {
         // to squeeze out the remaining compression.  Each step depends on
         // the previous verdict, so this phase is inherently serial.
         if let Some((mut ok_x, mut bad_x)) = bracket {
-            for _ in 0..config.max_iterations.saturating_sub(eval.calls()) {
+            for _ in 0..config.max_iterations.saturating_sub(eval.answered()) {
                 if (bad_x - ok_x).abs() <= BRACKET_TOLERANCE * (xhi - xlo).abs() {
                     break;
                 }

@@ -109,7 +109,10 @@ pub struct RegionOutcome {
     pub compression_ratio: f64,
     /// Loss at that bound.
     pub loss: f64,
-    /// Number of compressor invocations spent in the region.
+    /// Number of objective evaluations spent in the region: every bound the
+    /// optimiser had answered, whether by a compressor call or from the
+    /// run's step memo (the calls alone are
+    /// [`SearchOutcome::evaluations`]).
     pub iterations: usize,
     /// True if the region's search hit the early-termination cutoff.
     pub reached_cutoff: bool,

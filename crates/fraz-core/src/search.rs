@@ -16,12 +16,19 @@
 //! every objective: what counts as an evaluation
 //! (every call, read back as `evaluations` when the search ends), when a
 //! search may stop (a fired [`CancelToken`] turns the next evaluation into
-//! [`Miss::Cancelled`] without calling) and which bounds may be tried (a
+//! [`Miss::Cancelled`] without calling), which bounds may be tried (a
 //! hint is clamped into [`Search::bound_range`] before it is probed, so the
-//! error ceiling `U` binds whatever the hint's source).
+//! error ceiling `U` binds whatever the hint's source) and which calls need
+//! not be made: a codec that reads its bound through a step function
+//! ([`BoundKind::step_of`](fraz_pressio::BoundKind::step_of)) is called once
+//! per step a run visits, and every other bound on that step is answered
+//! from the run's memo — the answer the call would have given, so the
+//! strategy sees the same losses in the same order and only `evaluations`,
+//! still the exact call count, is smaller.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use fraz_data::Dataset;
@@ -115,15 +122,32 @@ pub enum Miss {
 }
 
 /// One run's access to the compressor: the shell, the dataset, the call
-/// counter `evaluations` is read from and the clock `elapsed` is read from.
+/// counter `evaluations` is read from, the count of answers a strategy
+/// budgets by, the clock `elapsed` is read from and the step memo.
 pub struct Evaluator<'a, O: Objective> {
     shell: &'a Search<O>,
     dataset: &'a Dataset,
     calls: AtomicUsize,
+    answered: AtomicUsize,
     start: Instant,
+    /// What this run measured on each `(step, measure_quality)` it visited:
+    /// at most one outcome per binade of the range per flag, dropped with
+    /// the run.  Stays empty for a codec without steps.
+    memo: Mutex<BTreeMap<(i64, bool), CompressionOutcome>>,
 }
 
-impl<O: Objective> Evaluator<'_, O> {
+impl<'a, O: Objective> Evaluator<'a, O> {
+    fn new(shell: &'a Search<O>, dataset: &'a Dataset) -> Self {
+        Self {
+            shell,
+            dataset,
+            calls: AtomicUsize::new(0),
+            answered: AtomicUsize::new(0),
+            start: Instant::now(),
+            memo: Mutex::default(),
+        }
+    }
+
     /// One search evaluation at `bound`, or the reason there was none.
     pub fn measure(&self, bound: f64) -> Result<CompressionOutcome, Miss> {
         self.call(bound, O::JUDGES_QUALITY, false)
@@ -132,6 +156,12 @@ impl<O: Objective> Evaluator<'_, O> {
     /// The one compressor call site.  Only the shell's fallback measurement
     /// is `forced` past a fired token: it turns a search that measured
     /// nothing into a reportable answer.
+    ///
+    /// A bound on a step this run already measured is answered from the
+    /// memo — after the cancel check, and counted as an answer but not as a
+    /// call: `calls` stays the exact number of compressor calls.  Two
+    /// runners that miss the same step at once both call; the outcomes are
+    /// equal and both are counted.
     fn call(
         &self,
         bound: f64,
@@ -141,16 +171,45 @@ impl<O: Objective> Evaluator<'_, O> {
         if !forced && self.cancelled() {
             return Err(Miss::Cancelled);
         }
+        self.answered.fetch_add(1, Ordering::Relaxed);
+        let compressor = &self.shell.compressor;
+        let key = compressor
+            .bound_kind()
+            .step_of(bound)
+            .map(|step| (step, measure_quality));
+        if let Some(seen) = key.and_then(|key| self.memo().get(&key).cloned()) {
+            return Ok(CompressionOutcome {
+                error_bound: bound,
+                ..seen
+            });
+        }
         self.calls.fetch_add(1, Ordering::Relaxed);
-        self.shell
-            .compressor
+        let outcome = compressor
             .evaluate(self.dataset, bound, measure_quality)
-            .map_err(|_| Miss::Rejected)
+            .map_err(|_| Miss::Rejected)?;
+        if let Some(key) = key {
+            self.memo().insert(key, outcome.clone());
+        }
+        Ok(outcome)
+    }
+
+    fn memo(&self) -> std::sync::MutexGuard<'_, BTreeMap<(i64, bool), CompressionOutcome>> {
+        // Every critical section is one map operation, so a poisoned lock
+        // still guards a consistent map.
+        self.memo.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Compressor calls made so far in this run.
     pub fn calls(&self) -> usize {
         self.calls.load(Ordering::Relaxed)
+    }
+
+    /// Evaluations answered so far in this run, by a compressor call or
+    /// from the step memo — what a strategy budgets by, so its walk does not
+    /// depend on which answers were remembered.  Equal to
+    /// [`calls`](Self::calls) for a codec without steps.
+    pub fn answered(&self) -> usize {
+        self.answered.load(Ordering::Relaxed)
     }
 
     /// True once the search's [`CancelToken`] has fired.
@@ -313,12 +372,7 @@ impl<O: Objective> Search<O> {
     /// the result is reported back to it via [`BoundPredictor::observe`], so
     /// it learns from every search through this shell.
     pub fn run_with_hint(&self, dataset: &Dataset, hint: Option<&SearchHint>) -> O::Outcome {
-        let eval = Evaluator {
-            shell: self,
-            dataset,
-            calls: AtomicUsize::new(0),
-            start: Instant::now(),
-        };
+        let eval = Evaluator::new(self, dataset);
         let range = self.bound_range(dataset);
         let hint = hint.filter(|h| h.is_valid());
         let mut probe = None;
@@ -413,12 +467,13 @@ fn narrowed((lower, upper): (f64, f64), hint: Option<&SearchHint>) -> (f64, f64)
 /// and a fired [`CancelToken`] yields a consistent best-so-far.
 #[cfg(test)]
 pub(crate) mod tests {
+    use std::collections::BTreeSet;
     use std::sync::atomic::AtomicU64;
-    use std::sync::{Mutex, OnceLock};
+    use std::sync::OnceLock;
     use std::time::Duration;
 
-    use fraz_data::Dims;
-    use fraz_pressio::PressioError;
+    use fraz_data::{synthetic, DType, Dims};
+    use fraz_pressio::{registry, BoundKind, PressioError};
 
     use super::*;
     use crate::hint::{HintSource, LastConverged};
@@ -1005,6 +1060,261 @@ pub(crate) mod tests {
                 let deviation = (outcome.best.compression_ratio - target).abs();
                 assert_eq!(deviation <= 0.1 * target, feasible, "{what}");
             }
+        }
+    }
+
+    /// Forwards everything to `inner` — `evaluate` included, so the codec
+    /// under it takes whatever path it takes — but reports a kind without
+    /// steps, which leaves the memo empty; and logs what it was asked.
+    struct SteplessTwin {
+        inner: Box<dyn Compressor>,
+        asked: Mutex<Vec<(f64, bool)>>,
+    }
+
+    impl Compressor for SteplessTwin {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn bound_kind(&self) -> BoundKind {
+            BoundKind::AbsoluteError
+        }
+        fn supports_dims(&self, dims: &Dims) -> bool {
+            self.inner.supports_dims(dims)
+        }
+        fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
+            self.inner.bound_range(dataset)
+        }
+        fn compress(&self, dataset: &Dataset, bound: f64) -> Result<Vec<u8>, PressioError> {
+            self.inner.compress(dataset, bound)
+        }
+        fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
+            self.inner.decompress(data)
+        }
+        fn evaluate(
+            &self,
+            dataset: &Dataset,
+            bound: f64,
+            measure_quality: bool,
+        ) -> Result<CompressionOutcome, PressioError> {
+            self.asked.lock().unwrap().push((bound, measure_quality));
+            self.inner.evaluate(dataset, bound, measure_quality)
+        }
+    }
+
+    /// One search run twice on a one-worker pool — on zfp, whose kind has
+    /// steps, and on its stepless twin: the memo may change how many times
+    /// the codec is called and nothing a caller can read besides.
+    fn memo_differential<O: Objective + Clone>(
+        what: &str,
+        dataset: &Dataset,
+        config: O,
+        hint: Option<&SearchHint>,
+    ) {
+        let pool = Arc::new(Pool::new(1));
+        let zfp = || registry::build_default("zfp").unwrap();
+        let steps = zfp().bound_kind();
+        let memo: SearchOutcome = Search::new(zfp(), config.clone())
+            .with_pool(Arc::clone(&pool))
+            .run_with_hint(dataset, hint)
+            .into();
+        let twin_codec = Arc::new(SteplessTwin {
+            inner: zfp(),
+            asked: Mutex::default(),
+        });
+        let twin: SearchOutcome = Search::new(twin_codec.clone() as Arc<dyn Compressor>, config)
+            .with_pool(pool)
+            .run_with_hint(dataset, hint)
+            .into();
+
+        assert_eq!(
+            memo.error_bound.to_bits(),
+            twin.error_bound.to_bits(),
+            "{what}"
+        );
+        assert_eq!(memo.best, twin.best, "{what}");
+        assert_eq!(memo.feasible, twin.feasible, "{what}");
+        assert!(twin.feasible, "{what}: pick a target the codec reaches");
+        assert_eq!(memo.hint, twin.hint, "{what}");
+        assert_eq!(memo.regions.len(), twin.regions.len(), "{what}");
+        for (m, t) in memo.regions.iter().zip(&twin.regions) {
+            // Whole region outcomes: bound, ratio, loss, the carried
+            // measurement, and `iterations` — objective evaluations, which
+            // the memo answers but does not skip.
+            assert_eq!(m, t, "{what}");
+        }
+
+        // Without a final quality pass every call the twin saw is a search
+        // evaluation; the memo makes one call per distinct step and flag.
+        let asked = twin_codec.asked.lock().unwrap();
+        assert_eq!(twin.evaluations, asked.len(), "{what}");
+        if !twin.regions.is_empty() {
+            let iterations: usize = twin.regions.iter().map(|r| r.iterations).sum();
+            assert_eq!(iterations, twin.evaluations, "{what}");
+        }
+        let distinct: BTreeSet<(i64, bool)> = asked
+            .iter()
+            .map(|&(bound, quality)| (steps.step_of(bound).unwrap(), quality))
+            .collect();
+        assert_eq!(memo.evaluations, distinct.len(), "{what}");
+        assert!(
+            memo.evaluations < twin.evaluations,
+            "{what}: {} calls with the memo, {} without",
+            memo.evaluations,
+            twin.evaluations
+        );
+    }
+
+    #[test]
+    fn the_step_memo_changes_the_call_count_and_nothing_else() {
+        for regime in ["smooth", "turbulence", "shock"] {
+            let dims = Dims::d3(16, 16, 16);
+            let dataset = synthetic::generate(regime, &dims, DType::F32, 20200118, 0).unwrap();
+            let range = dataset.value_range();
+            // A ratio the codec reaches: what it achieves at 1e-3 of the
+            // value range.
+            let reachable = registry::build_default("zfp")
+                .unwrap()
+                .evaluate(&dataset, 1e-3 * range, false)
+                .unwrap()
+                .compression_ratio;
+            let ratio = SearchConfig {
+                threads: 1,
+                measure_final_quality: false,
+                ..SearchConfig::new(reachable, 0.1)
+            };
+            memo_differential(&format!("{regime} ratio"), &dataset, ratio, None);
+
+            let psnr = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(60.0));
+            memo_differential(&format!("{regime} psnr"), &dataset, psnr.clone(), None);
+            // A budget that binds: the strategy counts answers, not calls,
+            // so remembered answers do not buy it extra steps.
+            let tight = QualitySearchConfig {
+                max_iterations: 8,
+                ..QualitySearchConfig::new(QualityMetric::PsnrAtLeast(40.0))
+            };
+            memo_differential(&format!("{regime} psnr, 8 steps"), &dataset, tight, None);
+            // A missed seed: the expansion walk instead of the sweep.
+            let seed = SearchHint::seed(1e-6 * range, HintSource::External);
+            memo_differential(
+                &format!("{regime} psnr, seeded"),
+                &dataset,
+                psnr,
+                Some(&seed),
+            );
+        }
+    }
+
+    /// [`CountingCodec`] read through a step function: the bound is floored
+    /// to its power of two before the codec sees it, so everything it
+    /// returns depends on the step alone, as `AccuracyTolerance` promises.
+    /// Refuses (and counts) every bound on the `refused` step.
+    struct SteppedCounting {
+        inner: CountingCodec,
+        refused: Option<i64>,
+    }
+
+    impl SteppedCounting {
+        fn new(refused: Option<i64>) -> Arc<Self> {
+            Arc::new(Self {
+                inner: CountingCodec::new(smooth_field()),
+                refused,
+            })
+        }
+    }
+
+    impl Compressor for SteppedCounting {
+        fn name(&self) -> &str {
+            "stepped"
+        }
+        fn bound_kind(&self) -> BoundKind {
+            BoundKind::AccuracyTolerance
+        }
+        fn supports_dims(&self, _dims: &Dims) -> bool {
+            true
+        }
+        fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
+            self.inner.bound_range(dataset)
+        }
+        fn compress(&self, dataset: &Dataset, bound: f64) -> Result<Vec<u8>, PressioError> {
+            let step = self.bound_kind().step_of(bound);
+            if step.is_none() || step == self.refused {
+                self.inner.calls.fetch_add(1, Ordering::Relaxed);
+                return Err(PressioError::InvalidBound(format!("{bound}")));
+            }
+            self.inner
+                .compress(dataset, 2f64.powi(step.unwrap() as i32))
+        }
+        fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
+            self.inner.decompress(data)
+        }
+    }
+
+    #[test]
+    fn a_memo_answer_is_uncounted_cancellable_and_never_a_remembered_rejection() {
+        let dataset = smooth_field();
+        // Step −5 is [2⁻⁵, 2⁻⁴) = [0.03125, 0.0625).
+        let codec = SteppedCounting::new(Some(-5));
+        let token = CancelToken::new();
+        let search = Search::new(codec.clone() as Arc<dyn Compressor>, ratio_config(10.0))
+            .with_cancel(token.clone());
+        let eval = Evaluator::new(&search, &dataset);
+        let counts = || (eval.calls(), eval.answered(), codec.inner.calls());
+
+        // 0.3 and 0.4 share step −2: one call, two answers, each carrying
+        // the bound it was asked for.
+        let first = eval.call(0.3, false, false).unwrap();
+        let remembered_at = |bound: f64| CompressionOutcome {
+            error_bound: bound,
+            ..first.clone()
+        };
+        assert_eq!(first.error_bound, 0.3);
+        assert_eq!(eval.call(0.4, false, false), Ok(remembered_at(0.4)));
+        assert_eq!(counts(), (1, 2, 1));
+        // The flag is part of the key, and another step is another call.
+        assert!(eval.call(0.4, true, false).unwrap().quality.is_some());
+        assert!(eval.call(0.35, true, false).unwrap().quality.is_some());
+        assert!(eval.call(0.6, false, false).is_ok());
+        assert_eq!(counts(), (3, 5, 3));
+
+        // A rejection is not remembered, as a failure or as a success: the
+        // same step is asked again, and counted again.
+        assert_eq!(eval.call(0.04, false, false), Err(Miss::Rejected));
+        assert_eq!(eval.call(0.05, false, false), Err(Miss::Rejected));
+        assert_eq!(counts(), (5, 7, 5));
+
+        // A fired token wins over a remembered answer; only the shell's
+        // forced fallback is served, and from the memo.
+        token.cancel();
+        assert_eq!(eval.call(0.3, false, false), Err(Miss::Cancelled));
+        assert_eq!(eval.call(0.3, false, true), Ok(remembered_at(0.3)));
+        assert_eq!(counts(), (5, 8, 5));
+    }
+
+    #[test]
+    fn two_runners_share_the_memo_and_every_call_is_counted() {
+        let dataset = smooth_field();
+        let pool = Arc::new(Pool::new(2));
+        for (target, feasible) in [(10.0, true), (500.0, false)] {
+            let codec = SteppedCounting::new(None);
+            let config = SearchConfig {
+                measure_final_quality: false,
+                ..SearchConfig::new(target, 0.1).with_threads(2)
+            };
+            let outcome = Search::new(codec.clone() as Arc<dyn Compressor>, config)
+                .with_pool(Arc::clone(&pool))
+                .run(&dataset);
+            assert_eq!(outcome.evaluations, codec.inner.calls(), "{target}:1");
+            assert_eq!(outcome.feasible, feasible, "{target}:1");
+            let in_band = (outcome.best.compression_ratio - target).abs() <= 0.1 * target;
+            assert_eq!(in_band, feasible, "{target}:1");
+            // The reported outcome is what the codec gives at that bound.
+            let direct = codec
+                .evaluate(&dataset, outcome.error_bound, false)
+                .unwrap();
+            assert_eq!(outcome.best, direct, "{target}:1");
+            // Twenty-one steps cover the codec's range, and two runners can
+            // both miss a step once.
+            assert!(outcome.evaluations <= 2 * 21, "{}", outcome.evaluations);
         }
     }
 

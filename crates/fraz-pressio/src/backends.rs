@@ -23,6 +23,8 @@ use crate::descriptor::{BoundKind, CodecDescriptor, PsnrBoundModel};
 use crate::options::OptionKind;
 use crate::options::Options;
 use crate::registry::Registry;
+#[cfg(feature = "szx")]
+use crate::{evaluate_by_compressing, CompressionOutcome};
 use crate::{Compressor, PressioError};
 
 /// Smallest error-bound setting offered to the search, as a fraction of the
@@ -308,8 +310,11 @@ impl Compressor for MgardBackend {
 /// Blockwise constant/unpredictable classification with IEEE-754 bit
 /// truncation — roughly an order of magnitude faster than the SZ-like
 /// backend on both paths, at the cost of lower ratios at tight bounds.
-/// Because FRaZ pays one compression per candidate bound, this backend
-/// changes the economics of the whole search.
+/// A stream's length is a closed form of the classification, so a ratio
+/// evaluation ([`Compressor::evaluate`] without quality) is one
+/// classification pass ([`fraz_szx::compressed_len`]) — exactly the size
+/// `compress` would produce, without the stream: FRaZ pays a fraction of a
+/// compression per candidate bound here.
 #[cfg(feature = "szx")]
 #[derive(Debug, Clone)]
 pub struct SzxBackend {
@@ -348,6 +353,13 @@ impl SzxBackend {
         }
         Self { config }
     }
+
+    fn config_at(&self, error_bound: f64) -> SzxConfig {
+        SzxConfig {
+            error_bound,
+            ..self.config.clone()
+        }
+    }
 }
 
 #[cfg(feature = "szx")]
@@ -372,17 +384,37 @@ impl Compressor for SzxBackend {
         range_based_bounds(dataset)
     }
     fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        let config = SzxConfig {
-            error_bound,
-            ..self.config.clone()
-        };
-        fraz_szx::compress(dataset, &config).map_err(|e| match e {
-            fraz_szx::SzxError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            other => PressioError::Codec(other.to_string()),
-        })
+        fraz_szx::compress(dataset, &self.config_at(error_bound)).map_err(szx_error)
     }
     fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
         fraz_szx::decompress(data).map_err(|e| PressioError::Codec(e.to_string()))
+    }
+    fn evaluate(
+        &self,
+        dataset: &Dataset,
+        error_bound: f64,
+        measure_quality: bool,
+    ) -> Result<CompressionOutcome, PressioError> {
+        if measure_quality {
+            return evaluate_by_compressing(self, dataset, error_bound, true);
+        }
+        let compressed_bytes =
+            fraz_szx::compressed_len(dataset, &self.config_at(error_bound)).map_err(szx_error)?;
+        Ok(CompressionOutcome::of_size(
+            self.name(),
+            dataset,
+            error_bound,
+            compressed_bytes,
+            None,
+        ))
+    }
+}
+
+#[cfg(feature = "szx")]
+fn szx_error(e: fraz_szx::SzxError) -> PressioError {
+    match e {
+        fraz_szx::SzxError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
+        other => PressioError::Codec(other.to_string()),
     }
 }
 

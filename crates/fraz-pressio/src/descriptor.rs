@@ -55,7 +55,11 @@ pub enum BoundKind {
     /// Absolute pointwise error bound (SZ-style `|x - x'| <= e`).
     AbsoluteError,
     /// Accuracy tolerance (ZFP's fixed-accuracy mode; also an absolute
-    /// pointwise guarantee, but tuned per transform block).
+    /// pointwise guarantee, but tuned per transform block).  The codec reads
+    /// a tolerance `t` only through `⌊log₂ t⌋` — that is what this kind
+    /// *means*: two tolerances on one [step](BoundKind::step_of) produce one
+    /// stream, but for the tolerance recorded in its header, and one
+    /// reconstruction (the paper's §VI-B3 step function).
     AccuracyTolerance,
     /// Bits-per-value rate: the parameter sets the *size*, not the error.
     BitsPerValue,
@@ -82,6 +86,25 @@ impl BoundKind {
     /// where the ratio is set directly and searching would be circular.
     pub fn is_error_bounded(&self) -> bool {
         !matches!(self, BoundKind::BitsPerValue)
+    }
+
+    /// The step `bound` falls on, for kinds whose codec reads its parameter
+    /// through a step function: every bound with the same step compresses to
+    /// the same bytes (outside the recorded parameter) and decodes to the
+    /// same values, so one measurement answers for all of them.  `None` for
+    /// a kind without steps, and for a bound no codec accepts.
+    ///
+    /// For [`BoundKind::AccuracyTolerance`] the step is `⌊log₂ bound⌋` by the
+    /// very expression the codec evaluates (`fraz_zfp::accuracy_minexp`),
+    /// libm's rounding just under a power of two included — the step is what
+    /// the codec does, not what the real logarithm says.
+    pub fn step_of(&self, bound: f64) -> Option<i64> {
+        match self {
+            BoundKind::AccuracyTolerance if bound > 0.0 && bound.is_finite() => {
+                Some(bound.log2().floor() as i64)
+            }
+            _ => None,
+        }
     }
 }
 
@@ -407,6 +430,53 @@ mod tests {
         assert_eq!(BoundKind::BitsPerValue.to_string(), "bits per value");
         assert!(BoundKind::L2Norm.is_error_bounded());
         assert!(!BoundKind::BitsPerValue.is_error_bounded());
+    }
+
+    #[test]
+    fn only_the_accuracy_tolerance_has_steps_and_only_for_usable_bounds() {
+        for kind in [
+            BoundKind::AbsoluteError,
+            BoundKind::BitsPerValue,
+            BoundKind::InfinityNorm,
+            BoundKind::L2Norm,
+        ] {
+            assert_eq!(kind.step_of(0.013), None, "{kind}");
+        }
+        let steps = BoundKind::AccuracyTolerance;
+        assert_eq!(steps.step_of(0.010), Some(-7));
+        assert_eq!(steps.step_of(0.013), Some(-7));
+        assert_eq!(steps.step_of(0.020), Some(-6));
+        assert_eq!(steps.step_of(5e-324), Some(-1074));
+        for unusable in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(steps.step_of(unusable), None, "{unusable}");
+        }
+    }
+
+    #[cfg(feature = "zfp")]
+    #[test]
+    fn the_step_is_the_minexp_the_zfp_codec_computes() {
+        // Every binade's two edges and their one-ulp neighbours, where
+        // libm's `log2` rounds: the two expressions must round alike.
+        for k in -1072..1024i64 {
+            // 2^k, built from its bits (subnormal below 2^-1022).
+            let edge = f64::from_bits(if k < -1022 {
+                1 << (k + 1074)
+            } else {
+                ((k + 1023) as u64) << 52
+            });
+            for bound in [
+                edge.next_down().next_down(),
+                edge.next_down(),
+                edge,
+                edge.next_up(),
+            ] {
+                assert_eq!(
+                    BoundKind::AccuracyTolerance.step_of(bound),
+                    Some(fraz_zfp::accuracy_minexp(bound) as i64),
+                    "{bound:e}"
+                );
+            }
+        }
     }
 
     #[test]

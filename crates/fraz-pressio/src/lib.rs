@@ -117,27 +117,64 @@ pub trait Compressor: Send + Sync {
 
     /// Compress and report the achieved ratio; when `measure_quality` is
     /// true, also decompress and attach the full [`QualityReport`].
+    ///
+    /// A backend whose stream length follows from less work than writing
+    /// the stream may override this for `measure_quality == false`; the
+    /// contract is that the outcome — or the error — is the one this body
+    /// returns (`tests/evaluate_contract.rs` holds every registered codec to
+    /// it).
     fn evaluate(
         &self,
         dataset: &Dataset,
         error_bound: f64,
         measure_quality: bool,
     ) -> Result<CompressionOutcome, PressioError> {
-        let compressed = self.compress(dataset, error_bound)?;
+        evaluate_by_compressing(self, dataset, error_bound, measure_quality)
+    }
+}
+
+/// The default body of [`Compressor::evaluate`], callable from an override
+/// that takes another route for some of its arguments only.
+pub(crate) fn evaluate_by_compressing<C: Compressor + ?Sized>(
+    compressor: &C,
+    dataset: &Dataset,
+    error_bound: f64,
+    measure_quality: bool,
+) -> Result<CompressionOutcome, PressioError> {
+    let compressed = compressor.compress(dataset, error_bound)?;
+    let quality = if measure_quality {
+        let restored = compressor.decompress(&compressed)?;
+        Some(QualityReport::evaluate(
+            dataset,
+            &restored,
+            compressed.len(),
+        ))
+    } else {
+        None
+    };
+    Ok(CompressionOutcome::of_size(
+        compressor.name(),
+        dataset,
+        error_bound,
+        compressed.len(),
+        quality,
+    ))
+}
+
+impl CompressionOutcome {
+    /// The outcome of compressing `dataset` to `compressed_bytes` bytes at
+    /// `error_bound`: the one place ratio and bit rate are derived from a
+    /// size, however the size was obtained.
+    pub(crate) fn of_size(
+        compressor: &str,
+        dataset: &Dataset,
+        error_bound: f64,
+        compressed_bytes: usize,
+        quality: Option<QualityReport>,
+    ) -> Self {
         let original_bytes = dataset.byte_size();
-        let compressed_bytes = compressed.len();
-        let quality = if measure_quality {
-            let restored = self.decompress(&compressed)?;
-            Some(QualityReport::evaluate(
-                dataset,
-                &restored,
-                compressed_bytes,
-            ))
-        } else {
-            None
-        };
-        Ok(CompressionOutcome {
-            compressor: self.name().to_string(),
+        Self {
+            compressor: compressor.to_string(),
             error_bound,
             compression_ratio: fraz_metrics::ratio::compression_ratio(
                 original_bytes,
@@ -147,7 +184,7 @@ pub trait Compressor: Send + Sync {
             compressed_bytes,
             original_bytes,
             quality,
-        })
+        }
     }
 }
 

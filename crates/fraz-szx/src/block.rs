@@ -24,6 +24,9 @@ use crate::SzxError;
 
 /// An IEEE-754 scalar the blockwise codec can process (`f32` or `f64`).
 pub trait SzxFloat: Copy + PartialOrd {
+    /// The bit pattern at native width, so sixteen magnitudes of a block
+    /// sit in as many vector lanes as sixteen values do.
+    type Bits: Copy + Ord + Default + Into<u64>;
     /// Total bit width (32 or 64).
     const WIDTH: u32;
     /// Fraction (mantissa) bits.
@@ -40,6 +43,8 @@ pub trait SzxFloat: Copy + PartialOrd {
 
     /// The raw bit pattern, widened to `u64`.
     fn to_bits64(self) -> u64;
+    /// The bit pattern without its sign, at native width.
+    fn magnitude(self) -> Self::Bits;
     /// Rebuild from a (zero-extended) bit pattern.
     fn from_bits64(bits: u64) -> Self;
     /// Widen to `f64` (exact for both supported types).
@@ -55,6 +60,7 @@ pub trait SzxFloat: Copy + PartialOrd {
 }
 
 impl SzxFloat for f32 {
+    type Bits = u32;
     const WIDTH: u32 = 32;
     const MANT_BITS: u32 = 23;
     const EXP_BIAS: i32 = 127;
@@ -65,6 +71,10 @@ impl SzxFloat for f32 {
     #[inline]
     fn to_bits64(self) -> u64 {
         self.to_bits() as u64
+    }
+    #[inline]
+    fn magnitude(self) -> u32 {
+        self.to_bits() & Self::ABS_MASK as u32
     }
     #[inline]
     fn from_bits64(bits: u64) -> Self {
@@ -87,6 +97,7 @@ impl SzxFloat for f32 {
 }
 
 impl SzxFloat for f64 {
+    type Bits = u64;
     const WIDTH: u32 = 64;
     const MANT_BITS: u32 = 52;
     const EXP_BIAS: i32 = 1023;
@@ -97,6 +108,10 @@ impl SzxFloat for f64 {
     #[inline]
     fn to_bits64(self) -> u64 {
         self.to_bits()
+    }
+    #[inline]
+    fn magnitude(self) -> u64 {
+        self.to_bits() & Self::ABS_MASK
     }
     #[inline]
     fn from_bits64(bits: u64) -> Self {
@@ -136,6 +151,93 @@ fn kept_width<F: SzxFloat>(abs_max: u64, k: i32) -> u32 {
     F::SIGN_EXP_BITS + m
 }
 
+/// Lanes the block statistics are folded in: wide enough for the widest
+/// vector unit, and a block's tail (or a block shorter than this) fills
+/// the low lanes only.
+const LANES: usize = 16;
+
+/// `a` where `a < b`, else `b` — the selection of a `<`-based running
+/// minimum, so a NaN `a` is skipped and a NaN `b` sticks.
+#[inline(always)]
+fn lesser<F: PartialOrd>(a: F, b: F) -> F {
+    if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// `a` where `a > b`, else `b`.
+#[inline(always)]
+fn greater<F: PartialOrd>(a: F, b: F) -> F {
+    if a > b {
+        a
+    } else {
+        b
+    }
+}
+
+/// A block's smallest value, largest value and largest magnitude (as a bit
+/// pattern), folded lane-wise: the same `<` / `>` selections as one
+/// sequential pass, taken in another order.  Every extreme is therefore the
+/// same *value*; only the sign of a zero extreme may differ, which
+/// [`SzxFloat::midrange`] cannot see, and a NaN — which `<` and `>` skip
+/// unless it opens the block — is reported by the magnitude either way.
+#[inline]
+fn block_stats<F: SzxFloat>(chunk: &[F]) -> (F, F, u64) {
+    let mut mn = [chunk[0]; LANES];
+    let mut mx = [chunk[0]; LANES];
+    let mut mag = [F::Bits::default(); LANES];
+    let mut rows = chunk.chunks_exact(LANES);
+    for row in &mut rows {
+        for l in 0..LANES {
+            mn[l] = lesser(row[l], mn[l]);
+            mx[l] = greater(row[l], mx[l]);
+            mag[l] = mag[l].max(row[l].magnitude());
+        }
+    }
+    for (l, &v) in rows.remainder().iter().enumerate() {
+        mn[l] = lesser(v, mn[l]);
+        mx[l] = greater(v, mx[l]);
+        mag[l] = mag[l].max(v.magnitude());
+    }
+    let (mut lo, mut hi, mut abs_max) = (mn[0], mx[0], mag[0]);
+    for l in 1..LANES {
+        lo = lesser(mn[l], lo);
+        hi = greater(mx[l], hi);
+        abs_max = abs_max.max(mag[l]);
+    }
+    (lo, hi, abs_max.into())
+}
+
+/// What one block costs: a flag bit and one value, or a flag bit, a width
+/// byte and `width` bits per member.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum BlockClass<F> {
+    /// Every member is within the bound of this midrange value.
+    Constant(F),
+    /// Members are stored truncated to this many leading bits.
+    Packed(u32),
+}
+
+/// The one block classification, read by [`encode`] and [`encoded_len`]
+/// alike (`k` is the bound's exponent, [`crate::bound_exponent`]).
+///
+/// Only all-finite blocks can be constant (NaN slips through `<`-based
+/// min/max), and the midrange must verifiably sit within the bound of
+/// *both* extremes — this is what rejects a midrange that overflowed to +∞.
+#[inline]
+pub(crate) fn classify<F: SzxFloat>(chunk: &[F], error_bound: f64, k: i32) -> BlockClass<F> {
+    let (mn, mx, abs_max) = block_stats(chunk);
+    if abs_max < F::EXP_MASK {
+        let mid = F::midrange(mn, mx);
+        if mx.to_f64() - mid.to_f64() <= error_bound && mid.to_f64() - mn.to_f64() <= error_bound {
+            return BlockClass::Constant(mid);
+        }
+    }
+    BlockClass::Packed(kept_width::<F>(abs_max, k))
+}
+
 /// Encode `values` in blocks of `block` values under `error_bound`,
 /// appending the serialized section to `out`.
 pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &mut ByteWriter) {
@@ -148,42 +250,18 @@ pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &m
         PackWriter::with_bit_capacity(values.len().saturating_mul(F::WIDTH as usize) / 2);
 
     for (bi, chunk) in values.chunks(block).enumerate() {
-        let mut mn = chunk[0];
-        let mut mx = chunk[0];
-        let mut abs_max = 0u64;
-        for &v in chunk {
-            if v < mn {
-                mn = v;
-            }
-            if v > mx {
-                mx = v;
-            }
-            let a = v.to_bits64() & F::ABS_MASK;
-            if a > abs_max {
-                abs_max = a;
-            }
-        }
-
-        // Constant classification: only all-finite blocks qualify (NaN slips
-        // through `<`-based min/max), and the midrange must verifiably sit
-        // within the bound of *both* extremes — this is what rejects a
-        // midrange that overflowed to +∞.
-        if abs_max < F::EXP_MASK {
-            let mid = F::midrange(mn, mx);
-            if mx.to_f64() - mid.to_f64() <= error_bound
-                && mid.to_f64() - mn.to_f64() <= error_bound
-            {
+        match classify(chunk, error_bound, k) {
+            BlockClass::Constant(mid) => {
                 flags[bi >> 3] |= 1 << (bi & 7);
                 mid.write_to(&mut constants);
-                continue;
             }
-        }
-
-        let w = kept_width::<F>(abs_max, k);
-        widths.push(w as u8);
-        let drop = F::WIDTH - w;
-        for &v in chunk {
-            packer.push(v.to_bits64() >> drop, w);
+            BlockClass::Packed(w) => {
+                widths.push(w as u8);
+                let drop = F::WIDTH - w;
+                for &v in chunk {
+                    packer.push(v.to_bits64() >> drop, w);
+                }
+            }
         }
     }
 
@@ -198,6 +276,23 @@ pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &m
     debug_assert_eq!(payload.len(), packed_bits.div_ceil(8));
     out.put_u64(payload.len() as u64);
     out.put_bytes(&payload);
+}
+
+/// The number of bytes [`encode`] appends for the same arguments, from the
+/// classification alone: nothing is packed and nothing is allocated.
+pub fn encoded_len<F: SzxFloat>(values: &[F], block: usize, error_bound: f64) -> usize {
+    let k = crate::bound_exponent(error_bound);
+    let n_blocks = values.len().div_ceil(block);
+    let (mut packed_blocks, mut packed_bits) = (0usize, 0usize);
+    for chunk in values.chunks(block) {
+        if let BlockClass::Packed(w) = classify(chunk, error_bound, k) {
+            packed_blocks += 1;
+            packed_bits += chunk.len() * w as usize;
+        }
+    }
+    let constants = (n_blocks - packed_blocks) * (F::WIDTH / 8) as usize;
+    // The three `u64` fields are the two counts and the payload length.
+    3 * 8 + n_blocks.div_ceil(8) + packed_blocks + constants + packed_bits.div_ceil(8)
 }
 
 /// Decode `n` values that were encoded in blocks of `block` values.
@@ -317,6 +412,110 @@ mod tests {
         let tiny = 1u64; // smallest positive subnormal f32
         assert_eq!(kept_width::<f32>(tiny, -127), 9 + 1);
         assert_eq!(kept_width::<f64>(1u64, -1023), 12 + 1);
+    }
+
+    /// The statistics as one sequential pass takes them — what
+    /// [`block_stats`] folds lane-wise.
+    fn sequential_stats<F: SzxFloat>(chunk: &[F]) -> (F, F, u64) {
+        let (mut mn, mut mx, mut abs_max) = (chunk[0], chunk[0], 0u64);
+        for &v in chunk {
+            if v < mn {
+                mn = v;
+            }
+            if v > mx {
+                mx = v;
+            }
+            abs_max = abs_max.max(v.to_bits64() & F::ABS_MASK);
+        }
+        (mn, mx, abs_max)
+    }
+
+    fn assert_stats_agree<F: SzxFloat + std::fmt::Debug>(chunk: &[F], what: &str) {
+        let (mn, mx, abs_max) = block_stats(chunk);
+        let (smn, smx, sabs_max) = sequential_stats(chunk);
+        assert_eq!(abs_max, sabs_max, "{what}: magnitude");
+        // `==` holds between the two zeros and fails on a NaN extreme, which
+        // both passes report exactly when a NaN opens the block.
+        let same = |a: F, b: F| a == b || (a.to_f64().is_nan() && b.to_f64().is_nan());
+        assert!(same(mn, smn), "{what}: min {mn:?} vs {smn:?}");
+        assert!(same(mx, smx), "{what}: max {mx:?} vs {smx:?}");
+        for eb in [1e-300, 1e-3, 0.75, 1e300] {
+            let k = crate::bound_exponent(eb);
+            let sequential = if sabs_max < F::EXP_MASK
+                && smx.to_f64() - F::midrange(smn, smx).to_f64() <= eb
+                && F::midrange(smn, smx).to_f64() - smn.to_f64() <= eb
+            {
+                BlockClass::Constant(F::midrange(smn, smx).to_bits64())
+            } else {
+                BlockClass::Packed(kept_width::<F>(sabs_max, k))
+            };
+            let lanewise = match classify(chunk, eb, k) {
+                BlockClass::Constant(mid) => BlockClass::Constant(mid.to_bits64()),
+                BlockClass::Packed(w) => BlockClass::Packed(w),
+            };
+            assert_eq!(lanewise, sequential, "{what} at {eb:e}");
+        }
+    }
+
+    #[test]
+    fn lanewise_and_sequential_statistics_agree_on_special_values() {
+        // Two full rows and a ragged tail; the special value visits every
+        // lane of every row, alone and against its opposite in lane 0.
+        let base: Vec<f32> = (0..2 * LANES + 5)
+            .map(|i| (i as f32 * 0.7).sin() * 0.5)
+            .collect();
+        let specials = [
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+        ];
+        for len in [1, 3, LANES - 1, LANES, LANES + 1, base.len()] {
+            for &special in &specials {
+                for at in 0..len {
+                    let mut chunk = base[..len].to_vec();
+                    chunk[at] = special;
+                    assert_stats_agree(&chunk, &format!("{special} at {at} of {len}"));
+                    let wide: Vec<f64> = chunk.iter().map(|&v| v as f64).collect();
+                    assert_stats_agree(&wide, &format!("{special} at {at} of {len} (f64)"));
+                    chunk[0] = -special;
+                    assert_stats_agree(&chunk, &format!("±{special}, {at} of {len}"));
+                }
+            }
+            // Zeros of both signs only: the extremes differ in sign at most.
+            for at in 0..len {
+                let mut zeros = vec![0.0f32; len];
+                zeros[at] = -0.0;
+                assert_stats_agree(&zeros, &format!("-0 at {at} among {len} zeros"));
+                let mut zeros = vec![-0.0f32; len];
+                zeros[at] = 0.0;
+                assert_stats_agree(&zeros, &format!("+0 at {at} among {len} -zeros"));
+            }
+        }
+    }
+
+    #[test]
+    fn encoded_len_is_what_encode_appends() {
+        let values: Vec<f64> = (0..999)
+            .map(|i| {
+                if (300..600).contains(&i) {
+                    2.5
+                } else {
+                    (i as f64 * 0.37).sin() * 3e4
+                }
+            })
+            .collect();
+        for block in [1, 7, 64, 100, 999, 1517] {
+            for eb in [1e-12, 1e-3, 1.0, 1e6] {
+                let mut w = ByteWriter::new();
+                encode(&values, block, eb, &mut w);
+                assert_eq!(encoded_len(&values, block, eb), w.len(), "{block} {eb}");
+            }
+        }
     }
 
     #[test]

@@ -23,8 +23,10 @@
 //! hot path — compression is two passes over each block (classify, pack) and
 //! decompression is a single bit-unpack pass, which is what makes this
 //! backend roughly an order of magnitude faster than the SZ-like codec and
-//! changes the economics of FRaZ's iterative search (one compression per
-//! candidate bound).
+//! changes the economics of FRaZ's iterative search twice over: a
+//! compression is cheap, and a candidate bound does not even cost one —
+//! the stream's length is a closed form of the classification, which
+//! [`compressed_len`] evaluates in the first pass alone.
 //!
 //! The absolute error bound is a hard guarantee for every finite input:
 //! `max_i |d_i − d'_i| ≤ error_bound` (pinned by unit, property and
@@ -143,21 +145,46 @@ impl From<WireError> for SzxError {
     }
 }
 
+/// Append everything that precedes the block section — the dataset header,
+/// the bound and the block size — and return the block size.
+fn write_prefix(dataset: &Dataset, config: &SzxConfig, out: &mut ByteWriter) -> usize {
+    let block = config.block();
+    DatasetHeader::write(dataset, MAGIC, VERSION, out);
+    out.put_f64(config.error_bound);
+    out.put_u32(block as u32);
+    block
+}
+
 /// Compress a dataset under an absolute error bound.
 pub fn compress(dataset: &Dataset, config: &SzxConfig) -> Result<Vec<u8>, SzxError> {
     config.validate()?;
-    let block = config.block();
-
     let mut out = ByteWriter::with_capacity(64 + dataset.byte_size() / 2);
-    DatasetHeader::write(dataset, MAGIC, VERSION, &mut out);
-    out.put_f64(config.error_bound);
-    out.put_u32(block as u32);
-
+    let block = write_prefix(dataset, config, &mut out);
     match &dataset.buffer {
         DataBuffer::F32(values) => block::encode(values, block, config.error_bound, &mut out),
         DataBuffer::F64(values) => block::encode(values, block, config.error_bound, &mut out),
     }
     Ok(out.into_bytes())
+}
+
+/// The length of the stream [`compress`] would produce — exactly
+/// `compress(dataset, config).map(|bytes| bytes.len())`, errors included —
+/// without producing it.
+///
+/// An SZx stream's length is a closed form of its blockwise classification
+/// (flags, one width byte per truncated block, one value per constant
+/// block, `⌈Σ len·width / 8⌉` payload bytes), so one classification pass
+/// answers it: no value is packed and nothing proportional to the field is
+/// allocated.  This is what a fixed-ratio search pays per candidate bound.
+pub fn compressed_len(dataset: &Dataset, config: &SzxConfig) -> Result<usize, SzxError> {
+    config.validate()?;
+    let mut prefix = ByteWriter::with_capacity(128);
+    let block = write_prefix(dataset, config, &mut prefix);
+    let section = match &dataset.buffer {
+        DataBuffer::F32(values) => block::encoded_len(values, block, config.error_bound),
+        DataBuffer::F64(values) => block::encoded_len(values, block, config.error_bound),
+    };
+    Ok(prefix.len() + section)
 }
 
 /// Decompress a stream produced by [`compress`].

@@ -177,14 +177,36 @@ fn pad_dims(dims: &Dims) -> ([usize; 3], usize) {
     }
 }
 
-/// Per-block precision for the accuracy mode: ZFP's
-/// `min(maxprec, max(0, emax - minexp + 2·(dims+1)))` with
-/// `minexp = ⌊log2 tolerance⌋` — the flooring responsible for the step-like
-/// ratio behaviour.
-fn accuracy_precision(emax: i32, tolerance: f64, dims: usize) -> u32 {
-    let minexp = tolerance.log2().floor() as i32;
-    let prec = emax - minexp + 2 * (dims as i32 + 1);
-    prec.clamp(0, coder::INT_PRECISION as i32) as u32
+/// `minexp = ⌊log2 tolerance⌋`: everything the accuracy mode reads of its
+/// tolerance, and the flooring responsible for the step-like ratio
+/// behaviour — two tolerances with one `minexp` produce one stream (but for
+/// the tolerance recorded in the header) and one reconstruction.  The
+/// expression, libm's rounding at the top edge of a binade included, *is*
+/// the definition: `fraz_pressio::BoundKind::step_of` repeats it.
+pub fn accuracy_minexp(tolerance: f64) -> i32 {
+    tolerance.log2().floor() as i32
+}
+
+/// Per-block precision: ZFP's
+/// `min(maxprec, max(0, emax - minexp + 2·(dims+1)))` in the accuracy mode
+/// (`minexp` is `Some`, taken once per call), the full precision in the
+/// rate mode.
+fn block_precision(emax: i32, minexp: Option<i32>, dims: usize) -> u32 {
+    match minexp {
+        Some(minexp) => {
+            let prec = emax - minexp + 2 * (dims as i32 + 1);
+            prec.clamp(0, coder::INT_PRECISION as i32) as u32
+        }
+        None => coder::INT_PRECISION,
+    }
+}
+
+/// The accuracy mode's `minexp`; `None` in the rate mode.
+fn mode_minexp(mode: &ZfpMode) -> Option<i32> {
+    match *mode {
+        ZfpMode::FixedAccuracy { tolerance } => Some(accuracy_minexp(tolerance)),
+        ZfpMode::FixedRate { .. } => None,
+    }
 }
 
 fn mode_tag(mode: &ZfpMode) -> (u8, f64) {
@@ -246,6 +268,7 @@ fn encode_blocks<T: Copy + Into<f64>>(
     let (dims3, block_dims) = pad_dims(dims);
     let perm = transform::sequency_permutation(block_dims);
     let budget = block_bit_budget(mode, block_dims);
+    let minexp = mode_minexp(mode);
     let size = perm.len();
     let (mut raw, mut ints, mut reordered) =
         ([0.0; MAX_BLOCK], [0i64; MAX_BLOCK], [0u64; MAX_BLOCK]);
@@ -268,12 +291,7 @@ fn encode_blocks<T: Copy + Into<f64>>(
                 for (slot, &src) in reordered.iter_mut().zip(&perm) {
                     *slot = coder::int_to_uint(ints[src]);
                 }
-                let max_prec = match *mode {
-                    ZfpMode::FixedAccuracy { tolerance } => {
-                        accuracy_precision(emax, tolerance, block_dims)
-                    }
-                    ZfpMode::FixedRate { .. } => coder::INT_PRECISION,
-                };
+                let max_prec = block_precision(emax, minexp, block_dims);
                 let remaining = budget.saturating_sub(1 + EBITS as u64);
                 coder::encode_ints(&mut w, reordered, remaining, max_prec);
             }
@@ -302,6 +320,7 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
     let (dims3, block_dims) = pad_dims(&head.dims);
     let perm = transform::sequency_permutation(block_dims);
     let budget = block_bit_budget(&mode, block_dims);
+    let minexp = mode_minexp(&mode);
     let mut bits = BitReader::new(r.rest());
     // Every block costs at least its one flag bit, so the payload bounds
     // the grid; an all-zero field still expands 4^d values per bit, hence
@@ -331,12 +350,7 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
                     "implausible block exponent {emax}"
                 )));
             }
-            let max_prec = match mode {
-                ZfpMode::FixedAccuracy { tolerance } => {
-                    accuracy_precision(emax, tolerance, block_dims)
-                }
-                ZfpMode::FixedRate { .. } => coder::INT_PRECISION,
-            };
+            let max_prec = block_precision(emax, minexp, block_dims);
             let remaining = budget.saturating_sub(1 + EBITS as u64);
             coder::decode_ints(&mut bits, reordered, remaining, max_prec)?;
             for (&coded, &dst) in reordered.iter().zip(&perm) {

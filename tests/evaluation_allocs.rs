@@ -10,9 +10,15 @@
 //! codecs it has.  The bound is the geometric middle of the codec's own
 //! `bound_range`, whatever its parameter means.
 //!
+//! A ratio evaluation (`evaluate(.., false)`) asks for no more than a
+//! `compress` does, and a codec that answers it without writing the stream
+//! is recognised by what it does *not* ask for: a handful of small requests
+//! at any field size, none anywhere near the size of a payload.
+//!
 //! The test binary runs under a counting `#[global_allocator]`
-//! (`adversarial_decode.rs` is the precedent); the count is per thread, so
-//! the harness's other threads cannot disturb it.
+//! (`adversarial_decode.rs` is the precedent); the count and the largest
+//! request are per thread, so the harness's other threads cannot disturb
+//! them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -22,14 +28,16 @@ use fraz::pressio::registry;
 
 thread_local! {
     static REQUESTS: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
 struct CountingAlloc;
 
 impl CountingAlloc {
-    fn count() {
+    fn count(bytes: usize) {
         // `try_with`: the allocator outlives a thread's locals.
         let _ = REQUESTS.try_with(|n| n.set(n.get() + 1));
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(bytes)));
     }
 }
 
@@ -37,12 +45,12 @@ impl CountingAlloc {
 // unchanged; the counter is a statistic and guards no data.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        Self::count();
+        Self::count(layout.size());
         System.alloc_zeroed(layout)
     }
 
@@ -51,7 +59,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        Self::count();
+        Self::count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -62,9 +70,20 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Heap requests (`alloc`, `alloc_zeroed`, `realloc`) `f` makes on this
 /// thread.
 fn requests<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (out, count, _) = requests_and_largest(f);
+    (out, count)
+}
+
+/// The same, with the size of the largest request among them.
+fn requests_and_largest<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
     let before = REQUESTS.with(Cell::get);
+    LARGEST.with(|l| l.set(0));
     let out = f();
-    (out, REQUESTS.with(Cell::get) - before)
+    (
+        out,
+        REQUESTS.with(Cell::get) - before,
+        LARGEST.with(Cell::get),
+    )
 }
 
 /// Ceiling on one call's heap requests at either size.
@@ -117,4 +136,68 @@ fn one_evaluation_allocates_a_bounded_number_of_times() {
         }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// A size-only evaluation is recognised by asking for nothing larger than
+/// this, and for no more than [`SIZE_ONLY_REQUESTS`] things, at any size.
+const SIZE_ONLY_LARGEST: usize = 4096;
+const SIZE_ONLY_REQUESTS: u64 = 8;
+
+#[test]
+fn a_ratio_evaluation_asks_for_no_more_than_a_compression() {
+    let names = registry::names();
+    assert!(!names.is_empty(), "no codec is registered");
+    let mut failures = Vec::new();
+    // The codecs that answer without ever holding their stream.
+    let mut size_only = Vec::new();
+    for name in names {
+        let codec = registry::build_default(&name).unwrap();
+        // (requests, largest request) of one `evaluate(.., false)` per edge.
+        let mut rows = Vec::new();
+        for edge in [16, 32] {
+            let dims = Dims::d3(edge, edge, edge);
+            if !codec.supports_dims(&dims) {
+                continue;
+            }
+            let dataset = synthetic::generate("turbulence", &dims, DType::F32, 5, 0).unwrap();
+            let (lo, hi) = codec.bound_range(&dataset);
+            let bound = (lo * hi).sqrt();
+            codec.compress(&dataset, bound).unwrap();
+            let (packed, compress) = requests(|| codec.compress(&dataset, bound).unwrap());
+            let (outcome, evaluate, largest) =
+                requests_and_largest(|| codec.evaluate(&dataset, bound, false).unwrap());
+            assert_eq!(outcome.compressed_bytes, packed.len(), "{name}");
+            // The outcome owns its codec's name: one request `compress`
+            // has no use for.
+            if evaluate > compress + 1 {
+                failures.push(format!(
+                    "{name} at {edge}³: evaluate makes {evaluate} requests, compress {compress}"
+                ));
+            }
+            rows.push((evaluate, largest, packed.len()));
+        }
+        let [(e16, l16, _), (e32, l32, packed32)] = rows[..] else {
+            continue;
+        };
+        println!("{name}: evaluate {e16} -> {e32} requests, largest {l16} -> {l32} B");
+        // A stream lives in one request at least its length, so a codec that
+        // asks for less at 32³ did not write it: then it must not have
+        // written anything like it.
+        if l32 < packed32 {
+            size_only.push(name.clone());
+            if e16.max(e32) > SIZE_ONLY_REQUESTS || l16.max(l32) > SIZE_ONLY_LARGEST {
+                failures.push(format!(
+                    "{name}: a size-only evaluation makes {e16} / {e32} requests of up to \
+                     {l16} / {l32} B (at most {SIZE_ONLY_REQUESTS} of {SIZE_ONLY_LARGEST} B)"
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    // The SZx-like codec's length is a closed form of its classification: a
+    // build that has the codec has the size-only evaluation.
+    assert!(
+        !registry::contains("szx") || size_only.iter().any(|name| name == "szx"),
+        "szx evaluates by writing its stream; size-only: {size_only:?}"
+    );
 }
