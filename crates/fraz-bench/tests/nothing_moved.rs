@@ -1,4 +1,4 @@
-//! The "nothing moved" gate for refactors: the 32 machine-noise-free numbers
+//! The "nothing moved" gate for refactors: the 38 machine-noise-free rows
 //! this repository owns must EQUAL `baselines/nothing_moved.jsonl` — not
 //! stay under a ceiling or over a floor.
 //!
@@ -6,7 +6,10 @@
 //!   sweep, the tuning cache, and every regime × {quality, ratio},
 //! * `scenarios` — 12 compression ratios, one per regime × {sz, szx},
 //! * `store_tuning/ratio_warm_start` — a per-chunk `Ratio` write with and
-//!   without warm start between chunks.
+//!   without warm start between chunks,
+//! * `quality_frontier` — per seeded codec, *where* the PSNR ≥ 60 dB search
+//!   lands: geometric-mean ratio and total evaluations over the six regimes
+//!   (and, per transform codec, where its max-error search does).
 //!
 //! Evaluation counts are exact only when region races and chunk tasks run
 //! one after another, so every search and store write here runs on its own
@@ -31,7 +34,7 @@ use fraz_core::{
 };
 use fraz_data::{synthetic, DType, Dataset, Dims};
 use fraz_pool::Pool;
-use fraz_pressio::registry;
+use fraz_pressio::{registry, BoundKind};
 use fraz_store::{write_array_on, ChunkTarget, MemoryStore, StoreWriteConfig};
 use fraz_tune::CachePredictor;
 
@@ -44,7 +47,16 @@ fn evaluations_row(id: &str, evaluations: usize) -> String {
 }
 
 fn quality_search(codec: &str, analytic: bool, pool: &Arc<Pool>) -> FixedQualitySearch {
-    let mut config = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(60.0));
+    search_for(QualityMetric::PsnrAtLeast(60.0), codec, analytic, pool)
+}
+
+fn search_for(
+    metric: QualityMetric,
+    codec: &str,
+    analytic: bool,
+    pool: &Arc<Pool>,
+) -> FixedQualitySearch {
+    let mut config = QualitySearchConfig::new(metric);
     config.analytic_seed = analytic;
     FixedQualitySearch::new(registry::build_default(codec).unwrap(), config).with_pool(pool.clone())
 }
@@ -177,6 +189,46 @@ fn warm_start_row(pool: &Arc<Pool>, rows: &mut Vec<String>) {
     ));
 }
 
+/// Where the quality search lands, per codec it seeds: the geometric-mean
+/// ratio of its PSNR ≥ 60 dB answers over the six regimes' 24³ fields, and
+/// what they cost.  A change that trades compression for evaluations (a
+/// looser tolerance, an earlier stop) moves the first number, not only the
+/// second.  A transform codec's error sits well under its tolerance, so for
+/// it a max-error target (1e-3 of the range) is a search too, not the
+/// one-evaluation answer it is on an absolute-error codec: one more row each.
+fn frontier_rows(pool: &Arc<Pool>, rows: &mut Vec<String>) {
+    let dims = Dims::d3(24, 24, 24);
+    for codec in registry::error_bounded_names() {
+        let kind = registry::describe(&codec).map(|d| d.bound_kind);
+        let Some(kind) = kind.filter(|kind| kind.is_pointwise()) else {
+            continue;
+        };
+        let walked_max_error = (kind != BoundKind::AbsoluteError).then_some("_max_error");
+        for suffix in [Some(""), walked_max_error].into_iter().flatten() {
+            let (mut log_ratio, mut evaluations) = (0.0, 0);
+            for regime in synthetic::REGIMES {
+                let dataset: Dataset =
+                    synthetic::generate(regime.name(), &dims, DType::F32, EXPERIMENT_SEED, 0)
+                        .expect("a regime is a generator name");
+                let metric = if suffix.is_empty() {
+                    QualityMetric::PsnrAtLeast(60.0)
+                } else {
+                    QualityMetric::MaxErrorAtMost(1e-3 * dataset.value_range())
+                };
+                let outcome = search_for(metric, &codec, true, pool).run(&dataset);
+                assert!(outcome.satisfiable, "{codec}{suffix} on {regime}");
+                log_ratio += outcome.best.compression_ratio.ln();
+                evaluations += outcome.evaluations;
+            }
+            let ratio = (log_ratio / synthetic::REGIMES.len() as f64).exp();
+            rows.push(format!(
+                "{{\"group\":\"quality_frontier\",\"id\":\"{codec}{suffix}\",\
+                 \"ratio\":{ratio:.3},\"evaluations\":{evaluations}}}"
+            ));
+        }
+    }
+}
+
 fn rows() -> Vec<String> {
     let pool = Arc::new(Pool::new(1));
     let mut rows = Vec::new();
@@ -184,6 +236,7 @@ fn rows() -> Vec<String> {
     regime_rows(&pool, &mut rows);
     ratio_rows(&mut rows);
     warm_start_row(&pool, &mut rows);
+    frontier_rows(&pool, &mut rows);
     rows
 }
 

@@ -33,7 +33,7 @@ pub enum HintSource {
     PreviousStep,
     /// The most recently converged chunk of the same store write.
     WarmStart,
-    /// The closed-form PSNR↔bound model of the codec descriptor.
+    /// The closed-form uniform-quantisation PSNR↔bound model.
     Analytic,
     /// The persistent cross-run tuning cache (`fraz-tune`).
     TuneCache,

@@ -28,8 +28,8 @@
 //!   generic over an [`Objective`],
 //! * [`ratio`] — the fixed-ratio strategy: region-parallel training
 //!   (Algorithm 2),
-//! * [`quality`] — the fixed-quality strategy: bracket-and-bisect with an
-//!   analytic first guess,
+//! * [`quality`] — the fixed-quality strategy: a margin-guided bracketing
+//!   walk from an analytic first guess,
 //! * [`orchestrator`] — time-step prediction reuse and parallel-by-field
 //!   scheduling (Algorithm 3),
 //! * [`hint`] — the [`SearchHint`] / [`BoundPredictor`] seeding layer that

@@ -10,25 +10,37 @@
 //! meeting the quality target**.
 //!
 //! Unlike the ratio objective, quality metrics are (noisily) monotone in the
-//! error bound, so a different search strategy is appropriate: the search
-//! brackets the constraint boundary — by a coarse logarithmic sweep, or by
-//! expanding from the hint the [`Search`] shell probed — and then bisects
-//! it, keeping the most compressive setting that still satisfies the
-//! constraint.  (The ratio search's MaxLIPO machinery is unnecessary here —
-//! there is no spiky multi-modal landscape to escape.)  Every evaluation
-//! goes through the shell's [`Evaluator`].
+//! error bound, so the strategy is a bracketing **walk** along the log₁₀
+//! axis: it keeps the largest satisfying and the smallest violating position
+//! it has measured and stops once they are [`TOLERANCE`] apart — an absolute
+//! distance, under 1 dB of PSNR, whatever the codec's range.  Every
+//! measurement also says *how far* it is from the target
+//! ([`QualityMetric::margin_db`]), and that margin falls about 20 dB per
+//! decade of bound, so the next position is where the measured points put
+//! the boundary (their secant once there are two) — unless the answers
+//! still affordable could not bisect what would be left of the bracket, in
+//! which case it is moved towards the midpoint until they can.  No search is
+//! answered more often than bisection would be from the same start — both
+//! ends, `⌈log₂(axis / TOLERANCE)⌉` halvings and the probe, if the [`Search`]
+//! shell made one — staircase, noisy and refusing codecs included.  A hinted
+//! search starts the walk at that probe, a cold one at the top of the range.
+//! (The ratio search's MaxLIPO machinery is unnecessary here — there is no
+//! spiky multi-modal landscape to escape.)  Every evaluation goes through
+//! the shell's [`Evaluator`].
 
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use fraz_data::Dataset;
-use fraz_pressio::{registry, BoundKind, CompressionOutcome, Compressor};
+use fraz_pressio::{
+    registry, uniform_quantization_bound, BoundKind, CompressionOutcome, Compressor,
+};
 
 use crate::hint::{HintReport, HintSource, HintTarget, SearchHint};
 use crate::ratio::SearchOutcome;
 use crate::regions::{from_axis, to_axis};
-use crate::search::{Evaluator, Found, Objective, Search};
+use crate::search::{Evaluator, Found, Miss, Objective, Search};
 
 /// The quality metric a [`FixedQualitySearch`] constrains.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -54,6 +66,24 @@ impl QualityMetric {
         }
     }
 
+    /// How far `quality` is from the constraint in dB of error amplitude,
+    /// positive on the satisfying side: the quantity that falls [`SLOPE`] dB
+    /// per decade of bound under uniform quantisation.  Infinities (a
+    /// lossless reconstruction, an infinite target) are clamped; `None` for
+    /// SSIM, which has no such scale, and when the report or the target is
+    /// NaN.
+    pub fn margin_db(&self, quality: &fraz_metrics::QualityReport) -> Option<f64> {
+        let db = match *self {
+            QualityMetric::PsnrAtLeast(target) => quality.psnr - target,
+            QualityMetric::RmseAtMost(target) => 20.0 * (target / quality.rmse).log10(),
+            QualityMetric::MaxErrorAtMost(target) => {
+                20.0 * (target / quality.max_abs_error).log10()
+            }
+            QualityMetric::SsimAtLeast(_) => return None,
+        };
+        (!db.is_nan()).then(|| db.clamp(-MARGIN_LIMIT, MARGIN_LIMIT))
+    }
+
     /// A human-readable description of the constraint.
     pub fn describe(&self) -> String {
         match *self {
@@ -75,9 +105,10 @@ pub struct QualitySearchConfig {
     pub max_iterations: usize,
     /// Maximum allowed error bound (the same `U` as the ratio search).
     pub max_error_bound: Option<f64>,
-    /// Seed the search from the codec's closed-form PSNR↔bound model when
-    /// its descriptor declares one (see [`fraz_pressio::PsnrBoundModel`]);
-    /// codecs without a model bracket as before.  On by default.
+    /// Start the walk at the uniform-quantisation first guess
+    /// ([`fraz_pressio::uniform_quantization_bound`]) when the codec's
+    /// registry descriptor says its bound is pointwise; otherwise, and when
+    /// off, it starts at the top of the range.  On by default.
     pub analytic_seed: bool,
 }
 
@@ -159,14 +190,85 @@ impl From<SearchOutcome> for QualitySearchOutcome {
 }
 
 /// Searches for the most compressive error bound that still satisfies a
-/// quality constraint: the [`Search`] shell running the bracket-and-bisect
-/// below.  The phase-1 bracketing sweep runs its (independent) evaluations
-/// as tasks on the shell's pool.
+/// quality constraint: the [`Search`] shell running the walk below.
 pub type FixedQualitySearch = Search<QualitySearchConfig>;
 
-/// Bisection stops once the bracket is narrower than this fraction of the
-/// searched axis.
-const BRACKET_TOLERANCE: f64 = 0.02;
+/// The walk stops once the largest satisfying and the smallest violating
+/// position it has seen are this close on the log₁₀ axis: 0.04 decade is
+/// 0.8 dB of PSNR at [`SLOPE`].
+pub const TOLERANCE: f64 = 0.04;
+
+/// dB of margin per decade of bound under uniform quantisation: what the
+/// walk assumes until two measured points give it a secant of its own.
+const SLOPE: f64 = -20.0;
+
+/// A measured secant is trusted between these slopes only.
+const SLOPE_LIMITS: (f64, f64) = (-60.0, -5.0);
+
+/// [`QualityMetric::margin_db`] clamps to ± this many dB.
+const MARGIN_LIMIT: f64 = 200.0;
+
+/// One answered position of the walk.  A bound the codec refuses cannot be
+/// the answer, so it counts as violating (and carries nothing).
+struct Seen {
+    x: f64,
+    ok: bool,
+    margin: Option<f64>,
+    outcome: Option<CompressionOutcome>,
+}
+
+impl Seen {
+    /// The answer at `x`, unless the token had fired.
+    fn new(
+        config: &QualitySearchConfig,
+        x: f64,
+        answer: Result<CompressionOutcome, Miss>,
+    ) -> Option<Self> {
+        let outcome = match answer {
+            Err(Miss::Cancelled) => return None,
+            Err(Miss::Rejected) => None,
+            Ok(outcome) => Some(outcome),
+        };
+        let quality = outcome.as_ref().and_then(|o| o.quality.as_ref());
+        Some(Self {
+            x,
+            ok: quality.is_some_and(|q| config.metric.is_satisfied(q)),
+            margin: quality.and_then(|q| config.metric.margin_db(q)),
+            outcome,
+        })
+    }
+}
+
+/// The largest satisfying position, and the smallest violating one above it.
+fn bracket(seen: &[Seen]) -> (Option<f64>, Option<f64>) {
+    let ok = seen.iter().filter(|p| p.ok).map(|p| p.x).reduce(f64::max);
+    let above = |x: &f64| ok.is_none_or(|ok| *x > ok);
+    let bad = seen.iter().filter(|p| !p.ok).map(|p| p.x).filter(above);
+    (ok, bad.reduce(f64::min))
+}
+
+/// Where the measured margins put the constraint boundary: on the secant
+/// (from a single point, on [`SLOPE`]) through the two margin-carrying points
+/// nearest `middle`, the bracket's.  NaN without a margin to go by; +∞ before
+/// anything is measured — a cold walk starts at the top, where a satisfied
+/// constraint costs one evaluation.
+fn predicted(seen: &[Seen], middle: f64) -> f64 {
+    if seen.is_empty() {
+        return f64::INFINITY;
+    }
+    let mut points: Vec<(f64, f64)> = seen.iter().filter_map(|p| Some((p.x, p.margin?))).collect();
+    points.sort_by(|a, b| (a.0 - middle).abs().total_cmp(&(b.0 - middle).abs()));
+    let Some(&(x, margin)) = points.first() else {
+        return f64::NAN;
+    };
+    let slope = match points.get(1) {
+        Some(&(x2, margin2)) if x2 != x => {
+            ((margin2 - margin) / (x2 - x)).clamp(SLOPE_LIMITS.0, SLOPE_LIMITS.1)
+        }
+        _ => SLOPE,
+    };
+    x - margin / slope
+}
 
 impl Objective for QualitySearchConfig {
     type Outcome = QualitySearchOutcome;
@@ -187,45 +289,38 @@ impl Objective for QualitySearchConfig {
         self.max_error_bound
     }
 
-    /// The analytic first guess (unless [`analytic_seed`] is off), when the
-    /// codec's registry descriptor covers the metric:
+    /// The analytic first guess (unless [`analytic_seed`] is off) for every
+    /// codec whose registry descriptor says its bound is pointwise — the
+    /// uniform-quantisation closed form of Tao et al.'s Fixed-PSNR, which the
+    /// walk corrects by measuring it:
     ///
-    /// * PSNR targets invert the descriptor's
-    ///   [`PsnrBoundModel`](fraz_pressio::PsnrBoundModel);
-    /// * RMSE targets use the same uniform-quantization assumption
-    ///   (`rmse = e/√3` ⇒ `e = √3·rmse`);
-    /// * max-error targets on pointwise-guaranteed codecs *are* the answer
-    ///   (bound = target), so the hint is marked converged;
-    /// * SSIM has no closed form — `None`, bracket cold.
+    /// * PSNR targets invert `PSNR = 20·log10(R / e) + 10·log10 3`;
+    /// * RMSE targets use the same assumption (`rmse = e/√3` ⇒ `e = √3·rmse`);
+    /// * max-error targets *are* the bound, and on an absolute-error codec,
+    ///   whose worst error sits just under its bound, the answer: converged;
+    /// * SSIM has no closed form — `None`, start at the top.
     ///
     /// [`analytic_seed`]: QualitySearchConfig::analytic_seed
     fn default_hint(&self, compressor: &dyn Compressor, dataset: &Dataset) -> Option<SearchHint> {
         if !self.analytic_seed {
             return None;
         }
-        let descriptor = registry::describe(compressor.name())?;
-        // The first guess of the uniform-quantization model.
-        let bound = match self.metric {
-            QualityMetric::PsnrAtLeast(target) => {
-                let range = dataset.value_range();
-                descriptor.psnr_model?.bound_for_psnr(range, target)?
-            }
+        let kind = registry::describe(compressor.name())?.bound_kind;
+        let hint = match self.metric {
+            _ if !kind.is_pointwise() => return None,
+            QualityMetric::PsnrAtLeast(target) => SearchHint::seed(
+                uniform_quantization_bound(dataset.value_range(), target)?,
+                HintSource::Analytic,
+            ),
             QualityMetric::RmseAtMost(target) => {
-                descriptor.psnr_model?;
-                3f64.sqrt() * target
+                SearchHint::seed(3f64.sqrt() * target, HintSource::Analytic)
             }
-            QualityMetric::MaxErrorAtMost(target) => {
-                let pointwise = matches!(
-                    descriptor.bound_kind,
-                    BoundKind::AbsoluteError | BoundKind::AccuracyTolerance
-                );
-                let hint = SearchHint::converged(target, HintSource::Analytic);
-                return (pointwise && hint.is_valid()).then_some(hint);
-            }
+            QualityMetric::MaxErrorAtMost(target) => SearchHint {
+                converged: kind == BoundKind::AbsoluteError,
+                ..SearchHint::seed(target, HintSource::Analytic)
+            },
             QualityMetric::SsimAtLeast(_) => return None,
         };
-        let hint =
-            SearchHint::seed(bound, HintSource::Analytic).with_bracket(bound / 16.0, bound * 16.0);
         hint.is_valid().then_some(hint)
     }
 
@@ -241,9 +336,7 @@ impl Objective for QualitySearchConfig {
         hint.converged && self.satisfied(probe)
     }
 
-    /// A missed probe replaces the coarse sweep with a geometric expansion
-    /// from the probed point; the usual bisection polishes the bracket
-    /// either way.
+    /// The walk of the module docs, from the missed probe when there is one.
     fn search(
         eval: &Evaluator<'_, Self>,
         (lower, upper): (f64, f64),
@@ -252,109 +345,90 @@ impl Objective for QualitySearchConfig {
         let config = eval.config();
         // Work on the log axis (bounds span decades).
         let (xlo, xhi) = (to_axis(lower), to_axis(upper));
-
-        // The most compressive outcome that satisfied the constraint so far.
-        let mut best: Option<CompressionOutcome> = None;
-        // Fold one measured outcome into `best`; true when it satisfied.
-        let mut keep = |outcome: CompressionOutcome| {
-            let ok = config.satisfied(&outcome);
-            if ok
-                && best
-                    .as_ref()
-                    .is_none_or(|b| outcome.compression_ratio > b.compression_ratio)
-            {
-                best = Some(outcome);
-            }
-            ok
+        let bound_at = |x: f64| match x {
+            x if x >= xhi => upper,
+            x if x <= xlo => lower,
+            x => from_axis(x).clamp(lower, upper),
         };
-        // One compress + decompress + measure round at axis position `x`.
-        // `None` (token fired, or the compressor rejected the bound) is the
-        // break signal of every loop below.
-        let measure = |x: f64| eval.measure(from_axis(x).clamp(lower, upper)).ok();
+        // What bisection would be answered from the same start — the probe,
+        // both ends, then halvings — is all this walk may ask for.
+        let halvings = ((xhi - xlo) / TOLERANCE).max(1.0).log2().ceil() as usize;
+        let bisection = probe.is_some() as usize + 2 + halvings;
+        let budget = config.max_iterations.min(bisection) as i32;
+        // The widest bracket `answers` bisections close.
+        let reach = |answers: i32| TOLERANCE * 2f64.powi(answers);
 
-        let bracket = if let Some((hint, probe)) = probe {
-            // The probe anchors a geometric expansion along the axis that
-            // brackets the constraint boundary without the coarse sweep.
-            // Constraint holds at the probe: the boundary (and better
-            // compression) lies above, so walk up until it is violated.
-            // Constraint violated: walk down until it holds.  Either way
-            // stop when the axis runs out.
-            let ok0 = keep(probe.clone());
-            let expansion_budget = (config.max_iterations / 2).max(2);
-            let mut step = (xhi - xlo).abs() / 8.0;
-            if step <= 0.0 {
-                step = 1.0;
+        let mut seen: Vec<Seen> = Vec::new();
+        if let Some((_, probe)) = probe {
+            seen.extend(Seen::new(
+                config,
+                to_axis(probe.error_bound),
+                Ok(probe.clone()),
+            ));
+        }
+
+        loop {
+            let left = budget - eval.answered() as i32;
+            let (ok, bad) = bracket(&seen);
+            let (lo, hi) = (ok.unwrap_or(xlo), bad.unwrap_or(xhi));
+            // (A closing position is a tolerance from its side up to rounding.)
+            let closed = hi - lo <= TOLERANCE + 1e-9;
+            // The budget is spent, the top holds, the floor fails, or the two
+            // sides have met.
+            if left <= 0 || lo >= xhi || hi <= xlo || (closed && ok.is_some()) {
+                break;
             }
-            let mut at = to_axis(hint.bound);
-            let mut bracket = None;
-            while eval.answered() < expansion_budget && if ok0 { at < xhi } else { at > xlo } {
-                let next = if ok0 {
-                    (at + step).min(xhi)
+            let at = predicted(&seen, 0.5 * (lo + hi));
+            let x = if at >= hi && bad.is_none() {
+                xhi
+            } else if closed || (at <= lo && ok.is_none()) {
+                xlo
+            } else {
+                // Contradicted by the bracket, or no margin to go by: bisect.
+                let at = if at > lo && at < hi {
+                    at
                 } else {
-                    (at - step).max(xlo)
+                    0.5 * (lo + hi)
                 };
-                step *= 2.0;
-                match measure(next).map(&mut keep) {
-                    Some(ok) if ok == ok0 => at = next,
-                    Some(_) => {
-                        bracket = Some(if ok0 { (at, next) } else { (next, at) });
-                        break;
-                    }
-                    None => break,
+                // Within a tolerance of a known side, the position a
+                // tolerance from that side closes the bracket if it lands as
+                // predicted.
+                let near_ok = ok.is_some() && at - lo < TOLERANCE;
+                let near_bad = bad.is_some() && hi - at < TOLERANCE;
+                let at = if near_ok && (!near_bad || at - lo <= hi - at) {
+                    lo + TOLERANCE
+                } else if near_bad {
+                    hi - TOLERANCE
+                } else {
+                    at
+                };
+                // No further from the midpoint than lets bisection close
+                // whichever side the boundary turns out to be on with the
+                // answers left (closing onto the unmeasured floor costs one
+                // more).
+                let (min, max) = (
+                    hi - reach(left - 1),
+                    lo + reach(left - 1 - ok.is_none() as i32),
+                );
+                if min <= max {
+                    at.clamp(min, max)
+                } else {
+                    at
                 }
-            }
-            bracket
-        } else {
-            // Cold: coarse sweep to bracket the constraint boundary.  The
-            // quality degrades (noisily) as the bound grows, so the boundary
-            // is the largest bound that still satisfies the constraint.  The
-            // sweep points are independent, so each round runs as a task on
-            // the shared work-stealing pool, writing into its own slot; the
-            // fold below stays in sweep order, so the outcome is identical
-            // to a serial sweep.
-            let sweep_points = (config.max_iterations / 2).clamp(4, 12);
-            let sweep_xs: Vec<f64> = (0..sweep_points)
-                .map(|i| xlo + (xhi - xlo) * i as f64 / (sweep_points - 1) as f64)
-                .collect();
-            let mut sweep_results: Vec<Option<CompressionOutcome>> = vec![None; sweep_points];
-            eval.pool().scope(|scope| {
-                let measure = &measure;
-                for (slot, &x) in sweep_results.iter_mut().zip(&sweep_xs) {
-                    scope.spawn(move || *slot = measure(x));
-                }
-            });
-            let mut last_ok: Option<f64> = None;
-            let mut first_bad: Option<f64> = None;
-            for (&x, outcome) in sweep_xs.iter().zip(sweep_results) {
-                match outcome.map(&mut keep) {
-                    Some(true) => last_ok = Some(x),
-                    Some(false) if last_ok.is_some() && first_bad.is_none() => first_bad = Some(x),
-                    _ => {}
-                }
-            }
-            last_ok.zip(first_bad)
-        };
-
-        // Bisect between the last satisfying and the first violating bound
-        // to squeeze out the remaining compression.  Each step depends on
-        // the previous verdict, so this phase is inherently serial.
-        if let Some((mut ok_x, mut bad_x)) = bracket {
-            for _ in 0..config.max_iterations.saturating_sub(eval.answered()) {
-                if (bad_x - ok_x).abs() <= BRACKET_TOLERANCE * (xhi - xlo).abs() {
-                    break;
-                }
-                let mid = 0.5 * (ok_x + bad_x);
-                match measure(mid).map(&mut keep) {
-                    Some(true) => ok_x = mid,
-                    Some(false) => bad_x = mid,
-                    None => break,
-                }
+            };
+            match Seen::new(config, x, eval.measure(bound_at(x))) {
+                Some(answered) => seen.push(answered),
+                None => break,
             }
         }
 
-        // Nothing satisfied the constraint: recommend the smallest bound
-        // (the highest fidelity the compressor offers), left to the shell
-        // to measure.
+        // The outcome at the largest satisfying position; when nothing
+        // satisfied, the smallest bound (the highest fidelity the compressor
+        // offers), left to the shell to measure.
+        let best = seen.into_iter().filter(|p| p.ok);
+        let best = best
+            .max_by(|a, b| a.x.total_cmp(&b.x))
+            .and_then(|p| p.outcome);
         Found {
             bound: best.as_ref().map_or(lower, |b| b.error_bound),
             met: best.is_some(),
@@ -366,9 +440,14 @@ impl Objective for QualitySearchConfig {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use fraz_data::synthetic;
-    use fraz_pressio::registry;
+    use crate::search::tests::{smooth_field, CountingCodec};
+    use crate::CancelToken;
+    use fraz_data::{synthetic, Dims};
+    use fraz_pool::Pool;
+    use fraz_pressio::{registry, PressioError};
 
     fn dataset() -> Dataset {
         synthetic::hurricane(8, 20, 20, 1, 77).field("TCf", 0)
@@ -445,35 +524,51 @@ mod tests {
     #[test]
     fn analytic_seed_reduces_evaluations_and_still_meets_target() {
         let d = dataset();
-        let run = |codec: &str, seed: bool| {
+        let run = |codec: &str, seed: bool, psnr: f64| {
             let config = QualitySearchConfig {
                 max_iterations: 20,
                 analytic_seed: seed,
-                ..QualitySearchConfig::new(QualityMetric::PsnrAtLeast(60.0))
+                ..QualitySearchConfig::new(QualityMetric::PsnrAtLeast(psnr))
             };
             FixedQualitySearch::new(registry::build_default(codec).unwrap(), config).run(&d)
         };
-        for codec in ["sz", "szx"] {
-            let cold = run(codec, false);
-            let seeded = run(codec, true);
-            assert!(cold.hint.is_none(), "{codec}: cold runs carry no hint");
-            let report = seeded
-                .hint
-                .expect("sz-family descriptors declare a psnr model");
-            assert_eq!(report.source, HintSource::Analytic);
-            assert!(seeded.satisfiable);
-            assert!(seeded.best.quality.as_ref().unwrap().psnr >= 60.0);
+        // Every pointwise codec is seeded now, zfp and mgard included.
+        for codec in ["sz", "szx", "zfp", "mgard"] {
+            let (mut seeded_total, mut cold_total) = (0, 0);
+            for psnr in [40.0, 50.0, 60.0, 70.0, 80.0, 90.0] {
+                let cold = run(codec, false, psnr);
+                let seeded = run(codec, true, psnr);
+                assert!(cold.hint.is_none(), "{codec}: cold runs carry no hint");
+                assert!(cold.satisfiable, "{codec}");
+                let report = seeded
+                    .hint
+                    .unwrap_or_else(|| panic!("{codec}: a pointwise bound kind is seeded"));
+                assert_eq!(report.source, HintSource::Analytic);
+                assert!(seeded.satisfiable);
+                assert!(seeded.best.quality.as_ref().unwrap().psnr >= psnr);
+                // The seed saves evaluations on every search — except on szx,
+                // whose quality is a 6 dB staircase: seeded or cold, its walk
+                // ends bisecting one step, and which of the two starts that
+                // with the luckier bracket varies (here 9 against 8 at 50 dB,
+                // 5 against 7 at 70).  There the seed must save over the set.
+                assert!(
+                    seeded.evaluations < cold.evaluations || codec == "szx",
+                    "{codec} at {psnr} dB: seeded {} vs cold {}",
+                    seeded.evaluations,
+                    cold.evaluations
+                );
+                seeded_total += seeded.evaluations;
+                cold_total += cold.evaluations;
+            }
             assert!(
-                seeded.evaluations < cold.evaluations,
-                "{codec}: seeded {} vs cold {}",
-                seeded.evaluations,
-                cold.evaluations
+                seeded_total < cold_total,
+                "{codec}: seeded {seeded_total} vs cold {cold_total}"
             );
         }
-        // ZFP declares no model: run() stays cold and unhinted.
-        let zfp = run("zfp", true);
-        assert!(zfp.hint.is_none());
-        assert!(zfp.satisfiable);
+        // A norm over the whole field is not pointwise: cold and unhinted.
+        let l2 = run("mgard-l2", true, 60.0);
+        assert!(l2.hint.is_none());
+        assert!(l2.satisfiable);
     }
 
     #[test]
@@ -524,5 +619,227 @@ mod tests {
             FixedQualitySearch::new(registry::build_default("zfp").unwrap(), config).run(&d);
         assert!(outcome.satisfiable);
         assert!(outcome.best.quality.as_ref().unwrap().max_abs_error <= ceiling);
+    }
+
+    /// PSNR in dB as a function of the axis position `log10(bound)`.
+    type Shape = fn(f64) -> f64;
+
+    /// [`CountingCodec`] with its quality bent into a shape a secant trips
+    /// over: the reconstruction is off by whatever amplitude makes the PSNR
+    /// at axis position `x` equal `psnr(x)` (`+∞`: lossless).  Optionally
+    /// refuses every second bound it is asked for.
+    struct Shaped {
+        inner: CountingCodec,
+        psnr: Shape,
+        refuses_every_second: bool,
+    }
+
+    impl Shaped {
+        fn new(psnr: Shape, refuses_every_second: bool) -> Arc<Self> {
+            Arc::new(Self {
+                inner: CountingCodec::new(smooth_field()),
+                psnr,
+                refuses_every_second,
+            })
+        }
+    }
+
+    impl Compressor for Shaped {
+        fn name(&self) -> &str {
+            "shaped"
+        }
+        fn supports_dims(&self, _dims: &Dims) -> bool {
+            true
+        }
+        fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
+            self.inner.bound_range(dataset)
+        }
+        fn compress(&self, dataset: &Dataset, bound: f64) -> Result<Vec<u8>, PressioError> {
+            // Counted (and the token fired) whether or not it is refused.
+            let blob = self.inner.compress(dataset, bound)?;
+            if self.refuses_every_second && self.inner.calls() % 2 == 0 {
+                return Err(PressioError::InvalidBound(format!("{bound}")));
+            }
+            Ok(blob)
+        }
+        fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
+            let original = smooth_field();
+            let bound = f64::from_le_bytes(data[..8].try_into().unwrap());
+            let psnr = (self.psnr)(bound.log10());
+            let off = (original.value_range() / 10f64.powf(psnr / 20.0)) as f32;
+            let values = original.buffer.to_f32_vec();
+            let shifted = values
+                .iter()
+                .enumerate()
+                .map(|(i, v)| if i % 2 == 0 { v + off } else { v - off })
+                .collect();
+            Ok(Dataset::from_f32(
+                "test",
+                "smooth",
+                0,
+                original.dims.clone(),
+                shifted,
+            ))
+        }
+    }
+
+    /// The shapes, each over `CountingCodec`'s six decades (`x` from −6 to 0):
+    /// 6 dB steps; a ±1.5 dB saw-tooth on the −20 dB/decade line; slopes of −8
+    /// and −45 dB/decade; lossless below 1e-3.  None but the last climbs past
+    /// 120 dB, where an `f32` field stops telling a small error from none.
+    const SHAPES: [(&str, Shape); 5] = [
+        ("staircase", |x| {
+            30.0 + 6.0 * (-20.0 * x.max(-4.5) / 6.0).floor()
+        }),
+        ("noisy", |x| {
+            30.0 - 20.0 * x.max(-4.4) + 1.5 * (2.0 * (-37.0 * x).fract() - 1.0)
+        }),
+        ("shallow", |x| 30.0 - 8.0 * x),
+        ("steep", |x| 30.0 - 45.0 * x.max(-2.0)),
+        ("plateau", |x| {
+            if x < -3.0 {
+                f64::INFINITY
+            } else {
+                30.0 - 20.0 * x
+            }
+        }),
+    ];
+
+    /// Where a dense sweep of the shape puts the answer to `psnr ≥ target`:
+    /// the first violating and the last satisfying position of 6001.
+    fn swept(psnr: Shape, target: f64) -> (Option<f64>, Option<f64>) {
+        let xs = (0..=6000).map(|i| -6.0 + i as f64 / 1000.0);
+        let first_bad = xs.clone().find(|&x| psnr(x) < target);
+        let last_ok = xs.rev().find(|&x| psnr(x) >= target);
+        (first_bad, last_ok)
+    }
+
+    fn walk_on(
+        codec: &Arc<Shaped>,
+        target: f64,
+        hint: Option<&SearchHint>,
+        pool: &Arc<Pool>,
+        token: Option<CancelToken>,
+    ) -> QualitySearchOutcome {
+        let config = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(target));
+        let search = FixedQualitySearch::new(codec.clone() as Arc<dyn Compressor>, config)
+            .with_pool(Arc::clone(pool));
+        match token {
+            Some(token) => search.with_cancel(token),
+            None => search,
+        }
+        .run_with_hint(&smooth_field(), hint)
+    }
+
+    /// What bisection costs over the six decades, plus the shell's two: its
+    /// probe, and its measurement of the lowest bound when nothing satisfied.
+    fn bisection_cap(hint: Option<&SearchHint>, outcome: &QualitySearchOutcome) -> usize {
+        let halvings = (6.0 / TOLERANCE).log2().ceil() as usize;
+        2 + halvings + hint.is_some() as usize + !outcome.satisfiable as usize
+    }
+
+    #[test]
+    fn the_walk_is_safeguarded_on_shapes_built_to_break_a_secant() {
+        let pools = [Arc::new(Pool::new(1)), Arc::new(Pool::new(2))];
+        for (shape, psnr) in SHAPES {
+            // (Targets off the staircase's levels: measured in `f32`, a level
+            // sits a rounding error under itself.)
+            for target in [45.0, 58.0, 100.0, 400.0] {
+                let (first_bad, last_ok) = swept(psnr, target);
+                // Cold, from a seed on either side, and from a seed a hair off.
+                let far = SearchHint::seed(3e-6, HintSource::External);
+                let near = last_ok.map(|x| SearchHint::seed(10f64.powf(x + 0.01), far.source));
+                let hints = [
+                    None,
+                    Some(far),
+                    Some(SearchHint::seed(0.5, HintSource::External)),
+                    near,
+                ];
+                for hint in hints.iter().map(Option::as_ref) {
+                    let what = format!("{shape} ≥ {target} dB from {:?}", hint.map(|h| h.bound));
+                    let codec = Shaped::new(psnr, false);
+                    let outcome = walk_on(&codec, target, hint, &pools[0], None);
+                    assert_eq!(outcome.evaluations, codec.inner.calls(), "{what}");
+                    assert!(
+                        outcome.evaluations <= bisection_cap(hint, &outcome),
+                        "{what}: {} evaluations",
+                        outcome.evaluations
+                    );
+                    // Verdict and answer agree with the sweep: satisfying,
+                    // no more than a tolerance under the first violating
+                    // position (the noisy shape's sits under its last
+                    // satisfying one) and never above the last satisfying.
+                    assert_eq!(outcome.satisfiable, last_ok.is_some(), "{what}");
+                    let x = outcome.error_bound.log10();
+                    match (first_bad, last_ok) {
+                        (_, None) => assert_eq!(outcome.error_bound, CountingCodec::LO, "{what}"),
+                        (first_bad, Some(last_ok)) => {
+                            // (To `f32` rounding: the shape is applied in `f32`.)
+                            assert!(psnr(x) >= target - 1e-3, "{what}: {} dB", psnr(x));
+                            let boundary = first_bad.unwrap_or(0.0);
+                            assert!(
+                                x >= boundary - TOLERANCE - 2e-3 && x <= last_ok + 1e-3,
+                                "{what}: answer at {x}, boundary {boundary}..{last_ok}"
+                            );
+                        }
+                    }
+                    // A second worker changes nothing.
+                    let again = walk_on(&Shaped::new(psnr, false), target, hint, &pools[1], None);
+                    assert_eq!(again.error_bound, outcome.error_bound, "{what}");
+                    assert_eq!(again.satisfiable, outcome.satisfiable, "{what}");
+
+                    // A token fired during any call stops the walk within
+                    // one more, every call counted.
+                    for fire_at in 0..outcome.evaluations {
+                        let codec = Shaped::new(psnr, false);
+                        let token = codec.inner.token_fired_during(fire_at);
+                        let stopped = walk_on(&codec, target, hint, &pools[0], Some(token));
+                        assert!(stopped.deadline_hit, "{what} @ {fire_at}");
+                        assert_eq!(
+                            stopped.evaluations,
+                            codec.inner.calls(),
+                            "{what} @ {fire_at}"
+                        );
+                        assert!(codec.inner.calls() <= fire_at + 1, "{what} @ {fire_at}");
+                        assert!(
+                            !stopped.satisfiable
+                                || psnr(stopped.error_bound.log10()) >= target - 1e-3
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_refused_bound_counts_against_the_constraint_not_against_the_budget() {
+        // Every second call refused: the walk treats a refusal as a violating
+        // position, so it still ends inside bisection's budget on an answer
+        // that satisfies — under the boundary, though not within a tolerance
+        // of it — and with the verdict a codec that refuses nothing gets.
+        let pool = Arc::new(Pool::new(1));
+        let line: Shape = |x| 30.0 - 20.0 * x.max(-4.5);
+        for target in [45.0, 60.0, 100.0, 400.0] {
+            let (_, last_ok) = swept(line, target);
+            let seed = SearchHint::seed(3e-6, HintSource::External);
+            for hint in [None, Some(&seed)] {
+                let what = format!("≥ {target} dB from {:?}", hint.map(|h| h.bound));
+                let codec = Shaped::new(line, true);
+                let outcome = walk_on(&codec, target, hint, &pool, None);
+                assert_eq!(outcome.evaluations, codec.inner.calls(), "{what}");
+                assert!(
+                    outcome.evaluations <= bisection_cap(hint, &outcome),
+                    "{what}"
+                );
+                assert_eq!(outcome.satisfiable, last_ok.is_some(), "{what}");
+                if let Some(last_ok) = last_ok {
+                    let x = outcome.error_bound.log10();
+                    assert!(
+                        line(x) >= target - 1e-3 && x <= last_ok + 1e-3,
+                        "{what}: {x}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -4,7 +4,7 @@
 //! The paper has one algorithm — minimise a loss over one scalar error
 //! bound, probing a prediction first (Algorithm 1).  What varies is the
 //! [`Objective`]: the fixed-ratio region race ([`crate::ratio`], Algorithm
-//! 2) and the fixed-quality bracket-and-bisect ([`crate::quality`]) are the
+//! 2) and the fixed-quality bracketing walk ([`crate::quality`]) are the
 //! two strategies.  [`Search`] owns the rest exactly once — the compressor
 //! handle, pool, cancel token, codec-config signature and the optional
 //! [`BoundPredictor`], the `U`-clipped bound range, and the two entry points
@@ -536,7 +536,7 @@ pub(crate) mod tests {
 
         /// A token that fires during this codec's `call`-th compression
         /// (already fired for 0).
-        fn token_fired_during(&self, call: usize) -> CancelToken {
+        pub(crate) fn token_fired_during(&self, call: usize) -> CancelToken {
             let token = CancelToken::new();
             if call == 0 {
                 token.cancel();
@@ -645,8 +645,8 @@ pub(crate) mod tests {
     }
 
     impl<O: Objective + Clone> Case<O> {
-        /// A fresh search on a one-worker pool, so even the quality sweep
-        /// makes its compressor calls one at a time, in a fixed order.
+        /// A fresh search on a one-worker pool, so the region race makes its
+        /// compressor calls one at a time, in a fixed order.
         fn search(&self) -> (Search<O>, Arc<CountingCodec>) {
             static SERIAL: OnceLock<Arc<Pool>> = OnceLock::new();
             let pool = SERIAL.get_or_init(|| Arc::new(Pool::new(1)));

@@ -18,7 +18,7 @@ use fraz_zfp::{ZfpConfig, ZfpMode};
 use crate::descriptor::DimRange;
 #[cfg(any(feature = "sz", feature = "szx"))]
 use crate::descriptor::OptionDescriptor;
-use crate::descriptor::{BoundKind, CodecDescriptor, PsnrBoundModel};
+use crate::descriptor::{BoundKind, CodecDescriptor};
 #[cfg(any(feature = "sz", feature = "szx"))]
 use crate::options::OptionKind;
 use crate::options::Options;
@@ -64,9 +64,6 @@ impl SzBackend {
     pub fn descriptor() -> CodecDescriptor {
         CodecDescriptor::new("sz", BoundKind::AbsoluteError)
             .with_summary("SZ-like blockwise prediction + quantization compressor")
-            // Linear-scaling quantization ⇒ near-uniform error on [-e, e],
-            // so the Fixed-PSNR closed form applies.
-            .with_psnr_model(PsnrBoundModel::uniform_quantization())
             .with_option(
                 OptionDescriptor::new("sz:block_size", OptionKind::U64)
                     .with_range(2.0, 4096.0)
@@ -334,9 +331,6 @@ impl SzxBackend {
     pub fn descriptor() -> CodecDescriptor {
         CodecDescriptor::new("szx", BoundKind::AbsoluteError)
             .with_summary("SZx-like ultra-fast blockwise-truncation compressor")
-            // Mantissa truncation bounded by e behaves like a uniform
-            // quantizer at scale, so the same closed form seeds it.
-            .with_psnr_model(PsnrBoundModel::uniform_quantization())
             .with_option(
                 OptionDescriptor::new("szx:block_size", OptionKind::U64)
                     .with_default(128u64)

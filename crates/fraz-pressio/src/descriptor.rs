@@ -88,6 +88,17 @@ impl BoundKind {
         !matches!(self, BoundKind::BitsPerValue)
     }
 
+    /// True when the parameter bounds the error of every reconstructed value
+    /// (so the uniform-quantization first guess of
+    /// [`uniform_quantization_bound`] applies); false for a rate or a norm
+    /// over the whole field.
+    pub fn is_pointwise(&self) -> bool {
+        matches!(
+            self,
+            BoundKind::AbsoluteError | BoundKind::AccuracyTolerance | BoundKind::InfinityNorm
+        )
+    }
+
     /// The step `bound` falls on, for kinds whose codec reads its parameter
     /// through a step function: every bound with the same step compresses to
     /// the same bytes (outside the recorded parameter) and decodes to the
@@ -114,44 +125,27 @@ impl fmt::Display for BoundKind {
     }
 }
 
-/// Closed-form PSNR ↔ error-bound model for codecs whose quantizer error is
-/// (approximately) uniform on `[-e, e]` — the Fixed-PSNR result of Tao, Di
-/// et al. for SZ-style predictive quantization.
+/// The error bound predicted to achieve `psnr_db` on data spanning
+/// `value_range` by a quantizer whose error is (approximately) uniform on
+/// `[-e, e]` — the Fixed-PSNR result of Tao, Di et al. for SZ-style
+/// predictive quantization; `None` when either input is degenerate.
 ///
-/// Under that assumption the RMSE of a compressed field is `e/√3`, so with
-/// value range `R`:
+/// Under that assumption the RMSE of a compressed field is `e/√3`, so
 ///
 /// ```text
 /// PSNR = 20·log10(R / e) + 10·log10(3)   (offset ≈ 4.77 dB)
 /// ```
 ///
-/// which inverts to the analytic first guess `e = R · 10^((offset − PSNR)/20)`.
-/// Codecs opt in through [`CodecDescriptor::with_psnr_model`]; transform
-/// codecs (ZFP, MGARD), whose error distribution is not uniform, leave the
-/// field `None` and quality searches fall back to bracketing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PsnrBoundModel {
-    /// Additive PSNR offset in dB over the naive `20·log10(R/e)` estimate.
-    pub offset_db: f64,
-}
-
-impl PsnrBoundModel {
-    /// The uniform-quantization model (`offset = 10·log10 3 ≈ 4.77 dB`).
-    pub fn uniform_quantization() -> Self {
-        Self {
-            offset_db: 10.0 * 3f64.log10(),
-        }
+/// which inverts to `e = R · 10^((offset − PSNR)/20)`.  It is a first guess
+/// for every [pointwise](BoundKind::is_pointwise) codec: exact to a fraction
+/// of a dB on SZ, conservative on transform codecs (ZFP, MGARD), whose error
+/// sits well under their bound — a quality search measures it and moves on.
+pub fn uniform_quantization_bound(value_range: f64, psnr_db: f64) -> Option<f64> {
+    if !(value_range.is_finite() && value_range > 0.0 && psnr_db.is_finite()) {
+        return None;
     }
-
-    /// The error bound predicted to achieve `psnr_db` on data spanning
-    /// `value_range`; `None` when either input is degenerate.
-    pub fn bound_for_psnr(&self, value_range: f64, psnr_db: f64) -> Option<f64> {
-        if !(value_range.is_finite() && value_range > 0.0 && psnr_db.is_finite()) {
-            return None;
-        }
-        let bound = value_range * 10f64.powf((self.offset_db - psnr_db) / 20.0);
-        (bound.is_finite() && bound > 0.0).then_some(bound)
-    }
+    let bound = value_range * 10f64.powf((10.0 * 3f64.log10() - psnr_db) / 20.0);
+    (bound.is_finite() && bound > 0.0).then_some(bound)
 }
 
 /// The contiguous range of grid dimensionalities a codec accepts.
@@ -292,9 +286,6 @@ pub struct CodecDescriptor {
     pub options: Vec<OptionDescriptor>,
     /// One-line description shown by introspection tools.
     pub summary: String,
-    /// Closed-form PSNR↔bound model, for codecs whose quantization error is
-    /// near-uniform (`None` = no analytic seeding; search by bracketing).
-    pub psnr_model: Option<PsnrBoundModel>,
 }
 
 impl CodecDescriptor {
@@ -310,14 +301,7 @@ impl CodecDescriptor {
             dims: DimRange::any(),
             options: Vec::new(),
             summary: String::new(),
-            psnr_model: None,
         }
-    }
-
-    /// Declare a closed-form PSNR↔bound model (builder style).
-    pub fn with_psnr_model(mut self, model: PsnrBoundModel) -> Self {
-        self.psnr_model = Some(model);
-        self
     }
 
     /// Add a lookup alias (builder style).
@@ -581,24 +565,24 @@ mod tests {
     }
 
     #[test]
-    fn psnr_model_inverts_and_rejects_degenerate_inputs() {
-        let model = PsnrBoundModel::uniform_quantization();
-        assert!((model.offset_db - 4.7712).abs() < 1e-3);
+    fn uniform_quantization_bound_inverts_and_rejects_degenerate_inputs() {
         // PSNR 60 dB on unit-range data: e = √3 · 10^(-60/20) ≈ 1.732e-3.
-        let bound = model.bound_for_psnr(1.0, 60.0).unwrap();
+        let bound = uniform_quantization_bound(1.0, 60.0).unwrap();
         let expected = 3f64.sqrt() * 1e-3;
         assert!((bound - expected).abs() / bound < 1e-12, "bound {bound}");
         // Stricter targets give smaller bounds; bigger ranges bigger bounds.
-        assert!(model.bound_for_psnr(1.0, 90.0).unwrap() < bound);
-        assert!(model.bound_for_psnr(100.0, 60.0).unwrap() > bound);
+        assert!(uniform_quantization_bound(1.0, 90.0).unwrap() < bound);
+        assert!(uniform_quantization_bound(100.0, 60.0).unwrap() > bound);
         // Degenerate inputs give no hint rather than a bogus one.
-        assert!(model.bound_for_psnr(0.0, 60.0).is_none());
-        assert!(model.bound_for_psnr(f64::NAN, 60.0).is_none());
-        assert!(model.bound_for_psnr(1.0, f64::INFINITY).is_none());
-        // Descriptors carry the model only when a codec opts in.
-        assert!(sample().psnr_model.is_none());
-        let d = sample().with_psnr_model(model);
-        assert_eq!(d.psnr_model, Some(model));
+        assert!(uniform_quantization_bound(0.0, 60.0).is_none());
+        assert!(uniform_quantization_bound(f64::NAN, 60.0).is_none());
+        assert!(uniform_quantization_bound(1.0, f64::INFINITY).is_none());
+        // It seeds the kinds that bound every value, and only those.
+        assert!(BoundKind::AbsoluteError.is_pointwise());
+        assert!(BoundKind::AccuracyTolerance.is_pointwise());
+        assert!(BoundKind::InfinityNorm.is_pointwise());
+        assert!(!BoundKind::L2Norm.is_pointwise());
+        assert!(!BoundKind::BitsPerValue.is_pointwise());
     }
 
     #[test]

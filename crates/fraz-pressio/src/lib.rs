@@ -33,7 +33,9 @@ pub mod descriptor;
 pub mod options;
 pub mod registry;
 
-pub use descriptor::{BoundKind, CodecDescriptor, DimRange, OptionDescriptor, PsnrBoundModel};
+pub use descriptor::{
+    uniform_quantization_bound, BoundKind, CodecDescriptor, DimRange, OptionDescriptor,
+};
 pub use options::{OptionKind, OptionValue, Options};
 pub use registry::{Registry, RegistryError};
 

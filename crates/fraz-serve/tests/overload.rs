@@ -13,6 +13,7 @@
 //!   after it, and a mid-load drain that completes within its deadline.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use fraz_serve::admission::AdmissionConfig;
@@ -131,17 +132,25 @@ fn clients_that_honour_the_retry_hint_all_get_served() {
 
     const CLIENTS: usize = 6;
     let retried = AtomicU64::new(0);
+    // The collision is structural, not a matter of scheduling: every client
+    // is connected and holds its field before any sends (the barrier), and
+    // one 128×128 job outlasts the release of six threads many times over,
+    // so the first two admitted still hold the whole budget when the other
+    // four arrive.
+    let start = Barrier::new(CLIENTS);
 
     std::thread::scope(|scope| {
         for c in 0..CLIENTS {
             let addr = &addr;
             let retried = &retried;
+            let start = &start;
             scope.spawn(move || {
-                let fields = workload_fields(24, 800 + c as u64);
+                let fields = workload_fields(128, 800 + c as u64);
                 let mut client = Client::connect(addr).expect("connect");
                 client
                     .set_reply_timeout(Some(Duration::from_secs(30)))
                     .unwrap();
+                start.wait();
                 // Retry-with-backoff: exactly what the typed hint is for.
                 for attempt in 0..200usize {
                     match client
