@@ -19,7 +19,7 @@ use fraz_bench::records::{append, results_dir, Record};
 use fraz_bench::scale::Scale;
 use fraz_bench::table::Table;
 use fraz_bench::workloads;
-use fraz_core::{FixedRatioSearch, SearchConfig};
+use fraz_core::{answer_bytes, FixedRatioSearch, SearchConfig};
 use fraz_data::Dataset;
 use fraz_pressio::registry;
 use serde_json::json;
@@ -95,10 +95,8 @@ fn main() {
             .with_regions(6)
             .with_threads(6);
         let search = FixedRatioSearch::new(backend, config);
-        let outcome = search.run(&dataset);
-        let compressed = search
-            .compressor()
-            .compress(&dataset, outcome.error_bound)
+        let mut outcome = search.run(&dataset);
+        let compressed = answer_bytes(search.compressor(), &dataset, &mut outcome)
             .expect("recommended bound compresses");
         let restored = search.compressor().decompress(&compressed).unwrap();
         emit(

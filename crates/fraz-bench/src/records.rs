@@ -103,6 +103,32 @@ mod tests {
     }
 
     #[test]
+    fn a_record_never_carries_an_outcomes_stream() {
+        // An evaluation hands its stream back on the outcome; what is
+        // written is the measurement alone, and reads back as it.
+        use fraz_pressio::{registry, CompressionOutcome};
+        let dataset = fraz_data::synthetic::hurricane(4, 8, 8, 1, 5).field("TCf", 0);
+        let carried = registry::build_default("sz")
+            .unwrap()
+            .evaluate(&dataset, 1e-2, true)
+            .unwrap();
+        let stream = carried.stream.as_ref().expect("an sz evaluation writes");
+        assert_eq!(stream.len(), carried.compressed_bytes);
+        let bare = carried.without_stream();
+        let json = |outcome: &CompressionOutcome| {
+            serde_json::to_string(&Record::new("unit_test", "sz", outcome.clone())).unwrap()
+        };
+        assert_eq!(json(&carried), json(&bare));
+        assert!(!json(&carried).contains("stream"));
+        let written = serde_json::to_string(&carried).unwrap();
+        let back: CompressionOutcome = serde_json::from_str(&written).unwrap();
+        assert!(back.stream.is_none() && back == carried);
+        // Not a key of the format either: a document that has one is refused.
+        let forged = written.replacen('{', "{\"stream\":[1,2,3],", 1);
+        assert!(serde_json::from_str::<CompressionOutcome>(&forged).is_err());
+    }
+
+    #[test]
     fn append_writes_jsonl() {
         let dir = std::env::temp_dir().join(format!("fraz_bench_records_{}", std::process::id()));
         append_to(

@@ -25,7 +25,8 @@
 //! * [`search`] — the one [`Search`] shell: compressor, pool, cancel token,
 //!   predictor, bound range, the hint probe (Algorithm 1), the one
 //!   compressor call site and the `run` / `run_with_hint` entry points,
-//!   generic over an [`Objective`],
+//!   generic over an [`Objective`]; a search's answer carries the stream it
+//!   was measured on, and [`answer_bytes`] hands it over,
 //! * [`ratio`] — the fixed-ratio strategy: region-parallel training
 //!   (Algorithm 2),
 //! * [`quality`] — the fixed-quality strategy: a margin-guided bracketing
@@ -81,7 +82,7 @@ pub use orchestrator::{
 pub use quality::{FixedQualitySearch, QualityMetric, QualitySearchConfig, QualitySearchOutcome};
 pub use ratio::{FixedRatioSearch, RegionOutcome, SearchConfig, SearchOutcome};
 pub use regions::{make_error_bounds, Region};
-pub use search::{Objective, Search};
+pub use search::{answer_bytes, Objective, Search};
 
 #[cfg(test)]
 mod tests {

@@ -9,6 +9,8 @@
 //!
 //! * the first step (and any step whose ratio drifts outside a *soft* window,
 //!   three times the acceptance tolerance) runs a bounded search,
+//! * a search's answer is this step's output as the search measured it —
+//!   calibration and re-sync compress nothing after the search returns,
 //! * in steady state every step costs exactly one compression: the current
 //!   bound is applied and a multiplicative correction (a fixed proportional
 //!   gain) nudges it whenever the achieved ratio drifts, exploiting the fact
@@ -29,7 +31,8 @@ use fraz_pressio::Compressor;
 
 use crate::hint::BoundPredictor;
 use crate::loss::RatioLoss;
-use crate::ratio::{FixedRatioSearch, SearchConfig};
+use crate::ratio::{FixedRatioSearch, SearchConfig, SearchOutcome};
+use crate::search::answer_bytes;
 
 /// Configuration of the online controller.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -176,24 +179,32 @@ impl OnlineController {
         let mut compressions = 0usize;
         let mut recalibrated = false;
 
-        // Decide the bound for this step.
-        let mut bound = match self.current_bound {
-            Some(b) => self.search.clamp_bound(b, dataset),
+        let compressor = self.search.compressor();
+        let ratio_of = |blob: &[u8]| compression_ratio(dataset.byte_size(), blob.len());
+        // A search's answer arrives with the bytes it was measured on; only
+        // an answer measured without writing them costs a call more.
+        let answer = |mut searched: SearchOutcome, compressions: &mut usize| {
+            *compressions += searched.evaluations + usize::from(searched.best.stream.is_none());
+            let blob = answer_bytes(compressor, dataset, &mut searched);
+            (searched.error_bound, blob)
+        };
+
+        // Decide the bound for this step and compress at it; the blob is
+        // this step's output unless a re-sync below replaces it.
+        let (mut bound, blob) = match self.current_bound {
+            Some(b) => {
+                let bound = self.search.clamp_bound(b, dataset);
+                compressions += 1;
+                (bound, compressor.compress(dataset, bound))
+            }
             None => {
                 // First step: full (bounded) calibration search, seeded by
                 // the external predictor when one is installed.
                 recalibrated = true;
-                let outcome = self.search.run(dataset);
-                compressions += outcome.evaluations;
-                self.search.clamp_bound(outcome.error_bound, dataset)
+                answer(self.search.run(dataset), &mut compressions)
             }
         };
-
-        // Compress at the chosen bound; the blob is this step's output
-        // unless a re-sync below replaces it.
-        let compressor = self.search.compressor();
-        let ratio_of = |blob: &[u8]| compression_ratio(dataset.byte_size(), blob.len());
-        let mut compressed = compressor.compress(dataset, bound).unwrap_or_else(|_| {
+        let mut compressed = blob.unwrap_or_else(|_| {
             // An invalid bound (e.g. after clamping on a degenerate field)
             // falls back to the lower end of the valid range.
             compressions += 1;
@@ -202,7 +213,6 @@ impl OnlineController {
                 .compress(dataset, bound)
                 .expect("lower end of the bound range is always valid")
         });
-        compressions += 1;
         let mut ratio = ratio_of(&compressed);
 
         // If the ratio drifted far outside the soft window, re-calibrate now
@@ -213,14 +223,12 @@ impl OnlineController {
             recalibrated = true;
             // Cold: `bound` was measured on this very frame a few lines up
             // and missed the wider window, so probing it again cannot hit.
-            let searched = self.search.run_with_hint(dataset, None);
-            compressions += searched.evaluations;
-            let resynced = self.search.clamp_bound(searched.error_bound, dataset);
+            let (resynced, blob) =
+                answer(self.search.run_with_hint(dataset, None), &mut compressions);
             // A failed re-compression keeps the blob (and bound) in hand.
-            if let Ok(blob) = compressor.compress(dataset, resynced) {
+            if let Ok(blob) = blob {
                 (bound, ratio, compressed) = (resynced, ratio_of(&blob), blob);
             }
-            compressions += 1;
         }
 
         let on_target = self.loss.is_acceptable(ratio);
@@ -348,7 +356,7 @@ mod tests {
         // One worker, so the region race is serial and its count repeats.
         let pool = Arc::new(fraz_pool::Pool::new(1));
         let mut ctl = OnlineController::new(handle, config.clone()).with_pool(pool.clone());
-        let frame = |timestep| {
+        let frame = |timestep: usize| {
             Dataset::from_f32(
                 "t",
                 "f",
@@ -357,15 +365,16 @@ mod tests {
                 vec![0.0; 4096],
             )
         };
-        // What a cold search of the drifted frame costs, on a codec of its
-        // own so the controller's call count stays the controller's.
-        let cold = FixedRatioSearch::new(
-            Arc::new(DriftingCodec::default()) as Arc<dyn Compressor>,
-            config.calibration,
-        )
-        .with_pool(pool)
-        .run_with_hint(&frame(3), None)
-        .evaluations;
+        // What a cold search of a frame costs, on a codec of its own so the
+        // controller's call count stays the controller's.
+        let cold_search = |timestep| {
+            FixedRatioSearch::new(
+                Arc::new(DriftingCodec::default()) as Arc<dyn Compressor>,
+                config.calibration.clone(),
+            )
+            .with_pool(pool.clone())
+            .run_with_hint(&frame(timestep), None)
+        };
         let mut reported = 0;
         // Calibration, three steady steps, a drift that forces a re-sync,
         // then steady again on the drifted field.
@@ -381,10 +390,17 @@ mod tests {
             let resync = step == 0 || step == 4;
             assert_eq!(report.recalibrated, resync, "step {step}: {report:?}");
             assert_eq!(report.compressions == 1, !resync, "step {step}: {report:?}");
+            if step == 0 {
+                // The calibration search's answer is the blob returned.
+                let calibration = cold_search(0);
+                assert_eq!(report.compressions, calibration.evaluations);
+                assert_eq!(report.error_bound, calibration.error_bound);
+            }
             if step == 4 {
-                // The blob that drifted, the cold search, the blob returned:
-                // no probe of a bound already measured on this frame.
-                assert_eq!(report.compressions, cold + 2, "{report:?}");
+                // The blob that drifted and the cold search, whose answer
+                // is the blob returned: no probe of a bound already
+                // measured on this frame, no compression after the search.
+                assert_eq!(report.compressions, cold_search(3).evaluations + 1);
             }
         }
     }

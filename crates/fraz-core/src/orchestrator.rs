@@ -346,7 +346,14 @@ impl Orchestrator {
     ) -> SeriesOutcome {
         let start = Instant::now();
         let search = search.with_pool(Arc::clone(self.pool()));
-        let steps: Vec<SearchOutcome> = series.iter().map(|d| search.run(d).into()).collect();
+        // A series reports bounds: the stream each step's answer was
+        // measured on is not kept for the length of the run.
+        let tuned = |step: &Dataset| {
+            let mut outcome: SearchOutcome = search.run(step).into();
+            outcome.best.stream = None;
+            outcome
+        };
+        let steps: Vec<SearchOutcome> = series.iter().map(tuned).collect();
         let retrain_steps = (0..steps.len()).filter(|&t| steps[t].retrained).collect();
         SeriesOutcome {
             field: field.to_string(),

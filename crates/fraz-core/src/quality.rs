@@ -209,7 +209,9 @@ const SLOPE_LIMITS: (f64, f64) = (-60.0, -5.0);
 const MARGIN_LIMIT: f64 = 200.0;
 
 /// One answered position of the walk.  A bound the codec refuses cannot be
-/// the answer, so it counts as violating (and carries nothing).
+/// the answer, so it counts as violating (and carries nothing).  Only the
+/// answer so far — the largest satisfying position — keeps its outcome's
+/// stream.
 struct Seen {
     x: f64,
     ok: bool,
@@ -236,6 +238,18 @@ impl Seen {
             margin: quality.and_then(|q| config.metric.margin_db(q)),
             outcome,
         })
+    }
+}
+
+/// Record `new`, leaving a stream with the answer so far — the largest
+/// satisfying position — and with nothing else.
+fn push(seen: &mut Vec<Seen>, new: Seen) {
+    seen.push(new);
+    let answer = bracket(seen).0;
+    for passed in seen.iter_mut().filter(|p| Some(p.x) != answer) {
+        if let Some(outcome) = &mut passed.outcome {
+            outcome.stream = None;
+        }
     }
 }
 
@@ -340,7 +354,7 @@ impl Objective for QualitySearchConfig {
     fn search(
         eval: &Evaluator<'_, Self>,
         (lower, upper): (f64, f64),
-        probe: Option<(&HintReport, &CompressionOutcome)>,
+        probe: Option<(&HintReport, CompressionOutcome)>,
     ) -> Found {
         let config = eval.config();
         // Work on the log axis (bounds span decades).
@@ -360,11 +374,10 @@ impl Objective for QualitySearchConfig {
 
         let mut seen: Vec<Seen> = Vec::new();
         if let Some((_, probe)) = probe {
-            seen.extend(Seen::new(
-                config,
-                to_axis(probe.error_bound),
-                Ok(probe.clone()),
-            ));
+            let x = to_axis(probe.error_bound);
+            if let Some(answered) = Seen::new(config, x, Ok(probe)) {
+                push(&mut seen, answered);
+            }
         }
 
         loop {
@@ -417,7 +430,7 @@ impl Objective for QualitySearchConfig {
                 }
             };
             match Seen::new(config, x, eval.measure(bound_at(x))) {
-                Some(answered) => seen.push(answered),
+                Some(answered) => push(&mut seen, answered),
                 None => break,
             }
         }

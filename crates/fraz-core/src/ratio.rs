@@ -13,6 +13,7 @@
 //! ratio is reported as an infeasible-but-best-effort answer.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -120,7 +121,9 @@ pub struct RegionOutcome {
     pub cancelled: bool,
     /// The full compression outcome measured at `error_bound`, carried out
     /// of the region so the winning bound need not be re-compressed after
-    /// the race (absent only if the best evaluation errored).
+    /// the race (absent only if the best evaluation errored).  Its stream
+    /// leaves with the search's answer: none is held here once the race is
+    /// over.
     pub measured: Option<CompressionOutcome>,
 }
 
@@ -189,12 +192,10 @@ impl Objective for SearchConfig {
     fn search(
         eval: &Evaluator<'_, Self>,
         (lower, upper): (f64, f64),
-        _probe: Option<(&HintReport, &CompressionOutcome)>,
+        _probe: Option<(&HintReport, CompressionOutcome)>,
     ) -> Found {
         let config = eval.config();
-        let loss = config.loss();
         let mut regions = make_error_bounds(lower, upper, config.regions);
-        let cancel = AtomicBool::new(false);
         let workers = config.worker_count().min(regions.len()).max(1);
 
         // `workers` runner tasks drain the regions through a shared atomic
@@ -204,31 +205,45 @@ impl Objective for SearchConfig {
         // likeliest to contain the answer, which is what makes early
         // termination pay.
         regions.reverse();
-        let next = AtomicUsize::new(0);
+        let race = Race {
+            eval,
+            loss: config.loss(),
+            regions,
+            next: AtomicUsize::new(0),
+            cancel: AtomicBool::new(false),
+            held: Mutex::new(None),
+        };
         let mut slots: Vec<Vec<RegionOutcome>> = vec![Vec::new(); workers];
         if workers == 1 {
-            run_region_queue(eval, &loss, &regions, &next, &cancel, &mut slots[0]);
+            race.run_queue(0, &mut slots[0]);
         } else {
             eval.pool().scope(|scope| {
-                let (cancel, loss, next, regions) = (&cancel, &loss, &next, &regions);
-                for slot in slots.iter_mut() {
-                    scope.spawn(move || run_region_queue(eval, loss, regions, next, cancel, slot));
+                let race = &race;
+                for (runner, slot) in slots.iter_mut().enumerate() {
+                    scope.spawn(move || race.run_queue(runner, slot));
                 }
             });
         }
         let regions: Vec<RegionOutcome> = slots.into_iter().flatten().collect();
 
         // The first region with the smallest loss wins; it already measured
-        // its best bound, so that outcome is reused instead of re-running
+        // its best bound, so that outcome — and the stream it was measured
+        // on, which the race held for it — is reused instead of re-running
         // the compressor (absent only if the best evaluation errored).
         let best = regions
             .iter()
             .reduce(|best, r| if r.loss < best.loss { r } else { best });
+        let held = race.held.into_inner().unwrap_or_else(|e| e.into_inner());
         let (bound, measured, met) = match best {
             Some(b) => (
                 b.error_bound,
-                b.measured.clone(),
-                loss.is_acceptable(b.compression_ratio),
+                b.measured.clone().map(|measured| CompressionOutcome {
+                    stream: held
+                        .filter(|held| held.bound == b.error_bound)
+                        .map(|held| held.stream),
+                    ..measured
+                }),
+                race.loss.is_acceptable(b.compression_ratio),
             ),
             None => (lower, None, false),
         };
@@ -241,38 +256,78 @@ impl Objective for SearchConfig {
     }
 }
 
-/// One runner task: repeatedly claim the next unstarted region via the
-/// shared cursor and search it, observing and raising the shared
-/// early-termination flag (Algorithm 2, lines 9-14).
-fn run_region_queue(
-    eval: &Evaluator<'_, SearchConfig>,
-    loss: &RatioLoss,
-    regions: &[Region],
-    next: &AtomicUsize,
-    cancel: &AtomicBool,
-    out: &mut Vec<RegionOutcome>,
-) {
-    loop {
-        if cancel.load(Ordering::Relaxed) {
-            break;
+/// What the runner tasks of one race share.
+struct Race<'a, 'e> {
+    eval: &'a Evaluator<'e, SearchConfig>,
+    loss: RatioLoss,
+    /// In the order they are claimed.
+    regions: Vec<Region>,
+    next: AtomicUsize,
+    /// The early-termination flag.
+    cancel: AtomicBool,
+    /// The one stream the race holds on to: that of the region outcome that
+    /// would win if the race ended now.
+    held: Mutex<Option<Held>>,
+}
+
+/// A finished region's stream, and what ranks it: the winner is the
+/// smallest loss, the first in `(runner, claim)` order among equals.
+struct Held {
+    loss: f64,
+    runner: usize,
+    bound: f64,
+    stream: Vec<u8>,
+}
+
+impl Race<'_, '_> {
+    /// One runner task: repeatedly claim the next unstarted region via the
+    /// shared cursor and search it, observing and raising the shared
+    /// early-termination flag (Algorithm 2, lines 9-14).
+    fn run_queue(&self, runner: usize, out: &mut Vec<RegionOutcome>) {
+        let (loss, cancel) = (&self.loss, &self.cancel);
+        loop {
+            if cancel.load(Ordering::Relaxed) {
+                break;
+            }
+            if self.eval.cancelled() {
+                // Deadline/cancel: stop every runner, not just this one.
+                cancel.store(true, Ordering::Relaxed);
+                break;
+            }
+            let index = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(region) = self.regions.get(index) else {
+                break;
+            };
+            let mut outcome = search_region(self.eval, loss, *region, cancel);
+            self.offer(runner, &mut outcome);
+            let acceptable = loss.is_acceptable(outcome.compression_ratio);
+            out.push(outcome);
+            if acceptable {
+                // Early termination: cancel every region that has not
+                // finished yet.
+                cancel.store(true, Ordering::Relaxed);
+                break;
+            }
         }
-        if eval.cancelled() {
-            // Deadline/cancel: stop every runner, not just this one.
-            cancel.store(true, Ordering::Relaxed);
-            break;
-        }
-        let index = next.fetch_add(1, Ordering::Relaxed);
-        let Some(region) = regions.get(index) else {
-            break;
+    }
+
+    /// A region outcome is a measurement: its stream stays with the race if
+    /// it would win now, and is dropped otherwise.
+    fn offer(&self, runner: usize, outcome: &mut RegionOutcome) {
+        let Some(stream) = outcome.measured.as_mut().and_then(|m| m.stream.take()) else {
+            return;
         };
-        let outcome = search_region(eval, loss, region.clone(), cancel);
-        let acceptable = loss.is_acceptable(outcome.compression_ratio);
-        out.push(outcome);
-        if acceptable {
-            // Early termination: cancel every region that has not
-            // finished yet.
-            cancel.store(true, Ordering::Relaxed);
-            break;
+        let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
+        let wins = held.as_ref().is_none_or(|held| {
+            outcome.loss < held.loss || (outcome.loss == held.loss && runner < held.runner)
+        });
+        if wins {
+            *held = Some(Held {
+                loss: outcome.loss,
+                runner,
+                bound: outcome.error_bound,
+                stream,
+            });
         }
     }
 }

@@ -25,6 +25,14 @@
 //! from the run's memo — the answer the call would have given, so the
 //! strategy sees the same losses in the same order and only `evaluations`,
 //! still the exact call count, is smaller.
+//!
+//! **And its bytes.**  An evaluation that wrote a stream hands it back on
+//! its [`CompressionOutcome`]; a strategy keeps it on the outcome it still
+//! holds as its best and nowhere else (the memo, losing regions and
+//! [`SearchOutcome::regions`] hold measurements only), so the search's
+//! answer arrives with the stream it was measured on and [`answer_bytes`]
+//! is how a caller that wants the compressed field gets it — one
+//! `compress` only when the answer was measured without writing one.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,7 +41,7 @@ use std::time::Instant;
 
 use fraz_data::Dataset;
 use fraz_pool::Pool;
-use fraz_pressio::{CompressionOutcome, Compressor};
+use fraz_pressio::{CompressionOutcome, Compressor, PressioError};
 
 use crate::cancel::CancelToken;
 use crate::hint::{BoundPredictor, HintQuery, HintReport, HintTarget, SearchHint};
@@ -89,11 +97,12 @@ pub trait Objective: Sized + Send + Sync {
 
     /// The strategy alone: search `range` (already `U`-clipped and narrowed
     /// to the hint's bracket) through `eval`, starting from the missed hint
-    /// `probe` — its report and what was measured — when there is one.
+    /// `probe` — its report and what was measured, stream included — when
+    /// there is one.
     fn search(
         eval: &Evaluator<'_, Self>,
         range: (f64, f64),
-        probe: Option<(&HintReport, &CompressionOutcome)>,
+        probe: Option<(&HintReport, CompressionOutcome)>,
     ) -> Found;
 }
 
@@ -102,8 +111,9 @@ pub struct Found {
     /// The recommended bound (the best-effort one when nothing met the
     /// objective).
     pub bound: f64,
-    /// The outcome measured at `bound`, when the strategy holds one; the
-    /// shell measures the bound itself otherwise.
+    /// The outcome measured at `bound`, when the strategy holds one — with
+    /// its stream, if the evaluation wrote one; the shell measures the bound
+    /// itself otherwise.
     pub measured: Option<CompressionOutcome>,
     /// True when `measured` meets the objective.
     pub met: bool,
@@ -131,8 +141,9 @@ pub struct Evaluator<'a, O: Objective> {
     answered: AtomicUsize,
     start: Instant,
     /// What this run measured on each `(step, measure_quality)` it visited:
-    /// at most one outcome per binade of the range per flag, dropped with
-    /// the run.  Stays empty for a codec without steps.
+    /// at most one outcome per binade of the range per flag — the
+    /// measurement, not its stream — dropped with the run.  Stays empty for
+    /// a codec without steps.
     memo: Mutex<BTreeMap<(i64, bool), CompressionOutcome>>,
 }
 
@@ -158,8 +169,9 @@ impl<'a, O: Objective> Evaluator<'a, O> {
     /// nothing into a reportable answer.
     ///
     /// A bound on a step this run already measured is answered from the
-    /// memo — after the cancel check, and counted as an answer but not as a
-    /// call: `calls` stays the exact number of compressor calls.  Two
+    /// memo — after the cancel check, without a stream, and counted as an
+    /// answer but not as a call: `calls` stays the exact number of
+    /// compressor calls.  Two
     /// runners that miss the same step at once both call; the outcomes are
     /// equal and both are counted.
     fn call(
@@ -188,7 +200,7 @@ impl<'a, O: Objective> Evaluator<'a, O> {
             .evaluate(self.dataset, bound, measure_quality)
             .map_err(|_| Miss::Rejected)?;
         if let Some(key) = key {
-            self.memo().insert(key, outcome.clone());
+            self.memo().insert(key, outcome.without_stream());
         }
         Ok(outcome)
     }
@@ -396,11 +408,7 @@ impl<O: Objective> Search<O> {
                 met: true,
                 regions: Vec::new(),
             },
-            probe => O::search(
-                &eval,
-                narrowed(range, hint),
-                report.as_ref().zip(probe.as_ref()),
-            ),
+            probe => O::search(&eval, narrowed(range, hint), report.as_ref().zip(probe)),
         };
         // Nothing measured at the recommended bound: measure it, token fired
         // or not, so the search always reports an answer it actually saw.
@@ -413,7 +421,15 @@ impl<O: Objective> Search<O> {
         let deadline_hit = !hit && self.cancelled();
         let best = match measured {
             Some(seen) if seen.quality.is_none() && self.config.reports_quality() => {
-                eval.call(found.bound, true, false).unwrap_or(seen)
+                match eval.call(found.bound, true, false) {
+                    // One bound, one stream: a re-measurement answered from
+                    // the memo keeps the bytes already in hand.
+                    Ok(again) => CompressionOutcome {
+                        stream: again.stream.or(seen.stream),
+                        ..again
+                    },
+                    Err(_) => seen,
+                }
             }
             Some(seen) => seen,
             // The compressor rejected even the fallback bound.
@@ -425,6 +441,7 @@ impl<O: Objective> Search<O> {
                 compressed_bytes: 0,
                 original_bytes: dataset.byte_size(),
                 quality: None,
+                stream: None,
             },
         };
         let outcome = SearchOutcome {
@@ -446,6 +463,21 @@ impl<O: Objective> Search<O> {
             );
         }
         outcome.into()
+    }
+}
+
+/// The answer's bytes: the stream the search measured at
+/// `outcome.error_bound` when it still holds one, else one `compress` there.
+/// Every caller that follows a search with the compressed field goes through
+/// here (`scripts/one_evaluation_site.py` fails on a second site).
+pub fn answer_bytes(
+    compressor: &dyn Compressor,
+    dataset: &Dataset,
+    outcome: &mut SearchOutcome,
+) -> Result<Vec<u8>, PressioError> {
+    match outcome.best.stream.take() {
+        Some(stream) if outcome.best.error_bound == outcome.error_bound => Ok(stream),
+        _ => compressor.compress(dataset, outcome.error_bound),
     }
 }
 
@@ -473,7 +505,7 @@ pub(crate) mod tests {
     use std::time::Duration;
 
     use fraz_data::{synthetic, DType, Dims};
-    use fraz_pressio::{registry, BoundKind, PressioError};
+    use fraz_pressio::{registry, BoundKind};
 
     use super::*;
     use crate::hint::{HintSource, LastConverged};
@@ -941,6 +973,70 @@ pub(crate) mod tests {
             );
             assert!(feasible || !outcome.met(), "{}: {what}", case.name);
         }
+    }
+
+    /// Cold, on a hint that lands and on one that misses: the answer carries
+    /// the stream it was measured on, nothing else the caller gets does, and
+    /// [`answer_bytes`] hands it over without a compressor call.
+    fn answer_is_carried<O: Objective + Clone>(case: &Case<O>) {
+        let dataset = smooth_field();
+        let lands = SearchHint::converged(case.oracle, HintSource::External);
+        let misses = SearchHint::converged(CountingCodec::LO * 3.0, HintSource::External);
+        for (what, hint) in [
+            ("cold", None),
+            ("landing hint", Some(&lands)),
+            ("missed hint", Some(&misses)),
+        ] {
+            let what = format!("{}/{what}", case.name);
+            let (search, codec) = case.search();
+            let mut outcome: SearchOutcome = search.run_with_hint(&dataset, hint).into();
+            let streams_left = outcome.regions.iter().filter_map(|r| r.measured.as_ref());
+            assert_eq!(streams_left.filter(|m| m.stream.is_some()).count(), 0);
+            let calls = codec.calls();
+            let bytes = answer_bytes(&*codec, &dataset, &mut outcome).unwrap();
+            assert_eq!(
+                codec.calls(),
+                calls,
+                "{what}: the answer came without bytes"
+            );
+            assert_eq!(
+                Ok(&bytes),
+                codec.compress(&dataset, outcome.error_bound).as_ref(),
+                "{what}: not the stream of the reported bound"
+            );
+            // Handed over once; after that the bytes cost a compression.
+            assert!(outcome.best.stream.is_none(), "{what}");
+            assert_eq!(
+                answer_bytes(&*codec, &dataset, &mut outcome),
+                Ok(bytes),
+                "{what}"
+            );
+            assert_eq!(codec.calls(), calls + 2, "{what}");
+        }
+    }
+
+    #[test]
+    fn the_answer_arrives_with_the_stream_it_was_measured_on() {
+        // In reach and out of it: a best-effort answer is measured too.
+        for target in [10.0, 500.0] {
+            answer_is_carried(&ratio_case(target));
+            let mut with_final_quality = ratio_case(target);
+            with_final_quality.config.measure_final_quality = true;
+            answer_is_carried(&with_final_quality);
+        }
+        answer_is_carried(&psnr_case(60.0));
+        answer_is_carried(&psnr_case(400.0));
+
+        // An answer remembered from the step memo was measured on another
+        // bound's stream and carries none: then the bytes are compressed.
+        let dataset = smooth_field();
+        let codec = SteppedCounting::new(None);
+        let search = Search::new(codec.clone() as Arc<dyn Compressor>, ratio_config(10.0));
+        let mut outcome = search.run_with_hint(&dataset, None);
+        let (calls, held) = (codec.inner.calls(), outcome.best.stream.is_some());
+        let bytes = answer_bytes(&*codec, &dataset, &mut outcome);
+        assert_eq!(bytes, codec.compress(&dataset, outcome.error_bound));
+        assert_eq!(codec.inner.calls(), calls + 1 + usize::from(!held));
     }
 
     #[test]

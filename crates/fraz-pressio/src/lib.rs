@@ -24,7 +24,8 @@
 //!   `"szx"`) that external codecs can join at runtime,
 //! * [`CompressionOutcome`] / [`Compressor::evaluate`] — the
 //!   compress-measure-decompress convenience FRaZ's loss function and the
-//!   experiment harness are built on.
+//!   experiment harness are built on; an outcome carries the stream it was
+//!   measured on.
 
 #![forbid(unsafe_code)]
 
@@ -70,7 +71,10 @@ impl fmt::Display for PressioError {
 impl std::error::Error for PressioError {}
 
 /// The result of one compress (and optional decompress) invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Equality, `Debug` and serialisation are the measurement's: the carried
+/// [`stream`](Self::stream) takes part in none of them.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct CompressionOutcome {
     /// Compressor name.
     pub compressor: String,
@@ -87,6 +91,49 @@ pub struct CompressionOutcome {
     /// Full quality metrics (present when the caller asked for decompression
     /// and measurement, absent during pure ratio searches).
     pub quality: Option<QualityReport>,
+    /// The compressed stream this outcome was measured on — what
+    /// `compress(dataset, error_bound)` returns — when the evaluation wrote
+    /// one and the holder kept it; absent when the size came from less work
+    /// than writing the stream.
+    #[serde(skip)]
+    pub stream: Option<Vec<u8>>,
+}
+
+impl PartialEq for CompressionOutcome {
+    fn eq(&self, other: &Self) -> bool {
+        // Destructured, so a field added later is compared or left out here.
+        let Self {
+            compressor,
+            error_bound,
+            compression_ratio,
+            bit_rate,
+            compressed_bytes,
+            original_bytes,
+            quality,
+            stream: _,
+        } = self;
+        *compressor == other.compressor
+            && *error_bound == other.error_bound
+            && *compression_ratio == other.compression_ratio
+            && *bit_rate == other.bit_rate
+            && *compressed_bytes == other.compressed_bytes
+            && *original_bytes == other.original_bytes
+            && *quality == other.quality
+    }
+}
+
+impl fmt::Debug for CompressionOutcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompressionOutcome")
+            .field("compressor", &self.compressor)
+            .field("error_bound", &self.error_bound)
+            .field("compression_ratio", &self.compression_ratio)
+            .field("bit_rate", &self.bit_rate)
+            .field("compressed_bytes", &self.compressed_bytes)
+            .field("original_bytes", &self.original_bytes)
+            .field("quality", &self.quality)
+            .finish()
+    }
 }
 
 /// The uniform compressor interface.
@@ -118,13 +165,16 @@ pub trait Compressor: Send + Sync {
     fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError>;
 
     /// Compress and report the achieved ratio; when `measure_quality` is
-    /// true, also decompress and attach the full [`QualityReport`].
+    /// true, also decompress and attach the full [`QualityReport`].  The
+    /// outcome carries the stream it measured, so a caller that settles on
+    /// this bound need not compress again.
     ///
     /// A backend whose stream length follows from less work than writing
     /// the stream may override this for `measure_quality == false`; the
     /// contract is that the outcome — or the error — is the one this body
-    /// returns (`tests/evaluate_contract.rs` holds every registered codec to
-    /// it).
+    /// returns, with or without the stream, and that a stream it does carry
+    /// is `compress`'s (`tests/evaluate_contract.rs` holds every registered
+    /// codec to both).
     fn evaluate(
         &self,
         dataset: &Dataset,
@@ -154,13 +204,17 @@ pub(crate) fn evaluate_by_compressing<C: Compressor + ?Sized>(
     } else {
         None
     };
-    Ok(CompressionOutcome::of_size(
+    let sized = CompressionOutcome::of_size(
         compressor.name(),
         dataset,
         error_bound,
         compressed.len(),
         quality,
-    ))
+    );
+    Ok(CompressionOutcome {
+        stream: Some(compressed),
+        ..sized
+    })
 }
 
 impl CompressionOutcome {
@@ -186,6 +240,17 @@ impl CompressionOutcome {
             compressed_bytes,
             original_bytes,
             quality,
+            stream: None,
+        }
+    }
+
+    /// This measurement without the bytes it was made on.
+    pub fn without_stream(&self) -> Self {
+        Self {
+            compressor: self.compressor.clone(),
+            quality: self.quality.clone(),
+            stream: None,
+            ..*self
         }
     }
 }
@@ -234,6 +299,19 @@ mod tests {
         assert!((outcome.compression_ratio - 4.0).abs() < 1e-12);
         assert!((outcome.bit_rate - 8.0).abs() < 1e-12);
         assert!(outcome.quality.is_none());
+    }
+
+    #[test]
+    fn evaluate_hands_back_the_stream_it_measured() {
+        let dataset = Dataset::from_f32("t", "f", 0, Dims::d1(1000), vec![1.0; 1000]);
+        let outcome = Truncator.evaluate(&dataset, 0.25, false).unwrap();
+        assert_eq!(outcome.stream, Truncator.compress(&dataset, 0.25).ok());
+        // The stream is cargo: the measurement compares and prints without.
+        let bare = outcome.without_stream();
+        assert!(bare.stream.is_none());
+        assert_eq!(outcome, bare);
+        assert_eq!(format!("{outcome:?}"), format!("{bare:?}"));
+        assert!(!format!("{outcome:?}").contains("stream"));
     }
 
     #[test]

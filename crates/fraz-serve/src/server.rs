@@ -38,8 +38,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fraz_core::{
-    BoundPredictor, CancelToken, Objective, QualityMetric, QualitySearchConfig, Search,
-    SearchConfig, SearchOutcome,
+    answer_bytes, BoundPredictor, CancelToken, Objective, QualityMetric, QualitySearchConfig,
+    Search, SearchConfig, SearchOutcome,
 };
 use fraz_data::Dataset;
 use fraz_pool::Pool;
@@ -284,9 +284,12 @@ impl Inner {
                     ..SearchConfig::new(target_ratio, tolerance)
                 },
                 |outcome| outcome.best.compression_ratio,
-                |compressor, outcome, ratio| match compressor
-                    .compress(&dataset, outcome.error_bound)
-                {
+                // The blob is the stream the search measured at its answer.
+                |compressor, mut outcome, ratio| match answer_bytes(
+                    compressor,
+                    &dataset,
+                    &mut outcome,
+                ) {
                     Ok(blob) => Response::Compressed {
                         error_bound: outcome.error_bound,
                         ratio,

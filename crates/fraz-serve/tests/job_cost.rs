@@ -3,10 +3,12 @@
 //!
 //! A `Compress` reply carries `error_bound`, `ratio`, `feasible`,
 //! `evaluations` and the blob — no quality report — so the search behind it
-//! must not run the final decompress-and-measure pass.  A counting codec
-//! registered next to the built-ins pins the whole bill of a cache-warm job:
-//! one size-only evaluation (the verified cache hint), one compress (the
-//! reply's blob), zero decompresses.
+//! must not run the final decompress-and-measure pass, and the blob is the
+//! stream the search measured at its answer, so nothing is compressed after
+//! the search returns.  A counting codec registered next to the built-ins
+//! pins the whole bill of a cache-warm job: one ratio evaluation (the
+//! verified cache hint, whose stream is the reply's blob), zero compresses,
+//! zero decompresses.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -72,7 +74,7 @@ impl Compressor for CountingSz {
 }
 
 #[test]
-fn a_cache_warm_compress_job_is_one_evaluation_and_one_compress() {
+fn a_cache_warm_compress_job_is_one_codec_call() {
     let calls = Arc::new(Calls::default());
     let factory_calls = Arc::clone(&calls);
     registry::register(
@@ -106,11 +108,15 @@ fn a_cache_warm_compress_job_is_one_evaluation_and_one_compress() {
         .expect("typed reply")
     {
         Response::Compressed {
+            error_bound,
             feasible,
             evaluations,
+            blob,
             ..
         } => {
             assert!(feasible, "6:1 on a smooth field is reachable");
+            let direct = registry::build_default("sz").unwrap();
+            assert_eq!(Ok(blob), direct.compress(&dataset, error_bound));
             evaluations
         }
         other => panic!("compress answered {:?}", other.kind()),
@@ -122,13 +128,12 @@ fn a_cache_warm_compress_job_is_one_evaluation_and_one_compress() {
     let cold = std::mem::take(&mut *calls.evaluates.lock().unwrap());
     assert_eq!(cold.len(), cold_evaluations as usize);
     assert!(cold.iter().all(|&measured| !measured), "{cold:?}");
-    calls.compresses.store(0, Ordering::Relaxed);
 
-    // Warm: the cached bound is verified by one size-only evaluation, and
-    // the reply's blob is the only other codec call.
+    // Warm: the cached bound is verified by one ratio evaluation, and the
+    // stream it measured is the reply's blob — the job's only codec call.
     assert_eq!(compress(), 1);
     assert_eq!(*calls.evaluates.lock().unwrap(), vec![false]);
-    assert_eq!(calls.compresses.load(Ordering::Relaxed), 1);
+    assert_eq!(calls.compresses.load(Ordering::Relaxed), 0);
     assert_eq!(calls.decompresses.load(Ordering::Relaxed), 0);
 
     handle.join();

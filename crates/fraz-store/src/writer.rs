@@ -15,7 +15,14 @@
 //! from the most recently converged bound of the same write (a shared
 //! [`LastConverged`] slot): time-adjacent and space-adjacent chunks of a
 //! physical field usually want similar bounds, so the hint probe frequently
-//! replaces the whole bracketing race with a single evaluation.  An
+//! replaces the whole bracketing race with a single evaluation.  Such a
+//! write tunes its **leading chunk** first — that search's regions race on
+//! the whole pool — and fans the rest out behind its converged bound (the
+//! paper's Algorithm 3 applied to chunks: train once, then reuse), instead
+//! of letting the first `workers` chunks all train before any has a bound
+//! to lend.  Every chunk's payload is the stream its search measured at the
+//! bound it settled on ([`fraz_core::answer_bytes`]); a chunk is compressed
+//! once more only when that answer was measured without writing one.  An
 //! external [`BoundPredictor`] — typically the `fraz-tune` persistent cache
 //! via [`write_array_seeded`] — is consulted *before* the warm-start slot
 //! (its per-chunk fingerprints are more specific) and observes every
@@ -25,12 +32,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fraz_core::{
-    BoundPredictor, HintSource, LastConverged, Objective, PredictorChain, QualityMetric,
-    QualitySearchConfig, Search, SearchConfig, SearchOutcome,
+    answer_bytes, BoundPredictor, HintSource, LastConverged, Objective, PredictorChain,
+    QualityMetric, QualitySearchConfig, Search, SearchConfig, SearchOutcome,
 };
 use fraz_data::Dataset;
 use fraz_pool::Pool;
-use fraz_pressio::{registry, Compressor, Options};
+use fraz_pressio::{registry, Compressor, Options, PressioError};
 
 use crate::format::{self, ArrayMeta};
 use crate::grid::ChunkGrid;
@@ -219,17 +226,21 @@ struct ChunkWriter<'a> {
 }
 
 impl ChunkWriter<'_> {
-    /// One search per chunk, whatever the objective: `(bound, evaluations,
-    /// objective met)`.
-    fn tune<O: Objective>(&self, objective: O, chunk: &Dataset) -> (f64, usize, bool) {
+    /// One search per chunk, whatever the objective, and the answer's bytes.
+    fn tune<O: Objective>(&self, objective: O, chunk: &Dataset) -> Result<ChunkOut, StoreError> {
         let mut search = Search::new(self.codec.clone(), objective)
             .with_codec_config(self.config.options.signature())
             .with_predictor(self.predictor.clone());
         if let Some(pool) = &self.pool {
             search = search.with_pool(pool.clone());
         }
-        let outcome: SearchOutcome = search.run(chunk).into();
-        (outcome.error_bound, outcome.evaluations, outcome.feasible)
+        let mut outcome: SearchOutcome = search.run(chunk).into();
+        Ok(ChunkOut {
+            payload: answer_bytes(&*self.codec, chunk, &mut outcome).map_err(compress_failed)?,
+            bound: outcome.error_bound,
+            evaluations: outcome.evaluations,
+            feasible: outcome.feasible,
+        })
     }
 
     fn compress(&self, chunk: &Dataset) -> Result<ChunkOut, StoreError> {
@@ -241,13 +252,19 @@ impl ChunkWriter<'_> {
                 chunk.dims.as_slice()
             )));
         }
-        let (bound, evaluations, feasible) = match config.target {
+        match config.target {
             ChunkTarget::FixedBound(bound) => {
                 // Clamp into this chunk's valid range: a near-constant chunk
                 // can have a much smaller upper bound than the whole field,
                 // and a bound the codec would reject must not fail the write.
                 let (lo, hi) = self.codec.bound_range(chunk);
-                (bound.clamp(lo, hi), 0, true)
+                let bound = bound.clamp(lo, hi);
+                Ok(ChunkOut {
+                    payload: self.codec.compress(chunk, bound).map_err(compress_failed)?,
+                    bound,
+                    evaluations: 0,
+                    feasible: true,
+                })
             }
             ChunkTarget::Ratio {
                 target_ratio,
@@ -266,18 +283,12 @@ impl ChunkWriter<'_> {
                 objective.max_error_bound = config.max_error_bound;
                 self.tune(objective, chunk)
             }
-        };
-        let payload = self
-            .codec
-            .compress(chunk, bound)
-            .map_err(|e| StoreError::Codec(format!("chunk compress failed: {e}")))?;
-        Ok(ChunkOut {
-            payload,
-            bound,
-            evaluations,
-            feasible,
-        })
+        }
     }
+}
+
+fn compress_failed(error: PressioError) -> StoreError {
+    StoreError::Codec(format!("chunk compress failed: {error}"))
 }
 
 /// Chunk, tune, compress and store `dataset` under `key` — the general form
@@ -328,15 +339,21 @@ pub fn write_array_seeded(
     slots.resize_with(n_chunks, || None);
     {
         let (grid, writer) = (&grid, &writer);
+        let tuned = |idx: usize| writer.compress(&chunk_dataset(dataset, grid, idx));
+        // A warm-started ratio write trains on its leading chunk alone; the
+        // rest start from the bound it converged to.
+        let leading = matches!(config.target, ChunkTarget::Ratio { .. }) && config.warm_start;
+        if leading {
+            // (A grid has at least one chunk.)
+            slots[0] = Some(tuned(0));
+        }
         let scope_pool: &Pool = writer
             .pool
             .as_deref()
             .unwrap_or_else(|| fraz_pool::global());
         scope_pool.scope(|scope| {
-            for (idx, slot) in slots.iter_mut().enumerate() {
-                scope.spawn(move || {
-                    *slot = Some(writer.compress(&chunk_dataset(dataset, grid, idx)));
-                });
+            for (idx, slot) in slots.iter_mut().enumerate().skip(usize::from(leading)) {
+                scope.spawn(move || *slot = Some(tuned(idx)));
             }
         });
     }

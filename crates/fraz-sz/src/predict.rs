@@ -43,7 +43,11 @@ fn sample<T: Copy + Into<f64>>(grid: &[T], dims: Dims3, z: isize, y: isize, x: i
 /// Away from the low faces (`z, y, x > 0` — all but a sliver of a 3-D
 /// grid) every neighbour exists, so the seven values are loaded straight
 /// from their offsets and summed in the same order as the general form:
-/// the same bits, without fourteen range tests per point.
+/// the same bits, without fourteen range tests per point.  On the `z = 0`
+/// plane — the whole of a 2-D or 1-D grid, which is padded to `[1, ny, nx]`
+/// — the same holds away from its low edges with the four `z − 1`
+/// neighbours absent: they stay in the sum as the literal `0.0` they
+/// contribute, so it rounds (and signs its zeros) as the general form does.
 #[inline]
 pub fn lorenzo3<T: Copy + Into<f64>>(
     recon: &[T],
@@ -60,6 +64,13 @@ pub fn lorenzo3<T: Copy + Into<f64>>(
         let at = |back: usize| -> f64 { window[window.len() - back].into() };
         return at(plane) + at(row) + at(1) - at(plane + row) - at(plane + 1) - at(row + 1)
             + at(plane + row + 1);
+    }
+    if z == 0 && y > 0 && x > 0 {
+        let row = dims[2];
+        let idx = y * row + x;
+        let window = &recon[idx - row - 1..idx];
+        let at = |back: usize| -> f64 { window[window.len() - back].into() };
+        return 0.0 + at(row) + at(1) - 0.0 - 0.0 - at(row + 1) + 0.0;
     }
     let (zi, yi, xi) = (z as isize, y as isize, x as isize);
     sample(recon, dims, zi - 1, yi, xi)
@@ -272,8 +283,15 @@ mod tests {
     #[test]
     fn interior_fast_path_is_the_general_form_bit_for_bit() {
         // Signed zeros, huge cancellations and non-finite values included:
-        // the direct loads must sum in the order `sample` does.
-        let dims = [4, 5, 6];
+        // the direct loads must sum in the order `sample` does — in the
+        // interior of a 3-D grid, on its `z = 0` plane, and on the 2-D and
+        // 1-D grids that are nothing else.
+        for dims in [[4, 5, 6], [1, 20, 6], [1, 1, 120]] {
+            fast_paths_agree_on(dims);
+        }
+    }
+
+    fn fast_paths_agree_on(dims: Dims3) {
         let mut state = 0x2545_F491_4F6C_DD1Du64;
         let grid: Vec<f64> = (0..dims[0] * dims[1] * dims[2])
             .map(|i| {

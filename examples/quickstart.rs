@@ -9,7 +9,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use fraz::core::{FixedRatioSearch, SearchConfig};
+use fraz::core::{answer_bytes, FixedRatioSearch, SearchConfig};
 use fraz::data::synthetic;
 use fraz::pressio::registry;
 use fraz::Options;
@@ -44,7 +44,7 @@ fn main() {
     let search = FixedRatioSearch::new(compressor, config);
 
     // 4. Run the search.
-    let outcome = search.run(&dataset);
+    let mut outcome = search.run(&dataset);
 
     println!();
     println!(
@@ -72,13 +72,12 @@ fn main() {
 
     // 5. The recommended bound can now be used directly, without FRaZ, for
     //    any data with similar characteristics (e.g. the next time-steps).
-    let compressed = search
-        .compressor()
-        .compress(&dataset, outcome.error_bound)
+    //    The field compressed at it is what the search already measured.
+    let compressed = answer_bytes(search.compressor(), &dataset, &mut outcome)
         .expect("recommended bound compresses");
     println!();
     println!(
-        "re-compressing with the recommended bound: {} -> {} bytes ({:.2}:1)",
+        "compressed with the recommended bound: {} -> {} bytes ({:.2}:1)",
         dataset.byte_size(),
         compressed.len(),
         dataset.byte_size() as f64 / compressed.len() as f64

@@ -15,6 +15,13 @@
 //! codec that does not override `evaluate` passes trivially; one that later
 //! does inherits the suite.
 //!
+//! **The bytes.**  An outcome hands back the stream it was measured on, so a
+//! search's answer need not be compressed again: where an outcome carries a
+//! stream it is byte for byte what `compress` returns at that bound, and an
+//! evaluation that decoded one (`measure_quality`) has one to carry.  An
+//! evaluation that wrote nothing carries nothing — `evaluation_allocs.rs`,
+//! which can see what was written, holds the two apart.
+//!
 //! **The step.**  A codec whose [`BoundKind::step_of`] is `Some` promises
 //! that bounds on one step compress to one stream (outside the parameter
 //! recorded in it) and decode to one reconstruction — which is what lets a
@@ -89,6 +96,17 @@ fn assert_evaluate_agrees(
             assert_eq!(outcome.compressor, codec.name(), "{what}");
             assert_eq!(outcome.error_bound, bound, "{what}");
             assert_eq!(outcome.quality.is_some(), measure_quality, "{what}");
+            assert!(
+                outcome
+                    .stream
+                    .as_ref()
+                    .is_none_or(|stream| *stream == packed),
+                "{what}: carries a stream that is not compress's"
+            );
+            assert!(
+                outcome.stream.is_some() || !measure_quality,
+                "{what}: decoded a stream and dropped it"
+            );
             if let Some(quality) = outcome.quality {
                 assert_eq!(quality.compressed_bytes, packed.len(), "{what}");
                 assert_eq!(quality.num_points, dataset.len(), "{what}");

@@ -167,6 +167,13 @@ fn a_ratio_evaluation_asks_for_no_more_than_a_compression() {
             let (outcome, evaluate, largest) =
                 requests_and_largest(|| codec.evaluate(&dataset, bound, false).unwrap());
             assert_eq!(outcome.compressed_bytes, packed.len(), "{name}");
+            // An evaluation that wrote its stream hands it back; one that
+            // asked for less than its length has none to hand.
+            assert_eq!(outcome.stream.is_some(), largest >= packed.len(), "{name}");
+            assert!(
+                outcome.stream.is_none_or(|stream| stream == packed),
+                "{name}"
+            );
             // The outcome owns its codec's name: one request `compress`
             // has no use for.
             if evaluate > compress + 1 {
