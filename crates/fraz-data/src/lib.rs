@@ -43,6 +43,7 @@ pub mod synthetic;
 pub mod wire;
 
 use std::fmt;
+use std::ops::Range;
 
 pub use buffer::{DType, DataBuffer};
 pub use dims::Dims;
@@ -161,14 +162,26 @@ impl Dataset {
 
     /// Extract a 2-D slice (the last two dimensions) at the given index of
     /// the slowest dimension, for visual-quality metrics.  For 1-D and 2-D
-    /// data the whole field is returned reshaped to 2-D.
+    /// data the whole field is returned reshaped to 2-D.  Only the slice is
+    /// widened to `f64`.
     pub fn slice2d(&self, index: usize) -> (usize, usize, Vec<f64>) {
-        let values = self.buffer.to_f64_vec();
+        let (rows, cols, range) = self.plane2d(index);
+        let values = match &self.buffer {
+            DataBuffer::F32(v) => v[range].iter().map(|&x| x as f64).collect(),
+            DataBuffer::F64(v) => v[range].to_vec(),
+        };
+        (rows, cols, values)
+    }
+
+    /// Where [`slice2d`](Self::slice2d)'s slice lies: `(rows, cols, range)`
+    /// with `range` the buffer indices it spans — a plane is contiguous, so
+    /// a reader can take it in place at the buffer's own precision.
+    pub fn plane2d(&self, index: usize) -> (usize, usize, Range<usize>) {
         let d = self.dims.as_slice();
         match d.len() {
-            0 => (0, 0, Vec::new()),
-            1 => (1, d[0], values),
-            2 => (d[0], d[1], values),
+            0 => (0, 0, 0..0),
+            1 => (1, d[0], 0..self.len()),
+            2 => (d[0], d[1], 0..self.len()),
             _ => {
                 let rows = d[d.len() - 2];
                 let cols = d[d.len() - 1];
@@ -176,7 +189,7 @@ impl Dataset {
                 let nplanes = self.len() / plane;
                 let idx = index.min(nplanes.saturating_sub(1));
                 let start = idx * plane;
-                (rows, cols, values[start..start + plane].to_vec())
+                (rows, cols, start..start + plane)
             }
         }
     }
@@ -380,6 +393,59 @@ mod tests {
         assert_eq!(d1.slice2d(0).0, 1);
         let d2 = Dataset::from_f32("a", "b", 0, Dims::d2(2, 3), vec![0.0; 6]);
         assert_eq!(d2.slice2d(5), (2, 3, vec![0.0; 6]));
+    }
+
+    /// `slice2d` as it was: widen the whole field, then cut the plane.
+    fn slice2d_widening_everything(d: &Dataset, index: usize) -> (usize, usize, Vec<f64>) {
+        let values = d.buffer.to_f64_vec();
+        let dims = d.dims.as_slice();
+        match dims.len() {
+            0 => (0, 0, Vec::new()),
+            1 => (1, dims[0], values),
+            2 => (dims[0], dims[1], values),
+            _ => {
+                let rows = dims[dims.len() - 2];
+                let cols = dims[dims.len() - 1];
+                let plane = rows * cols;
+                let nplanes = d.len() / plane;
+                let idx = index.min(nplanes.saturating_sub(1));
+                let start = idx * plane;
+                (rows, cols, values[start..start + plane].to_vec())
+            }
+        }
+    }
+
+    #[test]
+    fn slice2d_is_the_old_definition_for_every_rank() {
+        let shapes = [
+            Dims::d1(1),
+            Dims::d1(7),
+            Dims::d2(1, 1),
+            Dims::d2(3, 5),
+            Dims::d3(1, 2, 3),
+            Dims::d3(4, 3, 2),
+            Dims::d4(1, 1, 1, 1),
+            Dims::d4(3, 2, 4, 5),
+        ];
+        for dims in shapes {
+            let n = dims.len();
+            let wide: Vec<f64> = (0..n).map(|i| i as f64 * 0.37 - 1.5).collect();
+            let narrow: Vec<f32> = wide.iter().map(|&v| v as f32).collect();
+            for d in [
+                Dataset::from_f64("a", "b", 0, dims.clone(), wide.clone()),
+                Dataset::from_f32("a", "b", 0, dims.clone(), narrow),
+            ] {
+                for index in [0, 1, 2, 3, 1000] {
+                    let (rows, cols, plane) = d.slice2d(index);
+                    let (old_rows, old_cols, old_plane) = slice2d_widening_everything(&d, index);
+                    assert_eq!((rows, cols), (old_rows, old_cols), "{d} at {index}");
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&plane), bits(&old_plane), "{d} at {index}");
+                    let (_, _, range) = d.plane2d(index);
+                    assert_eq!(range.len(), plane.len(), "{d} at {index}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,6 +26,36 @@ pub fn autocorrelation(series: &[f64], lag: usize) -> f64 {
     numer / denom
 }
 
+/// [`autocorrelation`] at lag 1 of the series `a_i − b_i`, without the
+/// series: one pass over the two arrays, given the series' sum (from `-0.0`,
+/// in index order — `Iterator::sum`'s).  Both sums are taken in the order
+/// [`autocorrelation`] takes them, so the answer is its answer bit for bit.
+pub(crate) fn lag1_of_difference<A, B>(a: &[A], b: &[B], sum: f64) -> f64
+where
+    A: Copy + Into<f64>,
+    B: Copy + Into<f64>,
+{
+    let n = a.len();
+    if n < 3 {
+        return 0.0;
+    }
+    let mean = sum / n as f64;
+    let centred = |i: usize| (a[i].into() - b[i].into()) - mean;
+    let mut prev = centred(0);
+    let mut denom = -0.0 + prev * prev;
+    let mut numer = -0.0;
+    for (&x, &y) in a[1..].iter().zip(&b[1..]) {
+        let d = (x.into() - y.into()) - mean;
+        denom += d * d;
+        numer += prev * d;
+        prev = d;
+    }
+    if denom == 0.0 {
+        return 0.0;
+    }
+    numer / denom
+}
+
 /// Autocorrelation function for lags `1..=max_lag`.
 pub fn acf(series: &[f64], max_lag: usize) -> Vec<f64> {
     (1..=max_lag)

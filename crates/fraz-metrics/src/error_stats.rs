@@ -24,24 +24,43 @@ impl ErrorStats {
     /// # Panics
     /// Panics if the slices have different lengths.
     pub fn compute(original: &[f64], reconstructed: &[f64]) -> Self {
+        Self::with_error_sum(original, reconstructed).0
+    }
+
+    /// [`compute`](Self::compute) over typed slices (widening is exact, so
+    /// an `f32` array gives what its `f64` copy would), together with the
+    /// sum of the errors `d_i − d'_i` — from `-0.0`, in index order, as
+    /// `Iterator::sum` takes it — which is what the error's mean needs.
+    ///
+    /// # Panics
+    /// Panics if the slices have different lengths.
+    pub(crate) fn with_error_sum<A, B>(original: &[A], reconstructed: &[B]) -> (Self, f64)
+    where
+        A: Copy + Into<f64>,
+        B: Copy + Into<f64>,
+    {
         assert_eq!(original.len(), reconstructed.len());
         if original.is_empty() {
-            return Self {
+            let empty = Self {
                 max_abs_error: 0.0,
                 mse: 0.0,
                 rmse: 0.0,
                 psnr: f64::INFINITY,
                 value_range: 0.0,
             };
+            return (empty, -0.0);
         }
         let mut max_abs_error = 0.0f64;
         let mut sq_sum = 0.0f64;
+        let mut error_sum = -0.0f64;
         let mut dmin = f64::INFINITY;
         let mut dmax = f64::NEG_INFINITY;
-        for (&a, &b) in original.iter().zip(reconstructed.iter()) {
+        for (&a, &b) in original.iter().zip(reconstructed) {
+            let (a, b): (f64, f64) = (a.into(), b.into());
             let diff = a - b;
             max_abs_error = max_abs_error.max(diff.abs());
             sq_sum += diff * diff;
+            error_sum += diff;
             dmin = dmin.min(a);
             dmax = dmax.max(a);
         }
@@ -49,13 +68,14 @@ impl ErrorStats {
         let rmse = mse.sqrt();
         let value_range = dmax - dmin;
         let psnr = psnr_from_rmse(value_range, rmse);
-        Self {
+        let stats = Self {
             max_abs_error,
             mse,
             rmse,
             psnr,
             value_range,
-        }
+        };
+        (stats, error_sum)
     }
 }
 

@@ -23,7 +23,7 @@ pub mod ssim;
 
 use serde::{Deserialize, Serialize};
 
-use fraz_data::Dataset;
+use fraz_data::{DataBuffer, Dataset};
 
 /// All quality metrics for one (original, reconstructed, compressed-size)
 /// triple.
@@ -58,30 +58,72 @@ impl QualityReport {
     /// # Panics
     /// Panics if the two datasets have different lengths.
     pub fn evaluate(original: &Dataset, reconstructed: &Dataset, compressed_bytes: usize) -> Self {
+        Self::measure(original, &reconstructed.buffer, compressed_bytes)
+    }
+
+    /// [`evaluate`](Self::evaluate) against a reconstruction held as a bare
+    /// buffer laid out like `original` — what an encoder that rebuilds the
+    /// field as it goes has in hand.
+    ///
+    /// Two passes over the typed buffers and no allocation: the first takes
+    /// the error statistics and the error sum, the second the
+    /// autocorrelation's two sums, and SSIM reads the central plane in
+    /// place.  Every sum is taken in the order the per-metric functions take
+    /// it, so the report is theirs bit for bit.
+    ///
+    /// # Panics
+    /// Panics if the two buffers have different lengths.
+    pub fn measure(
+        original: &Dataset,
+        reconstructed: &DataBuffer,
+        compressed_bytes: usize,
+    ) -> Self {
         assert_eq!(
             original.len(),
             reconstructed.len(),
             "original and reconstructed datasets must have the same length"
         );
-        let a = original.values_f64();
-        let b = reconstructed.values_f64();
-        let stats = error_stats::ErrorStats::compute(&a, &b);
+        let fidelity = match (&original.buffer, reconstructed) {
+            (DataBuffer::F32(a), DataBuffer::F32(b)) => Fidelity::of(original, a, b),
+            (DataBuffer::F32(a), DataBuffer::F64(b)) => Fidelity::of(original, a, b),
+            (DataBuffer::F64(a), DataBuffer::F32(b)) => Fidelity::of(original, a, b),
+            (DataBuffer::F64(a), DataBuffer::F64(b)) => Fidelity::of(original, a, b),
+        };
         let original_bytes = original.byte_size();
-        let (rows, cols, slice_a) = original.slice2d(original.dims.as_slice()[0] / 2);
-        let (_, _, slice_b) = reconstructed.slice2d(original.dims.as_slice()[0] / 2);
-        let ssim = ssim::mean_ssim(&slice_a, &slice_b, rows, cols);
-        let errors: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
         Self {
             compression_ratio: ratio::compression_ratio(original_bytes, compressed_bytes),
             bit_rate: ratio::bit_rate(compressed_bytes, original.len()),
-            max_abs_error: stats.max_abs_error,
-            rmse: stats.rmse,
-            psnr: stats.psnr,
-            ssim,
-            acf_error: acf::autocorrelation(&errors, 1),
+            max_abs_error: fidelity.stats.max_abs_error,
+            rmse: fidelity.stats.rmse,
+            psnr: fidelity.stats.psnr,
+            ssim: fidelity.ssim,
+            acf_error: fidelity.acf_error,
             num_points: original.len(),
             original_bytes,
             compressed_bytes,
+        }
+    }
+}
+
+/// What a report reads from the two value arrays.
+struct Fidelity {
+    stats: error_stats::ErrorStats,
+    ssim: f64,
+    acf_error: f64,
+}
+
+impl Fidelity {
+    fn of<A, B>(original: &Dataset, a: &[A], b: &[B]) -> Self
+    where
+        A: Copy + Into<f64>,
+        B: Copy + Into<f64>,
+    {
+        let (stats, error_sum) = error_stats::ErrorStats::with_error_sum(a, b);
+        let (rows, cols, plane) = original.plane2d(original.dims.as_slice()[0] / 2);
+        Self {
+            stats,
+            ssim: ssim::mean_ssim(&a[plane.clone()], &b[plane], rows, cols),
+            acf_error: acf::lag1_of_difference(a, b, error_sum),
         }
     }
 }
@@ -134,6 +176,169 @@ mod tests {
         let a = Dataset::from_f32("t", "f", 0, Dims::d1(10), vec![0.0; 10]);
         let b = Dataset::from_f32("t", "f", 0, Dims::d1(5), vec![0.0; 5]);
         let _ = QualityReport::evaluate(&a, &b, 1);
+    }
+
+    /// The report as it was composed before it was fused: both fields
+    /// widened into copies, the statistics loop, two widened planes for
+    /// SSIM, and a materialised error series for the autocorrelation.
+    fn composed_report(original: &Dataset, reconstructed: &Dataset, bytes: usize) -> QualityReport {
+        let a = original.values_f64();
+        let b = reconstructed.values_f64();
+        let (mut max_abs_error, mut sq_sum) = (0.0f64, 0.0f64);
+        let (mut dmin, mut dmax) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (&x, &y) in a.iter().zip(b.iter()) {
+            let diff = x - y;
+            max_abs_error = max_abs_error.max(diff.abs());
+            sq_sum += diff * diff;
+            dmin = dmin.min(x);
+            dmax = dmax.max(x);
+        }
+        let rmse = (sq_sum / a.len() as f64).sqrt();
+        let psnr = error_stats::psnr_from_rmse(dmax - dmin, rmse);
+        let plane = |values: &[f64], d: &Dataset| {
+            let dims = d.dims.as_slice();
+            match dims.len() {
+                1 => (1, dims[0], values.to_vec()),
+                2 => (dims[0], dims[1], values.to_vec()),
+                _ => {
+                    let (rows, cols) = (dims[dims.len() - 2], dims[dims.len() - 1]);
+                    let nplanes = d.len() / (rows * cols);
+                    let start = (dims[0] / 2).min(nplanes.saturating_sub(1)) * rows * cols;
+                    (rows, cols, values[start..start + rows * cols].to_vec())
+                }
+            }
+        };
+        let (rows, cols, slice_a) = plane(&a, original);
+        let (_, _, slice_b) = plane(&b, reconstructed);
+        let errors: Vec<f64> = a.iter().zip(&b).map(|(x, y)| x - y).collect();
+        let original_bytes = original.byte_size();
+        QualityReport {
+            compression_ratio: ratio::compression_ratio(original_bytes, bytes),
+            bit_rate: ratio::bit_rate(bytes, original.len()),
+            max_abs_error,
+            rmse,
+            psnr,
+            ssim: ssim::mean_ssim(&slice_a, &slice_b, rows, cols),
+            acf_error: acf::autocorrelation(&errors, 1),
+            num_points: original.len(),
+            original_bytes,
+            compressed_bytes: bytes,
+        }
+    }
+
+    /// Every field by its bits — signed zeros and infinities included — but
+    /// a NaN as NaN: Rust leaves which NaN an operation on two NaNs returns
+    /// unspecified (LLVM may commute the add), so two code paths that agree
+    /// on every number may still disagree on a NaN's sign, and do in the
+    /// dev profile.  (One compiled function is deterministic:
+    /// `tests/evaluate_contract.rs` compares NaN bits through `measure`.)
+    fn report_bits(r: &QualityReport) -> [u64; 10] {
+        let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+        [
+            bits(r.compression_ratio),
+            bits(r.bit_rate),
+            bits(r.max_abs_error),
+            bits(r.rmse),
+            bits(r.psnr),
+            bits(r.ssim),
+            bits(r.acf_error),
+            r.num_points as u64,
+            r.original_bytes as u64,
+            r.compressed_bytes as u64,
+        ]
+    }
+
+    #[test]
+    fn the_fused_report_is_the_composed_one() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e-310,
+        ];
+        let shapes = [
+            Dims::d1(1),
+            Dims::d1(2),
+            Dims::d1(3),
+            Dims::d1(257),
+            Dims::d2(1, 2),
+            Dims::d2(9, 13),
+            Dims::d3(1, 1, 2),
+            Dims::d3(5, 12, 10),
+            Dims::d4(3, 2, 9, 8),
+        ];
+        let mut cases = 0;
+        for dims in shapes {
+            // 0: smooth + noise; 1: a constant original; 2: specials sprinkled
+            // in; 3: all signed zeros; 4: exact reconstruction.
+            for kind in 0..5 {
+                let n = dims.len();
+                let mut a: Vec<f64> = (0..n)
+                    .map(|i| match kind {
+                        1 => 2.5,
+                        3 if i % 2 == 0 => -0.0,
+                        3 => 0.0,
+                        _ => (i as f64 * 0.21).sin() * 40.0,
+                    })
+                    .collect();
+                let mut b: Vec<f64> = a
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| match kind {
+                        3 if i % 3 == 0 => 0.0,
+                        3 => -0.0,
+                        4 => v,
+                        _ => v + (next() % 2001) as f64 * 1e-3 - 1.0,
+                    })
+                    .collect();
+                if kind == 2 {
+                    for _ in 0..n.div_ceil(7) {
+                        let at = next() as usize % n;
+                        let special = specials[next() as usize % specials.len()];
+                        if next() % 2 == 0 {
+                            a[at] = special;
+                        } else {
+                            b[at] = special;
+                        }
+                    }
+                }
+                let narrow = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
+                let as_f32 = |v: &[f64]| Dataset::from_f32("t", "f", 0, dims.clone(), narrow(v));
+                let as_f64 = |v: &[f64]| Dataset::from_f64("t", "f", 0, dims.clone(), v.to_vec());
+                for (x, y) in [
+                    (as_f32(&a), as_f32(&b)),
+                    (as_f32(&a), as_f64(&b)),
+                    (as_f64(&a), as_f32(&b)),
+                    (as_f64(&a), as_f64(&b)),
+                ] {
+                    let bytes = 1 + next() as usize % 4096;
+                    let fused = QualityReport::evaluate(&x, &y, bytes);
+                    let composed = composed_report(&x, &y, bytes);
+                    assert_eq!(
+                        report_bits(&fused),
+                        report_bits(&composed),
+                        "{dims:?} kind {kind} ({:?}, {:?}):\n{fused:?}\n{composed:?}",
+                        x.dtype(),
+                        y.dtype()
+                    );
+                    assert_eq!(
+                        report_bits(&QualityReport::measure(&x, &y.buffer, bytes)),
+                        report_bits(&fused)
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 9 * 5 * 4);
     }
 
     #[test]

@@ -17,14 +17,19 @@ const STRIDE: usize = 4;
 const K1: f64 = 0.01;
 const K2: f64 = 0.03;
 
-/// Mean SSIM between two 2-D slices stored row-major as `rows` x `cols`.
+/// Mean SSIM between two 2-D slices stored row-major as `rows` x `cols`,
+/// read in place at either precision (widening to `f64` is exact).
 ///
 /// Identical slices return exactly 1.0.  Degenerate inputs (empty, smaller
 /// than one window) fall back to a single window covering the whole slice.
 ///
 /// # Panics
 /// Panics if the slice lengths do not match `rows * cols`.
-pub fn mean_ssim(a: &[f64], b: &[f64], rows: usize, cols: usize) -> f64 {
+pub fn mean_ssim<A, B>(a: &[A], b: &[B], rows: usize, cols: usize) -> f64
+where
+    A: Copy + Into<f64>,
+    B: Copy + Into<f64>,
+{
     assert_eq!(a.len(), rows * cols, "slice A shape mismatch");
     assert_eq!(b.len(), rows * cols, "slice B shape mismatch");
     if a.is_empty() {
@@ -35,6 +40,7 @@ pub fn mean_ssim(a: &[f64], b: &[f64], rows: usize, cols: usize) -> f64 {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for &v in a {
+        let v: f64 = v.into();
         lo = lo.min(v);
         hi = hi.max(v);
     }
@@ -75,9 +81,9 @@ pub fn mean_ssim(a: &[f64], b: &[f64], rows: usize, cols: usize) -> f64 {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn window_ssim(
-    a: &[f64],
-    b: &[f64],
+fn window_ssim<A: Copy + Into<f64>, B: Copy + Into<f64>>(
+    a: &[A],
+    b: &[B],
     cols: usize,
     r0: usize,
     c0: usize,
@@ -91,8 +97,9 @@ fn window_ssim(
     let mut mean_b = 0.0;
     for r in r0..r0 + window_r {
         for c in c0..c0 + window_c {
-            mean_a += a[r * cols + c];
-            mean_b += b[r * cols + c];
+            let (va, vb): (f64, f64) = (a[r * cols + c].into(), b[r * cols + c].into());
+            mean_a += va;
+            mean_b += vb;
         }
     }
     mean_a /= n;
@@ -103,8 +110,9 @@ fn window_ssim(
     let mut cov = 0.0;
     for r in r0..r0 + window_r {
         for c in c0..c0 + window_c {
-            let da = a[r * cols + c] - mean_a;
-            let db = b[r * cols + c] - mean_b;
+            let (va, vb): (f64, f64) = (a[r * cols + c].into(), b[r * cols + c].into());
+            let da = va - mean_a;
+            let db = vb - mean_b;
             var_a += da * da;
             var_b += db * db;
             cov += da * db;
@@ -182,12 +190,12 @@ mod tests {
 
     #[test]
     fn empty_slice_scores_one() {
-        assert_eq!(mean_ssim(&[], &[], 0, 0), 1.0);
+        assert_eq!(mean_ssim::<f64, f64>(&[], &[], 0, 0), 1.0);
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn shape_mismatch_panics() {
-        let _ = mean_ssim(&[1.0, 2.0], &[1.0, 2.0], 3, 3);
+        let _ = mean_ssim(&[1.0f64, 2.0], &[1.0f64, 2.0], 3, 3);
     }
 }

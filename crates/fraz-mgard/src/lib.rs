@@ -166,13 +166,15 @@ fn pad_dims(dims: &Dims) -> Result<Dims3, MgardError> {
 }
 
 /// Traverse the hierarchy once, producing quantization codes and exact
-/// values, with the reconstruction carried along so the bound is guaranteed.
+/// values, with the reconstruction carried along so the bound is guaranteed
+/// — and returned, since it is the grid [`decode_levels`] rebuilds from the
+/// codes, bit for bit.
 fn encode_levels<T: Copy + Into<f64>>(
     values: &[T],
     dims: Dims3,
     bound: f64,
     finalize: impl Fn(f64) -> f64,
-) -> (Vec<u32>, Vec<f64>) {
+) -> (Vec<u32>, Vec<f64>, Vec<f64>) {
     let quantizer = LinearQuantizer::new(bound, CAPACITY);
     let mut recon = vec![0.0f64; values.len()];
     let mut codes = Vec::with_capacity(values.len());
@@ -199,7 +201,7 @@ fn encode_levels<T: Copy + Into<f64>>(
             }
         });
     }
-    (codes, exact)
+    (codes, exact, recon)
 }
 
 fn decode_levels(
@@ -246,11 +248,28 @@ fn decode_levels(
 
 /// Compress a 2-D or 3-D dataset under the configured error norm.
 pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, MgardError> {
+    encode(dataset, config).map(|(stream, _)| stream)
+}
+
+/// [`compress`], and the reconstruction [`decompress`] would rebuild from
+/// the stream — bit for bit, since the encoder quantizes every level against
+/// the reconstructed coarser ones — without decoding anything.
+pub fn compress_measured(
+    dataset: &Dataset,
+    config: &MgardConfig,
+) -> Result<(Vec<u8>, DataBuffer), MgardError> {
+    let (stream, recon) = encode(dataset, config)?;
+    Ok((stream, DataBuffer::from_f64(recon, dataset.dtype())))
+}
+
+/// The one encoder: the stream, and the reconstruction it was quantized
+/// against.
+fn encode(dataset: &Dataset, config: &MgardConfig) -> Result<(Vec<u8>, Vec<f64>), MgardError> {
     config.validate()?;
     let dims3 = pad_dims(&dataset.dims)?;
     let bound = config.pointwise_bound();
     let dtype = dataset.dtype();
-    let (codes, exact) = match &dataset.buffer {
+    let (codes, exact, recon) = match &dataset.buffer {
         DataBuffer::F32(values) => encode_levels(values, dims3, bound, |v| v as f32 as f64),
         DataBuffer::F64(values) => encode_levels(values, dims3, bound, |v| v),
     };
@@ -269,7 +288,7 @@ pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, Mgar
 
     let mut out = header.into_bytes();
     out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
-    Ok(out)
+    Ok((out, recon))
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -439,6 +458,47 @@ mod tests {
         bad[0] ^= 0xff;
         assert!(decompress(&bad).is_err());
         assert!(decompress(&packed[..8]).is_err());
+    }
+
+    fn buffer_bits(buffer: &DataBuffer) -> Vec<u64> {
+        match buffer {
+            DataBuffer::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+            DataBuffer::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        }
+    }
+
+    #[test]
+    fn compress_measured_is_compress_and_the_decoded_field() {
+        let mut holes = smooth3d(9, 10, 11);
+        if let DataBuffer::F32(values) = &mut holes.buffer {
+            values[5] = f32::NAN;
+            values[300] = f32::NEG_INFINITY;
+        }
+        let wide = Dataset::from_f64(
+            "t",
+            "w",
+            0,
+            Dims::d2(33, 20),
+            (0..33 * 20)
+                .map(|i| (i as f64 * 0.07).cos() * 1e4)
+                .collect(),
+        );
+        for original in [smooth2d(17, 23), holes, wide] {
+            for config in [
+                MgardConfig::infinity_norm(1e-5),
+                MgardConfig::infinity_norm(1e-2),
+                MgardConfig::l2_norm(1e-3),
+            ] {
+                let (stream, recon) = compress_measured(&original, &config).unwrap();
+                assert_eq!(stream, compress(&original, &config).unwrap(), "{config:?}");
+                let decoded = decompress(&stream).unwrap().buffer;
+                assert_eq!(
+                    buffer_bits(&recon),
+                    buffer_bits(&decoded),
+                    "{original} {config:?}"
+                );
+            }
+        }
     }
 
     #[test]

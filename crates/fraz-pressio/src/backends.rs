@@ -19,12 +19,14 @@ use crate::descriptor::DimRange;
 #[cfg(any(feature = "sz", feature = "szx"))]
 use crate::descriptor::OptionDescriptor;
 use crate::descriptor::{BoundKind, CodecDescriptor};
+#[cfg(any(feature = "sz", feature = "mgard"))]
+use crate::evaluate_by_compressing;
 #[cfg(any(feature = "sz", feature = "szx"))]
 use crate::options::OptionKind;
 use crate::options::Options;
 use crate::registry::Registry;
-#[cfg(feature = "szx")]
-use crate::{evaluate_by_compressing, CompressionOutcome};
+#[cfg(any(feature = "sz", feature = "mgard", feature = "szx"))]
+use crate::CompressionOutcome;
 use crate::{Compressor, PressioError};
 
 /// Smallest error-bound setting offered to the search, as a fraction of the
@@ -89,6 +91,13 @@ impl SzBackend {
         }
         Self { config }
     }
+
+    fn config_at(&self, error_bound: f64) -> SzConfig {
+        SzConfig {
+            error_bound,
+            ..self.config.clone()
+        }
+    }
 }
 
 #[cfg(feature = "sz")]
@@ -113,17 +122,36 @@ impl Compressor for SzBackend {
         range_based_bounds(dataset)
     }
     fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        let config = SzConfig {
-            error_bound,
-            ..self.config.clone()
-        };
-        fraz_sz::compress(dataset, &config).map_err(|e| match e {
-            fraz_sz::SzError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            other => PressioError::Codec(other.to_string()),
-        })
+        fraz_sz::compress(dataset, &self.config_at(error_bound)).map_err(sz_error)
     }
     fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
         fraz_sz::decompress(data).map_err(|e| PressioError::Codec(e.to_string()))
+    }
+    fn evaluate(
+        &self,
+        dataset: &Dataset,
+        error_bound: f64,
+        measure_quality: bool,
+    ) -> Result<CompressionOutcome, PressioError> {
+        if !measure_quality {
+            return evaluate_by_compressing(self, dataset, error_bound, false);
+        }
+        let measured =
+            fraz_sz::compress_measured(dataset, &self.config_at(error_bound)).map_err(sz_error)?;
+        Ok(CompressionOutcome::of_reconstruction(
+            self.name(),
+            dataset,
+            error_bound,
+            measured,
+        ))
+    }
+}
+
+#[cfg(feature = "sz")]
+fn sz_error(e: fraz_sz::SzError) -> PressioError {
+    match e {
+        fraz_sz::SzError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
+        other => PressioError::Codec(other.to_string()),
     }
 }
 
@@ -256,6 +284,19 @@ impl MgardBackend {
             .with_dims(DimRange::new(2, 3))
             .with_summary("MGARD-like multilevel compressor, L2-norm (RMS) error control")
     }
+
+    fn config_for(&self, dataset: &Dataset, error_bound: f64) -> Result<MgardConfig, PressioError> {
+        if !self.supports_dims(&dataset.dims) {
+            return Err(PressioError::Unsupported(format!(
+                "MGARD-like codec does not support {}-D data",
+                dataset.dims.ndims()
+            )));
+        }
+        Ok(MgardConfig {
+            tolerance: error_bound,
+            norm: self.norm,
+        })
+    }
 }
 
 #[cfg(feature = "mgard")]
@@ -279,26 +320,40 @@ impl Compressor for MgardBackend {
         range_based_bounds(dataset)
     }
     fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        if !self.supports_dims(&dataset.dims) {
-            return Err(PressioError::Unsupported(format!(
-                "MGARD-like codec does not support {}-D data",
-                dataset.dims.ndims()
-            )));
-        }
-        let config = MgardConfig {
-            tolerance: error_bound,
-            norm: self.norm,
-        };
-        fraz_mgard::compress(dataset, &config).map_err(|e| match e {
-            fraz_mgard::MgardError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            fraz_mgard::MgardError::UnsupportedDimensionality(d) => {
-                PressioError::Unsupported(format!("{d}-D data"))
-            }
-            other => PressioError::Codec(other.to_string()),
-        })
+        let config = self.config_for(dataset, error_bound)?;
+        fraz_mgard::compress(dataset, &config).map_err(mgard_error)
     }
     fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
         fraz_mgard::decompress(data).map_err(|e| PressioError::Codec(e.to_string()))
+    }
+    fn evaluate(
+        &self,
+        dataset: &Dataset,
+        error_bound: f64,
+        measure_quality: bool,
+    ) -> Result<CompressionOutcome, PressioError> {
+        if !measure_quality {
+            return evaluate_by_compressing(self, dataset, error_bound, false);
+        }
+        let config = self.config_for(dataset, error_bound)?;
+        let measured = fraz_mgard::compress_measured(dataset, &config).map_err(mgard_error)?;
+        Ok(CompressionOutcome::of_reconstruction(
+            self.name(),
+            dataset,
+            error_bound,
+            measured,
+        ))
+    }
+}
+
+#[cfg(feature = "mgard")]
+fn mgard_error(e: fraz_mgard::MgardError) -> PressioError {
+    match e {
+        fraz_mgard::MgardError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
+        fraz_mgard::MgardError::UnsupportedDimensionality(d) => {
+            PressioError::Unsupported(format!("{d}-D data"))
+        }
+        other => PressioError::Codec(other.to_string()),
     }
 }
 
@@ -311,7 +366,9 @@ impl Compressor for MgardBackend {
 /// evaluation ([`Compressor::evaluate`] without quality) is one
 /// classification pass ([`fraz_szx::compressed_len`]) — exactly the size
 /// `compress` would produce, without the stream: FRaZ pays a fraction of a
-/// compression per candidate bound here.
+/// compression per candidate bound here.  A quality evaluation measures the
+/// reconstruction the encoder forms block by block
+/// ([`fraz_szx::compress_measured`]) instead of decoding the stream.
 #[cfg(feature = "szx")]
 #[derive(Debug, Clone)]
 pub struct SzxBackend {
@@ -389,11 +446,17 @@ impl Compressor for SzxBackend {
         error_bound: f64,
         measure_quality: bool,
     ) -> Result<CompressionOutcome, PressioError> {
+        let config = self.config_at(error_bound);
         if measure_quality {
-            return evaluate_by_compressing(self, dataset, error_bound, true);
+            let measured = fraz_szx::compress_measured(dataset, &config).map_err(szx_error)?;
+            return Ok(CompressionOutcome::of_reconstruction(
+                self.name(),
+                dataset,
+                error_bound,
+                measured,
+            ));
         }
-        let compressed_bytes =
-            fraz_szx::compressed_len(dataset, &self.config_at(error_bound)).map_err(szx_error)?;
+        let compressed_bytes = fraz_szx::compressed_len(dataset, &config).map_err(szx_error)?;
         Ok(CompressionOutcome::of_size(
             self.name(),
             dataset,

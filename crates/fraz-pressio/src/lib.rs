@@ -44,7 +44,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use fraz_data::{Dataset, Dims};
+use fraz_data::{DataBuffer, Dataset, Dims};
 use fraz_metrics::QualityReport;
 
 /// Errors surfaced through the abstraction layer.
@@ -169,12 +169,15 @@ pub trait Compressor: Send + Sync {
     /// outcome carries the stream it measured, so a caller that settles on
     /// this bound need not compress again.
     ///
-    /// A backend whose stream length follows from less work than writing
-    /// the stream may override this for `measure_quality == false`; the
-    /// contract is that the outcome — or the error — is the one this body
-    /// returns, with or without the stream, and that a stream it does carry
-    /// is `compress`'s (`tests/evaluate_contract.rs` holds every registered
-    /// codec to both).
+    /// A backend may override this where the answer follows from less work:
+    /// for `measure_quality == false` when the stream's length does (szx),
+    /// for `measure_quality == true` when its encoder already holds the
+    /// reconstruction the decoder would rebuild (sz, mgard, szx).  The
+    /// contract is that the outcome — quality report included, bit for bit —
+    /// or the error is the one this body returns, with or without the
+    /// stream, and that a stream it does carry is `compress`'s
+    /// (`tests/evaluate_contract.rs` holds every registered codec to all
+    /// three).
     fn evaluate(
         &self,
         dataset: &Dataset,
@@ -194,27 +197,22 @@ pub(crate) fn evaluate_by_compressing<C: Compressor + ?Sized>(
     measure_quality: bool,
 ) -> Result<CompressionOutcome, PressioError> {
     let compressed = compressor.compress(dataset, error_bound)?;
-    let quality = if measure_quality {
-        let restored = compressor.decompress(&compressed)?;
-        Some(QualityReport::evaluate(
+    if !measure_quality {
+        return Ok(CompressionOutcome::of_stream(
+            compressor.name(),
             dataset,
-            &restored,
-            compressed.len(),
-        ))
-    } else {
-        None
-    };
-    let sized = CompressionOutcome::of_size(
+            error_bound,
+            compressed,
+            None,
+        ));
+    }
+    let restored = compressor.decompress(&compressed)?;
+    Ok(CompressionOutcome::of_reconstruction(
         compressor.name(),
         dataset,
         error_bound,
-        compressed.len(),
-        quality,
-    );
-    Ok(CompressionOutcome {
-        stream: Some(compressed),
-        ..sized
-    })
+        (compressed, restored.buffer),
+    ))
 }
 
 impl CompressionOutcome {
@@ -242,6 +240,33 @@ impl CompressionOutcome {
             quality,
             stream: None,
         }
+    }
+
+    /// The outcome of writing `stream`, which it carries.
+    pub(crate) fn of_stream(
+        compressor: &str,
+        dataset: &Dataset,
+        error_bound: f64,
+        stream: Vec<u8>,
+        quality: Option<QualityReport>,
+    ) -> Self {
+        let sized = Self::of_size(compressor, dataset, error_bound, stream.len(), quality);
+        Self {
+            stream: Some(stream),
+            ..sized
+        }
+    }
+
+    /// The quality outcome of a stream and the reconstruction it decodes
+    /// to, however that reconstruction was obtained.
+    pub(crate) fn of_reconstruction(
+        compressor: &str,
+        dataset: &Dataset,
+        error_bound: f64,
+        (stream, reconstruction): (Vec<u8>, DataBuffer),
+    ) -> Self {
+        let quality = QualityReport::measure(dataset, &reconstruction, stream.len());
+        Self::of_stream(compressor, dataset, error_bound, stream, Some(quality))
     }
 
     /// This measurement without the bytes it was made on.

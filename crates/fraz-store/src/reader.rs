@@ -4,12 +4,13 @@
 //! header + index) and validates everything before trusting it.
 //! [`ArrayReader::read_region`] computes the chunk set intersecting the
 //! request, fetches **only those chunks' byte ranges**, CRC-checks and
-//! decodes them in parallel on [`fraz_pool`], and assembles the subregion.
+//! decodes them in parallel on [`fraz_pool`], each task pasting its chunk's
+//! part of the subregion straight into the output.
 //! Chunks outside the request are never read — the partial-decode tests pin
 //! this with a counting `Store`.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use fraz_data::{DataBuffer, Dataset, Dims};
 use fraz_pool::Pool;
@@ -137,74 +138,92 @@ impl<'a> ArrayReader<'a> {
         let chunk_ids = self.grid.chunks_intersecting(region)?;
         let codec = self.codec()?;
         let region_shape: Vec<usize> = region.iter().map(|r| (r.end - r.start) as usize).collect();
-        let region_origin: Vec<usize> = region.iter().map(|r| r.start as usize).collect();
+        let n_values: usize = region_shape.iter().product();
+        let out = Mutex::new(match self.meta.dtype {
+            fraz_data::DType::F32 => DataBuffer::F32(vec![0.0; n_values]),
+            fraz_data::DType::F64 => DataBuffer::F64(vec![0.0; n_values]),
+        });
 
-        // Fetch + decode in parallel, then scatter sequentially (the scatter
-        // is a plain memcpy per row; decode dominates).
-        let mut slots: Vec<Option<Result<Dataset, StoreError>>> = Vec::new();
-        slots.resize_with(chunk_ids.len(), || None);
+        // Fetch, decode and paste in parallel: each task copies its chunk's
+        // intersection with the request straight into the output (a row
+        // copy under the lock; decode dominates), and drops the chunk.
+        let mut slots: Vec<Result<(), StoreError>> = Vec::new();
+        slots.resize_with(chunk_ids.len(), || Ok(()));
         {
             let codec = codec.as_ref();
+            let (out, region_shape) = (&out, &region_shape);
             let scope_pool = pool.unwrap_or_else(|| fraz_pool::global());
             scope_pool.scope(|scope| {
                 for (slot, &idx) in slots.iter_mut().zip(&chunk_ids) {
                     scope.spawn(move || {
-                        *slot = Some(self.decode_chunk(codec, idx));
+                        *slot = self
+                            .decode_chunk(codec, idx)
+                            .map(|chunk| self.paste(&chunk.buffer, idx, region, region_shape, out));
                     });
                 }
             });
         }
-
-        let n_values: usize = region_shape.iter().product();
-        let mut out = match self.meta.dtype {
-            fraz_data::DType::F32 => DataBuffer::F32(vec![0.0; n_values]),
-            fraz_data::DType::F64 => DataBuffer::F64(vec![0.0; n_values]),
-        };
-        for (slot, &idx) in slots.into_iter().zip(&chunk_ids) {
-            let chunk = slot.expect("every decode task fills its slot")?;
-            let chunk_origin = self.grid.chunk_origin(idx);
-            let chunk_shape = self.grid.chunk_shape_at(idx);
-            // Intersection of the chunk's box with the request, in global
-            // element coordinates.
-            let isect_origin: Vec<usize> = chunk_origin
-                .iter()
-                .zip(&region_origin)
-                .map(|(&c, &r)| c.max(r))
-                .collect();
-            let isect_shape: Vec<usize> = chunk_origin
-                .iter()
-                .zip(chunk_shape.iter().zip(region.iter()))
-                .zip(&isect_origin)
-                .map(|((&c, (&s, r)), &o)| ((c + s).min(r.end as usize)) - o)
-                .collect();
-            let within_chunk: Vec<usize> = isect_origin
-                .iter()
-                .zip(&chunk_origin)
-                .map(|(&i, &c)| i - c)
-                .collect();
-            let within_region: Vec<usize> = isect_origin
-                .iter()
-                .zip(&region_origin)
-                .map(|(&i, &r)| i - r)
-                .collect();
-            let piece =
-                region::extract_buffer(&chunk.buffer, &chunk_shape, &within_chunk, &isect_shape);
-            region::scatter_buffer(
-                &mut out,
-                &region_shape,
-                &within_region,
-                &piece,
-                &isect_shape,
-            );
-        }
+        // The first failing chunk in chunk order, not in completion order,
+        // so a damaged container reports the same chunk on every read.
+        slots.into_iter().collect::<Result<(), StoreError>>()?;
 
         Ok(Dataset {
             application: self.meta.application.clone(),
             field: self.meta.field.clone(),
             timestep: self.meta.timestep as usize,
             dims: Dims::new(&region_shape),
-            buffer: out,
+            // A task that panicked mid-paste re-threw out of the scope above.
+            buffer: out.into_inner().expect("no paste task panicked"),
         })
+    }
+
+    /// Copy chunk `idx`'s intersection with `region` (whose shape is
+    /// `region_shape`) into `out`, the region's buffer.
+    fn paste(
+        &self,
+        chunk: &DataBuffer,
+        idx: usize,
+        region: &[Range<u64>],
+        region_shape: &[usize],
+        out: &Mutex<DataBuffer>,
+    ) {
+        let chunk_origin = self.grid.chunk_origin(idx);
+        let chunk_shape = self.grid.chunk_shape_at(idx);
+        // Intersection of the chunk's box with the request, in global
+        // element coordinates, then relative to each of the two.
+        let isect_origin: Vec<usize> = chunk_origin
+            .iter()
+            .zip(region)
+            .map(|(&c, r)| c.max(r.start as usize))
+            .collect();
+        let isect_shape: Vec<usize> = chunk_origin
+            .iter()
+            .zip(chunk_shape.iter().zip(region))
+            .zip(&isect_origin)
+            .map(|((&c, (&s, r)), &o)| ((c + s).min(r.end as usize)) - o)
+            .collect();
+        let within_chunk: Vec<usize> = isect_origin
+            .iter()
+            .zip(&chunk_origin)
+            .map(|(&i, &c)| i - c)
+            .collect();
+        let within_region: Vec<usize> = isect_origin
+            .iter()
+            .zip(region)
+            .map(|(&i, r)| i - r.start as usize)
+            .collect();
+        let mut out = out
+            .lock()
+            .expect("a paste task panicked; the scope re-throws it");
+        region::copy_box_buffer(
+            chunk,
+            &chunk_shape,
+            &within_chunk,
+            &mut out,
+            region_shape,
+            &within_region,
+            &isect_shape,
+        );
     }
 
     /// Decode the whole array.

@@ -1,10 +1,11 @@
-//! Row-run copies between an n-dimensional array and a sub-box of it.
+//! Row-run copies between n-dimensional arrays.
 //!
-//! Both helpers move whole rows along the fastest-varying (last) axis, so
+//! `copy_box` moves whole rows along the fastest-varying (last) axis, so
 //! the inner loop is a contiguous `copy_from_slice` and the odometer only
-//! walks the outer axes.  They are the glue between chunk payloads and
-//! region buffers: `extract` cuts a chunk (or a chunk's intersection with a
-//! request) out of a larger array, `scatter` pastes it into the output.
+//! walks the outer axes.  It is the glue between chunk payloads and region
+//! buffers: [`extract`] cuts a chunk out of a larger array for the writer,
+//! and the reader pastes each decoded chunk's intersection with a request
+//! straight into the output.
 
 use fraz_data::DataBuffer;
 
@@ -16,6 +17,52 @@ fn strides(dims: &[usize]) -> Vec<usize> {
     strides
 }
 
+/// Copy the box of shape `shape` at `src_origin` of an array of shape
+/// `src_dims` to `dst_origin` of an array of shape `dst_dims`.
+pub(crate) fn copy_box<T: Copy>(
+    src: &[T],
+    src_dims: &[usize],
+    src_origin: &[usize],
+    dst: &mut [T],
+    dst_dims: &[usize],
+    dst_origin: &[usize],
+    shape: &[usize],
+) {
+    let fits = |dims: &[usize], origin: &[usize]| {
+        dims.len() == shape.len()
+            && origin.len() == shape.len()
+            && origin
+                .iter()
+                .zip(shape.iter().zip(dims))
+                .all(|(&o, (&s, &d))| o + s <= d)
+    };
+    debug_assert!(fits(src_dims, src_origin) && fits(dst_dims, dst_origin));
+    let (src_strides, dst_strides) = (strides(src_dims), strides(dst_dims));
+    let last = shape.len() - 1;
+    let row = shape[last];
+    let outer: usize = shape[..last].iter().product();
+    let mut coords = vec![0usize; last];
+    for _ in 0..outer {
+        let at = |origin: &[usize], strides: &[usize]| {
+            let rows: usize = coords
+                .iter()
+                .enumerate()
+                .map(|(axis, &c)| (origin[axis] + c) * strides[axis])
+                .sum();
+            rows + origin[last]
+        };
+        let (s, d) = (at(src_origin, &src_strides), at(dst_origin, &dst_strides));
+        dst[d..d + row].copy_from_slice(&src[s..s + row]);
+        for axis in (0..last).rev() {
+            coords[axis] += 1;
+            if coords[axis] < shape[axis] {
+                break;
+            }
+            coords[axis] = 0;
+        }
+    }
+}
+
 /// Copy the box `origin..origin+shape` out of an array of shape `dims`.
 pub fn extract<T: Copy + Default>(
     src: &[T],
@@ -23,74 +70,17 @@ pub fn extract<T: Copy + Default>(
     origin: &[usize],
     shape: &[usize],
 ) -> Vec<T> {
-    debug_assert_eq!(dims.len(), origin.len());
-    debug_assert_eq!(dims.len(), shape.len());
-    debug_assert!(origin
-        .iter()
-        .zip(shape.iter().zip(dims))
-        .all(|(&o, (&s, &d))| o + s <= d));
     let mut out = vec![T::default(); shape.iter().product()];
-    let src_strides = strides(dims);
-    let row = *shape.last().expect("non-empty shape");
-    let outer: usize = shape[..shape.len() - 1].iter().product();
-    let mut coords = vec![0usize; shape.len() - 1];
-    let mut dst_pos = 0usize;
-    for _ in 0..outer {
-        let mut src_pos = 0usize;
-        for (axis, &c) in coords.iter().enumerate() {
-            src_pos += (origin[axis] + c) * src_strides[axis];
-        }
-        src_pos += origin[shape.len() - 1];
-        out[dst_pos..dst_pos + row].copy_from_slice(&src[src_pos..src_pos + row]);
-        dst_pos += row;
-        for axis in (0..coords.len()).rev() {
-            coords[axis] += 1;
-            if coords[axis] < shape[axis] {
-                break;
-            }
-            coords[axis] = 0;
-        }
-    }
+    copy_box(
+        src,
+        dims,
+        origin,
+        &mut out,
+        shape,
+        &vec![0; shape.len()],
+        shape,
+    );
     out
-}
-
-/// Paste an array of shape `shape` into the box at `origin` of an array of
-/// shape `dst_dims`.
-pub fn scatter<T: Copy>(
-    dst: &mut [T],
-    dst_dims: &[usize],
-    origin: &[usize],
-    src: &[T],
-    shape: &[usize],
-) {
-    debug_assert_eq!(dst_dims.len(), origin.len());
-    debug_assert_eq!(dst_dims.len(), shape.len());
-    debug_assert_eq!(src.len(), shape.iter().product::<usize>());
-    debug_assert!(origin
-        .iter()
-        .zip(shape.iter().zip(dst_dims))
-        .all(|(&o, (&s, &d))| o + s <= d));
-    let dst_strides = strides(dst_dims);
-    let row = *shape.last().expect("non-empty shape");
-    let outer: usize = shape[..shape.len() - 1].iter().product();
-    let mut coords = vec![0usize; shape.len() - 1];
-    let mut src_pos = 0usize;
-    for _ in 0..outer {
-        let mut dst_pos = 0usize;
-        for (axis, &c) in coords.iter().enumerate() {
-            dst_pos += (origin[axis] + c) * dst_strides[axis];
-        }
-        dst_pos += origin[shape.len() - 1];
-        dst[dst_pos..dst_pos + row].copy_from_slice(&src[src_pos..src_pos + row]);
-        src_pos += row;
-        for axis in (0..coords.len()).rev() {
-            coords[axis] += 1;
-            if coords[axis] < shape[axis] {
-                break;
-            }
-            coords[axis] = 0;
-        }
-    }
 }
 
 /// `extract` lifted over [`DataBuffer`], preserving the element type.
@@ -106,19 +96,25 @@ pub fn extract_buffer(
     }
 }
 
-/// `scatter` lifted over [`DataBuffer`]; panics if the element types differ
-/// (the reader validates chunk dtypes before calling this).
-pub fn scatter_buffer(
+/// `copy_box` lifted over [`DataBuffer`]; panics if the element types
+/// differ (the reader validates chunk dtypes before calling this).
+pub(crate) fn copy_box_buffer(
+    src: &DataBuffer,
+    src_dims: &[usize],
+    src_origin: &[usize],
     dst: &mut DataBuffer,
     dst_dims: &[usize],
-    origin: &[usize],
-    src: &DataBuffer,
+    dst_origin: &[usize],
     shape: &[usize],
 ) {
-    match (dst, src) {
-        (DataBuffer::F32(dst), DataBuffer::F32(src)) => scatter(dst, dst_dims, origin, src, shape),
-        (DataBuffer::F64(dst), DataBuffer::F64(src)) => scatter(dst, dst_dims, origin, src, shape),
-        _ => panic!("dtype mismatch between scatter source and destination"),
+    match (src, dst) {
+        (DataBuffer::F32(src), DataBuffer::F32(dst)) => {
+            copy_box(src, src_dims, src_origin, dst, dst_dims, dst_origin, shape)
+        }
+        (DataBuffer::F64(src), DataBuffer::F64(dst)) => {
+            copy_box(src, src_dims, src_origin, dst, dst_dims, dst_origin, shape)
+        }
+        _ => panic!("dtype mismatch between copy source and destination"),
     }
 }
 
@@ -149,14 +145,14 @@ mod tests {
     }
 
     #[test]
-    fn scatter_is_the_inverse_of_extract() {
+    fn copy_box_pastes_what_extract_cut() {
         let dims = [3usize, 4, 5];
         let src: Vec<i32> = (0..60).collect();
         let origin = [1usize, 2, 1];
         let shape = [2usize, 2, 3];
         let cut = extract(&src, &dims, &origin, &shape);
         let mut dst = vec![0i32; 60];
-        scatter(&mut dst, &dims, &origin, &cut, &shape);
+        copy_box(&cut, &shape, &[0, 0, 0], &mut dst, &dims, &origin, &shape);
         for (i, (&got, &want)) in dst.iter().zip(&src).enumerate() {
             let coords = [i / 20, (i / 5) % 4, i % 5];
             let inside = coords
@@ -169,6 +165,32 @@ mod tests {
                 assert_eq!(got, 0, "outside at {coords:?}");
             }
         }
+    }
+
+    #[test]
+    fn copy_box_is_extract_then_paste_between_unequal_arrays() {
+        // A 3 x 5 chunk's lower-right 2 x 3 corner into a 4 x 6 region at
+        // (1, 2): what the reader does with one chunk of a request.
+        let chunk: Vec<i32> = (0..15).collect();
+        let mut region = vec![-1i32; 24];
+        copy_box(
+            &chunk,
+            &[3, 5],
+            &[1, 2],
+            &mut region,
+            &[4, 6],
+            &[1, 2],
+            &[2, 3],
+        );
+        let mut expected = vec![-1i32; 24];
+        for (r, c) in [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)] {
+            expected[(1 + r) * 6 + 2 + c] = chunk[(1 + r) * 5 + 2 + c];
+        }
+        assert_eq!(region, expected);
+        // 1-D: a plain slice copy.
+        let mut line = vec![0i32; 10];
+        copy_box(&[7, 8, 9, 10], &[4], &[1], &mut line, &[10], &[6], &[3]);
+        assert_eq!(line, vec![0, 0, 0, 0, 0, 0, 8, 9, 10, 0]);
     }
 
     #[test]

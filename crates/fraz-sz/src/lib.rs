@@ -174,6 +174,22 @@ fn pad_dims(dims: &Dims) -> [usize; 3] {
 
 /// Compress a dataset under an absolute error bound.
 pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError> {
+    encode(dataset, config).map(|(stream, _)| stream)
+}
+
+/// [`compress`], and the reconstruction [`decompress`] would rebuild from
+/// the stream — bit for bit, since the encoder computes every value the
+/// decoder will (it predicts from them) — without decoding anything.
+pub fn compress_measured(
+    dataset: &Dataset,
+    config: &SzConfig,
+) -> Result<(Vec<u8>, DataBuffer), SzError> {
+    let (stream, recon) = encode(dataset, config)?;
+    Ok((stream, DataBuffer::from_f64(recon, dataset.dtype())))
+}
+
+/// The one encoder: the stream, and the reconstruction it was predicted from.
+fn encode(dataset: &Dataset, config: &SzConfig) -> Result<(Vec<u8>, Vec<f64>), SzError> {
     config.validate()?;
     let dims3 = pad_dims(&dataset.dims);
     let block = config.block_for(dataset.dims.ndims());
@@ -183,7 +199,7 @@ pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError
         capacity: config.quant_capacity,
     };
     let dtype = dataset.dtype();
-    let enc = match &dataset.buffer {
+    let (enc, recon) = match &dataset.buffer {
         DataBuffer::F32(values) => pipeline::encode(values, dims3, &params, |v| v as f32 as f64),
         DataBuffer::F64(values) => pipeline::encode(values, dims3, &params, |v| v),
     };
@@ -216,7 +232,7 @@ pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError
 
     let mut out = header.into_bytes();
     out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
-    Ok(out)
+    Ok((out, recon))
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -413,6 +429,44 @@ mod tests {
         let compressed = compress(&original, &config).unwrap();
         let restored = decompress(&compressed).unwrap();
         assert!(max_error(&original, &restored) <= 1e-4);
+    }
+
+    fn buffer_bits(buffer: &DataBuffer) -> Vec<u64> {
+        match buffer {
+            DataBuffer::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+            DataBuffer::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        }
+    }
+
+    #[test]
+    fn compress_measured_is_compress_and_the_decoded_field() {
+        let mut holes = wave_dataset(Dims::d3(7, 9, 11));
+        if let DataBuffer::F32(values) = &mut holes.buffer {
+            values[3] = f32::NAN;
+            values[200] = f32::INFINITY;
+        }
+        let wide = Dataset::from_f64(
+            "t",
+            "w",
+            0,
+            Dims::d2(30, 41),
+            (0..30 * 41)
+                .map(|i| (i as f64 * 0.03).sin() * 1e3)
+                .collect(),
+        );
+        for original in [wave_dataset(Dims::d1(900)), holes, wide] {
+            for eb in [1e-6, 1e-3, 1e-1, 10.0] {
+                let config = SzConfig::with_error_bound(eb);
+                let (stream, recon) = compress_measured(&original, &config).unwrap();
+                assert_eq!(stream, compress(&original, &config).unwrap(), "{eb}");
+                let decoded = decompress(&stream).unwrap().buffer;
+                assert_eq!(
+                    buffer_bits(&recon),
+                    buffer_bits(&decoded),
+                    "{original} at {eb}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -110,7 +110,9 @@ fn walk(
     }
 }
 
-/// Run prediction + quantization over the whole grid.
+/// Run prediction + quantization over the whole grid; returns the encoded
+/// blocks and the reconstruction the predictions were made from — the grid
+/// [`decode`] rebuilds from those blocks, bit for bit.
 ///
 /// `finalize` rounds a reconstructed value to the precision it will have
 /// after being stored back into the original buffer type (`f32` cast for
@@ -121,7 +123,7 @@ pub fn encode<T: Copy + Into<f64>>(
     dims: Dims3,
     params: &PipelineParams,
     finalize: impl Fn(f64) -> f64,
-) -> EncodedBlocks {
+) -> (EncodedBlocks, Vec<f64>) {
     assert!(params.error_bound > 0.0, "error bound must be positive");
     assert!(params.block_size > 0, "block size must be positive");
     assert!(params.capacity >= 4, "quantization capacity too small");
@@ -197,7 +199,7 @@ pub fn encode<T: Copy + Into<f64>>(
             true
         });
     }
-    out
+    (out, recon)
 }
 
 /// Errors produced while decoding an [`EncodedBlocks`] stream.
@@ -310,11 +312,20 @@ mod tests {
         v
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
     fn check_roundtrip(values: &[f64], dims: Dims3, eb: f64) {
         let p = params(eb);
-        let enc = encode(values, dims, &p, |v| v);
+        let (enc, recon) = encode(values, dims, &p, |v| v);
         let dec = decode(&enc, dims, &p, |v| v).unwrap();
         assert_eq!(dec.len(), values.len());
+        assert_eq!(
+            bits(&recon),
+            bits(&dec),
+            "the encoder's reconstruction is the decoder's"
+        );
         for (i, (&a, &b)) in values.iter().zip(dec.iter()).enumerate() {
             assert!(
                 (a - b).abs() <= eb,
@@ -343,7 +354,7 @@ mod tests {
     fn constant_field_uses_few_unpredictable_points() {
         let dims = [8, 8, 8];
         let values = vec![4.2f64; 512];
-        let enc = encode(&values, dims, &params(1e-3), |v| v);
+        let (enc, _) = encode(&values, dims, &params(1e-3), |v| v);
         assert!(enc.unpredictable.len() <= 1, "{}", enc.unpredictable.len());
         let dec = decode(&enc, dims, &params(1e-3), |v| v).unwrap();
         for v in dec {
@@ -375,8 +386,9 @@ mod tests {
             .collect();
         let p = params(1e-4);
         let f32ize = |v: f64| v as f32 as f64;
-        let enc = encode(&values, dims, &p, f32ize);
+        let (enc, recon) = encode(&values, dims, &p, f32ize);
         let dec = decode(&enc, dims, &p, f32ize).unwrap();
+        assert_eq!(bits(&recon), bits(&dec));
         for (&a, &b) in values.iter().zip(dec.iter()) {
             assert!((a - b).abs() <= 1e-4);
             assert_eq!(b as f32 as f64, b, "reconstruction must be f32-exact");
@@ -387,8 +399,8 @@ mod tests {
     fn tighter_bound_means_more_codes_spread() {
         let dims = [8, 16, 16];
         let values = smooth_grid(dims);
-        let loose = encode(&values, dims, &params(0.5), |v| v);
-        let tight = encode(&values, dims, &params(1e-4), |v| v);
+        let (loose, _) = encode(&values, dims, &params(0.5), |v| v);
+        let (tight, _) = encode(&values, dims, &params(1e-4), |v| v);
         let distinct = |codes: &[u32]| {
             let mut set: Vec<u32> = codes.to_vec();
             set.sort_unstable();
@@ -411,7 +423,7 @@ mod tests {
                 }
             }
         }
-        let enc = encode(&values, dims, &params(1e-3), |v| v);
+        let (enc, _) = encode(&values, dims, &params(1e-3), |v| v);
         assert_eq!(enc.regression_flags.len(), 8);
         assert_eq!(
             enc.reg_coeffs.len(),
@@ -424,7 +436,7 @@ mod tests {
         let dims = [4, 4, 4];
         let values = smooth_grid(dims);
         let p = params(1e-3);
-        let enc = encode(&values, dims, &p, |v| v);
+        let (enc, _) = encode(&values, dims, &p, |v| v);
 
         let mut missing_codes = enc.clone();
         missing_codes.quant_codes.pop();
@@ -454,7 +466,7 @@ mod tests {
             })
             .collect();
         let p = params(1e-12);
-        let mut enc = encode(&values, dims, &p, |v| v);
+        let (mut enc, _) = encode(&values, dims, &p, |v| v);
         assert!(!enc.unpredictable.is_empty());
         enc.unpredictable.clear();
         assert!(matches!(

@@ -239,8 +239,17 @@ pub(crate) fn classify<F: SzxFloat>(chunk: &[F], error_bound: f64, k: i32) -> Bl
 }
 
 /// Encode `values` in blocks of `block` values under `error_bound`,
-/// appending the serialized section to `out`.
-pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &mut ByteWriter) {
+/// appending the serialized section to `out`; with `measure`, also return
+/// the values [`decode`] will rebuild from it — each block's midrange, or
+/// its members truncated to the kept width (non-finite blocks keep every
+/// bit) — without reading the section back.
+pub fn encode<F: SzxFloat>(
+    values: &[F],
+    block: usize,
+    error_bound: f64,
+    out: &mut ByteWriter,
+    measure: bool,
+) -> Option<Vec<F>> {
     let k = crate::bound_exponent(error_bound);
     let n_blocks = values.len().div_ceil(block);
     let mut flags = vec![0u8; n_blocks.div_ceil(8)];
@@ -248,18 +257,26 @@ pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &m
     let mut constants = ByteWriter::with_capacity(256);
     let mut packer =
         PackWriter::with_bit_capacity(values.len().saturating_mul(F::WIDTH as usize) / 2);
+    let mut recon = measure.then(|| Vec::with_capacity(values.len()));
 
     for (bi, chunk) in values.chunks(block).enumerate() {
         match classify(chunk, error_bound, k) {
             BlockClass::Constant(mid) => {
                 flags[bi >> 3] |= 1 << (bi & 7);
                 mid.write_to(&mut constants);
+                if let Some(recon) = &mut recon {
+                    recon.resize(recon.len() + chunk.len(), mid);
+                }
             }
             BlockClass::Packed(w) => {
                 widths.push(w as u8);
                 let drop = F::WIDTH - w;
                 for &v in chunk {
                     packer.push(v.to_bits64() >> drop, w);
+                }
+                if let Some(recon) = &mut recon {
+                    let truncated = chunk.iter().map(|&v| v.to_bits64() >> drop << drop);
+                    recon.extend(truncated.map(F::from_bits64));
                 }
             }
         }
@@ -276,6 +293,7 @@ pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &m
     debug_assert_eq!(payload.len(), packed_bits.div_ceil(8));
     out.put_u64(payload.len() as u64);
     out.put_bytes(&payload);
+    recon
 }
 
 /// The number of bytes [`encode`] appends for the same arguments, from the
@@ -512,7 +530,7 @@ mod tests {
         for block in [1, 7, 64, 100, 999, 1517] {
             for eb in [1e-12, 1e-3, 1.0, 1e6] {
                 let mut w = ByteWriter::new();
-                encode(&values, block, eb, &mut w);
+                encode(&values, block, eb, &mut w, false);
                 assert_eq!(encoded_len(&values, block, eb), w.len(), "{block} {eb}");
             }
         }
@@ -524,9 +542,15 @@ mod tests {
         for k in [-40i32, -20, -6, 0, 10, 20] {
             let eb = 2f64.powi(k);
             let mut w = ByteWriter::new();
-            encode(&values, 64, eb, &mut w);
+            let recon = encode(&values, 64, eb, &mut w, true).expect("measured");
             let bytes = w.into_bytes();
             let decoded = decode::<f64>(&mut ByteReader::new(&bytes), values.len(), 64).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&recon),
+                bits(&decoded),
+                "k={k}: the encoder's reconstruction"
+            );
             let worst = values
                 .iter()
                 .zip(&decoded)
@@ -540,7 +564,7 @@ mod tests {
     fn truncated_section_is_an_error_not_a_panic() {
         let values: Vec<f32> = (0..500).map(|i| (i as f32 * 0.11).cos()).collect();
         let mut w = ByteWriter::new();
-        encode(&values, 128, 1e-4, &mut w);
+        encode(&values, 128, 1e-4, &mut w, false);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let result = decode::<f32>(&mut ByteReader::new(&bytes[..cut]), values.len(), 128);

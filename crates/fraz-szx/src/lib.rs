@@ -157,14 +157,39 @@ fn write_prefix(dataset: &Dataset, config: &SzxConfig, out: &mut ByteWriter) -> 
 
 /// Compress a dataset under an absolute error bound.
 pub fn compress(dataset: &Dataset, config: &SzxConfig) -> Result<Vec<u8>, SzxError> {
+    encode(dataset, config, false).map(|(stream, _)| stream)
+}
+
+/// [`compress`], and the reconstruction [`decompress`] would rebuild from
+/// the stream — each block's midrange or its members' truncated bit
+/// patterns, formed as the block is classified — without decoding anything.
+pub fn compress_measured(
+    dataset: &Dataset,
+    config: &SzxConfig,
+) -> Result<(Vec<u8>, DataBuffer), SzxError> {
+    let (stream, recon) = encode(dataset, config, true)?;
+    Ok((stream, recon.expect("a measured encode reconstructs")))
+}
+
+/// The one encoder: the stream, and with `measure` the reconstruction.
+fn encode(
+    dataset: &Dataset,
+    config: &SzxConfig,
+    measure: bool,
+) -> Result<(Vec<u8>, Option<DataBuffer>), SzxError> {
     config.validate()?;
     let mut out = ByteWriter::with_capacity(64 + dataset.byte_size() / 2);
     let block = write_prefix(dataset, config, &mut out);
-    match &dataset.buffer {
-        DataBuffer::F32(values) => block::encode(values, block, config.error_bound, &mut out),
-        DataBuffer::F64(values) => block::encode(values, block, config.error_bound, &mut out),
-    }
-    Ok(out.into_bytes())
+    let eb = config.error_bound;
+    let recon = match &dataset.buffer {
+        DataBuffer::F32(values) => {
+            block::encode(values, block, eb, &mut out, measure).map(DataBuffer::F32)
+        }
+        DataBuffer::F64(values) => {
+            block::encode(values, block, eb, &mut out, measure).map(DataBuffer::F64)
+        }
+    };
+    Ok((out.into_bytes(), recon))
 }
 
 /// The length of the stream [`compress`] would produce — exactly
@@ -399,6 +424,43 @@ mod tests {
             let compressed = compress(&original, &config).unwrap();
             let restored = decompress(&compressed).unwrap();
             assert!(max_error(&original, &restored) <= 1e-4, "block={block}");
+        }
+    }
+
+    fn buffer_bits(buffer: &DataBuffer) -> Vec<u64> {
+        match buffer {
+            DataBuffer::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+            DataBuffer::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        }
+    }
+
+    #[test]
+    fn compress_measured_is_compress_and_the_decoded_field() {
+        let mut holes = wave_f32(Dims::d2(20, 33));
+        if let DataBuffer::F32(values) = &mut holes.buffer {
+            values[7] = f32::NAN;
+            values[400] = f32::INFINITY;
+            values[401..520].fill(2.5);
+        }
+        let wide = Dataset::from_f64(
+            "t",
+            "w",
+            0,
+            Dims::d1(1000),
+            (0..1000).map(|i| (i as f64 * 0.01).sin() * 1e6).collect(),
+        );
+        for original in [wave_f32(Dims::d3(5, 6, 7)), holes, wide] {
+            for eb in [1e-9, 1e-3, 0.5, 1e3] {
+                let config = SzxConfig::with_error_bound(eb);
+                let (stream, recon) = compress_measured(&original, &config).unwrap();
+                assert_eq!(stream, compress(&original, &config).unwrap(), "{eb}");
+                let decoded = decompress(&stream).unwrap().buffer;
+                assert_eq!(
+                    buffer_bits(&recon),
+                    buffer_bits(&decoded),
+                    "{original} at {eb}"
+                );
+            }
         }
     }
 

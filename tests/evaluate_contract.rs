@@ -22,6 +22,13 @@
 //! evaluation that wrote nothing carries nothing — `evaluation_allocs.rs`,
 //! which can see what was written, holds the two apart.
 //!
+//! **The measurement.**  A backend may also answer a quality evaluation
+//! from less work than decoding its stream — sz, mgard and szx measure the
+//! reconstruction their encoders already built.  Whatever route it takes,
+//! the report must be the one `QualityReport::evaluate` gives for the
+//! decoded stream, every field by its bits (NaN and ∞ included), so an
+//! override can report no PSNR but the decoder's.
+//!
 //! **The step.**  A codec whose [`BoundKind::step_of`] is `Some` promises
 //! that bounds on one step compress to one stream (outside the parameter
 //! recorded in it) and decode to one reconstruction — which is what lets a
@@ -34,6 +41,7 @@
 
 use fraz::data::synthetic::{self, REGIMES};
 use fraz::data::{DType, DataBuffer, Dataset, Dims};
+use fraz::metrics::QualityReport;
 use fraz::pressio::options::OptionKind;
 use fraz::pressio::{registry, Compressor, Options};
 
@@ -68,9 +76,26 @@ fn bounds((lo, hi): (f64, f64)) -> Vec<f64> {
     bounds
 }
 
+/// Every field of a report as bits, so NaN equals NaN and `-0.0` is not
+/// `0.0`.
+fn report_bits(report: &QualityReport) -> [u64; 10] {
+    [
+        report.compression_ratio.to_bits(),
+        report.bit_rate.to_bits(),
+        report.max_abs_error.to_bits(),
+        report.rmse.to_bits(),
+        report.psnr.to_bits(),
+        report.ssim.to_bits(),
+        report.acf_error.to_bits(),
+        report.num_points as u64,
+        report.original_bytes as u64,
+        report.compressed_bytes as u64,
+    ]
+}
+
 /// `evaluate` against `compress` at one bound, as `Result`s: size-only, or
-/// with the quality pass — which still decodes and measures, and reports
-/// the size `compress` gives.
+/// with the quality pass — whose report is the decoded stream's, and whose
+/// size is the one `compress` gives.
 fn assert_evaluate_agrees(
     codec: &dyn Compressor,
     dataset: &Dataset,
@@ -108,8 +133,13 @@ fn assert_evaluate_agrees(
                 "{what}: decoded a stream and dropped it"
             );
             if let Some(quality) = outcome.quality {
-                assert_eq!(quality.compressed_bytes, packed.len(), "{what}");
-                assert_eq!(quality.num_points, dataset.len(), "{what}");
+                let decoded = codec.decompress(&packed).unwrap();
+                let expected = QualityReport::evaluate(dataset, &decoded, packed.len());
+                assert_eq!(
+                    report_bits(&quality),
+                    report_bits(&expected),
+                    "{what}: the report is not the decoded stream's\n{quality:?}\n{expected:?}"
+                );
             }
         }
         (Err(compress), Err(evaluate)) => assert_eq!(evaluate, compress, "{what}"),

@@ -208,3 +208,65 @@ fn a_ratio_evaluation_asks_for_no_more_than_a_compression() {
         "szx evaluates by writing its stream; size-only: {size_only:?}"
     );
 }
+
+/// The codecs whose encoders rebuild the field as they go: a build that has
+/// one has its decode-free quality evaluation.
+const MEASURE_THEIR_OWN: [&str; 4] = ["sz", "mgard", "mgard-l2", "szx"];
+
+#[test]
+fn a_quality_evaluation_decodes_only_where_the_encoder_could_not_measure() {
+    let names = registry::names();
+    assert!(!names.is_empty(), "no codec is registered");
+    let mut failures = Vec::new();
+    // The codecs whose quality evaluation asked for no more than a
+    // `compress`, the outcome's name and one field-sized buffer.
+    let mut decode_free = Vec::new();
+    for name in names {
+        let codec = registry::build_default(&name).unwrap();
+        let mut rows = Vec::new();
+        for edge in [16, 32] {
+            let dims = Dims::d3(edge, edge, edge);
+            if !codec.supports_dims(&dims) {
+                continue;
+            }
+            for dtype in [DType::F32, DType::F64] {
+                let dataset = synthetic::generate("turbulence", &dims, dtype, 5, 0).unwrap();
+                let (lo, hi) = codec.bound_range(&dataset);
+                let bound = (lo * hi).sqrt();
+                codec.evaluate(&dataset, bound, true).unwrap();
+                let (packed, compress) = requests(|| codec.compress(&dataset, bound).unwrap());
+                let (_, decompress) = requests(|| codec.decompress(&packed).unwrap());
+                let (outcome, evaluate) =
+                    requests(|| codec.evaluate(&dataset, bound, true).unwrap());
+                assert_eq!(outcome.stream.as_ref(), Some(&packed), "{name}");
+                // The report itself asks for nothing: at most a compress, a
+                // decode and the outcome's name.
+                if evaluate > compress + decompress + 1 {
+                    failures.push(format!(
+                        "{name} {dtype:?} at {edge}³: a quality evaluation makes {evaluate} \
+                         requests, compress {compress} + decompress {decompress} + 1"
+                    ));
+                }
+                // A decode asks for more than the name and one buffer, so
+                // an evaluation within that much of a compress decoded
+                // nothing.
+                assert!(decompress > 2, "{name}: a decode in {decompress} requests");
+                rows.push((evaluate, compress, decompress, evaluate <= compress + 2));
+            }
+        }
+        if rows.is_empty() {
+            continue;
+        }
+        println!("{name}: (evaluate, compress, decompress, decode-free) {rows:?}");
+        if rows.iter().all(|row| row.3) {
+            decode_free.push(name.clone());
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    for name in MEASURE_THEIR_OWN {
+        assert!(
+            !registry::contains(name) || decode_free.iter().any(|n| n == name),
+            "{name} decodes its stream to measure it; decode-free: {decode_free:?}"
+        );
+    }
+}
