@@ -6,6 +6,10 @@
 //! one step is reused for the next (the paper retrains only 4 times in 48
 //! steps).
 //!
+//! Every search here is Algorithm 2's region race (`sampled_seed: false`):
+//! the figure shows what the paper's own search does with a step whose
+//! prediction misses, not the walk the library runs first by default.
+//!
 //! Run with `cargo run --release -p fraz-bench --bin fig06_convergence`.
 
 #![forbid(unsafe_code)]
@@ -39,9 +43,12 @@ fn main() {
     // convergence rate below.
     let mut records = Vec::new();
     for (case, target) in [("case A (rho_t = 8)", 8.0), ("case B (rho_t = 15)", 15.0)] {
-        let search = SearchConfig::new(target, 0.1)
-            .with_regions(6)
-            .with_threads(6);
+        let search = SearchConfig {
+            sampled_seed: false,
+            ..SearchConfig::new(target, 0.1)
+                .with_regions(6)
+                .with_threads(6)
+        };
         let orch = Orchestrator::new("sz", OrchestratorConfig::new(search)).unwrap();
         let outcome = orch.run_series(field, &series, 6);
 

@@ -5,6 +5,9 @@
 //! compressor are reported.  Low targets sit below the compressor's
 //! effective ratio floor and never converge, so they burn the full search
 //! budget on every step — the tall bars at the left of the paper's figure.
+//! Every search is Algorithm 2's region race (`sampled_seed: false`), whose
+//! budget those bars are: the walk the library runs first by default would
+//! answer most steps before the race starts.
 //!
 //! Run with `cargo run --release -p fraz-bench --bin fig07_sensitivity`.
 
@@ -66,6 +69,7 @@ fn main() {
     for &target in &targets {
         let search = SearchConfig {
             measure_final_quality: false,
+            sampled_seed: false,
             ..SearchConfig::new(target, 0.1)
                 .with_regions(6)
                 .with_threads(6)

@@ -5,7 +5,9 @@
 //! task graph (regions x fields x time-steps).  The expected shape — steep
 //! improvement while fields can still be spread out, then a floor set by the
 //! single longest-running field — is a property of the task graph, not of
-//! MPI (DESIGN.md §2).
+//! MPI (DESIGN.md §2).  Every search is Algorithm 2's region race
+//! (`sampled_seed: false`): the regions are the parallelism being scaled,
+//! and the serial walk the library runs first by default has none.
 //!
 //! Run with `cargo run --release -p fraz-bench --bin fig08_scalability`.
 
@@ -51,6 +53,7 @@ fn main() {
         for backend in ["sz", "zfp"] {
             let search = SearchConfig {
                 measure_final_quality: false,
+                sampled_seed: false,
                 ..SearchConfig::new(10.0, 0.1).with_regions(6)
             };
             let orch = Orchestrator::new(

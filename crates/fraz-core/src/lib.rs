@@ -27,10 +27,11 @@
 //!   compressor call site and the `run` / `run_with_hint` entry points,
 //!   generic over an [`Objective`]; a search's answer carries the stream it
 //!   was measured on, and [`answer_bytes`] hands it over,
-//! * [`ratio`] — the fixed-ratio strategy: region-parallel training
-//!   (Algorithm 2),
-//! * [`quality`] — the fixed-quality strategy: a margin-guided bracketing
-//!   walk from an analytic first guess,
+//! * [`ratio`] — the fixed-ratio strategy: the bracketing walk towards the
+//!   band, from a missed probe or from a seed fitted on a sample of the
+//!   field, and region-parallel training (Algorithm 2) when the walk fails,
+//! * [`quality`] — the fixed-quality strategy: the same margin-guided
+//!   bracketing walk, from an analytic first guess,
 //! * [`orchestrator`] — time-step prediction reuse and parallel-by-field
 //!   scheduling (Algorithm 3),
 //! * [`hint`] — the [`SearchHint`] / [`BoundPredictor`] seeding layer that
@@ -66,7 +67,9 @@ pub mod orchestrator;
 pub mod quality;
 pub mod ratio;
 pub mod regions;
+mod sample;
 pub mod search;
+mod walk;
 
 pub use cancel::CancelToken;
 pub use hint::{

@@ -24,9 +24,10 @@
 //! ends, `⌈log₂(axis / TOLERANCE)⌉` halvings and the probe, if the [`Search`]
 //! shell made one — staircase, noisy and refusing codecs included.  A hinted
 //! search starts the walk at that probe, a cold one at the top of the range.
-//! (The ratio search's MaxLIPO machinery is unnecessary here — there is no
-//! spiky multi-modal landscape to escape.)  Every evaluation goes through
-//! the shell's [`Evaluator`].
+//! The walk (`walk.rs`) is the one the ratio search drives towards its band
+//! too; a quality curve has no saw-tooth for a region race to escape, so
+//! here the walk is the whole strategy.  Every evaluation goes through the
+//! shell's [`Evaluator`].
 
 use std::time::Duration;
 
@@ -40,7 +41,8 @@ use fraz_pressio::{
 use crate::hint::{HintReport, HintSource, HintTarget, SearchHint};
 use crate::ratio::SearchOutcome;
 use crate::regions::{from_axis, to_axis};
-use crate::search::{Evaluator, Found, Miss, Objective, Search};
+use crate::search::{Evaluator, Found, Objective, Search};
+use crate::walk::{walk, Goal, Plan, Verdict};
 
 /// The quality metric a [`FixedQualitySearch`] constrains.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,8 +69,8 @@ impl QualityMetric {
     }
 
     /// How far `quality` is from the constraint in dB of error amplitude,
-    /// positive on the satisfying side: the quantity that falls [`SLOPE`] dB
-    /// per decade of bound under uniform quantisation.  Infinities (a
+    /// positive on the satisfying side: the quantity that falls 20 dB per
+    /// decade of bound under uniform quantisation.  Infinities (a
     /// lossless reconstruction, an infinite target) are clamped; `None` for
     /// SSIM, which has no such scale, and when the report or the target is
     /// NaN.
@@ -195,7 +197,7 @@ pub type FixedQualitySearch = Search<QualitySearchConfig>;
 
 /// The walk stops once the largest satisfying and the smallest violating
 /// position it has seen are this close on the log₁₀ axis: 0.04 decade is
-/// 0.8 dB of PSNR at [`SLOPE`].
+/// 0.8 dB of PSNR at the −20 dB per decade of uniform quantisation.
 pub const TOLERANCE: f64 = 0.04;
 
 /// dB of margin per decade of bound under uniform quantisation: what the
@@ -208,80 +210,15 @@ const SLOPE_LIMITS: (f64, f64) = (-60.0, -5.0);
 /// [`QualityMetric::margin_db`] clamps to ± this many dB.
 const MARGIN_LIMIT: f64 = 200.0;
 
-/// One answered position of the walk.  A bound the codec refuses cannot be
-/// the answer, so it counts as violating (and carries nothing).  Only the
-/// answer so far — the largest satisfying position — keeps its outcome's
-/// stream.
-struct Seen {
-    x: f64,
-    ok: bool,
-    margin: Option<f64>,
-    outcome: Option<CompressionOutcome>,
-}
-
-impl Seen {
-    /// The answer at `x`, unless the token had fired.
-    fn new(
-        config: &QualitySearchConfig,
-        x: f64,
-        answer: Result<CompressionOutcome, Miss>,
-    ) -> Option<Self> {
-        let outcome = match answer {
-            Err(Miss::Cancelled) => return None,
-            Err(Miss::Rejected) => None,
-            Ok(outcome) => Some(outcome),
-        };
-        let quality = outcome.as_ref().and_then(|o| o.quality.as_ref());
-        Some(Self {
-            x,
-            ok: quality.is_some_and(|q| config.metric.is_satisfied(q)),
-            margin: quality.and_then(|q| config.metric.margin_db(q)),
-            outcome,
-        })
+/// What the walk reads off an outcome: ok when it satisfies the constraint
+/// (one measured without a quality report never does), its margin in dB.
+fn verdict(config: &QualitySearchConfig, outcome: &CompressionOutcome) -> Verdict {
+    let quality = outcome.quality.as_ref();
+    Verdict {
+        ok: quality.is_some_and(|q| config.metric.is_satisfied(q)),
+        hit: false,
+        margin: quality.and_then(|q| config.metric.margin_db(q)),
     }
-}
-
-/// Record `new`, leaving a stream with the answer so far — the largest
-/// satisfying position — and with nothing else.
-fn push(seen: &mut Vec<Seen>, new: Seen) {
-    seen.push(new);
-    let answer = bracket(seen).0;
-    for passed in seen.iter_mut().filter(|p| Some(p.x) != answer) {
-        if let Some(outcome) = &mut passed.outcome {
-            outcome.stream = None;
-        }
-    }
-}
-
-/// The largest satisfying position, and the smallest violating one above it.
-fn bracket(seen: &[Seen]) -> (Option<f64>, Option<f64>) {
-    let ok = seen.iter().filter(|p| p.ok).map(|p| p.x).reduce(f64::max);
-    let above = |x: &f64| ok.is_none_or(|ok| *x > ok);
-    let bad = seen.iter().filter(|p| !p.ok).map(|p| p.x).filter(above);
-    (ok, bad.reduce(f64::min))
-}
-
-/// Where the measured margins put the constraint boundary: on the secant
-/// (from a single point, on [`SLOPE`]) through the two margin-carrying points
-/// nearest `middle`, the bracket's.  NaN without a margin to go by; +∞ before
-/// anything is measured — a cold walk starts at the top, where a satisfied
-/// constraint costs one evaluation.
-fn predicted(seen: &[Seen], middle: f64) -> f64 {
-    if seen.is_empty() {
-        return f64::INFINITY;
-    }
-    let mut points: Vec<(f64, f64)> = seen.iter().filter_map(|p| Some((p.x, p.margin?))).collect();
-    points.sort_by(|a, b| (a.0 - middle).abs().total_cmp(&(b.0 - middle).abs()));
-    let Some(&(x, margin)) = points.first() else {
-        return f64::NAN;
-    };
-    let slope = match points.get(1) {
-        Some(&(x2, margin2)) if x2 != x => {
-            ((margin2 - margin) / (x2 - x)).clamp(SLOPE_LIMITS.0, SLOPE_LIMITS.1)
-        }
-        _ => SLOPE,
-    };
-    x - margin / slope
 }
 
 impl Objective for QualitySearchConfig {
@@ -357,88 +294,33 @@ impl Objective for QualitySearchConfig {
         probe: Option<(&HintReport, CompressionOutcome)>,
     ) -> Found {
         let config = eval.config();
-        // Work on the log axis (bounds span decades).
-        let (xlo, xhi) = (to_axis(lower), to_axis(upper));
-        let bound_at = |x: f64| match x {
-            x if x >= xhi => upper,
-            x if x <= xlo => lower,
-            x => from_axis(x).clamp(lower, upper),
-        };
         // What bisection would be answered from the same start — the probe,
         // both ends, then halvings — is all this walk may ask for.
+        let (xlo, xhi) = (to_axis(lower), to_axis(upper));
         let halvings = ((xhi - xlo) / TOLERANCE).max(1.0).log2().ceil() as usize;
         let bisection = probe.is_some() as usize + 2 + halvings;
-        let budget = config.max_iterations.min(bisection) as i32;
-        // The widest bracket `answers` bisections close.
-        let reach = |answers: i32| TOLERANCE * 2f64.powi(answers);
-
-        let mut seen: Vec<Seen> = Vec::new();
-        if let Some((_, probe)) = probe {
-            let x = to_axis(probe.error_bound);
-            if let Some(answered) = Seen::new(config, x, Ok(probe)) {
-                push(&mut seen, answered);
-            }
-        }
-
-        loop {
-            let left = budget - eval.answered() as i32;
-            let (ok, bad) = bracket(&seen);
-            let (lo, hi) = (ok.unwrap_or(xlo), bad.unwrap_or(xhi));
-            // (A closing position is a tolerance from its side up to rounding.)
-            let closed = hi - lo <= TOLERANCE + 1e-9;
-            // The budget is spent, the top holds, the floor fails, or the two
-            // sides have met.
-            if left <= 0 || lo >= xhi || hi <= xlo || (closed && ok.is_some()) {
-                break;
-            }
-            let at = predicted(&seen, 0.5 * (lo + hi));
-            let x = if at >= hi && bad.is_none() {
-                xhi
-            } else if closed || (at <= lo && ok.is_none()) {
-                xlo
-            } else {
-                // Contradicted by the bracket, or no margin to go by: bisect.
-                let at = if at > lo && at < hi {
-                    at
-                } else {
-                    0.5 * (lo + hi)
-                };
-                // Within a tolerance of a known side, the position a
-                // tolerance from that side closes the bracket if it lands as
-                // predicted.
-                let near_ok = ok.is_some() && at - lo < TOLERANCE;
-                let near_bad = bad.is_some() && hi - at < TOLERANCE;
-                let at = if near_ok && (!near_bad || at - lo <= hi - at) {
-                    lo + TOLERANCE
-                } else if near_bad {
-                    hi - TOLERANCE
-                } else {
-                    at
-                };
-                // No further from the midpoint than lets bisection close
-                // whichever side the boundary turns out to be on with the
-                // answers left (closing onto the unmeasured floor costs one
-                // more).
-                let (min, max) = (
-                    hi - reach(left - 1),
-                    lo + reach(left - 1 - ok.is_none() as i32),
-                );
-                if min <= max {
-                    at.clamp(min, max)
-                } else {
-                    at
-                }
-            };
-            match Seen::new(config, x, eval.measure(bound_at(x))) {
-                Some(answered) => push(&mut seen, answered),
-                None => break,
-            }
-        }
+        let plan = Plan {
+            goal: Goal::Boundary,
+            range: (lower, upper),
+            tolerance: TOLERANCE,
+            answers: config.max_iterations.min(bisection) as i32,
+            start: f64::INFINITY,
+            slope: SLOPE,
+            slope_limits: SLOPE_LIMITS,
+            descent: f64::INFINITY,
+        };
+        let seen = walk(
+            &plan,
+            probe.map(|(_, probe)| probe),
+            || eval.answered(),
+            |bound| eval.measure(bound),
+            |outcome| verdict(config, outcome),
+        );
 
         // The outcome at the largest satisfying position; when nothing
         // satisfied, the smallest bound (the highest fidelity the compressor
         // offers), left to the shell to measure.
-        let best = seen.into_iter().filter(|p| p.ok);
+        let best = seen.into_iter().filter(|p| p.verdict.ok);
         let best = best
             .max_by(|a, b| a.x.total_cmp(&b.x))
             .and_then(|p| p.outcome);

@@ -1,16 +1,27 @@
-//! The fixed-ratio [`Objective`]: region-parallel training (Algorithm 2)
-//! and its per-region worker task.
+//! The fixed-ratio [`Objective`]: a walk towards the band, and
+//! region-parallel training (Algorithm 2) when the walk fails.
 //!
 //! Given a black-box error-bounded compressor, a dataset and a target
 //! compression ratio, [`FixedRatioSearch`] finds an error-bound setting whose
 //! achieved ratio falls inside the user's acceptable region
 //! `[ρt(1−ε), ρt(1+ε)]`, never exceeding an optional maximum allowed error
 //! `U`.  The [`Search`] shell probes the prediction (Algorithm 1) and makes
-//! every compressor call; this module is the strategy it falls back to: the
+//! every compressor call; this module is the strategy it falls back to.
+//!
+//! The ratio saw-tooths locally but rises with the bound globally (paper
+//! Fig. 3), so the strategy first **walks** — the bracketing walk
+//! (`walk.rs`) the quality search drives, here in `ln(target / ratio)` with
+//! a two-sided stop at the first in-band ratio — from the missed probe, or
+//! on a cold search from a seed fitted on a sample of the field
+//! (`SearchConfig::sampled_seed`).  Only when the walk spends
+//! [`WALK_BUDGET`] answers without a hit, or its points contradict a ratio
+//! that rises with the bound, does the paper's **race** run: the
 //! error-bound range is split into overlapping regions searched
 //! concurrently, the first region to find an acceptable setting cancels the
 //! others (early termination), and if none succeeds the closest observed
-//! ratio is reported as an infeasible-but-best-effort answer.
+//! ratio — the walk's included — is reported as an infeasible-but-best-effort
+//! answer.  So a non-monotone curve is never a false `infeasible` that the
+//! race alone would have met.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -23,8 +34,40 @@ use fraz_pressio::CompressionOutcome;
 use crate::hint::{HintReport, HintTarget, SearchHint};
 use crate::loss::RatioLoss;
 use crate::optim::{GlobalMinimizer, OptimizerConfig};
-use crate::regions::{make_error_bounds, Region};
+use crate::regions::{make_error_bounds, to_axis, Region};
+use crate::sample;
 use crate::search::{Evaluator, Found, Miss, Objective, Search};
+use crate::walk::{nearest, walk, Goal, Plan, Verdict};
+
+/// The most positions a ratio walk answers — the missed probe it starts
+/// from included — before it leaves the search to the region race.  A
+/// hinted search therefore costs at most this many evaluations more than a
+/// cold one.
+pub const WALK_BUDGET: usize = 8;
+
+/// Positions of the sample a cold walk's seed is fitted from: two, and a
+/// third when the second misses the band.
+const SAMPLE_ANSWERS: usize = 3;
+
+/// `ln(target / ratio)` per decade of bound a walk assumes from a single
+/// point.  Near 1e-3 of the value range the built-in codecs' ratios grow
+/// `e^0.15` (szx) to `e^0.7` (sz) per decade.
+const SLOPE: f64 = -0.5;
+
+/// A measured secant is trusted between these slopes only.
+const SLOPE_LIMITS: (f64, f64) = (-5.0, -0.05);
+
+/// The most decades a ratio walk steps below its lowest measured position.
+/// Extrapolated from a point far above the band on a shallow slope — a
+/// sample's ratio plateau — a step would otherwise reach the bottom of the
+/// range, where the stream is nearly the field's size, the evaluation is
+/// the slowest of the range, and the allocator keeps the memory it took.
+const DESCENT: f64 = 2.0;
+
+/// A ratio walk's bracket counts as closed this narrow (in decades): the
+/// band was stepped over.  Well under the band's own width, so it only
+/// decides when bisection takes over from the secant.
+const TOLERANCE: f64 = 1e-3;
 
 /// Configuration of a fixed-ratio search.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -48,6 +91,13 @@ pub struct SearchConfig {
     pub threads: usize,
     /// After the search, re-run the best setting with full quality metrics.
     pub measure_final_quality: bool,
+    /// Walk towards the band before racing (on by default): from the missed
+    /// hint probe, or on a cold search from a seed fitted on a sample of the
+    /// field — its central box, an eighth to a quarter of its values and at
+    /// least 4 096, so a field under 16 384 values is never sampled and its
+    /// cold search is the race alone.  Off, every search that misses its
+    /// probe is Algorithm 2's race, as the paper runs it.
+    pub sampled_seed: bool,
 }
 
 impl SearchConfig {
@@ -62,6 +112,7 @@ impl SearchConfig {
             max_iterations: 24,
             threads: 0,
             measure_final_quality: true,
+            sampled_seed: true,
         }
     }
 
@@ -85,6 +136,33 @@ impl SearchConfig {
 
     fn loss(&self) -> RatioLoss {
         RatioLoss::new(self.target_ratio, self.tolerance)
+    }
+
+    /// What the walk reads off an outcome: ok below the target, a hit
+    /// inside the band, its margin `ln(target / ratio)`.
+    fn verdict(&self, outcome: &CompressionOutcome) -> Verdict {
+        let ratio = outcome.compression_ratio;
+        let margin = (self.target_ratio / ratio).ln();
+        Verdict {
+            ok: ratio < self.target_ratio,
+            hit: self.loss().is_acceptable(ratio),
+            margin: margin.is_finite().then_some(margin),
+        }
+    }
+
+    /// A walk over `range` until the run has answered `answers` times,
+    /// starting at `start` (when nothing is measured yet) on `slope`.
+    fn plan(&self, range: (f64, f64), answers: usize, start: f64, slope: f64) -> Plan {
+        Plan {
+            goal: Goal::Band,
+            range,
+            tolerance: TOLERANCE,
+            answers: answers as i32,
+            start,
+            slope,
+            slope_limits: SLOPE_LIMITS,
+            descent: DESCENT,
+        }
     }
 
     fn worker_count(&self) -> usize {
@@ -187,72 +265,162 @@ impl Objective for SearchConfig {
         self.loss().is_acceptable(probe.compression_ratio)
     }
 
-    /// Algorithm 2: region-parallel training over `range`.  A missed probe
-    /// is not folded into the race.
+    /// The walk from the missed probe, or from a sampled seed; the race
+    /// over `range` when it fails.
     fn search(
         eval: &Evaluator<'_, Self>,
-        (lower, upper): (f64, f64),
-        _probe: Option<(&HintReport, CompressionOutcome)>,
+        range: (f64, f64),
+        probe: Option<(&HintReport, CompressionOutcome)>,
     ) -> Found {
         let config = eval.config();
-        let mut regions = make_error_bounds(lower, upper, config.regions);
-        let workers = config.worker_count().min(regions.len()).max(1);
-
-        // `workers` runner tasks drain the regions through a shared atomic
-        // cursor — any idle runner claims the next region — with no queue
-        // or result mutex, and zero OS threads spawned here.  Highest-bound
-        // regions go first: for targets well above 1:1 they are the
-        // likeliest to contain the answer, which is what makes early
-        // termination pay.
-        regions.reverse();
-        let race = Race {
-            eval,
-            loss: config.loss(),
-            regions,
-            next: AtomicUsize::new(0),
-            cancel: AtomicBool::new(false),
-            held: Mutex::new(None),
+        let (first, plan) = match probe {
+            _ if !config.sampled_seed => (None, None),
+            // The missed probe is the walk's first answer.
+            Some((_, probe)) => {
+                let answers = eval.answered() + WALK_BUDGET - 1;
+                let x = to_axis(probe.error_bound);
+                (Some(probe), Some(config.plan(range, answers, x, SLOPE)))
+            }
+            None => (None, seeded(eval, range)),
         };
-        let mut slots: Vec<Vec<RegionOutcome>> = vec![Vec::new(); workers];
-        if workers == 1 {
-            race.run_queue(0, &mut slots[0]);
-        } else {
-            eval.pool().scope(|scope| {
-                let race = &race;
-                for (runner, slot) in slots.iter_mut().enumerate() {
-                    scope.spawn(move || race.run_queue(runner, slot));
-                }
-            });
+        let walked = plan.map_or_else(Vec::new, |plan| {
+            walk(
+                &plan,
+                first,
+                || eval.answered(),
+                |bound| eval.measure(bound),
+                |outcome| config.verdict(outcome),
+            )
+        });
+        // The hit — or, when the race finds nothing in the band either, the
+        // walk's position nearest the target if it beats the race's.
+        let walked = nearest(&walked).and_then(|s| Some((s.verdict.hit, s.outcome.clone()?)));
+        if let Some((true, hit)) = walked {
+            return Found {
+                bound: hit.error_bound,
+                measured: Some(hit),
+                met: true,
+                regions: Vec::new(),
+            };
         }
-        let regions: Vec<RegionOutcome> = slots.into_iter().flatten().collect();
+        let mut found = race(eval, range);
+        let loss = config.loss();
+        let race_loss = found
+            .measured
+            .as_ref()
+            .map_or(f64::INFINITY, |m| loss.loss(m.compression_ratio));
+        match walked {
+            Some((_, near)) if !found.met && loss.loss(near.compression_ratio) < race_loss => {
+                found.bound = near.error_bound;
+                found.measured = Some(near);
+            }
+            _ => {}
+        }
+        found
+    }
+}
 
-        // The first region with the smallest loss wins; it already measured
-        // its best bound, so that outcome — and the stream it was measured
-        // on, which the race held for it — is reused instead of re-running
-        // the compressor (absent only if the best evaluation errored).
-        let best = regions
-            .iter()
-            .reduce(|best, r| if r.loss < best.loss { r } else { best });
-        let held = race.held.into_inner().unwrap_or_else(|e| e.into_inner());
-        let (bound, measured, met) = match best {
-            Some(b) => (
-                b.error_bound,
-                b.measured.clone().map(|measured| CompressionOutcome {
-                    stream: held
-                        .filter(|held| held.bound == b.error_bound)
-                        .map(|held| held.stream),
-                    ..measured
-                }),
-                race.loss.is_acceptable(b.compression_ratio),
-            ),
-            None => (lower, None, false),
-        };
-        Found {
-            bound,
-            measured,
-            met,
-            regions,
-        }
+/// A cold walk's plan: it starts where a sample of the field puts the
+/// target, on the slope the sample measured there — the secant, in
+/// `ln ratio` against `log10 bound`, through the two sample positions
+/// nearest the target (the default slope from one).  `None` when the field
+/// is too small to sample or the sample's ratio does not rise with the
+/// bound.  The sample is walked like the field, size-only, through
+/// [`Evaluator::measure_sample`]: from the middle of the axis, for at most
+/// [`SAMPLE_ANSWERS`] answers.
+fn seeded(eval: &Evaluator<'_, SearchConfig>, range: (f64, f64)) -> Option<Plan> {
+    let config = eval.config();
+    let sample = sample::central(eval.dataset())?;
+    let (xlo, xhi) = (to_axis(range.0), to_axis(range.1));
+    let plan = config.plan(
+        range,
+        eval.answered() + SAMPLE_ANSWERS,
+        0.5 * (xlo + xhi),
+        SLOPE,
+    );
+    let steps = walk(
+        &plan,
+        None,
+        || eval.answered(),
+        |bound| eval.measure_sample(&sample, bound),
+        |outcome| config.verdict(outcome),
+    );
+    let mut points: Vec<(f64, f64)> = steps
+        .iter()
+        .filter_map(|s| Some((s.x, s.verdict.margin?)))
+        .collect();
+    points.sort_by(|a, b| a.1.abs().total_cmp(&b.1.abs()));
+    let &(x, margin) = points.first()?;
+    let slope = match points.iter().find(|p| p.0 != x) {
+        Some(&(x2, margin2)) => (margin2 - margin) / (x2 - x),
+        None => SLOPE,
+    };
+    (slope < 0.0).then(|| {
+        let slope = slope.clamp(SLOPE_LIMITS.0, SLOPE_LIMITS.1);
+        let start = (x - margin / slope).clamp(xlo, xhi);
+        config.plan(range, eval.answered() + WALK_BUDGET, start, slope)
+    })
+}
+
+/// Algorithm 2: region-parallel training over `(lower, upper)`.
+fn race(eval: &Evaluator<'_, SearchConfig>, (lower, upper): (f64, f64)) -> Found {
+    let config = eval.config();
+    let mut regions = make_error_bounds(lower, upper, config.regions);
+    let workers = config.worker_count().min(regions.len()).max(1);
+
+    // `workers` runner tasks drain the regions through a shared atomic
+    // cursor — any idle runner claims the next region — with no queue or
+    // result mutex, and zero OS threads spawned here.  Highest-bound regions
+    // go first: for targets well above 1:1 they are the likeliest to contain
+    // the answer, which is what makes early termination pay.
+    regions.reverse();
+    let race = Race {
+        eval,
+        loss: config.loss(),
+        regions,
+        next: AtomicUsize::new(0),
+        cancel: AtomicBool::new(false),
+        held: Mutex::new(None),
+    };
+    let mut slots: Vec<Vec<RegionOutcome>> = vec![Vec::new(); workers];
+    if workers == 1 {
+        race.run_queue(0, &mut slots[0]);
+    } else {
+        eval.pool().scope(|scope| {
+            let race = &race;
+            for (runner, slot) in slots.iter_mut().enumerate() {
+                scope.spawn(move || race.run_queue(runner, slot));
+            }
+        });
+    }
+    let regions: Vec<RegionOutcome> = slots.into_iter().flatten().collect();
+
+    // The first region with the smallest loss wins; it already measured its
+    // best bound, so that outcome — and the stream it was measured on, which
+    // the race held for it — is reused instead of re-running the compressor
+    // (absent only if the best evaluation errored).
+    let best = regions
+        .iter()
+        .reduce(|best, r| if r.loss < best.loss { r } else { best });
+    let held = race.held.into_inner().unwrap_or_else(|e| e.into_inner());
+    let (bound, measured, met) = match best {
+        Some(b) => (
+            b.error_bound,
+            b.measured.clone().map(|measured| CompressionOutcome {
+                stream: held
+                    .filter(|held| held.bound == b.error_bound)
+                    .map(|held| held.stream),
+                ..measured
+            }),
+            race.loss.is_acceptable(b.compression_ratio),
+        ),
+        None => (lower, None, false),
+    };
+    Found {
+        bound,
+        measured,
+        met,
+        regions,
     }
 }
 
@@ -597,5 +765,53 @@ mod tests {
         assert_eq!(c.max_error_bound, Some(0.5));
         assert_eq!(c.worker_count(), 3);
         assert_eq!(SearchConfig::new(10.0, 0.1).with_regions(0).regions, 1);
+    }
+
+    #[test]
+    fn a_walk_descends_at_most_descent_below_what_it_measured() {
+        // The top of the range is 30× above the band, and the walk's slope is
+        // a sample's plateau: extrapolated from the top, one step lands 48
+        // decades down.  `ln ratio` rises 1.3 per decade of bound.
+        let config = SearchConfig::new(13.8, 0.05);
+        let measure = |bound: f64| {
+            Ok(CompressionOutcome {
+                compressor: "shaped".into(),
+                error_bound: bound,
+                compression_ratio: 13.8 * (1.3 * (bound.log10() + 2.6)).exp(),
+                bit_rate: 0.0,
+                compressed_bytes: 0,
+                original_bytes: 0,
+                quality: None,
+                stream: None,
+            })
+        };
+        let positions = |descent: f64| {
+            let plan = Plan {
+                descent,
+                ..config.plan((1e-9, 1.0), WALK_BUDGET, 0.0, -0.07)
+            };
+            let answered = std::cell::Cell::new(0);
+            let steps = walk(
+                &plan,
+                None,
+                || answered.get(),
+                |bound| {
+                    answered.set(answered.get() + 1);
+                    measure(bound)
+                },
+                |outcome| config.verdict(outcome),
+            );
+            assert!(steps.last().unwrap().verdict.hit, "descent {descent}");
+            steps.iter().map(|s| s.x).collect::<Vec<f64>>()
+        };
+
+        let limited = positions(DESCENT);
+        for (i, x) in limited.iter().enumerate().skip(1) {
+            let lowest = limited[..i].iter().copied().fold(f64::INFINITY, f64::min);
+            assert!(*x >= lowest - DESCENT - 1e-12, "{limited:?}");
+        }
+        assert_eq!(limited.len(), 3, "{limited:?}");
+        // Unlimited, the second position is the bottom of the range.
+        assert_eq!(positions(f64::INFINITY)[1], to_axis(1e-9));
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! The paper has one algorithm — minimise a loss over one scalar error
 //! bound, probing a prediction first (Algorithm 1).  What varies is the
-//! [`Objective`]: the fixed-ratio region race ([`crate::ratio`], Algorithm
-//! 2) and the fixed-quality bracketing walk ([`crate::quality`]) are the
-//! two strategies.  [`Search`] owns the rest exactly once — the compressor
+//! [`Objective`]: the fixed-ratio walk with the region race as its fallback
+//! ([`crate::ratio`], Algorithm 2) and the fixed-quality bracketing walk
+//! ([`crate::quality`]) are the two strategies, and they share the walk.  [`Search`] owns the rest exactly once — the compressor
 //! handle, pool, cancel token, codec-config signature and the optional
 //! [`BoundPredictor`], the `U`-clipped bound range, and the two entry points
 //! [`Search::run`] and [`Search::run_with_hint`].
@@ -140,12 +140,16 @@ pub struct Evaluator<'a, O: Objective> {
     calls: AtomicUsize,
     answered: AtomicUsize,
     start: Instant,
-    /// What this run measured on each `(step, measure_quality)` it visited:
-    /// at most one outcome per binade of the range per flag — the
+    /// What this run measured on each `(step, measure_quality, sampled)` it
+    /// visited: at most one outcome per binade of the range per flag and per
+    /// dataset (the field, or the sample a strategy measured instead) — the
     /// measurement, not its stream — dropped with the run.  Stays empty for
     /// a codec without steps.
-    memo: Mutex<BTreeMap<(i64, bool), CompressionOutcome>>,
+    memo: Mutex<BTreeMap<MemoKey, CompressionOutcome>>,
 }
+
+/// `(step, measure_quality, sampled)`.
+type MemoKey = (i64, bool, bool);
 
 impl<'a, O: Objective> Evaluator<'a, O> {
     fn new(shell: &'a Search<O>, dataset: &'a Dataset) -> Self {
@@ -161,21 +165,35 @@ impl<'a, O: Objective> Evaluator<'a, O> {
 
     /// One search evaluation at `bound`, or the reason there was none.
     pub fn measure(&self, bound: f64) -> Result<CompressionOutcome, Miss> {
-        self.call(bound, O::JUDGES_QUALITY, false)
+        self.call(None, bound, O::JUDGES_QUALITY, false)
     }
 
-    /// The one compressor call site.  Only the shell's fallback measurement
+    /// One size-only evaluation of `sample` — a part of the run's dataset a
+    /// strategy measures instead of the whole — at `bound`: a compressor call
+    /// like any other (counted, cancellable, memoised), remembered apart
+    /// from the field's.
+    pub(crate) fn measure_sample(
+        &self,
+        sample: &Dataset,
+        bound: f64,
+    ) -> Result<CompressionOutcome, Miss> {
+        self.call(Some(sample), bound, false, false)
+    }
+
+    /// The one compressor call site: on the run's dataset, or on `sample`
+    /// when a strategy measures one.  Only the shell's fallback measurement
     /// is `forced` past a fired token: it turns a search that measured
     /// nothing into a reportable answer.
     ///
-    /// A bound on a step this run already measured is answered from the
-    /// memo — after the cancel check, without a stream, and counted as an
-    /// answer but not as a call: `calls` stays the exact number of
-    /// compressor calls.  Two
-    /// runners that miss the same step at once both call; the outcomes are
-    /// equal and both are counted.
+    /// A bound on a step this run already measured — on the same dataset,
+    /// with the same flag — is answered from the memo: after the cancel
+    /// check, without a stream, and counted as an answer but not as a call:
+    /// `calls` stays the exact number of compressor calls.  Two runners that
+    /// miss the same step at once both call; the outcomes are equal and both
+    /// are counted.
     fn call(
         &self,
+        sample: Option<&Dataset>,
         bound: f64,
         measure_quality: bool,
         forced: bool,
@@ -188,7 +206,7 @@ impl<'a, O: Objective> Evaluator<'a, O> {
         let key = compressor
             .bound_kind()
             .step_of(bound)
-            .map(|step| (step, measure_quality));
+            .map(|step| (step, measure_quality, sample.is_some()));
         if let Some(seen) = key.and_then(|key| self.memo().get(&key).cloned()) {
             return Ok(CompressionOutcome {
                 error_bound: bound,
@@ -197,7 +215,7 @@ impl<'a, O: Objective> Evaluator<'a, O> {
         }
         self.calls.fetch_add(1, Ordering::Relaxed);
         let outcome = compressor
-            .evaluate(self.dataset, bound, measure_quality)
+            .evaluate(sample.unwrap_or(self.dataset), bound, measure_quality)
             .map_err(|_| Miss::Rejected)?;
         if let Some(key) = key {
             self.memo().insert(key, outcome.without_stream());
@@ -205,7 +223,7 @@ impl<'a, O: Objective> Evaluator<'a, O> {
         Ok(outcome)
     }
 
-    fn memo(&self) -> std::sync::MutexGuard<'_, BTreeMap<(i64, bool), CompressionOutcome>> {
+    fn memo(&self) -> std::sync::MutexGuard<'_, BTreeMap<MemoKey, CompressionOutcome>> {
         // Every critical section is one map operation, so a poisoned lock
         // still guards a consistent map.
         self.memo.lock().unwrap_or_else(|e| e.into_inner())
@@ -232,6 +250,11 @@ impl<'a, O: Objective> Evaluator<'a, O> {
     /// The objective's configuration.
     pub fn config(&self) -> &O {
         &self.shell.config
+    }
+
+    /// The dataset this run searches.
+    pub(crate) fn dataset(&self) -> &Dataset {
+        self.dataset
     }
 
     /// The pool the search's tasks run on.
@@ -391,7 +414,9 @@ impl<O: Objective> Search<O> {
         let report = hint.map(|h| {
             let bound = h.bound.clamp(range.0, range.1);
             let at = self.config.on_axis(bound).clamp(range.0, range.1);
-            probe = eval.call(at, self.config.reports_quality(), false).ok();
+            probe = eval
+                .call(None, at, self.config.reports_quality(), false)
+                .ok();
             HintReport {
                 source: h.source,
                 bound,
@@ -414,14 +439,14 @@ impl<O: Objective> Search<O> {
         // or not, so the search always reports an answer it actually saw.
         let measured = found
             .measured
-            .or_else(|| eval.call(found.bound, O::JUDGES_QUALITY, true).ok());
+            .or_else(|| eval.call(None, found.bound, O::JUDGES_QUALITY, true).ok());
         // The search ends here; the final quality pass below is not a search
         // evaluation and is skipped (`Miss::Cancelled`) once the token fired.
         let evaluations = eval.calls();
         let deadline_hit = !hit && self.cancelled();
         let best = match measured {
             Some(seen) if seen.quality.is_none() && self.config.reports_quality() => {
-                match eval.call(found.bound, true, false) {
+                match eval.call(None, found.bound, true, false) {
                     // One bound, one stream: a re-measurement answered from
                     // the memo keeps the bytes already in hand.
                     Ok(again) => CompressionOutcome {
@@ -509,6 +534,7 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::hint::{HintSource, LastConverged};
+    use crate::ratio::WALK_BUDGET;
     use crate::{
         QualityMetric, QualitySearchConfig, QualitySearchOutcome, SearchConfig, SearchOutcome,
     };
@@ -667,13 +693,17 @@ pub(crate) mod tests {
     verdict!(SearchOutcome, feasible);
     verdict!(QualitySearchOutcome, satisfiable);
 
-    /// One objective under test: its config, what "in tolerance" means and
-    /// the bound that meets the target exactly when no ceiling `U` is set.
+    /// One objective under test: its config, what "in tolerance" means, the
+    /// bound that meets the target exactly when no ceiling `U` is set, and
+    /// the most evaluations a hint that misses may add to a cold search —
+    /// the probe, and for a ratio the walk it starts ([`WALK_BUDGET`]
+    /// answers, the probe included).
     struct Case<O> {
         name: &'static str,
         config: O,
         in_tolerance: fn(&O, &CompressionOutcome) -> bool,
         oracle: f64,
+        hint_cost: usize,
     }
 
     impl<O: Objective + Clone> Case<O> {
@@ -708,6 +738,7 @@ pub(crate) mod tests {
                 (o.compression_ratio - c.target_ratio).abs() <= c.tolerance * c.target_ratio + 1e-9
             },
             oracle: CountingCodec::bound_for(target),
+            hint_cost: WALK_BUDGET,
         }
     }
 
@@ -717,6 +748,7 @@ pub(crate) mod tests {
             config: QualitySearchConfig::new(QualityMetric::PsnrAtLeast(target)),
             in_tolerance: |c, o| o.quality.as_ref().is_some_and(|q| c.metric.is_satisfied(q)),
             oracle: smooth_field().stats().value_range() / 10f64.powf(target / 20.0),
+            hint_cost: 1,
         }
     }
 
@@ -875,7 +907,7 @@ pub(crate) mod tests {
                 (case.in_tolerance)(&case.config, hinted.best()),
             );
             assert!(
-                hinted.evaluations() <= cold.evaluations() + 1,
+                hinted.evaluations() <= cold.evaluations() + case.hint_cost,
                 "{}/{what}: {} evaluations vs {} cold",
                 case.name,
                 hinted.evaluations(),
@@ -1138,6 +1170,43 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn above_the_sampling_floor_the_walk_meets_every_target_a_dense_sweep_can() {
+        // 32³ values: a cold search walks from a seed fitted on a sample,
+        // and races only where the walk fails — a saw-tooth tooth edge can
+        // contradict it — so the verdicts are the race's.
+        let values = (0..32 * 32 * 32).map(|i| (i % 97) as f32).collect();
+        let dataset = Dataset::from_f32("test", "cube", 0, Dims::d3(32, 32, 32), values);
+        let in_band = |target: f64, ratio: f64| (ratio - target).abs() <= 0.1 * target;
+        let (mut walked, mut raced) = (0, 0);
+        for target in [4.0, 10.0, 25.0, 50.0, 75.0, 100.0] {
+            let swept = (0..=5000)
+                .map(|i| SawtoothCodec::LO + i as f64 / 5000.0)
+                .any(|bound| {
+                    let outcome = SawtoothCodec.evaluate(&dataset, bound, false).unwrap();
+                    in_band(target, outcome.compression_ratio)
+                });
+            assert!(swept, "{target}: pick targets the sweep can meet");
+            for regions in [1, 4, 12] {
+                let config = SearchConfig::new(target, 0.1)
+                    .with_regions(regions)
+                    .with_threads(1);
+                let outcome = Search::new(Arc::new(SawtoothCodec) as Arc<dyn Compressor>, config)
+                    .run(&dataset);
+                assert!(outcome.feasible, "{target}:1 over {regions} regions");
+                assert!(in_band(target, outcome.best.compression_ratio));
+                if outcome.regions.is_empty() {
+                    walked += 1;
+                } else {
+                    raced += 1;
+                }
+            }
+        }
+        // Both paths ran: the walk's hits, and the race where a tooth's
+        // edge contradicted the walk or its budget ran out.
+        assert!(walked > 0 && raced > 0, "{walked} walked, {raced} raced");
+    }
+
+    #[test]
     fn worker_count_changes_counts_never_verdicts() {
         let dataset = smooth_field();
         let pool = Arc::new(Pool::new(2));
@@ -1161,10 +1230,11 @@ pub(crate) mod tests {
 
     /// Forwards everything to `inner` — `evaluate` included, so the codec
     /// under it takes whatever path it takes — but reports a kind without
-    /// steps, which leaves the memo empty; and logs what it was asked.
+    /// steps, which leaves the memo empty; and logs what it was asked: the
+    /// bound, the flag and how many values.
     struct SteplessTwin {
         inner: Box<dyn Compressor>,
-        asked: Mutex<Vec<(f64, bool)>>,
+        asked: Mutex<Vec<(f64, bool, usize)>>,
     }
 
     impl Compressor for SteplessTwin {
@@ -1192,19 +1262,27 @@ pub(crate) mod tests {
             bound: f64,
             measure_quality: bool,
         ) -> Result<CompressionOutcome, PressioError> {
-            self.asked.lock().unwrap().push((bound, measure_quality));
+            self.asked
+                .lock()
+                .unwrap()
+                .push((bound, measure_quality, dataset.len()));
             self.inner.evaluate(dataset, bound, measure_quality)
         }
     }
 
     /// One search run twice on a one-worker pool — on zfp, whose kind has
     /// steps, and on its stepless twin: the memo may change how many times
-    /// the codec is called and nothing a caller can read besides.
+    /// the codec is called and nothing a caller can read besides.  A
+    /// `sampled` search (a cold ratio search above the sampling floor)
+    /// measures a sample of the field before the field, and the memo keys
+    /// those calls apart from the field's: were the sample to read the
+    /// field's memo, its seed — and so the walk and the answer — would move.
     fn memo_differential<O: Objective + Clone>(
         what: &str,
         dataset: &Dataset,
         config: O,
         hint: Option<&SearchHint>,
+        sampled: bool,
     ) {
         let pool = Arc::new(Pool::new(1));
         let zfp = || registry::build_default("zfp").unwrap();
@@ -1240,20 +1318,28 @@ pub(crate) mod tests {
         }
 
         // Without a final quality pass every call the twin saw is a search
-        // evaluation; the memo makes one call per distinct step and flag.
+        // evaluation; the memo makes one call per distinct step, flag and
+        // dataset.
         let asked = twin_codec.asked.lock().unwrap();
         assert_eq!(twin.evaluations, asked.len(), "{what}");
-        if !twin.regions.is_empty() {
+        let on_sample = |len: usize| len != dataset.len();
+        assert_eq!(
+            asked.iter().any(|a| on_sample(a.2)),
+            sampled,
+            "{what}: sampled"
+        );
+        if !twin.regions.is_empty() && !sampled {
             let iterations: usize = twin.regions.iter().map(|r| r.iterations).sum();
             assert_eq!(iterations, twin.evaluations, "{what}");
         }
-        let distinct: BTreeSet<(i64, bool)> = asked
+        let distinct: BTreeSet<(i64, bool, bool)> = asked
             .iter()
-            .map(|&(bound, quality)| (steps.step_of(bound).unwrap(), quality))
+            .map(|&(bound, quality, len)| (steps.step_of(bound).unwrap(), quality, on_sample(len)))
             .collect();
         assert_eq!(memo.evaluations, distinct.len(), "{what}");
+        // (A seeded walk may visit every step once.)
         assert!(
-            memo.evaluations < twin.evaluations,
+            memo.evaluations < twin.evaluations || sampled,
             "{what}: {} calls with the memo, {} without",
             memo.evaluations,
             twin.evaluations
@@ -1278,17 +1364,35 @@ pub(crate) mod tests {
                 measure_final_quality: false,
                 ..SearchConfig::new(reachable, 0.1)
             };
-            memo_differential(&format!("{regime} ratio"), &dataset, ratio, None);
+            memo_differential(
+                &format!("{regime} ratio"),
+                &dataset,
+                ratio.clone(),
+                None,
+                false,
+            );
 
             let psnr = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(60.0));
-            memo_differential(&format!("{regime} psnr"), &dataset, psnr.clone(), None);
+            memo_differential(
+                &format!("{regime} psnr"),
+                &dataset,
+                psnr.clone(),
+                None,
+                false,
+            );
             // A budget that binds: the strategy counts answers, not calls,
             // so remembered answers do not buy it extra steps.
             let tight = QualitySearchConfig {
                 max_iterations: 8,
                 ..QualitySearchConfig::new(QualityMetric::PsnrAtLeast(40.0))
             };
-            memo_differential(&format!("{regime} psnr, 8 steps"), &dataset, tight, None);
+            memo_differential(
+                &format!("{regime} psnr, 8 steps"),
+                &dataset,
+                tight,
+                None,
+                false,
+            );
             // A missed seed: the expansion walk instead of the sweep.
             let seed = SearchHint::seed(1e-6 * range, HintSource::External);
             memo_differential(
@@ -1296,7 +1400,23 @@ pub(crate) mod tests {
                 &dataset,
                 psnr,
                 Some(&seed),
+                false,
             );
+
+            // Above the sampling floor the cold ratio search walks from a
+            // seed fitted on a sample.
+            let cube = synthetic::generate(regime, &Dims::d3(32, 32, 32), DType::F32, 20200118, 0)
+                .unwrap();
+            let reachable = registry::build_default("zfp")
+                .unwrap()
+                .evaluate(&cube, 1e-3 * cube.value_range(), false)
+                .unwrap()
+                .compression_ratio;
+            let seeded = SearchConfig {
+                target_ratio: reachable,
+                ..ratio
+            };
+            memo_differential(&format!("{regime} ratio, 32³"), &cube, seeded, None, true);
         }
     }
 
@@ -1358,31 +1478,35 @@ pub(crate) mod tests {
 
         // 0.3 and 0.4 share step −2: one call, two answers, each carrying
         // the bound it was asked for.
-        let first = eval.call(0.3, false, false).unwrap();
+        let first = eval.call(None, 0.3, false, false).unwrap();
         let remembered_at = |bound: f64| CompressionOutcome {
             error_bound: bound,
             ..first.clone()
         };
         assert_eq!(first.error_bound, 0.3);
-        assert_eq!(eval.call(0.4, false, false), Ok(remembered_at(0.4)));
+        assert_eq!(eval.call(None, 0.4, false, false), Ok(remembered_at(0.4)));
         assert_eq!(counts(), (1, 2, 1));
         // The flag is part of the key, and another step is another call.
-        assert!(eval.call(0.4, true, false).unwrap().quality.is_some());
-        assert!(eval.call(0.35, true, false).unwrap().quality.is_some());
-        assert!(eval.call(0.6, false, false).is_ok());
+        assert!(eval.call(None, 0.4, true, false).unwrap().quality.is_some());
+        assert!(eval
+            .call(None, 0.35, true, false)
+            .unwrap()
+            .quality
+            .is_some());
+        assert!(eval.call(None, 0.6, false, false).is_ok());
         assert_eq!(counts(), (3, 5, 3));
 
         // A rejection is not remembered, as a failure or as a success: the
         // same step is asked again, and counted again.
-        assert_eq!(eval.call(0.04, false, false), Err(Miss::Rejected));
-        assert_eq!(eval.call(0.05, false, false), Err(Miss::Rejected));
+        assert_eq!(eval.call(None, 0.04, false, false), Err(Miss::Rejected));
+        assert_eq!(eval.call(None, 0.05, false, false), Err(Miss::Rejected));
         assert_eq!(counts(), (5, 7, 5));
 
         // A fired token wins over a remembered answer; only the shell's
         // forced fallback is served, and from the memo.
         token.cancel();
-        assert_eq!(eval.call(0.3, false, false), Err(Miss::Cancelled));
-        assert_eq!(eval.call(0.3, false, true), Ok(remembered_at(0.3)));
+        assert_eq!(eval.call(None, 0.3, false, false), Err(Miss::Cancelled));
+        assert_eq!(eval.call(None, 0.3, false, true), Ok(remembered_at(0.3)));
         assert_eq!(counts(), (5, 8, 5));
     }
 

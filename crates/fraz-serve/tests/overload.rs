@@ -134,9 +134,9 @@ fn clients_that_honour_the_retry_hint_all_get_served() {
     let retried = AtomicU64::new(0);
     // The collision is structural, not a matter of scheduling: every client
     // is connected and holds its field before any sends (the barrier), and
-    // one 128×128 job outlasts the release of six threads many times over,
-    // so the first two admitted still hold the whole budget when the other
-    // four arrive.
+    // one 256×256 job — a cold search, sampled seed and walk — outlasts the
+    // release of six threads many times over, so the first two admitted
+    // still hold the whole budget when the other four arrive.
     let start = Barrier::new(CLIENTS);
 
     std::thread::scope(|scope| {
@@ -145,7 +145,7 @@ fn clients_that_honour_the_retry_hint_all_get_served() {
             let retried = &retried;
             let start = &start;
             scope.spawn(move || {
-                let fields = workload_fields(128, 800 + c as u64);
+                let fields = workload_fields(256, 800 + c as u64);
                 let mut client = Client::connect(addr).expect("connect");
                 client
                     .set_reply_timeout(Some(Duration::from_secs(30)))
