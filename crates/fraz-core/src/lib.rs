@@ -77,7 +77,7 @@ pub use hint::{
     SearchHint,
 };
 pub use loss::RatioLoss;
-pub use online::{OnlineController, OnlineControllerConfig, OnlineStepReport};
+pub use online::{OnlineController, OnlineStepReport};
 pub use optim::{binary_search, grid_search, GlobalMinimizer, OptimizerConfig, SearchTrace};
 pub use orchestrator::{
     ApplicationOutcome, FieldSearch, FieldTask, Orchestrator, OrchestratorConfig, SeriesOutcome,

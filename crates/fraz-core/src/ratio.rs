@@ -225,7 +225,8 @@ pub struct SearchOutcome {
     pub evaluations: usize,
     /// Wall-clock time of the whole search.
     pub elapsed: Duration,
-    /// Per-region details (empty when the prediction was reused).
+    /// Per-region details (empty when no race ran: the prediction was
+    /// reused, or the walk answered).
     pub regions: Vec<RegionOutcome>,
     /// What the search did with its seeding hint (`None` on cold runs).
     pub hint: Option<HintReport>,
@@ -236,7 +237,8 @@ pub struct SearchOutcome {
 }
 
 /// The FRaZ fixed-ratio search driver for a single compressor: the
-/// [`Search`] shell running the region race below.
+/// [`Search`] shell running this module's walk, with the region race below
+/// as its fallback.
 pub type FixedRatioSearch = Search<SearchConfig>;
 
 impl Objective for SearchConfig {

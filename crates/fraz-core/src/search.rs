@@ -5,8 +5,9 @@
 //! bound, probing a prediction first (Algorithm 1).  What varies is the
 //! [`Objective`]: the fixed-ratio walk with the region race as its fallback
 //! ([`crate::ratio`], Algorithm 2) and the fixed-quality bracketing walk
-//! ([`crate::quality`]) are the two strategies, and they share the walk.  [`Search`] owns the rest exactly once — the compressor
-//! handle, pool, cancel token, codec-config signature and the optional
+//! ([`crate::quality`]) are the two strategies, and they share the walk.
+//! [`Search`] owns the rest exactly once — the compressor handle, pool,
+//! cancel token, codec-config signature and the optional
 //! [`BoundPredictor`], the `U`-clipped bound range, and the two entry points
 //! [`Search::run`] and [`Search::run_with_hint`].
 //!

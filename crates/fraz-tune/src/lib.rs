@@ -7,8 +7,9 @@
 //! target + a content [`fingerprint()`] of the data), and the next search
 //! over a matching field starts at the remembered bound.  Because every
 //! hinted search verifies its probe before accepting it, a stale or
-//! colliding entry costs one evaluation and falls back to the normal
-//! bracketing race — the cache can make a run faster, never wrong.
+//! colliding entry costs one evaluation and the search goes on from that
+//! probe — the bracketing walk, and for a ratio the region race behind it —
+//! so the cache can make a run faster, never wrong.
 //!
 //! [`CachePredictor`] adapts the cache to `fraz-core`'s
 //! [`BoundPredictor`] seeding API, so the orchestrator, the quality

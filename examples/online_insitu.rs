@@ -2,29 +2,30 @@
 //! item, §VII).
 //!
 //! A running simulation cannot afford a full search on every output step.
-//! The [`OnlineController`] calibrates once, then compresses each arriving
-//! step exactly once, nudging the error bound between steps to hold the
-//! target ratio, and only re-searches when the ratio drifts badly.
+//! The [`OnlineController`] calibrates once, then probes each arriving step
+//! once at the previous step's bound, nudged to hold the target ratio; that
+//! probe is the step's output, and the search walks on from it only when the
+//! ratio drifts badly.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example online_insitu
 //! ```
 
-use fraz::core::{OnlineController, OnlineControllerConfig};
+use fraz::core::OnlineController;
 use fraz::data::synthetic;
 use fraz::pressio::registry;
 
-fn main() {
+fn main() -> Result<(), fraz::pressio::PressioError> {
     // A simulation emitting 10 steps of a 3-D field.
     let steps = 10usize;
     let app = synthetic::nyx(32, 32, 32, steps, 12);
     let target_ratio = 16.0;
 
-    let mut config = OnlineControllerConfig::new(target_ratio, 0.1);
     // Never allow more than 5% of the value range as pointwise error (loose
     // enough that the 16:1 target stays feasible on this field).
-    config.max_error_bound = Some(app.field("temperature", 0).stats().value_range() * 0.05);
+    let ceiling = app.field("temperature", 0).stats().value_range() * 0.05;
+    let config = OnlineController::budget(target_ratio, 0.1).with_max_error(ceiling);
     let mut controller = OnlineController::new(
         registry::build_default("sz").expect("sz backend registered"),
         config,
@@ -43,7 +44,7 @@ fn main() {
     for t in 0..steps {
         let frame = app.field("temperature", t);
         total_in += frame.byte_size();
-        let (compressed, report) = controller.compress_step(&frame);
+        let (compressed, report) = controller.compress_step(&frame)?;
         total_out += compressed.len();
         println!(
             "{:>5} {:>12.4e} {:>8.1}x {:>10} {:>13} {:>7.0?}",
@@ -68,4 +69,5 @@ fn main() {
         "stream compression ratio : {:.1}:1",
         total_in as f64 / total_out as f64
     );
+    Ok(())
 }

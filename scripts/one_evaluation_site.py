@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""The search shell's two single sites, outside `#[cfg(test)]` items and comments.
+"""The search shell's single sites, outside `#[cfg(test)]` items and comments.
 
 1. crates/fraz-core/src calls `Compressor::evaluate` exactly once: the shell's evaluator is
    the one evaluation site.
 2. crates/*/src calls `.compress(` at an outcome's `.error_bound` exactly once: `answer_bytes`
    (crates/fraz-core/src/search.rs) is how a search's answer becomes bytes, because the
-   answer usually arrives with the stream it was measured on."""
+   answer usually arrives with the stream it was measured on.
+3. crates/fraz-core/src calls `.compress(` exactly once, inside `answer_bytes`: every other
+   compressor call of the framework is a search evaluation."""
 import pathlib
 import re
 import sys
@@ -17,14 +19,19 @@ def code_of(path):
     return "\n".join(line.split("//")[0] for line in code.splitlines())
 
 
-def call_arguments(code, start):
-    """The text between the parenthesis opening at `start` and the one that closes it."""
+def closing(code, start, pair="()"):
+    """The offset of the bracket that closes the one opening at `start`."""
     depth = 0
     for at in range(start, len(code)):
-        depth += {"(": 1, ")": -1}.get(code[at], 0)
+        depth += {pair[0]: 1, pair[1]: -1}.get(code[at], 0)
         if depth == 0:
-            return code[start + 1 : at]
-    return code[start + 1 :]
+            return at
+    return len(code)
+
+
+def site(path, code, at):
+    number = code.count("\n", 0, at) + 1
+    return f"{path}:{number}: {code.splitlines()[number - 1].strip()}"
 
 
 failures = []
@@ -42,14 +49,28 @@ recompressions = []
 for path in sorted(pathlib.Path("crates").glob("*/src/**/*.rs")):
     code = code_of(path)
     for call in re.finditer(r"\.compress\(", code):
-        if ".error_bound" in call_arguments(code, call.end() - 1):
-            number = code.count("\n", 0, call.start()) + 1
-            recompressions.append(f"{path}:{number}: {code.splitlines()[number - 1].strip()}")
+        if ".error_bound" in code[call.end() : closing(code, call.end() - 1)]:
+            recompressions.append(site(path, code, call.start()))
 print("\n".join(recompressions))
-if [site.split(":")[0] for site in recompressions] != ["crates/fraz-core/src/search.rs"]:
+if [at.split(":")[0] for at in recompressions] != ["crates/fraz-core/src/search.rs"]:
     failures.append(
         "expected `.compress(.., <outcome>.error_bound)` in `answer_bytes` (crates/fraz-core/src/search.rs) "
         f"only, found {len(recompressions)} site(s): a search's answer becomes bytes there"
+    )
+
+compressions = []
+for path in sorted(pathlib.Path("crates/fraz-core/src").rglob("*.rs")):
+    code = code_of(path)
+    answer = re.search(r"fn answer_bytes\b", code)
+    body = (answer.end(), closing(code, code.index("{", answer.end()), "{}")) if answer else (0, 0)
+    for call in re.finditer(r"\.compress\(", code):
+        inside = body[0] <= call.start() < body[1]
+        compressions.append((site(path, code, call.start()), inside))
+print("\n".join(at for at, _ in compressions))
+if [inside for _, inside in compressions] != [True]:
+    failures.append(
+        "expected exactly one `.compress(` in crates/fraz-core/src, inside `answer_bytes`, "
+        f"found {len(compressions)} site(s): every other compressor call is a search evaluation"
     )
 
 sys.exit("\n".join(failures) if failures else 0)
