@@ -258,7 +258,7 @@ fn cmd_codecs() -> u8 {
                 desc.dims.min,
                 desc.dims.max,
                 desc.bound_kind.label(),
-                if desc.error_bounded {
+                if desc.error_bounded() {
                     ""
                 } else {
                     " [not searchable]"

@@ -261,10 +261,13 @@ fn tune_cache_second_run_halves_evaluations() {
         (warm_evals as f64) <= cold_evals as f64 * 0.5,
         "warm run spent {warm_evals} evaluations vs {cold_evals} cold"
     );
-    // Warm rows report their hits; every hit step costs a single probe.
+    // Every warm step starts at its own cached bound, not the previous
+    // step's, and the table's misses agree with the cache's.
     for row in &warm.rows {
-        assert!(row.cache_hits.unwrap() >= 1, "{}: no cache hit", row.field);
+        assert_eq!(row.cache_hits, Some(row.steps), "{}", row.field);
+        assert_eq!(row.cache_misses, Some(0), "{}", row.field);
     }
+    assert_eq!(warm_cache.misses, 0);
     // The quality metrics are unchanged: seeding only changes how fast the
     // searches land, not where.
     for (c, w) in cold.rows.iter().zip(&warm.rows) {

@@ -244,10 +244,12 @@ impl BoundPredictor for LastConverged {
 }
 
 /// Ask several predictors in order: the first hint wins, every predictor
-/// observes.  The orchestrator chains its per-series [`LastConverged`] in
-/// front of an externally installed predictor (e.g. the tuning cache), so
-/// within a run the previous step seeds the next one while the cache still
-/// learns every converged bound for the *next* run.
+/// observes.  The orchestrator and the store writer chain an externally
+/// installed predictor (e.g. the tuning cache, keyed by each search's own
+/// data) in front of their in-run [`LastConverged`] slot, so a step or
+/// chunk the cache knows starts at its own remembered bound, the rest at
+/// the previous converged one, and the cache learns every converged bound
+/// for the *next* run.
 pub struct PredictorChain {
     predictors: Vec<Arc<dyn BoundPredictor>>,
 }

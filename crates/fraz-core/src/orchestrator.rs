@@ -258,8 +258,9 @@ impl Orchestrator {
     }
 
     /// Install an external [`BoundPredictor`] (e.g. the `fraz-tune` cache)
-    /// consulted after the in-series previous-step slot and taught every
-    /// converged bound.  Shared across the parallel field tasks.
+    /// consulted before the in-series previous-step slot on every step and
+    /// taught every converged bound.  Shared across the parallel field
+    /// tasks.
     pub fn with_predictor(mut self, predictor: Option<Arc<dyn BoundPredictor>>) -> Self {
         self.predictor = predictor;
         self
@@ -319,14 +320,14 @@ impl Orchestrator {
         };
         // Algorithm 3's time-step prediction is a [`LastConverged`] slot
         // (it learns a bound only when the objective was met, lines 5-7)
-        // chained in front of any externally installed predictor: within
-        // the series the previous step seeds the next, while the external
-        // predictor seeds step 0 and observes every converged bound.
-        let mut predictors: Vec<Arc<dyn BoundPredictor>> = Vec::new();
+        // chained behind any externally installed predictor: the external
+        // predictor (a tuning cache keyed by each step's own data) answers
+        // first where it knows the step, the previous step seeds the rest,
+        // and both observe every converged bound.
+        let mut predictors: Vec<Arc<dyn BoundPredictor>> = self.predictor.iter().cloned().collect();
         if self.config.reuse_prediction {
             predictors.push(Arc::new(LastConverged::new(HintSource::PreviousStep)));
         }
-        predictors.extend(self.predictor.clone());
         let config = SearchConfig {
             threads,
             ..ratio.clone()

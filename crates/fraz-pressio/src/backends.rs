@@ -1,8 +1,22 @@
-//! Adapters exposing the workspace codecs through the [`Compressor`] trait.
+//! The workspace codecs behind the [`Compressor`] trait: one table.
 //!
-//! Every backend sits behind a cargo feature of the same family (`sz`,
-//! `zfp`, `mgard`, `szx`, all on by default) so slim builds can drop the
-//! codec crates they do not ship.
+//! Every built-in codec is one row of [`install_builtins`]: the
+//! [`CodecDescriptor`] that names it, says what its scalar parameter means
+//! and which grids it accepts, plus the codec settings its options select.
+//! One private `Builtin` serves every row and reads name, bound kind and
+//! grids from the descriptor its row registered, so each of those facts is
+//! written once.  Each codec sits behind a cargo feature of the same family
+//! (`sz`, `zfp`, `mgard`, `szx`, all on by default) so slim builds can drop
+//! the codec crates they do not ship.
+
+// With every codec feature off the table has no rows: the one impl below is
+// still compiled, but no `Codec` exists to reach its arms.
+#![cfg_attr(
+    not(any(feature = "sz", feature = "zfp", feature = "mgard", feature = "szx")),
+    allow(unused_mut, unused_variables, unreachable_code)
+)]
+
+use std::sync::Arc;
 
 use fraz_data::{Dataset, Dims};
 #[cfg(feature = "mgard")]
@@ -12,30 +26,24 @@ use fraz_sz::SzConfig;
 #[cfg(feature = "szx")]
 use fraz_szx::SzxConfig;
 #[cfg(feature = "zfp")]
-use fraz_zfp::{ZfpConfig, ZfpMode};
+use fraz_zfp::ZfpConfig;
 
 #[cfg(feature = "mgard")]
 use crate::descriptor::DimRange;
 #[cfg(any(feature = "sz", feature = "szx"))]
 use crate::descriptor::OptionDescriptor;
 use crate::descriptor::{BoundKind, CodecDescriptor};
-#[cfg(any(feature = "sz", feature = "mgard"))]
-use crate::evaluate_by_compressing;
 #[cfg(any(feature = "sz", feature = "szx"))]
 use crate::options::OptionKind;
 use crate::options::Options;
 use crate::registry::Registry;
-#[cfg(any(feature = "sz", feature = "mgard", feature = "szx"))]
-use crate::CompressionOutcome;
-use crate::{Compressor, PressioError};
+use crate::{evaluate_by_compressing, CompressionOutcome, Compressor, PressioError};
 
 /// Smallest error-bound setting offered to the search, as a fraction of the
 /// field's value range (below this the codecs are effectively lossless and
 /// searching finer bounds is pointless).
-#[allow(dead_code)] // unused only when every codec feature is off
 const MIN_BOUND_FRACTION: f64 = 1e-9;
 
-#[allow(dead_code)] // unused only when every codec feature is off
 fn range_based_bounds(dataset: &Dataset) -> (f64, f64) {
     let range = dataset.value_range();
     if range > 0.0 && range.is_finite() {
@@ -46,24 +54,242 @@ fn range_based_bounds(dataset: &Dataset) -> (f64, f64) {
     }
 }
 
-/// SZ-like backend (absolute error bound).
+/// The codec settings a row's options select; the scalar parameter arrives
+/// with each call.
+enum Codec {
+    /// SZ-like blockwise prediction + quantization (absolute error bound).
+    #[cfg(feature = "sz")]
+    Sz(SzConfig),
+    /// ZFP-like block transform, fixed-accuracy mode.
+    #[cfg(feature = "zfp")]
+    ZfpAccuracy,
+    /// ZFP-like block transform, fixed-rate mode: the parameter is the
+    /// bits-per-value rate, the paper's baseline (Figs 1, 9, 10) and not a
+    /// FRaZ search target.
+    #[cfg(feature = "zfp")]
+    ZfpRate,
+    /// MGARD-like multilevel decomposition under an ∞-norm or L2 bound.
+    #[cfg(feature = "mgard")]
+    Mgard(ErrorNorm),
+    /// SZx-like blockwise constant/unpredictable classification with
+    /// IEEE-754 bit truncation: roughly an order of magnitude faster than
+    /// sz on both paths, at lower ratios at tight bounds.
+    #[cfg(feature = "szx")]
+    Szx(SzxConfig),
+}
+
+/// One registered row: the descriptor it was registered with, and its codec.
+struct Builtin {
+    descriptor: Arc<CodecDescriptor>,
+    codec: Codec,
+}
+
+impl Builtin {
+    /// Refuse a grid outside the descriptor's range before the codec reads
+    /// the bound.
+    fn check_dims(&self, dims: &Dims) -> Result<(), PressioError> {
+        if self.supports_dims(dims) {
+            return Ok(());
+        }
+        Err(PressioError::Unsupported(format!(
+            "{} accepts {} data, not {}-D",
+            self.name(),
+            self.descriptor.dims,
+            dims.ndims()
+        )))
+    }
+}
+
+impl Compressor for Builtin {
+    fn name(&self) -> &str {
+        &self.descriptor.name
+    }
+    fn bound_kind(&self) -> BoundKind {
+        self.descriptor.bound_kind
+    }
+    fn supports_dims(&self, dims: &Dims) -> bool {
+        self.descriptor.dims.supports(dims)
+    }
+    fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
+        match self.codec {
+            #[cfg(feature = "zfp")]
+            Codec::ZfpRate => (0.5, 32.0),
+            _ => range_based_bounds(dataset),
+        }
+    }
+    fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
+        self.check_dims(&dataset.dims)?;
+        Ok(match self.codec {
+            #[cfg(feature = "sz")]
+            Codec::Sz(ref config) => fraz_sz::compress(dataset, &sz_at(config, error_bound))?,
+            #[cfg(feature = "zfp")]
+            Codec::ZfpAccuracy => fraz_zfp::compress(dataset, &ZfpConfig::accuracy(error_bound))?,
+            #[cfg(feature = "zfp")]
+            Codec::ZfpRate => fraz_zfp::compress(dataset, &ZfpConfig::rate(error_bound))?,
+            #[cfg(feature = "mgard")]
+            Codec::Mgard(norm) => {
+                let config = MgardConfig {
+                    tolerance: error_bound,
+                    norm,
+                };
+                fraz_mgard::compress(dataset, &config)?
+            }
+            #[cfg(feature = "szx")]
+            Codec::Szx(ref config) => fraz_szx::compress(dataset, &szx_at(config, error_bound))?,
+        })
+    }
+    fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
+        Ok(match self.codec {
+            #[cfg(feature = "sz")]
+            Codec::Sz(_) => fraz_sz::decompress(data)?,
+            #[cfg(feature = "zfp")]
+            Codec::ZfpAccuracy | Codec::ZfpRate => fraz_zfp::decompress(data)?,
+            #[cfg(feature = "mgard")]
+            Codec::Mgard(_) => fraz_mgard::decompress(data)?,
+            #[cfg(feature = "szx")]
+            Codec::Szx(_) => fraz_szx::decompress(data)?,
+        })
+    }
+    /// Three routes, each the trait's default body's answer for less work:
+    /// szx sizes a ratio without writing the stream; sz, mgard and szx
+    /// measure the reconstruction their encoder built instead of decoding;
+    /// everything else compresses (and for quality decodes) as the default
+    /// does.
+    fn evaluate(
+        &self,
+        dataset: &Dataset,
+        error_bound: f64,
+        measure_quality: bool,
+    ) -> Result<CompressionOutcome, PressioError> {
+        self.check_dims(&dataset.dims)?;
+        let measured = match self.codec {
+            // A stream's length is a closed form of the block
+            // classification: one classification pass, no stream.
+            #[cfg(feature = "szx")]
+            Codec::Szx(ref config) if !measure_quality => {
+                let size = fraz_szx::compressed_len(dataset, &szx_at(config, error_bound))?;
+                let outcome =
+                    CompressionOutcome::of_size(self.name(), dataset, error_bound, size, None);
+                return Ok(outcome);
+            }
+            _ if !measure_quality => {
+                return evaluate_by_compressing(self, dataset, error_bound, false)
+            }
+            #[cfg(feature = "sz")]
+            Codec::Sz(ref config) => {
+                fraz_sz::compress_measured(dataset, &sz_at(config, error_bound))?
+            }
+            #[cfg(feature = "zfp")]
+            Codec::ZfpAccuracy | Codec::ZfpRate => {
+                let stream = self.compress(dataset, error_bound)?;
+                let restored = self.decompress(&stream)?;
+                (stream, restored.buffer)
+            }
+            #[cfg(feature = "mgard")]
+            Codec::Mgard(norm) => {
+                let config = MgardConfig {
+                    tolerance: error_bound,
+                    norm,
+                };
+                fraz_mgard::compress_measured(dataset, &config)?
+            }
+            #[cfg(feature = "szx")]
+            Codec::Szx(ref config) => {
+                fraz_szx::compress_measured(dataset, &szx_at(config, error_bound))?
+            }
+        };
+        Ok(CompressionOutcome::of_reconstruction(
+            self.name(),
+            dataset,
+            error_bound,
+            measured,
+        ))
+    }
+}
+
+/// A row's sz settings at one bound.
 #[cfg(feature = "sz")]
-#[derive(Debug, Clone)]
-pub struct SzBackend {
-    config: SzConfig,
+fn sz_at(config: &SzConfig, error_bound: f64) -> SzConfig {
+    SzConfig {
+        error_bound,
+        ..*config
+    }
+}
+
+/// A row's szx settings at one bound.
+#[cfg(feature = "szx")]
+fn szx_at(config: &SzxConfig, error_bound: f64) -> SzxConfig {
+    SzxConfig {
+        error_bound,
+        ..*config
+    }
 }
 
 #[cfg(feature = "sz")]
-impl SzBackend {
-    /// Backend with default SZ settings.
-    pub fn new() -> Self {
-        Self {
-            config: SzConfig::default(),
+impl From<fraz_sz::SzError> for PressioError {
+    fn from(e: fraz_sz::SzError) -> Self {
+        match e {
+            fraz_sz::SzError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
+            other => PressioError::Codec(other.to_string()),
         }
     }
+}
 
-    /// The registry metadata for this backend, including its option schema.
-    pub fn descriptor() -> CodecDescriptor {
+#[cfg(feature = "zfp")]
+impl From<fraz_zfp::ZfpError> for PressioError {
+    fn from(e: fraz_zfp::ZfpError) -> Self {
+        match e {
+            fraz_zfp::ZfpError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
+            other => PressioError::Codec(other.to_string()),
+        }
+    }
+}
+
+#[cfg(feature = "mgard")]
+impl From<fraz_mgard::MgardError> for PressioError {
+    fn from(e: fraz_mgard::MgardError) -> Self {
+        match e {
+            fraz_mgard::MgardError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
+            fraz_mgard::MgardError::UnsupportedDimensionality(d) => {
+                PressioError::Unsupported(format!("{d}-D data"))
+            }
+            other => PressioError::Codec(other.to_string()),
+        }
+    }
+}
+
+#[cfg(feature = "szx")]
+impl From<fraz_szx::SzxError> for PressioError {
+    fn from(e: fraz_szx::SzxError) -> Self {
+        match e {
+            fraz_szx::SzxError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
+            other => PressioError::Codec(other.to_string()),
+        }
+    }
+}
+
+/// Register the built-in codecs enabled by this crate's codec features
+/// (all six with the default feature set: `sz`, `zfp`, `zfp-rate`, `szx`,
+/// `mgard`, `mgard-l2`).
+///
+/// This is the only place the workspace's own codecs touch the registry;
+/// everything else (examples, benches, FRaZ itself) goes through
+/// [`Registry::build`] like an out-of-tree codec would.
+pub fn install_builtins(registry: &mut Registry) {
+    let mut row = |descriptor: CodecDescriptor, codec: fn(&Options) -> Codec| {
+        let registered = Arc::new(descriptor.clone());
+        registry
+            .register(descriptor, move |options| {
+                Ok(Box::new(Builtin {
+                    descriptor: Arc::clone(&registered),
+                    codec: codec(options),
+                }))
+            })
+            .expect("a fresh registry holds no built-in yet");
+    };
+
+    #[cfg(feature = "sz")]
+    row(
         CodecDescriptor::new("sz", BoundKind::AbsoluteError)
             .with_summary("SZ-like blockwise prediction + quantization compressor")
             .with_option(
@@ -76,316 +302,48 @@ impl SzBackend {
                     .with_default(65536u64)
                     .with_range(16.0, 1_048_576.0)
                     .with_doc("number of linear-scaling quantization bins"),
-            )
-    }
-
-    /// Backend configured from an options bag (`sz:block_size`,
-    /// `sz:quant_capacity`).
-    pub fn from_options(options: &Options) -> Self {
-        let mut config = SzConfig::default();
-        if let Some(b) = options.get_u64("sz:block_size") {
-            config.block_size = Some(b as usize);
-        }
-        if let Some(c) = options.get_u64("sz:quant_capacity") {
-            config.quant_capacity = c as u32;
-        }
-        Self { config }
-    }
-
-    fn config_at(&self, error_bound: f64) -> SzConfig {
-        SzConfig {
-            error_bound,
-            ..self.config.clone()
-        }
-    }
-}
-
-#[cfg(feature = "sz")]
-impl Default for SzBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(feature = "sz")]
-impl Compressor for SzBackend {
-    fn name(&self) -> &str {
-        "sz"
-    }
-    fn bound_kind(&self) -> BoundKind {
-        BoundKind::AbsoluteError
-    }
-    fn supports_dims(&self, _dims: &Dims) -> bool {
-        true
-    }
-    fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
-        range_based_bounds(dataset)
-    }
-    fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        fraz_sz::compress(dataset, &self.config_at(error_bound)).map_err(sz_error)
-    }
-    fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
-        fraz_sz::decompress(data).map_err(|e| PressioError::Codec(e.to_string()))
-    }
-    fn evaluate(
-        &self,
-        dataset: &Dataset,
-        error_bound: f64,
-        measure_quality: bool,
-    ) -> Result<CompressionOutcome, PressioError> {
-        if !measure_quality {
-            return evaluate_by_compressing(self, dataset, error_bound, false);
-        }
-        let measured =
-            fraz_sz::compress_measured(dataset, &self.config_at(error_bound)).map_err(sz_error)?;
-        Ok(CompressionOutcome::of_reconstruction(
-            self.name(),
-            dataset,
-            error_bound,
-            measured,
-        ))
-    }
-}
-
-#[cfg(feature = "sz")]
-fn sz_error(e: fraz_sz::SzError) -> PressioError {
-    match e {
-        fraz_sz::SzError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-        other => PressioError::Codec(other.to_string()),
-    }
-}
-
-/// ZFP-like backend in fixed-accuracy (error-bounded) mode.
-#[cfg(feature = "zfp")]
-#[derive(Debug, Clone, Default)]
-pub struct ZfpAccuracyBackend;
-
-#[cfg(feature = "zfp")]
-impl ZfpAccuracyBackend {
-    /// The registry metadata for this backend.
-    pub fn descriptor() -> CodecDescriptor {
+            ),
+        |options| {
+            let default = SzConfig::default();
+            Codec::Sz(SzConfig {
+                block_size: options.get_u64("sz:block_size").map(|b| b as usize),
+                quant_capacity: options
+                    .get_u64("sz:quant_capacity")
+                    .map_or(default.quant_capacity, |c| c as u32),
+                ..default
+            })
+        },
+    );
+    #[cfg(feature = "zfp")]
+    row(
         CodecDescriptor::new("zfp", BoundKind::AccuracyTolerance)
             .with_alias("zfp-accuracy")
-            .with_summary("ZFP-like block-transform compressor, fixed-accuracy mode")
-    }
-}
-
-#[cfg(feature = "zfp")]
-impl Compressor for ZfpAccuracyBackend {
-    fn name(&self) -> &str {
-        "zfp"
-    }
-    fn bound_kind(&self) -> BoundKind {
-        BoundKind::AccuracyTolerance
-    }
-    fn supports_dims(&self, _dims: &Dims) -> bool {
-        true
-    }
-    fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
-        range_based_bounds(dataset)
-    }
-    fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        fraz_zfp::compress(dataset, &ZfpConfig::accuracy(error_bound)).map_err(|e| match e {
-            fraz_zfp::ZfpError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            other => PressioError::Codec(other.to_string()),
-        })
-    }
-    fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
-        fraz_zfp::decompress(data).map_err(|e| PressioError::Codec(e.to_string()))
-    }
-}
-
-/// ZFP-like backend in fixed-rate mode.
-///
-/// The scalar parameter is the **bits-per-value rate**, not an error bound;
-/// this backend exists as the paper's baseline (Figs 1, 9, 10), not as a
-/// FRaZ search target.
-#[cfg(feature = "zfp")]
-#[derive(Debug, Clone, Default)]
-pub struct ZfpFixedRateBackend;
-
-#[cfg(feature = "zfp")]
-impl ZfpFixedRateBackend {
-    /// The registry metadata for this backend (fixed-rate: not a FRaZ
-    /// search target).
-    pub fn descriptor() -> CodecDescriptor {
+            .with_summary("ZFP-like block-transform compressor, fixed-accuracy mode"),
+        |_| Codec::ZfpAccuracy,
+    );
+    #[cfg(feature = "zfp")]
+    row(
         CodecDescriptor::new("zfp-rate", BoundKind::BitsPerValue)
             .with_alias("zfp-fixed-rate")
-            .with_summary("ZFP-like compressor, fixed-rate baseline mode")
-    }
-}
-
-#[cfg(feature = "zfp")]
-impl Compressor for ZfpFixedRateBackend {
-    fn name(&self) -> &str {
-        "zfp-rate"
-    }
-    fn bound_kind(&self) -> BoundKind {
-        BoundKind::BitsPerValue
-    }
-    fn supports_dims(&self, _dims: &Dims) -> bool {
-        true
-    }
-    fn bound_range(&self, _dataset: &Dataset) -> (f64, f64) {
-        (0.5, 32.0)
-    }
-    fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        fraz_zfp::compress(
-            dataset,
-            &ZfpConfig {
-                mode: ZfpMode::FixedRate {
-                    bits_per_value: error_bound,
-                },
-            },
-        )
-        .map_err(|e| match e {
-            fraz_zfp::ZfpError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            other => PressioError::Codec(other.to_string()),
-        })
-    }
-    fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
-        fraz_zfp::decompress(data).map_err(|e| PressioError::Codec(e.to_string()))
-    }
-}
-
-/// MGARD-like backend (∞-norm or L2-norm error control; 2-D/3-D only).
-#[cfg(feature = "mgard")]
-#[derive(Debug, Clone)]
-pub struct MgardBackend {
-    norm: ErrorNorm,
-}
-
-#[cfg(feature = "mgard")]
-impl MgardBackend {
-    /// ∞-norm (absolute error) backend.
-    pub fn infinity() -> Self {
-        Self {
-            norm: ErrorNorm::Infinity,
-        }
-    }
-
-    /// L2-norm (RMS error) backend.
-    pub fn l2() -> Self {
-        Self {
-            norm: ErrorNorm::L2,
-        }
-    }
-
-    /// The registry metadata for the ∞-norm backend.
-    pub fn infinity_descriptor() -> CodecDescriptor {
+            .with_summary("ZFP-like compressor, fixed-rate baseline mode"),
+        |_| Codec::ZfpRate,
+    );
+    #[cfg(feature = "mgard")]
+    row(
         CodecDescriptor::new("mgard", BoundKind::InfinityNorm)
             .with_dims(DimRange::new(2, 3))
-            .with_summary("MGARD-like multilevel compressor, infinity-norm error control")
-    }
-
-    /// The registry metadata for the L2-norm backend.
-    pub fn l2_descriptor() -> CodecDescriptor {
+            .with_summary("MGARD-like multilevel compressor, infinity-norm error control"),
+        |_| Codec::Mgard(ErrorNorm::Infinity),
+    );
+    #[cfg(feature = "mgard")]
+    row(
         CodecDescriptor::new("mgard-l2", BoundKind::L2Norm)
             .with_dims(DimRange::new(2, 3))
-            .with_summary("MGARD-like multilevel compressor, L2-norm (RMS) error control")
-    }
-
-    fn config_for(&self, dataset: &Dataset, error_bound: f64) -> Result<MgardConfig, PressioError> {
-        if !self.supports_dims(&dataset.dims) {
-            return Err(PressioError::Unsupported(format!(
-                "MGARD-like codec does not support {}-D data",
-                dataset.dims.ndims()
-            )));
-        }
-        Ok(MgardConfig {
-            tolerance: error_bound,
-            norm: self.norm,
-        })
-    }
-}
-
-#[cfg(feature = "mgard")]
-impl Compressor for MgardBackend {
-    fn name(&self) -> &str {
-        match self.norm {
-            ErrorNorm::Infinity => "mgard",
-            ErrorNorm::L2 => "mgard-l2",
-        }
-    }
-    fn bound_kind(&self) -> BoundKind {
-        match self.norm {
-            ErrorNorm::Infinity => BoundKind::InfinityNorm,
-            ErrorNorm::L2 => BoundKind::L2Norm,
-        }
-    }
-    fn supports_dims(&self, dims: &Dims) -> bool {
-        (2..=3).contains(&dims.ndims())
-    }
-    fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
-        range_based_bounds(dataset)
-    }
-    fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        let config = self.config_for(dataset, error_bound)?;
-        fraz_mgard::compress(dataset, &config).map_err(mgard_error)
-    }
-    fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
-        fraz_mgard::decompress(data).map_err(|e| PressioError::Codec(e.to_string()))
-    }
-    fn evaluate(
-        &self,
-        dataset: &Dataset,
-        error_bound: f64,
-        measure_quality: bool,
-    ) -> Result<CompressionOutcome, PressioError> {
-        if !measure_quality {
-            return evaluate_by_compressing(self, dataset, error_bound, false);
-        }
-        let config = self.config_for(dataset, error_bound)?;
-        let measured = fraz_mgard::compress_measured(dataset, &config).map_err(mgard_error)?;
-        Ok(CompressionOutcome::of_reconstruction(
-            self.name(),
-            dataset,
-            error_bound,
-            measured,
-        ))
-    }
-}
-
-#[cfg(feature = "mgard")]
-fn mgard_error(e: fraz_mgard::MgardError) -> PressioError {
-    match e {
-        fraz_mgard::MgardError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-        fraz_mgard::MgardError::UnsupportedDimensionality(d) => {
-            PressioError::Unsupported(format!("{d}-D data"))
-        }
-        other => PressioError::Codec(other.to_string()),
-    }
-}
-
-/// SZx-like ultra-fast backend (absolute error bound).
-///
-/// Blockwise constant/unpredictable classification with IEEE-754 bit
-/// truncation — roughly an order of magnitude faster than the SZ-like
-/// backend on both paths, at the cost of lower ratios at tight bounds.
-/// A stream's length is a closed form of the classification, so a ratio
-/// evaluation ([`Compressor::evaluate`] without quality) is one
-/// classification pass ([`fraz_szx::compressed_len`]) — exactly the size
-/// `compress` would produce, without the stream: FRaZ pays a fraction of a
-/// compression per candidate bound here.  A quality evaluation measures the
-/// reconstruction the encoder forms block by block
-/// ([`fraz_szx::compress_measured`]) instead of decoding the stream.
-#[cfg(feature = "szx")]
-#[derive(Debug, Clone)]
-pub struct SzxBackend {
-    config: SzxConfig,
-}
-
-#[cfg(feature = "szx")]
-impl SzxBackend {
-    /// Backend with default SZx settings (128-value blocks).
-    pub fn new() -> Self {
-        Self {
-            config: SzxConfig::default(),
-        }
-    }
-
-    /// The registry metadata for this backend, including its option schema.
-    pub fn descriptor() -> CodecDescriptor {
+            .with_summary("MGARD-like multilevel compressor, L2-norm (RMS) error control"),
+        |_| Codec::Mgard(ErrorNorm::L2),
+    );
+    #[cfg(feature = "szx")]
+    row(
         CodecDescriptor::new("szx", BoundKind::AbsoluteError)
             .with_summary("SZx-like ultra-fast blockwise-truncation compressor")
             .with_option(
@@ -393,140 +351,25 @@ impl SzxBackend {
                     .with_default(128u64)
                     .with_range(1.0, fraz_szx::MAX_BLOCK_SIZE as f64)
                     .with_doc("values per constant/unpredictable classification block"),
-            )
-    }
-
-    /// Backend configured from an options bag (`szx:block_size`).
-    pub fn from_options(options: &Options) -> Self {
-        let mut config = SzxConfig::default();
-        if let Some(b) = options.get_u64("szx:block_size") {
-            config.block_size = Some(b as usize);
-        }
-        Self { config }
-    }
-
-    fn config_at(&self, error_bound: f64) -> SzxConfig {
-        SzxConfig {
-            error_bound,
-            ..self.config.clone()
-        }
-    }
-}
-
-#[cfg(feature = "szx")]
-impl Default for SzxBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-#[cfg(feature = "szx")]
-impl Compressor for SzxBackend {
-    fn name(&self) -> &str {
-        "szx"
-    }
-    fn bound_kind(&self) -> BoundKind {
-        BoundKind::AbsoluteError
-    }
-    fn supports_dims(&self, _dims: &Dims) -> bool {
-        true
-    }
-    fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
-        range_based_bounds(dataset)
-    }
-    fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        fraz_szx::compress(dataset, &self.config_at(error_bound)).map_err(szx_error)
-    }
-    fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
-        fraz_szx::decompress(data).map_err(|e| PressioError::Codec(e.to_string()))
-    }
-    fn evaluate(
-        &self,
-        dataset: &Dataset,
-        error_bound: f64,
-        measure_quality: bool,
-    ) -> Result<CompressionOutcome, PressioError> {
-        let config = self.config_at(error_bound);
-        if measure_quality {
-            let measured = fraz_szx::compress_measured(dataset, &config).map_err(szx_error)?;
-            return Ok(CompressionOutcome::of_reconstruction(
-                self.name(),
-                dataset,
-                error_bound,
-                measured,
-            ));
-        }
-        let compressed_bytes = fraz_szx::compressed_len(dataset, &config).map_err(szx_error)?;
-        Ok(CompressionOutcome::of_size(
-            self.name(),
-            dataset,
-            error_bound,
-            compressed_bytes,
-            None,
-        ))
-    }
-}
-
-#[cfg(feature = "szx")]
-fn szx_error(e: fraz_szx::SzxError) -> PressioError {
-    match e {
-        fraz_szx::SzxError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-        other => PressioError::Codec(other.to_string()),
-    }
-}
-
-/// Register the built-in backends enabled by this crate's codec features
-/// (all six with the default feature set: `sz`, `zfp`, `zfp-rate`, `szx`,
-/// `mgard`, `mgard-l2`).
-///
-/// This is the only place the workspace's own codecs touch the registry;
-/// everything else (examples, benches, FRaZ itself) goes through
-/// [`Registry::build`] like an out-of-tree codec would.
-pub fn install_builtins(registry: &mut Registry) {
-    #[cfg(not(any(feature = "sz", feature = "zfp", feature = "mgard", feature = "szx")))]
-    let _ = registry;
-    #[cfg(feature = "sz")]
-    registry
-        .register(SzBackend::descriptor(), |options| {
-            Ok(Box::new(SzBackend::from_options(options)))
-        })
-        .expect("fresh registry cannot already contain sz");
-    #[cfg(feature = "zfp")]
-    registry
-        .register(ZfpAccuracyBackend::descriptor(), |_| {
-            Ok(Box::new(ZfpAccuracyBackend))
-        })
-        .expect("fresh registry cannot already contain zfp");
-    #[cfg(feature = "zfp")]
-    registry
-        .register(ZfpFixedRateBackend::descriptor(), |_| {
-            Ok(Box::new(ZfpFixedRateBackend))
-        })
-        .expect("fresh registry cannot already contain zfp-rate");
-    #[cfg(feature = "mgard")]
-    registry
-        .register(MgardBackend::infinity_descriptor(), |_| {
-            Ok(Box::new(MgardBackend::infinity()))
-        })
-        .expect("fresh registry cannot already contain mgard");
-    #[cfg(feature = "mgard")]
-    registry
-        .register(MgardBackend::l2_descriptor(), |_| {
-            Ok(Box::new(MgardBackend::l2()))
-        })
-        .expect("fresh registry cannot already contain mgard-l2");
-    #[cfg(feature = "szx")]
-    registry
-        .register(SzxBackend::descriptor(), |options| {
-            Ok(Box::new(SzxBackend::from_options(options)))
-        })
-        .expect("fresh registry cannot already contain szx");
+            ),
+        |options| {
+            Codec::Szx(SzxConfig {
+                block_size: options.get_u64("szx:block_size").map(|b| b as usize),
+                ..SzxConfig::default()
+            })
+        },
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use fraz_data::Dims;
+
+    #[allow(dead_code)] // unused only in slim feature combinations
+    fn build(name: &str, options: &Options) -> Box<dyn Compressor> {
+        Registry::with_builtins().build(name, options).unwrap()
+    }
 
     #[allow(dead_code)] // unused only in slim feature combinations
     fn smooth(dims: Dims) -> Dataset {
@@ -554,22 +397,16 @@ mod tests {
     #[test]
     fn error_bounded_backends_roundtrip_within_bound() {
         let dataset = smooth(Dims::d2(40, 50));
-        let backends: Vec<Box<dyn Compressor>> = vec![
-            Box::new(SzBackend::new()),
-            Box::new(ZfpAccuracyBackend),
-            Box::new(MgardBackend::infinity()),
-            Box::new(SzxBackend::new()),
-        ];
-        for backend in &backends {
+        for name in ["sz", "zfp", "mgard", "szx"] {
+            let backend = build(name, &Options::new());
             let outcome = backend.evaluate(&dataset, 1e-3, true).unwrap();
             let quality = outcome.quality.expect("quality requested");
             assert!(
                 quality.max_abs_error <= 1e-3,
-                "{}: {}",
-                backend.name(),
+                "{name}: {}",
                 quality.max_abs_error
             );
-            assert!(outcome.compression_ratio > 1.0, "{}", backend.name());
+            assert!(outcome.compression_ratio > 1.0, "{name}");
         }
     }
 
@@ -577,7 +414,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_data_through_trait_object() {
         let dataset = smooth(Dims::d3(8, 12, 12));
-        let backend: Box<dyn Compressor> = Box::new(SzBackend::new());
+        let backend = build("sz", &Options::new());
         let compressed = backend.compress(&dataset, 1e-4).unwrap();
         let restored = backend.decompress(&compressed).unwrap();
         assert!(max_error(&dataset, &restored) <= 1e-4);
@@ -588,7 +425,7 @@ mod tests {
     #[test]
     fn zfp_rate_backend_controls_size_directly() {
         let dataset = smooth(Dims::d3(8, 16, 16));
-        let backend = ZfpFixedRateBackend;
+        let backend = build("zfp-rate", &Options::new());
         let o4 = backend.evaluate(&dataset, 4.0, false).unwrap();
         let o8 = backend.evaluate(&dataset, 8.0, false).unwrap();
         assert!(o4.compressed_bytes < o8.compressed_bytes);
@@ -600,129 +437,102 @@ mod tests {
         );
         assert_eq!(backend.bound_kind(), BoundKind::BitsPerValue);
         assert_eq!(backend.bound_kind().label(), "bits per value");
+        assert_eq!(backend.bound_range(&dataset), (0.5, 32.0));
     }
 
     #[cfg(feature = "mgard")]
     #[test]
     fn mgard_backend_rejects_1d() {
         let dataset = Dataset::from_f32("t", "f", 0, Dims::d1(64), vec![0.0; 64]);
-        let backend = MgardBackend::infinity();
+        let backend = build("mgard", &Options::new());
         assert!(!backend.supports_dims(&dataset.dims));
-        assert!(matches!(
-            backend.compress(&dataset, 1e-3),
-            Err(PressioError::Unsupported(_))
-        ));
+        // The grid is refused before the bound is read.
+        for bound in [1e-3, -1.0] {
+            assert!(matches!(
+                backend.compress(&dataset, bound),
+                Err(PressioError::Unsupported(_))
+            ));
+            assert!(matches!(
+                backend.evaluate(&dataset, bound, true),
+                Err(PressioError::Unsupported(_))
+            ));
+        }
     }
 
     #[cfg(all(feature = "sz", feature = "zfp", feature = "mgard", feature = "szx"))]
     #[test]
     fn bound_ranges_are_sane() {
         let dataset = smooth(Dims::d2(30, 30));
-        for backend in [
-            Box::new(SzBackend::new()) as Box<dyn Compressor>,
-            Box::new(ZfpAccuracyBackend),
-            Box::new(MgardBackend::l2()),
-            Box::new(SzxBackend::new()),
-        ] {
-            let (lo, hi) = backend.bound_range(&dataset);
-            assert!(lo > 0.0 && lo < hi, "{}: ({lo}, {hi})", backend.name());
+        for name in ["sz", "zfp", "mgard-l2", "szx"] {
+            let (lo, hi) = build(name, &Options::new()).bound_range(&dataset);
+            assert!(lo > 0.0 && lo < hi, "{name}: ({lo}, {hi})");
             assert!(hi <= dataset.stats().value_range() * 1.001);
         }
         // Constant field falls back to a default range.
         let flat = Dataset::from_f32("t", "f", 0, Dims::d2(4, 4), vec![3.0; 16]);
-        let (lo, hi) = SzBackend::new().bound_range(&flat);
+        let (lo, hi) = build("sz", &Options::new()).bound_range(&flat);
         assert!(lo > 0.0 && hi > lo);
     }
 
     #[cfg(feature = "sz")]
     #[test]
     fn sz_backend_honours_options() {
+        let dataset = smooth(Dims::d2(20, 20));
+        let default = build("sz", &Options::new());
         let opts = Options::new()
             .with("sz:block_size", 4u64)
             .with("sz:quant_capacity", 1024u64);
-        let backend = SzBackend::from_options(&opts);
-        assert_eq!(backend.config.block_size, Some(4));
-        assert_eq!(backend.config.quant_capacity, 1024);
-        let dataset = smooth(Dims::d2(20, 20));
+        let backend = build("sz", &opts);
+        let expected = SzConfig {
+            error_bound: 1e-3,
+            block_size: Some(4),
+            quant_capacity: 1024,
+        };
+        assert_eq!(
+            backend.compress(&dataset, 1e-3).unwrap(),
+            fraz_sz::compress(&dataset, &expected).unwrap()
+        );
+        assert_ne!(
+            backend.compress(&dataset, 1e-3).unwrap(),
+            default.compress(&dataset, 1e-3).unwrap()
+        );
         let outcome = backend.evaluate(&dataset, 1e-3, true).unwrap();
         assert!(outcome.quality.unwrap().max_abs_error <= 1e-3);
-    }
-
-    #[cfg(all(feature = "sz", feature = "zfp", feature = "mgard", feature = "szx"))]
-    #[test]
-    fn descriptors_agree_with_their_backends() {
-        let pairs: Vec<(CodecDescriptor, Box<dyn Compressor>)> = vec![
-            (SzBackend::descriptor(), Box::new(SzBackend::new())),
-            (
-                ZfpAccuracyBackend::descriptor(),
-                Box::new(ZfpAccuracyBackend),
-            ),
-            (
-                ZfpFixedRateBackend::descriptor(),
-                Box::new(ZfpFixedRateBackend),
-            ),
-            (
-                MgardBackend::infinity_descriptor(),
-                Box::new(MgardBackend::infinity()),
-            ),
-            (MgardBackend::l2_descriptor(), Box::new(MgardBackend::l2())),
-            (SzxBackend::descriptor(), Box::new(SzxBackend::new())),
-        ];
-        for (descriptor, backend) in &pairs {
-            assert_eq!(descriptor.name, backend.name());
-            assert_eq!(
-                descriptor.bound_kind,
-                backend.bound_kind(),
-                "{}",
-                descriptor.name
-            );
-            // The declared dimensionality range matches what the impl
-            // actually accepts.
-            for dims in [
-                Dims::d1(8),
-                Dims::d2(4, 4),
-                Dims::d3(2, 2, 2),
-                Dims::d4(2, 2, 2, 2),
-            ] {
-                assert_eq!(
-                    descriptor.dims.supports(&dims),
-                    backend.supports_dims(&dims),
-                    "{} at {}-D",
-                    descriptor.name,
-                    dims.ndims()
-                );
-            }
-        }
     }
 
     #[cfg(all(feature = "sz", feature = "zfp", feature = "szx"))]
     #[test]
     fn invalid_bounds_are_invalid_bound_errors() {
         let dataset = smooth(Dims::d2(10, 10));
-        assert!(matches!(
-            SzBackend::new().compress(&dataset, -1.0),
-            Err(PressioError::InvalidBound(_))
-        ));
-        assert!(matches!(
-            ZfpAccuracyBackend.compress(&dataset, 0.0),
-            Err(PressioError::InvalidBound(_))
-        ));
-        assert!(matches!(
-            ZfpFixedRateBackend.compress(&dataset, 1000.0),
-            Err(PressioError::InvalidBound(_))
-        ));
-        assert!(matches!(
-            SzxBackend::new().compress(&dataset, f64::NAN),
-            Err(PressioError::InvalidBound(_))
-        ));
+        for (name, bound) in [
+            ("sz", -1.0),
+            ("zfp", 0.0),
+            ("zfp-rate", 1000.0),
+            ("szx", f64::NAN),
+        ] {
+            assert!(
+                matches!(
+                    build(name, &Options::new()).compress(&dataset, bound),
+                    Err(PressioError::InvalidBound(_))
+                ),
+                "{name}"
+            );
+        }
     }
 
     #[cfg(feature = "szx")]
     #[test]
     fn szx_backend_roundtrips_and_honours_options() {
         let dataset = smooth(Dims::d3(8, 12, 12));
-        let backend = SzxBackend::from_options(&Options::new().with("szx:block_size", 64u64));
-        assert_eq!(backend.config.block_size, Some(64));
+        let backend = build("szx", &Options::new().with("szx:block_size", 64u64));
+        let expected = SzxConfig {
+            error_bound: 1e-3,
+            block_size: Some(64),
+        };
+        assert_eq!(
+            backend.compress(&dataset, 1e-3).unwrap(),
+            fraz_szx::compress(&dataset, &expected).unwrap()
+        );
         for bound in [1e-2, 1e-5] {
             let outcome = backend.evaluate(&dataset, bound, true).unwrap();
             assert!(outcome.quality.unwrap().max_abs_error <= bound, "{bound}");

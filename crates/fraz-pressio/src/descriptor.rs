@@ -277,9 +277,6 @@ pub struct CodecDescriptor {
     pub aliases: Vec<String>,
     /// What the scalar parameter controls.
     pub bound_kind: BoundKind,
-    /// True when the codec is a valid FRaZ search target (defaults to
-    /// [`BoundKind::is_error_bounded`]).
-    pub error_bounded: bool,
     /// Accepted grid dimensionalities.
     pub dims: DimRange,
     /// Schema of every option the codec's factory reads.
@@ -297,7 +294,6 @@ impl CodecDescriptor {
             name: name.to_string(),
             aliases: Vec::new(),
             bound_kind,
-            error_bounded: bound_kind.is_error_bounded(),
             dims: DimRange::any(),
             options: Vec::new(),
             summary: String::new(),
@@ -326,6 +322,12 @@ impl CodecDescriptor {
     pub fn with_summary(mut self, summary: &str) -> Self {
         self.summary = summary.to_string();
         self
+    }
+
+    /// True when the codec is a valid FRaZ search target: its bound kind
+    /// [bounds an error](BoundKind::is_error_bounded).
+    pub fn error_bounded(&self) -> bool {
+        self.bound_kind.is_error_bounded()
     }
 
     /// Every name this codec answers to: the canonical name, then aliases.
@@ -380,7 +382,7 @@ impl fmt::Display for CodecDescriptor {
             self.name,
             self.bound_kind,
             self.dims,
-            if self.error_bounded {
+            if self.error_bounded() {
                 "error-bounded"
             } else {
                 "fixed-rate"
@@ -560,7 +562,7 @@ mod tests {
         assert_eq!(names, vec!["demo", "demo-abs"]);
         assert!(d.to_string().contains("error-bounded"));
         let rate = CodecDescriptor::new("r", BoundKind::BitsPerValue);
-        assert!(!rate.error_bounded);
+        assert!(!rate.error_bounded());
         assert!(rate.to_string().contains("fixed-rate"));
     }
 

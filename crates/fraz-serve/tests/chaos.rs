@@ -11,6 +11,9 @@
 //! * every blob the server acknowledged `Stored` reads back byte-exact —
 //!   torn writes never surface as data,
 //! * every `Compressed` blob decodes back to a field of the right shape,
+//! * a truncated or bit-flipped blob of any codec is a `BadRequest` (or,
+//!   when the damage still parses, a `Dataset`) — never a panic — and
+//!   `jobs_rejected` counts every `BadRequest`,
 //! * the drain completes and flushes the tune cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,8 +65,22 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
     let addr = handle.local_addr().to_string();
 
     const THREADS: usize = 4;
-    const JOBS_PER_THREAD: usize = 12;
+    const JOBS_PER_THREAD: usize = 15;
+    let issued = AtomicU64::new(0);
     let outcomes = AtomicU64::new(0);
+    let rejected = AtomicU64::new(0);
+    // One intact blob per codec, compressed through the registry the
+    // server builds its codecs from.
+    let field = &workload_fields(24, 40)[0];
+    let blobs: Vec<(String, Vec<u8>)> = fraz_pressio::registry::names()
+        .into_iter()
+        .map(|name| {
+            let codec = fraz_pressio::registry::build_default(&name).unwrap();
+            let (lo, hi) = codec.bound_range(field);
+            let blob = codec.compress(field, (lo * hi).sqrt()).unwrap();
+            (name, blob)
+        })
+        .collect();
     // key -> blob for every put the server *acknowledged*.
     let acked: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
     let degraded_evidence = AtomicU64::new(0);
@@ -72,7 +89,10 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let addr = &addr;
+            let issued = &issued;
             let outcomes = &outcomes;
+            let rejected = &rejected;
+            let blobs = &blobs;
             let acked = &acked;
             let degraded_evidence = &degraded_evidence;
             let degraded_acks = &degraded_acks;
@@ -83,7 +103,31 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
                     .set_reply_timeout(Some(Duration::from_secs(30)))
                     .unwrap();
                 for j in 0..JOBS_PER_THREAD {
-                    let reply = match j % 4 {
+                    if j % 5 == 4 {
+                        // Hostile decompress jobs: a truncated and a
+                        // bit-flipped copy of every codec's blob.
+                        for (codec, blob) in blobs {
+                            let cut = (t * 31 + j * 17) % blob.len();
+                            let mut flipped = blob.clone();
+                            flipped[(t * 7919 + j * 104_729) % blob.len()] ^= 1 << ((t + j) % 8);
+                            for damaged in [blob[..cut].to_vec(), flipped] {
+                                issued.fetch_add(1, Ordering::Relaxed);
+                                match client.decompress(codec, damaged).expect("typed reply") {
+                                    Response::Dataset(_) => {}
+                                    Response::BadRequest { .. } => {
+                                        rejected.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    other => {
+                                        panic!("{codec} decompress answered {:?}", other.kind())
+                                    }
+                                }
+                                outcomes.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                        continue;
+                    }
+                    issued.fetch_add(1, Ordering::Relaxed);
+                    let reply = match j % 5 {
                         // A put whose blob is reconstructible from (t, j).
                         0 => {
                             let key = format!("chaos-{t}-{j}");
@@ -156,7 +200,7 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
                         }
                         // A near-zero deadline: DeadlineExceeded is a
                         // success of the robustness layer, not a failure.
-                        _ => {
+                        3 => {
                             let dataset = &fields[j % fields.len()];
                             let reply = client
                                 .compress("sz", dataset, 6.0, 0.5, 1)
@@ -171,6 +215,7 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
                             );
                             reply
                         }
+                        _ => unreachable!("hostile decompress jobs are handled above"),
                     };
                     let _ = reply;
                     outcomes.fetch_add(1, Ordering::Relaxed);
@@ -179,10 +224,19 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
         }
     });
 
-    // Exactly one outcome per issued job.
+    // Exactly one outcome per issued job, and every rejection counted.
+    let hostile_per_thread = (JOBS_PER_THREAD / 5) * 2 * blobs.len();
+    assert_eq!(
+        issued.load(Ordering::Relaxed),
+        (THREADS * (JOBS_PER_THREAD - JOBS_PER_THREAD / 5 + hostile_per_thread)) as u64
+    );
     assert_eq!(
         outcomes.load(Ordering::Relaxed),
-        (THREADS * JOBS_PER_THREAD) as u64
+        issued.load(Ordering::Relaxed)
+    );
+    assert_eq!(
+        handle.status().jobs_rejected,
+        rejected.load(Ordering::Relaxed)
     );
 
     // Every acknowledged put — including ones that degraded to the
@@ -231,6 +285,14 @@ fn store_fault_storm_yields_exactly_one_typed_outcome_per_job() {
         "degraded puts must equal degraded acknowledgements"
     );
     assert_eq!(status.degraded, handle.degraded_puts() > 0);
+
+    // Healthy after the storm: every intact blob still decodes to shape.
+    for (codec, blob) in &blobs {
+        match fresh.decompress(codec, blob.clone()).expect("typed reply") {
+            Response::Dataset(decoded) => assert_eq!(decoded.dims, field.dims, "{codec}"),
+            other => panic!("intact {codec} blob answered {:?}", other.kind()),
+        }
+    }
 
     let report = handle.join();
     assert!(report.tune_cache_flushed, "drain must flush the tune cache");

@@ -106,7 +106,8 @@ impl BoundPredictor for CachePredictor {
 mod tests {
     use super::*;
     use fraz_core::{
-        FixedQualitySearch, FixedRatioSearch, QualityMetric, QualitySearchConfig, SearchConfig,
+        FixedQualitySearch, FixedRatioSearch, Orchestrator, OrchestratorConfig, QualityMetric,
+        QualitySearchConfig, SearchConfig,
     };
     use fraz_data::synthetic;
     use fraz_pressio::registry;
@@ -148,6 +149,48 @@ mod tests {
         assert_eq!(warm.hint.unwrap().source, HintSource::TuneCache);
         let stats = predictor.cache().stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_warm_series_seeds_every_step_from_its_own_cache_entry() {
+        // The cache knows each step by its own data; the previous step's
+        // bound only seeds a step the cache does not know.
+        let dir = scratch_dir("series");
+        let series = synthetic::hurricane(8, 16, 16, 4, 42).series("TCf");
+        let run = || {
+            let predictor = Arc::new(CachePredictor::open(&dir).unwrap());
+            let config = OrchestratorConfig {
+                total_workers: 1,
+                ..OrchestratorConfig::new(SearchConfig::new(8.0, 0.1))
+            };
+            let outcome = Orchestrator::new("sz", config)
+                .unwrap()
+                .with_predictor(Some(predictor.clone()))
+                .run_series("TCf", &series, 1);
+            predictor.cache().flush().unwrap();
+            (outcome, predictor.cache().stats())
+        };
+
+        let (cold, stats) = run();
+        assert!(cold.steps.iter().all(|s| s.feasible));
+        assert_eq!((stats.hits, stats.misses), (0, series.len()));
+        for step in &cold.steps[1..] {
+            assert_eq!(step.hint.as_ref().unwrap().source, HintSource::PreviousStep);
+        }
+
+        let (warm, stats) = run();
+        assert_eq!((stats.hits, stats.misses), (series.len(), 0));
+        for (t, step) in warm.steps.iter().enumerate() {
+            let hint = step.hint.as_ref().expect("every warm step is seeded");
+            assert_eq!(
+                (hint.source, hint.hit),
+                (HintSource::TuneCache, true),
+                "step {t}"
+            );
+            assert_eq!(step.error_bound, cold.steps[t].error_bound, "step {t}");
+        }
+        assert!(warm.retrain_steps.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

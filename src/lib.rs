@@ -57,7 +57,7 @@
 //!
 //! // Codecs come from the registry: introspect before you build.
 //! let descriptor = registry::describe("sz").unwrap();
-//! assert!(descriptor.error_bounded, "sz is a valid FRaZ search target");
+//! assert!(descriptor.error_bounded(), "sz is a valid FRaZ search target");
 //! assert!(descriptor.option("sz:block_size").is_some());
 //!
 //! // Construction validates options — typos are errors, never ignored.
