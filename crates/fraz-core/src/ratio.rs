@@ -89,7 +89,11 @@ pub struct SearchConfig {
     /// on a shared [`fraz_pool::Pool`], so this caps the number of regions
     /// in flight for *this* search, not OS threads.
     pub threads: usize,
-    /// After the search, re-run the best setting with full quality metrics.
+    /// After the search, attach full quality metrics to the answer: the
+    /// final quality pass decodes the stream the answer holds, or, for an
+    /// answer measured without writing one (szx's size-only evaluation, a
+    /// step-memo answer), evaluates its bound once more with quality.  Not
+    /// a search evaluation either way; skipped once the token has fired.
     pub measure_final_quality: bool,
     /// Walk towards the band before racing (on by default): from the missed
     /// hint probe, or on a cold search from a seed fitted on a sample of the
@@ -210,8 +214,11 @@ pub struct RegionOutcome {
 pub struct SearchOutcome {
     /// The recommended error-bound setting.
     pub error_bound: f64,
-    /// The outcome of compressing at that setting (with quality metrics when
-    /// `measure_final_quality` is set).
+    /// The outcome of compressing at that setting, usually with the stream
+    /// it was measured on ([`answer_bytes`](crate::answer_bytes) hands it
+    /// over), and with quality metrics when `measure_final_quality` is set
+    /// and the token did not fire: the report a quality evaluation at
+    /// `error_bound` gives, bit for bit.
     pub best: CompressionOutcome,
     /// True when the achieved ratio lies inside the acceptable region —
     /// i.e. the requested ratio was feasible.
@@ -220,8 +227,9 @@ pub struct SearchOutcome {
     /// prediction was reused, Algorithm 1).
     pub retrained: bool,
     /// Total number of compressor invocations the *search* spent (the
-    /// optional final quality pass of `measure_final_quality` is not a
-    /// search evaluation and is not counted).
+    /// optional final quality pass of `measure_final_quality` — a decode of
+    /// the held stream, or one measured evaluation — is not a search
+    /// evaluation and is not counted).
     pub evaluations: usize,
     /// Wall-clock time of the whole search.
     pub elapsed: Duration,

@@ -42,7 +42,7 @@ use std::time::Instant;
 
 use fraz_data::Dataset;
 use fraz_pool::Pool;
-use fraz_pressio::{CompressionOutcome, Compressor, PressioError};
+use fraz_pressio::{measure_stream, CompressionOutcome, Compressor, PressioError};
 
 use crate::cancel::CancelToken;
 use crate::hint::{BoundPredictor, HintQuery, HintReport, HintTarget, SearchHint};
@@ -72,8 +72,10 @@ pub trait Objective: Sized + Send + Sync {
 
     /// Whether the reported answer carries a quality report.  The hint
     /// probe is measured this way (a probe that lands *is* the verify
-    /// pass), and an answer found without one is re-measured once, outside
-    /// `evaluations`, unless the token has fired.
+    /// pass), and an answer found without one gets the final quality pass,
+    /// outside `evaluations` and only while the token is live: a decode of
+    /// the stream the answer holds, or one measured evaluation when it holds
+    /// none.
     fn reports_quality(&self) -> bool {
         Self::JUDGES_QUALITY
     }
@@ -222,6 +224,28 @@ impl<'a, O: Objective> Evaluator<'a, O> {
             self.memo().insert(key, outcome.without_stream());
         }
         Ok(outcome)
+    }
+
+    /// The final quality pass: `seen`, the answer measured without a
+    /// report, measured with one — after the search, so outside
+    /// `evaluations`, and not at all once the token has fired (`seen` is
+    /// then the answer as it was measured).  An answer that holds its
+    /// stream is decoded ([`measure_stream`]): the report a quality
+    /// evaluation at its bound gives, without compressing again.  One
+    /// measured without writing a stream (a size-only evaluation, a
+    /// step-memo answer) pays one measured evaluation.
+    fn final_quality(&self, mut seen: CompressionOutcome) -> CompressionOutcome {
+        if self.cancelled() {
+            return seen;
+        }
+        let bound = seen.error_bound;
+        let measured = match seen.stream.take() {
+            Some(stream) => {
+                measure_stream(&*self.shell.compressor, self.dataset, bound, stream).ok()
+            }
+            None => self.call(None, bound, true, false).ok(),
+        };
+        measured.unwrap_or(seen)
     }
 
     fn memo(&self) -> std::sync::MutexGuard<'_, BTreeMap<MemoKey, CompressionOutcome>> {
@@ -442,20 +466,12 @@ impl<O: Objective> Search<O> {
             .measured
             .or_else(|| eval.call(None, found.bound, O::JUDGES_QUALITY, true).ok());
         // The search ends here; the final quality pass below is not a search
-        // evaluation and is skipped (`Miss::Cancelled`) once the token fired.
+        // evaluation and is skipped once the token fired.
         let evaluations = eval.calls();
         let deadline_hit = !hit && self.cancelled();
         let best = match measured {
             Some(seen) if seen.quality.is_none() && self.config.reports_quality() => {
-                match eval.call(None, found.bound, true, false) {
-                    // One bound, one stream: a re-measurement answered from
-                    // the memo keeps the bytes already in hand.
-                    Ok(again) => CompressionOutcome {
-                        stream: again.stream.or(seen.stream),
-                        ..again
-                    },
-                    Err(_) => seen,
-                }
+                eval.final_quality(seen)
             }
             Some(seen) => seen,
             // The compressor rejected even the fallback bound.
@@ -562,9 +578,11 @@ pub(crate) mod tests {
     /// `compress` call — the ground truth against which `evaluations`
     /// accounting is pinned exactly — and remembering the highest bound it
     /// was asked for.  Below its floor it is lossless (1:1).  Optionally
-    /// fires a [`CancelToken`] during its n-th call.
+    /// fires a [`CancelToken`] during its n-th call.  Counts its
+    /// `decompress` calls apart.
     pub(crate) struct CountingCodec {
         calls: AtomicUsize,
+        decodes: AtomicUsize,
         /// Bits of the highest bound compressed at (bounds are positive, so
         /// their bit patterns order like the numbers).
         highest_bound: AtomicU64,
@@ -579,6 +597,7 @@ pub(crate) mod tests {
         pub(crate) fn new(original: Dataset) -> Self {
             Self {
                 calls: AtomicUsize::new(0),
+                decodes: AtomicUsize::new(0),
                 highest_bound: AtomicU64::new(0),
                 original,
                 cancel_at: Mutex::new(None),
@@ -587,6 +606,10 @@ pub(crate) mod tests {
 
         pub(crate) fn calls(&self) -> usize {
             self.calls.load(Ordering::Relaxed)
+        }
+
+        fn decodes(&self) -> usize {
+            self.decodes.load(Ordering::Relaxed)
         }
 
         fn highest_bound(&self) -> f64 {
@@ -640,6 +663,7 @@ pub(crate) mod tests {
             Ok(blob)
         }
         fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
+            self.decodes.fetch_add(1, Ordering::Relaxed);
             let bound = f64::from_le_bytes(data[..8].try_into().unwrap()) as f32;
             let values = self.original.buffer.to_f32_vec();
             let shifted = values
@@ -1074,29 +1098,33 @@ pub(crate) mod tests {
 
     #[test]
     fn final_quality_pass_is_the_one_uncounted_call() {
-        // `SearchConfig::new` — what the CLI, server and orchestrator run —
-        // asks for the final quality pass: it is the one compressor call
-        // outside `evaluations`, made exactly when a trained search ends
-        // with its token live.
+        // `SearchConfig::new` — what the CLI and orchestrator run — asks for
+        // the final quality pass: outside `evaluations`, made exactly when a
+        // trained search ends with its token live, and a decode of the
+        // stream the answer holds, so every compression is an evaluation.
         let dataset = smooth_field();
         for target in [10.0, 500.0] {
             let mut case = ratio_case(target);
             case.config.measure_final_quality = true;
             let (search, codec) = case.search();
             let cold = search.run_with_hint(&dataset, None);
-            assert_eq!(codec.calls(), cold.evaluations + 1, "cold {target}");
+            let counts = (codec.calls(), codec.decodes());
+            assert_eq!(counts, (cold.evaluations, 1), "cold {target}");
             assert!(cold.best.quality.is_some());
 
             // A hint that lands is measured with quality: the probe *is*
-            // the verify pass.
+            // the verify pass.  One that misses is a trained search: its
+            // probe decoded once, and the pass decodes the answer.
             let (search, codec) = case.search();
             let hint = SearchHint::converged(cold.error_bound, HintSource::External);
             let hinted = search.run_with_hint(&dataset, Some(&hint));
+            let counts = (codec.calls(), codec.decodes());
             if cold.feasible {
-                assert_eq!((codec.calls(), hinted.evaluations), (1, 1));
+                assert_eq!((counts, hinted.evaluations), ((1, 1), 1));
                 assert!(!hinted.retrained && hinted.best.quality.is_some());
             } else {
-                assert_eq!(codec.calls(), hinted.evaluations + 1, "missed {target}");
+                assert_eq!(counts, (hinted.evaluations, 2), "missed {target}");
+                assert!(hinted.best.quality.is_some());
             }
 
             // A fired token ships the answer as measured.
@@ -1105,9 +1133,28 @@ pub(crate) mod tests {
                 let token = codec.token_fired_during(fire_at);
                 let outcome = search.with_cancel(token).run_with_hint(&dataset, None);
                 assert!(outcome.deadline_hit && outcome.best.quality.is_none());
-                assert_eq!(codec.calls(), outcome.evaluations, "{target} @ {fire_at}");
+                let counts = (codec.calls(), codec.decodes());
+                assert_eq!(counts, (outcome.evaluations, 0), "{target} @ {fire_at}");
             }
         }
+
+        // An answer remembered from the step memo holds no stream (2:1 is
+        // out of the stepped codec's reach, and its best effort, on the
+        // floor's step, is a memo answer): the pass is one measured
+        // evaluation, a compression outside `evaluations`.  The probe was
+        // measured with quality, so it decoded too.
+        let codec = SteppedCounting::new(None);
+        let config = SearchConfig {
+            measure_final_quality: true,
+            ..ratio_config(2.0)
+        };
+        let seed = SearchHint::seed(1e-3, HintSource::External);
+        let outcome = Search::new(codec.clone() as Arc<dyn Compressor>, config)
+            .run_with_hint(&dataset, Some(&seed));
+        assert!(!outcome.feasible && outcome.best.quality.is_some());
+        let counts = (codec.inner.calls(), codec.inner.decodes());
+        assert_eq!(counts, (outcome.evaluations + 1, 2), "memo answer");
+        assert!(outcome.best.stream.is_some());
     }
 
     /// Paper Fig. 3: the ratio climbs with the bound overall but saw-tooths

@@ -50,20 +50,43 @@ impl ErrorStats {
             };
             return (empty, -0.0);
         }
-        let mut max_abs_error = 0.0f64;
+        // The two sums are one chain each, in index order.  The extremes
+        // are not sums: max|e|, min and max each run in `LANES` independent
+        // chains, merged after the loop, so the NaN-aware comparisons do not
+        // pace the additions.  A maximum or minimum is the same value taken
+        // in any order — NaNs are skipped, and |e| is never −0 — save for
+        // the sign of a zero minimum or maximum: `value_range` is then the
+        // same number, and the PSNR the same bits.
+        const LANES: usize = 4;
+        let mut max_abs_error = [0.0f64; LANES];
+        let mut dmin = [f64::INFINITY; LANES];
+        let mut dmax = [f64::NEG_INFINITY; LANES];
         let mut sq_sum = 0.0f64;
         let mut error_sum = -0.0f64;
-        let mut dmin = f64::INFINITY;
-        let mut dmax = f64::NEG_INFINITY;
-        for (&a, &b) in original.iter().zip(reconstructed) {
+        let mut visit = |lane: usize, a: A, b: B| {
             let (a, b): (f64, f64) = (a.into(), b.into());
             let diff = a - b;
-            max_abs_error = max_abs_error.max(diff.abs());
+            max_abs_error[lane] = max_abs_error[lane].max(diff.abs());
             sq_sum += diff * diff;
             error_sum += diff;
-            dmin = dmin.min(a);
-            dmax = dmax.max(a);
+            dmin[lane] = dmin[lane].min(a);
+            dmax[lane] = dmax[lane].max(a);
+        };
+        let (whole, tail) = original.split_at(original.len() / LANES * LANES);
+        for (a, b) in whole
+            .chunks_exact(LANES)
+            .zip(reconstructed.chunks_exact(LANES))
+        {
+            for lane in 0..LANES {
+                visit(lane, a[lane], b[lane]);
+            }
         }
+        for (lane, (&a, &b)) in tail.iter().zip(&reconstructed[whole.len()..]).enumerate() {
+            visit(lane, a, b);
+        }
+        let max_abs_error = max_abs_error.into_iter().fold(0.0, f64::max);
+        let dmin = dmin.into_iter().fold(f64::INFINITY, f64::min);
+        let dmax = dmax.into_iter().fold(f64::NEG_INFINITY, f64::max);
         let mse = sq_sum / original.len() as f64;
         let rmse = mse.sqrt();
         let value_range = dmax - dmin;

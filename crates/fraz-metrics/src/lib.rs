@@ -341,6 +341,75 @@ mod tests {
         assert_eq!(cases, 9 * 5 * 4);
     }
 
+    /// The statistics pass keeps max|e|, the minimum and the maximum in
+    /// lanes (index mod 4, the tail included) and merges them after the
+    /// loop: whichever lane, and whichever position in it, holds an extreme
+    /// — or a NaN, a signed zero or an infinity beside it — the report is
+    /// the serial chain's, bit for bit.
+    #[test]
+    fn the_laned_pass_keeps_every_extreme() {
+        type Place = fn(&mut [f64], &mut [f64], usize);
+        let places: [(&str, Place); 14] = [
+            ("max |e|", |_, b, i| b[i] += 50.0),
+            ("min", |a, b, i| (a[i], b[i]) = (-60.0, -60.001)),
+            ("max", |a, b, i| (a[i], b[i]) = (70.0, 70.002)),
+            ("NaN original", |a, _, i| a[i] = f64::NAN),
+            ("NaN reconstruction", |_, b, i| b[i] = f64::NAN),
+            ("+0 both", |a, b, i| (a[i], b[i]) = (0.0, 0.0)),
+            ("-0 both", |a, b, i| (a[i], b[i]) = (-0.0, -0.0)),
+            ("+0 original", |a, _, i| a[i] = 0.0),
+            ("-0 original", |a, _, i| a[i] = -0.0),
+            ("-0 reconstruction", |_, b, i| b[i] = -0.0),
+            ("+inf original", |a, _, i| a[i] = f64::INFINITY),
+            ("-inf original", |a, _, i| a[i] = f64::NEG_INFINITY),
+            ("+inf reconstruction", |_, b, i| b[i] = f64::INFINITY),
+            ("-inf reconstruction", |_, b, i| b[i] = f64::NEG_INFINITY),
+        ];
+        let mut cases = 0;
+        for n in 1..=13 {
+            // Values of one sign, so a placed zero is the minimum of a
+            // positive field and the maximum of a negative one.
+            for sign in [1.0, -1.0] {
+                let a: Vec<f64> = (0..n)
+                    .map(|i| sign * (2.0 + (i as f64 * 0.7).sin()))
+                    .collect();
+                let b: Vec<f64> = a
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &v)| v + (i as f64 * 1.3).cos() * 1e-3)
+                    .collect();
+                for (what, place) in places {
+                    for at in 0..n {
+                        let (mut a, mut b) = (a.clone(), b.clone());
+                        place(&mut a, &mut b, at);
+                        let narrow = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
+                        let dims = Dims::d1(n);
+                        let as_f32 =
+                            |v: &[f64]| Dataset::from_f32("t", "f", 0, dims.clone(), narrow(v));
+                        let as_f64 =
+                            |v: &[f64]| Dataset::from_f64("t", "f", 0, dims.clone(), v.to_vec());
+                        for (x, y) in [
+                            (as_f32(&a), as_f32(&b)),
+                            (as_f32(&a), as_f64(&b)),
+                            (as_f64(&a), as_f32(&b)),
+                            (as_f64(&a), as_f64(&b)),
+                        ] {
+                            assert_eq!(
+                                report_bits(&QualityReport::measure(&x, &y.buffer, 64)),
+                                report_bits(&composed_report(&x, &y, 64)),
+                                "n {n}, sign {sign}, {what} at {at} ({:?}, {:?})",
+                                x.dtype(),
+                                y.dtype()
+                            );
+                            cases += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 91 * 2 * 14 * 4);
+    }
+
     #[test]
     fn report_fields_are_consistent() {
         let (a, b) = make_pair(2048, 0.1);

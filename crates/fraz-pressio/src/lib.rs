@@ -25,7 +25,7 @@
 //! * [`CompressionOutcome`] / [`Compressor::evaluate`] — the
 //!   compress-measure-decompress convenience FRaZ's loss function and the
 //!   experiment harness are built on; an outcome carries the stream it was
-//!   measured on.
+//!   measured on, and [`measure_stream`] measures a stream already in hand.
 
 #![forbid(unsafe_code)]
 
@@ -206,12 +206,26 @@ pub(crate) fn evaluate_by_compressing<C: Compressor + ?Sized>(
             None,
         ));
     }
-    let restored = compressor.decompress(&compressed)?;
+    measure_stream(compressor, dataset, error_bound, compressed)
+}
+
+/// The quality outcome of `stream` — what `compressor.compress(dataset,
+/// error_bound)` returned — as [`Compressor::evaluate`]'s default body
+/// measures it: one decode, the report against `dataset`, and the stream
+/// handed back on the outcome.  For a caller that already holds the stream,
+/// this is a quality evaluation without the compression.
+pub fn measure_stream<C: Compressor + ?Sized>(
+    compressor: &C,
+    dataset: &Dataset,
+    error_bound: f64,
+    stream: Vec<u8>,
+) -> Result<CompressionOutcome, PressioError> {
+    let restored = compressor.decompress(&stream)?;
     Ok(CompressionOutcome::of_reconstruction(
         compressor.name(),
         dataset,
         error_bound,
-        (compressed, restored.buffer),
+        (stream, restored.buffer),
     ))
 }
 

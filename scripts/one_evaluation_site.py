@@ -7,7 +7,10 @@
    (crates/fraz-core/src/search.rs) is how a search's answer becomes bytes, because the
    answer usually arrives with the stream it was measured on.
 3. crates/fraz-core/src calls `.compress(` exactly once, inside `answer_bytes`: every other
-   compressor call of the framework is a search evaluation."""
+   compressor call of the framework is a search evaluation.
+4. crates/fraz-core/src has no `.decompress(` and calls `measure_stream(` exactly once, inside
+   `Evaluator::final_quality`: the final quality pass decodes the stream the answer holds,
+   and nothing else in the framework decodes."""
 import pathlib
 import re
 import sys
@@ -71,6 +74,21 @@ if [inside for _, inside in compressions] != [True]:
     failures.append(
         "expected exactly one `.compress(` in crates/fraz-core/src, inside `answer_bytes`, "
         f"found {len(compressions)} site(s): every other compressor call is a search evaluation"
+    )
+
+decodes = []
+for path in sorted(pathlib.Path("crates/fraz-core/src").rglob("*.rs")):
+    code = code_of(path)
+    final = re.search(r"fn final_quality\b", code)
+    body = (final.end(), closing(code, code.index("{", final.end()), "{}")) if final else (0, 0)
+    for call in re.finditer(r"\.decompress\(|\bmeasure_stream\(", code):
+        inside = call.group() == "measure_stream(" and body[0] <= call.start() < body[1]
+        decodes.append((site(path, code, call.start()), inside))
+print("\n".join(at for at, _ in decodes))
+if [inside for _, inside in decodes] != [True]:
+    failures.append(
+        "expected no `.decompress(` in crates/fraz-core/src and exactly one `measure_stream(`, "
+        f"inside `final_quality`, found {len(decodes)} site(s): the final pass is the one decode"
     )
 
 sys.exit("\n".join(failures) if failures else 0)

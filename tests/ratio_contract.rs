@@ -7,21 +7,28 @@
 //!   alone: the same compressor calls, in the same order, and the same bound
 //!   with `sampled_seed` on and off;
 //! * above it, on the scenario regimes, the seeded search's answer is in
-//!   band, or it is `infeasible` where the race alone is too.
+//!   band, or it is `infeasible` where the race alone is too;
+//! * whatever route found the answer, the final quality pass reports what a
+//!   quality evaluation at the answer's bound reports, and the answer's
+//!   bytes come without another compression.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use fraz::core::{FixedRatioSearch, SearchConfig, SearchOutcome};
+use fraz::core::{answer_bytes, FixedRatioSearch, SearchConfig, SearchOutcome};
 use fraz::data::{DType, Dataset, Dims};
+use fraz::metrics::QualityReport;
 use fraz::pool::Pool;
 use fraz::pressio::{registry, BoundKind, CompressionOutcome, Compressor, PressioError};
 use fraz::scenarios::{all_scenarios, Oracle, DEFAULT_SEED};
 
 /// Forwards to a registry codec and logs every evaluation it is asked for:
 /// how many values, the bound's bits, and whether quality was measured.
+/// Counts its `compress` calls apart.
 struct Logged {
     inner: Box<dyn Compressor>,
     asked: Mutex<Vec<(usize, u64, bool)>>,
+    compressions: AtomicUsize,
 }
 
 impl Compressor for Logged {
@@ -38,6 +45,7 @@ impl Compressor for Logged {
         self.inner.bound_range(dataset)
     }
     fn compress(&self, dataset: &Dataset, bound: f64) -> Result<Vec<u8>, PressioError> {
+        self.compressions.fetch_add(1, Ordering::Relaxed);
         self.inner.compress(dataset, bound)
     }
     fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
@@ -64,15 +72,26 @@ fn cold(
     dataset: &Dataset,
     config: SearchConfig,
 ) -> (SearchOutcome, Vec<(usize, u64, bool)>) {
+    let (outcome, logged) = logged_search(codec, dataset, config);
+    let asked = logged.asked.lock().unwrap().clone();
+    (outcome, asked)
+}
+
+/// One cold search of `codec` on a one-worker pool, and its logged codec.
+fn logged_search(
+    codec: &str,
+    dataset: &Dataset,
+    config: SearchConfig,
+) -> (SearchOutcome, Arc<Logged>) {
     let logged = Arc::new(Logged {
         inner: registry::build_default(codec).unwrap(),
         asked: Mutex::default(),
+        compressions: AtomicUsize::new(0),
     });
     let outcome = FixedRatioSearch::new(logged.clone() as Arc<dyn Compressor>, config)
         .with_pool(Arc::new(Pool::new(1)))
         .run(dataset);
-    let asked = logged.asked.lock().unwrap().clone();
-    (outcome, asked)
+    (outcome, logged)
 }
 
 /// What `codec` achieves on `dataset` at `fraction` of its value range: a
@@ -194,4 +213,66 @@ fn in_band_or_infeasible(codec: String, fields: &[(String, Dataset)]) -> usize {
         }
     }
     walked
+}
+
+/// Every field of a report by its bits, a NaN as NaN.
+fn report_bits(report: &QualityReport) -> [u64; 10] {
+    let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+    [
+        bits(report.compression_ratio),
+        bits(report.bit_rate),
+        bits(report.max_abs_error),
+        bits(report.rmse),
+        bits(report.psnr),
+        bits(report.ssim),
+        bits(report.acf_error),
+        report.num_points as u64,
+        report.original_bytes as u64,
+        report.compressed_bytes as u64,
+    ]
+}
+
+#[test]
+fn the_final_pass_reports_a_quality_evaluation_at_the_answer() {
+    // Above the sampling floor, so the answer comes from the walk: a held
+    // stream (sz, zfp, mgard) is decoded, a size-only answer (szx) is
+    // evaluated again with quality.
+    let dims = Dims::d3(32, 32, 32);
+    let f32_field = smooth(dims.clone());
+    let f64_field = Dataset::from_f64(
+        "contract",
+        "smooth",
+        0,
+        dims.clone(),
+        f32_field.values_f64(),
+    );
+    for dataset in [f32_field, f64_field] {
+        for codec in registry::error_bounded_names() {
+            let direct = registry::build_default(&codec).unwrap();
+            if !direct.supports_dims(&dims) {
+                continue;
+            }
+            let target = reachable(&codec, &dataset, 1e-3);
+            let (mut outcome, logged) =
+                logged_search(&codec, &dataset, SearchConfig::new(target, 0.1));
+            let what = format!("{codec} on {:?}", dataset.dtype());
+            let bound = outcome.error_bound;
+            let measured = direct.evaluate(&dataset, bound, true).unwrap();
+            let reported = outcome.best.quality.as_ref().expect("the final pass ran");
+            assert_eq!(
+                report_bits(reported),
+                report_bits(measured.quality.as_ref().unwrap()),
+                "{what}"
+            );
+
+            let compressions = logged.compressions.load(Ordering::Relaxed);
+            let bytes = answer_bytes(&*logged, &dataset, &mut outcome).unwrap();
+            assert_eq!(
+                logged.compressions.load(Ordering::Relaxed),
+                compressions,
+                "{what}: the answer came without its bytes"
+            );
+            assert_eq!(bytes, direct.compress(&dataset, bound).unwrap(), "{what}");
+        }
+    }
 }
