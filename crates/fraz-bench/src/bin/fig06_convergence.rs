@@ -18,7 +18,7 @@ use fraz_bench::records::{append, Record};
 use fraz_bench::scale::Scale;
 use fraz_bench::table::Table;
 use fraz_bench::workloads;
-use fraz_core::{Orchestrator, OrchestratorConfig, SearchConfig};
+use fraz_core::{FieldTask, Orchestrator, OrchestratorConfig, SearchConfig};
 use serde_json::json;
 
 fn main() {
@@ -29,10 +29,10 @@ fn main() {
     );
     let app = workloads::hurricane(scale);
     let field = "CLOUDf";
-    let series = app.series(field);
+    let task = FieldTask::new(field, app.series(field));
     println!(
         "field {field}, {} time-steps, grid {}\n",
-        series.len(),
+        task.series.len(),
         app.dims()
     );
 
@@ -50,7 +50,7 @@ fn main() {
                 .with_threads(6)
         };
         let orch = Orchestrator::new("sz", OrchestratorConfig::new(search)).unwrap();
-        let outcome = orch.run_series(field, &series, 6);
+        let outcome = orch.run_tasks(std::slice::from_ref(&task)).fields.remove(0);
 
         println!("-- {case} --");
         let mut table = Table::new(&["step", "ratio", "in window", "retrained", "calls"]);

@@ -19,7 +19,7 @@ use fraz_bench::records::{append, Record};
 use fraz_bench::scale::Scale;
 use fraz_bench::table::Table;
 use fraz_bench::workloads;
-use fraz_core::{Orchestrator, OrchestratorConfig, SearchConfig};
+use fraz_core::{FieldTask, Orchestrator, OrchestratorConfig, SearchConfig};
 use fraz_pressio::registry;
 use serde_json::json;
 
@@ -50,6 +50,7 @@ fn main() {
         let _ = sz.evaluate(&series[0], probe_bound, false).unwrap();
     }
     let per_call = probe_start.elapsed() / probe_runs;
+    let task = FieldTask::new(field, series);
 
     let targets: Vec<f64> = (2..=29).map(|t| t as f64).collect();
     let targets: Vec<f64> = if scale == Scale::Quick {
@@ -76,7 +77,7 @@ fn main() {
         };
         let orch = Orchestrator::new("sz", OrchestratorConfig::new(search)).unwrap();
         let start = Instant::now();
-        let outcome = orch.run_series(field, &series, 6);
+        let outcome = orch.run_tasks(std::slice::from_ref(&task)).fields.remove(0);
         let total = start.elapsed();
         let calls = outcome.total_evaluations();
         let compression_time = per_call * calls as u32;

@@ -35,57 +35,31 @@ fn main() {
         let loss = RatioLoss::new(target, 0.1);
         let budget = 48usize;
 
-        // The MaxLIPO+TR variants search the same log-scaled axis FRaZ's
-        // region search uses (error bounds span ~9 decades); binary search
-        // and the uniform grid operate on the raw bound, as a user would.
-        let mut objective = |x: f64| {
-            let outcome = sz.evaluate(&dataset, 10f64.powf(x), false);
-            match outcome {
-                Ok(o) => (loss.loss(o.compression_ratio), o.compression_ratio),
-                Err(_) => (loss.gamma, 0.0),
-            }
+        // One objective on the raw bound.  The MaxLIPO+TR variants search
+        // it on the log-scaled axis FRaZ's region search uses (error bounds
+        // span ~9 decades); binary search and the uniform grid operate on
+        // the raw bound, as a user would.
+        let mut objective = |bound: f64| match sz.evaluate(&dataset, bound, false) {
+            Ok(o) => (loss.loss(o.compression_ratio), o.compression_ratio),
+            Err(_) => (loss.gamma, 0.0),
+        };
+        let mut on_log_axis = |x: f64| objective(10f64.powf(x));
+        let minimizer = |cutoff| {
+            GlobalMinimizer::new(OptimizerConfig {
+                max_evaluations: budget,
+                cutoff,
+            })
         };
 
-        // FRaZ's optimizer with the early-termination cutoff.
-        let fraz = GlobalMinimizer::new(OptimizerConfig {
-            max_evaluations: budget,
-            cutoff: loss.cutoff(),
-        })
-        .minimize(&mut objective, lo.log10(), hi.log10(), None);
-
-        // The same optimizer without the cutoff (pure Dlib behaviour).
-        let mut objective2 = |x: f64| {
-            let outcome = sz.evaluate(&dataset, 10f64.powf(x), false);
-            match outcome {
-                Ok(o) => (loss.loss(o.compression_ratio), o.compression_ratio),
-                Err(_) => (loss.gamma, 0.0),
-            }
-        };
-        let no_cutoff = GlobalMinimizer::new(OptimizerConfig {
-            max_evaluations: budget,
-            cutoff: 0.0,
-        })
-        .minimize(&mut objective2, lo.log10(), hi.log10(), None);
-
-        // Binary search on the ratio.
-        let mut objective3 = |bound: f64| {
-            let outcome = sz.evaluate(&dataset, bound, false);
-            match outcome {
-                Ok(o) => (loss.loss(o.compression_ratio), o.compression_ratio),
-                Err(_) => (loss.gamma, 0.0),
-            }
-        };
-        let bisect = binary_search(&mut objective3, lo, hi, target, 0.1, budget);
-
-        // Uniform grid sweep with the same acceptance cutoff.
-        let mut objective4 = |bound: f64| {
-            let outcome = sz.evaluate(&dataset, bound, false);
-            match outcome {
-                Ok(o) => (loss.loss(o.compression_ratio), o.compression_ratio),
-                Err(_) => (loss.gamma, 0.0),
-            }
-        };
-        let grid = grid_search(&mut objective4, lo, hi, budget, loss.cutoff());
+        // FRaZ's optimizer with the early-termination cutoff, and the same
+        // optimizer without it (pure Dlib behaviour).
+        let fraz =
+            minimizer(loss.cutoff()).minimize(&mut on_log_axis, lo.log10(), hi.log10(), None);
+        let no_cutoff = minimizer(0.0).minimize(&mut on_log_axis, lo.log10(), hi.log10(), None);
+        // Binary search on the ratio, and a uniform grid sweep with the same
+        // acceptance cutoff.
+        let bisect = binary_search(&mut objective, lo, hi, target, 0.1, budget);
+        let grid = grid_search(&mut objective, lo, hi, budget, loss.cutoff());
 
         for (name, trace) in [
             ("FRaZ (MaxLIPO+TR, cutoff)", &fraz),

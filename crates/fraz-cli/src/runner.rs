@@ -124,18 +124,13 @@ pub fn run(
     // One predictor shared by every field's searches.
     let predictor = open_tune_cache(overrides.tune_cache.as_deref())?;
 
-    // Every task below carries its own search; the orchestrator's config
-    // only shapes the schedule (its region count), so its ratio is a
-    // placeholder.
-    let placeholder = 2.0;
-    let shape = FieldBudget::new(manifest, FieldTarget::Ratio(placeholder));
-    let schedule = ratio_search(&shape, placeholder);
+    // Every task below carries its own search: the orchestrator's default
+    // search is never read.
     let orchestrator = Orchestrator::with_compressor(
         compressor.clone(),
         OrchestratorConfig {
-            search: schedule,
             total_workers: overrides.workers.or(manifest.workers).unwrap_or(0),
-            reuse_prediction: true,
+            ..OrchestratorConfig::new(SearchConfig::new(2.0, 0.1))
         },
     )
     .with_predictor(predictor.clone().map(|p| p as Arc<dyn BoundPredictor>));

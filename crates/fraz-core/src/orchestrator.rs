@@ -14,10 +14,12 @@
 //! The original implementation distributed this over MPI ranks; here the
 //! same task graph runs on a shared work-stealing thread pool
 //! ([`fraz_pool::Pool`]) with a `total_workers` knob standing in for the
-//! paper's core counts.  The pool is built once, when the orchestrator is
-//! constructed; field tasks and their nested region tasks are all
-//! submitted to it, so repeated `run_application` calls spawn no OS
-//! threads at all.
+//! paper's core counts.  The pool is built once, on the orchestrator's
+//! first run; field tasks and their nested region tasks are all submitted
+//! to it, so repeated [`Orchestrator::run_tasks`] calls spawn no OS threads
+//! at all.  A field's race runs as many runners as its own
+//! [`SearchConfig::threads`] asks for, and for 0 one per region up to the
+//! pool's size; idle workers take whatever field or region task is queued.
 
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -91,9 +93,9 @@ impl ApplicationOutcome {
 pub struct OrchestratorConfig {
     /// The per-dataset search configuration (target ratio, tolerance, …).
     pub search: SearchConfig,
-    /// Total worker threads to spread across fields and regions; this is the
-    /// "cores" axis of the scalability experiment.  0 means use the machine's
-    /// available parallelism.
+    /// Worker threads of the private pool the fields and their regions run
+    /// on; this is the "cores" axis of the scalability experiment.  0 means
+    /// the machine's available parallelism ([`Pool::new`]).
     pub total_workers: usize,
     /// Reuse the previous time-step's error bound as a prediction
     /// (Algorithm 1 / §V-C); disabling this is the ablation knob.
@@ -109,44 +111,6 @@ impl OrchestratorConfig {
             total_workers: 0,
             reuse_prediction: true,
         }
-    }
-
-    fn resolved_workers(&self) -> usize {
-        if self.total_workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        } else {
-            self.total_workers
-        }
-    }
-
-    /// The static approximation of the run's shape for a pool of `budget`
-    /// workers: how many fields run concurrently and how many region tasks
-    /// each field's search stripes its work across.  The orchestrator passes
-    /// its pool's *actual* size, so a shared pool installed via
-    /// [`Orchestrator::with_pool`] is scheduled (and reported) as what it is
-    /// rather than as this config's `total_workers`.
-    ///
-    /// Since the orchestrator executes on a shared work-stealing pool,
-    /// this split is *advisory* — idle workers steal region tasks from
-    /// whichever field still has them, so a remainder of the budget is
-    /// spread across the in-flight fields instead of stranding workers
-    /// (e.g. 30 workers over 12-region searches schedules 3 fields × 10
-    /// threads = 30 busy workers, not 2 × 12 = 24).
-    pub fn schedule_for(&self, budget: usize, num_fields: usize) -> (usize, usize) {
-        let per_search = self.search.regions.max(1);
-        let num_fields = num_fields.max(1);
-        // Shrink the budget to what this shape can actually occupy, then
-        // take enough fields in flight to cover it even when the division
-        // leaves a remainder.
-        let capacity = num_fields.saturating_mul(per_search);
-        let workers = budget.max(1).min(capacity);
-        let field_concurrency = workers
-            .div_ceil(per_search)
-            .clamp(1, num_fields.min(workers));
-        let threads_per_search = (workers / field_concurrency).clamp(1, per_search);
-        (field_concurrency, threads_per_search)
     }
 }
 
@@ -178,8 +142,7 @@ impl From<QualitySearchConfig> for FieldSearch {
 ///
 /// The CLI builds these from dataset manifests, where individual fields may
 /// override the application-wide target ratio or ask for a quality target
-/// instead; plain [`Orchestrator::run_application`] is the no-override
-/// special case.
+/// instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FieldTask {
     /// Field name, reported in the [`SeriesOutcome`].
@@ -187,9 +150,8 @@ pub struct FieldTask {
     /// The field's datasets in time order.
     pub series: Vec<Dataset>,
     /// Per-field search settings; `None` uses the orchestrator's
-    /// configured [`SearchConfig`].  A ratio search's `threads` knob is
-    /// overwritten by the orchestrator's schedule either way — region
-    /// concurrency is a whole-run budget decision, not a per-field one.
+    /// configured [`SearchConfig`].  A ratio search's race runs its own
+    /// `threads` runners on the orchestrator's pool.
     pub search: Option<FieldSearch>,
 }
 
@@ -210,9 +172,6 @@ impl FieldTask {
         self
     }
 }
-
-/// One field of a run: name, time series, search override.
-type Job<'a> = (&'a str, &'a [Dataset], Option<&'a FieldSearch>);
 
 /// The parallel orchestrator for one compressor backend.
 ///
@@ -267,7 +226,7 @@ impl Orchestrator {
     }
 
     /// Use `pool` instead of a private one, e.g. so several orchestrators
-    /// (or concurrent `run_application` calls) draw from a single worker
+    /// (or concurrent `run_tasks` calls) draw from a single worker
     /// budget instead of oversubscribing the machine.  Because the private
     /// pool is created lazily, calling this right after construction
     /// spawns no threads at all for the replaced pool.
@@ -280,7 +239,7 @@ impl Orchestrator {
     /// creating the private `total_workers`-sized pool on first use.
     pub fn pool(&self) -> &Arc<Pool> {
         self.pool
-            .get_or_init(|| Arc::new(Pool::new(self.config.resolved_workers())))
+            .get_or_init(|| Arc::new(Pool::new(self.config.total_workers)))
     }
 
     /// Borrow the configuration.
@@ -296,24 +255,12 @@ impl Orchestrator {
     /// Tune one field's time series sequentially, reusing the previous
     /// step's error bound as a prediction (Algorithm 1 applied over time,
     /// §V-C).
-    pub fn run_series(&self, field: &str, series: &[Dataset], threads: usize) -> SeriesOutcome {
-        self.run_field(field, series, None, threads)
-    }
-
-    /// [`Orchestrator::run_series`] with an optional per-field search
-    /// override (the orchestrator's config when `None`).
-    fn run_field(
-        &self,
-        field: &str,
-        series: &[Dataset],
-        search: Option<&FieldSearch>,
-        threads: usize,
-    ) -> SeriesOutcome {
-        let ratio = match search {
+    fn run_field(&self, task: &FieldTask) -> SeriesOutcome {
+        let ratio = match &task.search {
             Some(FieldSearch::Quality(config)) => {
                 let search = Search::new(Arc::clone(&self.compressor), config.clone())
                     .with_predictor(self.predictor.clone());
-                return self.tune_series(field, series, search);
+                return self.tune_series(task, search);
             }
             Some(FieldSearch::Ratio(config)) => config,
             None => &self.config.search,
@@ -328,23 +275,14 @@ impl Orchestrator {
         if self.config.reuse_prediction {
             predictors.push(Arc::new(LastConverged::new(HintSource::PreviousStep)));
         }
-        let config = SearchConfig {
-            threads,
-            ..ratio.clone()
-        };
-        let search = Search::new(Arc::clone(&self.compressor), config)
+        let search = Search::new(Arc::clone(&self.compressor), ratio.clone())
             .with_predictor(Some(Arc::new(PredictorChain::new(predictors))));
-        self.tune_series(field, series, search)
+        self.tune_series(task, search)
     }
 
-    /// Run `search` over every step of `series`, in time order, on the
-    /// shared pool.
-    fn tune_series<O: Objective>(
-        &self,
-        field: &str,
-        series: &[Dataset],
-        search: Search<O>,
-    ) -> SeriesOutcome {
+    /// Run `search` over every step of `task`'s series, in time order, on
+    /// the shared pool.
+    fn tune_series<O: Objective>(&self, task: &FieldTask, search: Search<O>) -> SeriesOutcome {
         let start = Instant::now();
         let search = search.with_pool(Arc::clone(self.pool()));
         // A series reports bounds: the stream each step's answer was
@@ -354,10 +292,10 @@ impl Orchestrator {
             outcome.best.stream = None;
             outcome
         };
-        let steps: Vec<SearchOutcome> = series.iter().map(tuned).collect();
+        let steps: Vec<SearchOutcome> = task.series.iter().map(tuned).collect();
         let retrain_steps = (0..steps.len()).filter(|&t| steps[t].retrained).collect();
         SeriesOutcome {
-            field: field.to_string(),
+            field: task.field.clone(),
             steps,
             retrain_steps,
             elapsed: start.elapsed(),
@@ -366,64 +304,31 @@ impl Orchestrator {
 
     /// Algorithm 3: tune every field of an application, fields in parallel.
     ///
-    /// `fields` pairs each field name with its time series of datasets.
-    ///
     /// Every field becomes one task on the shared pool and each field's
     /// region race runs as nested tasks on the *same* pool, so the worker
     /// budget flows to wherever work remains: when a field finishes early
-    /// its workers steal region tasks from the fields still running,
-    /// instead of idling behind a static fields × regions split.
-    pub fn run_application(&self, fields: &[(String, Vec<Dataset>)]) -> ApplicationOutcome {
-        let jobs: Vec<Job<'_>> = fields
-            .iter()
-            .map(|(name, series)| (name.as_str(), series.as_slice(), None))
-            .collect();
-        self.run_jobs(&jobs)
-    }
-
-    /// [`Orchestrator::run_application`] with per-field search overrides:
-    /// every task still runs on the one shared pool, but a task may bring
-    /// its own target ratio / tolerance / region layout, or a quality
-    /// target (a manifest's per-field `target_ratio` or `min_psnr`).
-    /// Quality steps are reported in the same [`SearchOutcome`] shape.
+    /// its workers steal region tasks from the fields still running.  A
+    /// task may bring its own target ratio / tolerance / region layout /
+    /// runner count, or a quality target (a manifest's per-field
+    /// `target_ratio` or `min_psnr`); quality steps are reported in the same
+    /// [`SearchOutcome`] shape.
     pub fn run_tasks(&self, tasks: &[FieldTask]) -> ApplicationOutcome {
-        let jobs: Vec<Job<'_>> = tasks
-            .iter()
-            .map(|t| (t.field.as_str(), t.series.as_slice(), t.search.as_ref()))
-            .collect();
-        self.run_jobs(&jobs)
-    }
-
-    fn run_jobs(&self, jobs: &[Job<'_>]) -> ApplicationOutcome {
         let start = Instant::now();
-        // Schedule and report against the pool that will actually run the
-        // tasks — with_pool may have installed a budget different from
-        // this config's total_workers.  Only region races stripe their work
-        // over `threads`, so only they share the budget out.
-        let pool_threads = self.pool().threads();
-        let racing = jobs
-            .iter()
-            .filter(|(_, _, search)| !matches!(search, Some(FieldSearch::Quality(_))))
-            .count();
-        let (_, threads_per_search) = self.config.schedule_for(pool_threads, racing);
-        let mut results: Vec<Option<SeriesOutcome>> = vec![None; jobs.len()];
-
+        let mut results: Vec<Option<SeriesOutcome>> = vec![None; tasks.len()];
         self.pool().scope(|scope| {
-            for (slot, (name, series, search)) in results.iter_mut().zip(jobs) {
-                scope.spawn(move || {
-                    *slot = Some(self.run_field(name, series, *search, threads_per_search))
-                });
+            for (slot, task) in results.iter_mut().zip(tasks) {
+                scope.spawn(move || *slot = Some(self.run_field(task)));
             }
         });
-
-        let fields_out: Vec<SeriesOutcome> = results
-            .into_iter()
-            .map(|o| o.expect("every field processed"))
-            .collect();
         ApplicationOutcome {
-            fields: fields_out,
+            fields: results
+                .into_iter()
+                .map(|o| o.expect("every field processed"))
+                .collect(),
             elapsed: start.elapsed(),
-            total_workers: pool_threads,
+            // The pool that really ran the tasks: `with_pool` may have
+            // installed one of another size than `total_workers`.
+            total_workers: self.pool().threads(),
         }
     }
 }
@@ -433,6 +338,8 @@ mod tests {
     use super::*;
     use crate::quality::QualityMetric;
     use fraz_data::synthetic;
+    use fraz_pressio::PressioError;
+    use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
     fn quick_search(target: f64) -> SearchConfig {
         SearchConfig {
@@ -448,6 +355,11 @@ mod tests {
         app.series(field)
     }
 
+    /// `orch`'s outcome for an application of the one field `task`.
+    fn run_one(orch: &Orchestrator, task: FieldTask) -> SeriesOutcome {
+        orch.run_tasks(&[task]).fields.remove(0)
+    }
+
     #[test]
     fn series_reuses_predictions_across_timesteps() {
         let series = hurricane_series("TCf", 5);
@@ -455,11 +367,11 @@ mod tests {
             "sz",
             OrchestratorConfig {
                 total_workers: 4,
-                ..OrchestratorConfig::new(quick_search(8.0))
+                ..OrchestratorConfig::new(quick_search(8.0).with_threads(2))
             },
         )
         .unwrap();
-        let outcome = orch.run_series("TCf", &series, 2);
+        let outcome = run_one(&orch, FieldTask::new("TCf", series));
         assert_eq!(outcome.steps.len(), 5);
         // The first step always trains; later ones should mostly reuse the
         // previous bound because consecutive synthetic steps are coherent.
@@ -481,22 +393,22 @@ mod tests {
             OrchestratorConfig {
                 total_workers: 4,
                 reuse_prediction: false,
-                ..OrchestratorConfig::new(quick_search(8.0))
+                ..OrchestratorConfig::new(quick_search(8.0).with_threads(2))
             },
         )
         .unwrap();
-        let outcome = orch.run_series("TCf", &series, 2);
+        let outcome = run_one(&orch, FieldTask::new("TCf", series));
         assert_eq!(outcome.retrain_steps, vec![0, 1, 2]);
     }
 
     #[test]
     fn application_run_covers_all_fields() {
         let app = synthetic::cesm(24, 48, 2, 5);
-        let fields: Vec<(String, Vec<Dataset>)> = app
+        let tasks: Vec<FieldTask> = app
             .field_names()
             .into_iter()
             .take(3)
-            .map(|f| (f.clone(), app.series(&f)))
+            .map(|f| FieldTask::new(f.clone(), app.series(&f)))
             .collect();
         let orch = Orchestrator::new(
             "sz",
@@ -506,10 +418,10 @@ mod tests {
             },
         )
         .unwrap();
-        let outcome = orch.run_application(&fields);
+        let outcome = orch.run_tasks(&tasks);
         assert_eq!(outcome.fields.len(), 3);
-        for (field, series) in fields.iter().zip(outcome.fields.iter()) {
-            assert_eq!(series.field, field.0);
+        for (task, series) in tasks.iter().zip(outcome.fields.iter()) {
+            assert_eq!(series.field, task.field);
             assert_eq!(series.steps.len(), 2);
         }
         assert!(outcome.longest_field_time() <= outcome.elapsed + Duration::from_millis(50));
@@ -562,23 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn schedule_splits_workers_between_fields_and_regions() {
-        let config = OrchestratorConfig::new(SearchConfig::new(10.0, 0.1));
-        // 12 regions per search -> 3 fields in flight, 12 threads each.
-        assert_eq!(config.schedule_for(36, 13), (3, 12));
-        // Fewer fields than the budget allows: concurrency capped by the
-        // fields, and the budget shrinks to what 2 x 12 regions can keep
-        // busy instead of pretending all 36 workers have work.
-        assert_eq!(config.schedule_for(36, 2), (2, 12));
-        // A budget that does not divide evenly is spread across MORE
-        // in-flight fields rather than stranding the remainder: 30 workers
-        // over 12-region searches used to yield (2, 12) = 24 busy workers.
-        assert_eq!(config.schedule_for(30, 13), (3, 10));
-        // A tiny budget still schedules something.
-        assert_eq!(config.schedule_for(1, 5), (1, 1));
-    }
-
-    #[test]
     fn with_pool_schedules_and_reports_the_actual_pool_budget() {
         // A shared pool's size wins over the config's total_workers: the
         // outcome must attribute timings to the budget that really ran.
@@ -591,15 +486,83 @@ mod tests {
         )
         .unwrap()
         .with_pool(std::sync::Arc::new(fraz_pool::Pool::new(2)));
-        let fields: Vec<(String, Vec<Dataset>)> = vec![
-            ("TCf".to_string(), hurricane_series("TCf", 1)),
-            ("Pf".to_string(), hurricane_series("Pf", 1)),
+        let tasks = vec![
+            FieldTask::new("TCf", hurricane_series("TCf", 1)),
+            FieldTask::new("Pf", hurricane_series("Pf", 1)),
         ];
-        let outcome = orch.run_application(&fields);
+        let outcome = orch.run_tasks(&tasks);
         assert_eq!(outcome.total_workers, 2);
         assert_eq!(orch.pool().threads(), 2);
-        // The static split shrinks to the installed budget too.
-        assert_eq!(orch.config().schedule_for(2, 2), (1, 2));
+    }
+
+    /// A size-only codec whose ratio rises with the bound and whose every
+    /// call sleeps, recording the most calls that were ever in flight at
+    /// once.
+    #[derive(Default)]
+    struct PeakCodec {
+        in_flight: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl Compressor for PeakCodec {
+        fn name(&self) -> &str {
+            "peak"
+        }
+        fn supports_dims(&self, _dims: &fraz_data::Dims) -> bool {
+            true
+        }
+        fn bound_range(&self, _dataset: &Dataset) -> (f64, f64) {
+            (1e-6, 1.0)
+        }
+        fn compress(&self, dataset: &Dataset, bound: f64) -> Result<Vec<u8>, PressioError> {
+            let now = self.in_flight.fetch_add(1, SeqCst) + 1;
+            self.peak.fetch_max(now, SeqCst);
+            std::thread::sleep(Duration::from_millis(5));
+            self.in_flight.fetch_sub(1, SeqCst);
+            let ratio = 8.0 + bound.log10();
+            Ok(vec![0; (dataset.byte_size() as f64 / ratio) as usize])
+        }
+        fn decompress(&self, _data: &[u8]) -> Result<Dataset, PressioError> {
+            Err(PressioError::Unsupported("size only".into()))
+        }
+    }
+
+    #[test]
+    fn a_tasks_threads_bound_its_race_and_zero_means_the_pool() {
+        // A field under the sampling floor and an unreachable target: the
+        // search is the race alone, and every region spends its budget.
+        let field = crate::search::tests::smooth_field();
+        for (workers, regions, threads, peak) in [
+            (4, 4, 1, 1),
+            (4, 4, 2, 2),
+            (4, 4, 0, 4),
+            (4, 2, 0, 2),
+            (2, 4, 0, 2),
+        ] {
+            let codec = Arc::new(PeakCodec::default());
+            let search = SearchConfig {
+                regions,
+                threads,
+                max_iterations: 6,
+                measure_final_quality: false,
+                ..SearchConfig::new(1e6, 0.1)
+            };
+            // The orchestrator's own search (12 regions, 0 threads) is
+            // not the task's.
+            let orch = Orchestrator::with_compressor(
+                Arc::clone(&codec) as Arc<dyn Compressor>,
+                OrchestratorConfig::new(SearchConfig::new(1e6, 0.1)),
+            )
+            .with_pool(Arc::new(Pool::new(workers)));
+            let task = FieldTask::new("smooth", vec![field.clone()]).with_search(search);
+            let outcome = run_one(&orch, task);
+            assert!(!outcome.steps[0].regions.is_empty(), "the race ran");
+            assert_eq!(
+                codec.peak.load(SeqCst),
+                peak,
+                "{threads} threads, {regions} regions on {workers} workers"
+            );
+        }
     }
 
     #[test]
@@ -608,11 +571,10 @@ mod tests {
         let shared: Arc<dyn Compressor> = registry::build_default("zfp").unwrap().into();
         let orch = Orchestrator::with_compressor(
             Arc::clone(&shared),
-            OrchestratorConfig::new(quick_search(8.0)),
+            OrchestratorConfig::new(quick_search(8.0).with_threads(2)),
         );
         assert_eq!(orch.compressor().name(), shared.name());
-        let series = hurricane_series("TCf", 2);
-        let outcome = orch.run_series("TCf", &series, 2);
+        let outcome = run_one(&orch, FieldTask::new("TCf", hurricane_series("TCf", 2)));
         assert_eq!(outcome.steps.len(), 2);
     }
 

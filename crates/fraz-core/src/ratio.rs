@@ -85,9 +85,9 @@ pub struct SearchConfig {
     /// Maximum objective evaluations per region.
     pub max_iterations: usize,
     /// Concurrent worker tasks for region-parallel training; 0 means one
-    /// per region (capped by the available parallelism).  Region tasks run
-    /// on a shared [`fraz_pool::Pool`], so this caps the number of regions
-    /// in flight for *this* search, not OS threads.
+    /// per region, capped by the pool's workers.  Region tasks run on the
+    /// search's [`fraz_pool::Pool`], so this caps the number of regions in
+    /// flight for *this* search, not OS threads.
     pub threads: usize,
     /// After the search, attach full quality metrics to the answer: the
     /// final quality pass decodes the stream the answer holds, or, for an
@@ -169,12 +169,10 @@ impl SearchConfig {
         }
     }
 
-    fn worker_count(&self) -> usize {
-        let available = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
+    /// The race's runners on a pool of `pool_threads` workers.
+    fn worker_count(&self, pool_threads: usize) -> usize {
         if self.threads == 0 {
-            self.regions.min(available)
+            self.regions.min(pool_threads)
         } else {
             self.threads.min(self.regions).max(1)
         }
@@ -376,7 +374,10 @@ fn seeded(eval: &Evaluator<'_, SearchConfig>, range: (f64, f64)) -> Option<Plan>
 fn race(eval: &Evaluator<'_, SearchConfig>, (lower, upper): (f64, f64)) -> Found {
     let config = eval.config();
     let mut regions = make_error_bounds(lower, upper, config.regions);
-    let workers = config.worker_count().min(regions.len()).max(1);
+    let workers = config
+        .worker_count(eval.pool().threads())
+        .min(regions.len())
+        .max(1);
 
     // `workers` runner tasks drain the regions through a shared atomic
     // cursor — any idle runner claims the next region — with no queue or
@@ -773,7 +774,10 @@ mod tests {
         assert_eq!(c.regions, 6);
         assert_eq!(c.threads, 3);
         assert_eq!(c.max_error_bound, Some(0.5));
-        assert_eq!(c.worker_count(), 3);
+        assert_eq!(c.worker_count(8), 3);
+        assert_eq!(c.worker_count(2), 3);
+        assert_eq!(c.clone().with_threads(0).worker_count(4), 4);
+        assert_eq!(c.with_threads(0).worker_count(8), 6);
         assert_eq!(SearchConfig::new(10.0, 0.1).with_regions(0).regions, 1);
     }
 

@@ -381,9 +381,17 @@ impl<O: Objective> Search<O> {
     /// ceiling at or below the compressor's floor is still a bound the
     /// compressor accepts, so the intersection is never empty: it collapses
     /// to the sliver just under `U` (as a degenerate compressor range
-    /// collapses to the sliver under its upper end).
+    /// collapses to the sliver under its upper end).  The lower end is
+    /// always positive and below the upper one, and a normal number unless
+    /// a ceiling under `2 · f64::MIN_POSITIVE` leaves no room for one: a
+    /// compressor range reaching under the normal numbers — a field whose
+    /// value range is subnormal, or a codec answering 0 — is lifted to them.
     pub fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
         let (lower, upper) = self.compressor.bound_range(dataset);
+        let (lower, upper) = (
+            lower.max(f64::MIN_POSITIVE),
+            upper.max(2.0 * f64::MIN_POSITIVE),
+        );
         let upper = match self.config.max_error_bound() {
             // Not zero, negative, NaN — no bound could honour it — nor a
             // subnormal, which has no room for a sliver beneath it.
@@ -1612,6 +1620,41 @@ pub(crate) mod tests {
             narrowed(capped.bound_range(&dataset), Some(&hint)),
             (1e-5, 1e-3)
         );
+    }
+
+    /// [`CountingCodec`] behind a codec range of `(0, 0)`.
+    struct ZeroRange(CountingCodec);
+
+    impl Compressor for ZeroRange {
+        fn name(&self) -> &str {
+            "zero-range"
+        }
+        fn supports_dims(&self, _dims: &Dims) -> bool {
+            true
+        }
+        fn bound_range(&self, _dataset: &Dataset) -> (f64, f64) {
+            (0.0, 0.0)
+        }
+        fn compress(&self, dataset: &Dataset, bound: f64) -> Result<Vec<u8>, PressioError> {
+            self.0.compress(dataset, bound)
+        }
+        fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
+            self.0.decompress(data)
+        }
+    }
+
+    #[test]
+    fn a_range_under_the_normal_numbers_is_lifted_to_them() {
+        let dataset = smooth_field();
+        let codec = Arc::new(ZeroRange(CountingCodec::new(smooth_field())));
+        let search = Search::new(codec.clone() as Arc<dyn Compressor>, ratio_config(10.0));
+        let (lower, upper) = search.bound_range(&dataset);
+        assert_eq!((lower, upper), (f64::MIN_POSITIVE, 2.0 * f64::MIN_POSITIVE));
+        // The race over it answers, best effort, instead of panicking.
+        let outcome = search.run(&dataset);
+        assert!(!outcome.feasible);
+        assert_eq!(outcome.evaluations, codec.0.calls());
+        assert!((lower..=upper).contains(&outcome.error_bound));
     }
 
     #[test]

@@ -427,3 +427,33 @@ fn hostile_decompress_blobs_get_one_bad_request_each_for_every_codec() {
     assert_eq!(fresh_status(&addr).jobs_rejected, sent);
     handle.join();
 }
+
+#[test]
+fn a_subnormal_value_range_is_compressed_not_an_internal_error() {
+    // Zeros and one subnormal: every codec's own range is (0, 5e-324), and
+    // a ratio search over it used to panic in every error-bounded codec.
+    let handle = serve();
+    let addr = handle.local_addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    client
+        .set_reply_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut values = vec![0.0; 64];
+    values[27] = 5e-324;
+    let dataset =
+        fraz_data::Dataset::from_f64("a", "subnormal", 0, fraz_data::Dims::d2(8, 8), values);
+    let codecs = fraz_pressio::registry::error_bounded_names();
+    for name in &codecs {
+        match client
+            .compress(name, &dataset, 10.0, 0.1, 0)
+            .expect("exactly one typed reply")
+        {
+            Response::Compressed { error_bound, .. } => assert!(error_bound > 0.0, "{name}"),
+            other => panic!("{name}: subnormal field answered {:?}", other.kind()),
+        }
+    }
+    let status = fresh_status(&addr);
+    assert_eq!(status.jobs_failed, 0);
+    assert_eq!(status.jobs_ok, codecs.len() as u64);
+    handle.join();
+}

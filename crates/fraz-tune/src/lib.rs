@@ -106,8 +106,8 @@ impl BoundPredictor for CachePredictor {
 mod tests {
     use super::*;
     use fraz_core::{
-        FixedQualitySearch, FixedRatioSearch, Orchestrator, OrchestratorConfig, QualityMetric,
-        QualitySearchConfig, SearchConfig,
+        FieldTask, FixedQualitySearch, FixedRatioSearch, Orchestrator, OrchestratorConfig,
+        QualityMetric, QualitySearchConfig, SearchConfig,
     };
     use fraz_data::synthetic;
     use fraz_pressio::registry;
@@ -167,7 +167,9 @@ mod tests {
             let outcome = Orchestrator::new("sz", config)
                 .unwrap()
                 .with_predictor(Some(predictor.clone()))
-                .run_series("TCf", &series, 1);
+                .run_tasks(&[FieldTask::new("TCf", series.clone())])
+                .fields
+                .remove(0);
             predictor.cache().flush().unwrap();
             (outcome, predictor.cache().stats())
         };

@@ -12,21 +12,21 @@
 //! cargo run --release --example climate_archive
 //! ```
 
-use fraz::core::{Orchestrator, OrchestratorConfig, SearchConfig};
+use fraz::core::{FieldTask, Orchestrator, OrchestratorConfig, SearchConfig};
 use fraz::data::synthetic;
-use fraz::data::Dataset;
 
 fn main() {
     // A small CESM-like archive: 6 fields x 4 time-steps of a 96x192 grid.
     let app = synthetic::cesm(96, 192, 4, 7);
-    let fields: Vec<(String, Vec<Dataset>)> = app
+    let fields: Vec<FieldTask> = app
         .field_names()
         .into_iter()
-        .map(|name| (name.clone(), app.series(&name)))
+        .map(|name| FieldTask::new(name.clone(), app.series(&name)))
         .collect();
     let archive_bytes: usize = fields
         .iter()
-        .map(|(_, series)| series.iter().map(|d| d.byte_size()).sum::<usize>())
+        .flat_map(|task| &task.series)
+        .map(|d| d.byte_size())
         .sum();
 
     // The storage allocation for this (scaled-down) campaign.
@@ -55,7 +55,7 @@ fn main() {
     )
     .expect("sz backend registered");
 
-    let outcome = orchestrator.run_application(&fields);
+    let outcome = orchestrator.run_tasks(&fields);
 
     let mut compressed_total = 0usize;
     println!(

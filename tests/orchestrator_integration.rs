@@ -1,9 +1,8 @@
 //! Integration tests for the parallel orchestrator over multi-field,
 //! multi-time-step synthetic applications.
 
-use fraz::core::{Orchestrator, OrchestratorConfig, SearchConfig};
+use fraz::core::{FieldTask, Orchestrator, OrchestratorConfig, SearchConfig};
 use fraz::data::synthetic;
-use fraz::data::Dataset;
 
 fn quick_search(target: f64) -> SearchConfig {
     SearchConfig {
@@ -18,7 +17,7 @@ fn quick_search(target: f64) -> SearchConfig {
 #[test]
 fn time_series_mostly_reuses_predictions() {
     let app = synthetic::hurricane(6, 16, 16, 6, 13);
-    let series = app.series("TCf");
+    let task = FieldTask::new("TCf", app.series("TCf"));
     let orch = Orchestrator::new(
         "sz",
         OrchestratorConfig {
@@ -27,7 +26,7 @@ fn time_series_mostly_reuses_predictions() {
         },
     )
     .unwrap();
-    let outcome = orch.run_series("TCf", &series, 2);
+    let outcome = orch.run_tasks(&[task]).fields.remove(0);
     assert_eq!(outcome.steps.len(), 6);
     assert!(
         outcome.convergence_rate() >= 0.5,
@@ -46,7 +45,7 @@ fn time_series_mostly_reuses_predictions() {
 #[test]
 fn prediction_reuse_reduces_compressor_calls() {
     let app = synthetic::cesm(24, 48, 4, 29);
-    let series = app.series("FLDSC");
+    let tasks = [FieldTask::new("FLDSC", app.series("FLDSC"))];
     let with_reuse = Orchestrator::new(
         "sz",
         OrchestratorConfig {
@@ -56,7 +55,7 @@ fn prediction_reuse_reduces_compressor_calls() {
         },
     )
     .unwrap()
-    .run_series("FLDSC", &series, 2);
+    .run_tasks(&tasks);
     let without_reuse = Orchestrator::new(
         "sz",
         OrchestratorConfig {
@@ -66,7 +65,8 @@ fn prediction_reuse_reduces_compressor_calls() {
         },
     )
     .unwrap()
-    .run_series("FLDSC", &series, 2);
+    .run_tasks(&tasks);
+    let (with_reuse, without_reuse) = (&with_reuse.fields[0], &without_reuse.fields[0]);
     assert!(
         with_reuse.total_evaluations() < without_reuse.total_evaluations(),
         "reuse {} vs no-reuse {}",
@@ -78,10 +78,10 @@ fn prediction_reuse_reduces_compressor_calls() {
 #[test]
 fn application_run_processes_every_field_and_timestep() {
     let app = synthetic::nyx(12, 16, 16, 2, 37);
-    let fields: Vec<(String, Vec<Dataset>)> = app
+    let fields: Vec<FieldTask> = app
         .field_names()
         .into_iter()
-        .map(|f| (f.clone(), app.series(&f)))
+        .map(|f| FieldTask::new(f.clone(), app.series(&f)))
         .collect();
     let orch = Orchestrator::new(
         "zfp",
@@ -91,7 +91,7 @@ fn application_run_processes_every_field_and_timestep() {
         },
     )
     .unwrap();
-    let outcome = orch.run_application(&fields);
+    let outcome = orch.run_tasks(&fields);
     assert_eq!(outcome.fields.len(), fields.len());
     for series in &outcome.fields {
         assert_eq!(series.steps.len(), 2);
@@ -106,11 +106,11 @@ fn application_run_processes_every_field_and_timestep() {
 #[test]
 fn more_workers_do_not_change_results_only_speed() {
     let app = synthetic::cesm(24, 48, 2, 53);
-    let fields: Vec<(String, Vec<Dataset>)> = app
+    let fields: Vec<FieldTask> = app
         .field_names()
         .into_iter()
         .take(2)
-        .map(|f| (f.clone(), app.series(&f)))
+        .map(|f| FieldTask::new(f.clone(), app.series(&f)))
         .collect();
     let run = |workers: usize| {
         Orchestrator::new(
@@ -121,7 +121,7 @@ fn more_workers_do_not_change_results_only_speed() {
             },
         )
         .unwrap()
-        .run_application(&fields)
+        .run_tasks(&fields)
     };
     let narrow = run(1);
     let wide = run(8);

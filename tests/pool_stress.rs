@@ -9,7 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use fraz::core::{FixedRatioSearch, Orchestrator, OrchestratorConfig, SearchConfig};
+use fraz::core::{FieldTask, FixedRatioSearch, Orchestrator, OrchestratorConfig, SearchConfig};
 use fraz::data::{synthetic, Dataset, Dims};
 use fraz::pool::Pool;
 use fraz::pressio::PressioError;
@@ -25,17 +25,17 @@ fn quick_search(target: f64) -> SearchConfig {
     }
 }
 
-fn hurricane_fields(fields: usize, steps: usize, seed: u64) -> Vec<(String, Vec<Dataset>)> {
+fn hurricane_fields(fields: usize, steps: usize, seed: u64) -> Vec<FieldTask> {
     let app = synthetic::hurricane(6, 12, 12, steps, seed);
     app.field_names()
         .into_iter()
         .take(fields)
-        .map(|f| (f.clone(), app.series(&f)))
+        .map(|f| FieldTask::new(f.clone(), app.series(&f)))
         .collect()
 }
 
 #[test]
-fn concurrent_run_application_calls_share_one_pool() {
+fn concurrent_run_tasks_calls_share_one_pool() {
     // Two orchestrators over different backends draw from a single
     // 4-worker pool, driven from independent caller threads at once.
     // Every field of both applications must complete, and neither call
@@ -64,8 +64,8 @@ fn concurrent_run_application_calls_share_one_pool() {
     let fields_a = hurricane_fields(3, 2, 7);
     let fields_b = hurricane_fields(3, 2, 19);
     let (a, b) = std::thread::scope(|s| {
-        let ha = s.spawn(|| orch_sz.run_application(&fields_a));
-        let hb = s.spawn(|| orch_zfp.run_application(&fields_b));
+        let ha = s.spawn(|| orch_sz.run_tasks(&fields_a));
+        let hb = s.spawn(|| orch_zfp.run_tasks(&fields_b));
         (ha.join().unwrap(), hb.join().unwrap())
     });
 
@@ -98,7 +98,7 @@ fn nested_region_scopes_complete_on_a_one_worker_pool() {
     .unwrap()
     .with_pool(pool);
     let fields = hurricane_fields(2, 2, 3);
-    let outcome = orch.run_application(&fields);
+    let outcome = orch.run_tasks(&fields);
     assert_eq!(outcome.fields.len(), 2);
     for series in &outcome.fields {
         assert_eq!(series.steps.len(), 2);
@@ -121,7 +121,7 @@ fn repeated_runs_reuse_the_pool() {
     .unwrap();
     let fields = hurricane_fields(2, 1, 5);
     for _ in 0..5 {
-        let outcome = orch.run_application(&fields);
+        let outcome = orch.run_tasks(&fields);
         assert_eq!(outcome.fields.len(), 2);
         assert_eq!(outcome.total_workers, 2);
     }

@@ -176,6 +176,35 @@ fn above_the_floor_a_seeded_answer_is_in_band_or_infeasible_where_the_race_is() 
     assert!(walked > 0, "no search was answered by the walk");
 }
 
+#[test]
+fn a_subnormal_value_range_is_searched_without_a_panic() {
+    // An 8×8 f64 field of zeros and one subnormal: `range · 1e-9` underflows
+    // to 0, so every built-in codec's own range starts at 0.
+    let mut values = vec![0.0; 64];
+    values[27] = 5e-324;
+    let dataset = Dataset::from_f64("contract", "subnormal", 0, Dims::d2(8, 8), values);
+    for codec in registry::error_bounded_names() {
+        let compressor = registry::build_default(&codec).unwrap();
+        if !compressor.supports_dims(&dataset.dims) {
+            continue;
+        }
+        let search = FixedRatioSearch::new(compressor, SearchConfig::new(10.0, 0.1))
+            .with_pool(Arc::new(Pool::new(2)));
+        let (lower, upper) = search.bound_range(&dataset);
+        assert!(
+            lower.is_normal() && lower < upper,
+            "{codec}: ({lower:e}, {upper:e})"
+        );
+        let outcome = search.run(&dataset);
+        assert!(outcome.evaluations > 0, "{codec}");
+        assert!(
+            (lower..=upper).contains(&outcome.error_bound),
+            "{codec}: {:e}",
+            outcome.error_bound
+        );
+    }
+}
+
 /// The clause on every field for `codec`; how many searches the walk
 /// answered.
 fn in_band_or_infeasible(codec: String, fields: &[(String, Dataset)]) -> usize {
