@@ -14,13 +14,14 @@
 //!   trust-region step),
 //! * the search stops when the loss drops below the caller's cutoff (FRaZ's
 //!   modification), the evaluation budget is exhausted, or an external
-//!   cancellation flag is raised (used by the parallel orchestrator).
+//!   [`CancelToken`] fires (the region race's early termination, a child
+//!   of its search's token).
 //!
 //! [`binary_search`] and [`grid_search`] provide the baselines the paper
 //! discusses (binary search needs monotonicity and wastes evaluations; see
 //! the `tab_iterations` experiment).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use crate::cancel::CancelToken;
 
 /// One objective evaluation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -96,15 +97,15 @@ impl GlobalMinimizer {
 
     /// Minimize `objective` over `[lower, upper]`.
     ///
-    /// `cancel` is polled between evaluations; when it becomes true the
-    /// search returns immediately with whatever it has (the orchestrator uses
-    /// this for early termination across regions).
+    /// `cancel` is polled between evaluations; once it has fired the search
+    /// returns immediately with whatever it has (the region race passes its
+    /// early-termination token, which also fires with the search's).
     pub fn minimize(
         &self,
         objective: &mut dyn Objective,
         lower: f64,
         upper: f64,
-        cancel: Option<&AtomicBool>,
+        cancel: Option<&CancelToken>,
     ) -> SearchTrace {
         assert!(
             lower.is_finite() && upper.is_finite() && lower < upper,
@@ -113,9 +114,7 @@ impl GlobalMinimizer {
         let mut evaluations: Vec<Evaluation> = Vec::new();
         let mut reached_cutoff = false;
         let mut cancelled = false;
-
-        let cancelled_now =
-            |flag: Option<&AtomicBool>| flag.map(|f| f.load(Ordering::Relaxed)).unwrap_or(false);
+        let cancelled_now = || cancel.is_some_and(CancelToken::is_cancelled);
 
         // Golden-ratio low-discrepancy sequence for deterministic,
         // well-spread exploration candidates (stands in for Dlib's RNG while
@@ -143,9 +142,7 @@ impl GlobalMinimizer {
 
         // Seed with the two endpoints and one interior point.
         for x in [lower, upper, lower + (upper - lower) * next_golden()] {
-            if evaluations.len() >= self.config.max_evaluations
-                || reached_cutoff
-                || cancelled_now(cancel)
+            if evaluations.len() >= self.config.max_evaluations || reached_cutoff || cancelled_now()
             {
                 break;
             }
@@ -153,7 +150,7 @@ impl GlobalMinimizer {
         }
 
         while evaluations.len() < self.config.max_evaluations && !reached_cutoff {
-            if cancelled_now(cancel) {
+            if cancelled_now() {
                 cancelled = true;
                 break;
             }
@@ -511,12 +508,12 @@ mod tests {
 
     #[test]
     fn cancellation_stops_the_search() {
-        let cancel = AtomicBool::new(false);
+        let cancel = CancelToken::new();
         let mut calls = 0usize;
         let mut obj = |x: f64| {
             calls += 1;
             if calls == 5 {
-                cancel.store(true, Ordering::Relaxed);
+                cancel.cancel();
             }
             ((x - 5.0).powi(2), 0.0)
         };

@@ -23,7 +23,7 @@
 //! answer.  So a non-monotone curve is never a false `infeasible` that the
 //! race alone would have met.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -31,6 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use fraz_pressio::CompressionOutcome;
 
+use crate::cancel::CancelToken;
 use crate::hint::{HintReport, HintTarget, SearchHint};
 use crate::loss::RatioLoss;
 use crate::optim::{GlobalMinimizer, OptimizerConfig};
@@ -197,7 +198,8 @@ pub struct RegionOutcome {
     pub iterations: usize,
     /// True if the region's search hit the early-termination cutoff.
     pub reached_cutoff: bool,
-    /// True if the region was cancelled by another region's success.
+    /// True if the region was stopped by another region's success or by the
+    /// search's token.
     pub cancelled: bool,
     /// The full compression outcome measured at `error_bound`, carried out
     /// of the region so the winning bound need not be re-compressed after
@@ -236,9 +238,9 @@ pub struct SearchOutcome {
     pub regions: Vec<RegionOutcome>,
     /// What the search did with its seeding hint (`None` on cold runs).
     pub hint: Option<HintReport>,
-    /// True when a [`CancelToken`](crate::CancelToken) stopped the search early (deadline or
-    /// explicit cancel): `best` is then the best-so-far answer, not a
-    /// converged one.
+    /// True when the search's [`CancelToken`] stopped it early (deadline or
+    /// explicit cancel; the race's own early termination never sets it):
+    /// `best` is then the best-so-far answer, not a converged one.
     pub deadline_hit: bool,
 }
 
@@ -390,7 +392,7 @@ fn race(eval: &Evaluator<'_, SearchConfig>, (lower, upper): (f64, f64)) -> Found
         loss: config.loss(),
         regions,
         next: AtomicUsize::new(0),
-        cancel: AtomicBool::new(false),
+        cancel: eval.child_token(),
         held: Mutex::new(None),
     };
     let mut slots: Vec<Vec<RegionOutcome>> = vec![Vec::new(); workers];
@@ -442,8 +444,9 @@ struct Race<'a, 'e> {
     /// In the order they are claimed.
     regions: Vec<Region>,
     next: AtomicUsize,
-    /// The early-termination flag.
-    cancel: AtomicBool,
+    /// Early termination: a child of the search's token, so one check sees
+    /// both a region's hit and the search's deadline.
+    cancel: CancelToken,
     /// The one stream the race holds on to: that of the region outcome that
     /// would win if the race ended now.
     held: Mutex<Option<Held>>,
@@ -460,17 +463,12 @@ struct Held {
 
 impl Race<'_, '_> {
     /// One runner task: repeatedly claim the next unstarted region via the
-    /// shared cursor and search it, observing and raising the shared
-    /// early-termination flag (Algorithm 2, lines 9-14).
+    /// shared cursor and search it, observing and firing the shared
+    /// early-termination token (Algorithm 2, lines 9-14).
     fn run_queue(&self, runner: usize, out: &mut Vec<RegionOutcome>) {
         let (loss, cancel) = (&self.loss, &self.cancel);
         loop {
-            if cancel.load(Ordering::Relaxed) {
-                break;
-            }
-            if self.eval.cancelled() {
-                // Deadline/cancel: stop every runner, not just this one.
-                cancel.store(true, Ordering::Relaxed);
+            if cancel.is_cancelled() {
                 break;
             }
             let index = self.next.fetch_add(1, Ordering::Relaxed);
@@ -484,7 +482,7 @@ impl Race<'_, '_> {
             if acceptable {
                 // Early termination: cancel every region that has not
                 // finished yet.
-                cancel.store(true, Ordering::Relaxed);
+                cancel.cancel();
                 break;
             }
         }
@@ -517,7 +515,7 @@ fn search_region(
     eval: &Evaluator<'_, SearchConfig>,
     loss: &RatioLoss,
     region: Region,
-    cancel: &AtomicBool,
+    cancel: &CancelToken,
 ) -> RegionOutcome {
     // Track the best full outcome seen so the caller can reuse the
     // winning measurement instead of re-compressing after the race.
@@ -536,12 +534,11 @@ fn search_region(
             (l, ratio)
         }
         Err(miss) => {
-            match miss {
-                Miss::Rejected => iterations += 1,
-                // The minimizer polls `cancel` between evaluations; raising
-                // it here stops this optimization, and the gamma loss can
-                // never displace a real best-so-far observation.
-                Miss::Cancelled => cancel.store(true, Ordering::Relaxed),
+            // A fired search token has fired `cancel` too, which the
+            // minimizer polls between evaluations; the gamma loss can never
+            // displace a real best-so-far observation.
+            if miss == Miss::Rejected {
+                iterations += 1;
             }
             (loss.gamma, 0.0)
         }

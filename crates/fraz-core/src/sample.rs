@@ -8,7 +8,7 @@
 //! neighbouring values, so a predictor or a block transform sees the
 //! field's own smoothness, not a coarser one.
 
-use fraz_data::{DataBuffer, Dataset, Dims};
+use fraz_data::Dataset;
 
 /// The fewest values a sample holds: a smaller stream is mostly header and
 /// tables, and its ratio says little about the field's.  A sample also holds
@@ -38,45 +38,14 @@ pub(crate) fn central(dataset: &Dataset) -> Option<Dataset> {
     if held < FLOOR || held * 4 > n {
         return None;
     }
-    let buffer = match &dataset.buffer {
-        DataBuffer::F32(values) => DataBuffer::F32(cut(values, dims, &shape)),
-        DataBuffer::F64(values) => DataBuffer::F64(cut(values, dims, &shape)),
-    };
-    Some(Dataset {
-        application: dataset.application.clone(),
-        field: dataset.field.clone(),
-        timestep: dataset.timestep,
-        dims: Dims::new(&shape),
-        buffer,
-    })
-}
-
-/// The `shape` box centred in a row-major `dims` grid, row by row.
-fn cut<T: Copy>(values: &[T], dims: &[usize], shape: &[usize]) -> Vec<T> {
-    let rank = dims.len();
-    let origin: Vec<usize> = dims.iter().zip(shape).map(|(d, s)| (d - s) / 2).collect();
-    let row = shape[rank - 1];
-    let mut out = Vec::with_capacity(shape.iter().product());
-    // The box coordinates of the current row, last axis excluded.
-    let mut at = vec![0usize; rank - 1];
-    for _ in 0..shape[..rank - 1].iter().product::<usize>() {
-        let start = (0..rank).fold(0, |start, axis| {
-            start * dims[axis] + origin[axis] + at.get(axis).copied().unwrap_or(0)
-        });
-        out.extend_from_slice(&values[start..start + row]);
-        for axis in (0..rank - 1).rev() {
-            at[axis] += 1;
-            if at[axis] < shape[axis] {
-                break;
-            }
-            at[axis] = 0;
-        }
-    }
-    out
+    let origin: Vec<usize> = dims.iter().zip(&shape).map(|(d, s)| (d - s) / 2).collect();
+    Some(dataset.sub_box(&origin, &shape))
 }
 
 #[cfg(test)]
 mod tests {
+    use fraz_data::{DataBuffer, Dims};
+
     use super::*;
 
     fn field(dims: &[usize]) -> Dataset {

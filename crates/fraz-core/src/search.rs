@@ -272,6 +272,13 @@ impl<'a, O: Objective> Evaluator<'a, O> {
         self.shell.cancelled()
     }
 
+    /// A token that fires with the search's and can be fired alone: how a
+    /// strategy stops its own tasks (the race's early termination) without
+    /// stopping the search.
+    pub(crate) fn child_token(&self) -> CancelToken {
+        self.shell.cancel.child()
+    }
+
     /// The objective's configuration.
     pub fn config(&self) -> &O {
         &self.shell.config
@@ -297,7 +304,7 @@ pub struct Search<O: Objective> {
     config: O,
     pool: Option<Arc<Pool>>,
     codec_config: String,
-    cancel: Option<CancelToken>,
+    cancel: CancelToken,
     predictor: Option<Arc<dyn BoundPredictor>>,
 }
 
@@ -317,7 +324,7 @@ impl<O: Objective> Search<O> {
             config,
             pool: None,
             codec_config: String::new(),
-            cancel: None,
+            cancel: CancelToken::new(),
             predictor: None,
         }
     }
@@ -325,9 +332,10 @@ impl<O: Objective> Search<O> {
     /// Cooperatively stop the search when `token` fires (deadline passed or
     /// explicit cancel).  Checked between compressor evaluations only — a
     /// single evaluation is the atom of work — so the outcome after a fired
-    /// token is the best-so-far answer with `deadline_hit: true`.
+    /// token is the best-so-far answer with `deadline_hit: true`.  Without
+    /// one, the search holds a token nothing fires.
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
+        self.cancel = token;
         self
     }
 
@@ -371,9 +379,9 @@ impl<O: Objective> Search<O> {
         self.pool.as_deref().unwrap_or_else(|| fraz_pool::global())
     }
 
-    /// True once the installed [`CancelToken`] has fired.
+    /// True once the search's [`CancelToken`] has fired.
     pub fn cancelled(&self) -> bool {
-        self.cancel.as_ref().is_some_and(|t| t.is_cancelled())
+        self.cancel.is_cancelled()
     }
 
     /// The `(lower, upper)` error-bound range the search may use for this

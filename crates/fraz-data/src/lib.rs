@@ -17,6 +17,9 @@
 //! * [`quant`] — the linear-scaling quantizer of prediction errors the
 //!   SZ-like and MGARD-like codecs share, so the two sides of each stay
 //!   bit-identical through one expression,
+//! * [`region`] — row-run copies of n-dimensional boxes: the one box cut
+//!   ([`Dataset::sub_box`]) and the paste the store's reader places decoded
+//!   chunks with,
 //! * [`io`] — readers and writers for the flat `.f32` / `.f64` layout used by
 //!   SDRBench, so real archive files can be dropped in when available,
 //! * [`synthetic`] — the one generator home: deterministic mimics of each
@@ -39,6 +42,7 @@ pub mod dims;
 pub mod io;
 pub mod manifest;
 pub mod quant;
+pub mod region;
 pub mod synthetic;
 pub mod wire;
 
@@ -191,6 +195,19 @@ impl Dataset {
                 let start = idx * plane;
                 (rows, cols, start..start + plane)
             }
+        }
+    }
+
+    /// The box `origin..origin + shape` of this field, as a field of its
+    /// own: same names and time-step, same precision, values in row-major
+    /// order.
+    pub fn sub_box(&self, origin: &[usize], shape: &[usize]) -> Dataset {
+        Dataset {
+            application: self.application.clone(),
+            field: self.field.clone(),
+            timestep: self.timestep,
+            dims: Dims::new(shape),
+            buffer: region::extract_buffer(&self.buffer, self.dims.as_slice(), origin, shape),
         }
     }
 

@@ -2,12 +2,13 @@
 //!
 //! `copy_box` moves whole rows along the fastest-varying (last) axis, so
 //! the inner loop is a contiguous `copy_from_slice` and the odometer only
-//! walks the outer axes.  It is the glue between chunk payloads and region
-//! buffers: [`extract`] cuts a chunk out of a larger array for the writer,
-//! and the reader pastes each decoded chunk's intersection with a request
-//! straight into the output.
+//! walks the outer axes.  It is the one box cut of the workspace:
+//! [`Dataset::sub_box`](crate::Dataset::sub_box) cuts a store chunk or a
+//! search's sample out of a field, and the store's reader pastes each
+//! decoded chunk's intersection with a request straight into the output
+//! with [`copy_box_buffer`].
 
-use fraz_data::DataBuffer;
+use crate::DataBuffer;
 
 fn strides(dims: &[usize]) -> Vec<usize> {
     let mut strides = vec![1usize; dims.len()];
@@ -19,7 +20,7 @@ fn strides(dims: &[usize]) -> Vec<usize> {
 
 /// Copy the box of shape `shape` at `src_origin` of an array of shape
 /// `src_dims` to `dst_origin` of an array of shape `dst_dims`.
-pub(crate) fn copy_box<T: Copy>(
+fn copy_box<T: Copy>(
     src: &[T],
     src_dims: &[usize],
     src_origin: &[usize],
@@ -64,7 +65,7 @@ pub(crate) fn copy_box<T: Copy>(
 }
 
 /// Copy the box `origin..origin+shape` out of an array of shape `dims`.
-pub fn extract<T: Copy + Default>(
+fn extract<T: Copy + Default>(
     src: &[T],
     dims: &[usize],
     origin: &[usize],
@@ -84,7 +85,7 @@ pub fn extract<T: Copy + Default>(
 }
 
 /// `extract` lifted over [`DataBuffer`], preserving the element type.
-pub fn extract_buffer(
+pub(crate) fn extract_buffer(
     src: &DataBuffer,
     dims: &[usize],
     origin: &[usize],
@@ -97,8 +98,8 @@ pub fn extract_buffer(
 }
 
 /// `copy_box` lifted over [`DataBuffer`]; panics if the element types
-/// differ (the reader validates chunk dtypes before calling this).
-pub(crate) fn copy_box_buffer(
+/// differ (the store's reader validates chunk dtypes before calling this).
+pub fn copy_box_buffer(
     src: &DataBuffer,
     src_dims: &[usize],
     src_origin: &[usize],

@@ -16,7 +16,6 @@ use crate::proto::{read_frame, write_frame, ProtoError, Request, Response, MAX_F
 /// A blocking protocol client over one TCP connection.
 pub struct Client {
     stream: TcpStream,
-    max_frame_len: usize,
 }
 
 impl Client {
@@ -24,10 +23,7 @@ impl Client {
     pub fn connect(addr: &str) -> std::io::Result<Self> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Self {
-            stream,
-            max_frame_len: MAX_FRAME_LEN,
-        })
+        Ok(Self { stream })
     }
 
     /// Bound how long one reply may take to arrive (`None` = forever).
@@ -38,7 +34,7 @@ impl Client {
     /// Send one request and wait for its reply.
     pub fn request(&mut self, request: &Request) -> Result<Response, ProtoError> {
         write_frame(&mut self.stream, &request.encode())?;
-        let payload = read_frame(&mut self.stream, self.max_frame_len)?;
+        let payload = read_frame(&mut self.stream, MAX_FRAME_LEN)?;
         Response::decode(&payload)
     }
 
@@ -49,7 +45,7 @@ impl Client {
 
     /// Read one reply frame without sending anything first.
     pub fn read_reply(&mut self) -> Result<Response, ProtoError> {
-        let payload = read_frame(&mut self.stream, self.max_frame_len)?;
+        let payload = read_frame(&mut self.stream, MAX_FRAME_LEN)?;
         Response::decode(&payload)
     }
 

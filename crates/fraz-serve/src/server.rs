@@ -13,10 +13,11 @@
 //!    [`fraz_pool::Pool`]; connection threads provide request
 //!    concurrency, the pool provides compute parallelism.
 //! 3. **search** — every search job carries a [`CancelToken`] armed with
-//!    its deadline, checked cooperatively between compressor
-//!    evaluations; a fired deadline returns `DeadlineExceeded` with the
-//!    best-so-far bound.  Job panics are caught and answered with a
-//!    typed `Internal` reply — the server outlives its jobs.
+//!    its deadline, a child of the server's drain token, checked
+//!    cooperatively between compressor evaluations; a fired token returns
+//!    `DeadlineExceeded` with the best-so-far bound.  Job panics are
+//!    caught and answered with a typed `Internal` reply — the server
+//!    outlives its jobs.
 //! 4. **reply** — exactly one typed response per request frame, success
 //!    or failure.
 //!
@@ -51,7 +52,9 @@ use fraz_store::{
 use fraz_tune::CachePredictor;
 
 use crate::admission::{Admission, AdmissionConfig};
-use crate::proto::{read_frame, write_frame, ProtoError, Request, Response, StatusBody};
+use crate::proto::{
+    read_frame, write_frame, ProtoError, Request, Response, StatusBody, MAX_FRAME_LEN,
+};
 
 /// Everything the server needs to start.
 #[derive(Debug, Clone)]
@@ -60,8 +63,6 @@ pub struct ServeConfig {
     pub addr: String,
     /// Search pool threads (`0` = available parallelism, capped at 8).
     pub workers: usize,
-    /// Ceiling on one frame's payload bytes.
-    pub max_frame_len: usize,
     /// Admission budgets.
     pub admission: AdmissionConfig,
     /// Deadline applied to search jobs that carry none (`0` = unlimited).
@@ -85,7 +86,6 @@ impl Default for ServeConfig {
         Self {
             addr: "127.0.0.1:0".into(),
             workers: 0,
-            max_frame_len: crate::proto::MAX_FRAME_LEN,
             admission: AdmissionConfig::default(),
             default_deadline_ms: 0,
             drain_deadline: Duration::from_secs(5),
@@ -102,8 +102,10 @@ impl Default for ServeConfig {
 pub struct DrainReport {
     /// All in-flight jobs finished before the drain deadline.
     pub drained_within_deadline: bool,
-    /// Jobs cancelled at the drain deadline (they answered
-    /// `DeadlineExceeded` with best-so-far results).
+    /// Search jobs the drain cancelled: those that answered
+    /// `DeadlineExceeded`, with best-so-far results, after the drain
+    /// deadline fired every job's token.  Read once every connection thread
+    /// has joined, so each such job has answered.
     pub cancelled_jobs: usize,
     /// How long the drain took.
     pub drain_elapsed: Duration,
@@ -119,7 +121,8 @@ struct Counters {
     deadline: AtomicU64,
     rejected: AtomicU64,
     failed: AtomicU64,
-    drained_replies: AtomicU64,
+    /// Search jobs that answered `DeadlineExceeded` once `stragglers` fired.
+    drain_cancelled: AtomicU64,
 }
 
 /// The store stack: retry over the (possibly chaos-wrapped) durable
@@ -136,8 +139,9 @@ struct Inner {
     compressors: Mutex<HashMap<String, Arc<dyn Compressor>>>,
     counters: Counters,
     draining: AtomicBool,
-    next_job: AtomicU64,
-    active_tokens: Mutex<HashMap<u64, CancelToken>>,
+    /// Every search job's token is a child of this one; the drain fires it
+    /// at its deadline.
+    stragglers: CancelToken,
 }
 
 impl Inner {
@@ -176,31 +180,20 @@ impl Inner {
     }
 
     /// Arm a token for one search job: the request deadline, else the
-    /// configured default, else un-expiring (but still drain-cancellable).
-    fn job_token(&self, deadline_ms: u32) -> (u64, CancelToken) {
+    /// configured default, else un-expiring — and always a child of
+    /// `stragglers`, so the drain cancels it.
+    fn job_token(&self, deadline_ms: u32) -> CancelToken {
         let ms = if deadline_ms > 0 {
             deadline_ms
         } else {
             self.config.default_deadline_ms
         };
-        let token = if ms > 0 {
-            CancelToken::with_timeout(Duration::from_millis(ms as u64))
+        if ms > 0 {
+            self.stragglers
+                .child_with_timeout(Duration::from_millis(ms as u64))
         } else {
-            CancelToken::new()
-        };
-        let id = self.next_job.fetch_add(1, Ordering::Relaxed);
-        self.active_tokens
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(id, token.clone());
-        (id, token)
-    }
-
-    fn finish_job(&self, id: u64) {
-        self.active_tokens
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .remove(&id);
+            self.stragglers.child()
+        }
     }
 
     /// One request frame in, exactly one typed response out.
@@ -218,9 +211,6 @@ impl Inner {
             return Response::Status(self.status_body());
         }
         if self.stopping() {
-            self.counters
-                .drained_replies
-                .fetch_add(1, Ordering::Relaxed);
             return Response::Draining;
         }
         let permit = match self.admission.try_admit(payload.len() as u64) {
@@ -382,17 +372,20 @@ impl Inner {
                 ),
             };
         }
-        let (job_id, token) = self.job_token(deadline_ms);
         let predictor = self.tune.clone().map(|p| p as Arc<dyn BoundPredictor>);
         let outcome: SearchOutcome = Search::new(Arc::clone(&compressor), objective)
             .with_pool(Arc::clone(&self.pool))
-            .with_cancel(token)
+            .with_cancel(self.job_token(deadline_ms))
             .with_predictor(predictor)
             .run(dataset)
             .into();
-        self.finish_job(job_id);
         let achieved = achieved(&outcome);
         if outcome.deadline_hit {
+            if self.stragglers.is_cancelled() {
+                self.counters
+                    .drain_cancelled
+                    .fetch_add(1, Ordering::Relaxed);
+            }
             return Response::DeadlineExceeded {
                 error_bound: outcome.error_bound,
                 achieved,
@@ -453,7 +446,7 @@ fn read_frame_or_close(
         inner,
         stop: false,
     };
-    match read_frame(&mut reader, inner.config.max_frame_len) {
+    match read_frame(&mut reader, MAX_FRAME_LEN) {
         Ok(payload) => Ok(Some(payload)),
         Err(ProtoError::Closed) => Ok(None),
         // The synthetic EOF from the drain poll surfaces as
@@ -554,8 +547,7 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
         compressors: Mutex::new(HashMap::new()),
         counters: Counters::default(),
         draining: AtomicBool::new(false),
-        next_job: AtomicU64::new(0),
-        active_tokens: Mutex::new(HashMap::new()),
+        stragglers: CancelToken::new(),
     });
 
     let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -642,19 +634,9 @@ impl ServerHandle {
         let drained_within_deadline = self.inner.admission.inflight_jobs() == 0;
 
         // Phase 2: cancel whatever outlived the deadline — the searches
-        // observe the token between evaluations and answer with their
-        // best-so-far bound.
-        let cancelled_jobs = {
-            let tokens = self
-                .inner
-                .active_tokens
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
-            for token in tokens.values() {
-                token.cancel();
-            }
-            tokens.len()
-        };
+        // observe their tokens, children of this one, between evaluations
+        // and answer with their best-so-far bound.
+        self.inner.stragglers.cancel();
 
         // Phase 3: join the accept loop and every connection thread (the
         // 50 ms read timeout bounds how long an idle one takes to notice).
@@ -667,6 +649,8 @@ impl ServerHandle {
         for handle in connections {
             let _ = handle.join();
         }
+        // Every job has answered, so every drain-cancelled one is counted.
+        let cancelled_jobs = self.inner.counters.drain_cancelled.load(Ordering::Relaxed) as usize;
 
         // Phase 4: flush the tune cache so the next process starts warm.
         let tune = self.inner.tune.as_ref();

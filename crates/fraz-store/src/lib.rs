@@ -54,7 +54,6 @@ pub mod faulty;
 pub mod format;
 pub mod grid;
 pub mod reader;
-pub mod region;
 pub mod retry;
 pub mod store;
 pub mod writer;

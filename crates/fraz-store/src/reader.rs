@@ -12,13 +12,12 @@
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use fraz_data::{DataBuffer, Dataset, Dims};
+use fraz_data::{region, DataBuffer, Dataset, Dims};
 use fraz_pool::Pool;
 use fraz_pressio::{registry, Compressor};
 
 use crate::format::{self, ArrayMeta, SUPERBLOCK_LEN};
 use crate::grid::ChunkGrid;
-use crate::region;
 use crate::store::Store;
 use crate::StoreError;
 

@@ -41,7 +41,6 @@ use fraz_pressio::{registry, Compressor, Options, PressioError};
 
 use crate::format::{self, ArrayMeta};
 use crate::grid::ChunkGrid;
-use crate::region;
 use crate::store::Store;
 use crate::StoreError;
 
@@ -201,15 +200,7 @@ struct ChunkOut {
 }
 
 fn chunk_dataset(dataset: &Dataset, grid: &ChunkGrid, idx: usize) -> Dataset {
-    let origin = grid.chunk_origin(idx);
-    let shape = grid.chunk_shape_at(idx);
-    Dataset {
-        application: dataset.application.clone(),
-        field: dataset.field.clone(),
-        timestep: dataset.timestep,
-        dims: fraz_data::Dims::new(&shape),
-        buffer: region::extract_buffer(&dataset.buffer, dataset.dims.as_slice(), &origin, &shape),
-    }
+    dataset.sub_box(&grid.chunk_origin(idx), &grid.chunk_shape_at(idx))
 }
 
 /// What one write's chunk tasks share.

@@ -20,7 +20,7 @@ use fraz_data::{synthetic, DType, Dataset, Dims};
 use fraz_pool::Pool;
 use fraz_pressio::{registry, Compressor};
 use fraz_store::{
-    region, write_array_seeded, ArrayReader, ChunkTarget, MemoryStore, Store, StoreWriteConfig,
+    write_array_seeded, ArrayReader, ChunkTarget, MemoryStore, Store, StoreWriteConfig,
 };
 
 const DIMS: [usize; 3] = [24, 24, 16];
@@ -33,25 +33,15 @@ fn field() -> Dataset {
 
 /// Chunk `idx` of `dataset` as the writer cuts it.
 fn chunk_of(dataset: &Dataset, reader: &ArrayReader<'_>, idx: usize) -> Dataset {
-    let (origin, shape) = (
-        reader.grid().chunk_origin(idx),
-        reader.grid().chunk_shape_at(idx),
-    );
-    Dataset {
-        dims: Dims::new(&shape),
-        buffer: region::extract_buffer(&dataset.buffer, &DIMS, &origin, &shape),
-        ..dataset.clone()
-    }
+    dataset.sub_box(
+        &reader.grid().chunk_origin(idx),
+        &reader.grid().chunk_shape_at(idx),
+    )
 }
 
 /// A ratio one chunk of the field reaches with `codec`.
 fn reachable_ratio(codec: &dyn Compressor, dataset: &Dataset) -> f64 {
-    let shape = Dims::new(&CHUNK);
-    let chunk = Dataset {
-        buffer: region::extract_buffer(&dataset.buffer, &DIMS, &[0; 3], &CHUNK),
-        dims: shape,
-        ..dataset.clone()
-    };
+    let chunk = dataset.sub_box(&[0; 3], &CHUNK);
     let bound = 1e-2 * chunk.stats().value_range();
     codec
         .evaluate(&chunk, bound, false)

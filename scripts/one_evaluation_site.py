@@ -10,7 +10,10 @@
    compressor call of the framework is a search evaluation.
 4. crates/fraz-core/src has no `.decompress(` and calls `measure_stream(` exactly once, inside
    `Evaluator::final_quality`: the final quality pass decodes the stream the answer holds,
-   and nothing else in the framework decodes."""
+   and nothing else in the framework decodes.
+5. crates/fraz-core/src names `AtomicBool` only in cancel.rs: every stop signal of the
+   framework is a `CancelToken`, and a strategy stops its own tasks with a child of the
+   search's token."""
 import pathlib
 import re
 import sys
@@ -89,6 +92,20 @@ if [inside for _, inside in decodes] != [True]:
     failures.append(
         "expected no `.decompress(` in crates/fraz-core/src and exactly one `measure_stream(`, "
         f"inside `final_quality`, found {len(decodes)} site(s): the final pass is the one decode"
+    )
+
+flags = []
+for path in sorted(pathlib.Path("crates/fraz-core/src").rglob("*.rs")):
+    if path.name == "cancel.rs":
+        continue
+    code = code_of(path)
+    for flag in re.finditer(r"\bAtomicBool\b", code):
+        flags.append(site(path, code, flag.start()))
+print("\n".join(flags))
+if flags:
+    failures.append(
+        "expected no `AtomicBool` in crates/fraz-core/src outside cancel.rs, "
+        f"found {len(flags)} site(s): a stop signal is a child `CancelToken`"
     )
 
 sys.exit("\n".join(failures) if failures else 0)
