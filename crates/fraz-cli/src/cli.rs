@@ -1,18 +1,23 @@
-//! The `fraz` command-line interface: argument parsing and subcommand
-//! dispatch, kept dependency-free (no clap in the offline workspace).
+//! The `fraz` command-line interface: subcommand dispatch and the `run`,
+//! `validate` and `codecs` subcommands, kept dependency-free (no clap in the
+//! offline workspace); every subcommand reads its flags through
+//! `crate::args`.
 //!
 //! Exit codes: `0` success, `1` configuration or runtime failure, `2` usage
 //! error, `3` when `--strict` is given and some field missed its target
 //! (FRaZ's infeasible-but-best-effort answer is otherwise a success, as in
 //! the paper's Algorithm 2).
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use fraz_data::manifest::Manifest;
 use fraz_pressio::registry;
+use fraz_tune::CACHE_FILE;
 
-use crate::config::load_manifest;
+use crate::args::{exit_code, Command, Failure};
+use crate::config::load_with_dir;
+use crate::report::{append_jsonl, print_tune_cache};
 use crate::runner::{run, RunOverrides};
+use crate::{loadgen_cmd, serve_cmd, store_cmd};
 
 const USAGE: &str = "fraz — fixed-ratio lossy compression over dataset manifests
 
@@ -21,6 +26,7 @@ USAGE:
     fraz validate --config <manifest.toml|json>
     fraz store <create|info|read> [OPTIONS]   (see `fraz store help`)
     fraz serve [OPTIONS]                      (see `fraz serve --help`)
+    fraz loadgen [OPTIONS]                    (see `fraz loadgen --help`)
     fraz codecs
     fraz help
 
@@ -37,100 +43,44 @@ OPTIONS (run):
 See ARCHITECTURE.md for the paper-to-code map and README.md for a worked
 manifest example.";
 
-/// Parsed command line for `fraz run` / `fraz validate`.
-struct CommonArgs {
-    config: PathBuf,
-    out: Option<PathBuf>,
-    overrides: RunOverrides,
-    strict: bool,
-    quiet: bool,
-}
+static FRAZ: Command = Command {
+    name: "fraz",
+    usage: USAGE,
+    flags: &[],
+};
 
-enum ArgError {
-    Usage(String),
-}
+static RUN: Command = Command {
+    name: "fraz run",
+    usage: USAGE,
+    flags: &[
+        ("--config", Some("-c"), true),
+        ("--out", Some("-o"), true),
+        ("--workers", Some("-w"), true),
+        ("--compressor", None, true),
+        ("--tune-cache", None, true),
+        ("--strict", None, false),
+        ("--quiet", Some("-q"), false),
+    ],
+};
 
-fn parse_common(args: &[String]) -> Result<CommonArgs, ArgError> {
-    let mut config = None;
-    let mut out = None;
-    let mut overrides = RunOverrides::default();
-    let mut strict = false;
-    let mut quiet = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of = |flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| ArgError::Usage(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--config" | "-c" => config = Some(PathBuf::from(value_of("--config")?)),
-            "--out" | "-o" => out = Some(PathBuf::from(value_of("--out")?)),
-            "--workers" | "-w" => {
-                let raw = value_of("--workers")?;
-                let parsed: usize = raw.parse().map_err(|_| {
-                    ArgError::Usage(format!(
-                        "--workers needs a non-negative integer, got `{raw}`"
-                    ))
-                })?;
-                overrides.workers = Some(parsed);
-            }
-            "--compressor" => overrides.compressor = Some(value_of("--compressor")?),
-            "--tune-cache" => overrides.tune_cache = Some(PathBuf::from(value_of("--tune-cache")?)),
-            "--strict" => strict = true,
-            "--quiet" | "-q" => quiet = true,
-            other => return Err(ArgError::Usage(format!("unknown option `{other}`"))),
-        }
-    }
-    let config = config.ok_or_else(|| ArgError::Usage("--config is required".to_string()))?;
-    Ok(CommonArgs {
-        config,
-        out,
-        overrides,
-        strict,
-        quiet,
-    })
-}
+static VALIDATE: Command = Command {
+    name: "fraz validate",
+    usage: USAGE,
+    flags: &[("--config", Some("-c"), true), ("--compressor", None, true)],
+};
 
-/// Load a manifest and report errors on stderr (`None` means exit 1).
-fn load_or_report(path: &Path) -> Option<(Manifest, PathBuf)> {
-    match load_manifest(path) {
-        Ok(manifest) => {
-            // `parent()` of a bare file name is `Some("")`, which is not a
-            // walkable directory — a bare `--config manifest.toml` means
-            // "the manifest sits in the current directory".
-            let dir = match path.parent() {
-                Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-                _ => PathBuf::from("."),
-            };
-            Some((manifest, dir))
-        }
-        Err(e) => {
-            eprintln!("fraz: {e}");
-            None
-        }
-    }
-}
-
-fn cmd_run(args: &[String]) -> u8 {
-    let parsed = match parse_common(args) {
-        Ok(parsed) => parsed,
-        Err(ArgError::Usage(msg)) => {
-            eprintln!("fraz run: {msg}\n\n{USAGE}");
-            return 2;
-        }
+fn cmd_run(args: &[String]) -> Result<u8, Failure> {
+    let args = RUN.parse(args)?;
+    let config = Path::new(args.required("--config")?);
+    let overrides = RunOverrides {
+        workers: args.num("--workers")?,
+        compressor: args.value("--compressor").map(String::from),
+        tune_cache: args.path("--tune-cache"),
     };
-    let Some((manifest, dir)) = load_or_report(&parsed.config) else {
-        return 1;
-    };
-    let report = match run(&manifest, &dir, &parsed.overrides) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("fraz: {e}");
-            return 1;
-        }
-    };
-    if !parsed.quiet {
+    let quiet = args.has("--quiet");
+    let (manifest, dir) = load_with_dir(config)?;
+    let report = run(&manifest, &dir, &overrides)?;
+    if !quiet {
         println!(
             "{} · {} field(s) · {} worker(s) · {:.0} ms",
             manifest.application,
@@ -139,34 +89,13 @@ fn cmd_run(args: &[String]) -> u8 {
             report.elapsed_ms
         );
         print!("{}", report.render_table());
-        if let Some(cache) = &report.tune_cache {
-            println!(
-                "tune-cache {}: {} hit(s), {} miss(es), {} new bound(s)",
-                cache.path, cache.hits, cache.misses, cache.stores
-            );
-            if cache.corrupt_lines > 0 {
-                eprintln!(
-                    "fraz: tune-cache: skipped {} damaged line(s); \
-                     the flush above rewrote the file",
-                    cache.corrupt_lines
-                );
-            }
+        if let (Some(dir), Some(stats)) = (&overrides.tune_cache, &report.tune_cache) {
+            print_tune_cache(&dir.join(CACHE_FILE), stats);
         }
     }
-    if let Some(out) = &parsed.out {
-        use std::io::Write;
-        let mut payload = report.jsonl_lines().join("\n");
-        payload.push('\n');
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(out)
-            .and_then(|mut f| f.write_all(payload.as_bytes()));
-        if let Err(e) = appended {
-            eprintln!("fraz: cannot write `{}`: {e}", out.display());
-            return 1;
-        }
-        if !parsed.quiet {
+    if let Some(out) = args.path("--out") {
+        append_jsonl(&out, &report.jsonl_lines())?;
+        if !quiet {
             println!(
                 "wrote {} JSONL record(s) to {}",
                 report.rows.len(),
@@ -174,56 +103,22 @@ fn cmd_run(args: &[String]) -> u8 {
             );
         }
     }
-    if parsed.strict && !report.all_feasible() {
+    if args.has("--strict") && !report.all_feasible() {
         eprintln!("fraz: --strict: some fields missed their target");
-        return 3;
+        return Ok(3);
     }
-    0
+    Ok(0)
 }
 
-fn cmd_validate(args: &[String]) -> u8 {
-    let parsed = match parse_common(args) {
-        Ok(parsed) => parsed,
-        Err(ArgError::Usage(msg)) => {
-            eprintln!("fraz validate: {msg}\n\n{USAGE}");
-            return 2;
-        }
-    };
-    // Silently ignoring run-only flags would mask a misused invocation.
-    if parsed.out.is_some()
-        || parsed.strict
-        || parsed.quiet
-        || parsed.overrides.workers.is_some()
-        || parsed.overrides.tune_cache.is_some()
-    {
-        eprintln!(
-            "fraz validate: only --config and --compressor apply \
-             (--out/--strict/--quiet/--workers/--tune-cache are `run` flags)\n\n{USAGE}"
-        );
-        return 2;
-    }
-    let Some((manifest, dir)) = load_or_report(&parsed.config) else {
-        return 1;
-    };
-    let resolved = match manifest.resolve(&dir) {
-        Ok(resolved) => resolved,
-        Err(e) => {
-            eprintln!("fraz: {e}");
-            return 1;
-        }
-    };
+fn cmd_validate(args: &[String]) -> Result<u8, Failure> {
+    let args = VALIDATE.parse(args)?;
+    let (manifest, dir) = load_with_dir(Path::new(args.required("--config")?))?;
+    let resolved = manifest.resolve(&dir)?;
     // Pre-flight the compressor name too — `validate` exists to catch
     // everything `run` would reject, and an unknown codec is exactly
     // that (the registry error carries a did-you-mean suggestion).
-    let compressor_name = parsed
-        .overrides
-        .compressor
-        .as_deref()
-        .unwrap_or(&resolved.compressor);
-    if let Err(e) = registry::build_arc(compressor_name, &fraz_pressio::Options::new()) {
-        eprintln!("fraz: {e}");
-        return 1;
-    }
+    let compressor_name = args.value("--compressor").unwrap_or(&resolved.compressor);
+    registry::build_arc(compressor_name, &fraz_pressio::Options::new())?;
     println!(
         "{}: {} field(s), compressor `{compressor_name}` — manifest OK",
         resolved.application,
@@ -240,10 +135,10 @@ fn cmd_validate(args: &[String]) -> u8 {
             field.target
         );
     }
-    0
+    Ok(0)
 }
 
-fn cmd_codecs() -> u8 {
+fn cmd_codecs() -> Result<u8, Failure> {
     println!("registered codecs (process-wide default registry):");
     for name in registry::names() {
         if let Some(desc) = registry::describe(&name) {
@@ -270,35 +165,27 @@ fn cmd_codecs() -> u8 {
             }
         }
     }
-    0
+    Ok(0)
 }
 
 /// Entry point: dispatch `args` (without the program name) and return the
 /// process exit code.
 pub fn run_cli(args: &[String]) -> u8 {
-    match args.first().map(String::as_str) {
+    exit_code(match args.first().map(String::as_str) {
         Some("run") => cmd_run(&args[1..]),
         Some("validate") => cmd_validate(&args[1..]),
-        Some("store") => crate::store_cmd::run_store(&args[1..]),
-        Some("serve") => crate::serve_cmd::run_serve(&args[1..]),
+        Some("store") => store_cmd::store(&args[1..]),
+        Some("serve") => serve_cmd::serve(&args[1..]),
+        Some("loadgen") => loadgen_cmd::loadgen(&args[1..]),
         Some("codecs") => cmd_codecs(),
-        Some("help") | Some("--help") | Some("-h") => {
-            println!("{USAGE}");
-            0
-        }
-        Some("--version") | Some("version") => {
+        Some("help" | "--help" | "-h") => Err(Failure::Help(&FRAZ)),
+        Some("--version" | "version") => {
             println!("fraz {}", env!("CARGO_PKG_VERSION"));
-            0
+            Ok(0)
         }
-        Some(other) => {
-            eprintln!("fraz: unknown command `{other}`\n\n{USAGE}");
-            2
-        }
-        None => {
-            eprintln!("{USAGE}");
-            2
-        }
-    }
+        Some(other) => Err(FRAZ.usage(format!("unknown command `{other}`"))),
+        None => Err(FRAZ.usage("a command is required")),
+    })
 }
 
 #[cfg(test)]
@@ -325,6 +212,23 @@ mod tests {
         assert_eq!(run_cli(&args(&["help"])), 0);
         assert_eq!(run_cli(&args(&["codecs"])), 0);
         assert_eq!(run_cli(&args(&["--version"])), 0);
+    }
+
+    #[test]
+    fn help_exits_0_on_every_subcommand() {
+        for command in [
+            &["run"][..],
+            &["validate"],
+            &["store", "create"],
+            &["store", "info"],
+            &["store", "read"],
+            &["serve"],
+            &["loadgen"],
+        ] {
+            let mut line = args(command);
+            line.push("--help".into());
+            assert_eq!(run_cli(&line), 0, "{command:?}");
+        }
     }
 
     #[test]

@@ -4,9 +4,11 @@
 use std::fmt;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
+use fraz_core::{FieldSearch, QualityMetric, QualitySearchConfig, SearchConfig};
 use fraz_data::manifest::{FieldTarget, Manifest, ManifestError};
+use fraz_store::{ChunkTarget, StoreWriteConfig};
 
 use crate::toml::{self, TomlError};
 
@@ -78,6 +80,65 @@ impl FieldBudget {
             max_error_bound: manifest.max_error_bound,
         }
     }
+
+    /// The search `fraz run` spends on the field.
+    pub fn search(&self) -> FieldSearch {
+        match self.target {
+            FieldTarget::Ratio(target_ratio) => {
+                let mut search = SearchConfig::new(target_ratio, self.tolerance);
+                search.max_error_bound = self.max_error_bound;
+                if let Some(regions) = self.regions {
+                    search.regions = regions;
+                }
+                if let Some(iters) = self.max_iterations {
+                    search.max_iterations = iters;
+                }
+                search.into()
+            }
+            FieldTarget::MinPsnr(min_psnr) => {
+                let mut search = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(min_psnr));
+                search.max_error_bound = self.max_error_bound;
+                if let Some(iters) = self.max_iterations {
+                    search.max_iterations = iters;
+                }
+                search.into()
+            }
+        }
+    }
+
+    /// The per-chunk write `fraz store create` spends on one step of the
+    /// field, in chunks of `chunk_shape` compressed by `codec`.
+    pub fn chunk_write(&self, chunk_shape: Vec<usize>, codec: &str) -> StoreWriteConfig {
+        let target = match self.target {
+            FieldTarget::Ratio(target_ratio) => ChunkTarget::Ratio {
+                target_ratio,
+                tolerance: self.tolerance,
+            },
+            FieldTarget::MinPsnr(psnr) => ChunkTarget::MinPsnr(psnr),
+        };
+        let mut write = StoreWriteConfig::new(chunk_shape, codec, target);
+        if let Some(regions) = self.regions {
+            write = write.with_regions(regions);
+        }
+        if let Some(iters) = self.max_iterations {
+            write = write.with_max_iterations(iters);
+        }
+        if let Some(bound) = self.max_error_bound {
+            write = write.with_max_error_bound(bound);
+        }
+        write
+    }
+}
+
+/// Load the manifest at `path` together with the directory its relative
+/// paths resolve against: its own, or `.` for a bare file name (whose
+/// `parent()` is the empty, unwalkable path).
+pub(crate) fn load_with_dir(path: &Path) -> Result<(Manifest, PathBuf), ConfigError> {
+    let dir = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
+        _ => PathBuf::from("."),
+    };
+    Ok((load_manifest(path)?, dir))
 }
 
 /// Load and validate the manifest at `path`, dispatching on its extension.
@@ -101,7 +162,6 @@ pub fn load_manifest(path: &Path) -> Result<Manifest, ConfigError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn write_temp(name: &str, contents: &str) -> PathBuf {
         let path =

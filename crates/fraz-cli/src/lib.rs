@@ -19,19 +19,24 @@
 //! * [`report`] — per-field rows, the aligned table, JSONL records,
 //! * [`store_cmd`] — the `store create`/`info`/`read` subcommands over
 //!   [`fraz_store`] container directories,
-//! * [`serve_cmd`] — the `serve` subcommand: the long-running
+//! * `serve_cmd` — the `serve` subcommand: the long-running
 //!   [`fraz_serve`] service with signal-driven graceful drain,
-//! * [`cli`] — argument parsing and the `run`/`validate`/`codecs`/`store`/
-//!   `serve` subcommands.
+//! * `loadgen_cmd` — the `loadgen` subcommand: open-loop load against a
+//!   self-hosted or external service,
+//! * `args` — the one flag parser every subcommand reads its command
+//!   line through, and the one failure path every subcommand ends by,
+//! * [`cli`] — dispatch, and the `run`/`validate`/`codecs` subcommands.
 //!
 //! The manifest schema itself lives in [`fraz_data::manifest`] so library
 //! users can load the same files without the CLI.
 
+pub(crate) mod args;
 pub mod cli;
 pub mod config;
+pub(crate) mod loadgen_cmd;
 pub mod report;
 pub mod runner;
-pub mod serve_cmd;
+pub(crate) mod serve_cmd;
 pub mod store_cmd;
 pub mod toml;
 

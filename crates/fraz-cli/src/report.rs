@@ -1,7 +1,12 @@
 //! Per-field run reports: the aligned console table the paper-style
 //! evaluation prints (compare Tables IV–VI of Underwood et al.) and the
-//! JSONL records `fraz run --out` appends.
+//! JSONL records `fraz run --out` appends — plus the one tune-cache
+//! summary line and the one JSONL appender every subcommand shares.
 
+use std::io::Write;
+use std::path::Path;
+
+use fraz_tune::CacheStats;
 use serde::Serialize;
 
 /// Everything the run learned about one field, aggregated over its
@@ -64,21 +69,6 @@ impl FieldRow {
     }
 }
 
-/// What the persistent tuning cache did over one run (`--tune-cache`).
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct TuneCacheSummary {
-    /// The backing JSONL file.
-    pub path: String,
-    /// Lookups that found a usable bound.
-    pub hits: usize,
-    /// Lookups that found nothing.
-    pub misses: usize,
-    /// Bounds recorded for future runs.
-    pub stores: usize,
-    /// Damaged lines skipped while loading the cache file.
-    pub corrupt_lines: usize,
-}
-
 /// The whole run: one row per field plus run-level totals.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunReport {
@@ -89,7 +79,7 @@ pub struct RunReport {
     /// Wall-clock time of the whole run, in milliseconds.
     pub elapsed_ms: f64,
     /// Tuning-cache counters; `None` when the run had no `--tune-cache`.
-    pub tune_cache: Option<TuneCacheSummary>,
+    pub tune_cache: Option<CacheStats>,
 }
 
 impl RunReport {
@@ -160,6 +150,37 @@ impl RunReport {
             .map(|row| serde_json::json!({"experiment": "fraz_cli_run", "row": row}).to_string())
             .collect()
     }
+}
+
+/// Print what the tuning cache at `path` did, and warn when loading it
+/// skipped damaged lines.
+pub(crate) fn print_tune_cache(path: &Path, stats: &CacheStats) {
+    println!(
+        "tune-cache {}: {} hit(s), {} miss(es), {} new bound(s)",
+        path.display(),
+        stats.hits,
+        stats.misses,
+        stats.stores
+    );
+    if stats.corrupt_lines > 0 {
+        eprintln!(
+            "fraz: tune-cache: skipped {} damaged line(s); \
+             the flush above rewrote the file",
+            stats.corrupt_lines
+        );
+    }
+}
+
+/// Append `lines` to the JSONL file at `path`, one record per line, in one
+/// write.
+pub(crate) fn append_jsonl(path: &Path, lines: &[String]) -> Result<(), String> {
+    let payload: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .and_then(|mut file| file.write_all(payload.as_bytes()))
+        .map_err(|e| format!("cannot write `{}`: {e}", path.display()))
 }
 
 #[cfg(test)]

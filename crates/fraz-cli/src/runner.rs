@@ -10,8 +10,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fraz_core::{
-    BoundPredictor, FieldSearch, FieldTask, HintSource, Orchestrator, OrchestratorConfig,
-    QualityMetric, QualitySearchConfig, SearchConfig, SeriesOutcome,
+    BoundPredictor, FieldTask, HintSource, Orchestrator, OrchestratorConfig, SearchConfig,
+    SeriesOutcome,
 };
 use fraz_data::manifest::{FieldTarget, Manifest, ManifestError};
 use fraz_pressio::registry::RegistryError;
@@ -19,7 +19,7 @@ use fraz_pressio::{registry, Options};
 use fraz_tune::CachePredictor;
 
 use crate::config::FieldBudget;
-use crate::report::{FieldRow, RunReport, TuneCacheSummary};
+use crate::report::{FieldRow, RunReport};
 
 /// Command-line overrides applied on top of the manifest's settings.
 #[derive(Debug, Clone, Default)]
@@ -65,34 +65,6 @@ impl From<ManifestError> for RunError {
 impl From<RegistryError> for RunError {
     fn from(e: RegistryError) -> Self {
         RunError::Registry(e)
-    }
-}
-
-/// The fixed-ratio search a budget describes, aimed at `target_ratio`.
-fn ratio_search(budget: &FieldBudget, target_ratio: f64) -> SearchConfig {
-    let mut search = SearchConfig::new(target_ratio, budget.tolerance);
-    search.max_error_bound = budget.max_error_bound;
-    if let Some(regions) = budget.regions {
-        search.regions = regions;
-    }
-    if let Some(iters) = budget.max_iterations {
-        search.max_iterations = iters;
-    }
-    search
-}
-
-/// The search a field's budget describes.
-fn field_search(budget: &FieldBudget) -> FieldSearch {
-    match budget.target {
-        FieldTarget::Ratio(target) => ratio_search(budget, target).into(),
-        FieldTarget::MinPsnr(min_psnr) => {
-            let mut search = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(min_psnr));
-            search.max_error_bound = budget.max_error_bound;
-            if let Some(iters) = budget.max_iterations {
-                search.max_iterations = iters;
-            }
-            search.into()
-        }
     }
 }
 
@@ -145,7 +117,7 @@ pub fn run(
         .iter_mut()
         .map(|field| {
             FieldTask::new(field.name.clone(), std::mem::take(&mut field.series))
-                .with_search(field_search(&FieldBudget::new(manifest, field.target)))
+                .with_search(FieldBudget::new(manifest, field.target).search())
         })
         .collect();
     let application = orchestrator.run_tasks(&tasks);
@@ -171,14 +143,7 @@ pub fn run(
     // the flush is best-effort (the caller can inspect the path).
     let tune_cache = predictor.map(|p| {
         let _ = p.cache().flush();
-        let stats = p.cache().stats();
-        TuneCacheSummary {
-            path: p.cache().path().display().to_string(),
-            hits: stats.hits,
-            misses: stats.misses,
-            stores: stats.stores,
-            corrupt_lines: stats.corrupt_lines,
-        }
+        p.cache().stats()
     });
 
     Ok(RunReport {

@@ -10,11 +10,12 @@
 //! service had to cancel work or could not flush.
 
 use std::io::Write;
-use std::path::PathBuf;
 use std::time::Duration;
 
 use fraz_serve::server::{start, ServeConfig};
 use fraz_store::FaultConfig;
+
+use crate::args::{Args, Command, Failure};
 
 const USAGE: &str = "fraz serve — run the compression service until SIGTERM, then drain
 
@@ -77,78 +78,54 @@ mod sig {
     }
 }
 
-struct ServeArgs {
-    config: ServeConfig,
-}
+static SERVE: Command = Command {
+    name: "fraz serve",
+    usage: USAGE,
+    flags: &[
+        ("--addr", None, true),
+        ("--workers", None, true),
+        ("--store-dir", None, true),
+        ("--tune-cache", None, true),
+        ("--max-inflight", None, true),
+        ("--deadline-ms", None, true),
+        ("--drain-deadline-ms", None, true),
+        ("--chaos", None, true),
+    ],
+};
 
-fn parse(args: &[String]) -> Result<ServeArgs, String> {
+/// The self-hosted server's `--workers`, `--max-inflight` and `--chaos`,
+/// read the same way by `fraz serve` and `fraz loadgen`; `--chaos` store
+/// faults draw from `chaos_seed`.
+pub(crate) fn serve_config(args: &Args, chaos_seed: u64) -> Result<ServeConfig, Failure> {
     let mut config = ServeConfig::default();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of = |flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = value_of("--addr")?,
-            "--workers" => config.workers = parse_num(&value_of("--workers")?, "--workers")?,
-            "--store-dir" => {
-                config.store_dir = Some(PathBuf::from(value_of("--store-dir")?));
-            }
-            "--tune-cache" => {
-                config.tune_cache_dir = Some(PathBuf::from(value_of("--tune-cache")?));
-            }
-            "--max-inflight" => {
-                config.admission.max_jobs =
-                    parse_num(&value_of("--max-inflight")?, "--max-inflight")?;
-            }
-            "--deadline-ms" => {
-                config.default_deadline_ms =
-                    parse_num(&value_of("--deadline-ms")?, "--deadline-ms")?;
-            }
-            "--drain-deadline-ms" => {
-                let ms: u64 = parse_num(&value_of("--drain-deadline-ms")?, "--drain-deadline-ms")?;
-                config.drain_deadline = Duration::from_millis(ms);
-            }
-            "--chaos" => {
-                let rate: f64 = parse_num(&value_of("--chaos")?, "--chaos")?;
-                config.store_faults = Some(FaultConfig::transient(rate, 20200118));
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return Err(String::new()); // handled: caller exits 0 via code below
-            }
-            other => return Err(format!("unknown option `{other}`")),
+    args.set("--workers", &mut config.workers)?;
+    if let Some(max_jobs) = args.num("--max-inflight")? {
+        // A zero budget would shed every job.
+        if max_jobs == 0 {
+            return Err(args.usage("--max-inflight must be at least 1"));
         }
+        config.admission.max_jobs = max_jobs;
     }
-    Ok(ServeArgs { config })
+    config.store_faults = args
+        .num("--chaos")?
+        .map(|rate| FaultConfig::transient(rate, chaos_seed));
+    Ok(config)
 }
 
-fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, String> {
-    raw.parse()
-        .map_err(|_| format!("{flag}: cannot parse `{raw}`"))
-}
-
-/// Entry point for `fraz serve`; returns the process exit code.
-pub fn run_serve(args: &[String]) -> u8 {
-    let parsed = match parse(args) {
-        Ok(parsed) => parsed,
-        Err(msg) if msg.is_empty() => return 0, // --help
-        Err(msg) => {
-            eprintln!("fraz serve: {msg}\n\n{USAGE}");
-            return 2;
-        }
-    };
+/// Entry point for `fraz serve`.
+pub(crate) fn serve(args: &[String]) -> Result<u8, Failure> {
+    let args = SERVE.parse(args)?;
+    let mut config = serve_config(&args, 20200118)?;
+    args.set("--addr", &mut config.addr)?;
+    config.store_dir = args.path("--store-dir");
+    config.tune_cache_dir = args.path("--tune-cache");
+    args.set("--deadline-ms", &mut config.default_deadline_ms)?;
+    if let Some(ms) = args.num("--drain-deadline-ms")? {
+        config.drain_deadline = Duration::from_millis(ms);
+    }
 
     sig::install();
-    let handle = match start(parsed.config) {
-        Ok(handle) => handle,
-        Err(e) => {
-            eprintln!("fraz serve: cannot start: {e}");
-            return 1;
-        }
-    };
+    let handle = start(config).map_err(|e| format!("cannot start: {e}"))?;
     // The discovery line wrappers parse; flushed so a piped reader sees it
     // before the first job arrives.
     println!("fraz serve: listening on {}", handle.local_addr());
@@ -183,9 +160,30 @@ pub fn run_serve(args: &[String]) -> u8 {
         report.status.jobs_rejected,
         report.status.jobs_failed,
     );
-    if report.drained_within_deadline && report.tune_cache_flushed {
-        0
-    } else {
-        1
+    let clean = report.drained_within_deadline && report.tune_cache_flushed;
+    Ok(u8::from(!clean))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn serve_config_of(list: &[&str]) -> Result<ServeConfig, Failure> {
+        let args: Vec<String> = list.iter().map(|s| s.to_string()).collect();
+        serve_config(&SERVE.parse(&args)?, 7)
+    }
+
+    #[test]
+    fn a_zero_job_budget_is_a_usage_error() {
+        let refused = serve_config_of(&["--max-inflight", "0"]).unwrap_err();
+        assert!(
+            matches!(&refused, Failure::Usage(_, msg) if msg.contains("--max-inflight")),
+            "{refused:?}"
+        );
+        let config = serve_config_of(&["--max-inflight", "3", "--workers", "2"]).unwrap();
+        assert_eq!((config.admission.max_jobs, config.workers), (3, 2));
+        assert!(config.store_faults.is_none());
+        let chaos = serve_config_of(&["--chaos", "0.2"]).unwrap().store_faults;
+        assert_eq!(chaos, Some(FaultConfig::transient(0.2, 7)));
     }
 }

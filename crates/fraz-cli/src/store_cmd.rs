@@ -7,16 +7,16 @@
 //! can list it without touching any payload bytes.
 
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fraz_core::BoundPredictor;
 use fraz_data::io::write_raw;
-use fraz_data::manifest::FieldTarget;
-use fraz_pressio::Options;
-use fraz_store::{write_array_seeded, ArrayReader, ChunkTarget, FsStore, Store, StoreWriteConfig};
+use fraz_store::{write_array_seeded, ArrayReader, FsStore, Store};
 
-use crate::config::{load_manifest, FieldBudget};
+use crate::args::{exit_code, Command, Failure};
+use crate::config::{load_with_dir, FieldBudget};
+use crate::report::print_tune_cache;
 use crate::runner::open_tune_cache;
 
 const USAGE: &str = "fraz store — chunked array store with per-chunk tuned bounds
@@ -46,15 +46,51 @@ Fields with a `target_ratio` are tuned per chunk to that ratio; fields with
 own value range).  `read` fetches and decodes only the chunks intersecting
 the requested region.";
 
-fn usage_error(cmd: &str, msg: &str) -> u8 {
-    eprintln!("fraz store {cmd}: {msg}\n\n{USAGE}");
-    2
-}
+static STORE: Command = Command {
+    name: "fraz store",
+    usage: USAGE,
+    flags: &[],
+};
+
+static CREATE: Command = Command {
+    name: "fraz store create",
+    usage: USAGE,
+    flags: &[
+        ("--config", Some("-c"), true),
+        ("--store", None, true),
+        ("--chunk", None, true),
+        ("--compressor", None, true),
+        ("--tune-cache", None, true),
+        ("--quiet", Some("-q"), false),
+    ],
+};
+
+static INFO: Command = Command {
+    name: "fraz store info",
+    usage: USAGE,
+    flags: &[
+        ("--store", None, true),
+        ("--key", Some("-k"), true),
+        ("--quiet", Some("-q"), false),
+    ],
+};
+
+static READ: Command = Command {
+    name: "fraz store read",
+    usage: USAGE,
+    flags: &[
+        ("--store", None, true),
+        ("--key", Some("-k"), true),
+        ("--region", None, true),
+        ("--out", Some("-o"), true),
+        ("--quiet", Some("-q"), false),
+    ],
+};
 
 /// Parse a chunk shape like `16x64x64` (also accepts `,` separators).
 fn parse_chunk(raw: &str) -> Result<Vec<usize>, String> {
     let parts: Result<Vec<usize>, _> = raw
-        .split(|c| c == 'x' || c == ',')
+        .split(['x', ','])
         .map(|p| p.trim().parse::<usize>())
         .collect();
     match parts {
@@ -101,89 +137,24 @@ fn chunk_for(dims: &[usize], requested: Option<&[usize]>) -> (Vec<usize>, bool) 
     }
 }
 
-fn cmd_create(args: &[String]) -> u8 {
-    let mut config_path = None;
-    let mut store_dir = None;
-    let mut chunk = None;
-    let mut compressor = None;
-    let mut tune_cache = None;
-    let mut quiet = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of = |flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let step = match arg.as_str() {
-            "--config" | "-c" => value_of("--config").map(|v| config_path = Some(PathBuf::from(v))),
-            "--store" => value_of("--store").map(|v| store_dir = Some(PathBuf::from(v))),
-            "--chunk" => value_of("--chunk").and_then(|v| parse_chunk(&v).map(|c| chunk = Some(c))),
-            "--compressor" => value_of("--compressor").map(|v| compressor = Some(v)),
-            "--tune-cache" => value_of("--tune-cache").map(|v| tune_cache = Some(PathBuf::from(v))),
-            "--quiet" | "-q" => {
-                quiet = true;
-                Ok(())
-            }
-            other => Err(format!("unknown option `{other}`")),
-        };
-        if let Err(msg) = step {
-            return usage_error("create", &msg);
-        }
-    }
-    let Some(config_path) = config_path else {
-        return usage_error("create", "--config is required");
-    };
-    let Some(store_dir) = store_dir else {
-        return usage_error("create", "--store is required");
-    };
+fn cmd_create(args: &[String]) -> Result<u8, Failure> {
+    let args = CREATE.parse(args)?;
+    let config_path = Path::new(args.required("--config")?);
+    let store_dir = PathBuf::from(args.required("--store")?);
+    let chunk = args.parse_with("--chunk", parse_chunk)?;
+    let quiet = args.has("--quiet");
 
-    let manifest = match load_manifest(&config_path) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("fraz: {e}");
-            return 1;
-        }
-    };
-    let dir = match config_path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => PathBuf::from("."),
-    };
-    let resolved = match manifest.resolve(&dir) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fraz: {e}");
-            return 1;
-        }
-    };
-    let store = match FsStore::open(&store_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fraz: {e}");
-            return 1;
-        }
-    };
-    let codec = compressor.as_deref().unwrap_or(&resolved.compressor);
-    let predictor = match open_tune_cache(tune_cache.as_deref()) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fraz: {e}");
-            return 1;
-        }
-    };
+    let (manifest, dir) = load_with_dir(config_path)?;
+    let resolved = manifest.resolve(&dir)?;
+    let store = FsStore::open(&store_dir)?;
+    let codec = args.value("--compressor").unwrap_or(&resolved.compressor);
+    let predictor = open_tune_cache(args.path("--tune-cache").as_deref())?;
 
     let mut objects = 0usize;
     let mut total_raw = 0u64;
     let mut total_stored = 0u64;
     for field in &resolved.fields {
         let budget = FieldBudget::new(&manifest, field.target);
-        let target = match budget.target {
-            FieldTarget::Ratio(target_ratio) => ChunkTarget::Ratio {
-                target_ratio,
-                tolerance: budget.tolerance,
-            },
-            FieldTarget::MinPsnr(psnr) => ChunkTarget::MinPsnr(psnr),
-        };
         for (step, dataset) in field.series.iter().enumerate() {
             let (chunk_shape, rank_mismatch) = chunk_for(dataset.dims.as_slice(), chunk.as_deref());
             if rank_mismatch && step == 0 && !quiet {
@@ -194,27 +165,11 @@ fn cmd_create(args: &[String]) -> u8 {
                     dataset.dims.len()
                 );
             }
-            let mut write_config = StoreWriteConfig::new(chunk_shape, codec, target.clone())
-                .with_options(Options::new());
-            if let Some(regions) = budget.regions {
-                write_config = write_config.with_regions(regions);
-            }
-            if let Some(iters) = budget.max_iterations {
-                write_config = write_config.with_max_iterations(iters);
-            }
-            if let Some(bound) = budget.max_error_bound {
-                write_config = write_config.with_max_error_bound(bound);
-            }
+            let write_config = budget.chunk_write(chunk_shape, codec);
             let key = format!("{}/t{step}", field.name);
             let seed = predictor.clone().map(|p| p as Arc<dyn BoundPredictor>);
-            let report = match write_array_seeded(&store, &key, dataset, &write_config, None, seed)
-            {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("fraz: {key}: {e}");
-                    return 1;
-                }
-            };
+            let report = write_array_seeded(&store, &key, dataset, &write_config, None, seed)
+                .map_err(|e| format!("{key}: {e}"))?;
             objects += 1;
             total_raw += report.uncompressed_bytes;
             total_stored += report.object_bytes;
@@ -233,14 +188,7 @@ fn cmd_create(args: &[String]) -> u8 {
         if let Err(e) = p.cache().flush() {
             eprintln!("fraz: tune-cache flush failed: {e}");
         } else if !quiet {
-            let stats = p.cache().stats();
-            println!(
-                "tune-cache {}: {} hit(s), {} miss(es), {} new bound(s)",
-                p.cache().path().display(),
-                stats.hits,
-                stats.misses,
-                stats.stores
-            );
+            print_tune_cache(p.cache().path(), &p.cache().stats());
         }
     }
     if !quiet {
@@ -251,58 +199,7 @@ fn cmd_create(args: &[String]) -> u8 {
             store_dir.display()
         );
     }
-    0
-}
-
-/// Shared `--store/--key/...` parsing for `info` and `read`.
-struct ReadArgs {
-    store_dir: PathBuf,
-    key: Option<String>,
-    region: Option<Vec<Range<u64>>>,
-    out: Option<PathBuf>,
-    quiet: bool,
-}
-
-fn parse_read_args(cmd: &str, args: &[String]) -> Result<ReadArgs, u8> {
-    let mut store_dir = None;
-    let mut key = None;
-    let mut region = None;
-    let mut out = None;
-    let mut quiet = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value_of = |flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        let step = match arg.as_str() {
-            "--store" => value_of("--store").map(|v| store_dir = Some(PathBuf::from(v))),
-            "--key" | "-k" => value_of("--key").map(|v| key = Some(v)),
-            "--region" => {
-                value_of("--region").and_then(|v| parse_region(&v).map(|r| region = Some(r)))
-            }
-            "--out" | "-o" => value_of("--out").map(|v| out = Some(PathBuf::from(v))),
-            "--quiet" | "-q" => {
-                quiet = true;
-                Ok(())
-            }
-            other => Err(format!("unknown option `{other}`")),
-        };
-        if let Err(msg) = step {
-            return Err(usage_error(cmd, &msg));
-        }
-    }
-    let Some(store_dir) = store_dir else {
-        return Err(usage_error(cmd, "--store is required"));
-    };
-    Ok(ReadArgs {
-        store_dir,
-        key,
-        region,
-        out,
-        quiet,
-    })
+    Ok(0)
 }
 
 fn describe_object(store: &FsStore, key: &str) -> Result<String, String> {
@@ -322,86 +219,43 @@ fn describe_object(store: &FsStore, key: &str) -> Result<String, String> {
     ))
 }
 
-fn cmd_info(args: &[String]) -> u8 {
-    let parsed = match parse_read_args("info", args) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    if parsed.region.is_some() || parsed.out.is_some() {
-        return usage_error("info", "--region/--out are `read` flags");
-    }
-    let store = match FsStore::open(&parsed.store_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fraz: {e}");
-            return 1;
-        }
-    };
-    let keys = match parsed.key {
-        Some(key) => vec![key],
-        None => match store.list() {
-            Ok(keys) => keys,
-            Err(e) => {
-                eprintln!("fraz: {e}");
-                return 1;
-            }
-        },
+fn cmd_info(args: &[String]) -> Result<u8, Failure> {
+    let args = INFO.parse(args)?;
+    let store_dir = PathBuf::from(args.required("--store")?);
+    let store = FsStore::open(&store_dir)?;
+    let keys = match args.value("--key") {
+        Some(key) => vec![key.to_string()],
+        None => store.list()?,
     };
     if keys.is_empty() {
-        eprintln!("fraz: no objects in {}", parsed.store_dir.display());
-        return 1;
+        return Err(Failure::Run(format!(
+            "no objects in {}",
+            store_dir.display()
+        )));
     }
-    println!(
-        "{} object(s) in {}:",
-        keys.len(),
-        parsed.store_dir.display()
-    );
+    println!("{} object(s) in {}:", keys.len(), store_dir.display());
     for key in &keys {
-        match describe_object(&store, key) {
-            Ok(line) => println!("{line}"),
-            Err(msg) => {
-                eprintln!("fraz: {msg}");
-                return 1;
-            }
-        }
+        println!("{}", describe_object(&store, key)?);
     }
-    0
+    Ok(0)
 }
 
-fn cmd_read(args: &[String]) -> u8 {
-    let parsed = match parse_read_args("read", args) {
-        Ok(p) => p,
-        Err(code) => return code,
-    };
-    let Some(key) = parsed.key else {
-        return usage_error("read", "--key is required");
-    };
-    let store = match FsStore::open(&parsed.store_dir) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fraz: {e}");
-            return 1;
-        }
-    };
-    let reader = match ArrayReader::open(&store, &key) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("fraz: {key}: {e}");
-            return 1;
-        }
-    };
-    let region = parsed
-        .region
-        .unwrap_or_else(|| reader.meta().dims.iter().map(|&d| 0..d as u64).collect());
+fn cmd_read(args: &[String]) -> Result<u8, Failure> {
+    let args = READ.parse(args)?;
+    let store_dir = PathBuf::from(args.required("--store")?);
+    let key = args.required("--key")?;
+    let region = args.parse_with("--region", parse_region)?;
+    let quiet = args.has("--quiet");
+
+    let store = FsStore::open(&store_dir)?;
+    let reader = ArrayReader::open(&store, key).map_err(|e| format!("{key}: {e}"))?;
+    let region =
+        region.unwrap_or_else(|| reader.meta().dims.iter().map(|&d| 0..d as u64).collect());
     let intersecting = reader.grid().chunks_intersecting(&region).map(|c| c.len());
-    let dataset = match reader.read_region(&region) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("fraz: {key}: {e}");
-            return 1;
-        }
-    };
-    if !parsed.quiet {
+    let dataset = reader
+        .read_region(&region)
+        .map_err(|e| format!("{key}: {e}"))?;
+    if !quiet {
         let spec: Vec<String> = region
             .iter()
             .map(|r| format!("{}..{}", r.start, r.end))
@@ -414,34 +268,30 @@ fn cmd_read(args: &[String]) -> u8 {
             reader.meta().index.len(),
         );
     }
-    if let Some(out) = parsed.out {
-        if let Err(e) = write_raw(&out, &dataset) {
-            eprintln!("fraz: cannot write `{}`: {e}", out.display());
-            return 1;
-        }
-        if !parsed.quiet {
+    if let Some(out) = args.path("--out") {
+        write_raw(&out, &dataset).map_err(|e| format!("cannot write `{}`: {e}", out.display()))?;
+        if !quiet {
             println!("wrote {} bytes to {}", dataset.byte_size(), out.display());
         }
     }
-    0
+    Ok(0)
 }
 
 /// Dispatch `fraz store <sub> ...`.
-pub fn run_store(args: &[String]) -> u8 {
+pub(crate) fn store(args: &[String]) -> Result<u8, Failure> {
     match args.first().map(String::as_str) {
         Some("create") => cmd_create(&args[1..]),
         Some("info") => cmd_info(&args[1..]),
         Some("read") => cmd_read(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") => {
-            println!("{USAGE}");
-            0
-        }
-        Some(other) => usage_error("", &format!("unknown subcommand `{other}`")),
-        None => {
-            eprintln!("{USAGE}");
-            2
-        }
+        Some("help" | "--help" | "-h") => Err(Failure::Help(&STORE)),
+        Some(other) => Err(STORE.usage(format!("unknown subcommand `{other}`"))),
+        None => Err(STORE.usage("a subcommand is required")),
     }
+}
+
+/// `fraz store <sub> ...` to its exit code.
+pub fn run_store(args: &[String]) -> u8 {
+    exit_code(store(args))
 }
 
 #[cfg(test)]

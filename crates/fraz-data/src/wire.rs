@@ -20,7 +20,8 @@
 //!   its failure is the typed error.
 //!
 //! On top of it sits the blob prefix the four codecs share,
-//! [`DatasetHeader`].  Every failure is a [`WireError`]; nothing here
+//! [`DatasetHeader`], and beside it [`crc32`], the checksum FRZS containers
+//! and tune-cache lines carry.  Every failure is a [`WireError`]; nothing here
 //! panics or aborts on hostile bytes.
 
 use std::fmt;
@@ -398,9 +399,114 @@ impl DatasetHeader {
     }
 }
 
+// ---------------------------------------------------------------------------
+// CRC32 (IEEE 802.3, reflected, poly 0xEDB88320) — the FRZS container's
+// chunk and header checksums and the tune cache's line checksum; the tables
+// are built at compile time.
+// ---------------------------------------------------------------------------
+
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC register after byte `b` is followed by `k`
+/// zero bytes — so eight table lookups advance the register eight bytes.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        tables[0][i] = crc;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+const CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
+
+/// CRC32 (IEEE) of `data`: eight bytes per step, the tail bytewise.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
+    }
+    for &byte in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+    }
+    !crc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn crc32_matches_known_vectors() {
+        // Standard check value for CRC-32/ISO-HDLC.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    /// The CRC one byte at a time, straight from the bit definition.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &byte in data {
+            crc ^= byte as u32;
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_is_the_bytewise_crc_at_every_length_and_alignment() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let bytes: Vec<u8> = (0..1024 + 8)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 56) as u8
+            })
+            .collect();
+        for align in 0..8 {
+            for len in 0..=1024 {
+                let data = &bytes[align..align + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "{len} bytes at +{align}");
+            }
+        }
+    }
 
     #[test]
     fn scalar_roundtrip() {

@@ -26,6 +26,10 @@
 //!   workloads, reporting p50/p99 latency, throughput, and shed rate as
 //!   a JSONL row.
 //!
+//! The crate is a library only: the `fraz` binary (crate `fraz-cli`) is
+//! its command line, `fraz serve` for the daemon and `fraz loadgen` for
+//! the load generator.
+//!
 //! The chaos suites (`tests/chaos.rs`, `tests/adversarial.rs`,
 //! `tests/overload.rs`) assert the envelope end to end: injected store
 //! and socket faults under concurrent load produce zero panics, zero

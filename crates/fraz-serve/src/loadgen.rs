@@ -11,7 +11,9 @@
 //! The report aggregates exactly-one-outcome tallies (every issued job
 //! lands in precisely one bucket), latency percentiles over serviced
 //! jobs, completed-job throughput, and the shed rate — and renders them
-//! as one `{"group":"service",...}` JSONL row.
+//! as one `{"group":"service",...}` JSONL row.  Its command line is
+//! `fraz loadgen` (crate `fraz-cli`), which also self-hosts a server when
+//! no `--addr` is given.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

@@ -569,10 +569,13 @@ pub fn start(config: ServeConfig) -> std::io::Result<ServerHandle> {
                             // the client sees a clean close and retries
                             // elsewhere.
                             if let Ok(handle) = spawned {
-                                connections
-                                    .lock()
-                                    .unwrap_or_else(|p| p.into_inner())
-                                    .push(handle);
+                                let mut live =
+                                    connections.lock().unwrap_or_else(|p| p.into_inner());
+                                // A finished connection's handle only pins
+                                // its thread's stack (`join` ignores the
+                                // result); dropping it releases the stack.
+                                live.retain(|h| !h.is_finished());
+                                live.push(handle);
                             }
                         }
                         // Nothing to accept yet (`WouldBlock`), or a
@@ -663,5 +666,38 @@ impl ServerHandle {
             tune_cache_flushed,
             status: self.inner.status_body(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    fn handles(server: &ServerHandle) -> Vec<bool> {
+        let live = server.connections.lock().unwrap();
+        live.iter().map(JoinHandle::is_finished).collect()
+    }
+
+    #[test]
+    fn finished_connection_threads_are_not_kept() {
+        let server = start(ServeConfig::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        for _ in 0..64 {
+            let mut client = Client::connect(&addr).unwrap();
+            assert!(matches!(client.status(), Ok(Response::Status(_))));
+        }
+        // Each closed connection's thread notices EOF and exits.
+        let start = Instant::now();
+        while !handles(&server).iter().all(|&done| done) {
+            assert!(start.elapsed() < Duration::from_secs(10), "threads stuck");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let mut client = Client::connect(&addr).unwrap();
+        assert!(matches!(client.status(), Ok(Response::Status(_))));
+        let kept = handles(&server).len();
+        assert!(kept <= 2, "{kept} connection handles kept");
+        drop(client);
+        server.join();
     }
 }

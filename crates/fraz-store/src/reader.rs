@@ -89,7 +89,7 @@ impl<'a> ArrayReader<'a> {
         let payload = self
             .store
             .get_range(&self.key, entry.offset, entry.length)?;
-        if format::crc32(&payload) != entry.crc32 {
+        if fraz_data::wire::crc32(&payload) != entry.crc32 {
             return Err(StoreError::corrupt(format!("chunk {idx}: CRC mismatch")));
         }
         let chunk = codec

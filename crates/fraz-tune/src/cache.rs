@@ -3,8 +3,9 @@
 //!
 //! One cache instance owns one `fraz-tune.jsonl` inside its directory.
 //! Entries are loaded tolerantly — a corrupted or truncated line (a crash
-//! mid-append, a partial copy) is skipped and counted, never a panic, so a
-//! damaged cache degrades to cold searches instead of taking the run down.
+//! mid-append, a partial copy, a flipped digit its checksum catches) is
+//! skipped and counted, never a panic, so a damaged cache degrades to cold
+//! searches instead of taking the run down.
 //! Persistence is atomic: [`TuneCache::flush`] writes a temporary file in
 //! the same directory and renames it over the old one, so readers never see
 //! a half-written cache.
@@ -16,6 +17,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use fraz_data::wire::crc32;
 use serde::{Deserialize, Serialize};
 
 /// File name of the cache inside its directory.
@@ -30,10 +32,35 @@ pub const DEFAULT_CAPACITY: usize = 4096;
 struct Entry {
     key: String,
     bound: f64,
+    /// [`Entry::checksum`] of the line's key and bound; a line without it
+    /// (an older build's) or with a wrong one is damaged.
+    crc: u32,
+}
+
+impl Entry {
+    fn new(key: String, bound: f64) -> Self {
+        let crc = Self::checksum(&key, bound);
+        Self { key, bound, crc }
+    }
+
+    /// CRC-32 of the key's bytes followed by the bound's little-endian bits.
+    fn checksum(key: &str, bound: f64) -> u32 {
+        let mut bytes = Vec::with_capacity(key.len() + 8);
+        bytes.extend_from_slice(key.as_bytes());
+        bytes.extend_from_slice(&bound.to_bits().to_le_bytes());
+        crc32(&bytes)
+    }
+
+    /// A usable bound that is the one its writer checksummed.
+    fn intact(&self) -> bool {
+        self.bound.is_finite()
+            && self.bound > 0.0
+            && self.crc == Self::checksum(&self.key, self.bound)
+    }
 }
 
 /// Lookup/store counters, reported in CLI summaries and run tables.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct CacheStats {
     /// Lookups that found a usable bound.
     pub hits: usize,
@@ -123,13 +150,13 @@ impl TuneCache {
                 continue;
             }
             match serde_json::from_str::<Entry>(text) {
-                Ok(entry) if entry.bound.is_finite() && entry.bound > 0.0 => {
+                Ok(entry) if entry.intact() => {
                     slots.tick += 1;
                     let tick = slots.tick;
                     slots.map.insert(entry.key, (entry.bound, tick));
                 }
-                // A parsed line with a nonsense bound is as corrupt as an
-                // unparseable one.
+                // A parsed line with a nonsense bound or a wrong checksum is
+                // as corrupt as an unparseable one.
                 _ => corrupt += 1,
             }
         }
@@ -227,10 +254,7 @@ impl TuneCache {
             sorted.sort_by_key(|(_, (_, tick))| *tick);
             sorted
                 .into_iter()
-                .map(|(key, (bound, _))| Entry {
-                    key: key.clone(),
-                    bound: *bound,
-                })
+                .map(|(key, (bound, _))| Entry::new(key.clone(), *bound))
                 .collect()
         };
         static FLUSH_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -306,7 +330,7 @@ mod tests {
         fs::write(
             dir.join(CACHE_FILE),
             concat!(
-                "{\"key\":\"good\",\"bound\":1e-3}\n",
+                "{\"key\":\"good\",\"bound\":1e-3,\"crc\":3165401273}\n",
                 "not json at all\n",
                 "{\"key\":\"bad-bound\",\"bound\":-4.0}\n",
                 "{\"key\":\"nan\",\"bound\":null}\n",
@@ -325,6 +349,30 @@ mod tests {
         let reopened = TuneCache::open(&dir).unwrap();
         assert_eq!(reopened.len(), 1);
         assert_eq!(reopened.stats().corrupt_lines, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_flipped_bound_digit_is_a_damaged_line() {
+        let dir = scratch_dir("flip");
+        {
+            let cache = TuneCache::open(&dir).unwrap();
+            cache.record("a", 1.25e-3);
+            cache.flush().unwrap();
+        }
+        let path = dir.join(CACHE_FILE);
+        let line = fs::read_to_string(&path).unwrap();
+        let digits = line.find("\"bound\":").unwrap() + "\"bound\":".len();
+        let at = digits
+            + line[digits..]
+                .find(|c: char| ('1'..='8').contains(&c))
+                .unwrap();
+        let mut flipped = line.into_bytes();
+        flipped[at] += 1;
+        fs::write(&path, flipped).unwrap();
+        let reopened = TuneCache::open(&dir).unwrap();
+        assert_eq!(reopened.lookup("a"), None);
+        assert_eq!(reopened.stats().corrupt_lines, 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

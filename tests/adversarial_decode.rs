@@ -455,10 +455,9 @@ fn tune_cache_file_survives_truncation_and_bit_flips() {
     }
 
     // A flipped bit damages the line it lands in — or, on a newline, that
-    // line and its neighbour — and nothing else.  A line carries no
-    // checksum, so a flipped digit or key byte may still parse, as an entry
-    // nobody recorded: at most one such stranger, with a usable bound (every
-    // cached bound is verified by an evaluation before a search trusts it).
+    // line and its neighbour — and nothing else.  A line's checksum covers
+    // its key and bound, so a flipped digit or key byte never parses as an
+    // entry nobody recorded.
     for pos in 0..bytes.len() {
         for bit in 0..8 {
             let mut copy = bytes.clone();
@@ -471,8 +470,8 @@ fn tune_cache_file_survives_truncation_and_bit_flips() {
                 lines - intact
             );
             let strangers = entries - intact;
-            assert!(
-                strangers <= 1,
+            assert_eq!(
+                strangers, 0,
                 "tune cache: {what}: {strangers} unrecorded entries"
             );
             // Every line is loaded or counted; a flipped newline merges two
