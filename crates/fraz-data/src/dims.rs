@@ -86,6 +86,19 @@ impl Dims {
         &self.0
     }
 
+    /// The same row-major layout as a 3-D grid `[slowest, middle, fastest]`:
+    /// a 1-D or 2-D grid gains leading unit axes, a 4-D grid folds its two
+    /// leading axes into one.  The codecs' block traversals all work on
+    /// this view.
+    pub fn fold_3d(&self) -> [usize; 3] {
+        let d = &self.0;
+        let lead: usize = d[..d.len().saturating_sub(2)].iter().product();
+        match d.len() {
+            1 => [1, 1, d[0]],
+            _ => [lead, d[d.len() - 2], d[d.len() - 1]],
+        }
+    }
+
     /// Row-major strides (elements, not bytes): `stride[i]` is the linear
     /// distance between neighbours along axis `i`.
     pub fn strides(&self) -> Vec<usize> {
@@ -194,6 +207,14 @@ mod tests {
         assert_eq!(Dims::d3(2, 3, 4).strides(), vec![12, 4, 1]);
         assert_eq!(Dims::d2(5, 7).strides(), vec![7, 1]);
         assert_eq!(Dims::d1(9).strides(), vec![1]);
+    }
+
+    #[test]
+    fn fold_3d_keeps_the_row_major_layout() {
+        assert_eq!(Dims::d1(9).fold_3d(), [1, 1, 9]);
+        assert_eq!(Dims::d2(5, 7).fold_3d(), [1, 5, 7]);
+        assert_eq!(Dims::d3(2, 3, 4).fold_3d(), [2, 3, 4]);
+        assert_eq!(Dims::d4(2, 3, 4, 5).fold_3d(), [6, 4, 5]);
     }
 
     #[test]

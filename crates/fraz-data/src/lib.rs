@@ -13,7 +13,8 @@
 //!   [`wire::ByteReader`] pair every codec blob, FRZS container and service
 //!   frame is written and parsed with, the validated reads of everything a
 //!   decoder must not trust (dtype tag, grid shape, counts) and the blob
-//!   prefix the codecs share ([`wire::DatasetHeader`]),
+//!   prefix the codecs share ([`wire::DatasetHeader`]) and the one error
+//!   every codec call fails with ([`CodecError`]),
 //! * [`quant`] — the linear-scaling quantizer of prediction errors the
 //!   SZ-like and MGARD-like codecs share, so the two sides of each stay
 //!   bit-identical through one expression,
@@ -51,6 +52,7 @@ use std::ops::Range;
 
 pub use buffer::{DType, DataBuffer};
 pub use dims::Dims;
+pub use wire::CodecError;
 
 /// One field of one application at one time-step — the unit of compression
 /// (the paper's `D_{f,t}`).

@@ -22,7 +22,9 @@
 //! On top of it sits the blob prefix the four codecs share,
 //! [`DatasetHeader`], and beside it [`crc32`], the checksum FRZS containers
 //! and tune-cache lines carry.  Every failure is a [`WireError`]; nothing here
-//! panics or aborts on hostile bytes.
+//! panics or aborts on hostile bytes.  A codec's own failure is a
+//! [`CodecError`]: a [`WireError`] becomes its corrupt-stream class, so a
+//! codec's decoder reads through this layer with a bare `?`.
 
 use std::fmt;
 
@@ -58,6 +60,46 @@ impl fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+/// A codec call's failure, classed the way a search needs it: a refused
+/// setting, an unsupported grid or a corrupt stream.  Every codec crate
+/// returns it, and `fraz_pressio::PressioError` is its name at the
+/// abstraction layer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CodecError {
+    /// The bound/parameter is outside the compressor's valid range.
+    InvalidBound(String),
+    /// The dataset's dimensionality or type is unsupported by this backend.
+    Unsupported(String),
+    /// The underlying codec failed.
+    Codec(String),
+}
+
+impl CodecError {
+    /// A corrupt stream, from any decoder's error: the `map_err` for the
+    /// lossless stage's `CodingError`, which this crate cannot name.
+    pub fn corrupt(e: impl fmt::Display) -> Self {
+        CodecError::Codec(e.to_string())
+    }
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodecError::InvalidBound(msg) => write!(f, "invalid error-bound setting: {msg}"),
+            CodecError::Unsupported(msg) => write!(f, "unsupported input: {msg}"),
+            CodecError::Codec(msg) => write!(f, "codec failure: {msg}"),
+        }
+    }
+}
+
+impl std::error::Error for CodecError {}
+
+impl From<WireError> for CodecError {
+    fn from(e: WireError) -> Self {
+        CodecError::corrupt(e)
+    }
+}
 
 fn invalid(msg: String) -> WireError {
     WireError::Invalid(msg)

@@ -43,8 +43,8 @@
 pub mod hierarchy;
 
 use fraz_data::quant::LinearQuantizer;
-use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader, WireError};
-use fraz_data::{DType, DataBuffer, Dataset, Dims};
+use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader};
+use fraz_data::{CodecError, DType, DataBuffer, Dataset, Dims};
 use fraz_lossless::huffman;
 
 use hierarchy::{interpolate, level_nodes, level_steps, Dims3};
@@ -105,9 +105,9 @@ impl MgardConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), MgardError> {
+    fn validate(&self) -> Result<(), CodecError> {
         if !(self.tolerance > 0.0 && self.tolerance.is_finite()) {
-            return Err(MgardError::InvalidConfig(format!(
+            return Err(CodecError::InvalidBound(format!(
                 "tolerance must be positive and finite, got {}",
                 self.tolerance
             )));
@@ -116,52 +116,11 @@ impl MgardConfig {
     }
 }
 
-/// Errors produced by the MGARD-like codec.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MgardError {
-    /// The configuration is invalid.
-    InvalidConfig(String),
-    /// The input dimensionality is unsupported (1-D data).
-    UnsupportedDimensionality(usize),
-    /// The compressed stream is malformed or truncated.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for MgardError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MgardError::InvalidConfig(msg) => write!(f, "invalid MGARD configuration: {msg}"),
-            MgardError::UnsupportedDimensionality(d) => {
-                write!(
-                    f,
-                    "MGARD-like codec supports 2-D and 3-D data only, got {d}-D"
-                )
-            }
-            MgardError::Corrupt(msg) => write!(f, "corrupt MGARD stream: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for MgardError {}
-
-impl From<fraz_lossless::CodingError> for MgardError {
-    fn from(e: fraz_lossless::CodingError) -> Self {
-        MgardError::Corrupt(e.to_string())
-    }
-}
-
-impl From<WireError> for MgardError {
-    fn from(e: WireError) -> Self {
-        MgardError::Corrupt(e.to_string())
-    }
-}
-
-fn pad_dims(dims: &Dims) -> Result<Dims3, MgardError> {
-    let d = dims.as_slice();
-    match d.len() {
-        2 => Ok([1, d[0], d[1]]),
-        3 => Ok([d[0], d[1], d[2]]),
-        other => Err(MgardError::UnsupportedDimensionality(other)),
+/// The 3-D view of a 2-D or 3-D grid; the hierarchy takes no other rank.
+fn grid_3d(dims: &Dims) -> Result<Dims3, CodecError> {
+    match dims.ndims() {
+        2 | 3 => Ok(dims.fold_3d()),
+        d => Err(CodecError::Unsupported(format!("{d}-D data"))),
     }
 }
 
@@ -210,10 +169,10 @@ fn decode_levels(
     dims: Dims3,
     bound: f64,
     finalize: impl Fn(f64) -> f64,
-) -> Result<Vec<f64>, MgardError> {
+) -> Result<Vec<f64>, CodecError> {
     let n = dims[0] * dims[1] * dims[2];
     if codes.len() < n {
-        return Err(MgardError::Corrupt(format!(
+        return Err(CodecError::Codec(format!(
             "expected {n} coefficients, found {}",
             codes.len()
         )));
@@ -221,7 +180,7 @@ fn decode_levels(
     // Counted first, so the traversal itself cannot run dry.
     let codes = &codes[..n];
     if codes.iter().filter(|&&c| c == UNPREDICTABLE).count() > exact.len() {
-        return Err(MgardError::Corrupt("exact-value list truncated".into()));
+        return Err(CodecError::Codec("exact-value list truncated".into()));
     }
     let quantizer = LinearQuantizer::new(bound, CAPACITY);
     let mut recon = vec![0.0f64; n];
@@ -247,7 +206,7 @@ fn decode_levels(
 }
 
 /// Compress a 2-D or 3-D dataset under the configured error norm.
-pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, MgardError> {
+pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, CodecError> {
     encode(dataset, config).map(|(stream, _)| stream)
 }
 
@@ -257,16 +216,16 @@ pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, Mgar
 pub fn compress_measured(
     dataset: &Dataset,
     config: &MgardConfig,
-) -> Result<(Vec<u8>, DataBuffer), MgardError> {
+) -> Result<(Vec<u8>, DataBuffer), CodecError> {
     let (stream, recon) = encode(dataset, config)?;
     Ok((stream, DataBuffer::from_f64(recon, dataset.dtype())))
 }
 
 /// The one encoder: the stream, and the reconstruction it was quantized
 /// against.
-fn encode(dataset: &Dataset, config: &MgardConfig) -> Result<(Vec<u8>, Vec<f64>), MgardError> {
+fn encode(dataset: &Dataset, config: &MgardConfig) -> Result<(Vec<u8>, Vec<f64>), CodecError> {
     config.validate()?;
-    let dims3 = pad_dims(&dataset.dims)?;
+    let dims3 = grid_3d(&dataset.dims)?;
     let bound = config.pointwise_bound();
     let dtype = dataset.dtype();
     let (codes, exact, recon) = match &dataset.buffer {
@@ -292,29 +251,29 @@ fn encode(dataset: &Dataset, config: &MgardConfig) -> Result<(Vec<u8>, Vec<f64>)
 }
 
 /// Decompress a stream produced by [`compress`].
-pub fn decompress(data: &[u8]) -> Result<Dataset, MgardError> {
+pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
     let mut r = ByteReader::new(data);
     let head = DatasetHeader::read(&mut r, MAGIC, VERSION)?;
     let dtype = head.dtype;
-    let dims3 = pad_dims(&head.dims)
-        .map_err(|e| MgardError::Corrupt(format!("invalid dimensionality: {e}")))?;
+    let dims3 = grid_3d(&head.dims)
+        .map_err(|e| CodecError::Codec(format!("invalid dimensionality: {e}")))?;
     let norm = match r.get_u8()? {
         0 => ErrorNorm::Infinity,
         1 => ErrorNorm::L2,
-        other => return Err(MgardError::Corrupt(format!("unknown norm tag {other}"))),
+        other => return Err(CodecError::Codec(format!("unknown norm tag {other}"))),
     };
     let tolerance = r.get_f64()?;
     let config = MgardConfig { tolerance, norm };
     config
         .validate()
-        .map_err(|e| MgardError::Corrupt(format!("invalid header parameters: {e}")))?;
+        .map_err(|e| CodecError::Codec(format!("invalid header parameters: {e}")))?;
 
-    let body = fraz_lossless::decompress(r.rest())?;
+    let body = fraz_lossless::decompress(r.rest()).map_err(CodecError::corrupt)?;
     let mut b = ByteReader::new(&body);
-    let codes = huffman::decode_symbols(b.get_section()?)?;
+    let codes = huffman::decode_symbols(b.get_section()?).map_err(CodecError::corrupt)?;
     let exact = b.get_values(dtype)?;
     if exact.len() > head.dims.len() {
-        return Err(MgardError::Corrupt(
+        return Err(CodecError::Codec(
             "exact-value count exceeds grid size".into(),
         ));
     }
@@ -410,10 +369,10 @@ mod tests {
     #[test]
     fn one_dimensional_data_is_rejected() {
         let original = Dataset::from_f32("t", "f", 0, Dims::d1(100), vec![0.0; 100]);
-        assert!(matches!(
+        assert_eq!(
             compress(&original, &MgardConfig::infinity_norm(1e-3)),
-            Err(MgardError::UnsupportedDimensionality(1))
-        ));
+            Err(CodecError::Unsupported("1-D data".into()))
+        );
     }
 
     #[test]

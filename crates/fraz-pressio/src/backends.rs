@@ -229,49 +229,6 @@ fn szx_at(config: &SzxConfig, error_bound: f64) -> SzxConfig {
     }
 }
 
-#[cfg(feature = "sz")]
-impl From<fraz_sz::SzError> for PressioError {
-    fn from(e: fraz_sz::SzError) -> Self {
-        match e {
-            fraz_sz::SzError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            other => PressioError::Codec(other.to_string()),
-        }
-    }
-}
-
-#[cfg(feature = "zfp")]
-impl From<fraz_zfp::ZfpError> for PressioError {
-    fn from(e: fraz_zfp::ZfpError) -> Self {
-        match e {
-            fraz_zfp::ZfpError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            other => PressioError::Codec(other.to_string()),
-        }
-    }
-}
-
-#[cfg(feature = "mgard")]
-impl From<fraz_mgard::MgardError> for PressioError {
-    fn from(e: fraz_mgard::MgardError) -> Self {
-        match e {
-            fraz_mgard::MgardError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            fraz_mgard::MgardError::UnsupportedDimensionality(d) => {
-                PressioError::Unsupported(format!("{d}-D data"))
-            }
-            other => PressioError::Codec(other.to_string()),
-        }
-    }
-}
-
-#[cfg(feature = "szx")]
-impl From<fraz_szx::SzxError> for PressioError {
-    fn from(e: fraz_szx::SzxError) -> Self {
-        match e {
-            fraz_szx::SzxError::InvalidConfig(msg) => PressioError::InvalidBound(msg),
-            other => PressioError::Codec(other.to_string()),
-        }
-    }
-}
-
 /// Register the built-in codecs enabled by this crate's codec features
 /// (all six with the default feature set: `sz`, `zfp`, `zfp-rate`, `szx`,
 /// `mgard`, `mgard-l2`).
@@ -375,7 +332,6 @@ mod tests {
         Registry::with_builtins().build(name, options).unwrap()
     }
 
-    #[allow(dead_code)] // unused only in slim feature combinations
     fn smooth(dims: Dims) -> Dataset {
         let n = dims.len();
         let cols = *dims.as_slice().last().unwrap();
@@ -444,25 +400,6 @@ mod tests {
         assert_eq!(backend.bound_range(&dataset), (0.5, 32.0));
     }
 
-    #[cfg(feature = "mgard")]
-    #[test]
-    fn mgard_backend_rejects_1d() {
-        let dataset = Dataset::from_f32("t", "f", 0, Dims::d1(64), vec![0.0; 64]);
-        let backend = build("mgard", &Options::new());
-        assert!(!backend.supports_dims(&dataset.dims));
-        // The grid is refused before the bound is read.
-        for bound in [1e-3, -1.0] {
-            assert!(matches!(
-                backend.compress(&dataset, bound),
-                Err(PressioError::Unsupported(_))
-            ));
-            assert!(matches!(
-                backend.evaluate(&dataset, bound, true),
-                Err(PressioError::Unsupported(_))
-            ));
-        }
-    }
-
     #[cfg(all(feature = "sz", feature = "zfp", feature = "mgard", feature = "szx"))]
     #[test]
     fn bound_ranges_are_sane() {
@@ -504,23 +441,57 @@ mod tests {
         assert!(outcome.quality.unwrap().max_abs_error <= 1e-3);
     }
 
-    #[cfg(all(feature = "sz", feature = "zfp", feature = "szx"))]
     #[test]
-    fn invalid_bounds_are_invalid_bound_errors() {
-        let dataset = smooth(Dims::d2(10, 10));
-        for (name, bound) in [
-            ("sz", -1.0),
-            ("zfp", 0.0),
-            ("zfp-rate", 1000.0),
-            ("szx", f64::NAN),
-        ] {
-            assert!(
-                matches!(
-                    build(name, &Options::new()).compress(&dataset, bound),
-                    Err(PressioError::InvalidBound(_))
-                ),
-                "{name}"
-            );
+    fn the_boundary_classifies_refused_bounds_and_grids() {
+        let registry = Registry::with_builtins();
+        for name in registry.names() {
+            let codec = registry.build(&name, &Options::new()).unwrap();
+            let ranks = registry.describe(&name).unwrap().dims;
+            let dataset = smooth(Dims::new(&vec![8; ranks.min]));
+            for bound in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+                let what = format!("{name} at {bound}");
+                assert!(
+                    matches!(
+                        codec.compress(&dataset, bound),
+                        Err(PressioError::InvalidBound(_))
+                    ),
+                    "{what}: compress"
+                );
+                for quality in [false, true] {
+                    assert!(
+                        matches!(
+                            codec.evaluate(&dataset, bound, quality),
+                            Err(PressioError::InvalidBound(_))
+                        ),
+                        "{what}: evaluate(.., {quality})"
+                    );
+                }
+            }
+            // A rank outside the descriptor is refused before the bound is
+            // read.
+            for rank in (1..=4).filter(|rank| !(ranks.min..=ranks.max).contains(rank)) {
+                let dataset = smooth(Dims::new(&vec![8; rank]));
+                assert!(!codec.supports_dims(&dataset.dims), "{name} on {rank}-D");
+                for bound in [1e-3, -1.0] {
+                    let what = format!("{name} on {rank}-D at {bound}");
+                    assert!(
+                        matches!(
+                            codec.compress(&dataset, bound),
+                            Err(PressioError::Unsupported(_))
+                        ),
+                        "{what}: compress"
+                    );
+                    for quality in [false, true] {
+                        assert!(
+                            matches!(
+                                codec.evaluate(&dataset, bound, quality),
+                                Err(PressioError::Unsupported(_))
+                            ),
+                            "{what}: evaluate(.., {quality})"
+                        );
+                    }
+                }
+            }
         }
     }
 

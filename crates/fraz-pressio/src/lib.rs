@@ -47,28 +47,9 @@ use serde::{Deserialize, Serialize};
 use fraz_data::{DataBuffer, Dataset, Dims};
 use fraz_metrics::QualityReport;
 
-/// Errors surfaced through the abstraction layer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PressioError {
-    /// The bound/parameter is outside the compressor's valid range.
-    InvalidBound(String),
-    /// The dataset's dimensionality or type is unsupported by this backend.
-    Unsupported(String),
-    /// The underlying codec failed.
-    Codec(String),
-}
-
-impl fmt::Display for PressioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PressioError::InvalidBound(msg) => write!(f, "invalid error-bound setting: {msg}"),
-            PressioError::Unsupported(msg) => write!(f, "unsupported input: {msg}"),
-            PressioError::Codec(msg) => write!(f, "codec failure: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for PressioError {}
+/// Errors surfaced through the abstraction layer: the one error every
+/// codec crate returns, under the name the framework knows it by.
+pub use fraz_data::CodecError as PressioError;
 
 /// The result of one compress (and optional decompress) invocation.
 ///

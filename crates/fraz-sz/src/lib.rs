@@ -52,8 +52,8 @@
 pub mod pipeline;
 pub mod predict;
 
-use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader, WireError};
-use fraz_data::{DType, DataBuffer, Dataset, Dims};
+use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader};
+use fraz_data::{CodecError, DType, DataBuffer, Dataset};
 use fraz_lossless::huffman;
 
 use pipeline::{EncodedBlocks, PipelineParams};
@@ -103,77 +103,32 @@ impl SzConfig {
         })
     }
 
-    fn validate(&self) -> Result<(), SzError> {
+    fn validate(&self) -> Result<(), CodecError> {
         if !(self.error_bound > 0.0 && self.error_bound.is_finite()) {
-            return Err(SzError::InvalidConfig(format!(
+            return Err(CodecError::InvalidBound(format!(
                 "error bound must be positive and finite, got {}",
                 self.error_bound
             )));
         }
         if self.quant_capacity < 4 || self.quant_capacity > (1 << 24) {
-            return Err(SzError::InvalidConfig(format!(
+            return Err(CodecError::InvalidBound(format!(
                 "quantization capacity {} out of range [4, 2^24]",
                 self.quant_capacity
             )));
         }
         if let Some(b) = self.block_size {
             if b == 0 {
-                return Err(SzError::InvalidConfig("block size must be non-zero".into()));
+                return Err(CodecError::InvalidBound(
+                    "block size must be non-zero".into(),
+                ));
             }
         }
         Ok(())
     }
 }
 
-/// Errors produced by the SZ-like codec.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SzError {
-    /// The configuration is invalid (non-positive bound, zero block, …).
-    InvalidConfig(String),
-    /// The compressed stream is malformed or truncated.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for SzError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SzError::InvalidConfig(msg) => write!(f, "invalid SZ configuration: {msg}"),
-            SzError::Corrupt(msg) => write!(f, "corrupt SZ stream: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SzError {}
-
-impl From<fraz_lossless::CodingError> for SzError {
-    fn from(e: fraz_lossless::CodingError) -> Self {
-        SzError::Corrupt(e.to_string())
-    }
-}
-
-impl From<WireError> for SzError {
-    fn from(e: WireError) -> Self {
-        SzError::Corrupt(e.to_string())
-    }
-}
-
-fn pad_dims(dims: &Dims) -> [usize; 3] {
-    let d = dims.as_slice();
-    match d.len() {
-        1 => [1, 1, d[0]],
-        2 => [1, d[0], d[1]],
-        3 => [d[0], d[1], d[2]],
-        _ => {
-            // Fold leading axes together; the pipeline only needs a 3-D view
-            // of the same row-major layout.
-            let lead: usize = d[..d.len() - 2].iter().product();
-            [lead, d[d.len() - 2], d[d.len() - 1]]
-        }
-    }
-}
-
 /// Compress a dataset under an absolute error bound.
-pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError> {
+pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, CodecError> {
     encode(dataset, config).map(|(stream, _)| stream)
 }
 
@@ -183,15 +138,15 @@ pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, SzError
 pub fn compress_measured(
     dataset: &Dataset,
     config: &SzConfig,
-) -> Result<(Vec<u8>, DataBuffer), SzError> {
+) -> Result<(Vec<u8>, DataBuffer), CodecError> {
     let (stream, recon) = encode(dataset, config)?;
     Ok((stream, DataBuffer::from_f64(recon, dataset.dtype())))
 }
 
 /// The one encoder: the stream, and the reconstruction it was predicted from.
-fn encode(dataset: &Dataset, config: &SzConfig) -> Result<(Vec<u8>, Vec<f64>), SzError> {
+fn encode(dataset: &Dataset, config: &SzConfig) -> Result<(Vec<u8>, Vec<f64>), CodecError> {
     config.validate()?;
-    let dims3 = pad_dims(&dataset.dims);
+    let dims3 = dataset.dims.fold_3d();
     let block = config.block_for(dataset.dims.ndims());
     let params = PipelineParams {
         error_bound: config.error_bound,
@@ -236,7 +191,7 @@ fn encode(dataset: &Dataset, config: &SzConfig) -> Result<(Vec<u8>, Vec<f64>), S
 }
 
 /// Decompress a stream produced by [`compress`].
-pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
+pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
     let mut r = ByteReader::new(data);
     let head = DatasetHeader::read(&mut r, MAGIC, VERSION)?;
     let (dtype, dims) = (head.dtype, &head.dims);
@@ -244,12 +199,12 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
     let block = r.get_u32()? as usize;
     let capacity = r.get_u32()?;
     if !(error_bound > 0.0 && error_bound.is_finite()) || block == 0 || capacity < 4 {
-        return Err(SzError::Corrupt(
+        return Err(CodecError::Codec(
             "invalid codec parameters in header".into(),
         ));
     }
 
-    let body = fraz_lossless::decompress(r.rest())?;
+    let body = fraz_lossless::decompress(r.rest()).map_err(CodecError::corrupt)?;
     let mut b = ByteReader::new(&body);
     let num_blocks = b.get_u64()? as usize;
     let flag_bytes = b.get_bytes(num_blocks.div_ceil(8))?;
@@ -258,7 +213,9 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
         .collect();
     let num_coeffs = b.get_count(16)?;
     if num_coeffs > num_blocks {
-        return Err(SzError::Corrupt("more coefficient sets than blocks".into()));
+        return Err(CodecError::Codec(
+            "more coefficient sets than blocks".into(),
+        ));
     }
     let mut reg_coeffs = Vec::with_capacity(num_coeffs);
     for _ in 0..num_coeffs {
@@ -268,10 +225,10 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
         }
         reg_coeffs.push(c);
     }
-    let quant_codes = huffman::decode_symbols(b.get_section()?)?;
+    let quant_codes = huffman::decode_symbols(b.get_section()?).map_err(CodecError::corrupt)?;
     let unpredictable = b.get_values(dtype)?;
     if unpredictable.len() > dims.len() {
-        return Err(SzError::Corrupt(
+        return Err(CodecError::Codec(
             "unpredictable count exceeds grid size".into(),
         ));
     }
@@ -287,12 +244,11 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
         block_size: block,
         capacity,
     };
-    let dims3 = pad_dims(dims);
+    let dims3 = dims.fold_3d();
     let values = match dtype {
         DType::F32 => pipeline::decode(&enc, dims3, &params, |v| v as f32 as f64),
         DType::F64 => pipeline::decode(&enc, dims3, &params, |v| v),
-    }
-    .map_err(|e| SzError::Corrupt(e.to_string()))?;
+    }?;
 
     Ok(head.into_dataset(DataBuffer::from_f64(values, dtype)))
 }
@@ -300,6 +256,7 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, SzError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fraz_data::Dims;
 
     fn wave_dataset(dims: Dims) -> Dataset {
         let n = dims.len();
@@ -379,11 +336,11 @@ mod tests {
         let original = wave_dataset(Dims::d1(100));
         assert!(matches!(
             compress(&original, &SzConfig::with_error_bound(0.0)),
-            Err(SzError::InvalidConfig(_))
+            Err(CodecError::InvalidBound(_))
         ));
         assert!(matches!(
             compress(&original, &SzConfig::with_error_bound(f64::NAN)),
-            Err(SzError::InvalidConfig(_))
+            Err(CodecError::InvalidBound(_))
         ));
         let bad_block = SzConfig {
             block_size: Some(0),
@@ -391,7 +348,7 @@ mod tests {
         };
         assert!(matches!(
             compress(&original, &bad_block),
-            Err(SzError::InvalidConfig(_))
+            Err(CodecError::InvalidBound(_))
         ));
         let bad_capacity = SzConfig {
             quant_capacity: 2,
@@ -399,7 +356,7 @@ mod tests {
         };
         assert!(matches!(
             compress(&original, &bad_capacity),
-            Err(SzError::InvalidConfig(_))
+            Err(CodecError::InvalidBound(_))
         ));
     }
 
@@ -410,7 +367,7 @@ mod tests {
         // Bad magic.
         let mut bad = compressed.clone();
         bad[0] ^= 0xff;
-        assert!(matches!(decompress(&bad), Err(SzError::Corrupt(_))));
+        assert!(matches!(decompress(&bad), Err(CodecError::Codec(_))));
         // Truncation.
         compressed.truncate(compressed.len() / 2);
         assert!(decompress(&compressed).is_err());

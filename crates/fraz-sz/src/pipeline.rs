@@ -30,6 +30,7 @@
 //! the stream format.
 
 use fraz_data::quant::LinearQuantizer;
+use fraz_data::CodecError;
 
 use crate::predict::{lorenzo3, Dims3, RegressionPlane};
 
@@ -202,44 +203,19 @@ pub fn encode<T: Copy + Into<f64>>(
     (out, recon)
 }
 
-/// Errors produced while decoding an [`EncodedBlocks`] stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Fewer quantization codes than grid points.
-    MissingCodes { expected: usize, actual: usize },
-    /// Fewer regression flags / coefficients than blocks need.
-    MissingRegressionData,
-    /// Fewer exactly-stored values than `UNPREDICTABLE` codes.
-    MissingUnpredictable,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::MissingCodes { expected, actual } => {
-                write!(f, "expected {expected} quantization codes, found {actual}")
-            }
-            DecodeError::MissingRegressionData => write!(f, "regression metadata truncated"),
-            DecodeError::MissingUnpredictable => write!(f, "unpredictable-value list truncated"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
 /// Reconstruct the grid from an [`EncodedBlocks`] stream.
 pub fn decode(
     enc: &EncodedBlocks,
     dims: Dims3,
     params: &PipelineParams,
     finalize: impl Fn(f64) -> f64,
-) -> Result<Vec<f64>, DecodeError> {
+) -> Result<Vec<f64>, CodecError> {
     let n = dims[0] * dims[1] * dims[2];
     if enc.quant_codes.len() < n {
-        return Err(DecodeError::MissingCodes {
-            expected: n,
-            actual: enc.quant_codes.len(),
-        });
+        return Err(CodecError::Codec(format!(
+            "expected {n} quantization codes, found {}",
+            enc.quant_codes.len()
+        )));
     }
     // Everything the traversal will consume is counted first, so the walk
     // itself cannot run dry.
@@ -248,12 +224,12 @@ pub fn decode(
     let flags = enc
         .regression_flags
         .get(..block_count)
-        .ok_or(DecodeError::MissingRegressionData)?;
-    if flags.iter().filter(|&&f| f).count() > enc.reg_coeffs.len() {
-        return Err(DecodeError::MissingRegressionData);
-    }
+        .filter(|flags| flags.iter().filter(|&&f| f).count() <= enc.reg_coeffs.len())
+        .ok_or_else(|| CodecError::Codec("regression metadata truncated".into()))?;
     if codes.iter().filter(|&&c| c == UNPREDICTABLE).count() > enc.unpredictable.len() {
-        return Err(DecodeError::MissingUnpredictable);
+        return Err(CodecError::Codec(
+            "unpredictable-value list truncated".into(),
+        ));
     }
 
     let quantizer = params.quantizer();
@@ -440,17 +416,19 @@ mod tests {
 
         let mut missing_codes = enc.clone();
         missing_codes.quant_codes.pop();
-        assert!(matches!(
+        assert_eq!(
             decode(&missing_codes, dims, &p, |v| v),
-            Err(DecodeError::MissingCodes { .. })
-        ));
+            Err(CodecError::Codec(
+                "expected 64 quantization codes, found 63".into()
+            ))
+        );
 
         let mut missing_flags = enc.clone();
         missing_flags.regression_flags.clear();
-        assert!(matches!(
+        assert_eq!(
             decode(&missing_flags, dims, &p, |v| v),
-            Err(DecodeError::MissingRegressionData)
-        ));
+            Err(CodecError::Codec("regression metadata truncated".into()))
+        );
     }
 
     #[test]
@@ -469,10 +447,12 @@ mod tests {
         let (mut enc, _) = encode(&values, dims, &p, |v| v);
         assert!(!enc.unpredictable.is_empty());
         enc.unpredictable.clear();
-        assert!(matches!(
+        assert_eq!(
             decode(&enc, dims, &p, |v| v),
-            Err(DecodeError::MissingUnpredictable)
-        ));
+            Err(CodecError::Codec(
+                "unpredictable-value list truncated".into()
+            ))
+        );
     }
 
     #[test]

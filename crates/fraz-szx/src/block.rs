@@ -14,13 +14,13 @@
 //! ```
 //!
 //! Every count is cross-checked on decode before anything proportional to it
-//! is allocated, so a corrupt header yields [`SzxError::Corrupt`], never a
-//! panic or an out-of-bounds read.
+//! is allocated, so a corrupt header yields a corrupt-stream
+//! [`CodecError::Codec`], never a panic or an out-of-bounds read.
 
 use fraz_data::wire::{try_vec, ByteReader, ByteWriter, WireError};
+use fraz_data::CodecError;
 
 use crate::pack::{PackReader, PackWriter};
-use crate::SzxError;
 
 /// An IEEE-754 scalar the blockwise codec can process (`f32` or `f64`).
 pub trait SzxFloat: Copy + PartialOrd {
@@ -314,17 +314,21 @@ pub fn encoded_len<F: SzxFloat>(values: &[F], block: usize, error_bound: f64) ->
 }
 
 /// Decode `n` values that were encoded in blocks of `block` values.
-pub fn decode<F: SzxFloat>(r: &mut ByteReader, n: usize, block: usize) -> Result<Vec<F>, SzxError> {
+pub fn decode<F: SzxFloat>(
+    r: &mut ByteReader,
+    n: usize,
+    block: usize,
+) -> Result<Vec<F>, CodecError> {
     let n_blocks = r.get_u64()?;
     if n_blocks != n.div_ceil(block) as u64 {
-        return Err(SzxError::Corrupt(format!(
+        return Err(CodecError::Codec(format!(
             "block count {n_blocks} inconsistent with {n} values at block size {block}"
         )));
     }
     let n_blocks = n_blocks as usize;
     let constant_count = r.get_u64()? as usize;
     if constant_count > n_blocks {
-        return Err(SzxError::Corrupt(format!(
+        return Err(CodecError::Codec(format!(
             "constant count {constant_count} exceeds block count {n_blocks}"
         )));
     }
@@ -332,12 +336,12 @@ pub fn decode<F: SzxFloat>(r: &mut ByteReader, n: usize, block: usize) -> Result
     let flags = r.get_bytes(n_blocks.div_ceil(8))?;
     let flagged = |bi: usize| flags[bi >> 3] >> (bi & 7) & 1 == 1;
     if (0..n_blocks).filter(|&bi| flagged(bi)).count() != constant_count {
-        return Err(SzxError::Corrupt(
+        return Err(CodecError::Codec(
             "constant flag bitmap disagrees with constant count".into(),
         ));
     }
     if n_blocks % 8 != 0 && flags[n_blocks >> 3] >> (n_blocks & 7) != 0 {
-        return Err(SzxError::Corrupt(
+        return Err(CodecError::Codec(
             "stray bits set past the end of the flag bitmap".into(),
         ));
     }
@@ -345,7 +349,7 @@ pub fn decode<F: SzxFloat>(r: &mut ByteReader, n: usize, block: usize) -> Result
     let widths = r.get_bytes(n_blocks - constant_count)?;
     for &w in widths {
         if (w as u32) < F::SIGN_EXP_BITS || (w as u32) > F::WIDTH {
-            return Err(SzxError::Corrupt(format!(
+            return Err(CodecError::Codec(format!(
                 "kept width {w} outside [{}, {}]",
                 F::SIGN_EXP_BITS,
                 F::WIDTH
@@ -356,7 +360,7 @@ pub fn decode<F: SzxFloat>(r: &mut ByteReader, n: usize, block: usize) -> Result
     let elem = (F::WIDTH / 8) as usize;
     let constants_len = constant_count
         .checked_mul(elem)
-        .ok_or_else(|| SzxError::Corrupt("constant section length overflows".into()))?;
+        .ok_or_else(|| CodecError::Codec("constant section length overflows".into()))?;
     let constants = r.get_bytes(constants_len)?;
 
     // `(n_blocks - 1) * block < n` whenever `n_blocks` is consistent with
@@ -380,7 +384,7 @@ pub fn decode<F: SzxFloat>(r: &mut ByteReader, n: usize, block: usize) -> Result
 
     let payload_len = r.get_u64()? as usize;
     if payload_len as u128 != total_bits.div_ceil(8) {
-        return Err(SzxError::Corrupt(format!(
+        return Err(CodecError::Codec(format!(
             "payload length {payload_len} does not match {total_bits} packed bits"
         )));
     }

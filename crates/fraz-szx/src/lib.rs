@@ -58,8 +58,8 @@
 pub mod block;
 mod pack;
 
-use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader, WireError};
-use fraz_data::{DType, DataBuffer, Dataset};
+use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader};
+use fraz_data::{CodecError, DType, DataBuffer, Dataset};
 
 /// Stream magic ("FSZX").
 const MAGIC: u32 = 0x4653_5A58;
@@ -102,46 +102,20 @@ impl SzxConfig {
         self.block_size.unwrap_or(128)
     }
 
-    fn validate(&self) -> Result<(), SzxError> {
+    fn validate(&self) -> Result<(), CodecError> {
         if !(self.error_bound > 0.0 && self.error_bound.is_finite()) {
-            return Err(SzxError::InvalidConfig(format!(
+            return Err(CodecError::InvalidBound(format!(
                 "error bound must be positive and finite, got {}",
                 self.error_bound
             )));
         }
         let block = self.block();
         if block == 0 || block > MAX_BLOCK_SIZE {
-            return Err(SzxError::InvalidConfig(format!(
+            return Err(CodecError::InvalidBound(format!(
                 "block size {block} out of range [1, {MAX_BLOCK_SIZE}]"
             )));
         }
         Ok(())
-    }
-}
-
-/// Errors produced by the SZx-like codec.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SzxError {
-    /// The configuration is invalid (non-positive bound, zero block, …).
-    InvalidConfig(String),
-    /// The compressed stream is malformed or truncated.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for SzxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SzxError::InvalidConfig(msg) => write!(f, "invalid SZx configuration: {msg}"),
-            SzxError::Corrupt(msg) => write!(f, "corrupt SZx stream: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for SzxError {}
-
-impl From<WireError> for SzxError {
-    fn from(e: WireError) -> Self {
-        SzxError::Corrupt(e.to_string())
     }
 }
 
@@ -156,7 +130,7 @@ fn write_prefix(dataset: &Dataset, config: &SzxConfig, out: &mut ByteWriter) -> 
 }
 
 /// Compress a dataset under an absolute error bound.
-pub fn compress(dataset: &Dataset, config: &SzxConfig) -> Result<Vec<u8>, SzxError> {
+pub fn compress(dataset: &Dataset, config: &SzxConfig) -> Result<Vec<u8>, CodecError> {
     encode(dataset, config, false).map(|(stream, _)| stream)
 }
 
@@ -166,7 +140,7 @@ pub fn compress(dataset: &Dataset, config: &SzxConfig) -> Result<Vec<u8>, SzxErr
 pub fn compress_measured(
     dataset: &Dataset,
     config: &SzxConfig,
-) -> Result<(Vec<u8>, DataBuffer), SzxError> {
+) -> Result<(Vec<u8>, DataBuffer), CodecError> {
     let (stream, recon) = encode(dataset, config, true)?;
     Ok((stream, recon.expect("a measured encode reconstructs")))
 }
@@ -176,7 +150,7 @@ fn encode(
     dataset: &Dataset,
     config: &SzxConfig,
     measure: bool,
-) -> Result<(Vec<u8>, Option<DataBuffer>), SzxError> {
+) -> Result<(Vec<u8>, Option<DataBuffer>), CodecError> {
     config.validate()?;
     let mut out = ByteWriter::with_capacity(64 + dataset.byte_size() / 2);
     let block = write_prefix(dataset, config, &mut out);
@@ -201,7 +175,7 @@ fn encode(
 /// block, `⌈Σ len·width / 8⌉` payload bytes), so one classification pass
 /// answers it: no value is packed and nothing proportional to the field is
 /// allocated.  This is what a fixed-ratio search pays per candidate bound.
-pub fn compressed_len(dataset: &Dataset, config: &SzxConfig) -> Result<usize, SzxError> {
+pub fn compressed_len(dataset: &Dataset, config: &SzxConfig) -> Result<usize, CodecError> {
     config.validate()?;
     let mut prefix = ByteWriter::with_capacity(128);
     let block = write_prefix(dataset, config, &mut prefix);
@@ -213,19 +187,19 @@ pub fn compressed_len(dataset: &Dataset, config: &SzxConfig) -> Result<usize, Sz
 }
 
 /// Decompress a stream produced by [`compress`].
-pub fn decompress(data: &[u8]) -> Result<Dataset, SzxError> {
+pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
     let mut r = ByteReader::new(data);
     let head = DatasetHeader::read(&mut r, MAGIC, VERSION)?;
     let n = head.dims.len();
     let error_bound = r.get_f64()?;
     let block = r.get_u32()? as usize;
     if !(error_bound > 0.0 && error_bound.is_finite()) {
-        return Err(SzxError::Corrupt(format!(
+        return Err(CodecError::Codec(format!(
             "invalid error bound {error_bound} in header"
         )));
     }
     if block == 0 || block > MAX_BLOCK_SIZE {
-        return Err(SzxError::Corrupt(format!(
+        return Err(CodecError::Codec(format!(
             "invalid block size {block} in header"
         )));
     }
@@ -398,7 +372,7 @@ mod tests {
         for eb in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(matches!(
                 compress(&original, &SzxConfig::with_error_bound(eb)),
-                Err(SzxError::InvalidConfig(_))
+                Err(CodecError::InvalidBound(_))
             ));
         }
         for block in [0usize, MAX_BLOCK_SIZE + 1] {
@@ -408,7 +382,7 @@ mod tests {
             };
             assert!(matches!(
                 compress(&original, &config),
-                Err(SzxError::InvalidConfig(_))
+                Err(CodecError::InvalidBound(_))
             ));
         }
     }

@@ -1,10 +1,11 @@
-//! Adversarial-input tests: a corrupt or truncated stream must yield
-//! `Err(SzxError::Corrupt)` — never a panic, an abort, or an out-of-bounds
-//! read.  Every assertion here is on `Err`; there is no `#[should_panic]`
-//! anywhere because panicking *is* the failure mode under test.
+//! Adversarial-input tests: a corrupt or truncated stream must yield a
+//! corrupt-stream `Err(CodecError::Codec)` — never a panic, an abort, or an
+//! out-of-bounds read.  Every assertion here is on `Err`; there is no
+//! `#[should_panic]` anywhere because panicking *is* the failure mode under
+//! test.
 
-use fraz_data::{Dataset, Dims};
-use fraz_szx::{compress, decompress, SzxConfig, SzxError};
+use fraz_data::{CodecError, Dataset, Dims};
+use fraz_szx::{compress, decompress, SzxConfig};
 
 /// A small valid stream: f32, 1-D, app "t", field "f" (1-byte strings keep
 /// the header offsets below stable).
@@ -30,7 +31,7 @@ const OFF_CONSTANT_COUNT: usize = OFF_NBLOCKS + 8;
 
 fn expect_corrupt(data: &[u8], what: &str) {
     match decompress(data) {
-        Err(SzxError::Corrupt(_)) => {}
+        Err(CodecError::Codec(_)) => {}
         Err(other) => panic!("{what}: wrong error variant: {other}"),
         Ok(_) => panic!("{what}: decoded successfully"),
     }
@@ -96,7 +97,7 @@ fn bad_dtype_and_ndims_are_errors() {
     // succeed — but it must not panic, and any success must honour the header.
     match decompress(&patched(&stream, OFF_DTYPE, &[1])) {
         Ok(restored) => assert_eq!(restored.dtype(), fraz_data::DType::F64),
-        Err(SzxError::Corrupt(_)) => {}
+        Err(CodecError::Codec(_)) => {}
         Err(other) => panic!("dtype flip: wrong error variant: {other}"),
     }
 }

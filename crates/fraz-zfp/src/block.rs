@@ -102,6 +102,18 @@ pub fn local_coords(i: usize, block_dims: usize) -> (usize, usize, usize) {
     }
 }
 
+/// The grid index of the block's (first) largest magnitude, the value its
+/// exponent comes from; a padded lane names the edge value it replicates.
+pub fn widest(dims: [usize; 3], origin: [usize; 3], block_dims: usize, block: &[f64]) -> usize {
+    let lane = (0..block.len())
+        .rev()
+        .max_by(|&a, &b| block[a].abs().total_cmp(&block[b].abs()))
+        .unwrap_or(0);
+    let (x, y, z) = local_coords(lane, block_dims);
+    let at = |axis: usize, lane: usize| origin[axis] + lane.min(dims[axis] - origin[axis] - 1);
+    (at(0, z) * dims[1] + at(1, y)) * dims[2] + at(2, x)
+}
+
 /// The block exponent: the smallest `e` such that every `|v| < 2^e`.
 /// Returns `None` for an all-zero (or all-subnormal-zero) block.
 pub fn block_exponent(block: &[f64]) -> Option<i32> {

@@ -46,8 +46,8 @@ pub mod block;
 pub mod coder;
 pub mod transform;
 
-use fraz_data::wire::{try_vec, ByteReader, ByteWriter, DatasetHeader, WireError};
-use fraz_data::{DType, DataBuffer, Dataset, Dims};
+use fraz_data::wire::{try_vec, ByteReader, ByteWriter, DatasetHeader};
+use fraz_data::{CodecError, DType, DataBuffer, Dataset, Dims};
 use fraz_lossless::bitio::{BitReader, BitWriter};
 
 use block::MAX_BLOCK;
@@ -102,78 +102,24 @@ impl ZfpConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), ZfpError> {
+    fn validate(&self) -> Result<(), CodecError> {
         match self.mode {
             ZfpMode::FixedAccuracy { tolerance } => {
                 if !(tolerance > 0.0 && tolerance.is_finite()) {
-                    return Err(ZfpError::InvalidConfig(format!(
+                    return Err(CodecError::InvalidBound(format!(
                         "tolerance must be positive and finite, got {tolerance}"
                     )));
                 }
             }
             ZfpMode::FixedRate { bits_per_value } => {
                 if !(0.1..=64.0).contains(&bits_per_value) {
-                    return Err(ZfpError::InvalidConfig(format!(
+                    return Err(CodecError::InvalidBound(format!(
                         "bits per value must be in [0.1, 64], got {bits_per_value}"
                     )));
                 }
             }
         }
         Ok(())
-    }
-}
-
-/// Errors produced by the ZFP-like codec.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ZfpError {
-    /// The configuration is invalid.
-    InvalidConfig(String),
-    /// The value at this index is a NaN or an infinity.  A block shares one
-    /// exponent, so a single non-finite value would take the 4^d − 1 finite
-    /// values beside it down with it; no tolerance can be promised for such
-    /// a block and the field is refused instead.
-    NonFinite { index: usize },
-    /// The compressed stream is malformed or truncated.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for ZfpError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ZfpError::InvalidConfig(msg) => write!(f, "invalid ZFP configuration: {msg}"),
-            ZfpError::NonFinite { index } => write!(
-                f,
-                "value {index} is not finite: the ZFP-like codec codes finite values only"
-            ),
-            ZfpError::Corrupt(msg) => write!(f, "corrupt ZFP stream: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ZfpError {}
-
-impl From<fraz_lossless::CodingError> for ZfpError {
-    fn from(e: fraz_lossless::CodingError) -> Self {
-        ZfpError::Corrupt(e.to_string())
-    }
-}
-
-impl From<WireError> for ZfpError {
-    fn from(e: WireError) -> Self {
-        ZfpError::Corrupt(e.to_string())
-    }
-}
-
-fn pad_dims(dims: &Dims) -> ([usize; 3], usize) {
-    let d = dims.as_slice();
-    match d.len() {
-        1 => ([1, 1, d[0]], 1),
-        2 => ([1, d[0], d[1]], 2),
-        3 => ([d[0], d[1], d[2]], 3),
-        _ => {
-            let lead: usize = d[..d.len() - 2].iter().product();
-            ([lead, d[d.len() - 2], d[d.len() - 1]], 3)
-        }
     }
 }
 
@@ -187,15 +133,19 @@ pub fn accuracy_minexp(tolerance: f64) -> i32 {
     tolerance.log2().floor() as i32
 }
 
-/// Per-block precision: ZFP's
-/// `min(maxprec, max(0, emax - minexp + 2·(dims+1)))` in the accuracy mode
-/// (`minexp` is `Some`, taken once per call), the full precision in the
-/// rate mode.
+/// The bit planes the accuracy mode codes for a block: ZFP's
+/// `emax - minexp + 2·(dims+1)`, the last term the transform's growth.
+fn planes_wanted(emax: i32, minexp: i32, dims: usize) -> i32 {
+    emax - minexp + 2 * (dims as i32 + 1)
+}
+
+/// Per-block precision: [`planes_wanted`] within `0..=maxprec` in the
+/// accuracy mode (`minexp` is `Some`, taken once per call), the full
+/// precision in the rate mode.
 fn block_precision(emax: i32, minexp: Option<i32>, dims: usize) -> u32 {
     match minexp {
         Some(minexp) => {
-            let prec = emax - minexp + 2 * (dims as i32 + 1);
-            prec.clamp(0, coder::INT_PRECISION as i32) as u32
+            planes_wanted(emax, minexp, dims).clamp(0, coder::INT_PRECISION as i32) as u32
         }
         None => coder::INT_PRECISION,
     }
@@ -216,13 +166,13 @@ fn mode_tag(mode: &ZfpMode) -> (u8, f64) {
     }
 }
 
-fn mode_from_tag(tag: u8, param: f64) -> Result<ZfpMode, ZfpError> {
+fn mode_from_tag(tag: u8, param: f64) -> Result<ZfpMode, CodecError> {
     match tag {
         0 => Ok(ZfpMode::FixedAccuracy { tolerance: param }),
         1 => Ok(ZfpMode::FixedRate {
             bits_per_value: param,
         }),
-        other => Err(ZfpError::Corrupt(format!("unknown mode tag {other}"))),
+        other => Err(CodecError::Codec(format!("unknown mode tag {other}"))),
     }
 }
 
@@ -239,7 +189,7 @@ fn block_bit_budget(mode: &ZfpMode, block_dims: usize) -> u64 {
 }
 
 /// Compress a dataset.
-pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, ZfpError> {
+pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, CodecError> {
     config.validate()?;
     let mut header = ByteWriter::with_capacity(64);
     DatasetHeader::write(dataset, MAGIC, VERSION, &mut header);
@@ -257,15 +207,25 @@ pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, ZfpErr
 
 /// The block payload of [`compress`]: every block gathered, aligned,
 /// transformed and bit-plane coded through stack arrays.
+///
+/// Two fields are refused rather than coded wrong.  A block shares one
+/// exponent, so a single NaN or infinity would take the 4^d − 1 finite
+/// values beside it down with it: a non-finite value fails the call.  And in
+/// the accuracy mode a block whose range from its largest value down to the
+/// tolerance needs more bit planes than the 64-bit integers hold (a fill
+/// value of 1e36 among O(1) values) would lose its small values to the
+/// fixed point: its tolerance is an invalid bound for this field.
 fn encode_blocks<T: Copy + Into<f64>>(
     values: &[T],
     dims: &Dims,
     mode: &ZfpMode,
-) -> Result<Vec<u8>, ZfpError> {
+) -> Result<Vec<u8>, CodecError> {
     if let Some(index) = values.iter().position(|&v| !v.into().is_finite()) {
-        return Err(ZfpError::NonFinite { index });
+        return Err(CodecError::Codec(format!(
+            "value {index} is not finite: the ZFP-like codec codes finite values only"
+        )));
     }
-    let (dims3, block_dims) = pad_dims(dims);
+    let (dims3, block_dims) = (dims.fold_3d(), dims.ndims().min(3));
     let perm = transform::sequency_permutation(block_dims);
     let budget = block_bit_budget(mode, block_dims);
     let minexp = mode_minexp(mode);
@@ -284,6 +244,17 @@ fn encode_blocks<T: Copy + Into<f64>>(
                 w.write_bit(false);
             }
             Some(emax) => {
+                if let Some(planes) = minexp
+                    .map(|minexp| planes_wanted(emax, minexp, block_dims))
+                    .filter(|&planes| planes > coder::INT_PRECISION as i32)
+                {
+                    let index = block::widest(dims3, origin, block_dims, raw);
+                    return Err(CodecError::InvalidBound(format!(
+                        "value {index} needs {planes} bit planes at this tolerance, \
+                         more than the ZFP-like codec's {} hold",
+                        coder::INT_PRECISION
+                    )));
+                }
                 w.write_bit(true);
                 w.write_bits((emax + EBIAS) as u64, EBITS);
                 block::to_ints(raw, emax, ints);
@@ -308,16 +279,16 @@ fn encode_blocks<T: Copy + Into<f64>>(
 }
 
 /// Decompress a stream produced by [`compress`].
-pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
+pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
     let mut r = ByteReader::new(data);
     let head = DatasetHeader::read(&mut r, MAGIC, VERSION)?;
     let mode = mode_from_tag(r.get_u8()?, r.get_f64()?)?;
     let config = ZfpConfig { mode };
     config
         .validate()
-        .map_err(|e| ZfpError::Corrupt(format!("invalid header parameters: {e}")))?;
+        .map_err(|e| CodecError::Codec(format!("invalid header parameters: {e}")))?;
 
-    let (dims3, block_dims) = pad_dims(&head.dims);
+    let (dims3, block_dims) = (head.dims.fold_3d(), head.dims.ndims().min(3));
     let perm = transform::sequency_permutation(block_dims);
     let budget = block_bit_budget(&mode, block_dims);
     let minexp = mode_minexp(&mode);
@@ -327,7 +298,7 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
     // the fallible reservation.
     let n_blocks: usize = dims3.iter().map(|d| d.div_ceil(BLOCK_EDGE)).product();
     if n_blocks > bits.bits_remaining() {
-        return Err(ZfpError::Corrupt(format!(
+        return Err(CodecError::Codec(format!(
             "{n_blocks} blocks cannot fit in {} payload bits",
             bits.bits_remaining()
         )));
@@ -342,17 +313,18 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
 
     for origin in block::block_origins(dims3) {
         let start_bits = bits.bits_consumed() as u64;
-        let nonzero = bits.read_bit()?;
+        let nonzero = bits.read_bit().map_err(CodecError::corrupt)?;
         if nonzero {
-            let emax = bits.read_bits(EBITS)? as i64 as i32 - EBIAS;
+            let emax = bits.read_bits(EBITS).map_err(CodecError::corrupt)? as i64 as i32 - EBIAS;
             if !(-2000..=2000).contains(&emax) {
-                return Err(ZfpError::Corrupt(format!(
+                return Err(CodecError::Codec(format!(
                     "implausible block exponent {emax}"
                 )));
             }
             let max_prec = block_precision(emax, minexp, block_dims);
             let remaining = budget.saturating_sub(1 + EBITS as u64);
-            coder::decode_ints(&mut bits, reordered, remaining, max_prec)?;
+            coder::decode_ints(&mut bits, reordered, remaining, max_prec)
+                .map_err(CodecError::corrupt)?;
             for (&coded, &dst) in reordered.iter().zip(&perm) {
                 ints[dst] = coder::uint_to_int(coded);
             }
@@ -365,7 +337,7 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, ZfpError> {
             let consumed = bits.bits_consumed() as u64 - start_bits;
             if consumed < budget {
                 for _ in 0..(budget - consumed) {
-                    bits.read_bit()?;
+                    bits.read_bit().map_err(CodecError::corrupt)?;
                 }
             }
         }
@@ -544,7 +516,7 @@ mod tests {
             for config in [ZfpConfig::accuracy(1e-3), ZfpConfig::rate(8.0)] {
                 assert_eq!(
                     compress(&original, &config),
-                    Err(ZfpError::NonFinite { index }),
+                    Err(non_finite(index)),
                     "{hostile} at {index}"
                 );
             }
@@ -557,12 +529,35 @@ mod tests {
         (values[40], values[9]) = (f64::NAN, f64::INFINITY);
         let original = Dataset::from_f64("t", "f", 0, Dims::d1(64), values);
         let refused = compress(&original, &ZfpConfig::accuracy(1e-3)).unwrap_err();
-        assert_eq!(
-            refused,
-            ZfpError::NonFinite { index: 9 },
-            "the first one is named"
-        );
+        assert_eq!(refused, non_finite(9), "the first one is named");
         assert!(refused.to_string().contains("value 9"), "{refused}");
+    }
+
+    fn non_finite(index: usize) -> CodecError {
+        CodecError::Codec(format!(
+            "value {index} is not finite: the ZFP-like codec codes finite values only"
+        ))
+    }
+
+    #[test]
+    fn a_block_wider_than_the_fixed_point_refuses_its_tolerance() {
+        // A fill value of 2^60 (block exponent 61) among O(1) values: at
+        // tolerance 2^-7 the accuracy mode would want 61 + 7 + 2·(d+1) bit
+        // planes, and the fixed point would round the small values to 0.
+        for dims in [Dims::d1(64), Dims::d2(8, 8), Dims::d3(4, 4, 4)] {
+            let mut values: Vec<f64> = (0..64).map(|i| (i as f64 * 0.3).sin()).collect();
+            values[37] = 2f64.powi(60);
+            let original = Dataset::from_f64("t", "fill", 0, dims, values);
+            let refused = compress(&original, &ZfpConfig::accuracy(2f64.powi(-7))).unwrap_err();
+            assert!(
+                matches!(&refused, CodecError::InvalidBound(msg) if msg.starts_with("value 37 ")),
+                "{refused:?}"
+            );
+            // A looser tolerance, or the rate mode, codes the same field.
+            compress(&original, &ZfpConfig::rate(8.0)).unwrap();
+            let packed = compress(&original, &ZfpConfig::accuracy(1024.0)).unwrap();
+            assert!(max_error(&original, &decompress(&packed).unwrap()) <= 1024.0);
+        }
     }
 
     #[test]

@@ -13,7 +13,10 @@
    and nothing else in the framework decodes.
 5. crates/fraz-core/src names `AtomicBool` only in cancel.rs: every stop signal of the
    framework is a `CancelToken`, and a strategy stops its own tasks with a child of the
-   search's token."""
+   search's token.
+6. crates/fraz-{sz,zfp,mgard,szx}/src declare no `enum …Error` and crates/fraz-pressio/src
+   has no `impl From<…> for PressioError`: every codec fails with `fraz_data::CodecError`,
+   which is what `PressioError` names, so no codec error needs translating."""
 import pathlib
 import re
 import sys
@@ -106,6 +109,23 @@ if flags:
     failures.append(
         "expected no `AtomicBool` in crates/fraz-core/src outside cancel.rs, "
         f"found {len(flags)} site(s): a stop signal is a child `CancelToken`"
+    )
+
+errors = []
+for codec in ["sz", "zfp", "mgard", "szx"]:
+    for path in sorted(pathlib.Path(f"crates/fraz-{codec}/src").rglob("*.rs")):
+        code = code_of(path)
+        for enum in re.finditer(r"\benum\s+\w*Error\b", code):
+            errors.append(site(path, code, enum.start()))
+for path in sorted(pathlib.Path("crates/fraz-pressio/src").rglob("*.rs")):
+    code = code_of(path)
+    for impl in re.finditer(r"\bimpl\s+From<[^{]*>\s+for\s+PressioError\b", code):
+        errors.append(site(path, code, impl.start()))
+print("\n".join(errors))
+if errors:
+    failures.append(
+        f"expected no codec error enum and no `From` into `PressioError`, found {len(errors)} "
+        "site(s): every codec returns `fraz_data::CodecError`, which `PressioError` names"
     )
 
 sys.exit("\n".join(failures) if failures else 0)

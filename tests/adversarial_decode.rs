@@ -1,6 +1,6 @@
 //! Hostile-input contract of every decode path: bytes that cross a trust
-//! boundary yield a typed error — never a panic, a hang, an abort or an
-//! allocation sized by an unchecked field.
+//! boundary yield a corrupt-stream error (`PressioError::Codec`) — never a
+//! panic, a hang, an abort or an allocation sized by an unchecked field.
 //!
 //! The suite is registry-driven (sibling of `error_bound_conformance.rs`):
 //! it loops over **every** registered codec, so a new backend is attacked
@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fraz::data::{Dataset, Dims};
 use fraz::lossless;
-use fraz::pressio::{registry, Compressor};
+use fraz::pressio::{registry, Compressor, PressioError};
 use fraz::tune::TuneCache;
 
 // ---------------------------------------------------------------------------
@@ -179,12 +179,14 @@ fn victims() -> Vec<Victim> {
 }
 
 /// Decode hostile bytes: a panic fails the test naming the mutation, a
-/// success must be a self-consistent dataset.
+/// failure must be a corrupt stream (`PressioError::Codec`) and a success a
+/// self-consistent dataset.
 fn decode(victim: &Victim, what: &str, bytes: &[u8]) -> Result<Dataset, String> {
     let name = &victim.name;
     match catch_unwind(AssertUnwindSafe(|| victim.codec.decompress(bytes))) {
         Err(_) => panic!("{name}: {what}: decompress panicked"),
-        Ok(Err(e)) => Err(e.to_string()),
+        Ok(Err(PressioError::Codec(e))) => Err(e),
+        Ok(Err(e)) => panic!("{name}: {what}: {e:?} is not a corrupt-stream error"),
         Ok(Ok(dataset)) => {
             assert_eq!(dataset.len(), dataset.dims.len(), "{name}: {what}");
             Ok(dataset)

@@ -231,59 +231,76 @@ fn sparse_scenario_edge_cases_conform() {
     }
 }
 
-/// One NaN, one +∞ and one −∞ in an otherwise ordinary field: a codec
-/// either keeps them (and still honours the bound on every finite value,
-/// neighbours of the non-finite ones included) or refuses the field with an
+/// One NaN, one +∞ and one −∞ in an otherwise ordinary field, and NetCDF's
+/// f32 fill value (finite, but 2^123) at every 97th point of an O(1) field:
+/// a codec either keeps them (and still honours the bound on every other
+/// value, neighbours of the outliers included) or refuses the field with an
 /// error — never silently.
 #[test]
 fn non_finite_values_are_kept_or_refused_never_dropped() {
-    let dims = Dims::d3(8, 9, 10);
-    let mut values = synth(dims.len(), 17, 1.0);
-    values[37] = f64::NAN;
-    values[311] = f64::INFINITY;
-    values[640] = f64::NEG_INFINITY;
-    let narrow = values.iter().map(|&v| v as f32).collect();
-    for dataset in [
-        Dataset::from_f32("conformance", "non-finite", 0, dims.clone(), narrow),
-        Dataset::from_f64("conformance", "non-finite", 0, dims, values),
-    ] {
-        let original = dataset.values_f64();
-        for name in registry::error_bounded_names() {
-            let codec = registry::build_default(&name).unwrap();
-            if !codec.supports_dims(&dataset.dims) {
-                continue;
-            }
-            for bound in [1e-1, 1e-3, 1e-6] {
-                let what = format!("{name} on {:?} at bound {bound:e}", dataset.dtype());
-                let Ok(compressed) = codec.compress(&dataset, bound) else {
-                    continue; // refused, with an error: allowed
-                };
-                let restored = codec.decompress(&compressed).unwrap_or_else(|e| {
-                    panic!("{what}: compressed, then failed to decompress: {e}")
-                });
-                let recovered = restored.values_f64();
-                assert_eq!(recovered.len(), original.len(), "{what}");
-                let mut squares = 0.0;
-                for (i, (x, y)) in original.iter().zip(recovered.iter()).enumerate() {
-                    if !x.is_finite() {
-                        assert!(
-                            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
-                            "{what}: x[{i}] = {x} came back as {y}"
-                        );
-                        continue;
-                    }
-                    let err = (x - y).abs();
-                    squares += err * err;
-                    if codec.bound_kind() != BoundKind::L2Norm {
-                        assert!(
-                            err <= bound,
-                            "{what}: |x[{i}] - x̂[{i}]| = {err:e} (x = {x}, x̂ = {y})"
-                        );
-                    }
+    let holes = Dims::d3(8, 9, 10);
+    let mut with_holes = synth(holes.len(), 17, 1.0);
+    with_holes[37] = f64::NAN;
+    with_holes[311] = f64::INFINITY;
+    with_holes[640] = f64::NEG_INFINITY;
+    let filled = Dims::d3(16, 32, 32);
+    let mut with_fill = synth(filled.len(), 29, 1.0);
+    for v in with_fill.iter_mut().step_by(97) {
+        *v = 9.96921e36f32 as f64;
+    }
+    for (dims, values) in [(holes, with_holes), (filled, with_fill)] {
+        let narrow = values.iter().map(|&v| v as f32).collect();
+        for dataset in [
+            Dataset::from_f32("conformance", "outliers", 0, dims.clone(), narrow),
+            Dataset::from_f64("conformance", "outliers", 0, dims, values),
+        ] {
+            assert_kept_or_refused(&dataset);
+        }
+    }
+}
+
+fn assert_kept_or_refused(dataset: &Dataset) {
+    let original = dataset.values_f64();
+    let finite = original.iter().filter(|x| x.is_finite()).count();
+    for name in registry::error_bounded_names() {
+        let codec = registry::build_default(&name).unwrap();
+        if !codec.supports_dims(&dataset.dims) {
+            continue;
+        }
+        for bound in [1e-1, 1e-3, 1e-6] {
+            let what = format!(
+                "{name} on {:?} {} at bound {bound:e}",
+                dataset.dtype(),
+                dataset.dims
+            );
+            let Ok(compressed) = codec.compress(dataset, bound) else {
+                continue; // refused, with an error: allowed
+            };
+            let restored = codec
+                .decompress(&compressed)
+                .unwrap_or_else(|e| panic!("{what}: compressed, then failed to decompress: {e}"));
+            let recovered = restored.values_f64();
+            assert_eq!(recovered.len(), original.len(), "{what}");
+            let mut squares = 0.0;
+            for (i, (x, y)) in original.iter().zip(recovered.iter()).enumerate() {
+                if !x.is_finite() {
+                    assert!(
+                        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                        "{what}: x[{i}] = {x} came back as {y}"
+                    );
+                    continue;
                 }
-                let rmse = (squares / (original.len() - 3) as f64).sqrt();
-                assert!(rmse <= bound * (1.0 + 1e-9), "{what}: rmse = {rmse:e}");
+                let err = (x - y).abs();
+                squares += err * err;
+                if codec.bound_kind() != BoundKind::L2Norm {
+                    assert!(
+                        err <= bound,
+                        "{what}: |x[{i}] - x̂[{i}]| = {err:e} (x = {x}, x̂ = {y})"
+                    );
+                }
             }
+            let rmse = (squares / finite as f64).sqrt();
+            assert!(rmse <= bound * (1.0 + 1e-9), "{what}: rmse = {rmse:e}");
         }
     }
 }
