@@ -9,6 +9,8 @@
 //! * [`Dataset`] / [`buffer::DataBuffer`] / [`dims::Dims`] — an N-dimensional
 //!   (1-D to 4-D) container for single- or double-precision fields, with the
 //!   statistics the codecs and the metrics crate need,
+//! * [`Want`] / [`Encoded`] — what one codec `encode` call is asked for
+//!   (length, stream or measured reconstruction) and what it produced,
 //! * [`wire`] — the one little-endian [`wire::ByteWriter`] /
 //!   [`wire::ByteReader`] pair every codec blob, FRZS container and service
 //!   frame is written and parsed with, the validated reads of everything a
@@ -53,6 +55,50 @@ use std::ops::Range;
 pub use buffer::{DType, DataBuffer};
 pub use dims::Dims;
 pub use wire::CodecError;
+
+/// What one codec `encode` call is asked to produce.  Each codec has one
+/// encoder; the caller says how much of its work it needs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Want {
+    /// At least the stream's length.  A codec that has to write its stream
+    /// to know the length hands the stream back too.
+    Size,
+    /// The stream.
+    Stream,
+    /// The stream and the reconstruction its decoder rebuilds from it, bit
+    /// for bit.
+    Measured,
+}
+
+/// What one codec `encode` call produced.
+#[derive(Debug)]
+pub struct Encoded {
+    /// The stream's length in bytes.
+    pub len: usize,
+    /// The stream, when the encoder wrote it.
+    pub stream: Option<Vec<u8>>,
+    /// The decoder's reconstruction, for [`Want::Measured`].
+    pub recon: Option<DataBuffer>,
+}
+
+impl Encoded {
+    /// A written `stream`, with the reconstruction when one was asked for.
+    pub fn written(stream: Vec<u8>, recon: Option<DataBuffer>) -> Self {
+        Self {
+            len: stream.len(),
+            stream: Some(stream),
+            recon,
+        }
+    }
+
+    /// The stream of a [`Want::Stream`] or [`Want::Measured`] encode.
+    ///
+    /// # Panics
+    /// Panics if the encoder wrote no stream.
+    pub fn into_stream(self) -> Vec<u8> {
+        self.stream.expect("a stream was asked for")
+    }
+}
 
 /// One field of one application at one time-step — the unit of compression
 /// (the paper's `D_{f,t}`).

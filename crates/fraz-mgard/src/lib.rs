@@ -44,7 +44,7 @@ pub mod hierarchy;
 
 use fraz_data::quant::LinearQuantizer;
 use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader};
-use fraz_data::{CodecError, DType, DataBuffer, Dataset, Dims};
+use fraz_data::{CodecError, DType, DataBuffer, Dataset, Dims, Encoded, Want};
 use fraz_lossless::huffman;
 
 use hierarchy::{interpolate, level_nodes, level_steps, Dims3};
@@ -207,23 +207,14 @@ fn decode_levels(
 
 /// Compress a 2-D or 3-D dataset under the configured error norm.
 pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, CodecError> {
-    encode(dataset, config).map(|(stream, _)| stream)
+    encode(dataset, config, Want::Stream).map(Encoded::into_stream)
 }
 
-/// [`compress`], and the reconstruction [`decompress`] would rebuild from
-/// the stream — bit for bit, since the encoder quantizes every level against
-/// the reconstructed coarser ones — without decoding anything.
-pub fn compress_measured(
-    dataset: &Dataset,
-    config: &MgardConfig,
-) -> Result<(Vec<u8>, DataBuffer), CodecError> {
-    let (stream, recon) = encode(dataset, config)?;
-    Ok((stream, DataBuffer::from_f64(recon, dataset.dtype())))
-}
-
-/// The one encoder: the stream, and the reconstruction it was quantized
-/// against.
-fn encode(dataset: &Dataset, config: &MgardConfig) -> Result<(Vec<u8>, Vec<f64>), CodecError> {
+/// The one encoder.  Every `want` writes the stream; [`Want::Measured`]
+/// adds the reconstruction [`decompress`] would rebuild from it — bit for
+/// bit, since the encoder quantizes every level against the reconstructed
+/// coarser ones — without decoding anything.
+pub fn encode(dataset: &Dataset, config: &MgardConfig, want: Want) -> Result<Encoded, CodecError> {
     config.validate()?;
     let dims3 = grid_3d(&dataset.dims)?;
     let bound = config.pointwise_bound();
@@ -247,7 +238,8 @@ fn encode(dataset: &Dataset, config: &MgardConfig) -> Result<(Vec<u8>, Vec<f64>)
 
     let mut out = header.into_bytes();
     out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
-    Ok((out, recon))
+    let recon = (want == Want::Measured).then(|| DataBuffer::from_f64(recon, dtype));
+    Ok(Encoded::written(out, recon))
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -295,7 +287,7 @@ mod tests {
         let values: Vec<f32> = (0..rows * cols)
             .map(|i| {
                 let (r, c) = (i / cols, i % cols);
-                ((r as f32 * 0.11).sin() * 4.0 + (c as f32 * 0.07).cos() * 6.0) as f32
+                (r as f32 * 0.11).sin() * 4.0 + (c as f32 * 0.07).cos() * 6.0
             })
             .collect();
         Dataset::from_f32("test", "smooth2d", 0, Dims::d2(rows, cols), values)
@@ -419,15 +411,8 @@ mod tests {
         assert!(decompress(&packed[..8]).is_err());
     }
 
-    fn buffer_bits(buffer: &DataBuffer) -> Vec<u64> {
-        match buffer {
-            DataBuffer::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
-            DataBuffer::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-        }
-    }
-
     #[test]
-    fn compress_measured_is_compress_and_the_decoded_field() {
+    fn encode_is_compress_and_the_decoded_field_for_every_want() {
         let mut holes = smooth3d(9, 10, 11);
         if let DataBuffer::F32(values) = &mut holes.buffer {
             values[5] = f32::NAN;
@@ -448,13 +433,24 @@ mod tests {
                 MgardConfig::infinity_norm(1e-2),
                 MgardConfig::l2_norm(1e-3),
             ] {
-                let (stream, recon) = compress_measured(&original, &config).unwrap();
-                assert_eq!(stream, compress(&original, &config).unwrap(), "{config:?}");
+                let what = format!("{original} {config:?}");
+                let stream = compress(&original, &config).unwrap();
+                let size = encode(&original, &config, Want::Size).unwrap();
+                assert_eq!(size.len, stream.len(), "{what}");
+                assert!(size.stream.is_none_or(|s| s == stream), "{what}");
+                assert!(size.recon.is_none(), "{what}");
+                let written = encode(&original, &config, Want::Stream).unwrap();
+                assert_eq!(written.len, stream.len(), "{what}");
+                assert!(written.recon.is_none(), "{what}");
+                assert_eq!(written.stream.as_ref(), Some(&stream), "{what}");
+                let measured = encode(&original, &config, Want::Measured).unwrap();
+                assert_eq!(measured.len, stream.len(), "{what}");
+                assert_eq!(measured.stream.as_ref(), Some(&stream), "{what}");
                 let decoded = decompress(&stream).unwrap().buffer;
-                assert_eq!(
-                    buffer_bits(&recon),
-                    buffer_bits(&decoded),
-                    "{original} {config:?}"
+                // Bit for bit, NaN and infinity included.
+                assert!(
+                    measured.recon.unwrap().to_le_bytes() == decoded.to_le_bytes(),
+                    "{what}"
                 );
             }
         }

@@ -10,17 +10,15 @@
 //! the codec crates they do not ship.
 
 // With every codec feature off the table has no rows: the one impl below is
-// still compiled, but no `Codec` exists to reach its arms.  With zfp alone,
-// no codec measures its encoder's reconstruction, and every arm of
-// `evaluate` returns before the shared tail.
+// still compiled, but no `Codec` exists to reach its arms.
 #![cfg_attr(
-    not(any(feature = "sz", feature = "mgard", feature = "szx")),
-    allow(unused_mut, unused_variables, unreachable_code)
+    not(any(feature = "sz", feature = "zfp", feature = "mgard", feature = "szx")),
+    allow(unused_mut, unused_variables)
 )]
 
 use std::sync::Arc;
 
-use fraz_data::{Dataset, Dims};
+use fraz_data::{Dataset, Dims, Encoded, Want};
 #[cfg(feature = "mgard")]
 use fraz_mgard::{ErrorNorm, MgardConfig};
 #[cfg(feature = "sz")]
@@ -35,13 +33,11 @@ use crate::descriptor::DimRange;
 #[cfg(any(feature = "sz", feature = "szx"))]
 use crate::descriptor::OptionDescriptor;
 use crate::descriptor::{BoundKind, CodecDescriptor};
-#[cfg(feature = "zfp")]
-use crate::measure_stream;
 #[cfg(any(feature = "sz", feature = "szx"))]
 use crate::options::OptionKind;
 use crate::options::Options;
 use crate::registry::Registry;
-use crate::{evaluate_by_compressing, CompressionOutcome, Compressor, PressioError};
+use crate::{CompressionOutcome, Compressor, PressioError};
 
 /// Smallest error-bound setting offered to the search, as a fraction of the
 /// field's value range (below this the codecs are effectively lossless and
@@ -102,6 +98,37 @@ impl Builtin {
             dims.ndims()
         )))
     }
+
+    /// The one encoder `match`: the row's codec at `error_bound`, asked for
+    /// `want`, after the grid check.
+    fn encode(
+        &self,
+        dataset: &Dataset,
+        error_bound: f64,
+        want: Want,
+    ) -> Result<Encoded, PressioError> {
+        self.check_dims(&dataset.dims)?;
+        match self.codec {
+            #[cfg(feature = "sz")]
+            Codec::Sz(ref config) => fraz_sz::encode(dataset, &sz_at(config, error_bound), want),
+            #[cfg(feature = "zfp")]
+            Codec::ZfpAccuracy => {
+                fraz_zfp::encode(dataset, &ZfpConfig::accuracy(error_bound), want)
+            }
+            #[cfg(feature = "zfp")]
+            Codec::ZfpRate => fraz_zfp::encode(dataset, &ZfpConfig::rate(error_bound), want),
+            #[cfg(feature = "mgard")]
+            Codec::Mgard(norm) => {
+                let config = MgardConfig {
+                    tolerance: error_bound,
+                    norm,
+                };
+                fraz_mgard::encode(dataset, &config, want)
+            }
+            #[cfg(feature = "szx")]
+            Codec::Szx(ref config) => fraz_szx::encode(dataset, &szx_at(config, error_bound), want),
+        }
+    }
 }
 
 impl Compressor for Builtin {
@@ -122,91 +149,42 @@ impl Compressor for Builtin {
         }
     }
     fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
-        self.check_dims(&dataset.dims)?;
-        Ok(match self.codec {
-            #[cfg(feature = "sz")]
-            Codec::Sz(ref config) => fraz_sz::compress(dataset, &sz_at(config, error_bound))?,
-            #[cfg(feature = "zfp")]
-            Codec::ZfpAccuracy => fraz_zfp::compress(dataset, &ZfpConfig::accuracy(error_bound))?,
-            #[cfg(feature = "zfp")]
-            Codec::ZfpRate => fraz_zfp::compress(dataset, &ZfpConfig::rate(error_bound))?,
-            #[cfg(feature = "mgard")]
-            Codec::Mgard(norm) => {
-                let config = MgardConfig {
-                    tolerance: error_bound,
-                    norm,
-                };
-                fraz_mgard::compress(dataset, &config)?
-            }
-            #[cfg(feature = "szx")]
-            Codec::Szx(ref config) => fraz_szx::compress(dataset, &szx_at(config, error_bound))?,
-        })
+        self.encode(dataset, error_bound, Want::Stream)
+            .map(Encoded::into_stream)
     }
     fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
-        Ok(match self.codec {
+        match self.codec {
             #[cfg(feature = "sz")]
-            Codec::Sz(_) => fraz_sz::decompress(data)?,
+            Codec::Sz(_) => fraz_sz::decompress(data),
             #[cfg(feature = "zfp")]
-            Codec::ZfpAccuracy | Codec::ZfpRate => fraz_zfp::decompress(data)?,
+            Codec::ZfpAccuracy | Codec::ZfpRate => fraz_zfp::decompress(data),
             #[cfg(feature = "mgard")]
-            Codec::Mgard(_) => fraz_mgard::decompress(data)?,
+            Codec::Mgard(_) => fraz_mgard::decompress(data),
             #[cfg(feature = "szx")]
-            Codec::Szx(_) => fraz_szx::decompress(data)?,
-        })
+            Codec::Szx(_) => fraz_szx::decompress(data),
+        }
     }
-    /// Three routes, each the trait's default body's answer for less work:
-    /// szx sizes a ratio without writing the stream; sz, mgard and szx
-    /// measure the reconstruction their encoder built instead of decoding;
-    /// everything else compresses (and for quality decodes) as the default
-    /// does.
+    /// The trait's default body's answer for less work: a ratio asks the
+    /// codec for its size only (szx writes no stream), and a quality report
+    /// measures the reconstruction the encoder built (sz, mgard, szx) or
+    /// decoded (zfp).
     fn evaluate(
         &self,
         dataset: &Dataset,
         error_bound: f64,
         measure_quality: bool,
     ) -> Result<CompressionOutcome, PressioError> {
-        self.check_dims(&dataset.dims)?;
-        let measured = match self.codec {
-            // A stream's length is a closed form of the block
-            // classification: one classification pass, no stream.
-            #[cfg(feature = "szx")]
-            Codec::Szx(ref config) if !measure_quality => {
-                let size = fraz_szx::compressed_len(dataset, &szx_at(config, error_bound))?;
-                let outcome =
-                    CompressionOutcome::of_size(self.name(), dataset, error_bound, size, None);
-                return Ok(outcome);
-            }
-            _ if !measure_quality => {
-                return evaluate_by_compressing(self, dataset, error_bound, false)
-            }
-            #[cfg(feature = "sz")]
-            Codec::Sz(ref config) => {
-                fraz_sz::compress_measured(dataset, &sz_at(config, error_bound))?
-            }
-            // zfp's encoder keeps no reconstruction: decode the stream.
-            #[cfg(feature = "zfp")]
-            Codec::ZfpAccuracy | Codec::ZfpRate => {
-                let stream = self.compress(dataset, error_bound)?;
-                return measure_stream(self, dataset, error_bound, stream);
-            }
-            #[cfg(feature = "mgard")]
-            Codec::Mgard(norm) => {
-                let config = MgardConfig {
-                    tolerance: error_bound,
-                    norm,
-                };
-                fraz_mgard::compress_measured(dataset, &config)?
-            }
-            #[cfg(feature = "szx")]
-            Codec::Szx(ref config) => {
-                fraz_szx::compress_measured(dataset, &szx_at(config, error_bound))?
-            }
+        let want = if measure_quality {
+            Want::Measured
+        } else {
+            Want::Size
         };
-        Ok(CompressionOutcome::of_reconstruction(
+        let encoded = self.encode(dataset, error_bound, want)?;
+        Ok(CompressionOutcome::of_encoded(
             self.name(),
             dataset,
             error_bound,
-            measured,
+            encoded,
         ))
     }
 }

@@ -44,7 +44,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use fraz_data::{DataBuffer, Dataset, Dims};
+use fraz_data::{Dataset, Dims, Encoded};
 use fraz_metrics::QualityReport;
 
 /// Errors surfaced through the abstraction layer: the one error every
@@ -150,10 +150,11 @@ pub trait Compressor: Send + Sync {
     /// outcome carries the stream it measured, so a caller that settles on
     /// this bound need not compress again.
     ///
-    /// A backend may override this where the answer follows from less work:
-    /// for `measure_quality == false` when the stream's length does (szx),
-    /// for `measure_quality == true` when its encoder already holds the
-    /// reconstruction the decoder would rebuild (sz, mgard, szx).  The
+    /// A backend may override this where the answer follows from less work.
+    /// The built-in codecs answer it with one `encode(.., Want::Size)` or
+    /// `encode(.., Want::Measured)` (see [`fraz_data::Want`]): szx sizes a
+    /// stream without writing it, and sz, mgard and szx measure the
+    /// reconstruction their encoder already holds instead of decoding.  The
     /// contract is that the outcome — quality report included, bit for bit —
     /// or the error is the one this body returns, with or without the
     /// stream, and that a stream it does carry is `compress`'s
@@ -169,25 +170,25 @@ pub trait Compressor: Send + Sync {
     }
 }
 
-/// The default body of [`Compressor::evaluate`], callable from an override
-/// that takes another route for some of its arguments only.
+/// The default body of [`Compressor::evaluate`]: compress, and for quality
+/// decode what was written.
 pub(crate) fn evaluate_by_compressing<C: Compressor + ?Sized>(
     compressor: &C,
     dataset: &Dataset,
     error_bound: f64,
     measure_quality: bool,
 ) -> Result<CompressionOutcome, PressioError> {
-    let compressed = compressor.compress(dataset, error_bound)?;
-    if !measure_quality {
-        return Ok(CompressionOutcome::of_stream(
-            compressor.name(),
-            dataset,
-            error_bound,
-            compressed,
-            None,
-        ));
+    let stream = compressor.compress(dataset, error_bound)?;
+    if measure_quality {
+        return measure_stream(compressor, dataset, error_bound, stream);
     }
-    measure_stream(compressor, dataset, error_bound, compressed)
+    let encoded = Encoded::written(stream, None);
+    Ok(CompressionOutcome::of_encoded(
+        compressor.name(),
+        dataset,
+        error_bound,
+        encoded,
+    ))
 }
 
 /// The quality outcome of `stream` — what `compressor.compress(dataset,
@@ -202,66 +203,38 @@ pub fn measure_stream<C: Compressor + ?Sized>(
     stream: Vec<u8>,
 ) -> Result<CompressionOutcome, PressioError> {
     let restored = compressor.decompress(&stream)?;
-    Ok(CompressionOutcome::of_reconstruction(
+    let encoded = Encoded::written(stream, Some(restored.buffer));
+    Ok(CompressionOutcome::of_encoded(
         compressor.name(),
         dataset,
         error_bound,
-        (stream, restored.buffer),
+        encoded,
     ))
 }
 
 impl CompressionOutcome {
-    /// The outcome of compressing `dataset` to `compressed_bytes` bytes at
-    /// `error_bound`: the one place ratio and bit rate are derived from a
-    /// size, however the size was obtained.
-    pub(crate) fn of_size(
+    /// The outcome of one encode of `dataset` at `error_bound`, however it
+    /// was obtained: the one place ratio and bit rate are derived from a
+    /// size, the report is measured when the encode holds a reconstruction,
+    /// and the stream is carried when it holds one.
+    pub(crate) fn of_encoded(
         compressor: &str,
         dataset: &Dataset,
         error_bound: f64,
-        compressed_bytes: usize,
-        quality: Option<QualityReport>,
+        encoded: Encoded,
     ) -> Self {
+        let Encoded { len, stream, recon } = encoded;
         let original_bytes = dataset.byte_size();
         Self {
             compressor: compressor.to_string(),
             error_bound,
-            compression_ratio: fraz_metrics::ratio::compression_ratio(
-                original_bytes,
-                compressed_bytes,
-            ),
-            bit_rate: fraz_metrics::ratio::bit_rate(compressed_bytes, dataset.len()),
-            compressed_bytes,
+            compression_ratio: fraz_metrics::ratio::compression_ratio(original_bytes, len),
+            bit_rate: fraz_metrics::ratio::bit_rate(len, dataset.len()),
+            compressed_bytes: len,
             original_bytes,
-            quality,
-            stream: None,
+            quality: recon.map(|recon| QualityReport::measure(dataset, &recon, len)),
+            stream,
         }
-    }
-
-    /// The outcome of writing `stream`, which it carries.
-    pub(crate) fn of_stream(
-        compressor: &str,
-        dataset: &Dataset,
-        error_bound: f64,
-        stream: Vec<u8>,
-        quality: Option<QualityReport>,
-    ) -> Self {
-        let sized = Self::of_size(compressor, dataset, error_bound, stream.len(), quality);
-        Self {
-            stream: Some(stream),
-            ..sized
-        }
-    }
-
-    /// The quality outcome of a stream and the reconstruction it decodes
-    /// to, however that reconstruction was obtained.
-    pub(crate) fn of_reconstruction(
-        compressor: &str,
-        dataset: &Dataset,
-        error_bound: f64,
-        (stream, reconstruction): (Vec<u8>, DataBuffer),
-    ) -> Self {
-        let quality = QualityReport::measure(dataset, &reconstruction, stream.len());
-        Self::of_stream(compressor, dataset, error_bound, stream, Some(quality))
     }
 
     /// This measurement without the bytes it was made on.

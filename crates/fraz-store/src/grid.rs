@@ -255,7 +255,8 @@ mod tests {
         assert!(grid.chunks_intersecting(&[0..8]).is_err());
         assert!(grid.chunks_intersecting(&[0..0, 0..8]).is_err());
         assert!(grid.chunks_intersecting(&[0..9, 0..8]).is_err());
-        assert!(grid.chunks_intersecting(&[5..3, 0..8]).is_err());
+        let reversed = Range { start: 5, end: 3 };
+        assert!(grid.chunks_intersecting(&[reversed, 0..8]).is_err());
     }
 
     #[test]

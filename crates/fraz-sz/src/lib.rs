@@ -53,7 +53,7 @@ pub mod pipeline;
 pub mod predict;
 
 use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader};
-use fraz_data::{CodecError, DType, DataBuffer, Dataset};
+use fraz_data::{CodecError, DType, DataBuffer, Dataset, Encoded, Want};
 use fraz_lossless::huffman;
 
 use pipeline::{EncodedBlocks, PipelineParams};
@@ -129,22 +129,14 @@ impl SzConfig {
 
 /// Compress a dataset under an absolute error bound.
 pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, CodecError> {
-    encode(dataset, config).map(|(stream, _)| stream)
+    encode(dataset, config, Want::Stream).map(Encoded::into_stream)
 }
 
-/// [`compress`], and the reconstruction [`decompress`] would rebuild from
-/// the stream — bit for bit, since the encoder computes every value the
-/// decoder will (it predicts from them) — without decoding anything.
-pub fn compress_measured(
-    dataset: &Dataset,
-    config: &SzConfig,
-) -> Result<(Vec<u8>, DataBuffer), CodecError> {
-    let (stream, recon) = encode(dataset, config)?;
-    Ok((stream, DataBuffer::from_f64(recon, dataset.dtype())))
-}
-
-/// The one encoder: the stream, and the reconstruction it was predicted from.
-fn encode(dataset: &Dataset, config: &SzConfig) -> Result<(Vec<u8>, Vec<f64>), CodecError> {
+/// The one encoder.  Every `want` writes the stream; [`Want::Measured`]
+/// adds the reconstruction [`decompress`] would rebuild from it — bit for
+/// bit, since the encoder computes every value the decoder will (it
+/// predicts from them) — without decoding anything.
+pub fn encode(dataset: &Dataset, config: &SzConfig, want: Want) -> Result<Encoded, CodecError> {
     config.validate()?;
     let dims3 = dataset.dims.fold_3d();
     let block = config.block_for(dataset.dims.ndims());
@@ -169,7 +161,7 @@ fn encode(dataset: &Dataset, config: &SzConfig) -> Result<(Vec<u8>, Vec<f64>), C
     // ---- body (dictionary-coded) ----
     let mut body = ByteWriter::with_capacity(dataset.len());
     body.put_u64(enc.regression_flags.len() as u64);
-    let mut flag_bytes = vec![0u8; (enc.regression_flags.len() + 7) / 8];
+    let mut flag_bytes = vec![0u8; enc.regression_flags.len().div_ceil(8)];
     for (i, &flag) in enc.regression_flags.iter().enumerate() {
         if flag {
             flag_bytes[i / 8] |= 1 << (i % 8);
@@ -187,7 +179,8 @@ fn encode(dataset: &Dataset, config: &SzConfig) -> Result<(Vec<u8>, Vec<f64>), C
 
     let mut out = header.into_bytes();
     out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
-    Ok((out, recon))
+    let recon = (want == Want::Measured).then(|| DataBuffer::from_f64(recon, dtype));
+    Ok(Encoded::written(out, recon))
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -388,15 +381,8 @@ mod tests {
         assert!(max_error(&original, &restored) <= 1e-4);
     }
 
-    fn buffer_bits(buffer: &DataBuffer) -> Vec<u64> {
-        match buffer {
-            DataBuffer::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
-            DataBuffer::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-        }
-    }
-
     #[test]
-    fn compress_measured_is_compress_and_the_decoded_field() {
+    fn encode_is_compress_and_the_decoded_field_for_every_want() {
         let mut holes = wave_dataset(Dims::d3(7, 9, 11));
         if let DataBuffer::F32(values) = &mut holes.buffer {
             values[3] = f32::NAN;
@@ -413,14 +399,25 @@ mod tests {
         );
         for original in [wave_dataset(Dims::d1(900)), holes, wide] {
             for eb in [1e-6, 1e-3, 1e-1, 10.0] {
+                let what = format!("{original} at {eb}");
                 let config = SzConfig::with_error_bound(eb);
-                let (stream, recon) = compress_measured(&original, &config).unwrap();
-                assert_eq!(stream, compress(&original, &config).unwrap(), "{eb}");
+                let stream = compress(&original, &config).unwrap();
+                let size = encode(&original, &config, Want::Size).unwrap();
+                assert_eq!(size.len, stream.len(), "{what}");
+                assert!(size.stream.is_none_or(|s| s == stream), "{what}");
+                assert!(size.recon.is_none(), "{what}");
+                let written = encode(&original, &config, Want::Stream).unwrap();
+                assert_eq!(written.len, stream.len(), "{what}");
+                assert!(written.recon.is_none(), "{what}");
+                assert_eq!(written.stream.as_ref(), Some(&stream), "{what}");
+                let measured = encode(&original, &config, Want::Measured).unwrap();
+                assert_eq!(measured.len, stream.len(), "{what}");
+                assert_eq!(measured.stream.as_ref(), Some(&stream), "{what}");
                 let decoded = decompress(&stream).unwrap().buffer;
-                assert_eq!(
-                    buffer_bits(&recon),
-                    buffer_bits(&decoded),
-                    "{original} at {eb}"
+                // Bit for bit, NaN and infinity included.
+                assert!(
+                    measured.recon.unwrap().to_le_bytes() == decoded.to_le_bytes(),
+                    "{what}"
                 );
             }
         }

@@ -18,7 +18,7 @@
 //! [`CodecError::Codec`], never a panic or an out-of-bounds read.
 
 use fraz_data::wire::{try_vec, ByteReader, ByteWriter, WireError};
-use fraz_data::CodecError;
+use fraz_data::{CodecError, Want};
 
 use crate::pack::{PackReader, PackWriter};
 
@@ -239,16 +239,17 @@ pub(crate) fn classify<F: SzxFloat>(chunk: &[F], error_bound: f64, k: i32) -> Bl
 }
 
 /// Encode `values` in blocks of `block` values under `error_bound`,
-/// appending the serialized section to `out`; with `measure`, also return
-/// the values [`decode`] will rebuild from it — each block's midrange, or
-/// its members truncated to the kept width (non-finite blocks keep every
-/// bit) — without reading the section back.
+/// appending the serialized section to `out`; for [`Want::Measured`], also
+/// return the values [`decode`] will rebuild from it — each block's
+/// midrange, or its members truncated to the kept width (non-finite blocks
+/// keep every bit) — without reading the section back.  The crate answers
+/// [`Want::Size`] with [`encoded_len`] instead.
 pub fn encode<F: SzxFloat>(
     values: &[F],
     block: usize,
     error_bound: f64,
     out: &mut ByteWriter,
-    measure: bool,
+    want: Want,
 ) -> Option<Vec<F>> {
     let k = crate::bound_exponent(error_bound);
     let n_blocks = values.len().div_ceil(block);
@@ -257,7 +258,7 @@ pub fn encode<F: SzxFloat>(
     let mut constants = ByteWriter::with_capacity(256);
     let mut packer =
         PackWriter::with_bit_capacity(values.len().saturating_mul(F::WIDTH as usize) / 2);
-    let mut recon = measure.then(|| Vec::with_capacity(values.len()));
+    let mut recon = (want == Want::Measured).then(|| Vec::with_capacity(values.len()));
 
     for (bi, chunk) in values.chunks(block).enumerate() {
         match classify(chunk, error_bound, k) {
@@ -401,7 +402,7 @@ pub fn decode<F: SzxFloat>(
         let len = block_len(bi);
         if flagged(bi) {
             let c = F::read_from(&mut creader)?;
-            out.extend(std::iter::repeat(c).take(len));
+            out.extend(std::iter::repeat_n(c, len));
         } else {
             let w = widths[widx] as u32;
             widx += 1;
@@ -534,7 +535,7 @@ mod tests {
         for block in [1, 7, 64, 100, 999, 1517] {
             for eb in [1e-12, 1e-3, 1.0, 1e6] {
                 let mut w = ByteWriter::new();
-                encode(&values, block, eb, &mut w, false);
+                encode(&values, block, eb, &mut w, Want::Stream);
                 assert_eq!(encoded_len(&values, block, eb), w.len(), "{block} {eb}");
             }
         }
@@ -546,7 +547,7 @@ mod tests {
         for k in [-40i32, -20, -6, 0, 10, 20] {
             let eb = 2f64.powi(k);
             let mut w = ByteWriter::new();
-            let recon = encode(&values, 64, eb, &mut w, true).expect("measured");
+            let recon = encode(&values, 64, eb, &mut w, Want::Measured).expect("measured");
             let bytes = w.into_bytes();
             let decoded = decode::<f64>(&mut ByteReader::new(&bytes), values.len(), 64).unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -568,7 +569,7 @@ mod tests {
     fn truncated_section_is_an_error_not_a_panic() {
         let values: Vec<f32> = (0..500).map(|i| (i as f32 * 0.11).cos()).collect();
         let mut w = ByteWriter::new();
-        encode(&values, 128, 1e-4, &mut w, false);
+        encode(&values, 128, 1e-4, &mut w, Want::Stream);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let result = decode::<f32>(&mut ByteReader::new(&bytes[..cut]), values.len(), 128);

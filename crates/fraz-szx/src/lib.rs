@@ -26,7 +26,7 @@
 //! changes the economics of FRaZ's iterative search twice over: a
 //! compression is cheap, and a candidate bound does not even cost one —
 //! the stream's length is a closed form of the classification, which
-//! [`compressed_len`] evaluates in the first pass alone.
+//! [`encode`] with [`Want::Size`] evaluates in the first pass alone.
 //!
 //! The absolute error bound is a hard guarantee for every finite input:
 //! `max_i |d_i − d'_i| ≤ error_bound` (pinned by unit, property and
@@ -59,7 +59,7 @@ pub mod block;
 mod pack;
 
 use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader};
-use fraz_data::{CodecError, DType, DataBuffer, Dataset};
+use fraz_data::{CodecError, DType, DataBuffer, Dataset, Encoded, Want};
 
 /// Stream magic ("FSZX").
 const MAGIC: u32 = 0x4653_5A58;
@@ -131,59 +131,49 @@ fn write_prefix(dataset: &Dataset, config: &SzxConfig, out: &mut ByteWriter) -> 
 
 /// Compress a dataset under an absolute error bound.
 pub fn compress(dataset: &Dataset, config: &SzxConfig) -> Result<Vec<u8>, CodecError> {
-    encode(dataset, config, false).map(|(stream, _)| stream)
+    encode(dataset, config, Want::Stream).map(Encoded::into_stream)
 }
 
-/// [`compress`], and the reconstruction [`decompress`] would rebuild from
-/// the stream — each block's midrange or its members' truncated bit
+/// The one encoder.
+///
+/// [`Want::Size`] writes no stream.  An SZx stream's length is a closed
+/// form of its blockwise classification (flags, one width byte per
+/// truncated block, one value per constant block, `⌈Σ len·width / 8⌉`
+/// payload bytes), so one classification pass answers it: no value is
+/// packed and nothing proportional to the field is allocated.  This is what
+/// a fixed-ratio search pays per candidate bound.
+///
+/// [`Want::Measured`] adds the reconstruction [`decompress`] would rebuild
+/// from the stream — each block's midrange or its members' truncated bit
 /// patterns, formed as the block is classified — without decoding anything.
-pub fn compress_measured(
-    dataset: &Dataset,
-    config: &SzxConfig,
-) -> Result<(Vec<u8>, DataBuffer), CodecError> {
-    let (stream, recon) = encode(dataset, config, true)?;
-    Ok((stream, recon.expect("a measured encode reconstructs")))
-}
-
-/// The one encoder: the stream, and with `measure` the reconstruction.
-fn encode(
-    dataset: &Dataset,
-    config: &SzxConfig,
-    measure: bool,
-) -> Result<(Vec<u8>, Option<DataBuffer>), CodecError> {
+pub fn encode(dataset: &Dataset, config: &SzxConfig, want: Want) -> Result<Encoded, CodecError> {
     config.validate()?;
+    let eb = config.error_bound;
+    if want == Want::Size {
+        let mut prefix = ByteWriter::with_capacity(128);
+        let block = write_prefix(dataset, config, &mut prefix);
+        let section = match &dataset.buffer {
+            DataBuffer::F32(values) => block::encoded_len(values, block, eb),
+            DataBuffer::F64(values) => block::encoded_len(values, block, eb),
+        };
+        let len = prefix.len() + section;
+        return Ok(Encoded {
+            len,
+            stream: None,
+            recon: None,
+        });
+    }
     let mut out = ByteWriter::with_capacity(64 + dataset.byte_size() / 2);
     let block = write_prefix(dataset, config, &mut out);
-    let eb = config.error_bound;
     let recon = match &dataset.buffer {
         DataBuffer::F32(values) => {
-            block::encode(values, block, eb, &mut out, measure).map(DataBuffer::F32)
+            block::encode(values, block, eb, &mut out, want).map(DataBuffer::F32)
         }
         DataBuffer::F64(values) => {
-            block::encode(values, block, eb, &mut out, measure).map(DataBuffer::F64)
+            block::encode(values, block, eb, &mut out, want).map(DataBuffer::F64)
         }
     };
-    Ok((out.into_bytes(), recon))
-}
-
-/// The length of the stream [`compress`] would produce — exactly
-/// `compress(dataset, config).map(|bytes| bytes.len())`, errors included —
-/// without producing it.
-///
-/// An SZx stream's length is a closed form of its blockwise classification
-/// (flags, one width byte per truncated block, one value per constant
-/// block, `⌈Σ len·width / 8⌉` payload bytes), so one classification pass
-/// answers it: no value is packed and nothing proportional to the field is
-/// allocated.  This is what a fixed-ratio search pays per candidate bound.
-pub fn compressed_len(dataset: &Dataset, config: &SzxConfig) -> Result<usize, CodecError> {
-    config.validate()?;
-    let mut prefix = ByteWriter::with_capacity(128);
-    let block = write_prefix(dataset, config, &mut prefix);
-    let section = match &dataset.buffer {
-        DataBuffer::F32(values) => block::encoded_len(values, block, config.error_bound),
-        DataBuffer::F64(values) => block::encoded_len(values, block, config.error_bound),
-    };
-    Ok(prefix.len() + section)
+    Ok(Encoded::written(out.into_bytes(), recon))
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -401,15 +391,8 @@ mod tests {
         }
     }
 
-    fn buffer_bits(buffer: &DataBuffer) -> Vec<u64> {
-        match buffer {
-            DataBuffer::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
-            DataBuffer::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
-        }
-    }
-
     #[test]
-    fn compress_measured_is_compress_and_the_decoded_field() {
+    fn encode_is_compress_and_the_decoded_field_for_every_want() {
         let mut holes = wave_f32(Dims::d2(20, 33));
         if let DataBuffer::F32(values) = &mut holes.buffer {
             values[7] = f32::NAN;
@@ -425,14 +408,25 @@ mod tests {
         );
         for original in [wave_f32(Dims::d3(5, 6, 7)), holes, wide] {
             for eb in [1e-9, 1e-3, 0.5, 1e3] {
+                let what = format!("{original} at {eb}");
                 let config = SzxConfig::with_error_bound(eb);
-                let (stream, recon) = compress_measured(&original, &config).unwrap();
-                assert_eq!(stream, compress(&original, &config).unwrap(), "{eb}");
+                let stream = compress(&original, &config).unwrap();
+                let size = encode(&original, &config, Want::Size).unwrap();
+                assert_eq!(size.len, stream.len(), "{what}");
+                assert!(size.stream.is_none_or(|s| s == stream), "{what}");
+                assert!(size.recon.is_none(), "{what}");
+                let written = encode(&original, &config, Want::Stream).unwrap();
+                assert_eq!(written.len, stream.len(), "{what}");
+                assert!(written.recon.is_none(), "{what}");
+                assert_eq!(written.stream.as_ref(), Some(&stream), "{what}");
+                let measured = encode(&original, &config, Want::Measured).unwrap();
+                assert_eq!(measured.len, stream.len(), "{what}");
+                assert_eq!(measured.stream.as_ref(), Some(&stream), "{what}");
                 let decoded = decompress(&stream).unwrap().buffer;
-                assert_eq!(
-                    buffer_bits(&recon),
-                    buffer_bits(&decoded),
-                    "{original} at {eb}"
+                // Bit for bit, NaN and infinity included.
+                assert!(
+                    measured.recon.unwrap().to_le_bytes() == decoded.to_le_bytes(),
+                    "{what}"
                 );
             }
         }

@@ -1,4 +1,4 @@
-//! `compressed_len` is `compress(..).map(|b| b.len())` — the same `Result`,
+//! `encode(.., Want::Size).len` is `compress(..).map(|b| b.len())` — the same `Result`,
 //! errors included — over random lengths, block sizes, element types, value
 //! populations (raw bit patterns with their NaNs and infinities, narrow
 //! plateaus that classify constant, subnormals) and bounds from far below
@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 
-use fraz_data::{Dataset, Dims};
-use fraz_szx::{compress, compressed_len, SzxConfig};
+use fraz_data::{Dataset, Dims, Want};
+use fraz_szx::{compress, encode, SzxConfig};
 
 /// One value per draw: `kind` picks the population.
 fn value(kind: u8, i: usize, bits: u32) -> f32 {
@@ -30,7 +30,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     #[test]
-    fn compressed_len_is_the_length_of_compress(
+    fn the_size_encode_is_the_length_of_compress(
         bits in proptest::collection::vec(any::<u32>(), 1..2500),
         kind in 0u8..4,
         block in 1usize..400,
@@ -51,7 +51,7 @@ proptest! {
             block_size: Some(block),
         };
         prop_assert_eq!(
-            compressed_len(&dataset, &config),
+            encode(&dataset, &config, Want::Size).map(|encoded| encoded.len),
             compress(&dataset, &config).map(|bytes| bytes.len()),
             "{} values, kind {}, {:?}", n, kind, config
         );

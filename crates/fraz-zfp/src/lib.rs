@@ -47,7 +47,7 @@ pub mod coder;
 pub mod transform;
 
 use fraz_data::wire::{try_vec, ByteReader, ByteWriter, DatasetHeader};
-use fraz_data::{CodecError, DType, DataBuffer, Dataset, Dims};
+use fraz_data::{CodecError, DataBuffer, Dataset, Dims, Encoded, Want};
 use fraz_lossless::bitio::{BitReader, BitWriter};
 
 use block::MAX_BLOCK;
@@ -190,6 +190,12 @@ fn block_bit_budget(mode: &ZfpMode, block_dims: usize) -> u64 {
 
 /// Compress a dataset.
 pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, CodecError> {
+    encode(dataset, config, Want::Stream).map(Encoded::into_stream)
+}
+
+/// The one encoder.  Every `want` writes the stream; the encoder keeps no
+/// reconstruction, so [`Want::Measured`] decodes it.
+pub fn encode(dataset: &Dataset, config: &ZfpConfig, want: Want) -> Result<Encoded, CodecError> {
     config.validate()?;
     let mut header = ByteWriter::with_capacity(64);
     DatasetHeader::write(dataset, MAGIC, VERSION, &mut header);
@@ -202,7 +208,11 @@ pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, CodecE
         DataBuffer::F32(values) => encode_blocks(values, &dataset.dims, &config.mode)?,
         DataBuffer::F64(values) => encode_blocks(values, &dataset.dims, &config.mode)?,
     });
-    Ok(out)
+    let recon = match want {
+        Want::Measured => Some(decompress(&out)?.buffer),
+        Want::Size | Want::Stream => None,
+    };
+    Ok(Encoded::written(out, recon))
 }
 
 /// The block payload of [`compress`]: every block gathered, aligned,
@@ -348,16 +358,10 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
     Ok(head.into_dataset(buffer))
 }
 
-/// The compression ratio the fixed-rate mode will deliver for a dataset of
-/// the given element type, ignoring the (constant) header.
-pub fn fixed_rate_ratio(bits_per_value: f64, dtype: DType) -> f64 {
-    dtype.byte_width() as f64 * 8.0 / bits_per_value
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fraz_data::Dims;
+    use fraz_data::DType;
 
     fn wave(dims: Dims, scale: f64) -> Dataset {
         let n = dims.len();
@@ -572,8 +576,67 @@ mod tests {
     }
 
     #[test]
-    fn fixed_rate_ratio_helper() {
-        assert_eq!(fixed_rate_ratio(4.0, DType::F32), 8.0);
-        assert_eq!(fixed_rate_ratio(8.0, DType::F64), 8.0);
+    fn encode_is_compress_and_the_decoded_field_for_every_want() {
+        // A field with holes and one with a fill value too wide for the
+        // accuracy mode's tolerances: every `want` fails as `compress` does.
+        let mut holes = wave(Dims::d3(7, 9, 11), 1.0);
+        if let DataBuffer::F32(values) = &mut holes.buffer {
+            values[3] = f32::NAN;
+            values[200] = f32::INFINITY;
+        }
+        let mut fill: Vec<f64> = (0..30 * 41).map(|i| (i as f64 * 0.03).sin()).collect();
+        fill[77] = 2f64.powi(60);
+        let fill = Dataset::from_f64("t", "fill", 0, Dims::d2(30, 41), fill);
+        let wide = Dataset::from_f64(
+            "t",
+            "w",
+            0,
+            Dims::d2(30, 41),
+            (0..30 * 41)
+                .map(|i| (i as f64 * 0.03).sin() * 1e3)
+                .collect(),
+        );
+        let configs = [
+            ZfpConfig::accuracy(1e-6),
+            ZfpConfig::accuracy(1e-3),
+            ZfpConfig::accuracy(1e-1),
+            ZfpConfig::rate(4.0),
+            ZfpConfig::rate(16.0),
+        ];
+        let mut refused = 0;
+        for original in [wave(Dims::d1(900), 1.0), holes, fill, wide] {
+            for config in configs {
+                let what = format!("{original} {config:?}");
+                let stream = match compress(&original, &config) {
+                    Ok(stream) => stream,
+                    Err(error) => {
+                        for want in [Want::Size, Want::Stream, Want::Measured] {
+                            let encoded = encode(&original, &config, want);
+                            assert_eq!(encoded.err(), Some(error.clone()), "{what} {want:?}");
+                        }
+                        refused += 1;
+                        continue;
+                    }
+                };
+                let size = encode(&original, &config, Want::Size).unwrap();
+                assert_eq!(size.len, stream.len(), "{what}");
+                assert!(size.stream.is_none_or(|s| s == stream), "{what}");
+                assert!(size.recon.is_none(), "{what}");
+                let written = encode(&original, &config, Want::Stream).unwrap();
+                assert_eq!(written.len, stream.len(), "{what}");
+                assert!(written.recon.is_none(), "{what}");
+                assert_eq!(written.stream.as_ref(), Some(&stream), "{what}");
+                let measured = encode(&original, &config, Want::Measured).unwrap();
+                assert_eq!(measured.len, stream.len(), "{what}");
+                assert_eq!(measured.stream.as_ref(), Some(&stream), "{what}");
+                let decoded = decompress(&stream).unwrap().buffer;
+                assert!(
+                    measured.recon.unwrap().to_le_bytes() == decoded.to_le_bytes(),
+                    "{what}"
+                );
+            }
+        }
+        // Every config refuses the holes, every tolerance the fill value.
+        assert_eq!(refused, configs.len() + 3);
     }
 }

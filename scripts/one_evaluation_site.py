@@ -16,7 +16,12 @@
    search's token.
 6. crates/fraz-{sz,zfp,mgard,szx}/src declare no `enum …Error` and crates/fraz-pressio/src
    has no `impl From<…> for PressioError`: every codec fails with `fraz_data::CodecError`,
-   which is what `PressioError` names, so no codec error needs translating."""
+   which is what `PressioError` names, so no codec error needs translating.
+7. crates/fraz-{sz,zfp,mgard,szx}/src/lib.rs each define exactly one `pub fn encode(` and no
+   `compress_measured` / `compressed_len`, and crates/fraz-pressio/src/backends.rs calls neither
+   `measure_stream(` nor `evaluate_by_compressing(`: a size, a stream and a measured
+   reconstruction come from one encoder told what to produce (`fraz_data::Want`), so no route
+   grows back beside it."""
 import pathlib
 import re
 import sys
@@ -126,6 +131,26 @@ if errors:
     failures.append(
         f"expected no codec error enum and no `From` into `PressioError`, found {len(errors)} "
         "site(s): every codec returns `fraz_data::CodecError`, which `PressioError` names"
+    )
+
+routes = []
+for codec in ["sz", "zfp", "mgard", "szx"]:
+    path = pathlib.Path(f"crates/fraz-{codec}/src/lib.rs")
+    code = code_of(path)
+    encoders = list(re.finditer(r"\bpub fn encode\(", code))
+    if len(encoders) != 1:
+        routes.append(f"{path}: {len(encoders)} `pub fn encode(`")
+    for route in re.finditer(r"\b(compress_measured|compressed_len)\b", code):
+        routes.append(site(path, code, route.start()))
+path = pathlib.Path("crates/fraz-pressio/src/backends.rs")
+code = code_of(path)
+for call in re.finditer(r"\b(measure_stream|evaluate_by_compressing)\(", code):
+    routes.append(site(path, code, call.start()))
+print("\n".join(routes))
+if routes:
+    failures.append(
+        f"expected one `pub fn encode(` per codec crate and no other route, found {len(routes)} "
+        "problem(s): a size, a stream and a measured reconstruction are one `encode(.., Want)`"
     )
 
 sys.exit("\n".join(failures) if failures else 0)
