@@ -29,6 +29,7 @@ use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
+use fraz_data::DataBuffer;
 use fraz_pressio::CompressionOutcome;
 
 use crate::cancel::CancelToken;
@@ -91,10 +92,12 @@ pub struct SearchConfig {
     /// flight for *this* search, not OS threads.
     pub threads: usize,
     /// After the search, attach full quality metrics to the answer: the
-    /// final quality pass decodes the stream the answer holds, or, for an
-    /// answer measured without writing one (szx's size-only evaluation, a
-    /// step-memo answer), evaluates its bound once more with quality.  Not
-    /// a search evaluation either way; skipped once the token has fired.
+    /// final quality pass measures the reconstruction the answer's encoder
+    /// built (sz, mgard), decodes the stream the answer holds (zfp), or,
+    /// for an answer measured without writing one (szx's size-only
+    /// evaluation, a step-memo answer), evaluates its bound once more with
+    /// quality.  Not a search evaluation either way; skipped once the token
+    /// has fired.
     pub measure_final_quality: bool,
     /// Walk towards the band before racing (on by default): from the missed
     /// hint probe, or on a cold search from a seed fitted on a sample of the
@@ -204,8 +207,8 @@ pub struct RegionOutcome {
     /// The full compression outcome measured at `error_bound`, carried out
     /// of the region so the winning bound need not be re-compressed after
     /// the race (absent only if the best evaluation errored).  Its stream
-    /// leaves with the search's answer: none is held here once the race is
-    /// over.
+    /// and reconstruction leave with the search's answer: neither is held
+    /// here once the race is over.
     pub measured: Option<CompressionOutcome>,
 }
 
@@ -227,9 +230,10 @@ pub struct SearchOutcome {
     /// prediction was reused, Algorithm 1).
     pub retrained: bool,
     /// Total number of compressor invocations the *search* spent (the
-    /// optional final quality pass of `measure_final_quality` — a decode of
-    /// the held stream, or one measured evaluation — is not a search
-    /// evaluation and is not counted).
+    /// optional final quality pass of `measure_final_quality` — a report
+    /// over the held reconstruction, a decode of the held stream, or one
+    /// measured evaluation — is not a search evaluation and is not
+    /// counted).
     pub evaluations: usize,
     /// Wall-clock time of the whole search.
     pub elapsed: Duration,
@@ -293,7 +297,7 @@ impl Objective for SearchConfig {
             }
             None => (None, seeded(eval, range)),
         };
-        let walked = plan.map_or_else(Vec::new, |plan| {
+        let mut walked = plan.map_or_else(Vec::new, |plan| {
             walk(
                 &plan,
                 first,
@@ -303,8 +307,12 @@ impl Objective for SearchConfig {
             )
         });
         // The hit — or, when the race finds nothing in the band either, the
-        // walk's position nearest the target if it beats the race's.
-        let walked = nearest(&walked).and_then(|s| Some((s.verdict.hit, s.outcome.clone()?)));
+        // walk's position nearest the target if it beats the race's — with
+        // the bytes it holds.
+        let walked = nearest(&walked).and_then(|i| {
+            let step = walked.swap_remove(i);
+            Some((step.verdict.hit, step.outcome?))
+        });
         if let Some((true, hit)) = walked {
             return Found {
                 bound: hit.error_bound,
@@ -409,9 +417,10 @@ fn race(eval: &Evaluator<'_, SearchConfig>, (lower, upper): (f64, f64)) -> Found
     let regions: Vec<RegionOutcome> = slots.into_iter().flatten().collect();
 
     // The first region with the smallest loss wins; it already measured its
-    // best bound, so that outcome — and the stream it was measured on, which
-    // the race held for it — is reused instead of re-running the compressor
-    // (absent only if the best evaluation errored).
+    // best bound, so that outcome — and the stream it was measured on, with
+    // the encoder's reconstruction, which the race held for it — is reused
+    // instead of re-running the compressor (absent only if the best
+    // evaluation errored).
     let best = regions
         .iter()
         .reduce(|best, r| if r.loss < best.loss { r } else { best });
@@ -419,11 +428,14 @@ fn race(eval: &Evaluator<'_, SearchConfig>, (lower, upper): (f64, f64)) -> Found
     let (bound, measured, met) = match best {
         Some(b) => (
             b.error_bound,
-            b.measured.clone().map(|measured| CompressionOutcome {
-                stream: held
-                    .filter(|held| held.bound == b.error_bound)
-                    .map(|held| held.stream),
-                ..measured
+            b.measured.clone().map(|measured| {
+                let held = held.filter(|held| held.bound == b.error_bound);
+                let (stream, recon) = held.map_or((None, None), |h| (Some(h.stream), h.recon));
+                CompressionOutcome {
+                    stream,
+                    recon,
+                    ..measured
+                }
             }),
             race.loss.is_acceptable(b.compression_ratio),
         ),
@@ -447,18 +459,19 @@ struct Race<'a, 'e> {
     /// Early termination: a child of the search's token, so one check sees
     /// both a region's hit and the search's deadline.
     cancel: CancelToken,
-    /// The one stream the race holds on to: that of the region outcome that
-    /// would win if the race ended now.
+    /// The one stream (and reconstruction) the race holds on to: that of
+    /// the region outcome that would win if the race ended now.
     held: Mutex<Option<Held>>,
 }
 
-/// A finished region's stream, and what ranks it: the winner is the
+/// A finished region's bytes, and what ranks them: the winner is the
 /// smallest loss, the first in `(runner, claim)` order among equals.
 struct Held {
     loss: f64,
     runner: usize,
     bound: f64,
     stream: Vec<u8>,
+    recon: Option<DataBuffer>,
 }
 
 impl Race<'_, '_> {
@@ -488,10 +501,14 @@ impl Race<'_, '_> {
         }
     }
 
-    /// A region outcome is a measurement: its stream stays with the race if
-    /// it would win now, and is dropped otherwise.
+    /// A region outcome is a measurement: its stream and reconstruction
+    /// stay with the race if it would win now, and are dropped otherwise.
     fn offer(&self, runner: usize, outcome: &mut RegionOutcome) {
-        let Some(stream) = outcome.measured.as_mut().and_then(|m| m.stream.take()) else {
+        let Some(measured) = outcome.measured.as_mut() else {
+            return;
+        };
+        let recon = measured.recon.take();
+        let Some(stream) = measured.stream.take() else {
             return;
         };
         let mut held = self.held.lock().unwrap_or_else(|e| e.into_inner());
@@ -504,6 +521,7 @@ impl Race<'_, '_> {
                 runner,
                 bound: outcome.error_bound,
                 stream,
+                recon,
             });
         }
     }
@@ -794,6 +812,7 @@ mod tests {
                 original_bytes: 0,
                 quality: None,
                 stream: None,
+                recon: None,
             })
         };
         let positions = |descent: f64| {

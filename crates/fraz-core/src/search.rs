@@ -28,12 +28,14 @@
 //! still the exact call count, is smaller.
 //!
 //! **And its bytes.**  An evaluation that wrote a stream hands it back on
-//! its [`CompressionOutcome`]; a strategy keeps it on the outcome it still
-//! holds as its best and nowhere else (the memo, losing regions and
+//! its [`CompressionOutcome`] — with the reconstruction its encoder built,
+//! for sz and mgard; a strategy keeps them on the outcome it still holds as
+//! its best and nowhere else (the memo, losing regions and
 //! [`SearchOutcome::regions`] hold measurements only), so the search's
 //! answer arrives with the stream it was measured on and [`answer_bytes`]
 //! is how a caller that wants the compressed field gets it — one
-//! `compress` only when the answer was measured without writing one.
+//! `compress` only when the answer was measured without writing one.  The
+//! reconstruction serves the final quality pass and goes no further.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,6 +43,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use fraz_data::Dataset;
+use fraz_metrics::QualityReport;
 use fraz_pool::Pool;
 use fraz_pressio::{measure_stream, CompressionOutcome, Compressor, PressioError};
 
@@ -73,9 +76,9 @@ pub trait Objective: Sized + Send + Sync {
     /// Whether the reported answer carries a quality report.  The hint
     /// probe is measured this way (a probe that lands *is* the verify
     /// pass), and an answer found without one gets the final quality pass,
-    /// outside `evaluations` and only while the token is live: a decode of
-    /// the stream the answer holds, or one measured evaluation when it holds
-    /// none.
+    /// outside `evaluations` and only while the token is live: a report over
+    /// the reconstruction the answer holds, else a decode of the stream it
+    /// holds, else one measured evaluation.
     fn reports_quality(&self) -> bool {
         Self::JUDGES_QUALITY
     }
@@ -229,14 +232,25 @@ impl<'a, O: Objective> Evaluator<'a, O> {
     /// The final quality pass: `seen`, the answer measured without a
     /// report, measured with one — after the search, so outside
     /// `evaluations`, and not at all once the token has fired (`seen` is
-    /// then the answer as it was measured).  An answer that holds its
-    /// stream is decoded ([`measure_stream`]): the report a quality
-    /// evaluation at its bound gives, without compressing again.  One
-    /// measured without writing a stream (a size-only evaluation, a
-    /// step-memo answer) pays one measured evaluation.
+    /// then the answer as it was measured).  Each case gives the report a
+    /// quality evaluation at its bound gives, bit for bit, without
+    /// compressing again where it can:
+    ///
+    /// 1. an answer that holds its encoder's reconstruction (sz, mgard) is
+    ///    measured over it, and keeps its stream;
+    /// 2. one that holds its stream (zfp) is decoded ([`measure_stream`]);
+    /// 3. one measured without writing a stream (szx's size-only
+    ///    evaluation, a step-memo answer) pays one measured evaluation.
     fn final_quality(&self, mut seen: CompressionOutcome) -> CompressionOutcome {
         if self.cancelled() {
             return seen;
+        }
+        if let Some(recon) = seen.recon.take() {
+            let report = QualityReport::measure(self.dataset, &recon, seen.compressed_bytes);
+            return CompressionOutcome {
+                quality: Some(report),
+                ..seen
+            };
         }
         let bound = seen.error_bound;
         let measured = match seen.stream.take() {
@@ -485,7 +499,7 @@ impl<O: Objective> Search<O> {
         // evaluation and is skipped once the token fired.
         let evaluations = eval.calls();
         let deadline_hit = !hit && self.cancelled();
-        let best = match measured {
+        let mut best = match measured {
             Some(seen) if seen.quality.is_none() && self.config.reports_quality() => {
                 eval.final_quality(seen)
             }
@@ -500,8 +514,11 @@ impl<O: Objective> Search<O> {
                 original_bytes: dataset.byte_size(),
                 quality: None,
                 stream: None,
+                recon: None,
             },
         };
+        // The reconstruction served the final pass: no caller gets it.
+        best.recon = None;
         let outcome = SearchOutcome {
             error_bound: found.bound,
             best,
@@ -1173,6 +1190,80 @@ pub(crate) mod tests {
         assert!(outcome.best.stream.is_some());
     }
 
+    /// sz and mgard hand a size evaluation back with the reconstruction
+    /// their encoder built, so the final pass of a ratio answer measures
+    /// that — no decode, no evaluation beyond the search's — and reports
+    /// what decoding the answer's stream reports, bit for bit.  Cold (the
+    /// race under the sampling floor, the sampled walk above it), from a
+    /// missed hint and from one that lands, on f32 and f64, with the pass on
+    /// and off: no outcome a caller gets holds a reconstruction.
+    #[test]
+    fn the_final_pass_measures_what_sz_and_mgard_rebuilt() {
+        let small = smooth_field();
+        let large = synthetic::generate("smooth", &Dims::d3(16, 32, 32), DType::F32, 7, 0).unwrap();
+        let wide =
+            |d: &Dataset| Dataset::from_f64("test", "wide", 0, d.dims.clone(), d.values_f64());
+        for codec in ["sz", "mgard"] {
+            for dataset in [small.clone(), wide(&small), large.clone(), wide(&large)] {
+                let range = dataset.value_range();
+                let at = |bound: f64| {
+                    let answer = SteplessTwin::of(codec).evaluate(&dataset, bound, false);
+                    answer.unwrap().compression_ratio
+                };
+                let target = at(1e-3 * range);
+                let lands = SearchHint::converged(1e-3 * range, HintSource::External);
+                let misses = SearchHint::converged(1e-7 * range, HintSource::External);
+                for (how, hint) in [
+                    ("cold", None),
+                    ("missed", Some(&misses)),
+                    ("landing", Some(&lands)),
+                ] {
+                    for final_pass in [true, false] {
+                        let what =
+                            format!("{codec} on {dataset}, {how} hint, final pass {final_pass}");
+                        let twin = SteplessTwin::of(codec);
+                        let config = SearchConfig {
+                            measure_final_quality: final_pass,
+                            ..ratio_config(target)
+                        };
+                        let outcome = Search::new(twin.clone() as Arc<dyn Compressor>, config)
+                            .run_with_hint(&dataset, hint);
+                        assert!(outcome.best.recon.is_none(), "{what}");
+                        let regions = outcome.regions.iter().filter_map(|r| r.measured.as_ref());
+                        assert!(regions.clone().all(|m| m.recon.is_none()), "{what}");
+                        assert_eq!(twin.decodes.load(Ordering::Relaxed), 0, "{what}");
+                        let asked = twin.asked.lock().unwrap().len();
+                        assert_eq!(asked, outcome.evaluations, "{what}");
+                        if !final_pass {
+                            assert!(outcome.best.quality.is_none(), "{what}");
+                            continue;
+                        }
+                        let stream = outcome.best.stream.clone().expect("the answer's stream");
+                        let decoded =
+                            measure_stream(&*twin.inner, &dataset, outcome.error_bound, stream)
+                                .unwrap();
+                        let report = outcome.best.quality.as_ref().expect("the final pass ran");
+                        let expected = decoded.quality.as_ref().unwrap();
+                        let bits = |r: &QualityReport| {
+                            [
+                                r.compression_ratio,
+                                r.bit_rate,
+                                r.max_abs_error,
+                                r.rmse,
+                                r.psnr,
+                                r.ssim,
+                                r.acf_error,
+                            ]
+                            .map(f64::to_bits)
+                        };
+                        assert_eq!(bits(report), bits(expected), "{what}");
+                        assert_eq!(report, expected, "{what}");
+                    }
+                }
+            }
+        }
+    }
+
     /// Paper Fig. 3: the ratio climbs with the bound overall but saw-tooths
     /// on the way (five teeth of ±15 %), so a target ratio is met on several
     /// disjoint slivers of the axis and missed in between.  The valid range
@@ -1295,10 +1386,21 @@ pub(crate) mod tests {
     /// Forwards everything to `inner` — `evaluate` included, so the codec
     /// under it takes whatever path it takes — but reports a kind without
     /// steps, which leaves the memo empty; and logs what it was asked: the
-    /// bound, the flag and how many values.
+    /// bound, the flag and how many values, and how many decodes.
     struct SteplessTwin {
         inner: Box<dyn Compressor>,
         asked: Mutex<Vec<(f64, bool, usize)>>,
+        decodes: AtomicUsize,
+    }
+
+    impl SteplessTwin {
+        fn of(codec: &str) -> Arc<Self> {
+            Arc::new(Self {
+                inner: registry::build_default(codec).unwrap(),
+                asked: Mutex::default(),
+                decodes: AtomicUsize::new(0),
+            })
+        }
     }
 
     impl Compressor for SteplessTwin {
@@ -1318,6 +1420,7 @@ pub(crate) mod tests {
             self.inner.compress(dataset, bound)
         }
         fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
+            self.decodes.fetch_add(1, Ordering::Relaxed);
             self.inner.decompress(data)
         }
         fn evaluate(
@@ -1355,10 +1458,7 @@ pub(crate) mod tests {
             .with_pool(Arc::clone(&pool))
             .run_with_hint(dataset, hint)
             .into();
-        let twin_codec = Arc::new(SteplessTwin {
-            inner: zfp(),
-            asked: Mutex::default(),
-        });
+        let twin_codec = SteplessTwin::of("zfp");
         let twin: SearchOutcome = Search::new(twin_codec.clone() as Arc<dyn Compressor>, config)
             .with_pool(pool)
             .run_with_hint(dataset, hint)

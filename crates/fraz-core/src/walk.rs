@@ -57,7 +57,8 @@ pub(crate) struct Verdict {
 
 /// One answered position of a walk.  A bound the codec refuses cannot be
 /// the answer, so it counts as not ok (and carries nothing).  Only the
-/// position the walk would answer with now keeps its outcome's stream.
+/// position the walk would answer with now keeps its outcome's stream and
+/// reconstruction.
 pub(crate) struct Step {
     /// Position on the `log10(bound)` axis.
     pub x: f64,
@@ -210,18 +211,19 @@ pub(crate) fn walk(
     seen
 }
 
-/// Record `new`, leaving a stream with the position the walk would answer
-/// with now — the largest ok one ([`Goal::Boundary`]), the hit or else the
-/// one nearest the target ([`Goal::Band`]) — and with nothing else.
+/// Record `new`, leaving the bytes — stream and reconstruction — with the
+/// position the walk would answer with now — the largest ok one
+/// ([`Goal::Boundary`]), the hit or else the one nearest the target
+/// ([`Goal::Band`]) — and with nothing else.
 fn push(seen: &mut Vec<Step>, new: Step, goal: Goal) {
     seen.push(new);
     let answer = match goal {
         Goal::Boundary => bracket(seen).0,
-        Goal::Band => nearest(seen).map(|s| s.x),
+        Goal::Band => nearest(seen).map(|i| seen[i].x),
     };
     for passed in seen.iter_mut().filter(|p| Some(p.x) != answer) {
         if let Some(outcome) = &mut passed.outcome {
-            outcome.stream = None;
+            outcome.drop_bytes();
         }
     }
 }
@@ -249,13 +251,15 @@ fn contradicted(seen: &[Step]) -> bool {
     ok.is_some_and(|ok| seen.iter().any(|p| !p.verdict.ok && p.x < ok))
 }
 
-/// The hit, or else the measured step with the smallest margin.
-pub(crate) fn nearest(seen: &[Step]) -> Option<&Step> {
-    seen.iter().find(|s| s.verdict.hit).or_else(|| {
+/// Where the hit is in `seen`, or else the measured step with the smallest
+/// margin.
+pub(crate) fn nearest(seen: &[Step]) -> Option<usize> {
+    seen.iter().position(|s| s.verdict.hit).or_else(|| {
         seen.iter()
-            .filter_map(|s| Some((s, s.verdict.margin?.abs())))
+            .enumerate()
+            .filter_map(|(i, s)| Some((i, s.verdict.margin?.abs())))
             .min_by(|a, b| a.1.total_cmp(&b.1))
-            .map(|(s, _)| s)
+            .map(|(i, _)| i)
     })
 }
 

@@ -229,7 +229,7 @@ mod tests {
     #[test]
     fn specific_index() {
         let dims = Dims::d3(2, 3, 4);
-        assert_eq!(dims.linear_index(&[1, 2, 3]), 1 * 12 + 2 * 4 + 3);
+        assert_eq!(dims.linear_index(&[1, 2, 3]), 12 + 2 * 4 + 3);
         assert_eq!(dims.coords(23), vec![1, 2, 3]);
     }
 

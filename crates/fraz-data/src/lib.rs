@@ -61,7 +61,8 @@ pub use wire::CodecError;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Want {
     /// At least the stream's length.  A codec that has to write its stream
-    /// to know the length hands the stream back too.
+    /// to know the length hands the stream back too, and one that rebuilt
+    /// the field as it encoded hands that back as well.
     Size,
     /// The stream.
     Stream,
@@ -77,7 +78,11 @@ pub struct Encoded {
     pub len: usize,
     /// The stream, when the encoder wrote it.
     pub stream: Option<Vec<u8>>,
-    /// The decoder's reconstruction, for [`Want::Measured`].
+    /// The decoder's reconstruction, bit for bit: always for
+    /// [`Want::Measured`], in the dataset's dtype; for [`Want::Size`] when
+    /// the encoder built it anyway (sz, mgard), as the encoder's own `f64`
+    /// buffer — its values already rounded to the dataset's precision, so
+    /// any report over it is the report over the narrowed buffer.
     pub recon: Option<DataBuffer>,
 }
 

@@ -245,7 +245,7 @@ impl Manifest {
             ));
         }
         if let Some(t) = self.target_ratio {
-            if !(t > 1.0) {
+            if t.is_nan() || t <= 1.0 {
                 return Err(ManifestError::invalid(
                     "manifest",
                     format!("target_ratio must be > 1, got {t}"),
@@ -355,13 +355,13 @@ impl Manifest {
                         "`target_ratio` and `min_psnr` are mutually exclusive",
                     ))
                 }
-                (Some(t), None) if !(t > 1.0) => {
+                (Some(t), None) if t.is_nan() || t <= 1.0 => {
                     return Err(ManifestError::invalid(
                         &ctx,
                         format!("target_ratio must be > 1, got {t}"),
                     ))
                 }
-                (None, Some(p)) if !(p > 0.0) => {
+                (None, Some(p)) if p.is_nan() || p <= 0.0 => {
                     return Err(ManifestError::invalid(
                         &ctx,
                         format!("min_psnr must be positive, got {p}"),
@@ -811,6 +811,18 @@ mod tests {
             assert!(err.contains("max_error_bound"), "{err}");
             manifest.max_error_bound = None;
         }
+        // The targets refuse a NaN too: every comparison of them is false.
+        manifest.target_ratio = Some(f64::NAN);
+        let err = manifest.validate().unwrap_err().to_string();
+        assert!(err.contains("target_ratio must be > 1"), "{err}");
+        manifest.target_ratio = Some(8.0);
+        manifest.fields[0].target_ratio = Some(f64::NAN);
+        let err = manifest.validate().unwrap_err().to_string();
+        assert!(err.contains("target_ratio must be > 1"), "{err}");
+        manifest.fields[0].target_ratio = None;
+        manifest.fields[0].min_psnr = Some(f64::NAN);
+        let err = manifest.validate().unwrap_err().to_string();
+        assert!(err.contains("min_psnr must be positive"), "{err}");
     }
 
     #[test]

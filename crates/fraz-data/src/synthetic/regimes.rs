@@ -233,9 +233,10 @@ impl ScenarioConfig {
             let mut v = eval_modes(&modes, c, t);
             for bump in &bumps {
                 let mut d2 = 0.0;
-                for a in 0..ndims {
-                    let center = (bump.center[a] + bump.vel[a] * t).rem_euclid(1.0);
-                    let dx = (c[a] - center).abs();
+                let axes = c.iter().zip(&bump.center).zip(&bump.vel).take(ndims);
+                for ((&ca, &center), &vel) in axes {
+                    let center = (center + vel * t).rem_euclid(1.0);
+                    let dx = (ca - center).abs();
                     let dx = dx.min(1.0 - dx);
                     d2 += dx * dx;
                 }
@@ -425,9 +426,10 @@ impl ScenarioConfig {
             let mut s = 0.0;
             for blob in &blobs {
                 let mut u2 = 0.0;
-                for a in 0..ndims {
-                    let center = (blob.center[a] + blob.vel[a] * t).rem_euclid(1.0);
-                    let dx = (c[a] - center).abs();
+                let axes = c.iter().zip(&blob.center).zip(&blob.vel).take(ndims);
+                for ((&ca, &center), &vel) in axes {
+                    let center = (center + vel * t).rem_euclid(1.0);
+                    let dx = (ca - center).abs();
                     let dx = dx.min(1.0 - dx) / blob.radius;
                     u2 += dx * dx;
                     if u2 >= 1.0 {

@@ -8,7 +8,7 @@ use crate::Result;
 /// groups, each prefixed by a continuation bit.
 pub fn write_uvarint(w: &mut BitWriter, mut value: u64) {
     loop {
-        let group = (value & 0x7f) as u64;
+        let group = value & 0x7f;
         value >>= 7;
         let more = value != 0;
         w.write_bit(more);

@@ -5,6 +5,8 @@
 //! SSIM (Figs 1 and 10): error that is *white* (ACF near zero) distorts
 //! downstream analyses less than error that is spatially correlated.
 
+use crate::error_stats::LANES;
+
 /// Sample autocorrelation of `series` at the given `lag`.
 ///
 /// Returns 0 for series shorter than `lag + 2` or with zero variance (a
@@ -26,34 +28,91 @@ pub fn autocorrelation(series: &[f64], lag: usize) -> f64 {
     numer / denom
 }
 
-/// [`autocorrelation`] at lag 1 of the series `a_i − b_i`, without the
-/// series: one pass over the two arrays, given the series' sum (from `-0.0`,
-/// in index order — `Iterator::sum`'s).  Both sums are taken in the order
-/// [`autocorrelation`] takes them, so the answer is its answer bit for bit.
-pub(crate) fn lag1_of_difference<A, B>(a: &[A], b: &[B], sum: f64) -> f64
-where
-    A: Copy + Into<f64>,
-    B: Copy + Into<f64>,
-{
-    let n = a.len();
-    if n < 3 {
-        return 0.0;
+/// [`autocorrelation`] at lag 1 of a series seen once, in index order,
+/// without the series: the moments `Σf`, `Σf²` and `Σfᵢfᵢ₊₁` of the values
+/// `f = x − c` (each summed in [`LANES`] chains, by the caller's lane),
+/// plus the first and last `f`, are all it keeps.  The shift `c` is a value
+/// of the series near its mean, so the moments do not cancel: the answer
+/// is the two-pass one to rounding, not bit for bit.  A constant series
+/// gives exactly 0, as does one shorter than 3; a non-finite value makes it
+/// NaN.
+#[derive(Debug)]
+pub(crate) struct Lag1 {
+    shift: f64,
+    sum: [f64; LANES],
+    squares: [f64; LANES],
+    products: [f64; LANES],
+    first: f64,
+    last: f64,
+}
+
+/// How many values [`Lag1::new`] reads to pick the shift.
+const SHIFT_SAMPLE: usize = 64;
+
+impl Lag1 {
+    /// Ready for the `n` values `value(0)`, `value(1)`, …, which it reads
+    /// a few of to pick the shift: the value nearest the mean of up to
+    /// [`SHIFT_SAMPLE`] evenly spaced finite ones.  It is one of the values,
+    /// so a constant series shifts to exact zeros, and it sits near their
+    /// mean, so the moments hardly cancel.
+    ///
+    /// # Panics
+    /// Panics if `n` is 0.
+    pub(crate) fn new(n: usize, value: impl Fn(usize) -> f64) -> Self {
+        let sample = || {
+            (0..n)
+                .step_by(n.div_ceil(SHIFT_SAMPLE))
+                .map(&value)
+                .filter(|v| v.is_finite())
+        };
+        let (count, sum) = sample().fold((0, 0.0), |(count, sum), v| (count + 1, sum + v));
+        let mean = sum / count as f64;
+        let shift = sample()
+            .min_by(|a, b| (a - mean).abs().total_cmp(&(b - mean).abs()))
+            .unwrap_or(0.0);
+        Self {
+            shift,
+            sum: [0.0; LANES],
+            squares: [0.0; LANES],
+            products: [0.0; LANES],
+            first: value(0) - shift,
+            last: 0.0,
+        }
     }
-    let mean = sum / n as f64;
-    let centred = |i: usize| (a[i].into() - b[i].into()) - mean;
-    let mut prev = centred(0);
-    let mut denom = -0.0 + prev * prev;
-    let mut numer = -0.0;
-    for (&x, &y) in a[1..].iter().zip(&b[1..]) {
-        let d = (x.into() - y.into()) - mean;
-        denom += d * d;
-        numer += prev * d;
-        prev = d;
+
+    /// The next value of the series (the first one included).
+    #[inline(always)]
+    pub(crate) fn push(&mut self, lane: usize, x: f64) {
+        let f = x - self.shift;
+        self.sum[lane] += f;
+        self.squares[lane] += f * f;
+        self.products[lane] += self.last * f;
+        self.last = f;
     }
-    if denom == 0.0 {
-        return 0.0;
+
+    /// The lag-1 autocorrelation of the `n` values pushed.
+    pub(crate) fn value(&self, n: usize) -> f64 {
+        if n < 3 {
+            return 0.0;
+        }
+        let merged = |lanes: [f64; LANES]| lanes.iter().sum::<f64>();
+        let (sum, squares, products) = (
+            merged(self.sum),
+            merged(self.squares),
+            merged(self.products),
+        );
+        let mean = sum / n as f64;
+        // Σ(fᵢ − m)² and Σ(fᵢ − m)(fᵢ₊₁ − m), expanded: the lagged sum
+        // leaves out the last value on one side and the first on the other.
+        let denom = squares - mean * sum;
+        let numer = products - mean * ((sum - self.first) + (sum - self.last))
+            + (n - 1) as f64 * mean * mean;
+        // No spread (a rounding below zero included): no autocorrelation.
+        if denom <= 0.0 {
+            return 0.0;
+        }
+        numer / denom
     }
-    numer / denom
 }
 
 /// Autocorrelation function for lags `1..=max_lag`.

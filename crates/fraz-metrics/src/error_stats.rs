@@ -1,5 +1,7 @@
 //! Pointwise error statistics: max error, MSE, RMSE and PSNR.
 
+use crate::acf::Lag1;
+
 /// Error statistics between an original and a reconstructed field.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ErrorStats {
@@ -24,17 +26,17 @@ impl ErrorStats {
     /// # Panics
     /// Panics if the slices have different lengths.
     pub fn compute(original: &[f64], reconstructed: &[f64]) -> Self {
-        Self::with_error_sum(original, reconstructed).0
+        Self::with_lag1(original, reconstructed).0
     }
 
     /// [`compute`](Self::compute) over typed slices (widening is exact, so
     /// an `f32` array gives what its `f64` copy would), together with the
-    /// sum of the errors `d_i − d'_i` — from `-0.0`, in index order, as
-    /// `Iterator::sum` takes it — which is what the error's mean needs.
+    /// lag-1 autocorrelation of the errors `d_i − d'_i`, taken in the same
+    /// pass ([`Lag1`]).
     ///
     /// # Panics
     /// Panics if the slices have different lengths.
-    pub(crate) fn with_error_sum<A, B>(original: &[A], reconstructed: &[B]) -> (Self, f64)
+    pub(crate) fn with_lag1<A, B>(original: &[A], reconstructed: &[B]) -> (Self, f64)
     where
         A: Copy + Into<f64>,
         B: Copy + Into<f64>,
@@ -48,27 +50,30 @@ impl ErrorStats {
                 psnr: f64::INFINITY,
                 value_range: 0.0,
             };
-            return (empty, -0.0);
+            return (empty, 0.0);
         }
-        // The two sums are one chain each, in index order.  The extremes
-        // are not sums: max|e|, min and max each run in `LANES` independent
-        // chains, merged after the loop, so the NaN-aware comparisons do not
-        // pace the additions.  A maximum or minimum is the same value taken
-        // in any order — NaNs are skipped, and |e| is never −0 — save for
-        // the sign of a zero minimum or maximum: `value_range` is then the
-        // same number, and the PSNR the same bits.
-        const LANES: usize = 4;
+        // The squared error sums in one chain, in index order.  The
+        // extremes are not sums: max|e|, min and max each run in `LANES`
+        // independent chains, merged after the loop, so the NaN-aware
+        // comparisons do not pace the additions (the autocorrelation's
+        // moments, which need no particular order, are laned too).  A
+        // maximum or minimum is the same value taken in any order — NaNs
+        // are skipped, and |e| is never −0 — save for the sign of a zero
+        // minimum or maximum: `value_range` is then the same number, and
+        // the PSNR the same bits.
+        let mut lag1 = Lag1::new(original.len(), |i| {
+            original[i].into() - reconstructed[i].into()
+        });
         let mut max_abs_error = [0.0f64; LANES];
         let mut dmin = [f64::INFINITY; LANES];
         let mut dmax = [f64::NEG_INFINITY; LANES];
         let mut sq_sum = 0.0f64;
-        let mut error_sum = -0.0f64;
         let mut visit = |lane: usize, a: A, b: B| {
             let (a, b): (f64, f64) = (a.into(), b.into());
             let diff = a - b;
             max_abs_error[lane] = max_abs_error[lane].max(diff.abs());
             sq_sum += diff * diff;
-            error_sum += diff;
+            lag1.push(lane, diff);
             dmin[lane] = dmin[lane].min(a);
             dmax[lane] = dmax[lane].max(a);
         };
@@ -98,9 +103,13 @@ impl ErrorStats {
             psnr,
             value_range,
         };
-        (stats, error_sum)
+        (stats, lag1.value(original.len()))
     }
 }
+
+/// The independent chains the statistics pass keeps its extremes and the
+/// autocorrelation's moments in, by index mod `LANES`.
+pub(crate) const LANES: usize = 4;
 
 /// `PSNR = 20·log10(range / rmse)`; infinite when the reconstruction is
 /// exact, 0 when the original field is constant and the error is not.

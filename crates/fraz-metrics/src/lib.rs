@@ -65,11 +65,13 @@ impl QualityReport {
     /// buffer laid out like `original` — what an encoder that rebuilds the
     /// field as it goes has in hand.
     ///
-    /// Two passes over the typed buffers and no allocation: the first takes
-    /// the error statistics and the error sum, the second the
-    /// autocorrelation's two sums, and SSIM reads the central plane in
-    /// place.  Every sum is taken in the order the per-metric functions take
-    /// it, so the report is theirs bit for bit.
+    /// One pass over the typed buffers and no allocation: it takes the
+    /// error statistics and the moments the error's lag-1 autocorrelation
+    /// is read from, and SSIM reads the central plane in place.  Every
+    /// field but `acf_error` sums in the order the per-metric functions
+    /// take it, so it is theirs bit for bit; `acf_error` is
+    /// [`acf::autocorrelation`]'s to rounding (the one-pass moments are
+    /// summed in another order).
     ///
     /// # Panics
     /// Panics if the two buffers have different lengths.
@@ -118,12 +120,12 @@ impl Fidelity {
         A: Copy + Into<f64>,
         B: Copy + Into<f64>,
     {
-        let (stats, error_sum) = error_stats::ErrorStats::with_error_sum(a, b);
+        let (stats, acf_error) = error_stats::ErrorStats::with_lag1(a, b);
         let (rows, cols, plane) = original.plane2d(original.dims.as_slice()[0] / 2);
         Self {
             stats,
             ssim: ssim::mean_ssim(&a[plane.clone()], &b[plane], rows, cols),
-            acf_error: acf::lag1_of_difference(a, b, error_sum),
+            acf_error,
         }
     }
 }
@@ -180,7 +182,8 @@ mod tests {
 
     /// The report as it was composed before it was fused: both fields
     /// widened into copies, the statistics loop, two widened planes for
-    /// SSIM, and a materialised error series for the autocorrelation.
+    /// SSIM, and a materialised error series for the autocorrelation, taken
+    /// by the compensated oracle.
     fn composed_report(original: &Dataset, reconstructed: &Dataset, bytes: usize) -> QualityReport {
         let a = original.values_f64();
         let b = reconstructed.values_f64();
@@ -219,21 +222,25 @@ mod tests {
             rmse,
             psnr,
             ssim: ssim::mean_ssim(&slice_a, &slice_b, rows, cols),
-            acf_error: acf::autocorrelation(&errors, 1),
+            acf_error: acf_oracle(&errors),
             num_points: original.len(),
             original_bytes,
             compressed_bytes: bytes,
         }
     }
 
-    /// Every field by its bits — signed zeros and infinities included — but
-    /// a NaN as NaN: Rust leaves which NaN an operation on two NaNs returns
-    /// unspecified (LLVM may commute the add), so two code paths that agree
-    /// on every number may still disagree on a NaN's sign, and do in the
-    /// dev profile.  (One compiled function is deterministic:
+    /// A NaN as NaN, every other value by its bits — signed zeros and
+    /// infinities included: Rust leaves which NaN an operation on two NaNs
+    /// returns unspecified (LLVM may commute the add), so two code paths
+    /// that agree on every number may still disagree on a NaN's sign, and
+    /// do in the dev profile.  (One compiled function is deterministic:
     /// `tests/evaluate_contract.rs` compares NaN bits through `measure`.)
+    fn bits(x: f64) -> u64 {
+        if x.is_nan() { f64::NAN } else { x }.to_bits()
+    }
+
+    /// Every field by its bits.
     fn report_bits(r: &QualityReport) -> [u64; 10] {
-        let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
         [
             bits(r.compression_ratio),
             bits(r.bit_rate),
@@ -246,6 +253,79 @@ mod tests {
             r.original_bytes as u64,
             r.compressed_bytes as u64,
         ]
+    }
+
+    /// The nine fields a report sums in the per-metric functions' order,
+    /// by their bits: all but `acf_error`.
+    fn fields_but_acf(r: &QualityReport) -> [u64; 9] {
+        let all = report_bits(r);
+        std::array::from_fn(|i| all[if i < 6 { i } else { i + 1 }])
+    }
+
+    /// Neumaier's compensated sum.
+    fn neumaier(values: impl Iterator<Item = f64>) -> f64 {
+        let (mut sum, mut carry) = (0.0f64, 0.0f64);
+        for v in values {
+            let t = sum + v;
+            carry += if sum.abs() >= v.abs() {
+                (sum - t) + v
+            } else {
+                (v - t) + sum
+            };
+            sum = t;
+        }
+        sum + carry
+    }
+
+    /// The lag-1 autocorrelation of `series` by two compensated passes: the
+    /// mean as a sum of two doubles — a compensated mean and the
+    /// compensated mean of the deviations from it, so a mean far from zero
+    /// is not rounded into every deviation — then Neumaier sums of the
+    /// centred products.  0 below 3 values and for a constant series, as
+    /// [`acf::autocorrelation`] defines it.
+    fn acf_oracle(series: &[f64]) -> f64 {
+        let n = series.len();
+        if n < 3 || series.iter().all(|&x| x == series[0]) {
+            return 0.0;
+        }
+        let mean = neumaier(series.iter().copied()) / n as f64;
+        let rest = neumaier(series.iter().map(|x| x - mean)) / n as f64;
+        let centred: Vec<f64> = series.iter().map(|x| (x - mean) - rest).collect();
+        let denom = neumaier(centred.iter().map(|d| d * d));
+        if denom == 0.0 {
+            return 0.0;
+        }
+        neumaier(centred.windows(2).map(|w| w[0] * w[1])) / denom
+    }
+
+    /// How far the one-pass `acf_error` may sit from [`acf_oracle`]: in
+    /// ulps of 1 (the ACF lies in [−1, 1]), NaN only where the oracle is.
+    /// These tests' series (up to 4 099 values) reach 45; an 80³ field's
+    /// reaches about 280 (6e-14), where the two-pass sums sat 88 from the
+    /// oracle.
+    const ACF_ULPS: f64 = 64.0;
+
+    fn assert_acf_near(fused: f64, oracle: f64, what: &str) {
+        if oracle.is_nan() || fused.is_nan() {
+            assert!(
+                oracle.is_nan() && fused.is_nan(),
+                "{what}: {fused} vs {oracle}"
+            );
+            return;
+        }
+        let off = (fused - oracle).abs() / f64::EPSILON;
+        assert!(off <= ACF_ULPS, "{what}: {fused} vs {oracle}, {off} ulps");
+    }
+
+    /// `fused` is `composed` bit for bit on the nine summed fields, and its
+    /// `acf_error` is within [`ACF_ULPS`] of the oracle's.
+    fn assert_composed(fused: &QualityReport, composed: &QualityReport, what: &str) {
+        assert_eq!(
+            fields_but_acf(fused),
+            fields_but_acf(composed),
+            "{what}:\n{fused:?}\n{composed:?}"
+        );
+        assert_acf_near(fused.acf_error, composed.acf_error, what);
     }
 
     #[test]
@@ -323,13 +403,8 @@ mod tests {
                     let bytes = 1 + next() as usize % 4096;
                     let fused = QualityReport::evaluate(&x, &y, bytes);
                     let composed = composed_report(&x, &y, bytes);
-                    assert_eq!(
-                        report_bits(&fused),
-                        report_bits(&composed),
-                        "{dims:?} kind {kind} ({:?}, {:?}):\n{fused:?}\n{composed:?}",
-                        x.dtype(),
-                        y.dtype()
-                    );
+                    let what = format!("{dims:?} kind {kind} ({:?}, {:?})", x.dtype(), y.dtype());
+                    assert_composed(&fused, &composed, &what);
                     assert_eq!(
                         report_bits(&QualityReport::measure(&x, &y.buffer, bytes)),
                         report_bits(&fused)
@@ -345,7 +420,8 @@ mod tests {
     /// lanes (index mod 4, the tail included) and merges them after the
     /// loop: whichever lane, and whichever position in it, holds an extreme
     /// — or a NaN, a signed zero or an infinity beside it — the report is
-    /// the serial chain's, bit for bit.
+    /// the serial chain's, bit for bit (its ACF, the oracle's to
+    /// [`ACF_ULPS`]).
     #[test]
     fn the_laned_pass_keeps_every_extreme() {
         type Place = fn(&mut [f64], &mut [f64], usize);
@@ -394,12 +470,14 @@ mod tests {
                             (as_f64(&a), as_f32(&b)),
                             (as_f64(&a), as_f64(&b)),
                         ] {
-                            assert_eq!(
-                                report_bits(&QualityReport::measure(&x, &y.buffer, 64)),
-                                report_bits(&composed_report(&x, &y, 64)),
-                                "n {n}, sign {sign}, {what} at {at} ({:?}, {:?})",
-                                x.dtype(),
-                                y.dtype()
+                            assert_composed(
+                                &QualityReport::measure(&x, &y.buffer, 64),
+                                &composed_report(&x, &y, 64),
+                                &format!(
+                                    "n {n}, sign {sign}, {what} at {at} ({:?}, {:?})",
+                                    x.dtype(),
+                                    y.dtype()
+                                ),
                             );
                             cases += 1;
                         }
@@ -408,6 +486,108 @@ mod tests {
             }
         }
         assert_eq!(cases, 91 * 2 * 14 * 4);
+    }
+
+    /// The error's lag-1 ACF comes from moments the statistics pass
+    /// carries (`acf::Lag1`); it is held to the compensated two-pass oracle
+    /// on white, correlated and alternating errors, on errors a million
+    /// away from zero (where unshifted moments would cancel to noise), at
+    /// every length below the definition's floor and just above it, with
+    /// NaN and infinities, for every dtype pairing.  A constant error is
+    /// exactly 0.
+    #[test]
+    fn the_folded_acf_is_the_compensated_two_pass_one() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut noise = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        // (what, original, reconstruction)
+        let mut cases: Vec<(String, Vec<f64>, Vec<f64>)> = Vec::new();
+        for n in [1usize, 2, 3, 4, 5, 13, 257, 4099] {
+            let wave: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 50.0).collect();
+            let off_by = |errors: Vec<f64>| -> Vec<f64> {
+                wave.iter().zip(&errors).map(|(a, e)| a - e).collect()
+            };
+            let white: Vec<f64> = (0..n).map(|_| noise()).collect();
+            let mut level = 0.0;
+            let red: Vec<f64> = (0..n)
+                .map(|_| {
+                    level = 0.9 * level + noise();
+                    level
+                })
+                .collect();
+            let alternating: Vec<f64> = (0..n)
+                .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 } * (1.0 + 0.1 * noise()))
+                .collect();
+            let shifted = |errors: &[f64]| errors.iter().map(|e| 1e6 + 1e-3 * e).collect();
+            cases.push((format!("white, n {n}"), wave.clone(), off_by(white.clone())));
+            cases.push((format!("red, n {n}"), wave.clone(), off_by(red.clone())));
+            cases.push((
+                format!("alternating, n {n}"),
+                wave.clone(),
+                off_by(alternating),
+            ));
+            cases.push((
+                format!("1e6 + white, n {n}"),
+                wave.clone(),
+                off_by(shifted(&white)),
+            ));
+            cases.push((
+                format!("1e6 + red, n {n}"),
+                wave.clone(),
+                off_by(shifted(&red)),
+            ));
+            // Integers, so every pairing reads the same constant error.
+            let ramp: Vec<f64> = (0..n).map(|i| i as f64).collect();
+            for constant in [0.0, 3.0, -7.0, 1e6] {
+                let below = ramp.iter().map(|a| a - constant).collect();
+                cases.push((format!("constant {constant}, n {n}"), ramp.clone(), below));
+            }
+            for special in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for at in [0, n / 2, n - 1] {
+                    let mut b = off_by(white.clone());
+                    b[at] = special;
+                    cases.push((format!("{special} at {at}, n {n}"), wave.clone(), b));
+                }
+            }
+            if n >= 2 {
+                let mut b = off_by(white.clone());
+                (b[0], b[n - 1]) = (f64::INFINITY, f64::NEG_INFINITY);
+                cases.push((format!("±inf, n {n}"), wave.clone(), b));
+            }
+        }
+        let mut checked = 0;
+        for (what, a, b) in &cases {
+            let n = a.len();
+            let narrow = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
+            let as_f32 = |v: &[f64]| Dataset::from_f32("t", "f", 0, Dims::d1(n), narrow(v));
+            let as_f64 = |v: &[f64]| Dataset::from_f64("t", "f", 0, Dims::d1(n), v.to_vec());
+            for (x, y) in [
+                (as_f32(a), as_f32(b)),
+                (as_f32(a), as_f64(b)),
+                (as_f64(a), as_f32(b)),
+                (as_f64(a), as_f64(b)),
+            ] {
+                let what = format!("{what} ({:?}, {:?})", x.dtype(), y.dtype());
+                let errors: Vec<f64> = x
+                    .values_f64()
+                    .iter()
+                    .zip(y.values_f64())
+                    .map(|(a, b)| a - b)
+                    .collect();
+                let fused = QualityReport::measure(&x, &y.buffer, 64).acf_error;
+                let constant = errors.iter().all(|e| e.is_finite() && *e == errors[0]);
+                if n < 3 || constant {
+                    assert_eq!(fused.to_bits(), 0f64.to_bits(), "{what}");
+                }
+                assert_acf_near(fused, acf_oracle(&errors), &what);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, cases.len() * 4);
     }
 
     #[test]

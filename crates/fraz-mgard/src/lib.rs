@@ -213,7 +213,8 @@ pub fn compress(dataset: &Dataset, config: &MgardConfig) -> Result<Vec<u8>, Code
 /// The one encoder.  Every `want` writes the stream; [`Want::Measured`]
 /// adds the reconstruction [`decompress`] would rebuild from it — bit for
 /// bit, since the encoder quantizes every level against the reconstructed
-/// coarser ones — without decoding anything.
+/// coarser ones — without decoding anything.  [`Want::Size`] hands the same
+/// values back as the encoder's own `f64` buffer, without narrowing it.
 pub fn encode(dataset: &Dataset, config: &MgardConfig, want: Want) -> Result<Encoded, CodecError> {
     config.validate()?;
     let dims3 = grid_3d(&dataset.dims)?;
@@ -238,7 +239,11 @@ pub fn encode(dataset: &Dataset, config: &MgardConfig, want: Want) -> Result<Enc
 
     let mut out = header.into_bytes();
     out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
-    let recon = (want == Want::Measured).then(|| DataBuffer::from_f64(recon, dtype));
+    let recon = match want {
+        Want::Size => Some(DataBuffer::F64(recon)),
+        Want::Stream => None,
+        Want::Measured => Some(DataBuffer::from_f64(recon, dtype)),
+    };
     Ok(Encoded::written(out, recon))
 }
 
@@ -438,7 +443,6 @@ mod tests {
                 let size = encode(&original, &config, Want::Size).unwrap();
                 assert_eq!(size.len, stream.len(), "{what}");
                 assert!(size.stream.is_none_or(|s| s == stream), "{what}");
-                assert!(size.recon.is_none(), "{what}");
                 let written = encode(&original, &config, Want::Stream).unwrap();
                 assert_eq!(written.len, stream.len(), "{what}");
                 assert!(written.recon.is_none(), "{what}");
@@ -452,6 +456,12 @@ mod tests {
                     measured.recon.unwrap().to_le_bytes() == decoded.to_le_bytes(),
                     "{what}"
                 );
+                // A size evaluation keeps the encoder's own buffer: the
+                // decoded values widened, bit for bit.
+                let widened = DataBuffer::F64(decoded.to_f64_vec()).to_le_bytes();
+                let kept = size.recon.expect("the encoder's reconstruction");
+                assert_eq!(kept.dtype(), DType::F64, "{what}");
+                assert!(kept.to_le_bytes() == widened, "{what}");
             }
         }
     }

@@ -703,7 +703,7 @@ mod tests {
     #[test]
     fn drop_joins_all_workers() {
         let pool = Pool::new(3);
-        let mut hits = vec![false; 16];
+        let mut hits = [false; 16];
         pool.scope(|s| {
             for slot in hits.iter_mut() {
                 s.spawn(move || *slot = true);

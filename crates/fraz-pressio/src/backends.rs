@@ -165,7 +165,8 @@ impl Compressor for Builtin {
         }
     }
     /// The trait's default body's answer for less work: a ratio asks the
-    /// codec for its size only (szx writes no stream), and a quality report
+    /// codec for its size only (szx writes no stream; sz and mgard hand back
+    /// the reconstruction they built on the outcome), and a quality report
     /// measures the reconstruction the encoder built (sz, mgard, szx) or
     /// decoded (zfp).
     fn evaluate(
@@ -185,6 +186,7 @@ impl Compressor for Builtin {
             dataset,
             error_bound,
             encoded,
+            want,
         ))
     }
 }

@@ -44,7 +44,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use fraz_data::{Dataset, Dims, Encoded};
+use fraz_data::{DataBuffer, Dataset, Dims, Encoded, Want};
 use fraz_metrics::QualityReport;
 
 /// Errors surfaced through the abstraction layer: the one error every
@@ -54,7 +54,8 @@ pub use fraz_data::CodecError as PressioError;
 /// The result of one compress (and optional decompress) invocation.
 ///
 /// Equality, `Debug` and serialisation are the measurement's: the carried
-/// [`stream`](Self::stream) takes part in none of them.
+/// [`stream`](Self::stream) and [`recon`](Self::recon) take part in none of
+/// them.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct CompressionOutcome {
     /// Compressor name.
@@ -78,6 +79,13 @@ pub struct CompressionOutcome {
     /// than writing the stream.
     #[serde(skip)]
     pub stream: Option<Vec<u8>>,
+    /// The reconstruction a size-only evaluation's encoder built as it
+    /// wrote [`stream`](Self::stream) (sz, mgard): what decoding the stream
+    /// gives, so a report measured over it is a quality evaluation's at
+    /// this bound, bit for bit.  It goes wherever the stream goes and is
+    /// dropped with it.
+    #[serde(skip)]
+    pub recon: Option<DataBuffer>,
 }
 
 impl PartialEq for CompressionOutcome {
@@ -92,6 +100,7 @@ impl PartialEq for CompressionOutcome {
             original_bytes,
             quality,
             stream: _,
+            recon: _,
         } = self;
         *compressor == other.compressor
             && *error_bound == other.error_bound
@@ -153,8 +162,10 @@ pub trait Compressor: Send + Sync {
     /// A backend may override this where the answer follows from less work.
     /// The built-in codecs answer it with one `encode(.., Want::Size)` or
     /// `encode(.., Want::Measured)` (see [`fraz_data::Want`]): szx sizes a
-    /// stream without writing it, and sz, mgard and szx measure the
-    /// reconstruction their encoder already holds instead of decoding.  The
+    /// stream without writing it, sz and mgard hand a size back with the
+    /// reconstruction they built ([`CompressionOutcome::recon`]), and sz,
+    /// mgard and szx measure the reconstruction their encoder already holds
+    /// instead of decoding.  The
     /// contract is that the outcome — quality report included, bit for bit —
     /// or the error is the one this body returns, with or without the
     /// stream, and that a stream it does carry is `compress`'s
@@ -188,6 +199,7 @@ pub(crate) fn evaluate_by_compressing<C: Compressor + ?Sized>(
         dataset,
         error_bound,
         encoded,
+        Want::Stream,
     ))
 }
 
@@ -209,21 +221,32 @@ pub fn measure_stream<C: Compressor + ?Sized>(
         dataset,
         error_bound,
         encoded,
+        Want::Measured,
     ))
 }
 
 impl CompressionOutcome {
-    /// The outcome of one encode of `dataset` at `error_bound`, however it
-    /// was obtained: the one place ratio and bit rate are derived from a
-    /// size, the report is measured when the encode holds a reconstruction,
-    /// and the stream is carried when it holds one.
+    /// The outcome of one encode of `dataset` at `error_bound`, asked for
+    /// `want`, however it was obtained: the one place ratio and bit rate are
+    /// derived from a size, the report is measured over the reconstruction
+    /// of a [`Want::Measured`] encode, and the stream — with the
+    /// reconstruction a size-only encode built anyway — is carried when the
+    /// encode holds one.
     pub(crate) fn of_encoded(
         compressor: &str,
         dataset: &Dataset,
         error_bound: f64,
         encoded: Encoded,
+        want: Want,
     ) -> Self {
         let Encoded { len, stream, recon } = encoded;
+        let (quality, recon) = match want {
+            Want::Measured => (
+                recon.map(|recon| QualityReport::measure(dataset, &recon, len)),
+                None,
+            ),
+            Want::Size | Want::Stream => (None, recon),
+        };
         let original_bytes = dataset.byte_size();
         Self {
             compressor: compressor.to_string(),
@@ -232,19 +255,28 @@ impl CompressionOutcome {
             bit_rate: fraz_metrics::ratio::bit_rate(len, dataset.len()),
             compressed_bytes: len,
             original_bytes,
-            quality: recon.map(|recon| QualityReport::measure(dataset, &recon, len)),
+            quality,
             stream,
+            recon,
         }
     }
 
-    /// This measurement without the bytes it was made on.
+    /// This measurement without the bytes it was made on: no stream, no
+    /// reconstruction.
     pub fn without_stream(&self) -> Self {
         Self {
             compressor: self.compressor.clone(),
             quality: self.quality.clone(),
             stream: None,
+            recon: None,
             ..*self
         }
+    }
+
+    /// Drop the stream and the reconstruction, keeping the measurement.
+    pub fn drop_bytes(&mut self) {
+        self.stream = None;
+        self.recon = None;
     }
 }
 

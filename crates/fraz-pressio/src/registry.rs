@@ -392,7 +392,7 @@ where
 /// The registry lock is held only for the entry lookup, not while the
 /// factory runs, so factories may call back into the registry.
 pub fn build(name: &str, options: &Options) -> Result<Box<dyn Compressor>, RegistryError> {
-    let entry = global().read().lookup(name).map(Entry::clone)?;
+    let entry = global().read().lookup(name).cloned()?;
     build_from_entry(&entry, options)
 }
 

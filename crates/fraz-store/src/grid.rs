@@ -39,10 +39,10 @@ impl ChunkGrid {
                 dims.len()
             )));
         }
-        if dims.iter().any(|&d| d == 0) {
+        if dims.contains(&0) {
             return Err(StoreError::InvalidRegion("zero-length axis".into()));
         }
-        if chunk_shape.iter().any(|&c| c == 0) {
+        if chunk_shape.contains(&0) {
             return Err(StoreError::InvalidRegion("zero-length chunk axis".into()));
         }
         let chunk_shape: Vec<usize> = chunk_shape
@@ -252,7 +252,8 @@ mod tests {
     #[test]
     fn invalid_regions_are_rejected() {
         let grid = ChunkGrid::new(&[8, 8], &[4, 4]).unwrap();
-        assert!(grid.chunks_intersecting(&[0..8]).is_err());
+        let one_axis = [Range { start: 0, end: 8 }];
+        assert!(grid.chunks_intersecting(&one_axis).is_err());
         assert!(grid.chunks_intersecting(&[0..0, 0..8]).is_err());
         assert!(grid.chunks_intersecting(&[0..9, 0..8]).is_err());
         let reversed = Range { start: 5, end: 3 };

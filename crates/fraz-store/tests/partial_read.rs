@@ -30,7 +30,8 @@ fn assert_within_bound(region: &[Range<u64>], got: &fraz_data::Dataset, src: &fr
     assert_eq!(got.dims.as_slice(), shape.as_slice());
     // Walk the region in row-major order and compare element-wise.
     let n: usize = shape.iter().product();
-    for i in 0..n {
+    assert_eq!(got_values.len(), n);
+    for (i, &got) in got_values.iter().enumerate() {
         let mut rem = i;
         let mut src_idx = 0usize;
         for axis in (0..shape.len()).rev() {
@@ -39,11 +40,10 @@ fn assert_within_bound(region: &[Range<u64>], got: &fraz_data::Dataset, src: &fr
             let stride: usize = dims[axis + 1..].iter().product();
             src_idx += c * stride;
         }
-        let err = (got_values[i] - src_values[src_idx]).abs();
+        let err = (got - src_values[src_idx]).abs();
         assert!(
             err <= BOUND * (1.0 + 1e-9),
-            "element {i}: |{} - {}| = {err} > {BOUND}",
-            got_values[i],
+            "element {i}: |{got} - {}| = {err} > {BOUND}",
             src_values[src_idx]
         );
     }

@@ -135,7 +135,9 @@ pub fn compress(dataset: &Dataset, config: &SzConfig) -> Result<Vec<u8>, CodecEr
 /// The one encoder.  Every `want` writes the stream; [`Want::Measured`]
 /// adds the reconstruction [`decompress`] would rebuild from it — bit for
 /// bit, since the encoder computes every value the decoder will (it
-/// predicts from them) — without decoding anything.
+/// predicts from them) — without decoding anything.  [`Want::Size`] hands
+/// the same values back as the encoder's own `f64` buffer, without
+/// narrowing it.
 pub fn encode(dataset: &Dataset, config: &SzConfig, want: Want) -> Result<Encoded, CodecError> {
     config.validate()?;
     let dims3 = dataset.dims.fold_3d();
@@ -179,7 +181,11 @@ pub fn encode(dataset: &Dataset, config: &SzConfig, want: Want) -> Result<Encode
 
     let mut out = header.into_bytes();
     out.extend_from_slice(&fraz_lossless::compress(&body.into_bytes()));
-    let recon = (want == Want::Measured).then(|| DataBuffer::from_f64(recon, dtype));
+    let recon = match want {
+        Want::Size => Some(DataBuffer::F64(recon)),
+        Want::Stream => None,
+        Want::Measured => Some(DataBuffer::from_f64(recon, dtype)),
+    };
     Ok(Encoded::written(out, recon))
 }
 
@@ -405,7 +411,6 @@ mod tests {
                 let size = encode(&original, &config, Want::Size).unwrap();
                 assert_eq!(size.len, stream.len(), "{what}");
                 assert!(size.stream.is_none_or(|s| s == stream), "{what}");
-                assert!(size.recon.is_none(), "{what}");
                 let written = encode(&original, &config, Want::Stream).unwrap();
                 assert_eq!(written.len, stream.len(), "{what}");
                 assert!(written.recon.is_none(), "{what}");
@@ -419,6 +424,12 @@ mod tests {
                     measured.recon.unwrap().to_le_bytes() == decoded.to_le_bytes(),
                     "{what}"
                 );
+                // A size evaluation keeps the encoder's own buffer: the
+                // decoded values widened, bit for bit.
+                let widened = DataBuffer::F64(decoded.to_f64_vec()).to_le_bytes();
+                let kept = size.recon.expect("the encoder's reconstruction");
+                assert_eq!(kept.dtype(), DType::F64, "{what}");
+                assert!(kept.to_le_bytes() == widened, "{what}");
             }
         }
     }

@@ -212,8 +212,9 @@ fn solve4(mut a: [[f64; 4]; 4], mut b: [f64; 4]) -> [f64; 4] {
         // Eliminate.
         for row in col + 1..n {
             let factor = a[row][col] / a[col][col];
-            for k in col..n {
-                a[row][k] -= factor * a[col][k];
+            let pivot_row = a[col];
+            for (x, &p) in a[row][col..n].iter_mut().zip(&pivot_row[col..n]) {
+                *x -= factor * p;
             }
             b[row] -= factor * b[col];
         }

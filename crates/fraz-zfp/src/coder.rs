@@ -167,7 +167,7 @@ pub fn decode_ints(
     let size = data.len();
     debug_assert!(size <= 64);
     let kmin = lowest_plane(max_prec);
-    let mut planes = transposes(size).then(|| [0u64; 64]);
+    let mut planes = transposes(size).then_some([0u64; 64]);
     data.fill(0);
     let mut bits = max_bits;
     let mut n: usize = 0;

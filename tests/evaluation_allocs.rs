@@ -13,7 +13,10 @@
 //! A ratio evaluation (`evaluate(.., false)`) asks for no more than a
 //! `compress` does, and a codec that answers it without writing the stream
 //! is recognised by what it does *not* ask for: a handful of small requests
-//! at any field size, none anywhere near the size of a payload.
+//! at any field size, none anywhere near the size of a payload.  sz and
+//! mgard answer it with the reconstruction their encoder built, handed over
+//! rather than copied: their size encode asks for nothing their stream
+//! encode does not.
 //!
 //! The test binary runs under a counting `#[global_allocator]`
 //! (`adversarial_decode.rs` is the precedent); the count and the largest
@@ -24,6 +27,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fraz::data::{synthetic, DType, Dims};
+#[cfg(any(feature = "sz", feature = "mgard"))]
+use fraz::data::{DataBuffer, Dataset, Encoded, Want};
 use fraz::pressio::registry;
 
 thread_local! {
@@ -207,6 +212,68 @@ fn a_ratio_evaluation_asks_for_no_more_than_a_compression() {
         !registry::contains("szx") || size_only.iter().any(|name| name == "szx"),
         "szx evaluates by writing its stream; size-only: {size_only:?}"
     );
+}
+
+/// sz and mgard keep the reconstruction their encoder builds when asked for
+/// a size only (`Want::Size`): the `f64` buffer the encoder predicted from,
+/// handed over.  A narrowing or a copy would be one more request than the
+/// stream-only encode (`Want::Stream`) makes, which drops the buffer.
+#[cfg(any(feature = "sz", feature = "mgard"))]
+#[test]
+fn a_size_encode_hands_over_the_reconstruction_it_built() {
+    type Encode = fn(&Dataset, f64, Want) -> Encoded;
+    let mut encoders: Vec<(&str, Encode)> = Vec::new();
+    #[cfg(feature = "sz")]
+    encoders.push(("sz", |dataset, bound, want| {
+        let config = fraz::sz::SzConfig::with_error_bound(bound);
+        fraz::sz::encode(dataset, &config, want).unwrap()
+    }));
+    #[cfg(feature = "mgard")]
+    encoders.push(("mgard", |dataset, bound, want| {
+        let config = fraz::mgard::MgardConfig::infinity_norm(bound);
+        fraz::mgard::encode(dataset, &config, want).unwrap()
+    }));
+    #[cfg(feature = "mgard")]
+    encoders.push(("mgard-l2", |dataset, bound, want| {
+        let config = fraz::mgard::MgardConfig::l2_norm(bound);
+        fraz::mgard::encode(dataset, &config, want).unwrap()
+    }));
+    let mut failures = Vec::new();
+    for (name, encode) in encoders {
+        let codec = registry::build_default(name).unwrap();
+        for edge in [16, 32] {
+            for dtype in [DType::F32, DType::F64] {
+                let dims = Dims::d3(edge, edge, edge);
+                let dataset = synthetic::generate("turbulence", &dims, dtype, 5, 0).unwrap();
+                let (lo, hi) = codec.bound_range(&dataset);
+                let bound = (lo * hi).sqrt();
+                encode(&dataset, bound, Want::Stream);
+                let (stream, stream_requests, stream_largest) =
+                    requests_and_largest(|| encode(&dataset, bound, Want::Stream));
+                let (size, size_requests, size_largest) =
+                    requests_and_largest(|| encode(&dataset, bound, Want::Size));
+                let what = format!("{name} {dtype:?} at {edge}³");
+                assert_eq!(size.len, stream.len, "{what}");
+                assert!(stream.recon.is_none(), "{what}");
+                match &size.recon {
+                    Some(DataBuffer::F64(values)) => assert_eq!(values.len(), dataset.len()),
+                    other => panic!("{what}: kept {:?}", other.as_ref().map(DataBuffer::dtype)),
+                }
+                println!(
+                    "{what}: size {size_requests} requests of up to {size_largest} B, \
+                     stream {stream_requests} of up to {stream_largest} B"
+                );
+                if size_requests > stream_requests || size_largest > stream_largest {
+                    failures.push(format!(
+                        "{what}: a size encode makes {size_requests} requests of up to \
+                         {size_largest} B, a stream encode {stream_requests} of up to \
+                         {stream_largest} B"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 /// The codecs whose encoders rebuild the field as they go: a build that has
