@@ -240,7 +240,9 @@ impl<'a, O: Objective> Evaluator<'a, O> {
     ///    measured over it, and keeps its stream;
     /// 2. one that holds its stream (zfp) is decoded ([`measure_stream`]);
     /// 3. one measured without writing a stream (szx's size-only
-    ///    evaluation, a step-memo answer) pays one measured evaluation.
+    ///    evaluation, a step-memo answer) pays one measured evaluation —
+    ///    szx's writes no stream either, so its answer leaves the bytes to
+    ///    [`answer_bytes`]' `compress`, for a caller that takes them.
     fn final_quality(&self, mut seen: CompressionOutcome) -> CompressionOutcome {
         if self.cancelled() {
             return seen;

@@ -66,8 +66,10 @@ pub enum Want {
     Size,
     /// The stream.
     Stream,
-    /// The stream and the reconstruction its decoder rebuilds from it, bit
-    /// for bit.
+    /// The length and the reconstruction the decoder rebuilds from the
+    /// stream, bit for bit — plus, as for [`Want::Size`], the stream where
+    /// the encoder had to write it to learn the length (sz, zfp, mgard; szx
+    /// sizes and rebuilds without packing).
     Measured,
 }
 
@@ -76,13 +78,15 @@ pub enum Want {
 pub struct Encoded {
     /// The stream's length in bytes.
     pub len: usize,
-    /// The stream, when the encoder wrote it.
+    /// The stream, when the encoder wrote it: always for [`Want::Stream`],
+    /// and for the other two wants only where the length took it.
     pub stream: Option<Vec<u8>>,
     /// The decoder's reconstruction, bit for bit: always for
-    /// [`Want::Measured`], in the dataset's dtype; for [`Want::Size`] when
-    /// the encoder built it anyway (sz, mgard), as the encoder's own `f64`
-    /// buffer — its values already rounded to the dataset's precision, so
-    /// any report over it is the report over the narrowed buffer.
+    /// [`Want::Measured`], in the dataset's dtype, whether or not a stream
+    /// was written; for [`Want::Size`] when the encoder built it anyway
+    /// (sz, mgard), as the encoder's own `f64` buffer — its values already
+    /// rounded to the dataset's precision, so any report over it is the
+    /// report over the narrowed buffer.
     pub recon: Option<DataBuffer>,
 }
 
@@ -96,10 +100,11 @@ impl Encoded {
         }
     }
 
-    /// The stream of a [`Want::Stream`] or [`Want::Measured`] encode.
+    /// The stream of a [`Want::Stream`] encode.
     ///
     /// # Panics
-    /// Panics if the encoder wrote no stream.
+    /// Panics if the encoder wrote no stream — which a [`Want::Size`] or
+    /// [`Want::Measured`] encode need not have.
     pub fn into_stream(self) -> Vec<u8> {
         self.stream.expect("a stream was asked for")
     }

@@ -7,35 +7,14 @@
 
 use crate::error_stats::LANES;
 
-/// Sample autocorrelation of `series` at the given `lag`.
-///
-/// Returns 0 for series shorter than `lag + 2` or with zero variance (a
-/// constant error field — including the all-zero error of a lossless
-/// reconstruction — has no meaningful autocorrelation).
-pub fn autocorrelation(series: &[f64], lag: usize) -> f64 {
-    if series.len() < lag + 2 {
-        return 0.0;
-    }
-    let n = series.len();
-    let mean = series.iter().sum::<f64>() / n as f64;
-    let denom: f64 = series.iter().map(|&v| (v - mean) * (v - mean)).sum();
-    if denom == 0.0 {
-        return 0.0;
-    }
-    let numer: f64 = (0..n - lag)
-        .map(|i| (series[i] - mean) * (series[i + lag] - mean))
-        .sum();
-    numer / denom
-}
-
-/// [`autocorrelation`] at lag 1 of a series seen once, in index order,
-/// without the series: the moments `Σf`, `Σf²` and `Σfᵢfᵢ₊₁` of the values
-/// `f = x − c` (each summed in [`LANES`] chains, by the caller's lane),
-/// plus the first and last `f`, are all it keeps.  The shift `c` is a value
-/// of the series near its mean, so the moments do not cancel: the answer
-/// is the two-pass one to rounding, not bit for bit.  A constant series
-/// gives exactly 0, as does one shorter than 3; a non-finite value makes it
-/// NaN.
+/// The sample autocorrelation at lag 1 of a series seen once, in index
+/// order, without the series: the moments `Σf`, `Σf²` and `Σfᵢfᵢ₊₁` of the
+/// values `f = x − c` (each summed in [`LANES`] chains, by the caller's
+/// lane), plus the first and last `f`, are all it keeps.  The shift `c` is
+/// a value of the series near its mean, so the moments do not cancel: the
+/// answer is the two-pass one to rounding, not bit for bit.  A constant
+/// series gives exactly 0, as does one shorter than 3; a non-finite value
+/// makes it NaN.
 #[derive(Debug)]
 pub(crate) struct Lag1 {
     shift: f64,
@@ -115,27 +94,33 @@ impl Lag1 {
     }
 }
 
-/// Autocorrelation function for lags `1..=max_lag`.
-pub fn acf(series: &[f64], max_lag: usize) -> Vec<f64> {
-    (1..=max_lag)
-        .map(|lag| autocorrelation(series, lag))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// [`Lag1`] over `series`, pushed by lane as the report's pass pushes.
+    fn lag1(series: &[f64]) -> f64 {
+        let mut acf = Lag1::new(series.len(), |i| series[i]);
+        for (i, &x) in series.iter().enumerate() {
+            acf.push(i % LANES, x);
+        }
+        acf.value(series.len())
+    }
+
     #[test]
     fn constant_series_has_zero_acf() {
-        assert_eq!(autocorrelation(&[3.0; 100], 1), 0.0);
-        assert_eq!(autocorrelation(&[0.0; 100], 1), 0.0);
+        assert_eq!(lag1(&[3.0; 100]), 0.0);
+        assert_eq!(lag1(&[0.0; 100]), 0.0);
+        // Constants whose mean `Σx / n` does not round back to them, so
+        // centring on that mean leaves a residue that looks correlated.
+        assert_eq!(lag1(&[0.1; 1000]), 0.0);
+        assert_eq!(lag1(&[7.3; 10]), 0.0);
     }
 
     #[test]
     fn short_series_is_zero() {
-        assert_eq!(autocorrelation(&[1.0, 2.0], 5), 0.0);
-        assert_eq!(autocorrelation(&[], 1), 0.0);
+        assert_eq!(lag1(&[1.0, 2.0]), 0.0);
+        assert_eq!(lag1(&[1.0]), 0.0);
     }
 
     #[test]
@@ -143,14 +128,14 @@ mod tests {
         let series: Vec<f64> = (0..1000)
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
-        let r = autocorrelation(&series, 1);
+        let r = lag1(&series);
         assert!(r < -0.9, "lag-1 ACF of alternating series was {r}");
     }
 
     #[test]
     fn smooth_series_has_high_lag1() {
         let series: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.01).sin()).collect();
-        let r = autocorrelation(&series, 1);
+        let r = lag1(&series);
         assert!(r > 0.95, "lag-1 ACF of smooth series was {r}");
     }
 
@@ -166,24 +151,14 @@ mod tests {
                 ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
             })
             .collect();
-        let r = autocorrelation(&series, 1);
+        let r = lag1(&series);
         assert!(r.abs() < 0.05, "lag-1 ACF of white noise was {r}");
     }
 
     #[test]
-    fn acf_returns_requested_lags() {
-        let series: Vec<f64> = (0..500).map(|i| (i as f64 * 0.1).sin()).collect();
-        let values = acf(&series, 5);
-        assert_eq!(values.len(), 5);
-        assert_eq!(values[0], autocorrelation(&series, 1));
-        assert_eq!(values[4], autocorrelation(&series, 5));
-    }
-
-    #[test]
     fn lag_zero_equivalent_is_one() {
+        // A linear ramp's lag-1 autocorrelation is close to 1.
         let series: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        // autocorrelation at lag 0 is not exposed, but lag 1 of a linear ramp
-        // should be close to 1.
-        assert!(autocorrelation(&series, 1) > 0.95);
+        assert!(lag1(&series) > 0.95);
     }
 }

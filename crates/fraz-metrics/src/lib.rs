@@ -8,7 +8,8 @@
 //!
 //! * [`error_stats`] — max error, MSE, RMSE, PSNR.
 //! * [`ssim`] — windowed structural similarity on 2-D slices.
-//! * [`acf`] — autocorrelation of the error field.
+//! * `acf` — the error's lag-1 autocorrelation, folded into the report's
+//!   one pass.
 //! * [`ratio`] — compression ratio and bit-rate bookkeeping.
 //!
 //! [`QualityReport::evaluate`] bundles everything into a single serializable
@@ -16,7 +17,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod acf;
+mod acf;
 pub mod error_stats;
 pub mod ratio;
 pub mod ssim;
@@ -69,9 +70,9 @@ impl QualityReport {
     /// error statistics and the moments the error's lag-1 autocorrelation
     /// is read from, and SSIM reads the central plane in place.  Every
     /// field but `acf_error` sums in the order the per-metric functions
-    /// take it, so it is theirs bit for bit; `acf_error` is
-    /// [`acf::autocorrelation`]'s to rounding (the one-pass moments are
-    /// summed in another order).
+    /// take it, so it is theirs bit for bit; `acf_error` comes from the
+    /// shifted moments that pass carries (`acf::Lag1`), which is the
+    /// two-pass sample autocorrelation to rounding.
     ///
     /// # Panics
     /// Panics if the two buffers have different lengths.
@@ -282,7 +283,7 @@ mod tests {
     /// compensated mean of the deviations from it, so a mean far from zero
     /// is not rounded into every deviation — then Neumaier sums of the
     /// centred products.  0 below 3 values and for a constant series, as
-    /// [`acf::autocorrelation`] defines it.
+    /// `acf::Lag1` defines it.
     fn acf_oracle(series: &[f64]) -> f64 {
         let n = series.len();
         if n < 3 || series.iter().all(|&x| x == series[0]) {

@@ -29,43 +29,6 @@ pub fn bit_rate(compressed_bytes: usize, num_points: usize) -> f64 {
     }
 }
 
-/// Accumulates sizes over many buffers (e.g. all fields of a time-step) and
-/// reports the aggregate ratio, as done for the whole-dataset numbers in the
-/// evaluation.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RatioAccumulator {
-    /// Total original bytes seen.
-    pub original_bytes: u64,
-    /// Total compressed bytes seen.
-    pub compressed_bytes: u64,
-    /// Total number of data points seen.
-    pub num_points: u64,
-}
-
-impl RatioAccumulator {
-    /// Create an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one compressed buffer.
-    pub fn record(&mut self, original_bytes: usize, compressed_bytes: usize, num_points: usize) {
-        self.original_bytes += original_bytes as u64;
-        self.compressed_bytes += compressed_bytes as u64;
-        self.num_points += num_points as u64;
-    }
-
-    /// Aggregate compression ratio so far.
-    pub fn ratio(&self) -> f64 {
-        compression_ratio(self.original_bytes as usize, self.compressed_bytes as usize)
-    }
-
-    /// Aggregate bit rate so far.
-    pub fn bit_rate(&self) -> f64 {
-        bit_rate(self.compressed_bytes as usize, self.num_points as usize)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,14 +45,5 @@ mod tests {
         // 4-byte floats compressed 8:1 -> 4 bits/value.
         assert_eq!(bit_rate(500, 1000), 4.0);
         assert_eq!(bit_rate(0, 0), 0.0);
-    }
-
-    #[test]
-    fn accumulator_aggregates() {
-        let mut acc = RatioAccumulator::new();
-        acc.record(4000, 1000, 1000);
-        acc.record(4000, 100, 1000);
-        assert!((acc.ratio() - 8000.0 / 1100.0).abs() < 1e-9);
-        assert!((acc.bit_rate() - 1100.0 * 8.0 / 2000.0).abs() < 1e-9);
     }
 }

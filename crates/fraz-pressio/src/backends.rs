@@ -167,8 +167,8 @@ impl Compressor for Builtin {
     /// The trait's default body's answer for less work: a ratio asks the
     /// codec for its size only (szx writes no stream; sz and mgard hand back
     /// the reconstruction they built on the outcome), and a quality report
-    /// measures the reconstruction the encoder built (sz, mgard, szx) or
-    /// decoded (zfp).
+    /// measures the reconstruction the encoder built (sz, mgard, szx — which
+    /// writes no stream for it either) or decoded (zfp).
     fn evaluate(
         &self,
         dataset: &Dataset,

@@ -75,8 +75,8 @@ pub struct CompressionOutcome {
     pub quality: Option<QualityReport>,
     /// The compressed stream this outcome was measured on — what
     /// `compress(dataset, error_bound)` returns — when the evaluation wrote
-    /// one and the holder kept it; absent when the size came from less work
-    /// than writing the stream.
+    /// one and the holder kept it; absent when the size, and the report,
+    /// came from less work than writing the stream (szx).
     #[serde(skip)]
     pub stream: Option<Vec<u8>>,
     /// The reconstruction a size-only evaluation's encoder built as it
@@ -162,15 +162,16 @@ pub trait Compressor: Send + Sync {
     /// A backend may override this where the answer follows from less work.
     /// The built-in codecs answer it with one `encode(.., Want::Size)` or
     /// `encode(.., Want::Measured)` (see [`fraz_data::Want`]): szx sizes a
-    /// stream without writing it, sz and mgard hand a size back with the
-    /// reconstruction they built ([`CompressionOutcome::recon`]), and sz,
-    /// mgard and szx measure the reconstruction their encoder already holds
-    /// instead of decoding.  The
+    /// stream, and rebuilds the field for a report, without writing it; sz
+    /// and mgard hand a size back with the reconstruction they built
+    /// ([`CompressionOutcome::recon`]); and sz, mgard and szx measure the
+    /// reconstruction their encoder already holds instead of decoding.  The
     /// contract is that the outcome — quality report included, bit for bit —
     /// or the error is the one this body returns, with or without the
     /// stream, and that a stream it does carry is `compress`'s
     /// (`tests/evaluate_contract.rs` holds every registered codec to all
-    /// three).
+    /// three).  An outcome without a stream costs the caller that takes the
+    /// bytes one `compress`.
     fn evaluate(
         &self,
         dataset: &Dataset,

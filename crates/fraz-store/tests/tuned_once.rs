@@ -7,18 +7,27 @@
 //! `codec.compress(chunk, index[c].bound)`, on one worker and on four, for
 //! ratio and PSNR targets.
 //!
+//! By count, too: a PSNR-target write compresses a chunk once where its
+//! search's answer holds no stream, and never otherwise.  That is every
+//! chunk for szx, whose quality evaluation measures its classification and
+//! packs nothing; no chunk for sz and mgard; and for zfp the chunks whose
+//! answer came from its step memo, which keeps no stream.
+//!
 //! **Once per array.**  A warm-started ratio write tunes its leading chunk
 //! first and fans the rest out behind the bound it converged to: on a
 //! four-worker pool exactly one chunk search starts with nothing to go by (it
 //! used to be one per worker).
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use fraz_core::{BoundPredictor, HintQuery, SearchHint};
 use fraz_data::{synthetic, DType, Dataset, Dims};
 use fraz_pool::Pool;
-use fraz_pressio::{registry, Compressor};
+use fraz_pressio::{
+    registry, BoundKind, CodecDescriptor, CompressionOutcome, Compressor, Options, PressioError,
+};
 use fraz_store::{
     write_array_seeded, ArrayReader, ChunkTarget, MemoryStore, Store, StoreWriteConfig,
 };
@@ -55,6 +64,7 @@ fn codecs() -> Vec<(String, Box<dyn Compressor>)> {
     assert!(!names.is_empty(), "no error-bounded codec is registered");
     names
         .into_iter()
+        .filter(|name| !name.starts_with(COUNTING))
         .map(|name| (name.clone(), registry::build_default(&name).unwrap()))
         .filter(|(_, codec)| codec.supports_dims(&Dims::new(&CHUNK)))
         .collect()
@@ -93,6 +103,108 @@ fn every_payload_is_one_compress_at_the_indexed_bound() {
                         entry.bound
                     );
                 }
+            }
+        }
+    }
+}
+
+/// The name prefix of [`Counting`] registrations, which the other
+/// tests leave out.
+const COUNTING: &str = "counting-";
+
+/// A chunk's values and a bound, as a set of measurements keys them.
+type Key = (Vec<u8>, u64);
+
+fn key(dataset: &Dataset, bound: f64) -> Key {
+    (dataset.buffer.to_le_bytes(), bound.to_bits())
+}
+
+/// A codec with its `compress` calls counted — what a write pays for its
+/// bytes beyond its searches' evaluations — and the evaluations that
+/// handed a stream back.
+#[derive(Clone)]
+struct Counting {
+    inner: Arc<dyn Compressor>,
+    compresses: Arc<AtomicUsize>,
+    streams: Arc<Mutex<HashSet<Key>>>,
+}
+
+impl Compressor for Counting {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn bound_kind(&self) -> BoundKind {
+        self.inner.bound_kind()
+    }
+    fn supports_dims(&self, dims: &Dims) -> bool {
+        self.inner.supports_dims(dims)
+    }
+    fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
+        self.inner.bound_range(dataset)
+    }
+    fn compress(&self, dataset: &Dataset, error_bound: f64) -> Result<Vec<u8>, PressioError> {
+        self.compresses.fetch_add(1, Ordering::SeqCst);
+        self.inner.compress(dataset, error_bound)
+    }
+    fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
+        self.inner.decompress(data)
+    }
+    fn evaluate(
+        &self,
+        dataset: &Dataset,
+        error_bound: f64,
+        measure_quality: bool,
+    ) -> Result<CompressionOutcome, PressioError> {
+        let outcome = self.inner.evaluate(dataset, error_bound, measure_quality)?;
+        if outcome.stream.is_some() {
+            let mut streams = self.streams.lock().unwrap();
+            streams.insert(key(dataset, error_bound));
+        }
+        Ok(outcome)
+    }
+}
+
+#[test]
+fn a_psnr_write_compresses_only_the_chunks_whose_answer_holds_no_stream() {
+    let dataset = field();
+    for (name, _) in codecs() {
+        let counts = Counting {
+            inner: registry::build_arc(&name, &Options::new()).unwrap(),
+            compresses: Arc::default(),
+            streams: Arc::default(),
+        };
+        let counting = format!("{COUNTING}{name}");
+        let descriptor = CodecDescriptor {
+            name: counting.clone(),
+            aliases: Vec::new(),
+            ..registry::describe(&name).unwrap()
+        };
+        let codec = counts.clone();
+        registry::register(descriptor, move |_| Ok(Box::new(codec.clone()))).unwrap();
+        for workers in [1, 4] {
+            let what = format!("{name} on {workers} workers");
+            let store = MemoryStore::new();
+            let target = ChunkTarget::MinPsnr(55.0);
+            let config = StoreWriteConfig::new(CHUNK.to_vec(), &counting, target);
+            let pool = Arc::new(Pool::new(workers));
+            counts.compresses.store(0, Ordering::SeqCst);
+            counts.streams.lock().unwrap().clear();
+            write_array_seeded(&store, "a", &dataset, &config, Some(pool), None).unwrap();
+            let reader = ArrayReader::open(&store, "a").unwrap();
+            let streams = counts.streams.lock().unwrap();
+            let without_stream = (0..N_CHUNKS)
+                .filter(|&c| {
+                    let bound = reader.meta().index[c].bound;
+                    !streams.contains(&key(&chunk_of(&dataset, &reader, c), bound))
+                })
+                .count();
+            let compressed = counts.compresses.load(Ordering::SeqCst);
+            let why = "chunks compressed for their bytes";
+            assert_eq!(compressed, without_stream, "{what}: {why}");
+            match name.as_str() {
+                "szx" => assert_eq!(compressed, N_CHUNKS, "{what}: szx packs for the write"),
+                "sz" | "mgard" | "mgard-l2" => assert_eq!(compressed, 0, "{what}"),
+                _ => {}
             }
         }
     }

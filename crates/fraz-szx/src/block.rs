@@ -18,7 +18,7 @@
 //! [`CodecError::Codec`], never a panic or an out-of-bounds read.
 
 use fraz_data::wire::{try_vec, ByteReader, ByteWriter, WireError};
-use fraz_data::{CodecError, Want};
+use fraz_data::CodecError;
 
 use crate::pack::{PackReader, PackWriter};
 
@@ -239,18 +239,8 @@ pub(crate) fn classify<F: SzxFloat>(chunk: &[F], error_bound: f64, k: i32) -> Bl
 }
 
 /// Encode `values` in blocks of `block` values under `error_bound`,
-/// appending the serialized section to `out`; for [`Want::Measured`], also
-/// return the values [`decode`] will rebuild from it — each block's
-/// midrange, or its members truncated to the kept width (non-finite blocks
-/// keep every bit) — without reading the section back.  The crate answers
-/// [`Want::Size`] with [`encoded_len`] instead.
-pub fn encode<F: SzxFloat>(
-    values: &[F],
-    block: usize,
-    error_bound: f64,
-    out: &mut ByteWriter,
-    want: Want,
-) -> Option<Vec<F>> {
+/// appending the serialized section to `out`.
+pub fn encode<F: SzxFloat>(values: &[F], block: usize, error_bound: f64, out: &mut ByteWriter) {
     let k = crate::bound_exponent(error_bound);
     let n_blocks = values.len().div_ceil(block);
     let mut flags = vec![0u8; n_blocks.div_ceil(8)];
@@ -258,26 +248,18 @@ pub fn encode<F: SzxFloat>(
     let mut constants = ByteWriter::with_capacity(256);
     let mut packer =
         PackWriter::with_bit_capacity(values.len().saturating_mul(F::WIDTH as usize) / 2);
-    let mut recon = (want == Want::Measured).then(|| Vec::with_capacity(values.len()));
 
     for (bi, chunk) in values.chunks(block).enumerate() {
         match classify(chunk, error_bound, k) {
             BlockClass::Constant(mid) => {
                 flags[bi >> 3] |= 1 << (bi & 7);
                 mid.write_to(&mut constants);
-                if let Some(recon) = &mut recon {
-                    recon.resize(recon.len() + chunk.len(), mid);
-                }
             }
             BlockClass::Packed(w) => {
                 widths.push(w as u8);
                 let drop = F::WIDTH - w;
                 for &v in chunk {
                     packer.push(v.to_bits64() >> drop, w);
-                }
-                if let Some(recon) = &mut recon {
-                    let truncated = chunk.iter().map(|&v| v.to_bits64() >> drop << drop);
-                    recon.extend(truncated.map(F::from_bits64));
                 }
             }
         }
@@ -294,24 +276,44 @@ pub fn encode<F: SzxFloat>(
     debug_assert_eq!(payload.len(), packed_bits.div_ceil(8));
     out.put_u64(payload.len() as u64);
     out.put_bytes(&payload);
-    recon
 }
 
 /// The number of bytes [`encode`] appends for the same arguments, from the
-/// classification alone: nothing is packed and nothing is allocated.
-pub fn encoded_len<F: SzxFloat>(values: &[F], block: usize, error_bound: f64) -> usize {
+/// classification alone: nothing is packed.  With `rebuild`, the same pass
+/// forms the values [`decode`] rebuilds — each block's midrange, or its
+/// members truncated to the kept width — in the one buffer it allocates.
+pub fn encoded_len<F: SzxFloat>(
+    values: &[F],
+    block: usize,
+    error_bound: f64,
+    rebuild: bool,
+) -> (usize, Option<Vec<F>>) {
     let k = crate::bound_exponent(error_bound);
     let n_blocks = values.len().div_ceil(block);
     let (mut packed_blocks, mut packed_bits) = (0usize, 0usize);
+    let mut recon = rebuild.then(|| Vec::with_capacity(values.len()));
     for chunk in values.chunks(block) {
-        if let BlockClass::Packed(w) = classify(chunk, error_bound, k) {
-            packed_blocks += 1;
-            packed_bits += chunk.len() * w as usize;
+        match classify(chunk, error_bound, k) {
+            BlockClass::Constant(mid) => {
+                if let Some(recon) = &mut recon {
+                    recon.resize(recon.len() + chunk.len(), mid);
+                }
+            }
+            BlockClass::Packed(w) => {
+                packed_blocks += 1;
+                packed_bits += chunk.len() * w as usize;
+                if let Some(recon) = &mut recon {
+                    let drop = F::WIDTH - w;
+                    let truncated = chunk.iter().map(|&v| v.to_bits64() >> drop << drop);
+                    recon.extend(truncated.map(F::from_bits64));
+                }
+            }
         }
     }
     let constants = (n_blocks - packed_blocks) * (F::WIDTH / 8) as usize;
     // The three `u64` fields are the two counts and the payload length.
-    3 * 8 + n_blocks.div_ceil(8) + packed_blocks + constants + packed_bits.div_ceil(8)
+    let len = 3 * 8 + n_blocks.div_ceil(8) + packed_blocks + constants + packed_bits.div_ceil(8);
+    (len, recon)
 }
 
 /// Decode `n` values that were encoded in blocks of `block` values.
@@ -535,8 +537,9 @@ mod tests {
         for block in [1, 7, 64, 100, 999, 1517] {
             for eb in [1e-12, 1e-3, 1.0, 1e6] {
                 let mut w = ByteWriter::new();
-                encode(&values, block, eb, &mut w, Want::Stream);
-                assert_eq!(encoded_len(&values, block, eb), w.len(), "{block} {eb}");
+                encode(&values, block, eb, &mut w);
+                let (len, _) = encoded_len(&values, block, eb, false);
+                assert_eq!(len, w.len(), "{block} {eb}");
             }
         }
     }
@@ -547,15 +550,12 @@ mod tests {
         for k in [-40i32, -20, -6, 0, 10, 20] {
             let eb = 2f64.powi(k);
             let mut w = ByteWriter::new();
-            let recon = encode(&values, 64, eb, &mut w, Want::Measured).expect("measured");
+            encode(&values, 64, eb, &mut w);
             let bytes = w.into_bytes();
             let decoded = decode::<f64>(&mut ByteReader::new(&bytes), values.len(), 64).unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&recon),
-                bits(&decoded),
-                "k={k}: the encoder's reconstruction"
-            );
+            let rebuilt = encoded_len(&values, 64, eb, true).1.expect("rebuilt");
+            assert_eq!(bits(&rebuilt), bits(&decoded), "k={k}: the rebuilt values");
             let worst = values
                 .iter()
                 .zip(&decoded)
@@ -569,7 +569,7 @@ mod tests {
     fn truncated_section_is_an_error_not_a_panic() {
         let values: Vec<f32> = (0..500).map(|i| (i as f32 * 0.11).cos()).collect();
         let mut w = ByteWriter::new();
-        encode(&values, 128, 1e-4, &mut w, Want::Stream);
+        encode(&values, 128, 1e-4, &mut w);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
             let result = decode::<f32>(&mut ByteReader::new(&bytes[..cut]), values.len(), 128);

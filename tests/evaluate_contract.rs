@@ -16,11 +16,12 @@
 //! does inherits the suite.
 //!
 //! **The bytes.**  An outcome hands back the stream it was measured on, so a
-//! search's answer need not be compressed again: where an outcome carries a
-//! stream it is byte for byte what `compress` returns at that bound, and an
-//! evaluation that decoded one (`measure_quality`) has one to carry.  An
-//! evaluation that wrote nothing carries nothing — `evaluation_allocs.rs`,
-//! which can see what was written, holds the two apart.
+//! search's answer need not be compressed again: an outcome that carries a
+//! stream carries `compress`'s, byte for byte, at that bound.  An evaluation
+//! that wrote nothing — a size or a report from the classification alone —
+//! carries nothing, and its caller compresses once for the bytes;
+//! `evaluation_allocs.rs`, which can see what was written, holds the two
+//! apart.
 //!
 //! **The measurement.**  A backend may also answer a quality evaluation
 //! from less work than decoding its stream — sz, mgard and szx measure the
@@ -127,10 +128,6 @@ fn assert_evaluate_agrees(
                     .as_ref()
                     .is_none_or(|stream| *stream == packed),
                 "{what}: carries a stream that is not compress's"
-            );
-            assert!(
-                outcome.stream.is_some() || !measure_quality,
-                "{what}: decoded a stream and dropped it"
             );
             if let Some(quality) = outcome.quality {
                 let decoded = codec.decompress(&packed).unwrap();

@@ -18,6 +18,11 @@
 //! rather than copied: their size encode asks for nothing their stream
 //! encode does not.
 //!
+//! A quality evaluation (`evaluate(.., true)`) decodes nothing where the
+//! encoder rebuilt the field as it went (sz, mgard, szx), and szx's packs
+//! nothing either: it asks for what its size-only encode asks for, the
+//! reconstruction and the outcome's name.
+//!
 //! The test binary runs under a counting `#[global_allocator]`
 //! (`adversarial_decode.rs` is the precedent); the count and the largest
 //! request are per thread, so the harness's other threads cannot disturb
@@ -26,9 +31,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+#[cfg(any(feature = "sz", feature = "mgard", feature = "szx"))]
+use fraz::data::Want;
 use fraz::data::{synthetic, DType, Dims};
 #[cfg(any(feature = "sz", feature = "mgard"))]
-use fraz::data::{DataBuffer, Dataset, Encoded, Want};
+use fraz::data::{DataBuffer, Dataset, Encoded};
 use fraz::pressio::registry;
 
 thread_local! {
@@ -305,7 +312,11 @@ fn a_quality_evaluation_decodes_only_where_the_encoder_could_not_measure() {
                 let (_, decompress) = requests(|| codec.decompress(&packed).unwrap());
                 let (outcome, evaluate) =
                     requests(|| codec.evaluate(&dataset, bound, true).unwrap());
-                assert_eq!(outcome.stream.as_ref(), Some(&packed), "{name}");
+                // A stream it carries is `compress`'s; szx writes none.
+                assert!(
+                    outcome.stream.as_ref().is_none_or(|s| *s == packed),
+                    "{name}"
+                );
                 // The report itself asks for nothing: at most a compress, a
                 // decode and the outcome's name.
                 if evaluate > compress + decompress + 1 {
@@ -336,4 +347,45 @@ fn a_quality_evaluation_decodes_only_where_the_encoder_could_not_measure() {
             "{name} decodes its stream to measure it; decode-free: {decode_free:?}"
         );
     }
+}
+
+/// szx's quality evaluation is its classification pass filling the
+/// reconstruction: no more requests than `encode(.., Want::Size)` — which
+/// packs nothing — plus the reconstruction buffer and the outcome's name,
+/// and no stream on the outcome.  Packing the payload would add the
+/// stream's writer and its sections' buffers.
+#[cfg(feature = "szx")]
+#[test]
+fn a_szx_quality_evaluation_packs_nothing() {
+    let codec = registry::build_default("szx").unwrap();
+    let mut failures = Vec::new();
+    for edge in [16, 32] {
+        for dtype in [DType::F32, DType::F64] {
+            let dims = Dims::d3(edge, edge, edge);
+            let dataset = synthetic::generate("turbulence", &dims, dtype, 5, 0).unwrap();
+            let (lo, hi) = codec.bound_range(&dataset);
+            let config = fraz::szx::SzxConfig::with_error_bound((lo * hi).sqrt());
+            let size = || fraz::szx::encode(&dataset, &config, Want::Size).unwrap();
+            let evaluate = || codec.evaluate(&dataset, config.error_bound, true).unwrap();
+            evaluate();
+            let (_, size_requests) = requests(size);
+            let (outcome, evaluate_requests) = requests(evaluate);
+            let (_, compress_requests) =
+                requests(|| codec.compress(&dataset, config.error_bound).unwrap());
+            let what = format!("szx {dtype:?} at {edge}³");
+            println!(
+                "{what}: quality evaluation {evaluate_requests}, size encode {size_requests}, \
+                 compress {compress_requests} requests"
+            );
+            assert!(outcome.stream.is_none(), "{what}: a stream was written");
+            assert!(outcome.quality.is_some(), "{what}");
+            if evaluate_requests > size_requests + 2 {
+                failures.push(format!(
+                    "{what}: a quality evaluation makes {evaluate_requests} requests, a size \
+                     encode {size_requests} + the reconstruction + the name"
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }

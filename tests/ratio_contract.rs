@@ -265,7 +265,9 @@ fn report_bits(report: &QualityReport) -> [u64; 10] {
 fn the_final_pass_reports_a_quality_evaluation_at_the_answer() {
     // Above the sampling floor, so the answer comes from the walk: a held
     // stream (sz, zfp, mgard) is decoded, a size-only answer (szx) is
-    // evaluated again with quality.
+    // evaluated again with quality — from its classification, which writes
+    // no stream, so szx's bytes cost `answer_bytes` one `compress` and every
+    // other codec's none.
     let dims = Dims::d3(32, 32, 32);
     let f32_field = smooth(dims.clone());
     let f64_field = Dataset::from_f64(
@@ -295,11 +297,13 @@ fn the_final_pass_reports_a_quality_evaluation_at_the_answer() {
             );
 
             let compressions = logged.compressions.load(Ordering::Relaxed);
+            let held = outcome.best.stream.is_some();
+            assert_eq!(held, codec != "szx", "{what}: the answer's stream");
             let bytes = answer_bytes(&*logged, &dataset, &mut outcome).unwrap();
             assert_eq!(
                 logged.compressions.load(Ordering::Relaxed),
-                compressions,
-                "{what}: the answer came without its bytes"
+                compressions + usize::from(!held),
+                "{what}: compressions for the answer's bytes"
             );
             assert_eq!(bytes, direct.compress(&dataset, bound).unwrap(), "{what}");
         }
