@@ -28,6 +28,16 @@
 //! too; a quality curve has no saw-tooth for a region race to escape, so
 //! here the walk is the whole strategy.  Every evaluation goes through the
 //! shell's [`Evaluator`].
+//!
+//! On a pool of two workers or more the walk *hedges*: beside each position
+//! it measures — the probe included — an idle worker evaluates the position
+//! a [`TOLERANCE`] above, where the walk goes next when the position
+//! satisfies by under a tolerance's worth of margin.  A seed from the closed
+//! form usually does, so a seeded search often closes its bracket in one
+//! round of two evaluations.  The answer is the one-worker walk's bit for
+//! bit: a hedge answers the next step only if the walk asks for exactly its
+//! bound, and a run stops hedging once it asks for something else.  Every
+//! hedge that ran counts in `evaluations`.
 
 use std::time::Duration;
 
@@ -97,13 +107,16 @@ impl QualityMetric {
     }
 }
 
-/// Configuration of a fixed-quality search.
+/// Configuration of a fixed-quality search.  On a pool of two workers or
+/// more the walk hedges (see the module docs): the answer does not change,
+/// and `evaluations` counts the hedges that ran.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QualitySearchConfig {
     /// The quality constraint to honour.
     pub metric: QualityMetric,
-    /// Maximum objective evaluations (each is a compress + decompress +
-    /// measure round, so noticeably more expensive than a ratio evaluation).
+    /// Maximum objective evaluations answered (each is a compress +
+    /// decompress + measure round, so noticeably more expensive than a ratio
+    /// evaluation; a hedge counts once the walk asks for it).
     pub max_iterations: usize,
     /// Maximum allowed error bound (the same `U` as the ratio search).
     pub max_error_bound: Option<f64>,
@@ -210,6 +223,25 @@ const SLOPE_LIMITS: (f64, f64) = (-60.0, -5.0);
 /// [`QualityMetric::margin_db`] clamps to ± this many dB.
 const MARGIN_LIMIT: f64 = 200.0;
 
+/// The walk over `(lower, upper)`, from the shell's probe when `probed`.
+/// What bisection would be answered from the same start — the probe, both
+/// ends, then halvings — is all it may ask for.
+fn plan(config: &QualitySearchConfig, (lower, upper): (f64, f64), probed: bool) -> Plan {
+    let (xlo, xhi) = (to_axis(lower), to_axis(upper));
+    let halvings = ((xhi - xlo) / TOLERANCE).max(1.0).log2().ceil() as usize;
+    let bisection = probed as usize + 2 + halvings;
+    Plan {
+        goal: Goal::Boundary,
+        range: (lower, upper),
+        tolerance: TOLERANCE,
+        answers: config.max_iterations.min(bisection) as i32,
+        start: f64::INFINITY,
+        slope: SLOPE,
+        slope_limits: SLOPE_LIMITS,
+        descent: f64::INFINITY,
+    }
+}
+
 /// What the walk reads off an outcome: ok when it satisfies the constraint
 /// (one measured without a quality report never does), its margin in dB.
 fn verdict(config: &QualitySearchConfig, outcome: &CompressionOutcome) -> Verdict {
@@ -287,6 +319,13 @@ impl Objective for QualitySearchConfig {
         hint.converged && self.satisfied(probe)
     }
 
+    /// A [`TOLERANCE`] above the probe: where the walk goes next when the
+    /// probe satisfies by under a tolerance's worth of margin, as a good
+    /// seed does.
+    fn hedge(&self, range: (f64, f64), bound: f64) -> Option<f64> {
+        Some(plan(self, range, true).bound_at(to_axis(bound) + TOLERANCE))
+    }
+
     /// The walk of the module docs, from the missed probe when there is one.
     fn search(
         eval: &Evaluator<'_, Self>,
@@ -294,26 +333,11 @@ impl Objective for QualitySearchConfig {
         probe: Option<(&HintReport, CompressionOutcome)>,
     ) -> Found {
         let config = eval.config();
-        // What bisection would be answered from the same start — the probe,
-        // both ends, then halvings — is all this walk may ask for.
-        let (xlo, xhi) = (to_axis(lower), to_axis(upper));
-        let halvings = ((xhi - xlo) / TOLERANCE).max(1.0).log2().ceil() as usize;
-        let bisection = probe.is_some() as usize + 2 + halvings;
-        let plan = Plan {
-            goal: Goal::Boundary,
-            range: (lower, upper),
-            tolerance: TOLERANCE,
-            answers: config.max_iterations.min(bisection) as i32,
-            start: f64::INFINITY,
-            slope: SLOPE,
-            slope_limits: SLOPE_LIMITS,
-            descent: f64::INFINITY,
-        };
         let seen = walk(
-            &plan,
+            &plan(config, (lower, upper), probe.is_some()),
             probe.map(|(_, probe)| probe),
             || eval.answered(),
-            |bound| eval.measure(bound),
+            |bound, hedge| eval.measure_hedged(bound, hedge),
             |outcome| verdict(config, outcome),
         );
 
@@ -335,6 +359,7 @@ impl Objective for QualitySearchConfig {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     use super::*;
@@ -419,13 +444,17 @@ mod tests {
     #[test]
     fn analytic_seed_reduces_evaluations_and_still_meets_target() {
         let d = dataset();
+        // The walk's serial cost: on one worker, no hedge adds a call.
+        let serial = Arc::new(Pool::new(1));
         let run = |codec: &str, seed: bool, psnr: f64| {
             let config = QualitySearchConfig {
                 max_iterations: 20,
                 analytic_seed: seed,
                 ..QualitySearchConfig::new(QualityMetric::PsnrAtLeast(psnr))
             };
-            FixedQualitySearch::new(registry::build_default(codec).unwrap(), config).run(&d)
+            FixedQualitySearch::new(registry::build_default(codec).unwrap(), config)
+                .with_pool(Arc::clone(&serial))
+                .run(&d)
         };
         // Every pointwise codec is seeded now, zfp and mgard included.
         for codec in ["sz", "szx", "zfp", "mgard"] {
@@ -703,6 +732,72 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// [`Shaped`] taking `DELAY` per compression, and counting the most it
+    /// was asked for at once.
+    struct Slow {
+        shaped: Arc<Shaped>,
+        in_flight: AtomicUsize,
+        peak: AtomicUsize,
+    }
+
+    impl Slow {
+        const DELAY: Duration = Duration::from_millis(100);
+    }
+
+    impl Compressor for Slow {
+        fn name(&self) -> &str {
+            "slow"
+        }
+        fn supports_dims(&self, _dims: &Dims) -> bool {
+            true
+        }
+        fn bound_range(&self, dataset: &Dataset) -> (f64, f64) {
+            self.shaped.bound_range(dataset)
+        }
+        fn compress(&self, dataset: &Dataset, bound: f64) -> Result<Vec<u8>, PressioError> {
+            let now = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak.fetch_max(now, Ordering::SeqCst);
+            std::thread::sleep(Self::DELAY);
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            self.shaped.compress(dataset, bound)
+        }
+        fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError> {
+            self.shaped.decompress(data)
+        }
+    }
+
+    #[test]
+    fn a_hedge_runs_beside_the_probe_and_answers_the_walks_next_step() {
+        // −20 dB per decade, and a seed that satisfies 50 dB by 0.4 dB: the
+        // walk's next position is a tolerance above the seed — where the
+        // hedge went — and violates, so the bracket closes in one round.
+        let line: Shape = |x| 30.0 - 20.0 * x;
+        let seed = SearchHint::seed(10f64.powf(-20.4 / 20.0), HintSource::External);
+        let at = from_axis(to_axis(seed.bound));
+        for workers in [1, 2] {
+            let codec = Arc::new(Slow {
+                shaped: Shaped::new(line, false),
+                in_flight: AtomicUsize::new(0),
+                peak: AtomicUsize::new(0),
+            });
+            let config = QualitySearchConfig::new(QualityMetric::PsnrAtLeast(50.0));
+            let outcome = FixedQualitySearch::new(codec.clone() as Arc<dyn Compressor>, config)
+                .with_pool(Arc::new(Pool::new(workers)))
+                .run_with_hint(&smooth_field(), Some(&seed));
+            assert!(outcome.satisfiable, "{workers} workers");
+            assert_eq!(outcome.error_bound, at, "{workers} workers");
+            // The probe and the step above it, made one after the other on
+            // one worker and side by side on two.
+            assert_eq!(outcome.evaluations, 2, "{workers} workers");
+            assert_eq!(codec.shaped.inner.calls(), 2, "{workers} workers");
+            assert_eq!(
+                codec.peak.load(Ordering::SeqCst),
+                workers,
+                "{workers} workers"
+            );
         }
     }
 

@@ -302,7 +302,7 @@ impl Objective for SearchConfig {
                 &plan,
                 first,
                 || eval.answered(),
-                |bound| eval.measure(bound),
+                |bound, _| eval.measure(bound),
                 |outcome| config.verdict(outcome),
             )
         });
@@ -360,7 +360,7 @@ fn seeded(eval: &Evaluator<'_, SearchConfig>, range: (f64, f64)) -> Option<Plan>
         &plan,
         None,
         || eval.answered(),
-        |bound| eval.measure_sample(&sample, bound),
+        |bound, _| eval.measure_sample(&sample, bound),
         |outcome| config.verdict(outcome),
     );
     let mut points: Vec<(f64, f64)> = steps
@@ -825,7 +825,7 @@ mod tests {
                 &plan,
                 None,
                 || answered.get(),
-                |bound| {
+                |bound, _| {
                     answered.set(answered.get() + 1);
                     measure(bound)
                 },

@@ -12,10 +12,11 @@
 //! [`Search::run`] and [`Search::run_with_hint`].
 //!
 //! Every compressor call of a search goes through its per-run
-//! [`Evaluator`], whose private `call` is the only
-//! [`Compressor::evaluate`] site in this crate.  That one site decides, for
-//! every objective: what counts as an evaluation
-//! (every call, read back as `evaluations` when the search ends), when a
+//! [`Evaluator`], whose private `call` (and, under it, `invoke`, the only
+//! [`Compressor::evaluate`] site in this crate) decides, for every
+//! objective: what counts as an evaluation
+//! (every call, a quality walk's hedges included, read back as
+//! `evaluations` when the search ends), when a
 //! search may stop (a fired [`CancelToken`] turns the next evaluation into
 //! [`Miss::Cancelled`] without calling), which bounds may be tried (a
 //! hint is clamped into [`Search::bound_range`] before it is probed, so the
@@ -101,6 +102,15 @@ pub trait Objective: Sized + Send + Sync {
     /// bound, settle the search without training?
     fn settles(&self, hint: &SearchHint, probe: &CompressionOutcome) -> bool;
 
+    /// The bound the strategy most likely measures first when it searches
+    /// `range` from a probe at `bound` that does not settle the search: a
+    /// hedge, evaluated beside the probe on an idle worker
+    /// ([`Evaluator::hedged`]).  `None` (the default): no guess worth a
+    /// compressor call.
+    fn hedge(&self, _range: (f64, f64), _bound: f64) -> Option<f64> {
+        None
+    }
+
     /// The strategy alone: search `range` (already `U`-clipped and narrowed
     /// to the hint's bracket) through `eval`, starting from the missed hint
     /// `probe` — its report and what was measured, stream included — when
@@ -139,7 +149,8 @@ pub enum Miss {
 
 /// One run's access to the compressor: the shell, the dataset, the call
 /// counter `evaluations` is read from, the count of answers a strategy
-/// budgets by, the clock `elapsed` is read from and the step memo.
+/// budgets by, the clock `elapsed` is read from, the step memo and the hedge
+/// it holds.
 pub struct Evaluator<'a, O: Objective> {
     shell: &'a Search<O>,
     dataset: &'a Dataset,
@@ -152,10 +163,26 @@ pub struct Evaluator<'a, O: Objective> {
     /// measurement, not its stream — dropped with the run.  Stays empty for
     /// a codec without steps.
     memo: Mutex<BTreeMap<MemoKey, CompressionOutcome>>,
+    /// The run's last hedge ([`Evaluator::hedged`]), until the next call.
+    hedge: Mutex<Hedge>,
 }
 
 /// `(step, measure_quality, sampled)`.
 type MemoKey = (i64, bool, bool);
+
+/// Where a run's hedging stands.
+#[derive(Default)]
+enum Hedge {
+    /// No hedge is out.
+    #[default]
+    Clear,
+    /// One was offered at the bound with these bits, with this flag, and
+    /// answered — if a worker ran it.
+    Offered(u64, bool, Option<Box<Result<CompressionOutcome, Miss>>>),
+    /// A call asked for something else than the hedge offered before it:
+    /// the run offers no more.
+    Missed,
+}
 
 impl<'a, O: Objective> Evaluator<'a, O> {
     fn new(shell: &'a Search<O>, dataset: &'a Dataset) -> Self {
@@ -166,12 +193,86 @@ impl<'a, O: Objective> Evaluator<'a, O> {
             answered: AtomicUsize::new(0),
             start: Instant::now(),
             memo: Mutex::default(),
+            hedge: Mutex::default(),
         }
     }
 
     /// One search evaluation at `bound`, or the reason there was none.
     pub fn measure(&self, bound: f64) -> Result<CompressionOutcome, Miss> {
         self.call(None, bound, O::JUDGES_QUALITY, false)
+    }
+
+    /// [`measure`](Self::measure) at `bound`, with `hedge` — the bound the
+    /// strategy will most likely ask for next — evaluated beside it when
+    /// that is worth a call ([`Evaluator::hedged`]).
+    pub(crate) fn measure_hedged(
+        &self,
+        bound: f64,
+        hedge: Option<f64>,
+    ) -> Result<CompressionOutcome, Miss> {
+        self.hedged(bound, O::JUDGES_QUALITY, hedge)
+    }
+
+    /// One evaluation of the field at `bound` and, on a pool of two workers
+    /// or more, a *hedge*: `hedge` evaluated at the same time on an idle
+    /// worker.  Nothing else changes: the hedge's answer is held, not
+    /// answered, so it becomes the next call's answer — counted in
+    /// `answered` then — only if that call asks for exactly its bound, and
+    /// is dropped otherwise; positions, budgets and answers are one
+    /// worker's.  It is a compressor call, counted in `calls`, but only if
+    /// a worker started it before `bound`'s own evaluation returned:
+    /// otherwise it is withdrawn ([`fraz_pool::Offer::withdraw`]) and never
+    /// runs, and the caller does not wait for a worker to come — a pool with
+    /// no idle worker pays one queued no-op task.  (Nor does a hedge start
+    /// once the search's token has fired.)
+    ///
+    /// No hedge on one worker, none once a call of the run asked for
+    /// something else than the hedge before it (a strategy whose guesses
+    /// miss stops paying for them), and none that no call could need: when
+    /// `bound` is answered without a call (by the hedge before, or from the
+    /// step memo), or `hedge` would be answered without one (on `bound`'s
+    /// step, or one the memo holds).
+    fn hedged(
+        &self,
+        bound: f64,
+        measure_quality: bool,
+        hedge: Option<f64>,
+    ) -> Result<CompressionOutcome, Miss> {
+        let key = |bound: f64| self.key(bound, measure_quality, false);
+        let remembered = |bound: f64| key(bound).is_some_and(|k| self.memo().contains_key(&k));
+        // Open unless the run missed, or this call is answered by the hedge
+        // before it.
+        let open = match &*self.hedge() {
+            Hedge::Clear => true,
+            Hedge::Offered(bits, flag, ran) => {
+                ran.is_none() && (*bits, *flag) == (bound.to_bits(), measure_quality)
+            }
+            Hedge::Missed => false,
+        };
+        let hedge = hedge.filter(|&hedge| {
+            open && self.pool().threads() >= 2
+                && hedge.to_bits() != bound.to_bits()
+                && !remembered(bound)
+                && key(hedge).is_none_or(|step| Some(step) != key(bound))
+                && !remembered(hedge)
+        });
+        let Some(hedge) = hedge else {
+            return self.call(None, bound, measure_quality, false);
+        };
+        let mut ran = None;
+        let answer = self.pool().scope(|scope| {
+            let offer = scope.offer(|| {
+                if !self.cancelled() {
+                    ran = Some(Box::new(self.invoke(None, hedge, measure_quality)));
+                }
+            });
+            let answer = self.call(None, bound, measure_quality, false);
+            offer.withdraw();
+            answer
+        });
+        // (The call settled the hedge before this one.)
+        *self.hedge() = Hedge::Offered(hedge.to_bits(), measure_quality, ran);
+        answer
     }
 
     /// One size-only evaluation of `sample` — a part of the run's dataset a
@@ -196,7 +297,8 @@ impl<'a, O: Objective> Evaluator<'a, O> {
     /// check, without a stream, and counted as an answer but not as a call:
     /// `calls` stays the exact number of compressor calls.  Two runners that
     /// miss the same step at once both call; the outcomes are equal and both
-    /// are counted.
+    /// are counted.  A hedge of exactly this evaluation that a worker ran
+    /// answers it in place of the call ([`Evaluator::hedged`]).
     fn call(
         &self,
         sample: Option<&Dataset>,
@@ -208,25 +310,71 @@ impl<'a, O: Objective> Evaluator<'a, O> {
             return Err(Miss::Cancelled);
         }
         self.answered.fetch_add(1, Ordering::Relaxed);
-        let compressor = &self.shell.compressor;
-        let key = compressor
-            .bound_kind()
-            .step_of(bound)
-            .map(|step| (step, measure_quality, sample.is_some()));
+        let held = match sample {
+            Some(_) => None,
+            None => self.hedge_for(bound, measure_quality),
+        };
+        let key = self.key(bound, measure_quality, sample.is_some());
         if let Some(seen) = key.and_then(|key| self.memo().get(&key).cloned()) {
             return Ok(CompressionOutcome {
                 error_bound: bound,
                 ..seen
             });
         }
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        let outcome = compressor
-            .evaluate(sample.unwrap_or(self.dataset), bound, measure_quality)
-            .map_err(|_| Miss::Rejected)?;
+        let outcome = match held {
+            Some(answer) => answer,
+            None => self.invoke(sample, bound, measure_quality),
+        }?;
         if let Some(key) = key {
             self.memo().insert(key, outcome.without_stream());
         }
         Ok(outcome)
+    }
+
+    /// The compressor call itself, counted: a search evaluation's, or a
+    /// hedge's.
+    fn invoke(
+        &self,
+        sample: Option<&Dataset>,
+        bound: f64,
+        measure_quality: bool,
+    ) -> Result<CompressionOutcome, Miss> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.shell
+            .compressor
+            .evaluate(sample.unwrap_or(self.dataset), bound, measure_quality)
+            .map_err(|_| Miss::Rejected)
+    }
+
+    /// The hedge's answer if it was offered at exactly `bound` with this
+    /// flag and a worker ran it.  Either way the hedge is settled: asked
+    /// for, or missed.
+    fn hedge_for(
+        &self,
+        bound: f64,
+        measure_quality: bool,
+    ) -> Option<Result<CompressionOutcome, Miss>> {
+        let mut hedge = self.hedge();
+        match std::mem::take(&mut *hedge) {
+            Hedge::Offered(bits, flag, ran)
+                if (bits, flag) == (bound.to_bits(), measure_quality) =>
+            {
+                ran.map(|answer| *answer)
+            }
+            Hedge::Offered(..) | Hedge::Missed => {
+                *hedge = Hedge::Missed;
+                None
+            }
+            Hedge::Clear => None,
+        }
+    }
+
+    /// The memo's key for an evaluation at `bound`; `None` for a codec
+    /// without steps.
+    fn key(&self, bound: f64, measure_quality: bool, sampled: bool) -> Option<MemoKey> {
+        let kind = self.shell.compressor.bound_kind();
+        kind.step_of(bound)
+            .map(|step| (step, measure_quality, sampled))
     }
 
     /// The final quality pass: `seen`, the answer measured without a
@@ -268,6 +416,11 @@ impl<'a, O: Objective> Evaluator<'a, O> {
         // Every critical section is one map operation, so a poisoned lock
         // still guards a consistent map.
         self.memo.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn hedge(&self) -> std::sync::MutexGuard<'_, Hedge> {
+        // (As for the memo: one read or write per critical section.)
+        self.hedge.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Compressor calls made so far in this run.
@@ -467,18 +620,24 @@ impl<O: Objective> Search<O> {
         let eval = Evaluator::new(self, dataset);
         let range = self.bound_range(dataset);
         let hint = hint.filter(|h| h.is_valid());
+        let searched = narrowed(range, hint);
         let mut probe = None;
         let report = hint.map(|h| {
             let bound = h.bound.clamp(range.0, range.1);
             let at = self.config.on_axis(bound).clamp(range.0, range.1);
-            probe = eval
-                .call(None, at, self.config.reports_quality(), false)
-                .ok();
+            // A converged hint's probe is expected to settle the search.
+            let hedge = if h.converged {
+                None
+            } else {
+                self.config.hedge(searched, at)
+            };
+            probe = eval.hedged(at, self.config.reports_quality(), hedge).ok();
             HintReport {
                 source: h.source,
                 bound,
                 hit: probe.as_ref().is_some_and(|p| self.config.settles(h, p)),
-                probes: eval.calls(),
+                // The probe's own call (a hedge beside it is not one).
+                probes: eval.answered(),
             }
         });
         let hit = report.as_ref().is_some_and(|r| r.hit);
@@ -490,7 +649,7 @@ impl<O: Objective> Search<O> {
                 met: true,
                 regions: Vec::new(),
             },
-            probe => O::search(&eval, narrowed(range, hint), report.as_ref().zip(probe)),
+            probe => O::search(&eval, searched, report.as_ref().zip(probe)),
         };
         // Nothing measured at the recommended bound: measure it, token fired
         // or not, so the search always reports an answer it actually saw.

@@ -26,7 +26,12 @@
 //!
 //! A walk never calls the compressor itself: every position is answered by
 //! the `measure` it is handed — the search's [`Evaluator`](crate::search::Evaluator),
-//! on the field or on a sample of it.
+//! on the field or on a sample of it.  A [`Goal::Boundary`] walk hands it a
+//! *hedge* with each position, too: the bound a tolerance above, where the
+//! walk goes next when the position satisfies by less than a tolerance's
+//! worth of margin — which `measure` may evaluate at the same time
+//! ([`Evaluator::measure_hedged`](crate::search::Evaluator::measure_hedged)).
+//! Which positions the walk asks for does not depend on it.
 
 use fraz_pressio::CompressionOutcome;
 
@@ -131,14 +136,15 @@ impl Plan {
 }
 
 /// Walk from `first` (an outcome already measured, if any): ask `measure`
-/// for each bound the walk picks — a fired token stops the walk — have
-/// `judge` read each outcome, and hand back every step.  `answered` is the
-/// run's answer count, which [`Plan::answers`] is measured against.
+/// for each bound the walk picks, with the hedge a [`Goal::Boundary`] walk
+/// might want next — a fired token stops the walk — have `judge` read each
+/// outcome, and hand back every step.  `answered` is the run's answer
+/// count, which [`Plan::answers`] is measured against.
 pub(crate) fn walk(
     plan: &Plan,
     first: Option<CompressionOutcome>,
     answered: impl Fn() -> usize,
-    measure: impl Fn(f64) -> Result<CompressionOutcome, Miss>,
+    measure: impl Fn(f64, Option<f64>) -> Result<CompressionOutcome, Miss>,
     judge: impl Fn(&CompressionOutcome) -> Verdict,
 ) -> Vec<Step> {
     let (xlo, xhi) = plan.axis();
@@ -203,7 +209,14 @@ pub(crate) fn walk(
             Some(lowest) => x.max(lowest - plan.descent),
             None => x,
         };
-        match Step::new(x, measure(plan.bound_at(x)), &judge) {
+        // Where a boundary walk goes next when `x` satisfies by under a
+        // tolerance (the near-side rule above) — unless the walk stops after
+        // `x` anyway: the budget spent, or the bracket closed.
+        let hedge = plan.goal == Goal::Boundary
+            && left > 1
+            && bad.is_none_or(|_| hi - x > plan.tolerance + 1e-9);
+        let hedge = hedge.then(|| plan.bound_at(x + plan.tolerance));
+        match Step::new(x, measure(plan.bound_at(x), hedge), &judge) {
             Some(step) => push(&mut seen, step, plan.goal),
             None => break,
         }

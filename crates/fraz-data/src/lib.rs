@@ -69,7 +69,9 @@ pub enum Want {
     /// The length and the reconstruction the decoder rebuilds from the
     /// stream, bit for bit — plus, as for [`Want::Size`], the stream where
     /// the encoder had to write it to learn the length (sz, zfp, mgard; szx
-    /// sizes and rebuilds without packing).
+    /// sizes and rebuilds without packing).  No encoder decodes its stream
+    /// to get it: each rebuilds the field as it encodes (zfp from the bits
+    /// it wrote, through its decoder's block tail).
     Measured,
 }
 
@@ -79,7 +81,8 @@ pub struct Encoded {
     /// The stream's length in bytes.
     pub len: usize,
     /// The stream, when the encoder wrote it: always for [`Want::Stream`],
-    /// and for the other two wants only where the length took it.
+    /// and for the other two wants only where the length took it (sz, zfp,
+    /// mgard — not szx).
     pub stream: Option<Vec<u8>>,
     /// The decoder's reconstruction, bit for bit: always for
     /// [`Want::Measured`], in the dataset's dtype, whether or not a stream

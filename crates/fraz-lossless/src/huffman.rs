@@ -56,8 +56,14 @@ const DENSE_LIMIT: u32 = 1 << 16;
 /// Encoding map: symbol → `(length, canonical code)`.
 #[derive(Debug, Clone)]
 enum CodeStore {
-    /// Indexed by `symbol - base`; `len == 0` marks an uncoded symbol.
-    Dense { base: u32, table: Vec<(u8, u64)> },
+    /// Indexed by `symbol - base`; a length of 0 marks an uncoded symbol.
+    /// Lengths and codes apart: 9 bytes a slot, not a padded 16, on the
+    /// wide spans of a low bound.
+    Dense {
+        base: u32,
+        lens: Vec<u8>,
+        codes: Vec<u64>,
+    },
     /// Fallback for alphabets spanning more than [`DENSE_LIMIT`] values.
     Sparse(HashMap<u32, (u8, u64)>),
 }
@@ -66,7 +72,8 @@ impl Default for CodeStore {
     fn default() -> Self {
         CodeStore::Dense {
             base: 0,
-            table: Vec::new(),
+            lens: Vec::new(),
+            codes: Vec::new(),
         }
     }
 }
@@ -75,9 +82,10 @@ impl CodeStore {
     #[inline]
     fn get(&self, symbol: u32) -> Option<(u8, u64)> {
         match self {
-            CodeStore::Dense { base, table } => {
-                match table.get(symbol.checked_sub(*base)? as usize) {
-                    Some(&(len, code)) if len != 0 => Some((len, code)),
+            CodeStore::Dense { base, lens, codes } => {
+                let slot = symbol.checked_sub(*base)? as usize;
+                match lens.get(slot) {
+                    Some(&len) if len != 0 => Some((len, codes[slot])),
                     _ => None,
                 }
             }
@@ -158,12 +166,14 @@ impl CodeBook {
             }
             weight.push(sum);
         }
+        drop((leaves, weight));
         // A node's parent is always made after it, so one backward sweep
         // turns parents into depths.
         let mut depth = vec![0u8; 2 * n - 1];
         for node in (0..2 * n - 2).rev() {
             depth[node] = depth[parent[node] as usize] + 1;
         }
+        drop(parent);
         let lengths = &depth[..n];
 
         let pairs: Vec<(u32, u8)> = used
@@ -171,6 +181,7 @@ impl CodeBook {
             .zip(lengths.iter())
             .map(|(&(s, _), &l)| (s, l))
             .collect();
+        drop((used, depth));
         Self::from_lengths(&pairs).expect("lengths from a Huffman tree are always valid")
     }
 
@@ -197,6 +208,10 @@ impl CodeBook {
                     .filter(|&(_, &f)| f > 0)
                     .map(|(i, &f)| (min + i as u32, f)),
             );
+            // Each buffer goes as soon as the next is built: on a wide
+            // alphabet (a low bound) they are the bulk of a codec call's
+            // working memory.
+            drop(counts);
             Self::from_frequencies(&freqs)
         } else {
             let mut counts: HashMap<u32, u64> = HashMap::new();
@@ -238,7 +253,8 @@ impl CodeBook {
             None => CodeStore::default(),
             Some(span) if span < DENSE_LIMIT => CodeStore::Dense {
                 base,
-                table: vec![(0u8, 0u64); span as usize + 1],
+                lens: vec![0; span as usize + 1],
+                codes: vec![0; span as usize + 1],
             },
             Some(_) => CodeStore::Sparse(HashMap::with_capacity(lengths.len())),
         };
@@ -252,7 +268,10 @@ impl CodeBook {
             }
             prev_len = len;
             match &mut codes {
-                CodeStore::Dense { base, table } => table[(sym - *base) as usize] = (len, code),
+                CodeStore::Dense { base, lens, codes } => {
+                    let slot = (sym - *base) as usize;
+                    (lens[slot], codes[slot]) = (len, code);
+                }
                 CodeStore::Sparse(map) => {
                     map.insert(sym, (len, code));
                 }
@@ -560,10 +579,12 @@ pub fn encode_symbols(symbols: &[u32]) -> Vec<u8> {
     match &book.codes {
         // The book was built from these symbols, so every one is in the
         // table: the loop is a load and a `write_bits`, nothing to check.
-        CodeStore::Dense { base, table } => {
+        CodeStore::Dense { base, lens, codes } => {
+            // (Cut to one length, so one bounds check covers both loads.)
+            let lens = &lens[..codes.len()];
             for &s in symbols {
-                let (len, code) = table[(s - base) as usize];
-                w.write_bits(code, len as u32);
+                let slot = (s - base) as usize;
+                w.write_bits(codes[slot], lens[slot] as u32);
             }
         }
         CodeStore::Sparse(_) => {
@@ -652,9 +673,9 @@ mod tests {
         let symbols: Vec<u32> = (0..4096u32).map(|i| 32_768 - 40 + i % 81).collect();
         let book = CodeBook::from_symbols(&symbols);
         match &book.codes {
-            CodeStore::Dense { base, table } => {
+            CodeStore::Dense { base, lens, codes } => {
                 assert_eq!(*base, 32_768 - 40);
-                assert_eq!(table.len(), 81);
+                assert_eq!((lens.len(), codes.len()), (81, 81));
             }
             CodeStore::Sparse(_) => panic!("a span of 81 values is dense"),
         }

@@ -107,7 +107,7 @@ std::thread_local! {
     /// One reusable [`lzss::LzssEncoder`] per thread.  The fixed-ratio
     /// search loop calls [`compress`] once per evaluated error bound from
     /// the shared work-stealing pool, so this amounts to one hash-chain /
-    /// token scratch per pool worker instead of a fresh ~160 KB allocation
+    /// token scratch per pool worker instead of a fresh ~256 KB allocation
     /// per compressor call.
     static FRAME_ENCODER: std::cell::RefCell<lzss::LzssEncoder> =
         std::cell::RefCell::new(lzss::LzssEncoder::new());

@@ -54,13 +54,14 @@ const WINDOW_SIZE: usize = 32 * 1024;
 /// Maximum number of hash-chain candidates examined per position.
 const MAX_CHAIN: usize = 64;
 
-/// Compact token: literals carry the byte, matches carry `u32`
-/// length/distance (12 bytes per token keeps the scratch buffer — two full
-/// passes per compress call — cache-friendly).
+/// Compact token: literals carry the byte, matches their length
+/// (`..=MAX_MATCH`) and distance (`..=WINDOW_SIZE`) as `u16`s — 6 bytes per
+/// token keeps the scratch buffer, two full passes per compress call and
+/// kept by every thread that compresses, small and cache-friendly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Token {
     Literal(u8),
-    Match { length: u32, distance: u32 },
+    Match { length: u16, distance: u16 },
 }
 
 const HASH_BITS: u32 = 15;
@@ -100,7 +101,7 @@ fn match_length(data: &[u8], a: usize, b: usize) -> usize {
 
 /// A reusable LZSS compressor.
 ///
-/// Holds the hash-chain heads, the per-position chain links, and the token
+/// Holds the hash-chain heads, the window's chain links, and the token
 /// scratch buffer across calls, so repeated compression (the fixed-ratio
 /// search loop evaluates the same dataset at dozens of error bounds) costs no
 /// per-call allocations once the buffers have grown to the working-set size.
@@ -110,7 +111,9 @@ fn match_length(data: &[u8], a: usize, b: usize) -> usize {
 pub struct LzssEncoder {
     /// Most recent position for each hash bucket, `NIL` when empty.
     head: Vec<i32>,
-    /// Previous position with the same hash, indexed by position.
+    /// Previous position with the same hash, indexed by position modulo
+    /// the window: a chain is never followed past the window, so a slot is
+    /// only read while it still holds its position's link.
     prev: Vec<i32>,
     /// Token scratch reused between calls.
     tokens: Vec<Token>,
@@ -120,7 +123,7 @@ impl Default for LzssEncoder {
     fn default() -> Self {
         Self {
             head: vec![NIL; HASH_SIZE],
-            prev: Vec::new(),
+            prev: vec![NIL; WINDOW_SIZE],
             tokens: Vec::new(),
         }
     }
@@ -143,7 +146,7 @@ impl LzssEncoder {
     /// Insert `pos` whose anchor hash is already known.
     #[inline]
     fn insert_hashed(&mut self, pos: usize, h: usize) {
-        self.prev[pos] = self.head[h];
+        self.prev[pos % WINDOW_SIZE] = self.head[h];
         self.head[h] = pos as i32;
     }
 
@@ -181,7 +184,7 @@ impl LzssEncoder {
                     }
                 }
             }
-            candidate = self.prev[cand];
+            candidate = self.prev[cand % WINDOW_SIZE];
             chain += 1;
         }
         if best_len >= MIN_MATCH {
@@ -222,9 +225,6 @@ impl LzssEncoder {
     ) {
         debug_assert!(data.len() <= i32::MAX as usize);
         self.head.fill(NIL);
-        if self.prev.len() < data.len() {
-            self.prev.resize(data.len(), NIL);
-        }
         let mut pos = 0usize;
         while pos < data.len() {
             if pos + MIN_MATCH > data.len() {
@@ -257,8 +257,8 @@ impl LzssEncoder {
                         length = length.min(data.len() - pos);
                         distance = distance.min(pos);
                         self.tokens.push(Token::Match {
-                            length: length as u32,
-                            distance: distance as u32,
+                            length: length as u16,
+                            distance: distance as u16,
                         });
                         litlen_freq[LEN_SYMBOL_BASE as usize + (length - MIN_MATCH)] += 1;
                         dist_freq[distance_slot(distance).0 as usize] += 1;
@@ -267,8 +267,8 @@ impl LzssEncoder {
                         continue;
                     }
                     self.tokens.push(Token::Match {
-                        length: length as u32,
-                        distance: distance as u32,
+                        length: length as u16,
+                        distance: distance as u16,
                     });
                     litlen_freq[LEN_SYMBOL_BASE as usize + (length - MIN_MATCH)] += 1;
                     dist_freq[distance_slot(distance).0 as usize] += 1;
@@ -357,12 +357,7 @@ impl LzssEncoder {
     /// lifetime.  Typical codec bodies are far below the caps, so steady
     /// state still reuses everything.
     fn release_oversized_scratch(&mut self) {
-        const MAX_RETAINED_POSITIONS: usize = 1 << 24; // 64 MiB of i32 links
-        const MAX_RETAINED_TOKENS: usize = 1 << 22; // 48 MiB of tokens
-        if self.prev.capacity() > MAX_RETAINED_POSITIONS {
-            self.prev.truncate(MAX_RETAINED_POSITIONS);
-            self.prev.shrink_to_fit();
-        }
+        const MAX_RETAINED_TOKENS: usize = 1 << 22; // 24 MiB of tokens
         if self.tokens.capacity() > MAX_RETAINED_TOKENS {
             self.tokens = Vec::new();
         }
@@ -370,8 +365,7 @@ impl LzssEncoder {
 }
 
 /// Tokenization segment: chain positions are segment-relative `i32`s, so one
-/// segment must stay addressable; 256 MiB also bounds the `prev` scratch
-/// (one `i32` per byte) a huge input can demand.
+/// segment must stay addressable.
 const SEGMENT_SIZE: usize = 1 << 28;
 
 #[inline]

@@ -11,7 +11,9 @@
 //!   its own deque (popped LIFO for locality) and idle workers steal from
 //!   the opposite end (FIFO), in the spirit of rayon's core loop,
 //! * tasks spawned from outside the pool land in a global injector queue,
-//! * idle workers park on a condvar and are woken by pushes (a long
+//! * idle workers park, each on its own condvar, and a push wakes the one
+//!   that parked last — the worker whose caches, and allocator arena, are
+//!   warmest — so a trickle of tasks keeps landing on one thread (a long
 //!   fallback timeout — not polling — is the only other wake-up source),
 //! * [`Pool::scope`] is **re-entrant**: when a task running *on* a worker
 //!   opens a scope and waits for its sub-tasks, the worker keeps executing
@@ -90,16 +92,34 @@ const HELP_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// State shared between the pool handle and its workers.
 struct Shared {
-    /// Global injector queue: tasks submitted from non-worker threads.
-    /// Its mutex doubles as the parking lock for `wakeup`.
-    injector: Mutex<VecDeque<Task>>,
+    /// Global injector queue, and who is parked.  Its mutex doubles as the
+    /// parking lock for `wakeup`.
+    injector: Mutex<Injector>,
     /// Per-worker local deques: owner pushes/pops the back, thieves and
     /// the owner-after-local-miss pop the front.
     locals: Vec<Mutex<VecDeque<Task>>>,
-    /// Parked workers wait here (paired with the `injector` mutex).
-    wakeup: Condvar,
+    /// Worker `i` parks on `wakeup[i]` (paired with the `injector` mutex).
+    wakeup: Vec<Condvar>,
     /// Set once, by `Pool::drop`.
     shutdown: AtomicBool,
+}
+
+/// What the injector mutex guards.
+#[derive(Default)]
+struct Injector {
+    /// Tasks submitted from non-worker threads.
+    tasks: VecDeque<Task>,
+    /// The parked workers, in the order they parked.
+    parked: Vec<usize>,
+}
+
+impl Injector {
+    /// Wake the worker that parked last, if any is parked.
+    fn wake_one(&mut self, wakeup: &[Condvar]) {
+        if let Some(worker) = self.parked.pop() {
+            wakeup[worker].notify_one();
+        }
+    }
 }
 
 impl Shared {
@@ -125,7 +145,7 @@ impl Shared {
                 return Some(task);
             }
         }
-        if let Some(task) = lock(&self.injector).pop_front() {
+        if let Some(task) = lock(&self.injector).tasks.pop_front() {
             return Some(task);
         }
         let n = self.locals.len();
@@ -144,8 +164,8 @@ impl Shared {
 
     /// True if any queue holds a task.  Callers must hold the injector
     /// lock so the check pairs atomically with going to sleep.
-    fn any_queued(&self, injector: &VecDeque<Task>) -> bool {
-        !injector.is_empty() || self.locals.iter().any(|q| !lock(q).is_empty())
+    fn any_queued(&self, injector: &Injector) -> bool {
+        !injector.tasks.is_empty() || self.locals.iter().any(|q| !lock(q).is_empty())
     }
 
     /// Enqueue a task: to the submitting worker's own deque when called
@@ -159,13 +179,12 @@ impl Shared {
         match self.current_worker().or(home) {
             Some(i) => {
                 lock(&self.locals[i]).push_back(task);
-                let _parking = lock(&self.injector);
-                self.wakeup.notify_one();
+                lock(&self.injector).wake_one(&self.wakeup);
             }
             None => {
                 let mut injector = lock(&self.injector);
-                injector.push_back(task);
-                self.wakeup.notify_one();
+                injector.tasks.push_back(task);
+                injector.wake_one(&self.wakeup);
             }
         }
     }
@@ -187,7 +206,7 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
             task();
             continue;
         }
-        let guard = lock(&shared.injector);
+        let mut guard = lock(&shared.injector);
         if shared.shutdown.load(Ordering::Acquire) {
             // Queues are drained (the scan above came up empty and scopes
             // cannot outlive the pool), so it is safe to leave.
@@ -196,7 +215,13 @@ fn worker_loop(shared: Arc<Shared>, index: usize) {
         if shared.any_queued(&guard) {
             continue; // something arrived between the scan and the lock
         }
-        let _ = shared.wakeup.wait_timeout(guard, PARK_TIMEOUT);
+        // A push takes us off the list as it wakes us; after a timeout (or
+        // a spurious wake-up) we are still on it, in our place: a worker
+        // idle for long stays the last to be woken.
+        if !guard.parked.contains(&index) {
+            guard.parked.push(index);
+        }
+        let _ = shared.wakeup[index].wait_timeout(guard, PARK_TIMEOUT);
     }
 }
 
@@ -324,6 +349,70 @@ impl<'scope> Scope<'scope> {
             unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(wrapped) };
         self.shared.push(self.home, erased);
     }
+
+    /// Offer `task` to an idle worker: [`Scope::spawn`], except that while
+    /// no worker has started it the task can be withdrawn
+    /// ([`Offer::withdraw`]) — then it never runs, and the scope does not
+    /// wait for a worker to dequeue it.  How a caller puts spare work on the
+    /// pool without paying for a worker that did not come in time: waking a
+    /// parked worker can take longer than the work it was to overlap.
+    pub fn offer<F>(&self, task: F) -> Offer<'scope>
+    where
+        F: FnOnce() + Send + 'scope,
+    {
+        self.state.pending.fetch_add(1, Ordering::AcqRel);
+        let slot: Slot<'scope> = Arc::new(Mutex::new(Some(Box::new(task))));
+        let (queued, state) = (Arc::clone(&slot), Arc::clone(&self.state));
+        let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
+            // Empty once withdrawn (and counted complete then).
+            let Some(task) = lock(&queued).take() else {
+                return;
+            };
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(task)) {
+                state.record_panic(payload);
+            }
+            state.complete_one();
+        });
+        // SAFETY: as in `spawn`: `Pool::scope` returns only once `pending`
+        // is zero, and `task` is either run inside that window or dropped
+        // inside it by `Offer::withdraw`.  What may stay queued after the
+        // scope returns is this wrapper around an emptied slot, which
+        // touches no `'scope` borrow when it runs or is dropped.
+        let erased: Task =
+            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Task>(wrapped) };
+        self.shared.push(self.home, erased);
+        Offer {
+            slot,
+            state: Arc::clone(&self.state),
+        }
+    }
+}
+
+/// Where an offered task waits: taken by the worker that runs it, or by
+/// [`Offer::withdraw`].
+type Slot<'scope> = Arc<Mutex<Option<Box<dyn FnOnce() + Send + 'scope>>>>;
+
+/// A task [`Scope::offer`]ed to the pool.  Dropped without
+/// [`withdraw`](Offer::withdraw), it is an ordinary spawned task.
+pub struct Offer<'scope> {
+    slot: Slot<'scope>,
+    state: Arc<ScopeState>,
+}
+
+impl Offer<'_> {
+    /// Withdraw the task unless a worker has started it.  True when it will
+    /// never run (the scope no longer waits for it); false when it has run
+    /// or is running (the scope waits for it as for any task).
+    pub fn withdraw(self) -> bool {
+        let task = lock(&self.slot).take();
+        let withdrawn = task.is_some();
+        // Dropped here, inside the scope.
+        drop(task);
+        if withdrawn {
+            self.state.complete_one();
+        }
+        withdrawn
+    }
 }
 
 /// A fixed-size work-stealing thread pool with scoped, nestable spawns.
@@ -367,9 +456,9 @@ impl Pool {
             threads
         };
         let shared = Arc::new(Shared {
-            injector: Mutex::new(VecDeque::new()),
+            injector: Mutex::default(),
             locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-            wakeup: Condvar::new(),
+            wakeup: (0..threads).map(|_| Condvar::new()).collect(),
             shutdown: AtomicBool::new(false),
         });
         let mut handles = Vec::with_capacity(threads);
@@ -466,7 +555,7 @@ impl Drop for Pool {
         self.shared.shutdown.store(true, Ordering::Release);
         {
             let _parking = lock(&self.shared.injector);
-            self.shared.wakeup.notify_all();
+            self.shared.wakeup.iter().for_each(Condvar::notify_all);
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -509,6 +598,57 @@ mod tests {
         let pool = Pool::new(2);
         let value = pool.scope(|_| 41) + 1;
         assert_eq!(value, 42);
+    }
+
+    #[test]
+    fn a_withdrawn_offer_never_runs_and_is_not_waited_for() {
+        // The one worker is held busy by another thread's scope, so the
+        // offer stays queued: withdrawn, it never runs, and the scope that
+        // made it returns without the worker.
+        let pool = Pool::new(1);
+        let (hold, release) = std::sync::mpsc::channel::<()>();
+        let (busy, started) = std::sync::mpsc::channel::<()>();
+        let ran = AtomicU64::new(0);
+        std::thread::scope(|threads| {
+            let pool = &pool;
+            threads.spawn(move || {
+                pool.scope(|s| {
+                    s.spawn(move || {
+                        busy.send(()).unwrap();
+                        release.recv().unwrap();
+                    })
+                })
+            });
+            started.recv().unwrap();
+            pool.scope(|s| {
+                let offer = s.offer(|| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+                assert!(offer.withdraw());
+            });
+            hold.send(()).unwrap();
+        });
+        // Once free, the worker dequeues the emptied offer: nothing runs.
+        pool.scope(|s| s.spawn(|| {}));
+        assert_eq!(ran.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_started_offer_is_waited_for() {
+        let pool = Pool::new(2);
+        let ran = AtomicU64::new(0);
+        pool.scope(|s| {
+            let offer = s.offer(|| {
+                std::thread::sleep(Duration::from_millis(20));
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+            // Until a worker has taken it.
+            while lock(&offer.slot).is_some() {
+                std::thread::yield_now();
+            }
+            assert!(!offer.withdraw());
+        });
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
     }
 
     #[test]

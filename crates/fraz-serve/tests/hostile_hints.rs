@@ -112,12 +112,13 @@ fn unhinted(codec: &str, kind: Job, dataset: &Dataset, pool: &Arc<Pool>) -> (Str
             .with_pool(Arc::clone(pool)),
             dataset,
         ),
-        // A quality search never touches the pool.
+        // On one worker too: a quality search hedges only on two or more.
         Job::TunePsnr => cost(
             Search::new(
                 compressor,
                 QualitySearchConfig::new(QualityMetric::PsnrAtLeast(TARGET_PSNR)),
-            ),
+            )
+            .with_pool(Arc::clone(pool)),
             dataset,
         ),
     }

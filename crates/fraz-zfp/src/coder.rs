@@ -93,10 +93,41 @@ fn lowest_plane(max_prec: u32) -> u32 {
     INT_PRECISION.saturating_sub(max_prec)
 }
 
+/// What [`encode_ints`] wrote: its length, and where it stopped.  Every
+/// plane above the lowest one it reached is whole in the stream; that plane
+/// is whole too unless the budget ran out inside it.  So the two say which
+/// bits [`decode_ints`] reads back, without reading the stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Coded {
+    /// Bits written.
+    pub bits: u64,
+    /// The lowest plane reached ([`INT_PRECISION`] when none was).
+    plane: u32,
+    /// That plane as [`decode_ints`] reads it back (bit `i` for coefficient
+    /// `i`): when the budget cut it short, only the bits written, plus the
+    /// one a unary run cut short implies.
+    last: u64,
+}
+
+impl Coded {
+    /// Turn `data`, the coefficients just encoded, into what [`decode_ints`]
+    /// decodes from the stream: the planes above the lowest one reached,
+    /// and that plane as it was written.
+    pub fn conveyed(&self, data: &mut [u64]) {
+        let above = u64::MAX.checked_shl(self.plane + 1).unwrap_or(0);
+        for (i, d) in data.iter_mut().enumerate() {
+            let last = match self.plane {
+                INT_PRECISION => 0,
+                plane => (self.last >> i & 1) << plane,
+            };
+            *d = (*d & above) | last;
+        }
+    }
+}
+
 /// Encode up to `max_prec` bit planes of `data` (negabinary coefficients in
-/// sequency order), spending at most `max_bits` bits.  Returns the number of
-/// bits written.
-pub fn encode_ints(w: &mut BitWriter, data: &[u64], max_bits: u64, max_prec: u32) -> u64 {
+/// sequency order), spending at most `max_bits` bits.
+pub fn encode_ints(w: &mut BitWriter, data: &[u64], max_bits: u64, max_prec: u32) -> Coded {
     let size = data.len();
     debug_assert!(size <= 64, "blocks never exceed 4^3 coefficients");
     let kmin = lowest_plane(max_prec);
@@ -111,6 +142,8 @@ pub fn encode_ints(w: &mut BitWriter, data: &[u64], max_bits: u64, max_prec: u32
     let mut bits = max_bits;
     let mut n: usize = 0;
     let mut k = INT_PRECISION;
+    // The plane `k` as the decoder will read it back.
+    let mut last = 0;
     while bits > 0 && k > kmin {
         k -= 1;
         let mut x = match &planes {
@@ -125,6 +158,7 @@ pub fn encode_ints(w: &mut BitWriter, data: &[u64], max_bits: u64, max_prec: u32
         let m = (n as u64).min(bits);
         bits -= m;
         write_bits_lsb(w, x, m);
+        last = x & u64::MAX.checked_shr(64 - m as u32).unwrap_or(0);
         x = if m >= 64 { 0 } else { x >> m };
         // Step 3: group-test / unary encode the remainder of the plane.
         while n < size && bits > 0 {
@@ -150,9 +184,14 @@ pub fn encode_ints(w: &mut BitWriter, data: &[u64], max_bits: u64, max_prec: u32
             };
             x = x >> run >> 1;
             n += run as usize + 1;
+            last |= 1 << (n - 1);
         }
     }
-    max_bits - bits
+    Coded {
+        bits: max_bits - bits,
+        plane: k,
+        last,
+    }
 }
 
 /// Decode the bit planes written by [`encode_ints`] with identical
@@ -261,7 +300,7 @@ mod tests {
 
     fn roundtrip(data: &[u64], max_bits: u64, max_prec: u32) -> (Vec<u64>, u64, u64) {
         let mut w = BitWriter::new();
-        let written = encode_ints(&mut w, data, max_bits, max_prec);
+        let written = encode_ints(&mut w, data, max_bits, max_prec).bits;
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
         let mut decoded = vec![u64::MAX; data.len()];
@@ -397,9 +436,9 @@ mod tests {
             let max_bits = [0, 1, 13, 64, 200, 1 << 40][next() as usize % 6];
 
             let (mut fast, mut slow) = (BitWriter::new(), BitWriter::new());
-            let written = encode_ints(&mut fast, &data, max_bits, max_prec);
+            let coded = encode_ints(&mut fast, &data, max_bits, max_prec);
             assert_eq!(
-                written,
+                coded.bits,
                 encode_ints_bitwise(&mut slow, &data, max_bits, max_prec),
                 "case {case}"
             );
@@ -414,10 +453,15 @@ mod tests {
             let (expected, expected_consumed) =
                 decode_ints_bitwise(&mut r, size, max_bits, max_prec).unwrap();
             assert_eq!(
-                (decoded, consumed),
-                (expected, expected_consumed),
+                (&decoded, consumed),
+                (&expected, expected_consumed),
                 "case {case}"
             );
+            // What the encoder says it conveyed is what was decoded, a plane
+            // cut short by the budget included.
+            let mut conveyed = data.clone();
+            coded.conveyed(&mut conveyed);
+            assert_eq!(conveyed, decoded, "case {case}: conveyed");
 
             // Cut short or corrupted, both decoders agree on values or on
             // failing.
@@ -475,7 +519,7 @@ mod tests {
             .collect();
         for budget in [16u64, 64, 256, 1024] {
             let mut w = BitWriter::new();
-            let written = encode_ints(&mut w, &data, budget, 64);
+            let written = encode_ints(&mut w, &data, budget, 64).bits;
             assert!(written <= budget);
             let bytes = w.into_bytes();
             let mut r = BitReader::new(&bytes);

@@ -193,8 +193,10 @@ pub fn compress(dataset: &Dataset, config: &ZfpConfig) -> Result<Vec<u8>, CodecE
     encode(dataset, config, Want::Stream).map(Encoded::into_stream)
 }
 
-/// The one encoder.  Every `want` writes the stream; the encoder keeps no
-/// reconstruction, so [`Want::Measured`] decodes it.
+/// The one encoder.  Every `want` writes the stream; [`Want::Measured`]
+/// also rebuilds each block as it goes, from the bits it conveyed, through
+/// the decoder's own block tail — the field [`decompress`] returns, bit for
+/// bit, without reading the stream back.
 pub fn encode(dataset: &Dataset, config: &ZfpConfig, want: Want) -> Result<Encoded, CodecError> {
     config.validate()?;
     let mut header = ByteWriter::with_capacity(64);
@@ -203,20 +205,61 @@ pub fn encode(dataset: &Dataset, config: &ZfpConfig, want: Want) -> Result<Encod
     header.put_u8(tag);
     header.put_f64(param);
 
-    let mut out = header.into_bytes();
-    out.extend_from_slice(&match &dataset.buffer {
-        DataBuffer::F32(values) => encode_blocks(values, &dataset.dims, &config.mode)?,
-        DataBuffer::F64(values) => encode_blocks(values, &dataset.dims, &config.mode)?,
-    });
-    let recon = match want {
-        Want::Measured => Some(decompress(&out)?.buffer),
-        Want::Size | Want::Stream => None,
+    let rebuild = want == Want::Measured;
+    let (payload, recon) = match &dataset.buffer {
+        DataBuffer::F32(values) => encode_blocks(values, &dataset.dims, &config.mode, rebuild)?,
+        DataBuffer::F64(values) => encode_blocks(values, &dataset.dims, &config.mode, rebuild)?,
     };
+    let mut out = header.into_bytes();
+    out.extend_from_slice(&payload);
+    let recon = recon.map(|values| DataBuffer::from_f64(values, dataset.dtype()));
     Ok(Encoded::written(out, recon))
 }
 
+/// How a grid is cut into blocks: the grid folded to 3-D, the blocks'
+/// dimensionality and the sequency order of their coefficients.
+struct Blocks {
+    dims3: [usize; 3],
+    block_dims: usize,
+    perm: Vec<usize>,
+}
+
+impl Blocks {
+    fn of(dims: &Dims) -> Self {
+        let block_dims = dims.ndims().min(3);
+        Self {
+            dims3: dims.fold_3d(),
+            block_dims,
+            perm: transform::sequency_permutation(block_dims),
+        }
+    }
+
+    /// The decoder's block tail: `coded` (negabinary coefficients in
+    /// sequency order, as [`coder::decode_ints`] reads them) back to values,
+    /// written into `values` at `origin`.  [`decompress`] runs it on what it
+    /// read, a measured [`encode`] on what it conveyed; `ints` and `raw` are
+    /// scratch of the block's size.
+    fn rebuild(
+        &self,
+        coded: &[u64],
+        emax: i32,
+        origin: [usize; 3],
+        (ints, raw): (&mut [i64], &mut [f64]),
+        values: &mut [f64],
+    ) {
+        for (&coded, &dst) in coded.iter().zip(&self.perm) {
+            ints[dst] = coder::uint_to_int(coded);
+        }
+        transform::inv_xform(ints, self.block_dims);
+        block::from_ints(ints, emax, raw);
+        block::scatter(raw, values, self.dims3, origin, self.block_dims);
+    }
+}
+
 /// The block payload of [`compress`]: every block gathered, aligned,
-/// transformed and bit-plane coded through stack arrays.
+/// transformed and bit-plane coded through stack arrays — and, when
+/// `rebuild` is set, decoded again from what was coded, into a field of
+/// `f64` values the decoder's.
 ///
 /// Two fields are refused rather than coded wrong.  A block shares one
 /// exponent, so a single NaN or infinity would take the 4^d − 1 finite
@@ -229,20 +272,22 @@ fn encode_blocks<T: Copy + Into<f64>>(
     values: &[T],
     dims: &Dims,
     mode: &ZfpMode,
-) -> Result<Vec<u8>, CodecError> {
+    rebuild: bool,
+) -> Result<(Vec<u8>, Option<Vec<f64>>), CodecError> {
     if let Some(index) = values.iter().position(|&v| !v.into().is_finite()) {
         return Err(CodecError::Codec(format!(
             "value {index} is not finite: the ZFP-like codec codes finite values only"
         )));
     }
-    let (dims3, block_dims) = (dims.fold_3d(), dims.ndims().min(3));
-    let perm = transform::sequency_permutation(block_dims);
+    let blocks = Blocks::of(dims);
+    let (dims3, block_dims) = (blocks.dims3, blocks.block_dims);
     let budget = block_bit_budget(mode, block_dims);
     let minexp = mode_minexp(mode);
-    let size = perm.len();
+    let size = blocks.perm.len();
     let (mut raw, mut ints, mut reordered) =
         ([0.0; MAX_BLOCK], [0i64; MAX_BLOCK], [0u64; MAX_BLOCK]);
     let (raw, ints, reordered) = (&mut raw[..size], &mut ints[..size], &mut reordered[..size]);
+    let mut recon = rebuild.then(|| vec![0.0f64; values.len()]);
 
     let mut w = BitWriter::with_capacity(values.len());
     for origin in block::block_origins(dims3) {
@@ -269,12 +314,16 @@ fn encode_blocks<T: Copy + Into<f64>>(
                 w.write_bits((emax + EBIAS) as u64, EBITS);
                 block::to_ints(raw, emax, ints);
                 transform::fwd_xform(ints, block_dims);
-                for (slot, &src) in reordered.iter_mut().zip(&perm) {
+                for (slot, &src) in reordered.iter_mut().zip(&blocks.perm) {
                     *slot = coder::int_to_uint(ints[src]);
                 }
                 let max_prec = block_precision(emax, minexp, block_dims);
                 let remaining = budget.saturating_sub(1 + EBITS as u64);
-                coder::encode_ints(&mut w, reordered, remaining, max_prec);
+                let coded = coder::encode_ints(&mut w, reordered, remaining, max_prec);
+                if let Some(recon) = &mut recon {
+                    coded.conveyed(reordered);
+                    blocks.rebuild(reordered, emax, origin, (ints, raw), recon);
+                }
             }
         }
         if matches!(mode, ZfpMode::FixedRate { .. }) {
@@ -285,7 +334,7 @@ fn encode_blocks<T: Copy + Into<f64>>(
             }
         }
     }
-    Ok(w.into_bytes())
+    Ok((w.into_bytes(), recon))
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -298,8 +347,8 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
         .validate()
         .map_err(|e| CodecError::Codec(format!("invalid header parameters: {e}")))?;
 
-    let (dims3, block_dims) = (head.dims.fold_3d(), head.dims.ndims().min(3));
-    let perm = transform::sequency_permutation(block_dims);
+    let blocks = Blocks::of(&head.dims);
+    let (dims3, block_dims) = (blocks.dims3, blocks.block_dims);
     let budget = block_bit_budget(&mode, block_dims);
     let minexp = mode_minexp(&mode);
     let mut bits = BitReader::new(r.rest());
@@ -316,7 +365,7 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
     let n = head.dims.len();
     let mut values = try_vec(n)?;
     values.resize(n, 0.0f64);
-    let size = perm.len();
+    let size = blocks.perm.len();
     let (mut raw, mut ints, mut reordered) =
         ([0.0; MAX_BLOCK], [0i64; MAX_BLOCK], [0u64; MAX_BLOCK]);
     let (raw, ints, reordered) = (&mut raw[..size], &mut ints[..size], &mut reordered[..size]);
@@ -335,12 +384,7 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
             let remaining = budget.saturating_sub(1 + EBITS as u64);
             coder::decode_ints(&mut bits, reordered, remaining, max_prec)
                 .map_err(CodecError::corrupt)?;
-            for (&coded, &dst) in reordered.iter().zip(&perm) {
-                ints[dst] = coder::uint_to_int(coded);
-            }
-            transform::inv_xform(ints, block_dims);
-            block::from_ints(ints, emax, raw);
-            block::scatter(raw, &mut values, dims3, origin, block_dims);
+            blocks.rebuild(reordered, emax, origin, (ints, raw), &mut values);
         }
         if matches!(mode, ZfpMode::FixedRate { .. }) {
             // Skip the block's padding so the next block starts on budget.

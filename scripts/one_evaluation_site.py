@@ -21,7 +21,10 @@
    `compress_measured` / `compressed_len`, and crates/fraz-pressio/src/backends.rs calls neither
    `measure_stream(` nor `evaluate_by_compressing(`: a size, a stream and a measured
    reconstruction come from one encoder told what to produce (`fraz_data::Want`), so no route
-   grows back beside it."""
+   grows back beside it.
+8. crates/fraz-zfp/src/lib.rs's `encode` calls no `decompress(`: a measured zfp encode rebuilds
+   each block from the bits it wrote, through the decoder's block tail, instead of decoding the
+   stream it just wrote."""
 import pathlib
 import re
 import sys
@@ -151,6 +154,19 @@ if routes:
     failures.append(
         f"expected one `pub fn encode(` per codec crate and no other route, found {len(routes)} "
         "problem(s): a size, a stream and a measured reconstruction are one `encode(.., Want)`"
+    )
+
+path = pathlib.Path("crates/fraz-zfp/src/lib.rs")
+code = code_of(path)
+encode = re.search(r"\bpub fn encode\(", code)
+body = (encode.end(), closing(code, code.index("{", encode.end()), "{}")) if encode else (0, 0)
+rebuilds = [site(path, code, call.start()) for call in re.finditer(r"\bdecompress\(", code)
+            if body[0] <= call.start() < body[1]]
+print("\n".join(rebuilds))
+if not encode or rebuilds:
+    failures.append(
+        f"expected zfp's `pub fn encode(` to call no `decompress(`, found {len(rebuilds)} site(s): "
+        "a measured zfp encode rebuilds its blocks from the bits it wrote"
     )
 
 sys.exit("\n".join(failures) if failures else 0)

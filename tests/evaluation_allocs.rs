@@ -19,8 +19,8 @@
 //! encode does not.
 //!
 //! A quality evaluation (`evaluate(.., true)`) decodes nothing where the
-//! encoder rebuilt the field as it went (sz, mgard, szx), and szx's packs
-//! nothing either: it asks for what its size-only encode asks for, the
+//! encoder rebuilt the field as it went (sz, mgard, szx, zfp), and szx's
+//! packs nothing either: it asks for what its size-only encode asks for, the
 //! reconstruction and the outcome's name.
 //!
 //! The test binary runs under a counting `#[global_allocator]`
@@ -284,7 +284,9 @@ fn a_size_encode_hands_over_the_reconstruction_it_built() {
 }
 
 /// The codecs whose encoders rebuild the field as they go: a build that has
-/// one has its decode-free quality evaluation.
+/// one has its decode-free quality evaluation.  (zfp rebuilds too, into an
+/// `f64` field it then narrows, one request more than this test's reading
+/// of decode-free: `a_zfp_quality_evaluation_decodes_nothing` holds it.)
 const MEASURE_THEIR_OWN: [&str; 4] = ["sz", "mgard", "mgard-l2", "szx"];
 
 #[test]
@@ -383,6 +385,46 @@ fn a_szx_quality_evaluation_packs_nothing() {
                 failures.push(format!(
                     "{what}: a quality evaluation makes {evaluate_requests} requests, a size \
                      encode {size_requests} + the reconstruction + the name"
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// zfp's quality evaluation writes the stream and rebuilds each block from
+/// the bits it wrote, through the decoder's block tail: it asks for what
+/// `compress` asks for, the `f64` reconstruction (and its narrowing, on an
+/// `f32` field) and the outcome's name.  Decoding the stream would add the
+/// header's strings, the decoded dataset and its buffers.
+#[cfg(feature = "zfp")]
+#[test]
+fn a_zfp_quality_evaluation_decodes_nothing() {
+    let codec = registry::build_default("zfp").unwrap();
+    let mut failures = Vec::new();
+    for edge in [16, 32] {
+        for dtype in [DType::F32, DType::F64] {
+            let dims = Dims::d3(edge, edge, edge);
+            let dataset = synthetic::generate("turbulence", &dims, dtype, 5, 0).unwrap();
+            let (lo, hi) = codec.bound_range(&dataset);
+            let bound = (lo * hi).sqrt();
+            let evaluate = || codec.evaluate(&dataset, bound, true).unwrap();
+            evaluate();
+            let (packed, compress_requests) = requests(|| codec.compress(&dataset, bound).unwrap());
+            let (_, decompress_requests) = requests(|| codec.decompress(&packed).unwrap());
+            let (outcome, evaluate_requests) = requests(evaluate);
+            let what = format!("zfp {dtype:?} at {edge}³");
+            println!(
+                "{what}: quality evaluation {evaluate_requests}, compress {compress_requests}, \
+                 decompress {decompress_requests} requests"
+            );
+            assert_eq!(outcome.stream.as_ref(), Some(&packed), "{what}");
+            assert!(outcome.quality.is_some(), "{what}");
+            let rebuilt = 1 + u64::from(dtype == DType::F32);
+            if evaluate_requests > compress_requests + rebuilt + 1 {
+                failures.push(format!(
+                    "{what}: a quality evaluation makes {evaluate_requests} requests, compress \
+                     {compress_requests} + the reconstruction ({rebuilt}) + the name"
                 ));
             }
         }

@@ -29,9 +29,16 @@
 //!
 //! Six regimes × {16³, 24×24, 4096} × PSNR ≥ {40, 60, 80} dB, RMSE ≤ and
 //! max-error ≤ {1e-2, 1e-4} of the value range, SSIM ≥ 0.9 — each seeded and
-//! with `analytic_seed` off.
+//! with `analytic_seed` off.  Those searches run on one worker: the costs
+//! above are the walk's serial cost.  On two workers a walk hedges — it
+//! evaluates where it will most likely go next beside where it is — and
+//! **the answer does not depend on the worker count**: bound, verdict and
+//! report are the one-worker search's, every hedge that ran is a counted
+//! compressor call, and each round adds at most one.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+
+use fraz::pool::Pool;
 
 use fraz::core::quality::TOLERANCE;
 use fraz::core::{
@@ -110,8 +117,21 @@ fn targets(range: f64) -> Vec<QualityMetric> {
 type Ran = (QualitySearchOutcome, Vec<(f64, Option<QualityReport>)>);
 
 /// One search through the logging wrapper (`hint`: `run` when `None`,
-/// `run_with_hint` otherwise).
+/// `run_with_hint` otherwise), on one worker: no hedge, the serial walk.
 fn run(
+    codec: &str,
+    dataset: &Dataset,
+    config: QualitySearchConfig,
+    hint: Option<Option<&SearchHint>>,
+) -> Ran {
+    static SERIAL: OnceLock<Arc<Pool>> = OnceLock::new();
+    let serial = SERIAL.get_or_init(|| Arc::new(Pool::new(1)));
+    run_on(serial, codec, dataset, config, hint)
+}
+
+/// [`run`] on `pool`.
+fn run_on(
+    pool: &Arc<Pool>,
     codec: &str,
     dataset: &Dataset,
     config: QualitySearchConfig,
@@ -121,7 +141,8 @@ fn run(
         inner: registry::build_default(codec).unwrap(),
         asked: Mutex::default(),
     });
-    let search = FixedQualitySearch::new(counted.clone() as Arc<dyn Compressor>, config);
+    let search = FixedQualitySearch::new(counted.clone() as Arc<dyn Compressor>, config)
+        .with_pool(Arc::clone(pool));
     let outcome = match hint {
         Some(hint) => search.run_with_hint(dataset, hint),
         None => search.run(dataset),
@@ -438,6 +459,90 @@ fn degenerate_targets_fields_and_ceilings_yield_ordinary_outcomes() {
                     "{what}: {} is not the top of the range",
                     outcome.error_bound
                 );
+            }
+        }
+    }
+}
+
+/// Every bit of a quality report.
+fn report_bits(report: Option<&QualityReport>) -> Option<[u64; 7]> {
+    report.map(|r| {
+        [
+            r.compression_ratio,
+            r.bit_rate,
+            r.max_abs_error,
+            r.rmse,
+            r.psnr,
+            r.ssim,
+            r.acf_error,
+        ]
+        .map(f64::to_bits)
+    })
+}
+
+#[test]
+fn a_second_worker_hedges_and_changes_no_answer() {
+    let (serial, two) = (Arc::new(Pool::new(1)), Arc::new(Pool::new(2)));
+    for codec in codecs() {
+        let name = codec.name();
+        for regime in ["turbulence", "smooth"] {
+            let dataset =
+                synthetic::generate(regime, &Dims::d3(16, 16, 16), DType::F32, 20200118, 0)
+                    .unwrap();
+            let range = dataset.value_range();
+            for metric in [
+                QualityMetric::PsnrAtLeast(60.0),
+                QualityMetric::RmseAtMost(1e-3 * range),
+                QualityMetric::MaxErrorAtMost(1e-3 * range),
+            ] {
+                // Cold, seeded by the objective's closed form, and from an
+                // explicit seed a decade under it.
+                let seed = SearchHint::seed(1e-4 * range, fraz::core::HintSource::External);
+                for (how, analytic_seed, hint) in [
+                    ("cold", false, None),
+                    ("seeded", true, None),
+                    ("hinted", true, Some(Some(&seed))),
+                ] {
+                    let what = format!("{name} {regime} {} {how}", metric.describe());
+                    let config = QualitySearchConfig {
+                        analytic_seed,
+                        ..QualitySearchConfig::new(metric)
+                    };
+                    let (one, one_asked) = run_on(&serial, name, &dataset, config.clone(), hint);
+                    let (both, both_asked) = run_on(&two, name, &dataset, config, hint);
+                    assert_eq!(
+                        both.error_bound.to_bits(),
+                        one.error_bound.to_bits(),
+                        "{what}"
+                    );
+                    assert_eq!(both.satisfiable, one.satisfiable, "{what}");
+                    assert_eq!(
+                        report_bits(both.best.quality.as_ref()),
+                        report_bits(one.best.quality.as_ref()),
+                        "{what}"
+                    );
+                    assert_eq!(both.best, one.best, "{what}");
+                    assert_eq!(both.hint, one.hint, "{what}");
+                    // Every hedge is a counted call, and only a round that
+                    // called the codec on one worker hedges: one more each.
+                    assert_eq!(both.evaluations, both_asked.len(), "{what}");
+                    assert_eq!(one.evaluations, one_asked.len(), "{what}");
+                    assert!(
+                        both.evaluations <= 2 * one.evaluations,
+                        "{what}: {} evaluations on two workers, {} on one",
+                        both.evaluations,
+                        one.evaluations
+                    );
+                    // What one worker asked for, two asked for too.
+                    for (bound, _) in &one_asked {
+                        assert!(
+                            both_asked
+                                .iter()
+                                .any(|(b, _)| b.to_bits() == bound.to_bits()),
+                            "{what}: {bound} was not evaluated on two workers"
+                        );
+                    }
+                }
             }
         }
     }
