@@ -58,6 +58,41 @@ impl DType {
     }
 }
 
+/// The element types a field holds, for code generic over them: widening
+/// to `f64` is `Into`, narrowing back is [`Element::narrow`].  A decoder
+/// generic over it writes each value straight into a buffer of the field's
+/// own type instead of building an `f64` field and narrowing it.
+pub trait Element: Copy + Default + Into<f64> {
+    /// `v` at this type's precision: the `as` cast
+    /// [`DataBuffer::from_f64`] narrows with.
+    fn narrow(v: f64) -> Self;
+
+    /// These values as a buffer.
+    fn into_buffer(values: Vec<Self>) -> DataBuffer;
+}
+
+impl Element for f32 {
+    #[inline(always)]
+    fn narrow(v: f64) -> Self {
+        v as f32
+    }
+
+    fn into_buffer(values: Vec<Self>) -> DataBuffer {
+        DataBuffer::F32(values)
+    }
+}
+
+impl Element for f64 {
+    #[inline(always)]
+    fn narrow(v: f64) -> Self {
+        v
+    }
+
+    fn into_buffer(values: Vec<Self>) -> DataBuffer {
+        DataBuffer::F64(values)
+    }
+}
+
 /// The raw values of one field at one time-step.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DataBuffer {

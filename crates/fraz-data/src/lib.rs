@@ -52,7 +52,7 @@ pub mod wire;
 use std::fmt;
 use std::ops::Range;
 
-pub use buffer::{DType, DataBuffer};
+pub use buffer::{DType, DataBuffer, Element};
 pub use dims::Dims;
 pub use wire::CodecError;
 

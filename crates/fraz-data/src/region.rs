@@ -7,8 +7,49 @@
 //! search's sample out of a field, and the store's reader pastes each
 //! decoded chunk's intersection with a request straight into the output
 //! with [`copy_box_buffer`].
+//!
+//! A region request to a codec (`Compressor::decompress_region`) is checked
+//! here too: [`check_region`] before anything is decoded, and
+//! [`check_stream_dims`] once the stream's own grid is known, so every
+//! codec refuses a bad request with the same typed error.
 
-use crate::DataBuffer;
+use std::ops::Range;
+
+use crate::{CodecError, DataBuffer, Dims};
+
+/// Check that `region` (one range per axis, slowest first) is a non-empty
+/// box of a `dims` grid; anything else is [`CodecError::InvalidRegion`].
+pub fn check_region(dims: &Dims, region: &[Range<usize>]) -> Result<(), CodecError> {
+    if region.len() != dims.ndims() {
+        return Err(CodecError::InvalidRegion(format!(
+            "a {}-D region of a {}-D grid",
+            region.len(),
+            dims.ndims()
+        )));
+    }
+    for (axis, (r, &d)) in region.iter().zip(dims.as_slice()).enumerate() {
+        if r.start >= r.end || r.end > d {
+            return Err(CodecError::InvalidRegion(format!(
+                "axis {axis}: {r:?} is not a non-empty range of 0..{d}"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Check that a stream holds the grid its caller expects: a region of any
+/// other grid would be cut from the wrong values, so a mismatch is a corrupt
+/// stream ([`CodecError::Codec`]).
+pub fn check_stream_dims(stream: &Dims, expected: &Dims) -> Result<(), CodecError> {
+    if stream != expected {
+        return Err(CodecError::Codec(format!(
+            "stream dims {:?} do not match grid shape {:?}",
+            stream.as_slice(),
+            expected.as_slice()
+        )));
+    }
+    Ok(())
+}
 
 fn strides(dims: &[usize]) -> Vec<usize> {
     let mut strides = vec![1usize; dims.len()];
@@ -122,6 +163,30 @@ pub fn copy_box_buffer(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn region_checks_are_typed_errors() {
+        let dims = Dims::d3(4, 5, 6);
+        assert_eq!(check_region(&dims, &[0..4, 0..5, 0..6]), Ok(()));
+        assert_eq!(check_region(&dims, &[3..4, 4..5, 5..6]), Ok(()));
+        for bad in [
+            vec![0..4, 0..5],
+            vec![0..4, 0..5, 0..6, 0..1],
+            vec![0..4, 2..2, 0..6],
+            vec![0..4, Range { start: 3, end: 2 }, 0..6],
+            vec![0..4, 0..5, 0..7],
+        ] {
+            assert!(
+                matches!(check_region(&dims, &bad), Err(CodecError::InvalidRegion(_))),
+                "{bad:?}"
+            );
+        }
+        assert_eq!(check_stream_dims(&dims, &Dims::d3(4, 5, 6)), Ok(()));
+        assert!(matches!(
+            check_stream_dims(&Dims::d3(4, 5, 7), &dims),
+            Err(CodecError::Codec(msg)) if msg.contains("do not match grid shape")
+        ));
+    }
 
     #[test]
     fn extract_1d_is_a_plain_slice() {

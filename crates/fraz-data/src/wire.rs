@@ -62,7 +62,8 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// A codec call's failure, classed the way a search needs it: a refused
-/// setting, an unsupported grid or a corrupt stream.  Every codec crate
+/// setting, an unsupported grid, a corrupt stream or a region outside the
+/// stream's grid.  Every codec crate
 /// returns it, and `fraz_pressio::PressioError` is its name at the
 /// abstraction layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,6 +74,9 @@ pub enum CodecError {
     Unsupported(String),
     /// The underlying codec failed.
     Codec(String),
+    /// A region request is not a non-empty box of the stream's grid: the
+    /// wrong rank, an empty range, or a range past its axis.
+    InvalidRegion(String),
 }
 
 impl CodecError {
@@ -89,6 +93,7 @@ impl fmt::Display for CodecError {
             CodecError::InvalidBound(msg) => write!(f, "invalid error-bound setting: {msg}"),
             CodecError::Unsupported(msg) => write!(f, "unsupported input: {msg}"),
             CodecError::Codec(msg) => write!(f, "codec failure: {msg}"),
+            CodecError::InvalidRegion(msg) => write!(f, "invalid region: {msg}"),
         }
     }
 }

@@ -599,8 +599,15 @@ pub fn encode_symbols(symbols: &[u32]) -> Vec<u8> {
 
 /// Decode a buffer produced by [`encode_symbols`].
 pub fn decode_symbols(data: &[u8]) -> Result<Vec<u32>> {
+    decode_prefix(data, usize::MAX)
+}
+
+/// Decode the first `limit` symbols of a buffer produced by
+/// [`encode_symbols`] — all of them when it holds fewer — and leave the
+/// codes after them unread.
+pub fn decode_prefix(data: &[u8], limit: usize) -> Result<Vec<u32>> {
     let mut r = BitReader::new(data);
-    let n = rle::read_uvarint(&mut r)? as usize;
+    let n = (rle::read_uvarint(&mut r)? as usize).min(limit);
     if n == 0 {
         return Ok(Vec::new());
     }
@@ -617,6 +624,25 @@ mod tests {
     fn empty_roundtrip() {
         let packed = encode_symbols(&[]);
         assert_eq!(decode_symbols(&packed).unwrap(), Vec::<u32>::new());
+    }
+
+    #[test]
+    fn a_prefix_is_the_first_symbols() {
+        let symbols: Vec<u32> = (0..3000u32).map(|i| (i * i) % 97).collect();
+        let packed = encode_symbols(&symbols);
+        for limit in [0, 1, 2, 1499, 2999, 3000, 3001, usize::MAX] {
+            let n = limit.min(symbols.len());
+            assert_eq!(
+                decode_prefix(&packed, limit).unwrap(),
+                &symbols[..n],
+                "{limit}"
+            );
+        }
+        // The codes after the prefix are not read: a torn tail does not
+        // reach it.
+        let torn = &packed[..packed.len() - 1];
+        assert_eq!(decode_prefix(torn, 10).unwrap(), &symbols[..10]);
+        assert!(decode_symbols(torn).is_err());
     }
 
     #[test]

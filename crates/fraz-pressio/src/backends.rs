@@ -16,6 +16,7 @@
     allow(unused_mut, unused_variables)
 )]
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use fraz_data::{Dataset, Dims, Encoded, Want};
@@ -37,7 +38,7 @@ use crate::descriptor::{BoundKind, CodecDescriptor};
 use crate::options::OptionKind;
 use crate::options::Options;
 use crate::registry::Registry;
-use crate::{CompressionOutcome, Compressor, PressioError};
+use crate::{crop_of_decompress, CompressionOutcome, Compressor, PressioError};
 
 /// Smallest error-bound setting offered to the search, as a fraction of the
 /// field's value range (below this the codecs are effectively lossless and
@@ -162,6 +163,21 @@ impl Compressor for Builtin {
             Codec::Mgard(_) => fraz_mgard::decompress(data),
             #[cfg(feature = "szx")]
             Codec::Szx(_) => fraz_szx::decompress(data),
+        }
+    }
+    /// sz decodes only the blocks the region needs; the others decode the
+    /// whole stream and crop it, the trait's default body.
+    fn decompress_region(
+        &self,
+        data: &[u8],
+        dims: &Dims,
+        region: &[Range<usize>],
+    ) -> Result<Dataset, PressioError> {
+        match self.codec {
+            #[cfg(feature = "sz")]
+            Codec::Sz(_) => fraz_sz::decompress_region(data, dims, region),
+            #[allow(unreachable_patterns)]
+            _ => crop_of_decompress(self, data, dims, region),
         }
     }
     /// The trait's default body's answer for less work: a ratio asks the

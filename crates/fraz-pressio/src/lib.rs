@@ -7,8 +7,8 @@
 //! built that closure on top of libpressio; this crate plays the same role:
 //!
 //! * [`Compressor`] — the uniform trait: compress under a scalar error-bound
-//!   setting, decompress, report the valid bound range and dimensionality
-//!   support,
+//!   setting, decompress (the whole grid or one box of it), report the valid
+//!   bound range and dimensionality support,
 //! * [`backends`] — adapters for the SZ-like, ZFP-like (accuracy and
 //!   fixed-rate), MGARD-like (∞-norm and L2) and SZx-like (ultra-fast)
 //!   codecs, each behind a cargo feature (`sz`, `zfp`, `mgard`, `szx`; all
@@ -41,6 +41,7 @@ pub use options::{OptionKind, OptionValue, Options};
 pub use registry::{Registry, RegistryError};
 
 use std::fmt;
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
@@ -154,6 +155,27 @@ pub trait Compressor: Send + Sync {
     /// Decompress a stream previously produced by this backend.
     fn decompress(&self, data: &[u8]) -> Result<Dataset, PressioError>;
 
+    /// Decompress the box `region` (one range per axis, slowest first, in
+    /// the stream's own coordinates) of a stream that holds a `dims` grid:
+    /// exactly the region's values, bit for bit the ones a
+    /// [`decompress`](Self::decompress) gives there, as a dataset shaped
+    /// like the region.
+    ///
+    /// A region that is not a non-empty box of `dims` is
+    /// [`PressioError::InvalidRegion`]; a stream whose own grid is not
+    /// `dims` is a corrupt stream ([`PressioError::Codec`]), so no region is
+    /// ever cut from the wrong grid.  This body decodes the whole stream and
+    /// crops it; a backend overrides it where a region costs less (sz
+    /// decodes only the blocks the region's far corner needs).
+    fn decompress_region(
+        &self,
+        data: &[u8],
+        dims: &Dims,
+        region: &[Range<usize>],
+    ) -> Result<Dataset, PressioError> {
+        crop_of_decompress(self, data, dims, region)
+    }
+
     /// Compress and report the achieved ratio; when `measure_quality` is
     /// true, also decompress and attach the full [`QualityReport`].  The
     /// outcome carries the stream it measured, so a caller that settles on
@@ -180,6 +202,22 @@ pub trait Compressor: Send + Sync {
     ) -> Result<CompressionOutcome, PressioError> {
         evaluate_by_compressing(self, dataset, error_bound, measure_quality)
     }
+}
+
+/// The default body of [`Compressor::decompress_region`]: decode the whole
+/// stream, then cut the region out of it.
+pub(crate) fn crop_of_decompress<C: Compressor + ?Sized>(
+    compressor: &C,
+    data: &[u8],
+    dims: &Dims,
+    region: &[Range<usize>],
+) -> Result<Dataset, PressioError> {
+    fraz_data::region::check_region(dims, region)?;
+    let whole = compressor.decompress(data)?;
+    fraz_data::region::check_stream_dims(&whole.dims, dims)?;
+    let origin: Vec<usize> = region.iter().map(|r| r.start).collect();
+    let shape: Vec<usize> = region.iter().map(|r| r.len()).collect();
+    Ok(whole.sub_box(&origin, &shape))
 }
 
 /// The default body of [`Compressor::evaluate`]: compress, and for quality

@@ -1,13 +1,26 @@
 //! Reading arrays: header-first open, byte-range partial decode.
 //!
 //! [`ArrayReader::open`] issues exactly two ranged reads (superblock, then
-//! header + index) and validates everything before trusting it.
-//! [`ArrayReader::read_region`] computes the chunk set intersecting the
-//! request, fetches **only those chunks' byte ranges**, CRC-checks and
-//! decodes them in parallel on [`fraz_pool`], each task pasting its chunk's
-//! part of the subregion straight into the output.
-//! Chunks outside the request are never read — the partial-decode tests pin
-//! this with a counting `Store`.
+//! header + index) and validates everything before trusting it.  Every read
+//! — [`ArrayReader::read_region`], [`ArrayReader::read_chunk`] and
+//! [`ArrayReader::read_all`] — takes one path: it computes the chunk set
+//! intersecting the request, fetches **only those chunks' byte ranges**,
+//! CRC-checks them and, in parallel on [`fraz_pool`], asks each chunk's
+//! codec for that chunk's local intersection with the request
+//! ([`Compressor::decompress_region`]) and pastes the answer straight into
+//! the output.  Chunks outside the request are never read — the
+//! partial-decode tests pin this with a counting `Store`, and pin the one
+//! path with a counting codec.
+//!
+//! Asking for the intersection rather than the chunk lets a codec decode
+//! less.  sz's Lorenzo predictor reads only lower neighbours and its
+//! regression blocks read none, so the blocks an intersection needs are
+//! those whose origin lies below its far corner on every axis: a box from
+//! the chunk's origin to that corner.  A 64³ region over 32³ chunks touches
+//! about 26 chunk volumes and sz rebuilds about 17 of them.  What is still
+//! decoded in full is the chunk's dictionary-coded (LZSS) frame, and the
+//! Huffman codes of every block before the last one needed.  The other
+//! codecs decode the whole chunk and crop it (the trait's default).
 
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -83,8 +96,15 @@ impl<'a> ArrayReader<'a> {
             .map_err(|e| StoreError::Codec(e.to_string()))
     }
 
-    /// Fetch, CRC-check, decode and validate one chunk.
-    fn decode_chunk(&self, codec: &dyn Compressor, idx: usize) -> Result<Dataset, StoreError> {
+    /// Fetch and CRC-check chunk `idx`, and decode its intersection with
+    /// `region` (global element ranges): the answer, in the chunk's own
+    /// coordinates, and where that intersection starts in the region.
+    fn decode_part(
+        &self,
+        codec: &dyn Compressor,
+        idx: usize,
+        region: &[Range<u64>],
+    ) -> Result<(Dataset, Vec<usize>), StoreError> {
         let entry = self.meta.index[idx];
         let payload = self
             .store
@@ -92,22 +112,37 @@ impl<'a> ArrayReader<'a> {
         if fraz_data::wire::crc32(&payload) != entry.crc32 {
             return Err(StoreError::corrupt(format!("chunk {idx}: CRC mismatch")));
         }
-        let chunk = codec
-            .decompress(&payload)
+        let chunk_origin = self.grid.chunk_origin(idx);
+        let chunk_shape = self.grid.chunk_shape_at(idx);
+        let local: Vec<Range<usize>> = chunk_origin
+            .iter()
+            .zip(&chunk_shape)
+            .zip(region)
+            .map(|((&c, &s), r)| (r.start as usize).max(c) - c..(r.end as usize).min(c + s) - c)
+            .collect();
+        // The codec refuses a stream of any other grid than the chunk's.
+        let part = codec
+            .decompress_region(&payload, &Dims::new(&chunk_shape), &local)
             .map_err(|e| StoreError::Corrupt(format!("chunk {idx}: decode failed: {e}")))?;
-        let expected_shape = self.grid.chunk_shape_at(idx);
-        if chunk.dims.as_slice() != expected_shape.as_slice() {
+        let shape: Vec<usize> = local.iter().map(|r| r.len()).collect();
+        if part.dims.as_slice() != shape.as_slice() || part.buffer.len() != part.dims.len() {
             return Err(StoreError::corrupt(format!(
-                "chunk {idx}: payload dims {:?} do not match grid shape {expected_shape:?}",
-                chunk.dims.as_slice()
+                "chunk {idx}: decoded dims {:?} do not match the requested {shape:?}",
+                part.dims.as_slice()
             )));
         }
-        if chunk.buffer.dtype() != self.meta.dtype {
+        if part.buffer.dtype() != self.meta.dtype {
             return Err(StoreError::corrupt(format!(
                 "chunk {idx}: payload dtype does not match container dtype"
             )));
         }
-        Ok(chunk)
+        let within_region = chunk_origin
+            .iter()
+            .zip(&local)
+            .zip(region)
+            .map(|((&c, l), r)| c + l.start - r.start as usize)
+            .collect();
+        Ok((part, within_region))
     }
 
     /// Decode the subregion `region` (per-axis element ranges, slowest axis
@@ -143,9 +178,9 @@ impl<'a> ArrayReader<'a> {
             fraz_data::DType::F64 => DataBuffer::F64(vec![0.0; n_values]),
         });
 
-        // Fetch, decode and paste in parallel: each task copies its chunk's
-        // intersection with the request straight into the output (a row
-        // copy under the lock; decode dominates), and drops the chunk.
+        // Fetch, decode and paste in parallel: each task decodes its chunk's
+        // intersection with the request and copies it straight into the
+        // output (a row copy under the lock; decode dominates).
         let mut slots: Vec<Result<(), StoreError>> = Vec::new();
         slots.resize_with(chunk_ids.len(), || Ok(()));
         {
@@ -156,8 +191,8 @@ impl<'a> ArrayReader<'a> {
                 for (slot, &idx) in slots.iter_mut().zip(&chunk_ids) {
                     scope.spawn(move || {
                         *slot = self
-                            .decode_chunk(codec, idx)
-                            .map(|chunk| self.paste(&chunk.buffer, idx, region, region_shape, out));
+                            .decode_part(codec, idx, region)
+                            .map(|(part, at)| paste(&part, &at, region_shape, out));
                     });
                 }
             });
@@ -176,62 +211,14 @@ impl<'a> ArrayReader<'a> {
         })
     }
 
-    /// Copy chunk `idx`'s intersection with `region` (whose shape is
-    /// `region_shape`) into `out`, the region's buffer.
-    fn paste(
-        &self,
-        chunk: &DataBuffer,
-        idx: usize,
-        region: &[Range<u64>],
-        region_shape: &[usize],
-        out: &Mutex<DataBuffer>,
-    ) {
-        let chunk_origin = self.grid.chunk_origin(idx);
-        let chunk_shape = self.grid.chunk_shape_at(idx);
-        // Intersection of the chunk's box with the request, in global
-        // element coordinates, then relative to each of the two.
-        let isect_origin: Vec<usize> = chunk_origin
-            .iter()
-            .zip(region)
-            .map(|(&c, r)| c.max(r.start as usize))
-            .collect();
-        let isect_shape: Vec<usize> = chunk_origin
-            .iter()
-            .zip(chunk_shape.iter().zip(region))
-            .zip(&isect_origin)
-            .map(|((&c, (&s, r)), &o)| ((c + s).min(r.end as usize)) - o)
-            .collect();
-        let within_chunk: Vec<usize> = isect_origin
-            .iter()
-            .zip(&chunk_origin)
-            .map(|(&i, &c)| i - c)
-            .collect();
-        let within_region: Vec<usize> = isect_origin
-            .iter()
-            .zip(region)
-            .map(|(&i, r)| i - r.start as usize)
-            .collect();
-        let mut out = out
-            .lock()
-            .expect("a paste task panicked; the scope re-throws it");
-        region::copy_box_buffer(
-            chunk,
-            &chunk_shape,
-            &within_chunk,
-            &mut out,
-            region_shape,
-            &within_region,
-            &isect_shape,
-        );
-    }
-
     /// Decode the whole array.
     pub fn read_all(&self) -> Result<Dataset, StoreError> {
         let region: Vec<Range<u64>> = self.meta.dims.iter().map(|&d| 0..d as u64).collect();
         self.read_region(&region)
     }
 
-    /// Decode a single chunk by linear index.
+    /// Decode a single chunk by linear index: the region that is the
+    /// chunk's box.
     pub fn read_chunk(&self, idx: usize) -> Result<Dataset, StoreError> {
         if idx >= self.grid.n_chunks() {
             return Err(StoreError::InvalidRegion(format!(
@@ -239,7 +226,31 @@ impl<'a> ArrayReader<'a> {
                 self.grid.n_chunks()
             )));
         }
-        let codec = self.codec()?;
-        self.decode_chunk(codec.as_ref(), idx)
+        let region: Vec<Range<u64>> = self
+            .grid
+            .chunk_origin(idx)
+            .iter()
+            .zip(self.grid.chunk_shape_at(idx))
+            .map(|(&o, s)| o as u64..(o + s) as u64)
+            .collect();
+        self.read_region(&region)
     }
+}
+
+/// Copy a decoded `part` into `out`, the region's buffer (of shape
+/// `region_shape`), at `at`.
+fn paste(part: &Dataset, at: &[usize], region_shape: &[usize], out: &Mutex<DataBuffer>) {
+    let shape = part.dims.as_slice();
+    let mut out = out
+        .lock()
+        .expect("a paste task panicked; the scope re-throws it");
+    region::copy_box_buffer(
+        &part.buffer,
+        shape,
+        &vec![0; shape.len()],
+        &mut out,
+        region_shape,
+        at,
+        shape,
+    );
 }

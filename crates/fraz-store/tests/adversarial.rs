@@ -216,3 +216,84 @@ fn payload_corruption_is_caught_by_the_chunk_crc() {
     // Chunks that do not include the damage still decode.
     assert!(reader.read_chunk(0).is_ok());
 }
+
+/// A codec whose streams hold the chunk's values under another grid (its
+/// axes reversed), decoded by the codec it wraps: what a container whose
+/// payload CRCs check out but whose chunk streams disagree with the grid
+/// looks like to the reader.
+struct ReversedAxes(Box<dyn fraz_pressio::Compressor>);
+
+impl fraz_pressio::Compressor for ReversedAxes {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn supports_dims(&self, dims: &fraz_data::Dims) -> bool {
+        self.0.supports_dims(dims)
+    }
+    fn bound_range(&self, dataset: &fraz_data::Dataset) -> (f64, f64) {
+        self.0.bound_range(dataset)
+    }
+    fn compress(
+        &self,
+        dataset: &fraz_data::Dataset,
+        bound: f64,
+    ) -> Result<Vec<u8>, fraz_pressio::PressioError> {
+        let mut axes = dataset.dims.as_slice().to_vec();
+        axes.reverse();
+        let reshaped = fraz_data::Dataset {
+            dims: fraz_data::Dims::new(&axes),
+            ..dataset.clone()
+        };
+        self.0.compress(&reshaped, bound)
+    }
+    fn decompress(&self, data: &[u8]) -> Result<fraz_data::Dataset, fraz_pressio::PressioError> {
+        self.0.decompress(data)
+    }
+    fn decompress_region(
+        &self,
+        data: &[u8],
+        dims: &fraz_data::Dims,
+        region: &[std::ops::Range<usize>],
+    ) -> Result<fraz_data::Dataset, fraz_pressio::PressioError> {
+        self.0.decompress_region(data, dims, region)
+    }
+}
+
+#[test]
+fn a_chunk_stream_of_another_grid_fails_every_read() {
+    use fraz_pressio::registry;
+    // Both region decodes: sz's own, and the default crop of szx's.
+    for inner in ["sz", "szx"] {
+        let name = format!("reversed-axes-{inner}");
+        let mut descriptor = registry::describe(inner).unwrap();
+        descriptor.name = name.clone();
+        descriptor.aliases.clear();
+        registry::register(descriptor, move |options| {
+            Ok(Box::new(ReversedAxes(
+                registry::build(inner, options)
+                    .map_err(|e| fraz_pressio::PressioError::Codec(e.to_string()))?,
+            )))
+        })
+        .unwrap();
+        let dataset = synthetic::hurricane(4, 8, 8, 1, 11).field("TCf", 0);
+        let store = MemoryStore::new();
+        let config = StoreWriteConfig::new(vec![2, 4, 8], &name, ChunkTarget::FixedBound(0.05));
+        write_array(&store, "k", &dataset, &config).unwrap();
+        let reader = ArrayReader::open(&store, "k").unwrap();
+        let reads = [
+            ("region", reader.read_region(&[1..3, 2..6, 3..4])),
+            ("corner", reader.read_region(&[0..1, 0..1, 0..1])),
+            ("chunk", reader.read_chunk(1)),
+            ("all", reader.read_all()),
+        ];
+        for (what, read) in reads {
+            match read {
+                Err(StoreError::Corrupt(msg)) => assert!(
+                    msg.contains("do not match grid shape"),
+                    "{name} {what}: {msg}"
+                ),
+                other => panic!("{name} {what}: {:?}", other.map(|d| d.dims)),
+            }
+        }
+    }
+}

@@ -1,10 +1,13 @@
 //! Partial-decode proof: `read_region` must fetch **exactly** the byte
 //! ranges of the chunks intersecting the request — no other chunk, no
 //! whole-object read — and the assembled subregion must match the source
-//! within each chunk's tuned bound.
+//! within each chunk's tuned bound.  And every read takes one path: a
+//! counting codec sees each chunk asked for its local intersection with the
+//! request (`Compressor::decompress_region`) and never a `decompress`.
 
 use std::collections::BTreeSet;
 use std::ops::Range;
+use std::sync::Mutex;
 
 use fraz_data::synthetic;
 use fraz_store::{
@@ -208,5 +211,143 @@ fn per_chunk_ratio_target_tunes_distinct_bounds() {
                 entry.bound
             );
         }
+    }
+}
+
+/// One `decompress_region` call: the stream grid asked for, and the region.
+type Ask = (Vec<usize>, Vec<Range<usize>>);
+
+/// What the counting codec was asked: every `decompress_region`, and the
+/// number of `decompress` calls.
+static ASKED: Mutex<(Vec<Ask>, usize)> = Mutex::new((Vec::new(), 0));
+
+/// sz, with every decode the reader asks of it written down.
+struct Counting(Box<dyn fraz_pressio::Compressor>);
+
+impl fraz_pressio::Compressor for Counting {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+    fn supports_dims(&self, dims: &fraz_data::Dims) -> bool {
+        self.0.supports_dims(dims)
+    }
+    fn bound_range(&self, dataset: &fraz_data::Dataset) -> (f64, f64) {
+        self.0.bound_range(dataset)
+    }
+    fn compress(
+        &self,
+        dataset: &fraz_data::Dataset,
+        bound: f64,
+    ) -> Result<Vec<u8>, fraz_pressio::PressioError> {
+        self.0.compress(dataset, bound)
+    }
+    fn decompress(&self, data: &[u8]) -> Result<fraz_data::Dataset, fraz_pressio::PressioError> {
+        ASKED.lock().unwrap().1 += 1;
+        self.0.decompress(data)
+    }
+    fn decompress_region(
+        &self,
+        data: &[u8],
+        dims: &fraz_data::Dims,
+        region: &[Range<usize>],
+    ) -> Result<fraz_data::Dataset, fraz_pressio::PressioError> {
+        let asked = (dims.as_slice().to_vec(), region.to_vec());
+        ASKED.lock().unwrap().0.push(asked);
+        self.0.decompress_region(data, dims, region)
+    }
+}
+
+/// `asks` in one order: chunk tasks finish in any.
+fn sorted(mut asks: Vec<Ask>) -> Vec<Ask> {
+    asks.sort_by_key(|(dims, region)| {
+        let ends: Vec<(usize, usize)> = region.iter().map(|r| (r.start, r.end)).collect();
+        (dims.clone(), ends)
+    });
+    asks
+}
+
+/// The asks since the last call, sorted, and the `decompress` count.
+fn take_asked() -> (Vec<Ask>, usize) {
+    let (asks, decompressed) = std::mem::take(&mut *ASKED.lock().unwrap());
+    (sorted(asks), decompressed)
+}
+
+#[test]
+fn every_read_asks_each_chunk_for_its_intersection_and_never_decompresses() {
+    use fraz_pressio::registry;
+    let mut descriptor = registry::describe("sz").unwrap();
+    descriptor.name = "counting-sz".into();
+    descriptor.aliases.clear();
+    registry::register(descriptor, |options| {
+        let inner = registry::build("sz", options)
+            .map_err(|e| fraz_pressio::PressioError::Codec(e.to_string()))?;
+        Ok(Box::new(Counting(inner)))
+    })
+    .unwrap();
+    let dataset = synthetic::hurricane(8, 16, 16, 1, 42).field("TCf", 0);
+    let store = MemoryStore::new();
+    let config =
+        StoreWriteConfig::new(vec![4, 8, 8], "counting-sz", ChunkTarget::FixedBound(BOUND));
+    write_array(&store, "k", &dataset, &config).unwrap();
+    let reader = ArrayReader::open(&store, "k").unwrap();
+    let grid = reader.grid().clone();
+    let whole_chunk = |idx: usize| {
+        let shape = grid.chunk_shape_at(idx);
+        (
+            shape.clone(),
+            shape.iter().map(|&s| 0..s).collect::<Vec<_>>(),
+        )
+    };
+    take_asked();
+
+    let all = reader.read_all().unwrap();
+    let expected = sorted((0..grid.n_chunks()).map(whole_chunk).collect());
+    assert_eq!(take_asked(), (expected, 0), "read_all");
+
+    for idx in [0, 3, 7] {
+        let chunk = reader.read_chunk(idx).unwrap();
+        assert_eq!(
+            take_asked(),
+            (vec![whole_chunk(idx)], 0),
+            "read_chunk({idx})"
+        );
+        let origin = grid.chunk_origin(idx);
+        assert!(chunk.buffer == all.sub_box(&origin, &grid.chunk_shape_at(idx)).buffer);
+    }
+
+    for region in [
+        vec![2..6u64, 3..12, 5..13],
+        vec![7..8, 15..16, 15..16],
+        vec![0..1, 0..1, 0..1],
+        vec![3..5, 0..16, 8..9],
+    ] {
+        let got = reader.read_region(&region).unwrap();
+        let expected = grid
+            .chunks_intersecting(&region)
+            .unwrap()
+            .into_iter()
+            .map(|idx| {
+                let (origin, shape) = (grid.chunk_origin(idx), grid.chunk_shape_at(idx));
+                let local = (0..3)
+                    .map(|a| {
+                        let (lo, hi) = (region[a].start as usize, region[a].end as usize);
+                        lo.max(origin[a]) - origin[a]..hi.min(origin[a] + shape[a]) - origin[a]
+                    })
+                    .collect::<Vec<_>>();
+                (shape, local)
+            })
+            .collect();
+        assert_eq!(
+            take_asked(),
+            (sorted(expected), 0),
+            "read_region({region:?})"
+        );
+        // The pasted intersections are the whole read's values there.
+        let origin: Vec<usize> = region.iter().map(|r| r.start as usize).collect();
+        let shape: Vec<usize> = region.iter().map(|r| (r.end - r.start) as usize).collect();
+        assert!(
+            got.buffer == all.sub_box(&origin, &shape).buffer,
+            "{region:?}"
+        );
     }
 }

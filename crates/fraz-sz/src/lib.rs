@@ -22,6 +22,11 @@
 //!    the shared work-stealing pool — reuses one hash-chain/token scratch
 //!    per pool worker instead of reallocating it every evaluation.
 //!
+//! [`decompress_region`] decodes one box of the grid for less than the
+//! whole: only the blocks from the grid's origin to the box's far corner
+//! (see [`pipeline`]).  [`decompress`] is the same decoder run to the
+//! grid's far corner.
+//!
 //! The absolute error bound is a hard guarantee:
 //! `max_i |d_i − d'_i| ≤ error_bound` for every input (verified by unit and
 //! property tests).
@@ -52,8 +57,10 @@
 pub mod pipeline;
 pub mod predict;
 
+use std::ops::Range;
+
 use fraz_data::wire::{ByteReader, ByteWriter, DatasetHeader};
-use fraz_data::{CodecError, DType, DataBuffer, Dataset, Encoded, Want};
+use fraz_data::{CodecError, DType, DataBuffer, Dataset, Dims, Element, Encoded, Want};
 use fraz_lossless::huffman;
 
 use pipeline::{EncodedBlocks, PipelineParams};
@@ -191,9 +198,44 @@ pub fn encode(dataset: &Dataset, config: &SzConfig, want: Want) -> Result<Encode
 
 /// Decompress a stream produced by [`compress`].
 pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
+    decode(data, None)
+}
+
+/// Decompress the box `region` (one range per axis, slowest first) of a
+/// stream produced by [`compress`] from a `dims` grid: the region's values,
+/// bit for bit the ones [`decompress`] gives there, shaped like the region.
+///
+/// Only the blocks whose origin lies below the region's far corner on every
+/// axis are rebuilt ([`pipeline::Reach`]), and only the Huffman codes up to
+/// the last of them are decoded.  A region that is not a non-empty box of
+/// `dims` is [`CodecError::InvalidRegion`]; a stream of another grid is
+/// [`CodecError::Codec`].
+pub fn decompress_region(
+    data: &[u8],
+    dims: &Dims,
+    region: &[Range<usize>],
+) -> Result<Dataset, CodecError> {
+    fraz_data::region::check_region(dims, region)?;
+    decode(data, Some((dims, region)))
+}
+
+/// The one decoder: the region `want` names of a stream of the grid it
+/// names, or for `None` the stream's whole grid.
+fn decode(data: &[u8], want: Option<(&Dims, &[Range<usize>])>) -> Result<Dataset, CodecError> {
     let mut r = ByteReader::new(data);
     let head = DatasetHeader::read(&mut r, MAGIC, VERSION)?;
     let (dtype, dims) = (head.dtype, &head.dims);
+    let whole: Vec<Range<usize>>;
+    let region = match want {
+        Some((expected, region)) => {
+            fraz_data::region::check_stream_dims(dims, expected)?;
+            region
+        }
+        None => {
+            whole = dims.as_slice().iter().map(|&d| 0..d).collect();
+            &whole
+        }
+    };
     let error_bound = r.get_f64()?;
     let block = r.get_u32()? as usize;
     let capacity = r.get_u32()?;
@@ -202,6 +244,9 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
             "invalid codec parameters in header".into(),
         ));
     }
+    let dims3 = dims.fold_3d();
+    let upto = folded_end(dims, region);
+    let reach = pipeline::Reach::of(dims3, upto, block);
 
     let body = fraz_lossless::decompress(r.rest()).map_err(CodecError::corrupt)?;
     let mut b = ByteReader::new(&body);
@@ -224,7 +269,10 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
         }
         reg_coeffs.push(c);
     }
-    let quant_codes = huffman::decode_symbols(b.get_section()?).map_err(CodecError::corrupt)?;
+    // The codes up to the last block the region needs; the section's length
+    // prefix steps over the rest to the unpredictable values.
+    let quant_codes =
+        huffman::decode_prefix(b.get_section()?, reach.points).map_err(CodecError::corrupt)?;
     let unpredictable = b.get_values(dtype)?;
     if unpredictable.len() > dims.len() {
         return Err(CodecError::Codec(
@@ -243,19 +291,84 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
         block_size: block,
         capacity,
     };
-    let dims3 = dims.fold_3d();
     let values = match dtype {
-        DType::F32 => pipeline::decode(&enc, dims3, &params, |v| v as f32 as f64),
-        DType::F64 => pipeline::decode(&enc, dims3, &params, |v| v),
+        DType::F32 => pipeline::decode(&enc, dims3, upto, &params, |v| v as f32 as f64),
+        DType::F64 => pipeline::decode(&enc, dims3, upto, &params, |v| v),
     }?;
 
-    Ok(head.into_dataset(DataBuffer::from_f64(values, dtype)))
+    let shape: Vec<usize> = region.iter().map(|r| r.len()).collect();
+    let buffer = if shape.iter().product::<usize>() == values.len() {
+        // The region is the whole box: the values are its, in order.
+        DataBuffer::from_f64(values, dtype)
+    } else {
+        match dtype {
+            DType::F32 => DataBuffer::F32(crop(&values, reach.box_dims, dims, region)),
+            DType::F64 => DataBuffer::F64(crop(&values, reach.box_dims, dims, region)),
+        }
+    };
+    let mut head = head;
+    head.dims = Dims::new(&shape);
+    Ok(head.into_dataset(buffer))
+}
+
+/// The position of the point `at` (one coordinate per axis) of a `dims`
+/// grid on the grid folded to 3-D, the way [`Dims::fold_3d`] folds it: a
+/// 1-D or 2-D point gains leading zeros, and a 4-D point's two leading
+/// coordinates fold into one.
+fn folded(dims: &[usize], at: &[usize]) -> [usize; 3] {
+    let k = at.len();
+    let lead = at[..k.saturating_sub(2)]
+        .iter()
+        .zip(dims)
+        .fold(0, |z, (&c, &d)| z * d + c);
+    match k {
+        1 => [0, 0, at[0]],
+        _ => [lead, at[k - 2], at[k - 1]],
+    }
+}
+
+/// The end of `region` on the grid folded to 3-D: past the folded position
+/// of its last point on every axis.
+fn folded_end(dims: &Dims, region: &[Range<usize>]) -> [usize; 3] {
+    let last: Vec<usize> = region.iter().map(|r| r.end - 1).collect();
+    folded(dims.as_slice(), &last).map(|c| c + 1)
+}
+
+/// The values of `region` of a `dims` grid, out of the decoded lower box
+/// of its 3-D fold (`boxd`, row-major), narrowed to `T`: one run per row of
+/// the region.
+fn crop<T: Element>(
+    box_values: &[f64],
+    boxd: [usize; 3],
+    dims: &Dims,
+    region: &[Range<usize>],
+) -> Vec<T> {
+    let k = region.len();
+    let width = region[k - 1].len();
+    let mut out = Vec::with_capacity(region.iter().map(|r| r.len()).product());
+    // The first point of each row, an odometer over the outer axes.
+    let mut at: Vec<usize> = region.iter().map(|r| r.start).collect();
+    loop {
+        let [z, y, x] = folded(dims.as_slice(), &at);
+        let start = (z * boxd[1] + y) * boxd[2] + x;
+        out.extend(
+            box_values[start..start + width]
+                .iter()
+                .map(|&v| T::narrow(v)),
+        );
+        let Some(axis) = (0..k - 1).rev().find(|&a| at[a] + 1 < region[a].end) else {
+            return out;
+        };
+        at[axis] += 1;
+        for a in axis + 1..k - 1 {
+            at[a] = region[a].start;
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fraz_data::Dims;
 
     fn wave_dataset(dims: Dims) -> Dataset {
         let n = dims.len();
@@ -299,6 +412,15 @@ mod tests {
             let restored = decompress(&compressed).unwrap();
             assert!(max_error(&original, &restored) <= 1e-3);
         }
+    }
+
+    #[test]
+    fn roundtrip_4d_folds_its_leading_axes() {
+        let original = wave_dataset(Dims::new(&[3, 5, 7, 9]));
+        let compressed = compress(&original, &SzConfig::with_error_bound(1e-3)).unwrap();
+        let restored = decompress(&compressed).unwrap();
+        assert_eq!(restored.dims, original.dims);
+        assert!(max_error(&original, &restored) <= 1e-3);
     }
 
     #[test]

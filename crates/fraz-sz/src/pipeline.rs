@@ -11,6 +11,19 @@
 //! the decoder will already have reconstructed, so the two sides stay
 //! bit-identical.
 //!
+//! A region needs only part of that traversal.  The Lorenzo predictor reads
+//! only lower neighbours (`z−1`, `y−1`, `x−1`) and a regression block reads
+//! none, so the blocks a region needs are exactly those whose origin lies
+//! below the region's far corner on every axis: a box from the grid's
+//! origin, much smaller than the prefix of the traversal that ends at the
+//! same block.  [`decode`] rebuilds that box and stops after its last block
+//! ([`Reach`]); a block it passes over on the way still consumes its
+//! regression coefficients and its unpredictable values.  Up to the grid's
+//! far corner it is the whole-grid decode — there is one decoder.  What a
+//! region still pays for in full is upstream of this stage: the
+//! dictionary-coded (LZSS) frame, and the Huffman codes of every block
+//! before the last needed one (the caller decodes only that prefix).
+//!
 //! One call does work proportional to the grid and allocates a fixed number
 //! of times: blocks are enumerated, not listed; the regression plane's
 //! normal-equation matrix is looked up by block extent (a grid has at most
@@ -89,8 +102,8 @@ fn blocks(dims: Dims3, block: usize) -> impl Iterator<Item = ([usize; 3], [usize
 }
 
 /// Visit the points of a block in raster order — the order both sides
-/// traverse in — as `(grid index, [z, y, x], [dz, dy, dx])`, until `visit`
-/// returns `false`.
+/// traverse in — as (index in a row-major `dims` array, `[z, y, x]`,
+/// `[dz, dy, dx]`), until `visit` returns `false`.
 #[inline(always)]
 fn walk(
     dims: Dims3,
@@ -203,27 +216,81 @@ pub fn encode<T: Copy + Into<f64>>(
     (out, recon)
 }
 
-/// Reconstruct the grid from an [`EncodedBlocks`] stream.
+/// The part of the traversal a decode up to `upto` covers.
+///
+/// A block is needed when its origin lies below `upto` on every axis: the
+/// Lorenzo predictor reads only lower neighbours, so the blocks a needed
+/// block's points predict from are needed too, and a regression block reads
+/// none.  Those blocks fill the lower box of the grid that ends at the
+/// block edge past `upto`, and the last of them in traversal order is the
+/// one at that box's far corner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reach {
+    /// The lower box of the grid the needed blocks fill: what [`decode`]
+    /// returns, in row-major order.
+    pub box_dims: Dims3,
+    /// Blocks in traversal order up to and including the last needed one.
+    pub blocks: usize,
+    /// Points in those blocks: the quantization codes the decode reads.
+    pub points: usize,
+}
+
+impl Reach {
+    /// The reach of a decode up to `upto` (exclusive, each axis in
+    /// `1..=dims[axis]`) of a `dims` grid cut into `block`-edged blocks.
+    ///
+    /// # Panics
+    /// Panics if `upto` is outside that range.
+    pub fn of(dims: Dims3, upto: [usize; 3], block: usize) -> Self {
+        assert!(
+            (0..3).all(|a| (1..=dims[a]).contains(&upto[a])),
+            "decode end {upto:?} outside the grid {dims:?}"
+        );
+        // The origin of the last needed block, and the box's end, per axis.
+        let last = upto.map(|u| (u - 1) / block * block);
+        let box_dims = [0, 1, 2].map(|a| (last[a] + block).min(dims[a]));
+        let counts = dims.map(|d| d.div_ceil(block));
+        let [bz, by, bx] = [0, 1, 2].map(|a| last[a] / block);
+        // Whole z-slabs before the last one, whole rows of blocks before the
+        // last one in it, then that row up to and including the last block.
+        let (ez, ey) = (box_dims[0] - last[0], box_dims[1] - last[1]);
+        Self {
+            box_dims,
+            blocks: (bz * counts[1] + by) * counts[2] + bx + 1,
+            points: last[0] * dims[1] * dims[2] + ez * last[1] * dims[2] + ez * ey * box_dims[2],
+        }
+    }
+}
+
+/// Reconstruct the lower box of the grid a region ending at `upto` needs
+/// (see [`Reach`]; `upto == dims` is the whole grid) from an
+/// [`EncodedBlocks`] stream, and stop after its last block.
+///
+/// `enc` need hold only the traversal up to there: [`Reach::points`]
+/// quantization codes, the flags of [`Reach::blocks`] blocks, and the
+/// coefficients and unpredictable values those consume.  A block outside
+/// the box still consumes its coefficients and its unpredictable values.
 pub fn decode(
     enc: &EncodedBlocks,
     dims: Dims3,
+    upto: [usize; 3],
     params: &PipelineParams,
     finalize: impl Fn(f64) -> f64,
 ) -> Result<Vec<f64>, CodecError> {
-    let n = dims[0] * dims[1] * dims[2];
-    if enc.quant_codes.len() < n {
+    let reach = Reach::of(dims, upto, params.block_size);
+    if enc.quant_codes.len() < reach.points {
         return Err(CodecError::Codec(format!(
-            "expected {n} quantization codes, found {}",
+            "expected {} quantization codes, found {}",
+            reach.points,
             enc.quant_codes.len()
         )));
     }
     // Everything the traversal will consume is counted first, so the walk
     // itself cannot run dry.
-    let codes = &enc.quant_codes[..n];
-    let block_count: usize = dims.iter().map(|d| d.div_ceil(params.block_size)).product();
+    let codes = &enc.quant_codes[..reach.points];
     let flags = enc
         .regression_flags
-        .get(..block_count)
+        .get(..reach.blocks)
         .filter(|flags| flags.iter().filter(|&&f| f).count() <= enc.reg_coeffs.len())
         .ok_or_else(|| CodecError::Codec("regression metadata truncated".into()))?;
     if codes.iter().filter(|&&c| c == UNPREDICTABLE).count() > enc.unpredictable.len() {
@@ -233,24 +300,35 @@ pub fn decode(
     }
 
     let quantizer = params.quantizer();
-    let mut recon = vec![0.0f64; n];
+    let boxd = reach.box_dims;
+    let mut recon = vec![0.0f64; boxd.iter().product()];
     let mut codes = codes.iter();
     let mut unpredictable = enc.unpredictable.iter();
     let mut coeffs = enc.reg_coeffs.iter();
 
     for ((origin, extent), &use_regression) in blocks(dims, params.block_size).zip(flags) {
-        let plane = use_regression.then(|| {
-            let c = coeffs.next().expect("counted above");
-            RegressionPlane::from_coeffs(c.map(|c| c as f64))
-        });
-        walk(dims, origin, extent, |idx, [z, y, x], [dz, dy, dx]| {
+        let coeffs = use_regression.then(|| coeffs.next().expect("counted above"));
+        if (0..3).any(|a| origin[a] >= upto[a]) {
+            let points = extent[0] * extent[1] * extent[2];
+            let skipped = codes
+                .by_ref()
+                .take(points)
+                .filter(|&&c| c == UNPREDICTABLE)
+                .count();
+            if skipped > 0 {
+                unpredictable.nth(skipped - 1);
+            }
+            continue;
+        }
+        let plane = coeffs.map(|c| RegressionPlane::from_coeffs(c.map(|c| c as f64)));
+        walk(boxd, origin, extent, |idx, [z, y, x], [dz, dy, dx]| {
             let code = *codes.next().expect("counted above");
             recon[idx] = if code == UNPREDICTABLE {
                 *unpredictable.next().expect("counted above")
             } else {
                 let pred = match &plane {
                     Some(p) => p.predict(dz, dy, dx),
-                    None => lorenzo3(&recon, dims, z, y, x),
+                    None => lorenzo3(&recon, boxd, z, y, x),
                 };
                 quantizer.decode(code, pred, &finalize)
             };
@@ -295,7 +373,7 @@ mod tests {
     fn check_roundtrip(values: &[f64], dims: Dims3, eb: f64) {
         let p = params(eb);
         let (enc, recon) = encode(values, dims, &p, |v| v);
-        let dec = decode(&enc, dims, &p, |v| v).unwrap();
+        let dec = decode(&enc, dims, dims, &p, |v| v).unwrap();
         assert_eq!(dec.len(), values.len());
         assert_eq!(
             bits(&recon),
@@ -332,7 +410,7 @@ mod tests {
         let values = vec![4.2f64; 512];
         let (enc, _) = encode(&values, dims, &params(1e-3), |v| v);
         assert!(enc.unpredictable.len() <= 1, "{}", enc.unpredictable.len());
-        let dec = decode(&enc, dims, &params(1e-3), |v| v).unwrap();
+        let dec = decode(&enc, dims, dims, &params(1e-3), |v| v).unwrap();
         for v in dec {
             assert!((v - 4.2).abs() <= 1e-3);
         }
@@ -363,7 +441,7 @@ mod tests {
         let p = params(1e-4);
         let f32ize = |v: f64| v as f32 as f64;
         let (enc, recon) = encode(&values, dims, &p, f32ize);
-        let dec = decode(&enc, dims, &p, f32ize).unwrap();
+        let dec = decode(&enc, dims, dims, &p, f32ize).unwrap();
         assert_eq!(bits(&recon), bits(&dec));
         for (&a, &b) in values.iter().zip(dec.iter()) {
             assert!((a - b).abs() <= 1e-4);
@@ -417,7 +495,7 @@ mod tests {
         let mut missing_codes = enc.clone();
         missing_codes.quant_codes.pop();
         assert_eq!(
-            decode(&missing_codes, dims, &p, |v| v),
+            decode(&missing_codes, dims, dims, &p, |v| v),
             Err(CodecError::Codec(
                 "expected 64 quantization codes, found 63".into()
             ))
@@ -426,7 +504,7 @@ mod tests {
         let mut missing_flags = enc.clone();
         missing_flags.regression_flags.clear();
         assert_eq!(
-            decode(&missing_flags, dims, &p, |v| v),
+            decode(&missing_flags, dims, dims, &p, |v| v),
             Err(CodecError::Codec("regression metadata truncated".into()))
         );
     }
@@ -448,7 +526,7 @@ mod tests {
         assert!(!enc.unpredictable.is_empty());
         enc.unpredictable.clear();
         assert_eq!(
-            decode(&enc, dims, &p, |v| v),
+            decode(&enc, dims, dims, &p, |v| v),
             Err(CodecError::Codec(
                 "unpredictable-value list truncated".into()
             ))
@@ -459,6 +537,67 @@ mod tests {
     #[should_panic(expected = "error bound must be positive")]
     fn zero_bound_panics() {
         let _ = encode(&[1.0], [1, 1, 1], &params(0.0), |v| v);
+    }
+
+    /// Every decode end, on grids with ragged blocks on each face, a mix
+    /// of regression and Lorenzo blocks and unpredictable points: the box
+    /// is the whole decode's, bit for bit, and the reach is what a walk of
+    /// the blocks counts.
+    #[test]
+    fn a_region_decode_is_the_whole_decode_on_its_box() {
+        for (dims, block) in [
+            ([7, 9, 11], 4),
+            ([1, 13, 17], 5),
+            ([1, 1, 40], 6),
+            ([6, 6, 6], 6),
+        ] {
+            let mut values = smooth_grid(dims);
+            for (i, v) in values.iter_mut().enumerate() {
+                if i % 17 == 3 {
+                    *v += 1e3;
+                }
+                if i % 29 == 0 {
+                    *v = 2.0 * i as f64 - 0.5 * (i % 7) as f64;
+                }
+            }
+            let p = PipelineParams {
+                block_size: block,
+                ..params(1e-3)
+            };
+            let (enc, _) = encode(&values, dims, &p, |v| v);
+            assert!(!enc.unpredictable.is_empty(), "{dims:?}");
+            let whole = decode(&enc, dims, dims, &p, |v| v).unwrap();
+            for z in 1..=dims[0] {
+                for y in 1..=dims[1] {
+                    for x in 1..=dims[2] {
+                        let upto = [z, y, x];
+                        let reach = Reach::of(dims, upto, block);
+                        let needed = |o: [usize; 3]| (0..3).all(|a| o[a] < upto[a]);
+                        let all: Vec<_> = blocks(dims, block).collect();
+                        let last = all.iter().rposition(|&(o, _)| needed(o)).unwrap();
+                        let points: usize = all[..=last]
+                            .iter()
+                            .map(|(_, e)| e.iter().product::<usize>())
+                            .sum();
+                        assert_eq!((reach.blocks, reach.points), (last + 1, points), "{upto:?}");
+                        // Only the traversal up to the last needed block.
+                        let mut cut = enc.clone();
+                        cut.quant_codes.truncate(reach.points);
+                        cut.regression_flags.truncate(reach.blocks);
+                        let part = decode(&cut, dims, upto, &p, |v| v).unwrap();
+                        let boxd = reach.box_dims;
+                        assert_eq!(part.len(), boxd.iter().product::<usize>());
+                        for (i, &v) in part.iter().enumerate() {
+                            let (bz, by, bx) =
+                                (i / (boxd[1] * boxd[2]), i / boxd[2] % boxd[1], i % boxd[2]);
+                            let at = (bz * dims[1] + by) * dims[2] + bx;
+                            assert_eq!(v.to_bits(), whole[at].to_bits(), "{dims:?} {upto:?} {i}");
+                        }
+                        assert!((0..3).all(|a| boxd[a] >= upto[a]), "{upto:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! caller-provided slice of a stack array: a field of any size is coded
 //! without one heap request per block.
 
+use fraz_data::Element;
+
 use crate::transform::BLOCK_EDGE;
 
 /// Lanes of the largest block, 4^3.
@@ -66,10 +68,11 @@ pub fn gather<T: Copy + Into<f64>>(
     }
 }
 
-/// Scatter a decoded block back into the grid, skipping padded lanes.
-pub fn scatter(
+/// Scatter a decoded block back into the grid, skipping padded lanes and
+/// narrowing each value to the grid's element type.
+pub fn scatter<T: Element>(
     block: &[f64],
-    values: &mut [f64],
+    values: &mut [T],
     dims: [usize; 3],
     origin: [usize; 3],
     block_dims: usize,
@@ -82,7 +85,12 @@ pub fn scatter(
         for ly in 0..ey {
             let row = ((origin[0] + lz) * dims[1] + origin[1] + ly) * dims[2] + origin[2];
             let lane = (lz * ny + ly) * nx;
-            values[row..row + ex].copy_from_slice(&block[lane..lane + ex]);
+            for (dst, &v) in values[row..row + ex]
+                .iter_mut()
+                .zip(&block[lane..lane + ex])
+            {
+                *dst = T::narrow(v);
+            }
         }
     }
 }

@@ -47,7 +47,7 @@ pub mod coder;
 pub mod transform;
 
 use fraz_data::wire::{try_vec, ByteReader, ByteWriter, DatasetHeader};
-use fraz_data::{CodecError, DataBuffer, Dataset, Dims, Encoded, Want};
+use fraz_data::{CodecError, DType, DataBuffer, Dataset, Dims, Element, Encoded, Want};
 use fraz_lossless::bitio::{BitReader, BitWriter};
 
 use block::MAX_BLOCK;
@@ -212,7 +212,6 @@ pub fn encode(dataset: &Dataset, config: &ZfpConfig, want: Want) -> Result<Encod
     };
     let mut out = header.into_bytes();
     out.extend_from_slice(&payload);
-    let recon = recon.map(|values| DataBuffer::from_f64(values, dataset.dtype()));
     Ok(Encoded::written(out, recon))
 }
 
@@ -236,16 +235,16 @@ impl Blocks {
 
     /// The decoder's block tail: `coded` (negabinary coefficients in
     /// sequency order, as [`coder::decode_ints`] reads them) back to values,
-    /// written into `values` at `origin`.  [`decompress`] runs it on what it
-    /// read, a measured [`encode`] on what it conveyed; `ints` and `raw` are
-    /// scratch of the block's size.
-    fn rebuild(
+    /// written into `values` — the field's own element type — at `origin`.
+    /// [`decompress`] runs it on what it read, a measured [`encode`] on what
+    /// it conveyed; `ints` and `raw` are scratch of the block's size.
+    fn rebuild<T: Element>(
         &self,
         coded: &[u64],
         emax: i32,
         origin: [usize; 3],
         (ints, raw): (&mut [i64], &mut [f64]),
-        values: &mut [f64],
+        values: &mut [T],
     ) {
         for (&coded, &dst) in coded.iter().zip(&self.perm) {
             ints[dst] = coder::uint_to_int(coded);
@@ -258,8 +257,8 @@ impl Blocks {
 
 /// The block payload of [`compress`]: every block gathered, aligned,
 /// transformed and bit-plane coded through stack arrays — and, when
-/// `rebuild` is set, decoded again from what was coded, into a field of
-/// `f64` values the decoder's.
+/// `rebuild` is set, decoded again from what was coded, into a buffer of
+/// the field's own element type holding the decoder's values.
 ///
 /// Two fields are refused rather than coded wrong.  A block shares one
 /// exponent, so a single NaN or infinity would take the 4^d − 1 finite
@@ -268,12 +267,12 @@ impl Blocks {
 /// tolerance needs more bit planes than the 64-bit integers hold (a fill
 /// value of 1e36 among O(1) values) would lose its small values to the
 /// fixed point: its tolerance is an invalid bound for this field.
-fn encode_blocks<T: Copy + Into<f64>>(
+fn encode_blocks<T: Element>(
     values: &[T],
     dims: &Dims,
     mode: &ZfpMode,
     rebuild: bool,
-) -> Result<(Vec<u8>, Option<Vec<f64>>), CodecError> {
+) -> Result<(Vec<u8>, Option<DataBuffer>), CodecError> {
     if let Some(index) = values.iter().position(|&v| !v.into().is_finite()) {
         return Err(CodecError::Codec(format!(
             "value {index} is not finite: the ZFP-like codec codes finite values only"
@@ -287,7 +286,7 @@ fn encode_blocks<T: Copy + Into<f64>>(
     let (mut raw, mut ints, mut reordered) =
         ([0.0; MAX_BLOCK], [0i64; MAX_BLOCK], [0u64; MAX_BLOCK]);
     let (raw, ints, reordered) = (&mut raw[..size], &mut ints[..size], &mut reordered[..size]);
-    let mut recon = rebuild.then(|| vec![0.0f64; values.len()]);
+    let mut recon = rebuild.then(|| vec![T::default(); values.len()]);
 
     let mut w = BitWriter::with_capacity(values.len());
     for origin in block::block_origins(dims3) {
@@ -334,7 +333,7 @@ fn encode_blocks<T: Copy + Into<f64>>(
             }
         }
     }
-    Ok((w.into_bytes(), recon))
+    Ok((w.into_bytes(), recon.map(T::into_buffer)))
 }
 
 /// Decompress a stream produced by [`compress`].
@@ -348,23 +347,41 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
         .map_err(|e| CodecError::Codec(format!("invalid header parameters: {e}")))?;
 
     let blocks = Blocks::of(&head.dims);
-    let (dims3, block_dims) = (blocks.dims3, blocks.block_dims);
-    let budget = block_bit_budget(&mode, block_dims);
-    let minexp = mode_minexp(&mode);
     let mut bits = BitReader::new(r.rest());
     // Every block costs at least its one flag bit, so the payload bounds
     // the grid; an all-zero field still expands 4^d values per bit, hence
     // the fallible reservation.
-    let n_blocks: usize = dims3.iter().map(|d| d.div_ceil(BLOCK_EDGE)).product();
+    let n_blocks: usize = blocks
+        .dims3
+        .iter()
+        .map(|d| d.div_ceil(BLOCK_EDGE))
+        .product();
     if n_blocks > bits.bits_remaining() {
         return Err(CodecError::Codec(format!(
             "{n_blocks} blocks cannot fit in {} payload bits",
             bits.bits_remaining()
         )));
     }
-    let n = head.dims.len();
+    let buffer = match head.dtype {
+        DType::F32 => decode_blocks::<f32>(&mut bits, &blocks, &mode, head.dims.len())?,
+        DType::F64 => decode_blocks::<f64>(&mut bits, &blocks, &mode, head.dims.len())?,
+    };
+    Ok(head.into_dataset(buffer))
+}
+
+/// The block payload of [`decompress`] back to the `n` values of a field of
+/// element type `T`, each written straight into its buffer.
+fn decode_blocks<T: Element>(
+    bits: &mut BitReader<'_>,
+    blocks: &Blocks,
+    mode: &ZfpMode,
+    n: usize,
+) -> Result<DataBuffer, CodecError> {
+    let (dims3, block_dims) = (blocks.dims3, blocks.block_dims);
+    let budget = block_bit_budget(mode, block_dims);
+    let minexp = mode_minexp(mode);
     let mut values = try_vec(n)?;
-    values.resize(n, 0.0f64);
+    values.resize(n, T::default());
     let size = blocks.perm.len();
     let (mut raw, mut ints, mut reordered) =
         ([0.0; MAX_BLOCK], [0i64; MAX_BLOCK], [0u64; MAX_BLOCK]);
@@ -382,7 +399,7 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
             }
             let max_prec = block_precision(emax, minexp, block_dims);
             let remaining = budget.saturating_sub(1 + EBITS as u64);
-            coder::decode_ints(&mut bits, reordered, remaining, max_prec)
+            coder::decode_ints(bits, reordered, remaining, max_prec)
                 .map_err(CodecError::corrupt)?;
             blocks.rebuild(reordered, emax, origin, (ints, raw), &mut values);
         }
@@ -397,15 +414,12 @@ pub fn decompress(data: &[u8]) -> Result<Dataset, CodecError> {
         }
     }
 
-    // Clamp tiny fixed-point noise toward the original precision.
-    let buffer = DataBuffer::from_f64(values, head.dtype);
-    Ok(head.into_dataset(buffer))
+    Ok(T::into_buffer(values))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fraz_data::DType;
 
     fn wave(dims: Dims, scale: f64) -> Dataset {
         let n = dims.len();

@@ -24,7 +24,12 @@
    grows back beside it.
 8. crates/fraz-zfp/src/lib.rs's `encode` calls no `decompress(`: a measured zfp encode rebuilds
    each block from the bits it wrote, through the decoder's block tail, instead of decoding the
-   stream it just wrote."""
+   stream it just wrote.
+9. crates/fraz-store/src/reader.rs makes exactly one codec decode call, `.decompress_region(`,
+   and no bare `.decompress(`: every read (a region, a chunk, the whole array) asks each chunk
+   for its local intersection, so a codec that decodes a region for less serves them all.
+10. crates/fraz-sz/src/pipeline.rs defines one `pub fn decode(`: a region decode and the
+   whole-grid decode are one decoder, run up to a region's far corner or the grid's."""
 import pathlib
 import re
 import sys
@@ -167,6 +172,26 @@ if not encode or rebuilds:
     failures.append(
         f"expected zfp's `pub fn encode(` to call no `decompress(`, found {len(rebuilds)} site(s): "
         "a measured zfp encode rebuilds its blocks from the bits it wrote"
+    )
+
+path = pathlib.Path("crates/fraz-store/src/reader.rs")
+code = code_of(path)
+reads = [site(path, code, call.start()) for call in re.finditer(r"\.decompress(_region)?\(", code)]
+print("\n".join(reads))
+if len(reads) != 1 or ".decompress_region(" not in reads[0]:
+    failures.append(
+        f"expected exactly one codec decode call in {path}, `.decompress_region(`, found "
+        f"{len(reads)} site(s): every read asks each chunk for its intersection"
+    )
+
+path = pathlib.Path("crates/fraz-sz/src/pipeline.rs")
+code = code_of(path)
+decoders = [site(path, code, fn.start()) for fn in re.finditer(r"\bpub fn decode\(", code)]
+print("\n".join(decoders))
+if len(decoders) != 1:
+    failures.append(
+        f"expected one `pub fn decode(` in {path}, found {len(decoders)}: a region decode and "
+        "the whole-grid decode are one decoder"
     )
 
 sys.exit("\n".join(failures) if failures else 0)

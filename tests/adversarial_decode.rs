@@ -24,12 +24,20 @@
 //! same truncation and bit-flip sweeps, with its own contract: `open`
 //! succeeds and damage costs the damaged lines only.
 //!
+//! Every mutation that is decoded is also region-decoded
+//! (`Compressor::decompress_region`) with three fixed regions — a corner
+//! point, an interior slab and the far corner's octant — and each of those
+//! calls must end in a corrupt-stream error or a region of the asked-for
+//! shape: a region decode reads less of the stream, so it may succeed where
+//! the whole decode fails, but never panic, hang or over-allocate.
+//!
 //! The test binary runs under a counting `#[global_allocator]` that refuses
 //! any request taking live bytes above 256 MiB: an unchecked proportional
 //! allocation aborts the suite on every host instead of hiding behind
 //! overcommit, while a checked one sees `try_reserve` fail and reports it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -178,10 +186,41 @@ fn victims() -> Vec<Victim> {
     victims
 }
 
+/// The regions every decoded mutation is also read at: a corner point, an
+/// interior slab and the far corner's octant of the 16³ victim.
+fn regions() -> [Vec<Range<usize>>; 3] {
+    [
+        vec![0..1, 0..1, 0..1],
+        vec![4..9, 2..14, 7..8],
+        vec![8..16, 8..16, 8..16],
+    ]
+}
+
+/// Region-decode hostile bytes: each region ends in a corrupt-stream error
+/// or a dataset of its shape.
+fn decode_regions(victim: &Victim, what: &str, bytes: &[u8]) {
+    let (name, dims) = (&victim.name, field().dims);
+    for region in regions() {
+        let read = || victim.codec.decompress_region(bytes, &dims, &region);
+        match catch_unwind(AssertUnwindSafe(read)) {
+            Err(_) => panic!("{name}: {what}: decompress_region {region:?} panicked"),
+            Ok(Err(PressioError::Codec(_))) => {}
+            Ok(Err(e)) => panic!("{name}: {what}: {region:?}: {e:?} is not a corrupt-stream error"),
+            Ok(Ok(dataset)) => {
+                let shape: Vec<usize> = region.iter().map(|r| r.len()).collect();
+                assert_eq!(dataset.dims.as_slice(), shape, "{name}: {what}");
+                assert_eq!(dataset.len(), dataset.dims.len(), "{name}: {what}");
+            }
+        }
+    }
+}
+
 /// Decode hostile bytes: a panic fails the test naming the mutation, a
 /// failure must be a corrupt stream (`PressioError::Codec`) and a success a
-/// self-consistent dataset.
+/// self-consistent dataset.  The same bytes are region-decoded too
+/// ([`decode_regions`]).
 fn decode(victim: &Victim, what: &str, bytes: &[u8]) -> Result<Dataset, String> {
+    decode_regions(victim, what, bytes);
     let name = &victim.name;
     match catch_unwind(AssertUnwindSafe(|| victim.codec.decompress(bytes))) {
         Err(_) => panic!("{name}: {what}: decompress panicked"),

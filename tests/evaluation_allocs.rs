@@ -284,10 +284,10 @@ fn a_size_encode_hands_over_the_reconstruction_it_built() {
 }
 
 /// The codecs whose encoders rebuild the field as they go: a build that has
-/// one has its decode-free quality evaluation.  (zfp rebuilds too, into an
-/// `f64` field it then narrows, one request more than this test's reading
-/// of decode-free: `a_zfp_quality_evaluation_decodes_nothing` holds it.)
-const MEASURE_THEIR_OWN: [&str; 4] = ["sz", "mgard", "mgard-l2", "szx"];
+/// one has its decode-free quality evaluation.  (zfp rebuilds each block
+/// from the bits it wrote, straight into the field's own element type:
+/// `a_zfp_quality_evaluation_decodes_nothing` holds it closer.)
+const MEASURE_THEIR_OWN: [&str; 6] = ["sz", "mgard", "mgard-l2", "szx", "zfp", "zfp-rate"];
 
 #[test]
 fn a_quality_evaluation_decodes_only_where_the_encoder_could_not_measure() {
@@ -394,8 +394,9 @@ fn a_szx_quality_evaluation_packs_nothing() {
 
 /// zfp's quality evaluation writes the stream and rebuilds each block from
 /// the bits it wrote, through the decoder's block tail: it asks for what
-/// `compress` asks for, the `f64` reconstruction (and its narrowing, on an
-/// `f32` field) and the outcome's name.  Decoding the stream would add the
+/// `compress` asks for, the reconstruction — written straight in the
+/// field's own element type, so an `f32` field is not rebuilt as `f64` and
+/// narrowed — and the outcome's name.  Decoding the stream would add the
 /// header's strings, the decoded dataset and its buffers.
 #[cfg(feature = "zfp")]
 #[test]
@@ -420,11 +421,10 @@ fn a_zfp_quality_evaluation_decodes_nothing() {
             );
             assert_eq!(outcome.stream.as_ref(), Some(&packed), "{what}");
             assert!(outcome.quality.is_some(), "{what}");
-            let rebuilt = 1 + u64::from(dtype == DType::F32);
-            if evaluate_requests > compress_requests + rebuilt + 1 {
+            if evaluate_requests > compress_requests + 2 {
                 failures.push(format!(
                     "{what}: a quality evaluation makes {evaluate_requests} requests, compress \
-                     {compress_requests} + the reconstruction ({rebuilt}) + the name"
+                     {compress_requests} + the reconstruction + the name"
                 ));
             }
         }
